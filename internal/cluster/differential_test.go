@@ -218,13 +218,6 @@ func variantQueries() []struct {
 			Subspace: []string{"y", "tier"},
 			Where:    []serve.WhereSpec{{Col: "x", Le: &le}},
 		}},
-		// Scalar reference path end to end: shards run NoKernel and the
-		// coordinator merges with MergeSurvivorsRef.
-		{"full-nokernel", serve.QueryRequest{NoKernel: true}},
-		{"constrained-nokernel", serve.QueryRequest{
-			NoKernel: true,
-			Where:    []serve.WhereSpec{{Col: "x", Le: &le}, {Col: "cls", In: []string{"a", "b"}}},
-		}},
 	}
 }
 
@@ -326,12 +319,6 @@ func (tc *testCluster) sweep(phase string, union []serve.RowSpec) {
 			tc.t.Errorf("%s/%s: cluster sees %d rows, single %d", phase, v.name, cluster.Rows, single.Rows)
 		}
 	}
-
-	// Kernel on vs off through the same coordinator: the bitset/columnar
-	// kernel and the scalar reference path must answer identically.
-	tc.checkSetEqual(phase+"/kernel-on-vs-off",
-		tc.query(tc.co.URL, "diff", serve.QueryRequest{Explain: true}),
-		tc.query(tc.co.URL, "diff", serve.QueryRequest{NoKernel: true}))
 
 	// Static skyline GET (table's own orders) and a dynamic query with
 	// per-request DAGs.

@@ -20,17 +20,21 @@ import (
 // never fail over: followers reject them, the primary's WAL is the
 // only write path.
 
+// withParam appends one already-escaped key=value to a request path.
+func withParam(path, kv string) string {
+	if strings.Contains(path, "?") {
+		return path + "&" + kv
+	}
+	return path + "?" + kv
+}
+
 // withMinVersion appends the read-at-version pin to a request path.
 // pin 0 means unpinned (any version is acceptable).
 func withMinVersion(path string, pin int64) string {
 	if pin <= 0 {
 		return path
 	}
-	sep := "?"
-	if strings.Contains(path, "?") {
-		sep = "&"
-	}
-	return path + sep + "minVersion=" + strconv.FormatInt(pin, 10)
+	return withParam(path, "minVersion="+strconv.FormatInt(pin, 10))
 }
 
 // shouldFailover classifies a primary read error: only transport

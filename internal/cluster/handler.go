@@ -82,16 +82,7 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"dropped": ct.name})
 	case rest == "skyline" && r.Method == http.MethodGet:
-		if serve.WantsStream(r) {
-			co.HandleSkylineStream(w, r, ct)
-			return
-		}
-		resp, err := co.Skyline(ctx, ct, r.URL.Query())
-		if err != nil {
-			writeError(w, statusForCluster(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		co.serveRead(w, r, ct, nil)
 	case rest == "stats" && r.Method == http.MethodGet:
 		co.handleStats(w, r, ct)
 	case rest == "rows:batch" && r.Method == http.MethodPost:
@@ -108,20 +99,16 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 		writeJSON(w, http.StatusOK, resp)
 	case rest == "query" && r.Method == http.MethodPost:
 		var req serve.QueryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad query: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, fmt.Errorf("bad query: %w", err))
 			return
 		}
-		if serve.WantsStream(r) {
-			co.HandleQueryStream(w, r, ct, req)
-			return
-		}
-		resp, err := co.Query(ctx, ct, req)
-		if err != nil {
-			writeError(w, statusForCluster(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		co.serveRead(w, r, ct, &req)
 	case rest == "domcount" && r.Method == http.MethodPost:
 		var req serve.DomCountRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -137,6 +124,33 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 	default:
 		writeError(w, http.StatusNotFound, fmt.Errorf("no cluster route %s %s", r.Method, r.URL.Path))
 	}
+}
+
+// maxQueryBody bounds a query request body, like the single node's
+// limit (a lattice of 500 values with all its edges is ~100 KB).
+const maxQueryBody = 4 << 20
+
+// serveRead is the read path behind both query routes — POST /query
+// (req decoded) and its GET /skyline shorthand (req nil): compile the
+// request into its scatter/gather pass, then hand it to the buffered or
+// the streamed runner.
+func (co *Coordinator) serveRead(w http.ResponseWriter, r *http.Request, ct *ctable, req *serve.QueryRequest) {
+	co.queries.Add(1)
+	g, err := co.compile(ct, r.URL.Query(), req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if serve.WantsStream(r) {
+		co.stream(w, r, g)
+		return
+	}
+	resp, err := g.answer(r.Context(), co)
+	if err != nil {
+		writeError(w, statusForCluster(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {

@@ -27,22 +27,43 @@ type candidate struct {
 	pt    core.Point
 }
 
-// gather is a compiled scatter/gather pass: how to query one shard and
-// how to interpret its rows for the merge.
+// gather is a compiled scatter/gather pass (single-use): how to query
+// one shard, how to interpret its rows for the merge, and what to do
+// with the merged rows afterwards. compile fills the request-derived
+// half before anything is sent anywhere; prepare fills the half that
+// needs the shards.
 type gather struct {
-	ct       *ctable
-	keptTO   []int           // kept TO dims (identity when no subspace)
-	keptPO   []int           // kept PO dims
-	doms     []*poset.Domain // dominance oracle, one per kept PO dim
-	ideal    []int64         // non-nil: |v−ideal| transform (fully dynamic)
-	stats    []serve.TableStatsInfo
-	prune    bool // statistics-driven shard pruning applies
-	noKernel bool // merge with the scalar reference pass (request noKernel)
-	// noElim keeps the gathered union un-eliminated: a UnionRanker
-	// (skyline layers) needs every shard-local row — cross-shard
-	// dominance elimination would discard the deeper layers.
-	noElim bool
-	query  func(ctx context.Context, shard int) (*serve.QueryResponse, error)
+	ct     *ctable
+	keptTO []int           // kept TO dims (identity when no subspace)
+	keptPO []int           // kept PO dims
+	doms   []*poset.Domain // dominance oracle, one per kept PO dim
+	ideal  []int64         // non-nil: |v−ideal| transform (fully dynamic)
+
+	// The shard leg: table sub-path and POST body — nil on GET /skyline
+	// legs, whose parameters ride the path.
+	path string
+	body *serve.QueryRequest
+
+	// q is the logical query of a planned request (nil otherwise): the
+	// input of planOnce and of the post-merge steps. union is set when its
+	// ranking is evaluated over the *un-eliminated* union of shard-local
+	// ranked results (skyline layers): cross-shard elimination would
+	// discard the deeper layers, and min-corner pruning is unsound — a
+	// dominated shard's rows are past layer 1, not past layer K.
+	q           *plan.Query
+	union       plan.UnionRanker
+	wantExplain bool
+	limit       int    // delivered-row truncation; count still reports every row
+	algo        string // response annotation
+	// incremental: certifying rows before every shard has answered is
+	// sound — the merged skyline itself is the answer (no global re-rank,
+	// no F-dominance pass over the full union) and shard rows compare on
+	// their raw coordinates (no ideal transform, no baseline run).
+	incremental bool
+
+	stats   []serve.TableStatsInfo // per-shard statistics; nil when not fetched
+	prune   bool                   // statistics-driven shard pruning applies
+	explain *plan.Explain          // planned requests: the coordinator's one plan
 }
 
 // result of the gather: merged candidates plus scatter metadata.
@@ -167,12 +188,13 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 	prebuilt := make([][]candidate, n) // avoids re-projecting the pruning seed
 
 	queryShard := func(i int) error {
-		resp, err := g.query(ctx, i)
-		if err != nil {
-			return err
+		resp := new(serve.QueryResponse)
+		method, body := g.legRequest()
+		err := co.readShard(ctx, i, method, co.shards[i].tablePath(g.ct.name, g.path), pin(g.stats, i), body, resp)
+		if err == nil {
+			resps[i] = resp
 		}
-		resps[i] = resp
-		return nil
+		return err
 	}
 
 	if !g.prune || n == 1 {
@@ -217,8 +239,8 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 		}
 		prebuilt[order[0].i] = seed
 		tops := make([]map[int32]bool, len(g.keptPO))
-		for j, d := range g.keptPO {
-			tops[j] = universalTops(g.domFor(j, d))
+		for j := range g.keptPO {
+			tops[j] = universalTops(g.doms[j])
 		}
 		var survivors []int
 		for _, e := range order[1:] {
@@ -277,24 +299,30 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 	out.queried = responded
 	out.cacheHit = responded > 0 && hits == responded
 	out.metrics.Shards = responded
-	if g.noElim {
+	if g.union != nil {
 		out.merged = all
 	} else {
-		out.merged = eliminate(all, g.doms, g.noKernel)
+		out.merged = eliminate(all, g.doms)
 	}
 	return out, nil
 }
 
-// domFor returns the dominance domain of kept PO slot j (table dim d).
-func (g *gather) domFor(j, d int) *poset.Domain { return g.doms[j] }
+// legRequest returns the shard request's method and body as the shard client
+// wants them: a GET with an untyped nil (no body) on /skyline legs.
+func (g *gather) legRequest() (method string, body any) {
+	if g.body == nil {
+		return http.MethodGet, nil
+	}
+	return http.MethodPost, g.body
+}
 
 // pin returns the version shard i's read must observe on failover: the
 // version its statistics snapshot was taken at, so the shard's view
-// never moves backwards within one scatter. 0 (unpinned) when the
-// gather fetched no statistics.
-func (g *gather) pin(i int) int64 {
-	if i < len(g.stats) {
-		return g.stats[i].Version
+// never moves backwards within one scatter. 0 (unpinned) without
+// statistics.
+func pin(stats []serve.TableStatsInfo, i int) int64 {
+	if i < len(stats) {
+		return stats[i].Version
 	}
 	return 0
 }
@@ -319,9 +347,7 @@ func (g *gather) candidates(shard int, resp *serve.QueryResponse) ([]candidate, 
 // skipped because each shard's list is already a skyline). Equal
 // points never dominate each other, so duplicated rows survive
 // together, matching single-node semantics. Order is preserved.
-// noKernel selects the scalar reference pass — the kernel-off leg of
-// the differential harness, end to end through the coordinator.
-func eliminate(cands []candidate, doms []*poset.Domain, noKernel bool) []candidate {
+func eliminate(cands []candidate, doms []*poset.Domain) []candidate {
 	if len(cands) == 0 {
 		return nil
 	}
@@ -331,12 +357,7 @@ func eliminate(cands []candidate, doms []*poset.Domain, noKernel bool) []candida
 		pts[i] = cands[i].pt
 		shards[i] = cands[i].shard
 	}
-	var keep []int
-	if noKernel {
-		keep = core.MergeSurvivorsRef(doms, pts, shards, runtime.GOMAXPROCS(0))
-	} else {
-		keep = core.MergeSurvivors(doms, pts, shards, runtime.GOMAXPROCS(0))
-	}
+	keep := core.MergeSurvivors(doms, pts, shards, runtime.GOMAXPROCS(0))
 	out := make([]candidate, len(keep))
 	for k, i := range keep {
 		out[k] = cands[i]
@@ -369,123 +390,189 @@ func identityDims(n int) []int {
 	return out
 }
 
-// Query answers POST /tables/{t}/query at the coordinator for both
-// request modes (planner and dynamic), reusing the single-node wire
-// contract end to end.
-func (co *Coordinator) Query(ctx context.Context, ct *ctable, req serve.QueryRequest) (*serve.QueryResponse, error) {
-	co.queries.Add(1)
-	if req.PlanMode() {
-		return co.planQuery(ctx, ct, req)
+// compile turns one read request — a decoded POST /query body, or nil
+// for GET /skyline — into the scatter/gather pass that answers it,
+// reusing the single-node wire contract end to end. Every error is a
+// client error, raised before any shard is contacted or any stream
+// opens.
+func (co *Coordinator) compile(ct *ctable, params url.Values, req *serve.QueryRequest) (*gather, error) {
+	g := &gather{
+		ct:     ct,
+		keptTO: identityDims(ct.schema.NumTO()),
+		keptPO: identityDims(ct.schema.NumPO()),
+		doms:   ct.domains,
+		path:   "/query",
 	}
-	if req.HasPlanFields() {
-		return nil, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain/noKernel cannot combine with orders/baseline (dynamic queries run dTSS as-is)")
+	if v := params.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return nil, fmt.Errorf("bad limit=%q: %w", v, err)
+		}
+		g.limit = n
 	}
-	return co.dynamicQuery(ctx, ct, req)
+	if req == nil {
+		// The static skyline under the table's own orders: ?algo/?parallel
+		// pass through to every shard's own GET /skyline.
+		g.path, g.algo = "/skyline", params.Get("algo")
+		for _, k := range []string{"algo", "parallel"} {
+			if v := params.Get(k); v != "" {
+				g.path = withParam(g.path, k+"="+url.QueryEscape(v))
+			}
+		}
+		g.incremental = true
+		return g, nil
+	}
+
+	// The leg carries the request minus what only the coordinator can
+	// apply: the row limit (the merge needs every candidate) and explain.
+	body := *req
+	body.Limit, body.Explain = 0, false
+	g.body, g.wantExplain = &body, req.Explain
+	if g.limit == 0 {
+		g.limit = req.Limit
+	}
+	planned, err := req.PlanMode()
+	if err != nil {
+		return nil, err
+	}
+	if !planned {
+		// Dynamic: merge under the *request's* domains — for fully dynamic
+		// queries on the |v−ideal| transformed coordinates, where statistics
+		// corners are meaningless.
+		if req.Baseline && req.Ideal != nil {
+			return nil, fmt.Errorf("baseline does not support ideal-point queries")
+		}
+		if g.doms, err = ct.schema.QueryDomains(req.Orders); err != nil {
+			return nil, err
+		}
+		if req.Ideal != nil && len(req.Ideal) != ct.schema.NumTO() {
+			return nil, fmt.Errorf("ideal point has %d values, table has %d TO columns",
+				len(req.Ideal), ct.schema.NumTO())
+		}
+		g.ideal = req.Ideal
+		g.incremental = !req.Baseline && req.Ideal == nil
+		return g, nil
+	}
+
+	q, err := ct.schema.PlanQuery(*req)
+	if err != nil {
+		return nil, err
+	}
+	g.q = &q
+	if q.Subspace != nil {
+		g.keptTO, g.keptPO = q.Subspace.TO, q.Subspace.PO
+		g.doms = make([]*poset.Domain, len(g.keptPO))
+		for j, d := range g.keptPO {
+			g.doms[j] = ct.domains[d]
+		}
+	}
+	if q.Rank != plan.RankNone {
+		r, _ := plan.LookupRanker(string(q.Rank)) // PlanQuery validated the name
+		g.union, _ = r.(plan.UnionRanker)
+	}
+	// Planned legs ship the unranked variant: rank scores are global (a
+	// shard-local rank could evict globally surviving rows), so each
+	// shard over-fetches its full local variant skyline and the
+	// coordinator re-ranks the merge. Union rankings keep top-k and rank:
+	// the shard-local ranked result is exactly what the union consumes.
+	body.Ideal = nil
+	if g.union == nil {
+		body.TopK, body.Rank = 0, ""
+	}
+	g.incremental = q.Rank == plan.RankNone && len(q.FWeights) == 0
+	return g, nil
 }
 
-// planQuery is the planner-mode scatter/gather: plan once against
-// merged per-shard statistics, fan the per-shard plan out (variant
-// preserved, top-k stripped — each shard over-fetches its full local
-// variant skyline), merge, then re-rank globally.
-func (co *Coordinator) planQuery(ctx context.Context, ct *ctable, req serve.QueryRequest) (*serve.QueryResponse, error) {
-	start := time.Now()
-	q, err := ct.schema.PlanQuery(req)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := co.ShardStats(ctx, ct)
-	if err != nil {
-		return nil, err
-	}
-	explain, err := co.planOnce(ct, q, stats)
-	if err != nil {
-		return nil, err
-	}
-
-	// A ranking with the UnionRanker capability (skyline layers) is
-	// evaluated over the *un-eliminated* union of shard-local ranked
-	// results: each shard ships its own layers-≤K rows (a row's global
-	// layer never exceeds K unless its local layer already does) and the
-	// coordinator re-ranks the union. Every other ranking scatters the
-	// unranked variant and re-ranks the merged skyline globally.
-	var unionRanker plan.UnionRanker
-	if req.TopK > 0 && q.Rank != plan.RankNone {
-		r, ok := plan.LookupRanker(string(q.Rank))
-		if !ok {
-			return nil, fmt.Errorf("cluster: unknown rank %q", q.Rank)
+// prepare is the half of the compile that needs the shards: per-shard
+// statistics (pruning corners, certification bounds, failover pins) and,
+// for a planned request, the one plan over their merge. A stream runs it
+// inside its producer, under heartbeat cover. stream asks for streamed
+// legs; streamed reports whether the pass gets them — only when
+// incremental certification is sound and there are statistics to bound
+// the shards with.
+func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (streamed bool, err error) {
+	stream = stream && g.incremental
+	// A plan needs statistics. Pruning and certification merely use them
+	// (a failed fetch just disables both), and only on untransformed
+	// coordinates, with a second shard to prune or a stream to bound.
+	if g.q != nil || (g.ideal == nil && (stream || len(co.shards) > 1)) {
+		if g.stats, err = co.ShardStats(ctx, g.ct); err != nil && g.q != nil {
+			return false, err
 		}
-		unionRanker, _ = r.(plan.UnionRanker)
 	}
+	g.prune = g.stats != nil && len(co.shards) > 1 && g.union == nil
+	streamed = stream && g.stats != nil
+	if g.q == nil {
+		return streamed, nil
+	}
+	if g.explain, err = co.planOnce(g.ct, *g.q, g.stats); err != nil {
+		return false, err
+	}
+	if g.body.Algo == "" {
+		// Buffered legs pin the coordinator's cost-based choice so shards
+		// skip re-planning. Streamed legs pin sTSS instead: the streamed
+		// path optimizes time-to-first-row, and only the progressive cursor
+		// emits shard rows before the local run finishes (a first-K
+		// cancellation then stops the shard's traversal mid-flight instead
+		// of after a full materialization).
+		g.body.Algo = g.explain.Algorithm
+		if streamed {
+			g.body.Algo = "stss"
+		}
+	}
+	if streamed {
+		g.explain.Algorithm = g.body.Algo
+	}
+	g.algo = g.explain.Algorithm
+	return streamed, nil
+}
 
-	// The scatter request: same variant, no top-k (rank scores are
-	// global — a shard-local rank could evict globally surviving rows),
-	// no row limit (the merge needs every candidate), and the
-	// coordinator's algorithm choice pinned so shards skip re-planning.
-	// Union rankings keep top-k and rank: the shard-local ranked result
-	// is exactly what the union merge consumes.
-	sreq := req
-	sreq.TopK, sreq.Rank, sreq.Ideal = 0, "", nil
-	sreq.Limit, sreq.Explain = 0, false
-	if unionRanker != nil {
-		sreq.TopK, sreq.Rank = req.TopK, req.Rank
+// answer is the buffered runner: prepare, then gather-and-merge.
+func (g *gather) answer(ctx context.Context, co *Coordinator) (*serve.QueryResponse, error) {
+	start := time.Now()
+	if _, err := g.prepare(ctx, co, false); err != nil {
+		return nil, err
 	}
-	if sreq.Algo == "" {
-		sreq.Algo = explain.Algorithm
-	}
+	return g.gatherMerge(ctx, co, start)
+}
 
-	keptTO, keptPO := identityDims(ct.schema.NumTO()), identityDims(ct.schema.NumPO())
-	if q.Subspace != nil {
-		keptTO, keptPO = q.Subspace.TO, q.Subspace.PO
-	}
-	doms := make([]*poset.Domain, len(keptPO))
-	for j, d := range keptPO {
-		doms[j] = ct.domains[d]
-	}
-	g := &gather{
-		ct: ct, keptTO: keptTO, keptPO: keptPO, doms: doms,
-		stats: stats, noKernel: req.NoKernel,
-		// Min-corner pruning is unsound for union rankings: a dominated
-		// shard's rows are past layer 1, not past layer K.
-		prune:  len(co.shards) > 1 && unionRanker == nil,
-		noElim: unionRanker != nil,
-	}
-	g.query = func(ctx context.Context, i int) (*serve.QueryResponse, error) {
-		var resp serve.QueryResponse
-		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/query"), g.pin(i), sreq, &resp)
-		return &resp, err
-	}
+// gatherMerge scatters the buffered legs, merges, applies the planned
+// request's post-merge steps and renders the response. prepare has run.
+func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Time) (*serve.QueryResponse, error) {
 	gr, err := g.run(ctx, co)
 	if err != nil {
 		return nil, err
 	}
 	co.pruned.Add(int64(len(gr.pruned)))
-
 	merged := gr.merged
-	// Weight-restricted skylines: each shard already restricted its local
-	// result (FWeights rode the scatter), and F-dominance is transitive,
-	// so one member-only elimination pass over the merged union is exact.
-	// Sound under pruning too: a pruned shard's rows are t-dominated —
-	// hence F-dominated — by a gathered candidate.
-	if len(q.FWeights) > 0 && unionRanker == nil {
-		merged = restrictCandidates(g, &q, merged)
-	}
-	if req.TopK > 0 {
-		if unionRanker != nil {
-			merged = rankUnion(g, unionRanker, &q, req.TopK, merged)
-		} else if merged, err = co.rank(ctx, ct, g, req, q, merged); err != nil {
-			return nil, err
+	if g.q != nil {
+		if len(g.q.FWeights) > 0 {
+			// Weight-restricted skylines (never ranked — Validate refuses the
+			// combination): each shard already restricted its local result
+			// (FWeights rode the scatter), and F-dominance is transitive, so
+			// one member-only elimination pass over the merged union is exact.
+			// Sound under pruning too: a pruned shard's rows are t-dominated —
+			// hence F-dominated — by a gathered candidate.
+			merged = restrictCandidates(g, merged)
 		}
+		switch {
+		case g.q.TopK == 0:
+		case g.union != nil:
+			merged = rankUnion(g, merged)
+		default:
+			if merged, err = co.rank(ctx, g, merged); err != nil {
+				return nil, err
+			}
+		}
+		g.explain.ObservedSeconds = time.Since(start).Seconds()
+		g.explain.ObservedSkyline = len(merged)
+		g.explain.CacheHit = gr.cacheHit
 	}
-	explain.ObservedSeconds = time.Since(start).Seconds()
-	explain.ObservedSkyline = len(merged)
-	explain.CacheHit = gr.cacheHit
-
-	resp := co.response(ct, gr, merged, req.Limit)
+	resp := co.response(g.ct, gr, merged, g.limit)
 	resp.CacheHit = gr.cacheHit
-	resp.Algo = explain.Algorithm
-	if req.Explain {
-		resp.Plan = explain
+	resp.Algo = g.algo
+	if g.wantExplain {
+		resp.Plan = g.explain
 	}
 	return resp, nil
 }
@@ -514,86 +601,86 @@ func (co *Coordinator) planOnce(ct *ctable, q plan.Query, stats []serve.TableSta
 // their rows are still part of R — and combine the partial scores. Ties
 // break on row values (then shard, row), which is deterministic across
 // any placement.
-func (co *Coordinator) rank(ctx context.Context, ct *ctable, g *gather, req serve.QueryRequest, q plan.Query, merged []candidate) ([]candidate, error) {
-	k := req.TopK
-	if q.Rank != plan.RankNone {
-		r, ok := plan.LookupRanker(string(q.Rank))
-		if !ok {
-			return nil, fmt.Errorf("cluster: unknown rank %q", q.Rank)
+func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) ([]candidate, error) {
+	k := g.q.TopK
+	if g.q.Rank == plan.RankNone {
+		// Unranked: keep a merge-order prefix.
+		if k < len(merged) {
+			merged = merged[:k]
 		}
-		var scores []float64
-		switch s := r.(type) {
-		case plan.WireScorer:
-			rows := make([]plan.WireRow, len(merged))
-			for i := range merged {
-				rows[i] = plan.WireRow{TO: merged[i].row.TO, PO: merged[i].pt.PO}
-			}
-			scores = s.WireScores(g.wireContext(&q, req.NoKernel), rows)
-		case plan.PartialScorer:
-			parts, err := co.scatterPartials(ctx, ct, g, req, merged)
-			if err != nil {
-				return nil, err
-			}
-			if scores, err = s.CombinePartials(parts, len(merged)); err != nil {
-				return nil, fmt.Errorf("cluster: %s", err)
-			}
-		default:
-			return nil, fmt.Errorf("cluster: rank %q has no distributed evaluation", q.Rank)
+		return merged, nil
+	}
+	r, _ := plan.LookupRanker(string(g.q.Rank))
+	var scores []float64
+	switch s := r.(type) {
+	case plan.WireScorer:
+		rows := make([]plan.WireRow, len(merged))
+		for i := range merged {
+			rows[i] = plan.WireRow{TO: merged[i].row.TO, PO: merged[i].pt.PO}
 		}
-		return sortCandidates(merged, scores, k), nil
+		scores = s.WireScores(g.wireContext(), rows)
+	case plan.PartialScorer:
+		// The rank field is left empty for domcount, preserving the
+		// endpoint's original request shape.
+		dreq := serve.DomCountRequest{Subspace: g.body.Subspace, Where: g.body.Where}
+		if g.q.Rank != plan.RankDomCount {
+			dreq.Rank = string(g.q.Rank)
+		}
+		for i := range merged {
+			dreq.Rows = append(dreq.Rows, serve.RowSpec{TO: merged[i].row.TO, PO: merged[i].row.PO})
+		}
+		parts, _, err := co.scatterPartials(ctx, g.ct, dreq, g.stats)
+		if err != nil {
+			return nil, err
+		}
+		if _, scores, err = s.CombinePartials(parts, len(merged)); err != nil {
+			return nil, fmt.Errorf("cluster: %s", err)
+		}
+	default:
+		return nil, fmt.Errorf("cluster: rank %q has no distributed evaluation", g.q.Rank)
 	}
-	// Unranked: keep a merge-order prefix.
-	if k < len(merged) {
-		merged = merged[:k]
-	}
-	return merged, nil
+	return sortCandidates(merged, scores, k), nil
 }
 
 // wireContext assembles the coordinator-side scoring context.
-func (g *gather) wireContext(q *plan.Query, noKernel bool) *plan.WireContext {
-	return &plan.WireContext{Query: q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms, NoKernel: noKernel}
+func (g *gather) wireContext() *plan.WireContext {
+	return &plan.WireContext{Query: g.q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms}
 }
 
-// scatterPartials fans the merged candidates out to every shard for
-// partial scoring (/domcount with the ranking named). The rank field is
-// left empty for domcount, preserving the endpoint's original request
-// shape.
-func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, g *gather, req serve.QueryRequest, merged []candidate) ([]plan.Partials, error) {
-	dreq := serve.DomCountRequest{Subspace: req.Subspace, Where: req.Where}
-	if r := plan.Rank(req.Rank); r != plan.RankDomCount {
-		dreq.Rank = req.Rank
-	}
-	for i := range merged {
-		dreq.Rows = append(dreq.Rows, serve.RowSpec{TO: merged[i].row.TO, PO: merged[i].row.PO})
-	}
+// scatterPartials fans a /domcount request out to every shard and
+// returns the per-shard partial scores plus the summed shard versions.
+// stats, when known, pin failover reads to the scatter's versions.
+func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, dreq serve.DomCountRequest, stats []serve.TableStatsInfo) ([]plan.Partials, int64, error) {
 	resps := make([]serve.DomCountResponse, len(co.shards))
 	errs := co.scatter(func(i int) error {
-		return co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/domcount"), g.pin(i), dreq, &resps[i])
+		return co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/domcount"), pin(stats, i), dreq, &resps[i])
 	})
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	var version int64
 	parts := make([]plan.Partials, len(resps))
 	for i, r := range resps {
+		version += r.Version
 		parts[i] = plan.Partials{Counts: r.Counts}
 		for _, h := range r.Hists {
 			parts[i].Hists = append(parts[i].Hists, plan.KHist{Ks: h.Ks, Counts: h.Counts})
 		}
 	}
-	return parts, nil
+	return parts, version, nil
 }
 
-// rankUnion evaluates a UnionRanker over the un-eliminated gathered
+// rankUnion evaluates the union ranking over the un-eliminated gathered
 // union: the ranker scores (and possibly excludes) every row, and the
 // survivors order by (score, row values, shard, row) with no count
 // truncation — a union ranking's k is a depth bound the shards already
 // applied, not a row budget.
-func rankUnion(g *gather, ur plan.UnionRanker, q *plan.Query, k int, merged []candidate) []candidate {
+func rankUnion(g *gather, merged []candidate) []candidate {
 	pts := make([]core.Point, len(merged))
 	for i := range merged {
 		pts[i] = merged[i].pt
 	}
-	scores, keep := ur.RankUnion(g.wireContext(q, g.noKernel), pts, k)
+	scores, keep := g.union.RankUnion(g.wireContext(), pts, g.q.TopK)
 	kept := make([]candidate, 0, len(merged))
 	keptScores := make([]float64, 0, len(merged))
 	for i := range merged {
@@ -608,12 +695,12 @@ func rankUnion(g *gather, ur plan.UnionRanker, q *plan.Query, k int, merged []ca
 // restrictCandidates applies the F-dominance weight constraint to the
 // merged skyline, eliminating members F-dominated by another member
 // (exact by transitivity; see plan/fdom.go).
-func restrictCandidates(g *gather, q *plan.Query, merged []candidate) []candidate {
+func restrictCandidates(g *gather, merged []candidate) []candidate {
 	pts := make([]core.Point, len(merged))
 	for i := range merged {
 		pts[i] = merged[i].pt
 	}
-	keep := plan.FDomSurvivors(g.doms, plan.FVertices(q.FWeights, g.keptTO), pts)
+	keep := plan.FDomSurvivors(g.doms, plan.FVertices(g.q.FWeights, g.keptTO), pts)
 	out := make([]candidate, len(keep))
 	for i, j := range keep {
 		out[i] = merged[j]
@@ -678,125 +765,30 @@ func compareRows(a, b *serve.SkylineRow) int {
 	return 0
 }
 
-// dynamicQuery scatters a dTSS-mode request (per-request preference
-// DAGs, optional ideal point, optional baseline) and merges under the
-// *request's* domains — for fully dynamic queries on the |v−ideal|
-// transformed coordinates, where statistics corners are meaningless,
-// so shard pruning stays off.
-func (co *Coordinator) dynamicQuery(ctx context.Context, ct *ctable, req serve.QueryRequest) (*serve.QueryResponse, error) {
-	if req.Baseline && req.Ideal != nil {
-		return nil, fmt.Errorf("baseline does not support ideal-point queries")
-	}
-	doms, err := ct.schema.QueryDomains(req.Orders)
-	if err != nil {
-		return nil, err
-	}
-	if req.Ideal != nil && len(req.Ideal) != ct.schema.NumTO() {
-		return nil, fmt.Errorf("ideal point has %d values, table has %d TO columns",
-			len(req.Ideal), ct.schema.NumTO())
-	}
-	sreq := req
-	sreq.Limit = 0
-	g := &gather{
-		ct:     ct,
-		keptTO: identityDims(ct.schema.NumTO()),
-		keptPO: identityDims(ct.schema.NumPO()),
-		doms:   doms,
-		ideal:  req.Ideal,
-	}
-	g.query = func(ctx context.Context, i int) (*serve.QueryResponse, error) {
-		var resp serve.QueryResponse
-		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/query"), g.pin(i), sreq, &resp)
-		return &resp, err
-	}
-	// Plain dynamic queries (no distance transform) still benefit from
-	// pruning when statistics are available; a stats fetch failure just
-	// disables it.
-	if req.Ideal == nil && len(co.shards) > 1 {
-		if stats, err := co.ShardStats(ctx, ct); err == nil {
-			g.stats, g.prune = stats, true
-		}
-	}
-	gr, err := g.run(ctx, co)
-	if err != nil {
-		return nil, err
-	}
-	co.pruned.Add(int64(len(gr.pruned)))
-	resp := co.response(ct, gr, gr.merged, req.Limit)
-	resp.CacheHit = gr.cacheHit
-	return resp, nil
-}
-
-// Skyline answers GET /tables/{t}/skyline at the coordinator: the
-// static skyline under the table's own orders, ?algo/?parallel passed
-// through to every shard, merged with the t-dominance pass.
-func (co *Coordinator) Skyline(ctx context.Context, ct *ctable, params url.Values) (*serve.QueryResponse, error) {
-	co.queries.Add(1)
-	limit := 0
-	if v := params.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("bad limit=%q: %w", v, err)
-		}
-		limit = n
-	}
-	scatterParams := url.Values{}
-	for _, k := range []string{"algo", "parallel"} {
-		if v := params.Get(k); v != "" {
-			scatterParams.Set(k, v)
-		}
-	}
-	path := "/skyline"
-	if enc := scatterParams.Encode(); enc != "" {
-		path += "?" + enc
-	}
-	g := &gather{
-		ct:     ct,
-		keptTO: identityDims(ct.schema.NumTO()),
-		keptPO: identityDims(ct.schema.NumPO()),
-		doms:   ct.domains,
-	}
-	g.query = func(ctx context.Context, i int) (*serve.QueryResponse, error) {
-		var resp serve.QueryResponse
-		err := co.readShard(ctx, i, http.MethodGet, co.shards[i].tablePath(ct.name, path), g.pin(i), nil, &resp)
-		return &resp, err
-	}
-	if len(co.shards) > 1 {
-		if stats, err := co.ShardStats(ctx, ct); err == nil {
-			g.stats, g.prune = stats, true
-		}
-	}
-	gr, err := g.run(ctx, co)
-	if err != nil {
-		return nil, err
-	}
-	co.pruned.Add(int64(len(gr.pruned)))
-	resp := co.response(ct, gr, gr.merged, limit)
-	if v := params.Get("algo"); v != "" {
-		resp.Algo = v
-	}
-	return resp, nil
-}
-
-// DomCount answers POST /tables/{t}/domcount at the coordinator by
-// summing every shard's partial counts.
+// DomCount answers POST /tables/{t}/domcount at the coordinator: every
+// shard's partial scores for the candidates, folded by the ranking's
+// own combiner into what one node holding all the rows would answer.
 func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCountRequest) (*serve.DomCountResponse, error) {
-	resps := make([]serve.DomCountResponse, len(co.shards))
-	errs := co.scatter(func(i int) error {
-		return co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/domcount"), 0, req, &resps[i])
-	})
-	if err := firstError(errs); err != nil {
+	name := req.Rank
+	if name == "" {
+		name = string(plan.RankDomCount)
+	}
+	r, _ := plan.LookupRanker(name)
+	ps, ok := r.(plan.PartialScorer)
+	if !ok {
+		return nil, fmt.Errorf("cluster: rank %q has no per-shard partial scores", name)
+	}
+	parts, version, err := co.scatterPartials(ctx, ct, req, nil)
+	if err != nil {
 		return nil, err
 	}
-	out := &serve.DomCountResponse{Table: ct.name, Counts: make([]int64, len(req.Rows))}
-	for _, r := range resps {
-		out.Version += r.Version
-		if len(r.Counts) != len(out.Counts) {
-			return nil, fmt.Errorf("cluster: shard returned %d counts for %d candidates", len(r.Counts), len(out.Counts))
-		}
-		for i, c := range r.Counts {
-			out.Counts[i] += c
-		}
+	merged, _, err := ps.CombinePartials(parts, len(req.Rows))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s", err)
+	}
+	out := &serve.DomCountResponse{Table: ct.name, Version: version, Counts: merged.Counts}
+	for _, h := range merged.Hists {
+		out.Hists = append(out.Hists, serve.RankHist{Ks: h.Ks, Counts: h.Counts})
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -67,31 +68,47 @@ func (tc *testCluster) sweepRankings(phase string, union []serve.RowSpec) {
 	// dp-idp: rank-equal by independently recomputed scores.
 	scores := dpidpOracle(union)
 	const k = 7
-	for _, nk := range []bool{false, true} {
-		req := serve.QueryRequest{TopK: k, Rank: "dpidp", NoKernel: nk}
-		cluster := tc.query(tc.co.URL, "diff", req)
-		single := tc.query(tc.single.URL, "diff", req)
-		name := fmt.Sprintf("%s/dpidp(nokernel=%v)", phase, nk)
-		if len(cluster.Skyline) != len(single.Skyline) {
-			tc.t.Errorf("%s: cluster %d rows, single %d", name, len(cluster.Skyline), len(single.Skyline))
+	req := serve.QueryRequest{TopK: k, Rank: "dpidp"}
+	cluster := tc.query(tc.co.URL, "diff", req)
+	single := tc.query(tc.single.URL, "diff", req)
+	name := phase + "/dpidp"
+	if len(cluster.Skyline) != len(single.Skyline) {
+		tc.t.Errorf("%s: cluster %d rows, single %d", name, len(cluster.Skyline), len(single.Skyline))
+		cluster.Skyline = nil // row counts differ: skip the per-rank comparison
+	}
+	for i := range cluster.Skyline {
+		ck, sk := rowKey(&cluster.Skyline[i]), rowKey(&single.Skyline[i])
+		cs, cok := scores[ck]
+		ss, sok := scores[sk]
+		if !cok || !sok {
+			tc.t.Errorf("%s: rank %d row not a skyline member (cluster %q ok=%v, single %q ok=%v)",
+				name, i, ck, cok, sk, sok)
 			continue
 		}
-		for i := range cluster.Skyline {
-			ck, sk := rowKey(&cluster.Skyline[i]), rowKey(&single.Skyline[i])
-			cs, cok := scores[ck]
-			ss, sok := scores[sk]
-			if !cok || !sok {
-				tc.t.Errorf("%s: rank %d row not a skyline member (cluster %q ok=%v, single %q ok=%v)",
-					name, i, ck, cok, sk, sok)
-				continue
-			}
-			if cs != ss {
-				tc.t.Errorf("%s: rank %d dp-idp score %v (cluster) vs %v (single) — not rank-equal",
-					name, i, cs, ss)
-			}
-			if i > 0 && scores[rowKey(&cluster.Skyline[i-1])] < cs {
-				tc.t.Errorf("%s: cluster dp-idp order violated at %d", name, i)
-			}
+		if cs != ss {
+			tc.t.Errorf("%s: rank %d dp-idp score %v (cluster) vs %v (single) — not rank-equal",
+				name, i, cs, ss)
+		}
+		if i > 0 && scores[rowKey(&cluster.Skyline[i-1])] < cs {
+			tc.t.Errorf("%s: cluster dp-idp order violated at %d", name, i)
+		}
+	}
+
+	// /domcount through the coordinator answers what one node holding
+	// every row answers, for count-shaped ("" = domcount) and
+	// histogram-shaped (dpidp) partials alike.
+	dreq := serve.DomCountRequest{}
+	for _, r := range single.Skyline {
+		dreq.Rows = append(dreq.Rows, serve.RowSpec{TO: r.TO, PO: r.PO})
+	}
+	for _, rank := range []string{"", "dpidp"} {
+		dreq.Rank = rank
+		var cl, si serve.DomCountResponse
+		tc.postJSON(tc.co.URL+"/tables/diff/domcount", dreq, &cl, http.StatusOK)
+		tc.postJSON(tc.single.URL+"/tables/diff/domcount", dreq, &si, http.StatusOK)
+		if !reflect.DeepEqual(cl.Counts, si.Counts) || !reflect.DeepEqual(cl.Hists, si.Hists) {
+			tc.t.Errorf("%s/domcount(rank=%q): cluster %+v %+v\n single %+v %+v",
+				phase, rank, cl.Counts, cl.Hists, si.Counts, si.Hists)
 		}
 	}
 

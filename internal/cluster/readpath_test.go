@@ -1,0 +1,251 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/serve"
+)
+
+// readShape is one request shape of the read path: a POST /query body,
+// or (get set) the GET /skyline shorthand with its URL parameters.
+type readShape struct {
+	name string
+	get  string // "?…" of GET /skyline; req is ignored when non-empty
+	req  serve.QueryRequest
+	// seq: the row order is part of the answer (ranked top-k), so
+	// buffered ≡ streamed is checked as a sequence within a tier.
+	seq bool
+	// prefix: the answer is *some* K members of the full skyline (top-k
+	// cuts and rank ties fall differently per placement), so tiers are
+	// compared by size and membership, not by multiset.
+	prefix bool
+}
+
+// answer is one route's reply, whatever its delivery.
+type answer struct {
+	status  int
+	errText string
+	rows    []serve.SkylineRow
+	count   int
+	version int64
+	algo    string
+}
+
+// ask sends one shape to one tier, buffered or streamed.
+func ask(t *testing.T, base string, sh readShape, stream bool) answer {
+	t.Helper()
+	method, url, body := http.MethodPost, base+"/tables/diff/query", io.Reader(nil)
+	if sh.get != "" {
+		method, url = http.MethodGet, base+"/tables/diff/skyline"+sh.get
+	} else {
+		buf, err := json.Marshal(sh.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = bytes.NewReader(buf)
+	}
+	if stream {
+		sep := "?"
+		if strings.Contains(url, "?") {
+			sep = "&"
+		}
+		url += sep + "stream=1"
+	}
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	a := answer{status: resp.StatusCode}
+	if resp.StatusCode != http.StatusOK {
+		var e struct {
+			Error string `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		a.errText = e.Error
+		return a
+	}
+	if !stream {
+		var out serve.QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		a.rows, a.count, a.version, a.algo = out.Skyline, out.Count, out.Version, out.Algo
+		return a
+	}
+	var recs []serve.StreamRecord
+	for dec := json.NewDecoder(resp.Body); ; {
+		var rec serve.StreamRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("%s: decode frame %d: %v", sh.name, len(recs), err)
+		}
+		recs = append(recs, rec)
+	}
+	rows, trailer := streamedRows(t, recs)
+	a.rows, a.count, a.version, a.algo = rows, trailer.Count, trailer.Version, trailer.Algo
+	return a
+}
+
+func valueSeq(rows []serve.SkylineRow) []string {
+	keys := make([]string, len(rows))
+	for i := range rows {
+		keys[i] = rowKey(&rows[i])
+	}
+	return keys
+}
+
+// TestReadPathEquivalence pins what the single read path per tier rests
+// on: every request shape answers the same through all four routes —
+// {single node, 2-shard coordinator} × {buffered, ?stream=1} — and GET
+// /skyline is exactly the planned query it is shorthand for.
+func TestReadPathEquivalence(t *testing.T) {
+	tc := newTestCluster(t, 2, fixtureSpec("diff", fixtureRows(300, 7)))
+	le := int64(400)
+	orders := []serve.QueryOrder{
+		{Edges: [][2]string{{"d", "a"}, {"d", "b"}}},
+		{Edges: [][2]string{{"t3", "t2"}, {"t2", "t1"}}},
+	}
+	shapes := []readShape{
+		{name: "full", req: serve.QueryRequest{Explain: true}},
+		{name: "subspace", req: serve.QueryRequest{Subspace: []string{"x", "cls"}}},
+		{name: "constrained", req: serve.QueryRequest{Where: []serve.WhereSpec{{Col: "x", Le: &le}, {Col: "cls", In: []string{"a", "b"}}}}},
+		{name: "topk", req: serve.QueryRequest{TopK: 5}, prefix: true},
+		{name: "fweights", req: serve.QueryRequest{FWeights: []float64{0.3, 0.2}}},
+		{name: "orders", req: serve.QueryRequest{Orders: orders}},
+		{name: "orders+ideal", req: serve.QueryRequest{Orders: orders, Ideal: []int64{500, 500}}},
+		{name: "orders+baseline", req: serve.QueryRequest{Orders: orders, Baseline: true}},
+		{name: "skyline", get: "?"},
+		{name: "skyline-algo", get: "?algo=bnl"},
+		{name: "skyline-parallel", get: "?algo=stss&parallel=2"},
+	}
+	for _, rank := range plan.RankerNames() {
+		sh := readShape{name: "rank-" + rank, req: serve.QueryRequest{TopK: 5, Rank: rank}, seq: true, prefix: true}
+		switch rank {
+		case "ideal":
+			sh.req.Ideal = []int64{500, 500}
+		case "layer": // topK is a depth bound: the answer is value-determined
+			sh.req.TopK, sh.prefix = 2, false
+		}
+		shapes = append(shapes, sh)
+	}
+
+	full := ask(t, tc.single.URL, readShape{get: "?"}, false)
+	member := make(map[string]int)
+	for _, k := range valueSeq(full.rows) {
+		member[k]++
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var tiers [2][2]answer // [single, coordinator][buffered, streamed]
+			for ti, base := range []string{tc.single.URL, tc.co.URL} {
+				for di, stream := range []bool{false, true} {
+					a := ask(t, base, sh, stream)
+					if a.status != http.StatusOK {
+						t.Fatalf("tier %d stream=%v: status %d: %s", ti, stream, a.status, a.errText)
+					}
+					tiers[ti][di] = a
+				}
+				buf, str := tiers[ti][0], tiers[ti][1]
+				if buf.count != str.count || buf.version != str.version || len(buf.rows) != len(str.rows) {
+					t.Errorf("tier %d: buffered %d rows count=%d version=%d, streamed %d rows count=%d version=%d",
+						ti, len(buf.rows), buf.count, buf.version, len(str.rows), str.count, str.version)
+				}
+				switch {
+				case sh.seq:
+					if fmt.Sprint(valueSeq(buf.rows)) != fmt.Sprint(valueSeq(str.rows)) {
+						t.Errorf("tier %d: streamed order %v, buffered %v", ti, valueSeq(str.rows), valueSeq(buf.rows))
+					}
+				case !sh.prefix:
+					if !equalKeys(sortedKeys(buf.rows), sortedKeys(str.rows)) {
+						t.Errorf("tier %d: streamed rows diverge from buffered", ti)
+					}
+				}
+				// algo: every planned answer names what ran, dynamic ones
+				// nothing; the coordinator's GET /skyline echoes ?algo only.
+				planned := sh.get != "" || len(sh.req.Orders) == 0
+				if ti == 1 && sh.get == "?" {
+					planned = false
+				}
+				for di, a := range tiers[ti] {
+					if (a.algo != "") != planned {
+						t.Errorf("tier %d delivery %d: algo %q, planned=%v", ti, di, a.algo, planned)
+					}
+				}
+			}
+			single, cluster := tiers[0][0], tiers[1][0]
+			if single.count != cluster.count {
+				t.Errorf("count: single %d, cluster %d", single.count, cluster.count)
+			}
+			if !sh.prefix {
+				if !equalKeys(sortedKeys(single.rows), sortedKeys(cluster.rows)) {
+					t.Errorf("single and cluster rows diverge:\n single  %v\n cluster %v", sortedKeys(single.rows), sortedKeys(cluster.rows))
+				}
+				return
+			}
+			for ti := range tiers {
+				for di := range tiers[ti] {
+					seen := make(map[string]int)
+					for _, k := range valueSeq(tiers[ti][di].rows) {
+						if seen[k]++; seen[k] > member[k] {
+							t.Errorf("tier %d delivery %d: row %s is not a skyline member", ti, di, k)
+						}
+					}
+				}
+			}
+		})
+	}
+
+	// GET /skyline?algo=A&parallel=P is POST /query {algo:A, parallel:P,
+	// noCache:true}, row for row, on either tier.
+	for _, base := range []string{tc.single.URL, tc.co.URL} {
+		for _, c := range []struct {
+			algo     string
+			parallel int
+		}{{"stss", 0}, {"bnl", 0}, {"stss", 2}} {
+			get := ask(t, base, readShape{get: fmt.Sprintf("?algo=%s&parallel=%d", c.algo, c.parallel)}, false)
+			post := ask(t, base, readShape{req: serve.QueryRequest{Algo: c.algo, Parallel: c.parallel, NoCache: true}}, false)
+			if get.status != http.StatusOK || post.status != http.StatusOK ||
+				fmt.Sprint(valueSeq(get.rows)) != fmt.Sprint(valueSeq(post.rows)) || get.count != post.count || get.algo != post.algo {
+				t.Errorf("%s algo=%s parallel=%d: GET /skyline %v (algo %q) != POST /query %v (algo %q)",
+					base, c.algo, c.parallel, valueSeq(get.rows), get.algo, valueSeq(post.rows), post.algo)
+			}
+		}
+	}
+
+	// A request mixing both modes gets the identical refusal everywhere.
+	mixed := readShape{req: serve.QueryRequest{Orders: orders, TopK: 2}}
+	want := ask(t, tc.single.URL, mixed, false)
+	if want.status != http.StatusBadRequest || !strings.Contains(want.errText, "cannot combine") {
+		t.Fatalf("mixed-mode request: status %d, error %q", want.status, want.errText)
+	}
+	for _, base := range []string{tc.single.URL, tc.co.URL} {
+		for _, stream := range []bool{false, true} {
+			if got := ask(t, base, mixed, stream); got.status != want.status || got.errText != want.errText {
+				t.Errorf("%s stream=%v: mixed-mode answer %d %q, want %d %q", base, stream, got.status, got.errText, want.status, want.errText)
+			}
+		}
+	}
+}
+
+// TestCoordinatorQueryBodyBound: the coordinator refuses an oversized
+// query body with 413, like a single node.
+func TestCoordinatorQueryBodyBound(t *testing.T) {
+	tc := newTestCluster(t, 2, fixtureSpec("diff", fixtureRows(10, 1)))
+	huge := readShape{req: serve.QueryRequest{Subspace: []string{strings.Repeat("x", maxQueryBody)}}}
+	if got := ask(t, tc.co.URL, huge, false); got.status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized query body: status %d (%s), want 413", got.status, got.errText)
+	}
+}

@@ -4,16 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/plan"
-	"repro/internal/poset"
 	"repro/internal/serve"
 )
 
@@ -52,242 +47,30 @@ import (
 // remaining shard bound), cancelling the remaining legs mid-traversal
 // instead of over-fetching every shard's full local skyline.
 
-// streamLimit parses the ?limit query parameter of a streamed route.
-func streamLimit(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("limit")
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad limit=%q: %w", v, err)
-	}
-	return n, nil
-}
-
-// HandleQueryStream answers POST /tables/{t}/query?stream=1 at the
-// coordinator. Unranked planner-mode queries and plain dynamic queries
-// take the incremental merge; ranked top-k (global re-rank needs every
-// candidate), ideal-point transforms (statistics corners are
-// meaningless on transformed coordinates) and baseline runs compute
-// buffered and replay their rows, so every request shape shares the
+// stream is the streamed runner: the header first, then — inside the
+// producer, so heartbeats flow while the statistics fetch and the plan
+// are in flight instead of the client staring at a silent pre-stream
+// pause — prepare, and either the incremental merge over streamed legs
+// or, when incremental certification is not sound for this request, the
+// buffered runner's answer replayed, so every request shape shares the
 // stream framing.
-func (co *Coordinator) HandleQueryStream(w http.ResponseWriter, r *http.Request, ct *ctable, req serve.QueryRequest) {
-	co.queries.Add(1)
-	limit, err := streamLimit(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if limit == 0 {
-		limit = req.Limit
-	}
-	if req.PlanMode() {
-		co.streamPlanQuery(w, r, ct, req, limit)
-		return
-	}
-	if req.HasPlanFields() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain cannot combine with orders/baseline (dynamic queries run dTSS as-is)"))
-		return
-	}
-	co.streamDynamicQuery(w, r, ct, req, limit)
-}
-
-// streamPlanQuery streams a planner-mode scatter: plan once, fan the
-// per-shard streamed request out, merge incrementally. Only request
-// validation happens before the stream opens (client errors deserve an
-// HTTP status); the statistics fetch and the plan run inside the
-// producer, so heartbeats flow while they are in flight instead of the
-// client staring at a silent pre-stream pause.
-func (co *Coordinator) streamPlanQuery(w http.ResponseWriter, r *http.Request, ct *ctable, req serve.QueryRequest, limit int) {
-	q, err := ct.schema.PlanQuery(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if q.Rank != plan.RankNone || len(q.FWeights) > 0 {
-		// Ranked top-k: scores are global, so the re-rank needs every
-		// merged candidate. Weight-restricted skylines: the incremental
-		// merge certifies by t-dominance only, and the cross-shard
-		// F-dominance elimination needs the full union. Both compute
-		// buffered and replay.
-		co.streamBuffered(w, r, ct, limit, func(ctx context.Context) (*serve.QueryResponse, error) {
-			return co.planQuery(ctx, ct, req)
-		})
-		return
-	}
-
-	sreq := req
-	sreq.TopK, sreq.Rank, sreq.Ideal = 0, "", nil
-	sreq.Limit, sreq.Explain = 0, false
-	if sreq.Algo == "" {
-		// Pin sTSS rather than the buffered cost-based choice: the
-		// streamed path optimizes time-to-first-row, and only the
-		// progressive cursor emits shard rows before the local run
-		// finishes (a first-K cancellation then stops the shard's
-		// traversal mid-flight instead of after a full materialization).
-		sreq.Algo = "stss"
-	}
-
-	keptTO, keptPO := identityDims(ct.schema.NumTO()), identityDims(ct.schema.NumPO())
-	if q.Subspace != nil {
-		keptTO, keptPO = q.Subspace.TO, q.Subspace.PO
-	}
-	doms := make([]*poset.Domain, len(keptPO))
-	for j, d := range keptPO {
-		doms[j] = ct.domains[d]
-	}
-	g := &gather{ct: ct, keptTO: keptTO, keptPO: keptPO, doms: doms}
-	sm := &streamMerge{
-		co: co, g: g, topK: req.TopK, limit: limit, algo: sreq.Algo,
-		open: func(ctx context.Context, i int) (io.ReadCloser, error) {
-			return co.openShardStream(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/query?stream=1"), g.pin(i), sreq)
-		},
-	}
-	sm.prepare = func(ctx context.Context) error {
-		stats, err := co.ShardStats(ctx, ct)
-		if err != nil {
-			return err
-		}
-		g.stats = stats
-		explain, err := co.planOnce(ct, q, stats)
-		if err != nil {
-			return err
-		}
-		explain.Algorithm = sreq.Algo
-		if req.Explain {
-			sm.explain = explain
-		}
-		return nil
-	}
-	sm.run(w, r, ct)
-}
-
-// streamDynamicQuery streams a dTSS-mode scatter. Plain dynamic queries
-// (request preference DAGs, no ideal transform) merge incrementally
-// under the request's domains; the statistics corners stay valid
-// because the coordinates are untransformed.
-func (co *Coordinator) streamDynamicQuery(w http.ResponseWriter, r *http.Request, ct *ctable, req serve.QueryRequest, limit int) {
-	if req.Baseline && req.Ideal != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("baseline does not support ideal-point queries"))
-		return
-	}
-	doms, err := ct.schema.QueryDomains(req.Orders)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Ideal != nil && len(req.Ideal) != ct.schema.NumTO() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("ideal point has %d values, table has %d TO columns",
-			len(req.Ideal), ct.schema.NumTO()))
-		return
-	}
-	bufferedCompute := func(ctx context.Context) (*serve.QueryResponse, error) {
-		return co.dynamicQuery(ctx, ct, req)
-	}
-	if req.Baseline || req.Ideal != nil {
-		co.streamBuffered(w, r, ct, limit, bufferedCompute)
-		return
-	}
-	sreq := req
-	sreq.Limit = 0
-	g := &gather{
-		ct:     ct,
-		keptTO: identityDims(ct.schema.NumTO()),
-		keptPO: identityDims(ct.schema.NumPO()),
-		doms:   doms,
-	}
-	sm := &streamMerge{
-		co: co, g: g, limit: limit,
-		open: func(ctx context.Context, i int) (io.ReadCloser, error) {
-			return co.openShardStream(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/query?stream=1"), g.pin(i), sreq)
-		},
-	}
-	// The statistics fetch runs inside the producer (heartbeats flow
-	// while it is in flight). Without statistics there are no shard
-	// corner bounds, hence no sound incremental certification — fall
-	// back to buffered replay within the already-open stream.
-	sm.prepare = func(ctx context.Context) error {
-		if stats, err := co.ShardStats(ctx, ct); err == nil {
-			g.stats = stats
-		} else {
-			sm.fallback = bufferedCompute
-		}
-		return nil
-	}
-	sm.run(w, r, ct)
-}
-
-// HandleSkylineStream answers GET /tables/{t}/skyline?stream=1: the
-// static skyline as an incrementally merged stream, ?algo/?parallel
-// passed through to the shard legs.
-func (co *Coordinator) HandleSkylineStream(w http.ResponseWriter, r *http.Request, ct *ctable) {
-	co.queries.Add(1)
-	limit, err := streamLimit(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	scatterParams := url.Values{"stream": []string{"1"}}
-	for _, k := range []string{"algo", "parallel"} {
-		if v := r.URL.Query().Get(k); v != "" {
-			scatterParams.Set(k, v)
-		}
-	}
-	path := "/skyline?" + scatterParams.Encode()
-	g := &gather{
-		ct:     ct,
-		keptTO: identityDims(ct.schema.NumTO()),
-		keptPO: identityDims(ct.schema.NumPO()),
-		doms:   ct.domains,
-	}
-	sm := &streamMerge{
-		co: co, g: g, limit: limit, algo: r.URL.Query().Get("algo"),
-		open: func(ctx context.Context, i int) (io.ReadCloser, error) {
-			return co.openShardStream(ctx, i, http.MethodGet, co.shards[i].tablePath(ct.name, path), g.pin(i), nil)
-		},
-	}
-	query := r.URL.Query()
-	sm.prepare = func(ctx context.Context) error {
-		if stats, err := co.ShardStats(ctx, ct); err == nil {
-			g.stats = stats
-		} else {
-			// No statistics, no corner bounds, no sound incremental
-			// certification — buffered replay inside the open stream.
-			sm.fallback = func(ctx context.Context) (*serve.QueryResponse, error) {
-				return co.Skyline(ctx, ct, query)
-			}
-		}
-		return nil
-	}
-	sm.run(w, r, ct)
-}
-
-// streamBuffered renders a buffered coordinator answer through the
-// stream framing: header, every (limit-truncated) row, trailer. The
-// compute runs inside the producer, so heartbeats cover it.
-func (co *Coordinator) streamBuffered(w http.ResponseWriter, r *http.Request, ct *ctable, limit int,
-	compute func(ctx context.Context) (*serve.QueryResponse, error)) {
-	header := serve.StreamRecord{Type: "header", Table: ct.name}
-	serve.StreamResponse(w, r, co.streamHeartbeat, header, bufferedProduce(limit, compute))
-}
-
-// bufferedProduce is the stream producer replaying one buffered
-// coordinator answer: compute, emit rows, return the trailer.
-func bufferedProduce(limit int, compute func(ctx context.Context) (*serve.QueryResponse, error)) func(context.Context, func(serve.StreamRecord) error) (serve.StreamRecord, error) {
-	return func(ctx context.Context, emit func(serve.StreamRecord) error) (serve.StreamRecord, error) {
+func (co *Coordinator) stream(w http.ResponseWriter, r *http.Request, g *gather) {
+	header := serve.StreamRecord{Type: "header", Table: g.ct.name}
+	serve.StreamResponse(w, r, co.streamHeartbeat, header, func(ctx context.Context, emit func(serve.StreamRecord) error) (serve.StreamRecord, error) {
 		start := time.Now()
-		resp, err := compute(ctx)
+		streamed, err := g.prepare(ctx, co, true)
 		if err != nil {
 			return serve.StreamRecord{}, err
 		}
-		for i := range resp.Skyline {
-			if limit > 0 && i >= limit {
-				break
-			}
-			row := resp.Skyline[i]
-			rec := serve.StreamRecord{Type: "row", Row: &row, Emission: i, Elapsed: time.Since(start).Seconds()}
+		if streamed {
+			return g.streamMerge(ctx, co, emit)
+		}
+		resp, err := g.gatherMerge(ctx, co, start)
+		if err != nil {
+			return serve.StreamRecord{}, err
+		}
+		for i := range resp.Skyline { // already cut to the limit
+			rec := serve.StreamRecord{Type: "row", Row: &resp.Skyline[i], Emission: i, Elapsed: time.Since(start).Seconds()}
 			if err := emit(rec); err != nil {
 				return serve.StreamRecord{}, err
 			}
@@ -297,7 +80,7 @@ func bufferedProduce(limit int, compute func(ctx context.Context) (*serve.QueryR
 			Metrics: &resp.Metrics, CacheHit: resp.CacheHit, Algo: resp.Algo,
 			Plan: resp.Plan, Cluster: resp.Cluster,
 		}, nil
-	}
+	})
 }
 
 // shardBound is one shard's threat classification for certification.
@@ -332,33 +115,13 @@ type legEvent struct {
 	err   error // terminal leg failure; rec is invalid
 }
 
-// streamMerge is one incremental scatter/merge execution.
-type streamMerge struct {
-	co      *Coordinator
-	g       *gather       // kept dims, dominance oracle, per-shard stats
-	topK    int           // unranked top-k: stop after this many certified rows
-	limit   int           // emission truncation; certification continues
-	algo    string        // trailer algo annotation
-	explain *plan.Explain // attached to the trailer when non-nil
-	open    func(ctx context.Context, shard int) (io.ReadCloser, error)
-	// prepare runs at the top of the producer — after the header, under
-	// heartbeat cover — to fetch statistics and plan. It may set
-	// fallback instead of g.stats to divert the whole request to a
-	// buffered replay inside the already-open stream.
-	prepare  func(ctx context.Context) error
-	fallback func(ctx context.Context) (*serve.QueryResponse, error)
-}
-
-func (sm *streamMerge) run(w http.ResponseWriter, r *http.Request, ct *ctable) {
-	header := serve.StreamRecord{Type: "header", Table: ct.name}
-	serve.StreamResponse(w, r, sm.co.streamHeartbeat, header, sm.produce)
-}
-
 // leg opens one shard stream and forwards its frames as events. A
 // decode error before the trailer (a torn mid-query stream) surfaces as
 // a leg failure, never as silent truncation.
-func (sm *streamMerge) leg(ctx context.Context, shard int, events chan<- legEvent) {
-	body, err := sm.open(ctx, shard)
+func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events chan<- legEvent) {
+	method, reqBody := g.legRequest()
+	path := co.shards[shard].tablePath(g.ct.name, withParam(g.path, "stream=1"))
+	body, err := co.openShardStream(ctx, shard, method, path, pin(g.stats, shard), reqBody)
 	if err != nil {
 		events <- legEvent{shard: shard, err: err}
 		return
@@ -392,18 +155,17 @@ func (sm *streamMerge) leg(ctx context.Context, shard int, events chan<- legEven
 	}
 }
 
-// produce runs the merge loop against the leg streams.
-func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord) error) (serve.StreamRecord, error) {
-	if sm.prepare != nil {
-		if err := sm.prepare(ctx); err != nil {
-			return serve.StreamRecord{}, err
-		}
-	}
-	if sm.fallback != nil {
-		return bufferedProduce(sm.limit, sm.fallback)(ctx, emit)
+// streamMerge is the incremental scatter/merge: the stream producer
+// running the merge loop against the leg streams. prepare has run and
+// found statistics. An unranked top-k stops after K certified rows;
+// g.limit only truncates emission, certification continues.
+func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(serve.StreamRecord) error) (serve.StreamRecord, error) {
+	topK := 0
+	if g.q != nil {
+		topK = g.q.TopK
 	}
 	start := time.Now()
-	n := len(sm.co.shards)
+	n := len(co.shards)
 	legCtx, cancel := context.WithCancel(ctx)
 	events := make(chan legEvent, n)
 	var wg sync.WaitGroup
@@ -411,7 +173,7 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sm.leg(legCtx, i, events)
+			g.leg(legCtx, co, i, events)
 		}(i)
 	}
 	go func() {
@@ -433,11 +195,11 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 	versions := make([]int64, n)
 	shardRows := make([]int, n)
 	complete := make([]bool, n)
-	for i := 0; i < n && i < len(sm.g.stats); i++ {
-		st := sm.g.stats[i]
+	for i := 0; i < n && i < len(g.stats); i++ {
+		st := g.stats[i]
 		versions[i] = st.Version
 		shardRows[i] = st.Rows
-		if c, ok := sm.g.corner(i); ok {
+		if c, ok := g.corner(i); ok {
 			bounds[i].corner = c
 		} else if st.Stats != nil && st.Stats.Rows == 0 {
 			bounds[i].empty = true
@@ -488,7 +250,7 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 			}
 			p.certified = true
 			certified++
-			if sm.limit == 0 || emitted < sm.limit {
+			if g.limit == 0 || emitted < g.limit {
 				shard := p.c.shard
 				row := p.c.row
 				row.Shard = &shard
@@ -498,7 +260,7 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 				}
 				emitted++
 			}
-			if sm.topK > 0 && certified == sm.topK {
+			if topK > 0 && certified == topK {
 				return true, nil
 			}
 		}
@@ -516,14 +278,14 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 		trailer := serve.StreamRecord{
 			Type: "trailer", Version: version, Rows: rowsTot, Count: certified,
 			Metrics: &metrics, CacheHit: trailers > 0 && cacheHits == trailers,
-			Algo:    sm.algo,
+			Algo:    g.algo,
 			Cluster: &serve.ClusterMeta{Shards: n, Versions: versions},
 		}
-		if sm.explain != nil {
-			sm.explain.ObservedSeconds = time.Since(start).Seconds()
-			sm.explain.ObservedSkyline = certified
-			sm.explain.CacheHit = trailer.CacheHit
-			trailer.Plan = sm.explain
+		if g.wantExplain {
+			g.explain.ObservedSeconds = time.Since(start).Seconds()
+			g.explain.ObservedSkyline = certified
+			g.explain.CacheHit = trailer.CacheHit
+			trailer.Plan = g.explain
 		}
 		return trailer, nil
 	}
@@ -538,7 +300,7 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 			shardRows[ev.shard] = ev.rec.Rows
 			continue
 		case "row":
-			pt, err := sm.g.point(ev.rec.Row)
+			pt, err := g.point(ev.rec.Row)
 			if err != nil {
 				return serve.StreamRecord{}, err
 			}
@@ -551,7 +313,7 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 			c := candidate{shard: ev.shard, row: *ev.rec.Row, pt: pt}
 			dominated := false
 			for i := range alive {
-				if core.DominatesUnder(sm.g.doms, &alive[i].c.pt, &c.pt) {
+				if core.DominatesUnder(g.doms, &alive[i].c.pt, &c.pt) {
 					dominated = true
 					break
 				}
@@ -563,7 +325,7 @@ func (sm *streamMerge) produce(ctx context.Context, emit func(serve.StreamRecord
 			// are un-dominatable by construction and always survive.
 			kept := alive[:0]
 			for i := range alive {
-				if !alive[i].certified && core.DominatesUnder(sm.g.doms, &c.pt, &alive[i].c.pt) {
+				if !alive[i].certified && core.DominatesUnder(g.doms, &c.pt, &alive[i].c.pt) {
 					continue
 				}
 				kept = append(kept, alive[i])

@@ -41,8 +41,10 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		}
 		res = &core.Result{SkylineIDs: append([]int32(nil), ids...), FromCache: true}
 	case p.earlyExit:
+		// Unranked top-k: the progressive cursor's first K certified
+		// emissions, delivered to nobody.
 		var err error
-		if res, err = p.runCursor(ctx, ds); err != nil {
+		if res, err = p.streamCursor(ctx, ds, env, func(StreamRow) error { return nil }, start); err != nil {
 			return nil, err
 		}
 		observedRows = p.cursorRows
@@ -150,32 +152,6 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 	p.Explain.ObservedSeconds = time.Since(start).Seconds()
 	p.Explain.ObservedRows = observedRows
 	p.Explain.ObservedSkyline = len(res.SkylineIDs)
-	return res, nil
-}
-
-// runCursor answers an unranked top-k through the progressive sTSS
-// cursor, paying only for the first K certified emissions.
-func (p *Plan) runCursor(ctx context.Context, ds *core.Dataset) (*core.Result, error) {
-	eff, err := p.effective(ctx, ds)
-	if err != nil {
-		return nil, err
-	}
-	p.cursorRows = len(eff.Pts)
-	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel})
-	res := &core.Result{}
-	for len(res.SkylineIDs) < p.Query.TopK {
-		if len(res.SkylineIDs)%256 == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		id, ok := cur.Next()
-		if !ok {
-			break
-		}
-		res.SkylineIDs = append(res.SkylineIDs, id)
-	}
-	res.Metrics = cur.Metrics()
 	return res, nil
 }
 

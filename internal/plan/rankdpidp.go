@@ -139,29 +139,31 @@ func (dpidpRanker) Partials(ctx context.Context, ds *core.Dataset, q Query, cand
 	return out, nil
 }
 
-func (dpidpRanker) CombinePartials(shards []Partials, n int) ([]float64, error) {
+func (dpidpRanker) CombinePartials(shards []Partials, n int) (Partials, []float64, error) {
 	merged := make([]map[int32]int64, n)
 	for i := range merged {
 		merged[i] = map[int32]int64{}
 	}
 	for _, p := range shards {
 		if len(p.Hists) != n {
-			return nil, fmt.Errorf("shard returned %d dp-idp histograms for %d candidates", len(p.Hists), n)
+			return Partials{}, nil, fmt.Errorf("shard returned %d dp-idp histograms for %d candidates", len(p.Hists), n)
 		}
 		for i, h := range p.Hists {
 			if len(h.Ks) != len(h.Counts) {
-				return nil, fmt.Errorf("shard histogram %d has %d ks but %d counts", i, len(h.Ks), len(h.Counts))
+				return Partials{}, nil, fmt.Errorf("shard histogram %d has %d ks but %d counts", i, len(h.Ks), len(h.Counts))
 			}
 			for x, k := range h.Ks {
 				merged[i][k] += h.Counts[x]
 			}
 		}
 	}
+	out := Partials{Hists: make([]KHist, n)}
 	scores := make([]float64, n)
 	for i, h := range merged {
+		out.Hists[i] = histToWire(h)
 		scores[i] = -core.DPIDPScoreFromHist(h)
 	}
-	return scores, nil
+	return out, scores, nil
 }
 
 // RankCostSeconds: one O(n·m) dominance scan, like the domcount scan
@@ -359,7 +361,7 @@ func (layerRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
 // RankUnion re-layers the un-eliminated union of shard-local layer
 // results on the coordinator; rows deeper than k are dropped.
 func (layerRanker) RankUnion(wc *WireContext, pts []core.Point, k int) ([]float64, []bool) {
-	layers := core.LayersUnder(wc.Doms, pts, k, wc.NoKernel)
+	layers := core.LayersUnder(wc.Doms, pts, k, wc.Query.Hints.NoKernel)
 	scores := make([]float64, len(pts))
 	keep := make([]bool, len(pts))
 	for i, l := range layers {

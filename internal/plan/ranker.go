@@ -97,11 +97,10 @@ type WireRow struct {
 // WireContext is the coordinator-side scoring context: the query, the
 // kept dimensions, and the kept PO domains of the merged table schema.
 type WireContext struct {
-	Query    *Query
-	KeptTO   []int
-	KeptPO   []int
-	Doms     []*poset.Domain
-	NoKernel bool
+	Query  *Query
+	KeptTO []int
+	KeptPO []int
+	Doms   []*poset.Domain
 }
 
 // KHist is the wire form of one candidate's k-histogram: parallel
@@ -122,11 +121,13 @@ type Partials struct {
 
 // PartialScorer is the distributed-aggregation capability: Partials
 // scores the candidate rows against one shard's local table, and
-// CombinePartials folds every shard's result into final scores
+// CombinePartials folds every shard's result into the partials of the
+// union of those tables (what one node holding all the rows would have
+// answered — a coordinator's own /domcount body) plus the final scores
 // (ascending = better, matching the shared rank sort).
 type PartialScorer interface {
 	Partials(ctx context.Context, ds *core.Dataset, q Query, cands []core.Point) (Partials, error)
-	CombinePartials(shards []Partials, n int) ([]float64, error)
+	CombinePartials(shards []Partials, n int) (merged Partials, scores []float64, err error)
 }
 
 // WireScorer scores gathered candidates from their values alone, with
@@ -295,17 +296,21 @@ func (domcountRanker) Partials(ctx context.Context, ds *core.Dataset, q Query, c
 	return Partials{Counts: counts}, nil
 }
 
-func (domcountRanker) CombinePartials(shards []Partials, n int) ([]float64, error) {
-	scores := make([]float64, n)
+func (domcountRanker) CombinePartials(shards []Partials, n int) (Partials, []float64, error) {
+	counts := make([]int64, n)
 	for _, p := range shards {
 		if len(p.Counts) != n {
-			return nil, fmt.Errorf("shard returned %d domcounts for %d candidates", len(p.Counts), n)
+			return Partials{}, nil, fmt.Errorf("shard returned %d domcounts for %d candidates", len(p.Counts), n)
 		}
 		for i, c := range p.Counts {
-			scores[i] -= float64(c)
+			counts[i] += c
 		}
 	}
-	return scores, nil
+	scores := make([]float64, n)
+	for i, c := range counts {
+		scores[i] = -float64(c)
+	}
+	return Partials{Counts: counts}, scores, nil
 }
 
 // domCountScores counts, per skyline row, the rows of R (the predicate-

@@ -136,7 +136,7 @@ func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit
 		return nil, err
 	}
 	p.cursorRows = len(eff.Pts)
-	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true})
+	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel})
 	res := &core.Result{}
 	postFilter := p.route == RoutePostFilter
 	k := p.Query.TopK
@@ -194,7 +194,7 @@ func (p *Plan) streamThresholdTopK(ctx context.Context, ds *core.Dataset, emit f
 		return nil, err
 	}
 	p.cursorRows = len(eff.Pts)
-	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true})
+	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel})
 	k := p.Query.TopK
 	postFilter := p.route == RoutePostFilter
 

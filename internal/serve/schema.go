@@ -18,6 +18,7 @@ type Schema struct {
 	toCols     []string
 	orderSpecs []OrderSpec
 	poIndex    []map[string]int // per order: value label -> id (storage encoding)
+	poSizes    []int            // per order: number of values (plan.Query.Validate's shape)
 }
 
 // NewSchema validates the column namespace (TO names, order names and
@@ -34,6 +35,7 @@ func NewSchema(toColumns []string, orders []OrderSpec) (*Schema, error) {
 			idx[v] = i
 		}
 		sc.poIndex = append(sc.poIndex, idx)
+		sc.poSizes = append(sc.poSizes, len(spec.Values))
 	}
 	seen := make(map[string]bool, len(sc.toCols)+len(sc.orderSpecs))
 	for _, c := range sc.toCols {
@@ -104,7 +106,9 @@ func (sc *Schema) LookupCol(name string) (dim int, isTO bool, err error) {
 }
 
 // PlanQuery translates a planner-mode request into the plan package's
-// logical query, resolving column names and PO value labels. The wire
+// logical query, resolving column names and PO value labels, and
+// validates it against the table shape — so a malformed query is a
+// client error before any work starts or any stream opens. The wire
 // parallelism contract matches the CLI flag: > 0 forces that many
 // shards, < 0 forces one shard per *executing host* CPU, 0 lets the
 // planner decide — so `tssquery -parallel -1` means the same thing
@@ -119,7 +123,7 @@ func (sc *Schema) PlanQuery(req QueryRequest) (plan.Query, error) {
 		Rank:     plan.Rank(req.Rank),
 		Ideal:    req.Ideal,
 		FWeights: req.FWeights,
-		Hints:    plan.Hints{Algorithm: req.Algo, Parallelism: par, NoKernel: req.NoKernel, NoCache: req.NoCache},
+		Hints:    plan.Hints{Algorithm: req.Algo, Parallelism: par, NoCache: req.NoCache},
 	}
 	if len(req.Subspace) > 0 {
 		s := &plan.Subspace{}
@@ -176,7 +180,7 @@ func (sc *Schema) PlanQuery(req QueryRequest) (plan.Query, error) {
 			return plan.Query{}, fmt.Errorf("where[%d]: no le/ge/in on column %q", i, w.Col)
 		}
 	}
-	return q, nil
+	return q, q.Validate(len(sc.toCols), len(sc.orderSpecs), sc.poSizes)
 }
 
 // compileDomains turns per-column edge lists (label pairs over the

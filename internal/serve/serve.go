@@ -16,6 +16,7 @@ import (
 
 	tss "repro"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/store"
 )
 
@@ -399,15 +400,22 @@ func statusFor(err error) int {
 
 // Handler returns the HTTP API:
 //
-//	GET    /healthz                     liveness
-//	GET    /statsz                      catalog + traffic statistics
-//	GET    /tables                      list tables
-//	POST   /tables                      create a table (TableSpec)
-//	GET    /tables/{name}               table info
-//	DELETE /tables/{name}               drop a table
-//	GET    /tables/{name}/skyline       static skyline (?algo=, ?parallel=, ?limit=)
-//	POST   /tables/{name}/rows:batch    batched mutation (BatchRequest)
-//	POST   /tables/{name}/query         dynamic query (QueryRequest)
+//	GET    /healthz                           liveness
+//	GET    /statsz                            catalog + traffic statistics
+//	GET    /tables                            list tables
+//	POST   /tables                            create a table (TableSpec)
+//	GET    /tables/{name}                     table info
+//	DELETE /tables/{name}                     drop a table
+//	POST   /tables/{name}/query               skyline query, planned or dynamic (QueryRequest; ?stream=1, ?limit=)
+//	GET    /tables/{name}/skyline             shorthand: the planned full skyline, algorithm forced (?algo=, ?parallel=)
+//	POST   /tables/{name}/rows:batch          batched mutation (BatchRequest)
+//	GET    /tables/{name}/stats               planner statistics + learned feedback
+//	POST   /tables/{name}/domcount            per-candidate partial rank scores (DomCountRequest)
+//	GET    /tables/{name}/replica/snapshot    replication: columnar snapshot for follower bootstrap
+//	GET    /tables/{name}/replica/log         replication: committed WAL frames (?after=)
+//
+// Every /tables/{name}/... route honours ?minVersion=N (412 when the
+// serving snapshot is older).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -443,10 +451,10 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"dropped": r.PathValue("name")})
 	})
-	mux.HandleFunc("GET /tables/{name}/skyline", s.withTable(s.handleSkyline))
+	mux.HandleFunc("GET /tables/{name}/skyline", s.withTable(s.getSkyline))
 	mux.HandleFunc("GET /tables/{name}/stats", s.withTable(s.handleTableStats))
 	mux.HandleFunc("POST /tables/{name}/rows:batch", s.withTable(s.handleBatch))
-	mux.HandleFunc("POST /tables/{name}/query", s.withTable(s.handleQuery))
+	mux.HandleFunc("POST /tables/{name}/query", s.withTable(s.postQuery))
 	mux.HandleFunc("POST /tables/{name}/domcount", s.withTable(s.handleDomCount))
 	mux.HandleFunc("GET /tables/{name}/replica/snapshot", s.withTable(s.handleReplicaSnapshot))
 	mux.HandleFunc("GET /tables/{name}/replica/log", s.withTable(s.handleReplicaLog))
@@ -524,11 +532,35 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
-// handleSkyline answers a static skyline query on the current snapshot
-// through the algorithm registry: ?algo= names any registered
-// algorithm (default stss), ?parallel=N runs it behind the
-// partition-and-merge executor, ?limit=K truncates the response rows.
-func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request, e *tableEntry) {
+// maxQueryBody bounds a query request body. A lattice of 500 values
+// with all its edges is ~100 KB; nothing legitimate comes near 4 MiB.
+const maxQueryBody = 4 << 20
+
+// postQuery answers POST /tables/{name}/query.
+func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry) {
+	var req QueryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad query: %w", err))
+		return
+	}
+	rq, err := e.compile(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.serveQuery(w, r, e, rq)
+}
+
+// getSkyline answers GET /tables/{name}/skyline — shorthand for the
+// planned query over the table's own orders with the algorithm forced
+// (?algo=, default stss), the memo bypassed, and a sequential run unless
+// ?parallel=N asks for the partition-and-merge executor.
+func (s *Server) getSkyline(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	// Query decoding turns '+' into ' '; algorithm names ("sdc+",
 	// "bbs+") contain '+' and never spaces, so map it back — ?algo=sdc+
 	// works unescaped from curl.
@@ -541,41 +573,145 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request, e *tableE
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	rq, err := e.compile(QueryRequest{Algo: algo, Parallel: parallel, NoCache: true})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if parallel == 0 {
+		rq.plan.Hints.Parallelism = -1 // this route defaults to sequential, not to the planner's choice
+	}
+	s.serveQuery(w, r, e, rq)
+}
+
+// readQuery is a validated read request in the one mode it runs in: a
+// planned query over the table's own orders (algorithm, placement and
+// cache routing chosen by the cost-based optimizer), or — dynamic — a
+// query bringing its own preference DAGs, answered by the snapshot's
+// prepared dTSS database and its result cache.
+type readQuery struct {
+	dynamic  bool
+	plan     plan.Query   // planned mode
+	orders   []*tss.Order // dynamic mode: one compiled DAG per PO column
+	ideal    []int64      // dynamic mode: fully dynamic reference point
+	baseline bool         // dynamic mode: the rebuild-everything SDC+ adaptation
+	explain  bool
+	limit    int // the body's limit; ?limit overrides it
+}
+
+// compile classifies and validates a request. Every error is a client
+// error, raised before any work starts or any stream opens.
+func (e *tableEntry) compile(req QueryRequest) (readQuery, error) {
+	rq := readQuery{explain: req.Explain, limit: req.Limit}
+	planned, err := req.PlanMode()
+	if err != nil {
+		return rq, err
+	}
+	if planned {
+		rq.plan, err = e.schema.PlanQuery(req)
+		return rq, err
+	}
+	if req.Baseline && req.Ideal != nil {
+		return rq, fmt.Errorf("baseline does not support ideal-point queries")
+	}
+	rq.dynamic, rq.ideal, rq.baseline = true, req.Ideal, req.Baseline
+	rq.orders, err = e.queryOrders(req.Orders)
+	return rq, err
+}
+
+// execute answers one compiled query entirely from one pinned snapshot
+// and moves the traffic counters. With emit set, planned queries
+// deliver rows as the streaming executor certifies them; dynamic
+// queries (which dTSS answers group-at-a-time) compute first and
+// replay. ctx rides along, so a request timeout or a vanished client
+// cancels the run cooperatively. explain is nil for dynamic queries.
+func (s *Server) execute(ctx context.Context, e *tableEntry, snap *snapshot, rq *readQuery,
+	emit func(plan.StreamRow) error) (res *tss.SkylineResult, explain *plan.Explain, err error) {
+	start := time.Now()
+	switch {
+	case !rq.dynamic && emit == nil:
+		res, explain, err = snap.table.QueryContext(ctx, rq.plan)
+	case !rq.dynamic:
+		res, explain, err = snap.table.QueryStream(ctx, rq.plan, emit)
+	case ctx.Err() != nil:
+		// Refuse work whose budget already expired while the request was
+		// queued or being read; the runs below check ctx mid-run too.
+		err = fmt.Errorf("query canceled before start: %w", ctx.Err())
+	case rq.baseline:
+		res, err = snap.dyn.QueryBaselineContext(ctx, rq.orders...)
+	case rq.ideal != nil:
+		res, err = snap.dyn.QueryAtContext(ctx, rq.ideal, rq.orders...)
+	default:
+		res, err = snap.dyn.QueryContext(ctx, rq.orders...)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.countQuery(e)
+	switch {
+	case !rq.dynamic:
+		// The skyline memo, not the dTSS result cache; a NoCache bypass is
+		// neither a hit nor a miss of it.
+		if !rq.plan.Hints.NoCache {
+			e.countPlanCache(explain, rq.plan.Subspace != nil)
+		}
+	case rq.baseline || rq.ideal != nil:
+		// The result cache serves only plain dTSS: these bypass it.
+	case res.CacheHit:
+		e.cacheHits.Add(1)
+	default:
+		e.cacheMisses.Add(1)
+	}
+	if rq.dynamic && emit != nil {
+		for i, row := range res.Rows {
+			if err := emit(plan.StreamRow{ID: int32(row), Index: i, Elapsed: time.Since(start)}); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return res, explain, nil
+}
+
+// serveQuery is the read path behind both query routes: pin the
+// snapshot once and deliver the executor's answer as one JSON body or —
+// under ?stream=1 — as a record stream. ?limit (else the body's limit)
+// truncates the delivered rows without changing the query: count
+// always reports every certified row.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, e *tableEntry, rq readQuery) {
 	limit, err := intParam(r, "limit", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if WantsStream(r) {
-		s.handleSkylineStream(w, r, e, algo, parallel, limit)
-		return
+	if limit != 0 {
+		rq.limit = limit
 	}
-
 	snap := e.current()
-	var res *tss.SkylineResult
-	if parallel != 0 {
-		p := parallel
-		if p < 0 {
-			p = 0 // facade: 0 = one shard per CPU
-		}
-		res, err = snap.table.SkylineParallel(algo, p)
-	} else {
-		res, err = snap.table.SkylineWith(algo)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if WantsStream(r) {
+		s.streamQuery(w, r, e, snap, rq)
 		return
 	}
-	s.countQuery(e)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Table:   e.name,
-		Version: snap.version,
-		Rows:    snap.table.Len(),
-		Count:   len(res.Rows),
-		Skyline: skylineRows(snap, res.Rows, limit),
-		Metrics: res.Metrics,
-		Algo:    algo,
-	})
+	res, explain, err := s.execute(r.Context(), e, snap, &rq, nil)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	resp := QueryResponse{
+		Table:    e.name,
+		Version:  snap.version,
+		Rows:     snap.table.Len(),
+		Count:    len(res.Rows),
+		Skyline:  skylineRows(snap, res.Rows, rq.limit),
+		Metrics:  res.Metrics,
+		CacheHit: res.CacheHit,
+	}
+	if explain != nil {
+		resp.Algo = explain.Algorithm
+		if rq.explain {
+			resp.Plan = explain
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEntry) {
@@ -601,124 +737,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEnt
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleQuery answers POST /tables/{name}/query in one of two modes:
-// a dynamic skyline query bringing its own preference DAGs (served
-// through the snapshot's prepared dynamic database and its result
-// cache), or — when planner-mode fields are present instead — a
-// planned query over the table's own orders (subspace / constrained /
-// top-k, algorithm and placement chosen by the cost-based optimizer).
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *tableEntry) {
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad query: %w", err))
-		return
-	}
-	if WantsStream(r) {
-		s.handleQueryStream(w, r, e, req)
-		return
-	}
-	if req.PlanMode() {
-		s.handlePlanQuery(w, r, e, req)
-		return
-	}
-	// A request that mixes both modes would otherwise silently drop its
-	// planner fields — refuse instead.
-	if req.HasPlanFields() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain/noKernel cannot combine with orders/baseline (dynamic queries run dTSS as-is)"))
-		return
-	}
-	// Refuse work whose budget already expired while the request was
-	// queued or being read; dTSS, fully-dynamic and baseline (SDC+) runs
-	// all additionally check the context cooperatively mid-run.
-	if err := r.Context().Err(); err != nil {
-		writeError(w, statusFor(err), fmt.Errorf("query canceled before start: %w", err))
-		return
-	}
-	snap := e.current()
-	orders, err := e.queryOrders(req.Orders)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var res *tss.SkylineResult
-	switch {
-	case req.Baseline && req.Ideal != nil:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("baseline does not support ideal-point queries"))
-		return
-	case req.Baseline:
-		res, err = snap.dyn.QueryBaselineContext(r.Context(), orders...)
-	case req.Ideal != nil:
-		res, err = snap.dyn.QueryAtContext(r.Context(), req.Ideal, orders...)
-	default:
-		res, err = snap.dyn.QueryContext(r.Context(), orders...)
-	}
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	s.countQuery(e)
-	// The result cache serves only the plain dTSS path — baseline and
-	// ideal-point queries bypass it and don't move the counters.
-	if !req.Baseline && req.Ideal == nil {
-		if res.CacheHit {
-			e.cacheHits.Add(1)
-		} else {
-			e.cacheMisses.Add(1)
-		}
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Table:    e.name,
-		Version:  snap.version,
-		Rows:     snap.table.Len(),
-		Count:    len(res.Rows),
-		Skyline:  skylineRows(snap, res.Rows, req.Limit),
-		Metrics:  res.Metrics,
-		CacheHit: res.CacheHit,
-	})
-}
-
-// handlePlanQuery runs a planner-mode query on the current snapshot.
-// The request context rides along, so a server-side request timeout
-// cancels the executor's scan loops cooperatively. The snapshot's
-// full-skyline memo (not the dTSS result cache — its counters stay
-// untouched) serves repeat full and provably-sound post-filter
-// constrained queries without recomputation; `cacheHit` in the
-// response reports that, and `plan` carries the optimizer's explain
-// output when requested.
-func (s *Server) handlePlanQuery(w http.ResponseWriter, r *http.Request, e *tableEntry, req QueryRequest) {
-	snap := e.current()
-	q, err := e.planQuery(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, explain, err := snap.table.QueryContext(r.Context(), q)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	s.countQuery(e)
-	// A NoCache bypass is neither a hit nor a miss of the memo.
-	if !req.NoCache {
-		e.countPlanCache(explain, len(req.Subspace) > 0)
-	}
-	resp := QueryResponse{
-		Table:    e.name,
-		Version:  snap.version,
-		Rows:     snap.table.Len(),
-		Count:    len(res.Rows),
-		Skyline:  skylineRows(snap, res.Rows, req.Limit),
-		Metrics:  res.Metrics,
-		CacheHit: res.CacheHit,
-		Algo:     explain.Algorithm,
-	}
-	if req.Explain {
-		resp.Plan = explain
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -751,7 +769,7 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad domcount request: %w", err))
 		return
 	}
-	q, err := e.planQuery(QueryRequest{Subspace: req.Subspace, Where: req.Where})
+	q, err := e.schema.PlanQuery(QueryRequest{Subspace: req.Subspace, Where: req.Where})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 	"time"
 
-	tss "repro"
 	"repro/internal/plan"
 )
 
@@ -166,94 +164,15 @@ func streamRowRecord(snap *snapshot, row int, index int, elapsed time.Duration) 
 	}
 }
 
-// handleQueryStream answers POST /tables/{name}/query?stream=1. Planner-
-// mode queries stream progressively through the table's streaming
-// executor; dynamic queries (which the prepared dTSS database answers
-// group-at-a-time) compute buffered and replay their rows, so both modes
-// share one wire shape. ?limit=N truncates the emitted rows without
-// changing the query (the trailer's count still reports every certified
-// row).
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, e *tableEntry, req QueryRequest) {
-	limit, err := intParam(r, "limit", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	snap := e.current()
+// streamQuery is serveQuery's ?stream=1 delivery: header, one row
+// record per emission the executor hands over (planned queries as they
+// certify, with the cursor's key; dynamic queries replayed), and a
+// trailer carrying the buffered response's tail.
+func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, e *tableEntry, snap *snapshot, rq readQuery) {
 	header := StreamRecord{Type: "header", Table: e.name, Version: snap.version, Rows: snap.table.Len()}
-
-	if req.PlanMode() {
-		q, err := e.planQuery(req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.streamPlanQuery(w, r, e, snap, q, req.Explain, limit, header)
-		return
-	}
-	if req.HasPlanFields() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain/noKernel cannot combine with orders/baseline (dynamic queries run dTSS as-is)"))
-		return
-	}
-	if req.Baseline && req.Ideal != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("baseline does not support ideal-point queries"))
-		return
-	}
-	orders, err := e.queryOrders(req.Orders)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if limit == 0 {
-		limit = req.Limit
-	}
 	StreamResponse(w, r, s.streamHeartbeat, header, func(ctx context.Context, emit func(StreamRecord) error) (StreamRecord, error) {
-		start := time.Now()
-		var res *tss.SkylineResult
-		var err error
-		switch {
-		case req.Baseline:
-			res, err = snap.dyn.QueryBaselineContext(ctx, orders...)
-		case req.Ideal != nil:
-			res, err = snap.dyn.QueryAtContext(ctx, req.Ideal, orders...)
-		default:
-			res, err = snap.dyn.QueryContext(ctx, orders...)
-		}
-		if err != nil {
-			return StreamRecord{}, err
-		}
-		s.countQuery(e)
-		if !req.Baseline && req.Ideal == nil {
-			if res.CacheHit {
-				e.cacheHits.Add(1)
-			} else {
-				e.cacheMisses.Add(1)
-			}
-		}
-		for i, row := range res.Rows {
-			if limit > 0 && i >= limit {
-				break
-			}
-			if err := emit(streamRowRecord(snap, row, i, time.Since(start))); err != nil {
-				return StreamRecord{}, err
-			}
-		}
-		return StreamRecord{
-			Type: "trailer", Version: snap.version, Count: len(res.Rows),
-			Metrics: &res.Metrics, CacheHit: res.CacheHit,
-		}, nil
-	})
-}
-
-// streamPlanQuery streams a planner-mode query: rows are emitted as the
-// streaming executor certifies them, and the trailer carries the
-// version, metrics and (when asked) the explain output.
-func (s *Server) streamPlanQuery(w http.ResponseWriter, r *http.Request, e *tableEntry, snap *snapshot,
-	q plan.Query, explain bool, limit int, header StreamRecord) {
-	StreamResponse(w, r, s.streamHeartbeat, header, func(ctx context.Context, emit func(StreamRecord) error) (StreamRecord, error) {
-		res, ex, err := snap.table.QueryStream(ctx, q, func(row plan.StreamRow) error {
-			if limit > 0 && row.Index >= limit {
+		res, explain, err := s.execute(ctx, e, snap, &rq, func(row plan.StreamRow) error {
+			if rq.limit > 0 && row.Index >= rq.limit {
 				return nil
 			}
 			rec := streamRowRecord(snap, int(row.ID), row.Index, row.Elapsed)
@@ -263,35 +182,16 @@ func (s *Server) streamPlanQuery(w http.ResponseWriter, r *http.Request, e *tabl
 		if err != nil {
 			return StreamRecord{}, err
 		}
-		s.countQuery(e)
-		if !q.Hints.NoCache {
-			e.countPlanCache(ex, q.Subspace != nil)
-		}
 		trailer := StreamRecord{
 			Type: "trailer", Version: snap.version, Count: len(res.Rows),
-			Metrics: &res.Metrics, CacheHit: res.CacheHit, Algo: ex.Algorithm,
+			Metrics: &res.Metrics, CacheHit: res.CacheHit,
 		}
-		if explain {
-			trailer.Plan = ex
+		if explain != nil {
+			trailer.Algo = explain.Algorithm
+			if rq.explain {
+				trailer.Plan = explain
+			}
 		}
 		return trailer, nil
 	})
-}
-
-// handleSkylineStream answers GET /tables/{name}/skyline?stream=1: the
-// static skyline as a progressive stream. The default (sTSS, sequential)
-// streams each row as the cursor certifies it; forcing another algorithm
-// or a parallel run computes buffered and replays, like the buffered
-// route.
-func (s *Server) handleSkylineStream(w http.ResponseWriter, r *http.Request, e *tableEntry, algo string, parallel, limit int) {
-	snap := e.current()
-	q := plan.Query{Hints: plan.Hints{Algorithm: algo, Parallelism: -1, NoCache: true}}
-	switch {
-	case parallel > 0:
-		q.Hints.Parallelism = parallel
-	case parallel < 0:
-		q.Hints.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	header := StreamRecord{Type: "header", Table: e.name, Version: snap.version, Rows: snap.table.Len()}
-	s.streamPlanQuery(w, r, e, snap, q, false, limit, header)
 }

@@ -213,6 +213,28 @@ func TestStreamPlannedTopK(t *testing.T) {
 	if trailer.Plan.Algorithm != "stss" {
 		t.Fatalf("streamed top-k ran %q, want the progressive cursor", trailer.Plan.Algorithm)
 	}
+
+	// The body's limit truncates a streamed planned query exactly like a
+	// buffered one: 3 of the 5 skyline rows delivered, all 5 counted.
+	body := map[string]any{"explain": true, "limit": 3}
+	var buffered QueryResponse
+	doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", body, &buffered)
+	_, rows, trailer = splitFrames(t, streamRecords(t, http.MethodPost, ts.URL+"/tables/flights/query?stream=1", body))
+	if len(buffered.Skyline) != 3 || len(rows) != 3 || trailer.Count != 5 || buffered.Count != 5 {
+		t.Fatalf("body limit=3: buffered %d rows (count %d), streamed %d rows (count %d); want 3 rows, count 5",
+			len(buffered.Skyline), buffered.Count, len(rows), trailer.Count)
+	}
+}
+
+// TestQueryBodyBound: a query body past maxQueryBody is refused with
+// 413 before it is decoded in full.
+func TestQueryBodyBound(t *testing.T) {
+	_, ts := newTestServer(t)
+	huge := QueryRequest{Subspace: []string{strings.Repeat("x", maxQueryBody)}}
+	var e errorResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", huge, &e); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized query body: status %d (error %q), want 413", code, e.Error)
+	}
 }
 
 // antiCorrSpec builds an n-row TO-only table whose skyline is every row

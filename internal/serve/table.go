@@ -327,12 +327,6 @@ func (e *tableEntry) queryOrders(reqOrders []QueryOrder) ([]*tss.Order, error) {
 	return buildOrders(specs)
 }
 
-// planQuery translates a planner-mode request through the schema (see
-// Schema.PlanQuery).
-func (e *tableEntry) planQuery(req QueryRequest) (plan.Query, error) {
-	return e.schema.PlanQuery(req)
-}
-
 // skylineRows renders result row indexes with their values from the
 // snapshot that produced them.
 func skylineRows(s *snapshot, rows []int, limit int) []SkylineRow {

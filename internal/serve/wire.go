@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+
 	"repro/internal/core"
 	"repro/internal/plan"
 )
@@ -229,31 +231,26 @@ type QueryRequest struct {
 	// tssquery -parallel flag.
 	Parallel int  `json:"parallel,omitempty"`
 	Explain  bool `json:"explain,omitempty"`
-	// NoKernel forces the scalar (interval) dominance path instead of the
-	// bitset/columnar kernel — the server-side ablation and differential-
-	// harness switch. A coordinator forwards it to its shards and uses the
-	// scalar reference merge.
-	NoKernel bool `json:"noKernel,omitempty"`
 	// NoCache bypasses the snapshot's skyline memo (cold recompute) —
 	// the differential switch for verifying maintained memo entries
 	// against recomputation.
 	NoCache bool `json:"noCache,omitempty"`
 }
 
-// HasPlanFields reports whether any planner-mode field is set.
-func (r *QueryRequest) HasPlanFields() bool {
-	return len(r.Subspace) > 0 || len(r.Where) > 0 || r.TopK > 0 || r.Rank != "" ||
-		len(r.FWeights) > 0 ||
-		r.Algo != "" || r.Parallel != 0 || r.Explain || r.NoKernel || r.NoCache
-}
-
-// PlanMode reports whether the request takes the planner path: no
-// per-request preference DAGs, and at least one planner-mode field (a
-// bare `{}` keeps its historical dTSS meaning). Mixing orders with
-// planner fields is rejected by the handler rather than silently
-// ignoring either half.
-func (r *QueryRequest) PlanMode() bool {
-	return len(r.Orders) == 0 && !r.Baseline && r.HasPlanFields()
+// PlanMode classifies the request — the one place both server tiers
+// decide which of the two modes a query runs in. planned is true when
+// the request takes the planner path: no per-request preference DAGs,
+// and at least one planner-mode field (a bare `{}` keeps its historical
+// dTSS meaning). A request mixing both modes would silently drop one
+// half, so it is refused; the error is a client error (HTTP 400).
+func (r *QueryRequest) PlanMode() (planned bool, err error) {
+	planned = len(r.Subspace) > 0 || len(r.Where) > 0 || r.TopK > 0 || r.Rank != "" ||
+		len(r.FWeights) > 0 || r.Algo != "" || r.Parallel != 0 || r.Explain || r.NoCache
+	if planned && (len(r.Orders) > 0 || r.Baseline) {
+		return false, errors.New(
+			"subspace/where/topK/rank/fweights/algo/parallel/explain/noCache cannot combine with orders/baseline (dynamic queries run dTSS as-is)")
+	}
+	return planned, nil
 }
 
 // SkylineRow is one skyline member with its snapshot-scoped row index
