@@ -27,8 +27,9 @@ func allocDataset(seed int64, n int) *Dataset {
 }
 
 // TestKernelProbeLoopAllocs: the colSet probe loop — compile candidate,
-// dominator scan, eviction scan — is allocation-free in the steady
-// state, on both the bitset-closure path and the interval fallback.
+// dominator scan, eviction scan — and the ranking layer's DomScan
+// collector are allocation-free in the steady state, on both the
+// bitset-closure path and the interval fallback.
 func TestKernelProbeLoopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -56,6 +57,20 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 			probeAll() // warm-up: nothing left to grow after this
 			if allocs := testing.AllocsPerRun(20, probeAll); allocs != 0 {
 				t.Errorf("probe loop allocates %.1f objects per pass, want 0", allocs)
+			}
+
+			scan := domScanWithBudget(ds, len(ds.Pts), tc.budget)
+			for i := range ds.Pts {
+				scan.Add(ds.Pts[i].TO, ds.Pts[i].PO)
+			}
+			collectAll := func() {
+				for i := range ds.Pts {
+					_ = scan.Dominators(ds.Pts[i].TO, ds.Pts[i].PO)
+				}
+			}
+			collectAll() // warm-up: the result buffer reaches its high-water mark
+			if allocs := testing.AllocsPerRun(20, collectAll); allocs != 0 {
+				t.Errorf("DomScan.Dominators allocates %.1f objects per pass, want 0", allocs)
 			}
 		})
 	}

@@ -89,15 +89,50 @@ func idsEqual(a, b []int32) bool {
 	return true
 }
 
+// domScanWithBudget is NewDomScan under an explicit closure budget, so
+// the tests reach the refused-closure and interval-fallback paths the
+// elimination kernels' Options.ClosureBudget reaches.
+func domScanWithBudget(ds *Dataset, capHint int, budget int64) *DomScan {
+	k := newColSet(ds.Domains, ds.NumTO(), capHint, budget, false)
+	return &DomScan{k: k, pr: k.newProbe()}
+}
+
+// checkDomScan is the dominator-scan leg of the harness: over the
+// skyline sky as members, DomScan's dominator set of every row must
+// equal the scalar DominatesUnder set, under the given closure budget.
+func checkDomScan(t *testing.T, ds *Dataset, sky []int32, budget int64) {
+	scan := domScanWithBudget(ds, len(sky), budget)
+	defer scan.Close()
+	for _, m := range sky {
+		scan.Add(ds.Pts[m].TO, ds.Pts[m].PO)
+	}
+	for i := range ds.Pts {
+		row := &ds.Pts[i]
+		var want []int32
+		for j, m := range sky {
+			if DominatesUnder(ds.Domains, &ds.Pts[m], row) {
+				want = append(want, int32(j))
+			}
+		}
+		if got := scan.Dominators(row.TO, row.PO); !idsEqual(got, want) {
+			t.Fatalf("domscan budget=%d: row %d dominators %v, scalar %v (sky %v)", budget, i, got, want, sky)
+		}
+		if got := scan.Any(row.TO, row.PO); got != (len(want) > 0) {
+			t.Fatalf("domscan budget=%d: row %d Any=%v, scalar dominators %v", budget, i, got, want)
+		}
+	}
+}
+
 // FuzzSkylineAgreement is the differential fuzz harness: every
 // registered algorithm — sequential and behind the partition-and-merge
 // executor at P ∈ {1, 4}, across the dominance-kernel configurations
 // (bitset closure, closure refused by a too-small budget, closure
 // disabled, kernel off entirely) — must return exactly the naive O(n²)
-// oracle's skyline on any byte-derived workload, and TO-only
-// algorithms must reject PO datasets with an error rather than a wrong
-// answer. Runs its seed corpus (testdata/fuzz/…) under plain `go
-// test`; explore further with
+// oracle's skyline on any byte-derived workload, TO-only algorithms
+// must reject PO datasets with an error rather than a wrong answer, and
+// the ranking layer's dominator scan must agree with scalar dominance
+// under the same closure configurations. Runs its seed corpus
+// (testdata/fuzz/…) under plain `go test`; explore further with
 //
 //	go test -run='^$' -fuzz=FuzzSkylineAgreement ./internal/core
 func FuzzSkylineAgreement(f *testing.F) {
@@ -111,6 +146,11 @@ func FuzzSkylineAgreement(f *testing.F) {
 			t.Fatalf("generated invalid dataset: %v", err)
 		}
 		want := sortedIDs(ds.NaiveSkyline())
+
+		// A refused 1-byte budget builds nothing, so the domains are still
+		// fresh for the first algorithm's tinybudget leg below; the scan's
+		// closure-building legs wait until after the algorithms.
+		checkDomScan(t, ds, want, 1)
 
 		for _, a := range Algorithms() {
 			runs := []struct {
@@ -162,5 +202,7 @@ func FuzzSkylineAgreement(f *testing.F) {
 				}
 			}
 		}
+		checkDomScan(t, ds, want, 0)
+		checkDomScan(t, ds, want, -1)
 	})
 }

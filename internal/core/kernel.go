@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the dominance kernel: the columnar (SoA) elimination
-// engine shared by the BNL/SFS/SaLSa/LESS window scans and the
-// partition/cluster merge passes. Three ideas compose:
+// engine shared by the BNL/SFS/SaLSa/LESS window scans, the
+// partition/cluster merge passes and the rankings' dominator scans
+// (DomScan). Three ideas compose:
 //
 //  1. Bitset closure dominance — when a domain's transitive closure
 //     fits its memory budget (poset.Domain.EnableClosure), the per-pair
@@ -326,76 +327,107 @@ func (k *colSet) anyDominator(pr *probe) bool {
 	return false
 }
 
-// scanDominator runs the masked columnar dominance test over one block,
-// 64 members per word: m tracks members still at-least-as-good in every
-// dimension processed. Strictness (exact duplicates never dominate) is
-// resolved by a scalar equality check on the few bits that survive all
-// dimensions — keeping the hot per-lane loops to one mask each.
+// scanDominator reports whether block b holds a strict dominator of the
+// candidate: the first weak dominator that is not an exact duplicate.
 func (k *colSet) scanDominator(b *kblock, pr *probe) bool {
 	for base := b.lo; base < b.hi; base += 64 {
-		m := k.alive[base>>6]
-		if m == 0 {
-			continue
-		}
-		lim := min(base+64, b.hi)
-		if k.shard != nil && b.shard < 0 {
-			sh := k.shard[base:lim]
-			mm := m
-			for mm != 0 {
-				j := bits.TrailingZeros64(mm)
-				mm &^= 1 << uint(j)
-				if sh[j] == pr.shard {
-					m &^= 1 << uint(j)
-				}
-			}
-			if m == 0 {
-				continue
-			}
-		}
-		pr.domTests += int64(bits.OnesCount64(m))
-		for d := 0; d < k.nTO && m != 0; d++ {
-			col := k.cols.TO[d][base:lim]
-			v := int64(pr.to[d])
-			var gt uint64
-			for j := 0; j < len(col); j++ {
-				diff := v - int64(col[j])
-				gt |= (uint64(diff) >> 63) << uint(j)
-			}
-			m &^= gt
-		}
-		for d := 0; d < len(k.domains) && m != 0; d++ {
-			col := k.cols.PO[d][base:lim]
-			bv := pr.po[d]
-			if lq := pr.leq[d]; lq != nil {
-				var bad uint64
-				for j := 0; j < len(col); j++ {
-					cv := col[j]
-					good := lq[cv>>6] >> (uint(cv) & 63) & 1
-					bad |= (good ^ 1) << uint(j)
-				}
-				m &^= bad
-			} else {
-				dm := k.domains[d]
-				mm := m
-				for mm != 0 {
-					j := bits.TrailingZeros64(mm)
-					mm &^= 1 << uint(j)
-					cv := col[j]
-					if cv != bv && !dm.TPrefers(cv, bv) {
-						m &^= 1 << uint(j)
-					}
-				}
-			}
-		}
-		for mm := m; mm != 0; {
-			j := bits.TrailingZeros64(mm)
-			mm &^= 1 << uint(j)
+		for m := k.weakDominators(b, base, pr); m != 0; {
+			j := bits.TrailingZeros64(m)
+			m &^= 1 << uint(j)
 			if !k.equalAt(base+j, pr) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// dominators appends the index of every live member that strictly
+// dominates the candidate compiled into pr — anyDominator's scan
+// without the early exit, for callers that need the dominator set.
+func (k *colSet) dominators(pr *probe, out []int32) []int32 {
+	for bi := range k.blocks {
+		b := &k.blocks[bi]
+		if !k.blockMayDominate(b, pr) {
+			pr.blockSkips++
+			continue
+		}
+		for base := b.lo; base < b.hi; base += 64 {
+			for m := k.weakDominators(b, base, pr); m != 0; {
+				j := bits.TrailingZeros64(m)
+				m &^= 1 << uint(j)
+				if !k.equalAt(base+j, pr) {
+					out = append(out, int32(base+j))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// weakDominators runs the masked columnar dominance test over the 64
+// members of block b starting at base and returns the mask of those at
+// least as good as the candidate in every dimension: m tracks members
+// still qualifying after each dimension processed. Strictness (exact
+// duplicates never dominate) is left to a scalar equalAt check by the
+// caller on the few bits that survive all dimensions — keeping the hot
+// per-lane loops to one mask each.
+func (k *colSet) weakDominators(b *kblock, base int, pr *probe) uint64 {
+	m := k.alive[base>>6]
+	if m == 0 {
+		return 0
+	}
+	lim := min(base+64, b.hi)
+	if k.shard != nil && b.shard < 0 {
+		sh := k.shard[base:lim]
+		mm := m
+		for mm != 0 {
+			j := bits.TrailingZeros64(mm)
+			mm &^= 1 << uint(j)
+			if sh[j] == pr.shard {
+				m &^= 1 << uint(j)
+			}
+		}
+		if m == 0 {
+			return 0
+		}
+	}
+	pr.domTests += int64(bits.OnesCount64(m))
+	for d := 0; d < k.nTO && m != 0; d++ {
+		col := k.cols.TO[d][base:lim]
+		v := int64(pr.to[d])
+		var gt uint64
+		for j := 0; j < len(col); j++ {
+			diff := v - int64(col[j])
+			gt |= (uint64(diff) >> 63) << uint(j)
+		}
+		m &^= gt
+	}
+	for d := 0; d < len(k.domains) && m != 0; d++ {
+		col := k.cols.PO[d][base:lim]
+		bv := pr.po[d]
+		if lq := pr.leq[d]; lq != nil {
+			var bad uint64
+			for j := 0; j < len(col); j++ {
+				cv := col[j]
+				good := lq[cv>>6] >> (uint(cv) & 63) & 1
+				bad |= (good ^ 1) << uint(j)
+			}
+			m &^= bad
+		} else {
+			dm := k.domains[d]
+			mm := m
+			for mm != 0 {
+				j := bits.TrailingZeros64(mm)
+				mm &^= 1 << uint(j)
+				cv := col[j]
+				if cv != bv && !dm.TPrefers(cv, bv) {
+					m &^= 1 << uint(j)
+				}
+			}
+		}
+	}
+	return m
 }
 
 // equalAt reports whether member i is an exact duplicate of the probe's
@@ -429,7 +461,7 @@ func (k *colSet) evictDominatedBy(pr *probe) {
 	}
 }
 
-// scanEvict is scanDominator with the comparison reversed: m tracks
+// scanEvict is weakDominators with the comparison reversed: m tracks
 // members the candidate is at-least-as-good as in every dimension, and
 // the surviving bits minus exact duplicates are evicted.
 func (k *colSet) scanEvict(b *kblock, pr *probe) {

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"maps"
+	"sort"
+)
 
 // ScoreIndex is the per-table dp-idp score structure: for every skyline
 // member m it keeps the k-histogram h_m[k] = #{rows t : m dominates t
@@ -17,55 +20,50 @@ type ScoreIndex struct {
 	hists   []map[int32]int64 // parallel to members; k -> count, counts > 0
 }
 
-// NewScoreIndex builds an index from per-member k-histograms. members
-// lists every skyline member in any order; hists maps member id to its
-// histogram (members absent from the map dominate nothing). The maps
-// are retained, not copied.
-func NewScoreIndex(members []int32, hists map[int32]map[int32]int64) *ScoreIndex {
-	ms := append([]int32(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	ix := &ScoreIndex{members: ms, hists: make([]map[int32]int64, len(ms))}
-	for i, m := range ms {
-		h := hists[m]
+// NewScoreIndex builds an index from per-member k-histograms: hists is
+// parallel to members (any order; a nil histogram dominates nothing).
+// The maps are retained, not copied.
+func NewScoreIndex(members []int32, hists []map[int32]int64) *ScoreIndex {
+	order := make([]int, len(members))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return members[order[a]] < members[order[b]] })
+	ix := &ScoreIndex{members: make([]int32, len(members)), hists: make([]map[int32]int64, len(members))}
+	for i, o := range order {
+		h := hists[o]
 		if h == nil {
 			h = map[int32]int64{}
 		}
-		ix.hists[i] = h
+		ix.members[i], ix.hists[i] = members[o], h
 	}
 	return ix
 }
 
 // BuildScoreIndex computes the full-dimension dp-idp index for the
-// skyline sky of ds from scratch: one O(n·m) dominance scan collecting,
-// per row, the set of members dominating it.
+// skyline sky of ds from scratch: one kernel dominator scan (DomScan)
+// collecting, per row, the set of members dominating it.
 func BuildScoreIndex(ds *Dataset, sky []int32) *ScoreIndex {
-	members := append([]int32(nil), sky...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	ix := &ScoreIndex{members: members, hists: make([]map[int32]int64, len(members))}
-	for i := range ix.hists {
-		ix.hists[i] = map[int32]int64{}
-	}
-	var dom []int
+	ix := NewScoreIndex(sky, make([]map[int32]int64, len(sky)))
+	scan := ix.memberScan(ds)
+	defer scan.Close()
 	for i := range ds.Pts {
-		t := &ds.Pts[i]
-		dom = dom[:0]
-		for j, m := range members {
-			if m == t.ID {
-				continue
-			}
-			if DominatesUnder(ds.Domains, &ds.Pts[m], t) {
-				dom = append(dom, j)
-			}
-		}
-		if len(dom) == 0 {
-			continue
-		}
-		k := int32(len(dom))
-		for _, j := range dom {
-			ix.hists[j][k]++
+		doms := scan.Dominators(ds.Pts[i].TO, ds.Pts[i].PO)
+		for _, j := range doms {
+			ix.hists[j][int32(len(doms))]++
 		}
 	}
 	return ix
+}
+
+// memberScan loads the indexed members' rows of ds into a dominator
+// scan, so a scan result indexes members and hists directly.
+func (ix *ScoreIndex) memberScan(ds *Dataset) *DomScan {
+	scan := NewDomScan(ds.Domains, ds.NumTO(), len(ix.members))
+	for _, m := range ix.members {
+		scan.Add(ds.Pts[m].TO, ds.Pts[m].PO)
+	}
+	return scan
 }
 
 // Members returns the indexed skyline member ids, ascending. The slice
@@ -126,120 +124,65 @@ func (ix *ScoreIndex) Advance(oldDS, newDS *Dataset, delta *Delta, newSky []int3
 	if delta == nil || len(delta.OldToNew) != len(oldDS.Pts) {
 		return nil, false
 	}
-	newN := len(newDS.Pts)
-	firstAdded := int32(newN - delta.Added)
+	firstAdded := len(newDS.Pts) - delta.Added
 
-	// Map membership both ways.
-	oldSlot := make(map[int32]int, len(ix.members))
-	for i, m := range ix.members {
-		oldSlot[m] = i
-	}
-	newMember := make(map[int32]bool, len(newSky))
-	for _, m := range newSky {
-		newMember[m] = true
-	}
-	newToOld := make([]int32, newN)
-	for i := range newToOld {
-		newToOld[i] = -1
-	}
-	for o, n := range delta.OldToNew {
-		if n >= 0 {
-			newToOld[n] = int32(o)
-		}
+	adv := NewScoreIndex(newSky, make([]map[int32]int64, len(newSky)))
+	slot := make(map[int32]int, len(adv.members))
+	for s, m := range adv.members {
+		slot[m] = s
 	}
 
-	// Changed members: departed the skyline (removed row or demoted) or
-	// joined it (added row or promoted). Their points drive the
-	// affected-row probe; the snapshot each point lives in supplies it.
-	var changed []Point
-	for _, m := range ix.members {
-		n := delta.OldToNew[m]
-		if n < 0 || !newMember[n] {
-			changed = append(changed, oldDS.Pts[m])
-		}
-	}
-	for _, m := range newSky {
-		if o := newToOld[m]; o >= 0 {
-			if _, was := oldSlot[o]; was {
+	// carry[j] is old member j's slot in adv, -1 when it departed the
+	// skyline (removed row or demoted); carried members start from a copy
+	// of their histogram. Changed members — departed ones, and those
+	// that joined (added row or promoted) — drive the affected-row probe;
+	// the snapshot each point lives in supplies it.
+	changed := NewDomScan(newDS.Domains, newDS.NumTO(), 0)
+	defer changed.Close()
+	nChanged := 0
+	carry := make([]int, len(ix.members))
+	carried := make([]bool, len(adv.members))
+	for j, m := range ix.members {
+		carry[j] = -1
+		if n := delta.OldToNew[m]; n >= 0 {
+			if s, ok := slot[n]; ok {
+				carry[j], carried[s] = s, true
+				adv.hists[s] = maps.Clone(ix.hists[j])
 				continue
 			}
 		}
-		changed = append(changed, newDS.Pts[m])
+		changed.Add(oldDS.Pts[m].TO, oldDS.Pts[m].PO)
+		nChanged++
+	}
+	for s, m := range adv.members {
+		if !carried[s] {
+			changed.Add(newDS.Pts[m].TO, newDS.Pts[m].PO)
+			nChanged++
+		}
 	}
 	limit := MaintainChurnFloor
 	if f := int(MaintainChurnFraction * float64(len(newSky))); f > limit {
 		limit = f
 	}
-	if len(changed) > limit {
+	if nChanged > limit {
 		return nil, false
-	}
-
-	// Start from a deep copy of the surviving members' histograms,
-	// re-keyed to new ids.
-	adv := &ScoreIndex{members: make([]int32, 0, len(newSky)), hists: make([]map[int32]int64, 0, len(newSky))}
-	srcHist := make(map[int32]map[int32]int64, len(newSky))
-	for _, m := range newSky {
-		var h map[int32]int64
-		if o := newToOld[m]; o >= 0 {
-			if slot, was := oldSlot[o]; was {
-				h = make(map[int32]int64, len(ix.hists[slot]))
-				for k, c := range ix.hists[slot] {
-					h[k] = c
-				}
-			}
-		}
-		if h == nil {
-			h = map[int32]int64{}
-		}
-		srcHist[m] = h
-	}
-	newSlot := func(id int32) (map[int32]int64, bool) {
-		h, ok := srcHist[id]
-		return h, ok
 	}
 
 	// Subtract the old-side contributions of removed rows and of
 	// surviving rows whose dominator set may have changed; add the
-	// new-side contributions back. oldContrib/newContrib collect the
-	// dominator sets under each snapshot.
-	oldContrib := func(t *Point) ([]int32, int32) {
-		var ds []int32
-		for _, m := range ix.members {
-			if m == t.ID {
-				continue
-			}
-			if DominatesUnder(oldDS.Domains, &oldDS.Pts[m], t) {
-				ds = append(ds, m)
-			}
-		}
-		return ds, int32(len(ds))
-	}
-	newContrib := func(t *Point) ([]int32, int32) {
-		var ds []int32
-		for _, m := range newSky {
-			if m == t.ID {
-				continue
-			}
-			if DominatesUnder(newDS.Domains, &newDS.Pts[m], t) {
-				ds = append(ds, m)
-			}
-		}
-		return ds, int32(len(ds))
-	}
+	// new-side contributions back.
+	oldScan, newScan := ix.memberScan(oldDS), adv.memberScan(newDS)
+	defer oldScan.Close()
+	defer newScan.Close()
 	subOld := func(t *Point) bool {
-		doms, k := oldContrib(t)
-		if k == 0 {
-			return true
-		}
-		for _, m := range doms {
-			n := delta.OldToNew[m]
-			if n < 0 {
-				continue
+		doms := oldScan.Dominators(t.TO, t.PO)
+		k := int32(len(doms))
+		for _, j := range doms {
+			s := carry[j]
+			if s < 0 {
+				continue // member departed: its histogram is not carried over
 			}
-			h, ok := newSlot(n)
-			if !ok {
-				continue // member demoted: its histogram is not carried over
-			}
+			h := adv.hists[s]
 			h[k]--
 			switch {
 			case h[k] == 0:
@@ -250,57 +193,31 @@ func (ix *ScoreIndex) Advance(oldDS, newDS *Dataset, delta *Delta, newSky []int3
 		}
 		return true
 	}
-	addNew := func(t *Point) {
-		doms, k := newContrib(t)
-		if k == 0 {
-			return
-		}
-		for _, m := range doms {
-			if h, ok := newSlot(m); ok {
-				h[k]++
-			}
-		}
-	}
 
 	// Removed rows: old-side subtraction only.
 	for o, n := range delta.OldToNew {
-		if n < 0 {
-			if !subOld(&oldDS.Pts[o]) {
-				return nil, false
-			}
+		if n < 0 && !subOld(&oldDS.Pts[o]) {
+			return nil, false
 		}
 	}
 	// Affected new rows: added rows always; surviving rows when a
 	// changed member dominates them under either snapshot (surviving
-	// rows keep their values, so the new-snapshot probe covers both).
+	// rows keep their values, so the new-snapshot probe covers both, and
+	// the row itself stands in for its old-snapshot copy).
 	for i := range newDS.Pts {
 		t := &newDS.Pts[i]
-		affected := t.ID >= firstAdded
-		if !affected {
-			for c := range changed {
-				if DominatesUnder(newDS.Domains, &changed[c], t) {
-					affected = true
-					break
-				}
+		if i < firstAdded {
+			if !changed.Any(t.TO, t.PO) {
+				continue
 			}
-		}
-		if !affected {
-			continue
-		}
-		if o := newToOld[t.ID]; o >= 0 {
-			if !subOld(&oldDS.Pts[o]) {
+			if !subOld(t) {
 				return nil, false
 			}
 		}
-		addNew(t)
-	}
-
-	for _, m := range append([]int32(nil), newSky...) {
-		adv.members = append(adv.members, m)
-	}
-	sort.Slice(adv.members, func(i, j int) bool { return adv.members[i] < adv.members[j] })
-	for _, m := range adv.members {
-		adv.hists = append(adv.hists, srcHist[m])
+		doms := newScan.Dominators(t.TO, t.PO)
+		for _, s := range doms {
+			adv.hists[s][int32(len(doms))]++
+		}
 	}
 	return adv, true
 }

@@ -276,11 +276,6 @@ func (p *Plan) restrictIDs(ctx context.Context, ds *core.Dataset, ids []int32) (
 	return out, nil
 }
 
-type projected struct {
-	id int32
-	pt core.Point
-}
-
 // projectPoint maps a full-dimensional row into the kept dimensions.
 func (p *Plan) projectPoint(pt *core.Point) core.Point {
 	return projectInto(pt, p.keptTO, p.keptPO)

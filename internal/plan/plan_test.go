@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -198,6 +199,24 @@ func TestRankedTopKExactOrder(t *testing.T) {
 		got, _ := runPlan(t, ds, q, Env{})
 		if !equal32(got, want) {
 			t.Fatalf("rank %q: got order %v want %v", q.Rank, got, want)
+		}
+	}
+}
+
+// TestScanRankingsCostTheirScan: a top-k ranked by a dominator scan
+// (domcount, dp-idp) estimates above the skyline it ranks — the scan is
+// most of the run — while the plan underneath stays the unranked one.
+func TestScanRankingsCostTheirScan(t *testing.T) {
+	ds := sampleDS(t, 200)
+	_, full := runPlan(t, ds, Query{}, Env{})
+	for _, rank := range []Rank{RankDomCount, RankDPIDP} {
+		_, ex := runPlan(t, ds, Query{TopK: 5, Rank: rank}, Env{})
+		if ex.EstSeconds <= full.EstSeconds {
+			t.Fatalf("rank %q: estimated %g s, not above the unranked %g s", rank, ex.EstSeconds, full.EstSeconds)
+		}
+		if ex.Algorithm != full.Algorithm || ex.Route != full.Route || ex.Parallelism != full.Parallelism {
+			t.Fatalf("rank %q: plan %s/%s/P=%d, unranked %s/%s/P=%d", rank,
+				ex.Algorithm, ex.Route, ex.Parallelism, full.Algorithm, full.Route, full.Parallelism)
 		}
 	}
 }
@@ -753,9 +772,10 @@ func TestMergeStats(t *testing.T) {
 	}
 }
 
-// TestDomCounts cross-checks the shard-side scoring primitive against
-// the executor's own ranked top-k: scoring the full skyline by value
-// must reproduce the domcount order the planner computes by id.
+// TestDomCounts cross-checks the shard-side scoring primitives against
+// a scalar oracle: scoring the full skyline by value must reproduce, per
+// member, the dominance count the planner ranks by id and the dp-idp
+// histogram of its dominated rows keyed by their dominator count.
 func TestDomCounts(t *testing.T) {
 	ds := sampleDS(t, 150)
 	for _, q := range []Query{
@@ -775,24 +795,45 @@ func TestDomCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Oracle: count dominated rows of R per skyline member directly.
+		parts, err := RankPartials(context.Background(), ds, q, "dpidp", cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Oracle: per row of R, the skyline members dominating it.
 		keptTO, keptPO := resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
 		doms := keptPODomains(ds, keptPO)
+		wantCounts := make([]int64, len(sky))
+		wantHists := make([]map[int32]int64, len(sky))
+		cps := make([]core.Point, len(sky))
 		for i, id := range sky {
-			var want int64
-			cp := projectInto(&ds.Pts[id], keptTO, keptPO)
-			for r := range ds.Pts {
-				row := &ds.Pts[r]
-				if len(q.Where) > 0 && !matchesAllPreds(q.Where, row) {
-					continue
-				}
-				rp := projectInto(row, keptTO, keptPO)
-				if core.DominatesUnder(doms, &cp, &rp) {
-					want++
+			cps[i] = projectInto(&ds.Pts[id], keptTO, keptPO)
+		}
+		for r := range ds.Pts {
+			row := &ds.Pts[r]
+			if len(q.Where) > 0 && !matchesAllPreds(q.Where, row) {
+				continue
+			}
+			rp := projectInto(row, keptTO, keptPO)
+			var by []int
+			for i := range cps {
+				if core.DominatesUnder(doms, &cps[i], &rp) {
+					by = append(by, i)
 				}
 			}
-			if counts[i] != want {
-				t.Fatalf("query %+v: candidate %d count %d, want %d", q, id, counts[i], want)
+			for _, i := range by {
+				wantCounts[i]++
+				if wantHists[i] == nil {
+					wantHists[i] = map[int32]int64{}
+				}
+				wantHists[i][int32(len(by))]++
+			}
+		}
+		for i, id := range sky {
+			if counts[i] != wantCounts[i] {
+				t.Fatalf("query %+v: candidate %d count %d, want %d", q, id, counts[i], wantCounts[i])
+			}
+			if got, want := parts.Hists[i], histToWire(wantHists[i]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %+v: candidate %d dp-idp histogram %+v, want %+v", q, id, got, want)
 			}
 		}
 	}

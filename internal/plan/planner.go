@@ -323,8 +323,8 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 	}
 
 	// Rankings that declare their own cost-model term (RankCoster) add
-	// it to the estimate; the classic rankings predate the term and
-	// keep their historical estimates.
+	// it to the estimate. The term lands after algorithm choice, so it
+	// changes what explain reports, never which plan runs.
 	if q.TopK > 0 && q.Rank != RankNone {
 		if r, ok := LookupRanker(string(q.Rank)); ok {
 			if rc, ok := r.(RankCoster); ok {

@@ -39,13 +39,13 @@ func (dpidpRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 		// than the one being ranked — fall through to the cold scan
 		// rather than serve wrong scores.
 	}
-	hists, err := dpidpHists(ctx, sc.DS, sc.Query, sc.KeptTO, sc.KeptPO, ids)
+	hists, err := dpidpHists(ctx, sc, memberPoints(sc.DS, ids))
 	if err != nil {
 		return nil, false, err
 	}
 	scores := make(map[int32]float64, len(ids))
-	for _, id := range ids {
-		scores[id] = -core.DPIDPScoreFromHist(hists[id])
+	for i, id := range ids {
+		scores[id] = -core.DPIDPScoreFromHist(hists[i])
 	}
 	if sc.StoreIndex != nil {
 		sc.StoreIndex(core.NewScoreIndex(ids, hists))
@@ -98,39 +98,13 @@ func (dpidpRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
 // additive across shards because each local row contributes to exactly
 // one shard's histograms with the same global k.
 func (dpidpRanker) Partials(ctx context.Context, ds *core.Dataset, q Query, cands []core.Point) (Partials, error) {
-	proj, keptTO, keptPO, doms, err := projectCandidates(ds, q, cands)
+	sc, err := candidateContext(ds, &q, cands)
 	if err != nil {
 		return Partials{}, err
 	}
-	hists := make([]map[int32]int64, len(cands))
-	var dom []int
-	for i := range ds.Pts {
-		if i%ctxCheckEvery == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return Partials{}, err
-			}
-		}
-		row := &ds.Pts[i]
-		if !matchesAllPreds(q.Where, row) {
-			continue
-		}
-		rp := projectInto(row, keptTO, keptPO)
-		dom = dom[:0]
-		for j := range proj {
-			if core.DominatesUnder(doms, &proj[j], &rp) {
-				dom = append(dom, j)
-			}
-		}
-		if len(dom) == 0 {
-			continue
-		}
-		kk := int32(len(dom))
-		for _, j := range dom {
-			if hists[j] == nil {
-				hists[j] = map[int32]int64{}
-			}
-			hists[j][kk]++
-		}
+	hists, err := dpidpHists(ctx, sc, cands)
+	if err != nil {
+		return Partials{}, err
 	}
 	out := Partials{Hists: make([]KHist, len(cands))}
 	for j, h := range hists {
@@ -166,11 +140,8 @@ func (dpidpRanker) CombinePartials(shards []Partials, n int) (Partials, []float6
 	return out, scores, nil
 }
 
-// RankCostSeconds: one O(n·m) dominance scan, like the domcount scan
-// but with dominator-set collection.
-func (dpidpRanker) RankCostSeconds(n, m, k int) float64 {
-	return 3e-9 * float64(n) * float64(m)
-}
+// RankCostSeconds: the same dominator scan domcount runs.
+func (dpidpRanker) RankCostSeconds(n, m, k int) float64 { return domScanCostSeconds(n, m) }
 
 // indexScores serves the ranked ids from the maintained index; a single
 // missing member declines the whole lookup.
@@ -188,52 +159,21 @@ func indexScores(ix *core.ScoreIndex, ids []int32) (map[int32]float64, bool) {
 }
 
 // dpidpHists computes each member's k-histogram against R (the
-// predicate-filtered table in the kept dimensions). For the
-// index-eligible full-table shape it produces exactly what
-// core.BuildScoreIndex would — same integers, same member set — so the
-// result doubles as a freshly built index.
-func dpidpHists(ctx context.Context, ds *core.Dataset, q *Query, keptTO, keptPO []int, ids []int32) (map[int32]map[int32]int64, error) {
-	doms := keptPODomains(ds, keptPO)
-	sky := make([]projected, len(ids))
-	for i, id := range ids {
-		sky[i] = projected{id: id, pt: projectInto(&ds.Pts[id], keptTO, keptPO)}
-	}
-	hists := make(map[int32]map[int32]int64, len(ids))
-	var dom []int
-	for i := range ds.Pts {
-		if i%ctxCheckEvery == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
+// predicate-filtered table in the kept dimensions), nil for members
+// that dominate nothing. For the index-eligible full-table shape it
+// produces exactly what core.BuildScoreIndex would — same integers,
+// same member set — so the result doubles as a freshly built index.
+func dpidpHists(ctx context.Context, sc *ScoreContext, members []core.Point) ([]map[int32]int64, error) {
+	hists := make([]map[int32]int64, len(members))
+	err := scanDominators(ctx, sc, members, func(doms []int32) {
+		for _, j := range doms {
+			if hists[j] == nil {
+				hists[j] = map[int32]int64{}
 			}
+			hists[j][int32(len(doms))]++
 		}
-		row := &ds.Pts[i]
-		if len(q.Where) > 0 && !matchesAllPreds(q.Where, row) {
-			continue
-		}
-		rp := projectInto(row, keptTO, keptPO)
-		dom = dom[:0]
-		for j := range sky {
-			if sky[j].id == row.ID {
-				continue
-			}
-			if core.DominatesUnder(doms, &sky[j].pt, &rp) {
-				dom = append(dom, j)
-			}
-		}
-		if len(dom) == 0 {
-			continue
-		}
-		kk := int32(len(dom))
-		for _, j := range dom {
-			h := hists[sky[j].id]
-			if h == nil {
-				h = map[int32]int64{}
-				hists[sky[j].id] = h
-			}
-			h[kk]++
-		}
-	}
-	return hists, nil
+	})
+	return hists, err
 }
 
 // histToWire flattens a k-histogram into ascending-k parallel arrays.

@@ -158,7 +158,8 @@ type IdealConsumer interface{ ConsumesIdeal() }
 
 // RankCoster adds the ranking stage's own cost-model term (seconds, for
 // n table rows, m estimated skyline rows and top-k k) to the planner's
-// estimate. Rankings cheap relative to the skyline itself omit it.
+// estimate. Rankings cheap relative to the skyline itself (ideal
+// distance) omit it.
 type RankCoster interface {
 	RankCostSeconds(n, m, k int) float64
 }
@@ -254,14 +255,14 @@ type domcountRanker struct{}
 func (domcountRanker) Name() string { return string(RankDomCount) }
 
 func (domcountRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k int) ([]int32, bool, error) {
-	counts, err := domCountScores(ctx, sc, ids)
+	counts, err := domCounts(ctx, sc, memberPoints(sc.DS, ids))
 	if err != nil {
 		return nil, false, err
 	}
 	scores := make(map[int32]float64, len(ids))
 	// Negated so the shared ascending sort ranks higher counts first.
-	for id, c := range counts {
-		scores[id] = -float64(c)
+	for i, id := range ids {
+		scores[id] = -float64(counts[i])
 	}
 	return sortByScore(ids, scores, k), false, nil
 }
@@ -313,39 +314,8 @@ func (domcountRanker) CombinePartials(shards []Partials, n int) (Partials, []flo
 	return Partials{Counts: counts}, scores, nil
 }
 
-// domCountScores counts, per skyline row, the rows of R (the predicate-
-// filtered table) it dominates in the kept dimensions. O(|skyline|·|R|)
-// with the exact dominance oracle.
-func domCountScores(ctx context.Context, sc *ScoreContext, ids []int32) (map[int32]int, error) {
-	ds := sc.DS
-	doms := keptPODomains(ds, sc.KeptPO)
-	counts := make(map[int32]int, len(ids))
-	sky := make([]projected, len(ids))
-	for i, id := range ids {
-		sky[i] = projected{id: id, pt: projectInto(&ds.Pts[id], sc.KeptTO, sc.KeptPO)}
-	}
-	for i := range ds.Pts {
-		if i%ctxCheckEvery == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		row := &ds.Pts[i]
-		if len(sc.Query.Where) > 0 && !matchesAllPreds(sc.Query.Where, row) {
-			continue
-		}
-		rp := projectInto(row, sc.KeptTO, sc.KeptPO)
-		for j := range sky {
-			if sky[j].id == row.ID {
-				continue
-			}
-			if core.DominatesUnder(doms, &sky[j].pt, &rp) {
-				counts[sky[j].id]++
-			}
-		}
-	}
-	return counts, nil
-}
+// RankCostSeconds: one dominator scan of the table against the skyline.
+func (domcountRanker) RankCostSeconds(n, m, k int) float64 { return domScanCostSeconds(n, m) }
 
 // idealRanker is RankIdeal: skyline rows ordered by L1 distance to an
 // ideal point over the kept TO columns (the dTSS fully-dynamic |v − q|

@@ -779,25 +779,20 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 	for i, rw := range req.Rows {
 		rows[i] = tss.TableRow{TO: rw.TO, PO: rw.PO}
 	}
-	if req.Rank != "" && req.Rank != "domcount" {
-		parts, err := snap.table.RankPartials(r.Context(), q, req.Rank, rows)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		resp := DomCountResponse{Table: e.name, Version: snap.version, Counts: parts.Counts}
-		for _, h := range parts.Hists {
-			resp.Hists = append(resp.Hists, RankHist{Ks: h.Ks, Counts: h.Counts})
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+	rank := req.Rank
+	if rank == "" {
+		rank = string(plan.RankDomCount)
 	}
-	counts, err := snap.table.DomCounts(r.Context(), q, rows)
+	parts, err := snap.table.RankPartials(r.Context(), q, rank, rows)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DomCountResponse{Table: e.name, Version: snap.version, Counts: counts})
+	resp := DomCountResponse{Table: e.name, Version: snap.version, Counts: parts.Counts}
+	for _, h := range parts.Hists {
+		resp.Hists = append(resp.Hists, RankHist{Ks: h.Ks, Counts: h.Counts})
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) countQuery(e *tableEntry) {

@@ -630,27 +630,15 @@ func (t *Table) QueryStream(ctx context.Context, q plan.Query, emit func(plan.St
 	return wrapResult(res), &p.Explain, nil
 }
 
-// DomCounts counts, per candidate row, how many rows of R — the table
-// filtered by q.Where — the candidate dominates on q.Subspace's kept
-// dimensions. Candidates are value-addressed TableRows rather than row
-// indexes: this is the shard-side scoring half of distributed top-k by
-// dominance count, where the coordinator's merged skyline rows carry no
-// usable ids for any one shard. q's TopK/Rank fields are ignored.
-func (t *Table) DomCounts(ctx context.Context, q plan.Query, rows []TableRow) ([]int64, error) {
-	cands, err := t.wireCandidates(rows)
-	if err != nil {
-		return nil, err
-	}
-	q.TopK, q.Rank, q.Ideal = 0, plan.RankNone, nil
-	return plan.DomCounts(ctx, t.ds, q, cands)
-}
-
 // RankPartials computes, per candidate row, this table's partial
-// contribution to the named ranking's global score — the generalized
-// form of DomCounts the distributed ranked top-k scatter uses (rankings
-// that define per-shard partials answer here; see plan.PartialScorer).
-// Candidates are value-addressed like DomCounts; q's TopK/Rank/Ideal/
-// FWeights fields are ignored.
+// contribution to the named ranking's global score over R — the table
+// filtered by q.Where, on q.Subspace's kept dimensions: dominance counts
+// for "domcount", dominator-count histograms for "dpidp" (rankings that
+// define per-shard partials answer here; see plan.PartialScorer).
+// Candidates are value-addressed TableRows rather than row indexes: this
+// is the shard-side scoring half of distributed ranked top-k, where the
+// coordinator's merged skyline rows carry no usable ids for any one
+// shard. q's TopK/Rank/Ideal/FWeights fields are ignored.
 func (t *Table) RankPartials(ctx context.Context, q plan.Query, rank string, rows []TableRow) (plan.Partials, error) {
 	cands, err := t.wireCandidates(rows)
 	if err != nil {
