@@ -4,12 +4,10 @@ package tss
 // plus micro-benchmarks for the substrate operations. Each figure bench
 // runs the full parameter sweep at a laptop-sized scale and reports the
 // aggregate simulated total time of both contenders as custom metrics
-// (sdc_total_s, tss_total_s, speedup_x) — the numbers EXPERIMENTS.md
-// records against the paper. `cmd/tssbench -scale 1` reproduces the
-// full-size sweeps.
+// (sdc_total_s, tss_total_s, speedup_x) — the quantities §VI of the
+// paper plots. `cmd/tssbench -scale 1` reproduces the full-size sweeps.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -157,109 +155,6 @@ func BenchmarkAblations(b *testing.B) {
 		for _, r := range rows {
 			b.ReportMetric(r.TotalSec, r.Series+"_s")
 		}
-	}
-}
-
-// BenchmarkParallel compares sequential sTSS against the partition-and-
-// merge executor (P ∈ {2, 4, 8} shards) on n=100K datasets of each TO
-// distribution — the engine's headline speedup measurement. On hosts
-// with ≥4 cores the parallel variants win wall-clock; BENCH_parallel.json
-// records a run.
-func BenchmarkParallel(b *testing.B) {
-	stss := core.MustLookup("stss")
-	for _, dist := range []data.Distribution{data.Correlated, data.Independent, data.AntiCorrelated} {
-		cfg := exp.StaticDefaults(0.1) // N = 100K
-		cfg.Dist = dist
-		ds := exp.BuildDataset(cfg)
-		b.Run(dist.String()+"/seq", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := stss.Run(ds, core.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(len(res.SkylineIDs)), "skyline")
-			}
-		})
-		for _, p := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/par%d", dist, p), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := core.Parallel(stss).Run(ds, core.Options{Parallelism: p})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(len(res.SkylineIDs)), "skyline")
-				}
-			})
-		}
-	}
-}
-
-// kernelMergeFixture splits a dataset round-robin into shard-local
-// skylines — the exact candidate shape the cluster coordinator's merge
-// pass receives.
-func kernelMergeFixture(ds *core.Dataset, shards int) ([]core.Point, []int) {
-	var pts []core.Point
-	var tags []int
-	for s := 0; s < shards; s++ {
-		sub := &core.Dataset{Domains: ds.Domains}
-		for i := s; i < len(ds.Pts); i += shards {
-			sub.Pts = append(sub.Pts, ds.Pts[i])
-		}
-		member := map[int32]bool{}
-		for _, id := range core.BNL(sub, core.Options{}).SkylineIDs {
-			member[id] = true
-		}
-		for _, p := range sub.Pts {
-			if member[p.ID] {
-				pts = append(pts, p)
-				tags = append(tags, s)
-			}
-		}
-	}
-	return pts, tags
-}
-
-// BenchmarkKernel measures the dominance kernel (bitset closure +
-// columnar loops + block zone maps) against the scalar reference path
-// on the paper-shaped N=50K cells: the BNL window scan end to end and
-// the cross-shard merge elimination pass. Both variants of each pair
-// compute identical results (enforced by FuzzSkylineAgreement and
-// TestMergeSurvivorsKernelMatchesRef); BENCH_kernel.json records a run.
-func BenchmarkKernel(b *testing.B) {
-	for _, dist := range []data.Distribution{data.Independent, data.AntiCorrelated} {
-		cfg := exp.StaticDefaults(0.05) // N = 50K
-		cfg.Dist = dist
-		ds := exp.BuildDataset(cfg)
-		for _, v := range []struct {
-			name string
-			opt  core.Options
-		}{
-			{"bnl/kernel", core.Options{}},
-			{"bnl/scalar", core.Options{NoKernel: true}},
-		} {
-			b.Run(dist.String()+"/"+v.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res := core.BNL(ds, v.opt)
-					b.ReportMetric(float64(len(res.SkylineIDs)), "skyline")
-				}
-			})
-		}
-		pts, tags := kernelMergeFixture(ds, 4)
-		b.Run(dist.String()+"/merge/kernel", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out := core.MergeSurvivors(ds.Domains, pts, tags, 1)
-				b.ReportMetric(float64(len(out)), "survivors")
-			}
-		})
-		b.Run(dist.String()+"/merge/scalar", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out := core.MergeSurvivorsRef(ds.Domains, pts, tags, 1)
-				b.ReportMetric(float64(len(out)), "survivors")
-			}
-		})
 	}
 }
 

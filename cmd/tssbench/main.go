@@ -7,11 +7,12 @@
 //
 //	tssbench -fig 7            # Figure 7 (static, total time vs N)
 //	tssbench -fig 11           # Figure 11 (progressiveness)
-//	tssbench -fig ablation     # the DESIGN.md ablations
+//	tssbench -fig ablation     # the §IV-B / §V-B optimisation ablations
 //	tssbench -fig all -scale 0.05
 //
-// Output is a text table per sub-figure with a TSS-vs-SDC+ speedup
-// column; EXPERIMENTS.md records a run next to the paper's numbers.
+// Output is a text table per sub-figure, in the paper's simulated-I/O
+// cost model, with a TSS-vs-SDC+ speedup column. Wall-clock numbers for
+// the serving system come from `bash bench/run.sh`, not from here.
 package main
 
 import (
@@ -24,8 +25,12 @@ import (
 	"repro/internal/exp"
 )
 
+// validFigures is the -fig vocabulary, as the flag help and the
+// unknown-figure error print it.
+const validFigures = "7..14, ablation, table3, verify or all"
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 7..14, ablation, cluster, maintain, parallel, plan, rank, serve, store, stream, table3, verify or all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+validFigures)
 	scale := flag.Float64("scale", 0.02, "fraction of the paper's data cardinality (1.0 = full)")
 	flag.Parse()
 
@@ -60,22 +65,6 @@ func run(w io.Writer, fig string, scale float64) error {
 			exp.WriteRows(w, exp.Figure14(scale))
 		case "ablation":
 			exp.WriteRows(w, exp.Ablations(scale))
-		case "parallel":
-			exp.WriteRows(w, exp.FigureParallel(scale))
-		case "plan":
-			exp.WritePlanRows(w, exp.FigurePlan(scale))
-		case "rank":
-			exp.WriteRankRows(w, exp.FigureRank(scale))
-		case "serve":
-			exp.WriteServeRows(w, exp.FigureServe(scale))
-		case "cluster":
-			writeClusterRows(w, figureCluster(scale))
-		case "maintain":
-			exp.WriteMaintainRows(w, exp.FigureMaintain(scale))
-		case "store":
-			exp.WriteStoreRows(w, exp.FigureStore(scale))
-		case "stream":
-			writeStreamRows(w, figureStream(scale))
 		case "table3":
 			exp.WriteTableIII(w, scale)
 		case "verify":
@@ -84,12 +73,12 @@ func run(w io.Writer, fig string, scale float64) error {
 			}
 			fmt.Fprintln(w, "all algorithms agree")
 		default:
-			return fmt.Errorf("unknown figure %q", name)
+			return fmt.Errorf("unknown figure %q (valid: %s)", name, validFigures)
 		}
 		return nil
 	}
 	if fig == "all" {
-		for _, name := range []string{"7", "8", "9", "10", "11", "12", "13", "14", "ablation", "cluster", "maintain", "parallel", "plan", "rank", "serve", "store", "stream"} {
+		for _, name := range []string{"7", "8", "9", "10", "11", "12", "13", "14", "ablation"} {
 			fmt.Fprintf(os.Stderr, "running figure %s (scale %.3g)...\n", name, scale)
 			if err := runOne(name); err != nil {
 				return err

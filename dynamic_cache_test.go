@@ -22,7 +22,10 @@ func buildOrder(edges [][2]string) *Order {
 // TestCacheTableDriven pins the facade cache's contract: FIFO eviction
 // order, hit/miss accounting, capacity clamping, and the canonical-form
 // keying promise — the same preference DAG rebuilt differently (edge
-// order permuted, duplicate edges) must hit.
+// order permuted, duplicate edges) must hit. The two endpoints of the
+// capacity range are cases too: a cache that was never enabled neither
+// hits nor counts, and one that holds every distinct query hits on
+// every repeat.
 func TestCacheTableDriven(t *testing.T) {
 	// Distinct single-edge preference orders used as cache keys.
 	qA := [][2]string{{"a", "b"}}
@@ -33,6 +36,7 @@ func TestCacheTableDriven(t *testing.T) {
 	cases := []struct {
 		name       string
 		capacity   int
+		neverOn    bool // skip EnableCache altogether
 		steps      []orderStep
 		wantHits   int64
 		wantMisses int64
@@ -44,6 +48,22 @@ func TestCacheTableDriven(t *testing.T) {
 				{edges: qA}, {edges: qA, wantHit: true}, {edges: qA, wantHit: true},
 			},
 			wantHits: 2, wantMisses: 1,
+		},
+		{
+			name:    "never enabled",
+			neverOn: true,
+			steps:   []orderStep{{edges: qA}, {edges: qA}, {edges: qB}, {edges: qA}},
+		},
+		{
+			name:     "capacity covers every distinct query",
+			capacity: 4,
+			steps: []orderStep{
+				{edges: qA}, {edges: qB}, {edges: qC}, {edges: qD},
+				{edges: qA, wantHit: true}, {edges: qD, wantHit: true},
+				{edges: qB, wantHit: true}, {edges: qC, wantHit: true},
+				{edges: qA, wantHit: true},
+			},
+			wantHits: 5, wantMisses: 4,
 		},
 		{
 			name:     "fifo eviction order",
@@ -101,7 +121,9 @@ func TestCacheTableDriven(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dyn := flightsTable(order1()).PrepareDynamic()
-			dyn.EnableCache(c.capacity)
+			if !c.neverOn {
+				dyn.EnableCache(c.capacity)
+			}
 			for i, step := range c.steps {
 				res, err := dyn.Query(buildOrder(step.edges))
 				if err != nil {

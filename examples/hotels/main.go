@@ -34,6 +34,16 @@ func setLabel(mask int) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
+// skyline runs one registered algorithm; the names used here handle PO
+// columns, so an error is a bug in the example.
+func skyline(t *tss.Table, algo string) *tss.SkylineResult {
+	res, err := t.SkylineWith(algo)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func main() {
 	// Build the containment order: supersets are preferred, so an edge
 	// runs from S∪{x} down to S for every amenity x ∉ S.
@@ -63,7 +73,7 @@ func main() {
 		table.MustAdd([]int64{price, distance}, setLabel(mask))
 	}
 
-	res := table.SkylineResult(tss.MethodSTSS)
+	res := skyline(table, "stss")
 	fmt.Printf("%d hotels, %d in the skyline\n\n", table.Len(), len(res.Rows))
 
 	fmt.Println("First ten skyline hotels (in discovery order):")
@@ -87,12 +97,12 @@ func main() {
 		rng.Intn(n) // keep the stream aligned
 		plain.MustAdd([]int64{price, distance})
 	}
-	plainRes := plain.SkylineResult(tss.MethodSTSS)
+	plainRes := skyline(plain, "stss")
 	fmt.Printf("\nWithout the amenity attribute the skyline shrinks to %d hotels.\n", len(plainRes.Rows))
 
 	fmt.Printf("\nsTSS cost: %d page reads, %d dominance checks, %.3fs total (5ms/IO)\n",
 		res.Stats.PageReads, res.Stats.DomChecks, res.Stats.TotalSeconds())
-	sdc := table.SkylineResult(tss.MethodSDCPlus)
+	sdc := skyline(table, "sdc+")
 	fmt.Printf("SDC+ cost: %d page reads, %d dominance checks, %.3fs total\n",
 		sdc.Stats.PageReads, sdc.Stats.DomChecks, sdc.Stats.TotalSeconds())
 }

@@ -45,8 +45,8 @@ func main() {
 		)
 	}
 
-	stss := table.SkylineResult(tss.MethodSTSS)
-	sdc := table.SkylineResult(tss.MethodSDCPlus)
+	stss := skyline(table, "stss")
+	sdc := skyline(table, "sdc+")
 	fmt.Printf("skyline size: %d (both methods agree: %v)\n\n",
 		len(stss.Rows), len(stss.Rows) == len(sdc.Rows))
 
@@ -60,6 +60,16 @@ func main() {
 	fmt.Println("emission profile (each column is 2% of the run; '#' marks arrivals):")
 	fmt.Printf("  sTSS  %s\n", sparkline(stss))
 	fmt.Printf("  SDC+  %s\n", sparkline(sdc))
+}
+
+// skyline runs one registered algorithm; the names used here handle PO
+// columns, so an error is a bug in the example.
+func skyline(t *tss.Table, algo string) *tss.SkylineResult {
+	res, err := t.SkylineWith(algo)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func decile(r *tss.SkylineResult, pct int) float64 {

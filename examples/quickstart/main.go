@@ -55,9 +55,12 @@ func main() {
 	fmt.Println()
 
 	// Algorithms agree; costs differ.
-	for _, m := range []tss.Method{tss.MethodSTSS, tss.MethodSDCPlus, tss.MethodBBSPlus, tss.MethodBNL} {
-		r := table.SkylineResult(m)
+	for _, algo := range []string{"stss", "sdc+", "bbs+", "bnl"} {
+		r, err := table.SkylineWith(algo)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-5v skyline=%d  reads=%d  checks=%d  total=%.3fs\n",
-			m, len(r.Rows), r.Stats.PageReads, r.Stats.DomChecks, r.Stats.TotalSeconds())
+			algo, len(r.Rows), r.Stats.PageReads, r.Stats.DomChecks, r.Stats.TotalSeconds())
 	}
 }

@@ -43,7 +43,10 @@ func main() {
 		return got < 5
 	})
 
-	full := table.SkylineResult(tss.MethodSTSS)
+	full, err := table.SkylineWith("stss")
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\nfull skyline: %d restaurants, %d page reads, %d dominance checks\n",
 		len(full.Rows), full.Stats.PageReads, full.Stats.DomChecks)
 	fmt.Println("the streamed prefix above stopped after certifying 5 —")

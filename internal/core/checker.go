@@ -30,8 +30,8 @@ type tChecker interface {
 	checks() int64
 }
 
-// The exactness argument shared by both implementations
-// (see DESIGN.md §3.1–3.2):
+// The exactness argument shared by both implementations (t-dominance,
+// the paper's §III and Definition 2, decided on merged interval runs):
 //
 // A witness skyline point s answers the query for one interval run q of
 // a candidate value y's merged set when (a) s.TO ⪯ candidate TO, (b)

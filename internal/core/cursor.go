@@ -32,26 +32,34 @@ type Cursor struct {
 // build counters); no query work happens until the first Next.
 func NewSTSSCursor(ds *Dataset, opt Options) *Cursor {
 	opt = opt.withDefaults()
-	c := &Cursor{ds: ds, io: &rtree.IOCounter{}, start: time.Now()}
 	if len(ds.Pts) == 0 {
-		c.done = true
-		return c
+		return &Cursor{ds: ds, io: &rtree.IOCounter{}, start: time.Now(), done: true}
 	}
 	buildStart := time.Now()
-	c.tree = buildSTSSTree(ds, opt, c.io)
+	io := &rtree.IOCounter{}
+	tree := buildSTSSTree(ds, opt, io)
 	if opt.UseDyadic {
 		for _, dm := range ds.Domains {
 			dm.EnableDyadic()
 		}
 	}
 	if opt.BufferPages > 0 {
-		c.tree.SetBuffer(rtree.NewBuffer(opt.BufferPages))
+		tree.SetBuffer(rtree.NewBuffer(opt.BufferPages))
 	}
-	c.metrics.BuildWriteIOs = c.io.Writes
-	c.metrics.BuildCPU = time.Since(buildStart)
-	c.io.Writes, c.io.Reads = 0, 0
-	c.checker = newChecker(ds.Domains, ds.NumTO(), opt)
-	for _, e := range c.tree.Root().Entries {
+	build := Metrics{BuildWriteIOs: io.Writes, BuildCPU: time.Since(buildStart)}
+	io.Writes, io.Reads = 0, 0
+	c := newTreeCursor(ds, tree, io, opt)
+	c.metrics = build
+	return c
+}
+
+// newTreeCursor starts the sTSS query phase over a prebuilt index whose
+// leaf entry ids index ds.Pts; split out so tests can run the algorithm
+// on explicitly laid-out trees (the paper's Figure 3(c) structure). opt
+// must already carry its defaults, and ds must be non-empty.
+func newTreeCursor(ds *Dataset, tree *rtree.Tree, io *rtree.IOCounter, opt Options) *Cursor {
+	c := &Cursor{ds: ds, tree: tree, io: io, checker: newChecker(ds.Domains, ds.NumTO(), opt)}
+	for _, e := range tree.Root().Entries {
 		c.heap.push(e)
 	}
 	c.start = time.Now()
@@ -88,6 +96,8 @@ func (c *Cursor) NextContext(ctx context.Context) (id int32, ok bool, err error)
 				c.metrics.PointsPruned++
 				continue
 			}
+			// Precedence (topological ordinals) plus exactness: p is a
+			// definite skyline point, output immediately.
 			c.checker.add(p)
 			c.lastKey = it.mind
 			c.metrics.Emissions = append(c.metrics.Emissions, Emission{
@@ -104,6 +114,9 @@ func (c *Cursor) NextContext(ctx context.Context) (id int32, ok bool, err error)
 		node := c.tree.Open(it.e)
 		c.metrics.NodesOpened++
 		for _, e := range node.Entries {
+			// Children are screened before insertion (as in BBS) and
+			// re-checked lazily when popped, since the skyline grows in
+			// between.
 			if e.IsLeafEntry() {
 				c.heap.push(e)
 				continue
@@ -117,6 +130,17 @@ func (c *Cursor) NextContext(ctx context.Context) (id int32, ok bool, err error)
 	}
 	c.done = true
 	return 0, false, nil
+}
+
+// drain runs the cursor to exhaustion and packages what it emitted as
+// a Result — the whole of sTSS as a batch algorithm.
+func (c *Cursor) drain() *Result {
+	res := &Result{}
+	for id, ok := c.Next(); ok; id, ok = c.Next() {
+		res.SkylineIDs = append(res.SkylineIDs, id)
+	}
+	res.Metrics = c.Metrics()
+	return res
 }
 
 // Emitted returns the number of skyline points certified so far — the

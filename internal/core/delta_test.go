@@ -49,15 +49,21 @@ func randomPointFor(rng *rand.Rand, ds *Dataset, nTO int) Point {
 // a DynamicDB maintained through a chain of random batches answers
 // every query class exactly like a freshly rebuilt one (and both match
 // the naive oracle), while the pre-batch database keeps answering for
-// its own row set — snapshot isolation.
+// its own row set — snapshot isolation. Half the runs use node capacity
+// 3, so the group trees have inner nodes and the copy-on-write insert,
+// delete and condense paths run at depth, as they do on large tables.
 func TestApplyBatchMatchesRebuild(t *testing.T) {
-	prop := func(seed int64, nRaw uint16, toRaw, poRaw uint8) bool {
+	prop := func(seed int64, nRaw uint16, toRaw, poRaw uint8, deep bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%40) + 2
 		nTO := int(toRaw%3) + 1
 		nPO := int(poRaw%2) + 1
 		ds := randomDataset(rng, n, nTO, nPO)
-		db := NewDynamicDB(ds, Options{})
+		var opt Options
+		if deep {
+			opt.Capacity = 3
+		}
+		db := NewDynamicDB(ds, opt)
 
 		for batch := 0; batch < 4; batch++ {
 			oldDS, oldDB := ds, db

@@ -86,7 +86,11 @@ func equalIDs(a, b []int32) bool {
 // TestMaintainSkyline drives randomized add / remove / mixed batches —
 // removals biased toward skyline members to force promotion recomputes
 // — and asserts the maintained skyline equals the cold recompute after
-// every step, full-dimensional and under a subspace projection.
+// every step, full-dimensional and under a subspace projection. A
+// second set of cases at N=2000 pins the work done as counts: a batch
+// that removes no member costs one probe per add and nothing per table
+// row (what makes a maintained memo cheaper than a cold recompute on
+// any host), and a removed member costs at most the rows it dominated.
 func TestMaintainSkyline(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		ds := maintainDataset(t, 120, seed)
@@ -151,6 +155,72 @@ func TestMaintainSkyline(t *testing.T) {
 			}
 
 			ds, sky, subSky = nds, got, gotSub
+		}
+	}
+
+	// Anti-correlated TO values: a wide skyline whose members each
+	// dominate a small part of the table.
+	ds := maintainDataset(t, 2000, 7)
+	rng := rand.New(rand.NewSource(7))
+	antiTO := func() []int32 {
+		x := int32(rng.Intn(1000))
+		return []int32{x, 1000 - x + int32(rng.Intn(100))}
+	}
+	for i := range ds.Pts {
+		ds.Pts[i].TO = antiTO()
+	}
+	sky := sortedIDs(NaiveSkylineUnder(ds.Domains, ds.Pts))
+	isMember := make([]bool, len(ds.Pts))
+	for _, id := range sky {
+		isMember[id] = true
+	}
+	var adds []Point
+	for i := 0; i < 20; i++ {
+		adds = append(adds, Point{TO: antiTO(), PO: []int32{int32(rng.Intn(4)), int32(rng.Intn(3))}})
+	}
+	var nonMembers []int
+	for i := 0; len(nonMembers) < 20; i++ {
+		if !isMember[i] {
+			nonMembers = append(nonMembers, i)
+		}
+	}
+	// The member with the largest dominated region, and that region's
+	// size among the non-members (the only rows promotion may probe).
+	member, dominated := 0, -1
+	for _, id := range sky {
+		n := 0
+		for i := range ds.Pts {
+			if !isMember[i] && DominatesUnder(ds.Domains, &ds.Pts[id], &ds.Pts[i]) {
+				n++
+			}
+		}
+		if n > dominated {
+			member, dominated = int(id), n
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		removes   []int
+		adds      []Point
+		maxProbes int
+		exact     bool // Probes == maxProbes and Promotions == 0
+	}{
+		{"add-only", nil, adds, len(adds), true},
+		{"non-member removal", nonMembers, nil, 0, true},
+		{"non-member removal with adds", nonMembers, adds, len(adds), true},
+		{"one member removal", []int{member}, adds, len(adds) + dominated, false},
+	} {
+		nds, delta := applyDelta(ds, c.removes, c.adds)
+		got, stats, ok := MaintainSkyline(ds, nds, delta, sky, nil, nil)
+		if !ok {
+			t.Fatalf("N=2000 %s: maintenance refused", c.name)
+		}
+		if want := sortedIDs(NaiveSkylineUnder(nds.Domains, nds.Pts)); !equalIDs(got, want) {
+			t.Fatalf("N=2000 %s: maintained skyline differs from the cold one", c.name)
+		}
+		if stats.Probes > c.maxProbes || c.exact && (stats.Probes != c.maxProbes || stats.Promotions != 0) {
+			t.Errorf("N=2000 %s: %+v, want Probes %d (exact=%v; the removed member dominated %d rows)",
+				c.name, stats, c.maxProbes, c.exact, dominated)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/rtree"
-)
+import "repro/internal/rtree"
 
 // STSS computes the static skyline of ds with the paper's sTSS
 // algorithm (§IV): best-first (BBS-style) traversal of an R-tree built
@@ -16,88 +12,7 @@ import (
 // Index construction is charged to the build counters; the query phase
 // charges a page read per R-tree node visit.
 func STSS(ds *Dataset, opt Options) *Result {
-	opt = opt.withDefaults()
-	res := &Result{}
-	if len(ds.Pts) == 0 {
-		return res
-	}
-
-	buildStart := time.Now()
-	io := &rtree.IOCounter{}
-	tree := buildSTSSTree(ds, opt, io)
-	if opt.UseDyadic {
-		for _, dm := range ds.Domains {
-			dm.EnableDyadic()
-		}
-	}
-	if opt.BufferPages > 0 {
-		tree.SetBuffer(rtree.NewBuffer(opt.BufferPages))
-	}
-	res.Metrics.BuildWriteIOs = io.Writes
-	res.Metrics.BuildCPU = time.Since(buildStart)
-	io.Writes, io.Reads = 0, 0
-
-	stssTraverse(ds, tree, io, opt, res)
-	return res
-}
-
-// stssTraverse is the sTSS query phase over a prebuilt index; split out
-// so tests can run the algorithm on explicitly laid-out trees (the
-// paper's Figure 3(c) structure).
-func stssTraverse(ds *Dataset, tree *rtree.Tree, io *rtree.IOCounter, opt Options, res *Result) {
-	nTO := ds.NumTO()
-	checker := newChecker(ds.Domains, nTO, opt)
-	clock := newEmitClock(io)
-	var h bbsHeap
-
-	if len(ds.Pts) > 0 {
-		root := tree.Root()
-		for _, e := range root.Entries {
-			h.push(e)
-		}
-	}
-
-	for h.len() > 0 {
-		it := h.pop()
-		if it.isPoint {
-			p := &ds.Pts[it.e.ID]
-			if checker.dominatedPoint(p.TO, p.PO) {
-				res.Metrics.PointsPruned++
-				continue
-			}
-			// Precedence (topological ordinals) plus exactness: p is a
-			// definite skyline point, output immediately.
-			res.SkylineIDs = append(res.SkylineIDs, p.ID)
-			res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-			checker.add(p)
-			continue
-		}
-		if checker.dominatedBox(it.e.Lo[:nTO], it.e.Lo[nTO:], it.e.Hi[nTO:]) {
-			res.Metrics.NodesPruned++
-			continue
-		}
-		node := tree.Open(it.e)
-		res.Metrics.NodesOpened++
-		for _, e := range node.Entries {
-			// Children are screened before insertion (as in BBS) and
-			// re-checked lazily when popped, since the skyline grows in
-			// between.
-			if e.IsLeafEntry() {
-				h.push(e)
-				continue
-			}
-			if checker.dominatedBox(e.Lo[:nTO], e.Lo[nTO:], e.Hi[nTO:]) {
-				res.Metrics.NodesPruned++
-				continue
-			}
-			h.push(e)
-		}
-	}
-
-	res.Metrics.DomChecks = checker.checks()
-	res.Metrics.ReadIOs = io.Reads
-	res.Metrics.WriteIOs = io.Writes
-	res.Metrics.CPU = clock.elapsed()
+	return NewSTSSCursor(ds, opt).drain()
 }
 
 // buildSTSSTree bulk-loads the sTSS index: an R-tree over the

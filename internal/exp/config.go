@@ -1,7 +1,9 @@
 // Package exp is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§VI) — Figures 7–14 plus the
 // parameter grid of Table III — and adds ablation experiments for the
-// design choices called out in DESIGN.md.
+// optimisations of §IV-B and §V-B. Everything it reports is in the
+// paper's simulated page-I/O cost model; wall-clock measurement of the
+// serving system lives in bench/.
 //
 // The harness is scale-aware: every figure accepts a scale factor
 // multiplying the paper's data cardinalities, so the full parameter

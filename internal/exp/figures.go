@@ -314,10 +314,10 @@ func Figure14(scale float64) []Row {
 	return rows
 }
 
-// Ablations measures the effect of each sTSS/dTSS design choice that
-// DESIGN.md calls out: the in-memory dominance R-tree, the dyadic range
-// index, the stab-only point check, and dTSS's precomputed local
-// skylines.
+// Ablations measures the effect of each sTSS/dTSS optimisation of the
+// paper's §IV-B and §V-B — the in-memory dominance R-tree, the dyadic
+// range index, dTSS's precomputed local skylines — and of this
+// implementation's stab-only point check.
 func Ablations(scale float64) []Row {
 	var rows []Row
 	cfg := StaticDefaults(scale)
@@ -477,49 +477,6 @@ func VerifyAgreement(scale float64) error {
 		}
 	}
 	return nil
-}
-
-// FigureParallel sweeps the partition-and-merge executor: sequential
-// sTSS against parallel(sTSS) for P ∈ {2, 4, 8} shards on each TO
-// distribution, at the static default configuration. It is not a paper
-// figure — it measures the engine the reproduction adds on top.
-func FigureParallel(scale float64) []Row {
-	var rows []Row
-	stss := core.MustLookup("stss")
-	for _, dist := range []data.Distribution{data.Correlated, data.Independent, data.AntiCorrelated} {
-		fig := "parallel-" + dist.String()
-		cfg := StaticDefaults(scale)
-		cfg.Dist = dist
-		ds := BuildDataset(cfg)
-		seq, err := stss.Run(ds, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		// End-to-end accounting on both sides: sequential sTSS keeps
-		// index construction in the Build* counters, while the parallel
-		// executor's wall-clock CPU already spans its shards' builds —
-		// fold the build costs in so the rows compare like with like.
-		seqM := seq.Metrics
-		seqM.CPU += seqM.BuildCPU
-		seqM.ReadIOs += seqM.BuildReadIOs
-		seqM.WriteIOs += seqM.BuildWriteIOs
-		rows = append(rows, rowFrom(fig, "P=1", "default", cfg, &seqM, len(seq.SkylineIDs)))
-		for _, p := range []int{2, 4, 8} {
-			res, err := core.Parallel(stss).Run(ds, core.Options{Parallelism: p})
-			if err != nil {
-				panic(err)
-			}
-			if !sameSet(res.SkylineIDs, seq.SkylineIDs) {
-				panic(fmt.Sprintf("exp: parallel(stss) P=%d disagrees with sequential on %s", p, fig))
-			}
-			parM := res.Metrics
-			parM.ReadIOs += parM.BuildReadIOs
-			parM.WriteIOs += parM.BuildWriteIOs
-			rows = append(rows, rowFrom(fig, fmt.Sprintf("P=%d", p), "default", cfg,
-				&parM, len(res.SkylineIDs)))
-		}
-	}
-	return rows
 }
 
 // HeadlineShapes checks the paper's two headline claims at a given

@@ -120,89 +120,3 @@ func WriteProgress(w io.Writer, rows []ProgressRow) {
 		fmt.Fprintln(w)
 	}
 }
-
-// WriteServeRows renders the serving experiment: dynamic-query
-// throughput vs result-cache capacity under a skewed DAG workload.
-func WriteServeRows(w io.Writer, rows []ServeRow) {
-	fmt.Fprintln(w, "Serve — dynamic queries/sec vs result-cache capacity")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "capacity\tdistinct\tqueries\thits\thit%\tqps\tavg(ms)\tvirtual(ms)")
-	for _, r := range rows {
-		capLabel := fmt.Sprint(r.Capacity)
-		if r.Capacity == 0 {
-			capLabel = "off"
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.0f%%\t%.0f\t%.3f\t%.3f\n",
-			capLabel, r.Distinct, r.Queries, r.Hits, r.HitRate*100,
-			r.QPS, r.AvgMs, r.VirtualMs)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-}
-
-// WritePlanRows renders the planner experiment: the cost-based choice
-// against every fixed algorithm, per workload, plus the forced
-// predicate-placement routes. The ratio column annotates auto rows with
-// auto/best-fixed (the acceptance bar is ≤ 2).
-func WritePlanRows(w io.Writer, rows []PlanRow) {
-	fmt.Fprintln(w, "Plan — cost-based algorithm choice vs fixed algorithms (wall-clock)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tseries\talgo\twall(ms)\tskyline\tauto/best")
-	last := ""
-	for _, r := range rows {
-		if r.Workload != last && last != "" {
-			fmt.Fprintln(tw, "\t\t\t\t\t")
-		}
-		last = r.Workload
-		ratio := ""
-		if r.Series == "auto" && r.Ratio > 0 {
-			ratio = fmt.Sprintf("%.2fx", r.Ratio)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.2f\t%d\t%s\n",
-			r.Workload, r.Series, r.Algo, r.WallMs, r.Skyline, ratio)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-}
-
-// WriteMaintainRows renders the maintenance experiment: first query
-// after a batch, maintained memo vs fresh memo, plus the advance cost.
-func WriteMaintainRows(w io.Writer, rows []MaintainRow) {
-	fmt.Fprintln(w, "Maintain — query after batch: maintained memo vs fresh memo")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "N\tbatch\tadvance(ms)\tmaintained(ms)\tcold(ms)\tspeedup\tpromotions\tfallback")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%.3f\t%.3f\t%.2f\t%.1fx\t%d\t%v\n",
-			r.N, r.Batch, r.AdvanceMs, r.MaintainMs, r.ColdMs, r.Speedup, r.Promotions, r.Fallback)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-}
-
-// WriteRankRows renders the ranking experiment: index-backed dp-idp
-// top-k and single layered queries against their over-fetch baselines.
-func WriteRankRows(w io.Writer, rows []RankRow) {
-	fmt.Fprintln(w, "Rank — maintained dp-idp score index and layered queries vs over-fetch")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "kind\tN\tk\trows\tfast(ms)\tbaseline(ms)\tspeedup")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.3f\t%.2f\t%.1fx\n",
-			r.Kind, r.N, r.K, r.Rows, r.FastMs, r.BaselineMs, r.Speedup)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-}
-
-// WriteStoreRows renders the storage experiment: batch-apply latency,
-// rebuild-aside vs incremental, plus WAL append durability cost.
-func WriteStoreRows(w io.Writer, rows []StoreRow) {
-	fmt.Fprintln(w, "Store — batch apply: rebuild-aside vs incremental (plus WAL append cost)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "N\tbatch\trebuild(ms)\tincremental(ms)\tspeedup\twal+fsync(ms)\twal-fsync(ms)")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%.2f\t%.2f\t%.1fx\t%.3f\t%.3f\n",
-			r.N, r.Batch, r.RebuildMs, r.IncrMs, r.Speedup, r.WALFsyncMs, r.WALNoSyncMs)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-}

@@ -137,8 +137,11 @@ type Plan struct {
 // algorithm's pruning, and POB how much a PO dimension inflates one
 // dominance check (interval probes instead of integer compares; sTSS's
 // in-memory dominance tree makes it by far the most PO-sensitive in
-// wall-clock terms). Calibrated against measured wall-clock at n=20k
-// (`tssbench -fig plan`); deliberately rough — Learned.CostMultiplier
+// wall-clock terms). The constants were fitted by hand in PR 4 to one
+// wall-clock run of every algorithm on the paper's default static
+// configuration at n=20k (2 TO, 2 PO, h=8, d=0.8; correlated,
+// independent and anti-correlated) on a 1-CPU container, and have not
+// been re-fitted since; deliberately rough — Learned.CostMultiplier
 // corrects each algorithm per table from observed runs.
 type costPrior struct{ A, B, POB float64 }
 
@@ -380,8 +383,10 @@ func kernelLabel(ds *core.Dataset, keptPO []int, noKernel bool) string {
 
 // bitsetPOBScale discounts the cost model's per-PO-dimension dominance
 // inflation when the bitset closure kernel applies: a t-preference test
-// collapses from an interval probe to a single word test (calibrated
-// against the kernel benchmarks; see BENCH_kernel.json).
+// collapses from an interval probe to a single word test. Chosen in
+// PR 8 from one kernel-vs-scalar run of BNL and MergeSurvivors at n=50k
+// on the same configuration (the kernel path took 0.36–0.69 of the
+// scalar path's time on a 1-CPU container); a rough prior like the rest.
 const bitsetPOBScale = 0.25
 
 // scaledPrior adapts an algorithm's static cost model to the selected

@@ -141,13 +141,20 @@ func (f *Follower) Sync(ctx context.Context) error {
 			gone = append(gone, name)
 		}
 	}
-	for _, name := range gone {
-		delete(f.managed, name)
-		delete(f.lag, name)
-	}
 	f.mu.Unlock()
 	for _, name := range gone {
-		f.srv.DropTable(name)
+		// A failed drop keeps the table managed, so the next round
+		// retries it.
+		if _, err := f.srv.DropTable(name); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("table %q: %w", name, err)
+			}
+			continue
+		}
+		f.mu.Lock()
+		delete(f.managed, name)
+		delete(f.lag, name)
+		f.mu.Unlock()
 		f.logf("replica: dropped %q (gone from primary)", name)
 	}
 	return firstErr

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -177,11 +179,27 @@ func TestCompactionReseed(t *testing.T) {
 	}
 }
 
+// dropFailStore wraps Mem and fails Drop on demand.
+type dropFailStore struct {
+	*store.Mem
+	failDrop bool
+}
+
+func (s *dropFailStore) Drop(name string) error {
+	if s.failDrop {
+		return errors.New("injected drop failure")
+	}
+	return s.Mem.Drop(name)
+}
+
 // TestDropPropagation: a table the primary drops disappears from the
-// follower on the next Sync.
+// follower on the next Sync — and a follower whose store cannot remove
+// it reports that round as failed, keeps serving and listing the table,
+// and retries on the next one.
 func TestDropPropagation(t *testing.T) {
 	psrv, pts := newPrimary(t, 1<<30)
-	fsrv, f, _ := newFollower(t, pts.URL, nil)
+	st := &dropFailStore{Mem: store.NewMem()}
+	fsrv, f, _ := newFollower(t, pts.URL, st)
 	ctx := context.Background()
 	if err := f.Sync(ctx); err != nil {
 		t.Fatal(err)
@@ -189,9 +207,20 @@ func TestDropPropagation(t *testing.T) {
 	if _, ok := fsrv.Table("flights"); !ok {
 		t.Fatal("follower missing flights after first sync")
 	}
-	if !psrv.DropTable("flights") {
-		t.Fatal("primary drop failed")
+	if ok, err := psrv.DropTable("flights"); !ok || err != nil {
+		t.Fatalf("primary drop: %v, %v", ok, err)
 	}
+	st.failDrop = true
+	if err := f.Sync(ctx); err == nil || !strings.Contains(err.Error(), `"flights"`) {
+		t.Fatalf("Sync with a failing local drop = %v, want an error naming the table", err)
+	}
+	if _, ok := fsrv.Table("flights"); !ok {
+		t.Fatal("follower forgot a table its store still holds")
+	}
+	if tables := f.Tables(); len(tables) != 1 {
+		t.Fatalf("Tables() = %v, want the undropped table still managed", tables)
+	}
+	st.failDrop = false
 	if err := f.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -157,10 +157,18 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	}
 }
 
-// failingStore wraps Mem and fails AppendMutation on demand.
+// failingStore wraps Mem and fails AppendMutation or Drop on demand.
 type failingStore struct {
 	*store.Mem
 	failAppend bool
+	failDrop   bool
+}
+
+func (f *failingStore) Drop(name string) error {
+	if f.failDrop {
+		return fmt.Errorf("injected drop failure")
+	}
+	return f.Mem.Drop(name)
 }
 
 func (f *failingStore) AppendMutation(name string, m *store.Mutation) error {
@@ -208,8 +216,8 @@ func TestDropRemovesPersistedState(t *testing.T) {
 	if _, err := s.CreateTable(durableSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if !s.DropTable("flights") {
-		t.Fatal("drop failed")
+	if ok, err := s.DropTable("flights"); !ok || err != nil {
+		t.Fatalf("drop: %v, %v", ok, err)
 	}
 	if _, err := st.Load("flights"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("persisted state survived drop: %v", err)
@@ -243,7 +251,10 @@ func TestRecoveredCacheCapacity(t *testing.T) {
 }
 
 // TestStorageFailureIs5xx: a well-formed batch refused by a failing
-// store answers 500, not 400 — clients must see a server fault.
+// store answers 500, not 400 — clients must see a server fault. So must
+// a drop the store cannot carry out: the table would come back at the
+// next Recover, so the answer is a 500 naming it, and the catalog,
+// /statsz and a restart all still have it.
 func TestStorageFailureIs5xx(t *testing.T) {
 	fs := &failingStore{Mem: store.NewMem()}
 	s := NewWithConfig(Config{Store: fs})
@@ -271,6 +282,38 @@ func TestStorageFailureIs5xx(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad batch answered HTTP %d, want 400", resp.StatusCode)
+	}
+
+	tablesAfterRestart := func() int {
+		restarted := NewWithConfig(Config{Store: fs})
+		infos, err := restarted.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(infos)
+	}
+	fs.failDrop = true
+	var fail errorResponse
+	if code := doJSON(t, http.MethodDelete, srv.URL+"/tables/flights", nil, &fail); code != http.StatusInternalServerError {
+		t.Fatalf("failed drop answered HTTP %d, want 500", code)
+	}
+	if !strings.Contains(fail.Error, `drop table "flights"`) || !strings.Contains(fail.Error, "injected drop failure") {
+		t.Fatalf("failed drop body %q does not name the table and the cause", fail.Error)
+	}
+	var stats StatsResponse
+	doJSON(t, http.MethodGet, srv.URL+"/statsz", nil, &stats)
+	if _, ok := s.Table("flights"); !ok || len(stats.Tables) != 1 {
+		t.Fatalf("after a failed drop: catalog has table = %v, /statsz lists %d tables; want both to keep it", ok, len(stats.Tables))
+	}
+	if n := tablesAfterRestart(); n != 1 {
+		t.Fatalf("restart after a failed drop recovered %d tables, want 1", n)
+	}
+	fs.failDrop = false
+	if code := doJSON(t, http.MethodDelete, srv.URL+"/tables/flights", nil, nil); code != http.StatusOK {
+		t.Fatalf("retried drop answered HTTP %d, want 200", code)
+	}
+	if n := tablesAfterRestart(); n != 0 {
+		t.Fatalf("restart after the drop recovered %d tables, want 0", n)
 	}
 }
 

@@ -199,19 +199,24 @@ func (s *Server) CreateTable(spec TableSpec) (TableInfo, error) {
 }
 
 // DropTable removes a table from the catalog and, with a store
-// attached, its persisted state. In-flight queries on its last
-// snapshot finish normally.
-func (s *Server) DropTable(name string) bool {
+// attached, its persisted state; false means no such table. In-flight
+// queries on its last snapshot finish normally. The persisted state
+// goes first: when the store cannot remove it, Recover would bring the
+// table back at the next start, so the table stays in the catalog and
+// the caller gets the error instead of a drop that does not last.
+func (s *Server) DropTable(name string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[name]; !ok {
-		return false
+		return false, nil
+	}
+	if s.store != nil {
+		if err := s.store.Drop(name); err != nil {
+			return false, fmt.Errorf("%w: drop table %q: %v", errStorage, name, err)
+		}
 	}
 	delete(s.tables, name)
-	if s.store != nil {
-		_ = s.store.Drop(name)
-	}
-	return true
+	return true, nil
 }
 
 // applyBatch runs a batch through the entry with the server's
@@ -445,7 +450,12 @@ func (s *Server) Handler() http.Handler {
 			writeError(w, http.StatusForbidden, err)
 			return
 		}
-		if !s.DropTable(r.PathValue("name")) {
+		ok, err := s.DropTable(r.PathValue("name"))
+		if err != nil {
+			writeError(w, statusFor(err), err)
+			return
+		}
+		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no table %q", r.PathValue("name")))
 			return
 		}

@@ -143,46 +143,6 @@ func (o *Order) Preferred(better, worse string) bool {
 	return dom.TPrefers(int32(bi), int32(wi))
 }
 
-// Method selects a skyline algorithm.
-type Method int
-
-const (
-	// MethodSTSS is the paper's contribution: exact, optimally
-	// progressive best-first search (the default).
-	MethodSTSS Method = iota
-	// MethodBBSPlus is the non-progressive m-dominance baseline.
-	MethodBBSPlus
-	// MethodSDC is the two-strata baseline.
-	MethodSDC
-	// MethodSDCPlus is the strongest baseline (stratum per uncovered
-	// level).
-	MethodSDCPlus
-	// MethodBNL is block-nested-loops with the exact dominance oracle.
-	MethodBNL
-	// MethodSFS is sort-filter-skyline with the exact dominance oracle.
-	MethodSFS
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodSTSS:
-		return "sTSS"
-	case MethodBBSPlus:
-		return "BBS+"
-	case MethodSDC:
-		return "SDC"
-	case MethodSDCPlus:
-		return "SDC+"
-	case MethodBNL:
-		return "BNL"
-	case MethodSFS:
-		return "SFS"
-	default:
-		return "unknown"
-	}
-}
-
 // Table is an in-memory relation with totally ordered and partially
 // ordered columns, ready for skyline queries. Rows are identified by
 // their insertion index.
@@ -456,7 +416,11 @@ func (t *Table) Row(i int) string {
 // Skyline returns the skyline row indexes using sTSS, in emission
 // (discovery) order.
 func (t *Table) Skyline() []int {
-	return t.SkylineResult(MethodSTSS).Rows
+	res, err := t.SkylineWith("stss")
+	if err != nil {
+		panic(err) // stss is registered and PO-capable; the run cannot fail
+	}
+	return res.Rows
 }
 
 // EachSkyline streams skyline rows to fn as they are certified, in
@@ -475,34 +439,6 @@ func (t *Table) EachSkyline(fn func(row int) bool) {
 			return
 		}
 	}
-}
-
-// name maps a Method constant to its algorithm-registry name.
-func (m Method) name() string {
-	switch m {
-	case MethodBBSPlus:
-		return "bbs+"
-	case MethodSDC:
-		return "sdc"
-	case MethodSDCPlus:
-		return "sdc+"
-	case MethodBNL:
-		return "bnl"
-	case MethodSFS:
-		return "sfs"
-	default:
-		return "stss"
-	}
-}
-
-// SkylineResult runs the chosen algorithm and returns the skyline with
-// its run statistics.
-func (t *Table) SkylineResult(m Method) *SkylineResult {
-	res, err := t.SkylineWith(m.name())
-	if err != nil {
-		panic(err) // Method constants name PO-capable algorithms; Run cannot fail
-	}
-	return res
 }
 
 // AlgorithmInfo describes one entry of the skyline-algorithm registry.

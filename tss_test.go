@@ -54,10 +54,13 @@ func TestQuickstartFlights(t *testing.T) {
 		t.Fatalf("Skyline() = %v, want %v", got, want)
 	}
 	// Every method agrees.
-	for _, m := range []Method{MethodSTSS, MethodBBSPlus, MethodSDC, MethodSDCPlus, MethodBNL, MethodSFS} {
-		res := table.SkylineResult(m)
+	for _, algo := range []string{"stss", "bbs+", "sdc", "sdc+", "bnl", "sfs"} {
+		res, err := table.SkylineWith(algo)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
 		if got := sortedRows(res.Rows); !equalRows(got, want) {
-			t.Errorf("%v = %v, want %v", m, got, want)
+			t.Errorf("%s = %v, want %v", algo, got, want)
 		}
 	}
 }
@@ -144,7 +147,10 @@ func TestRowRendering(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	table := flightsTable(order1())
-	res := table.SkylineResult(MethodSTSS)
+	res, err := table.SkylineWith("stss")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Stats.PageReads == 0 {
 		t.Error("stats must report page reads")
 	}
@@ -242,18 +248,6 @@ func TestPureTOTable(t *testing.T) {
 	}
 }
 
-func TestMethodString(t *testing.T) {
-	names := map[Method]string{
-		MethodSTSS: "sTSS", MethodBBSPlus: "BBS+", MethodSDC: "SDC",
-		MethodSDCPlus: "SDC+", MethodBNL: "BNL", MethodSFS: "SFS", Method(99): "unknown",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Errorf("Method(%d).String() = %q, want %q", m, m.String(), want)
-		}
-	}
-}
-
 // TestSkylineWith: every registered algorithm is reachable by name from
 // the public API; PO-capable ones agree on the flights example, TO-only
 // ones surface their rejection as an error.
@@ -307,15 +301,19 @@ func TestSkylineParallel(t *testing.T) {
 	}
 }
 
-// TestMethodsViaRegistry: the legacy Method enum is served by the
-// registry and still returns correct results.
+// TestMethodsViaRegistry: registry lookup is case-insensitive at the
+// public API — the algorithms' display names (sTSS, BBS+, …) resolve
+// like the canonical lowercase ones and return the same skyline.
 func TestMethodsViaRegistry(t *testing.T) {
 	table := flightsTable(order1())
 	want := sortedRows(table.Skyline())
-	for _, m := range []Method{MethodSTSS, MethodBBSPlus, MethodSDC, MethodSDCPlus, MethodBNL, MethodSFS} {
-		res := table.SkylineResult(m)
+	for _, name := range []string{"sTSS", "BBS+", "SDC", "SDC+", "BNL", "SFS"} {
+		res, err := table.SkylineWith(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if got := sortedRows(res.Rows); !equalRows(got, want) {
-			t.Errorf("%v = %v, want %v", m, got, want)
+			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
 }
