@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // randOrderT builds a random acyclic preference order over k labelled
@@ -212,4 +214,50 @@ func TestCloneSealRaceRegression(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestResidentIndexNotInherited: the cursor index belongs to one row
+// set. ApplyBatch, Clone and Filter renumber or fork the rows, so the
+// tables they derive start without it and answer from a tree of their
+// own rows — never the parent's, whose index stays put.
+func TestResidentIndexNotInherited(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	parent := randTableT(rng, 300, 2, 6).Seal()
+	parentRows, _ := freshSequence(parent)
+	if rows, _, _ := streamRows(t, parent, plan.Query{}); !equalRows(rows, parentRows) {
+		t.Fatalf("parent stream %v, want %v", rows, parentRows)
+	}
+	ix := parent.stssIndex.Load()
+	if ix == nil {
+		t.Fatal("parent stream left no index")
+	}
+
+	// Dropping the first skyline member renumbers every later row and
+	// promotes rows only it dominated.
+	batch, _, err := parent.ApplyBatch([]int{parentRows[0]}, []TableRow{randRowT(rng, 2, 6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := parent.Clone()
+	clone.MustAdd([]int64{0, 0}, "0")
+	filtered := parent.Filter(func(row int) bool { return row%3 != 0 })
+	for name, derived := range map[string]*Table{"ApplyBatch": batch, "Clone+Add": clone, "Filter": filtered} {
+		if derived.stssIndex.Load() != nil {
+			t.Fatalf("%s inherited the parent's index", name)
+		}
+		want, _ := freshSequence(derived)
+		rows, ex, _ := streamRows(t, derived, plan.Query{})
+		if ex.CursorIndex != "built" || !equalRows(rows, want) {
+			t.Fatalf("%s: cursorIndex %q, rows %v, want built %v", name, ex.CursorIndex, rows, want)
+		}
+		if derived.stssIndex.Load() == ix {
+			t.Fatalf("%s shares the parent's index", name)
+		}
+	}
+	if parent.stssIndex.Load() != ix {
+		t.Fatal("deriving tables disturbed the parent's index")
+	}
+	if rows, ex, _ := streamRows(t, parent, plan.Query{}); ex.CursorIndex != "resident" || !equalRows(rows, parentRows) {
+		t.Fatalf("parent after deriving: cursorIndex %q, rows %v, want resident %v", ex.CursorIndex, rows, parentRows)
+	}
 }

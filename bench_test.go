@@ -247,7 +247,9 @@ func BenchmarkRTree(b *testing.B) {
 }
 
 // BenchmarkSTSSEndToEnd measures one default-configuration static run
-// at N=10K for each checker configuration.
+// at N=10K for each checker configuration, then the first ten emissions
+// of a cursor that bulk-loads its index per query against one over a
+// resident index.
 func BenchmarkSTSSEndToEnd(b *testing.B) {
 	cfg := exp.StaticDefaults(0.01)
 	cfg.Dist = data.AntiCorrelated
@@ -267,6 +269,25 @@ func BenchmarkSTSSEndToEnd(b *testing.B) {
 			}
 		})
 	}
+	first10 := func(cur *core.Cursor) {
+		for k := 0; k < 10; k++ {
+			if _, ok := cur.Next(); !ok {
+				return
+			}
+		}
+	}
+	b.Run("first10/build-per-query", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			first10(core.NewSTSSCursor(ds, core.Options{}))
+		}
+	})
+	b.Run("first10/resident", func(b *testing.B) {
+		ix := core.BuildSTSSIndex(ds, core.Options{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			first10(ix.Cursor(core.Options{}))
+		}
+	})
 }
 
 // BenchmarkDynamicQuery measures one dTSS query (domain preprocessing

@@ -242,7 +242,7 @@ func runStatic(ds *core.Dataset, method string, parallel int) (*core.Result, err
 		return nil, fmt.Errorf("unknown method %q (have: %s)",
 			method, strings.Join(core.AlgorithmNames(), ", "))
 	}
-	opt := core.Options{UseMemTree: true}
+	var opt core.Options
 	if parallel != 0 {
 		if parallel > 0 {
 			opt.Parallelism = parallel
@@ -374,7 +374,7 @@ func runDynamic(ds *core.Dataset, queryDAGs, idealCSV string) (*core.Result, err
 	}
 	db := core.NewDynamicDB(ds, core.Options{})
 	if idealCSV == "" {
-		return db.QueryTSS(qDomains, core.Options{UseMemTree: true})
+		return db.QueryTSS(qDomains, core.Options{})
 	}
 	var q []int32
 	for _, part := range strings.Split(idealCSV, ",") {
@@ -384,7 +384,7 @@ func runDynamic(ds *core.Dataset, queryDAGs, idealCSV string) (*core.Result, err
 		}
 		q = append(q, int32(v))
 	}
-	return db.QueryTSSFull(q, qDomains, core.Options{UseMemTree: true})
+	return db.QueryTSSFull(q, qDomains, core.Options{})
 }
 
 func fatalf(format string, args ...any) {

@@ -113,7 +113,7 @@ func (d *Dynamic) QueryContext(ctx context.Context, orders ...*Order) (*SkylineR
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.db.QueryTSSContext(ctx, domains, core.Options{UseMemTree: true})
+	res, err := d.db.QueryTSSContext(ctx, domains, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func (d *Dynamic) QueryAtContext(ctx context.Context, ideal []int64, orders ...*
 		}
 		q[i] = int32(v)
 	}
-	res, err := d.db.QueryTSSFullContext(ctx, q, domains, core.Options{UseMemTree: true})
+	res, err := d.db.QueryTSSFullContext(ctx, q, domains, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 // index.
 type Cursor struct {
 	ds      *Dataset
-	tree    *rtree.Tree
+	rd      *rtree.Reader
 	io      *rtree.IOCounter
 	checker tChecker
 	heap    bbsHeap
@@ -27,39 +27,72 @@ type Cursor struct {
 	done    bool
 }
 
-// NewSTSSCursor builds the sTSS index for ds and returns a cursor over
-// its skyline. Construction performs the bulk load (charged to the
-// build counters); no query work happens until the first Next.
-func NewSTSSCursor(ds *Dataset, opt Options) *Cursor {
+// STSSIndex is the sTSS index of one dataset: the R-tree bulk-loaded
+// over the (TO…, topological ordinal…) coordinates of its points, plus
+// what building it cost. It is immutable once built — every Cursor
+// traverses it through its own rtree.Reader — so one index serves any
+// number of concurrent queries over the same rows.
+type STSSIndex struct {
+	ds    *Dataset
+	tree  *rtree.Tree // nil for an empty dataset
+	build Metrics     // BuildWriteIOs and BuildCPU of the bulk load
+}
+
+// BuildSTSSIndex bulk-loads the sTSS index for ds. Of opt only the
+// R-tree layout (PageSize, Capacity) and the dyadic switch matter; the
+// checker and buffer are chosen per Cursor.
+func BuildSTSSIndex(ds *Dataset, opt Options) *STSSIndex {
 	opt = opt.withDefaults()
+	ix := &STSSIndex{ds: ds}
 	if len(ds.Pts) == 0 {
-		return &Cursor{ds: ds, io: &rtree.IOCounter{}, start: time.Now(), done: true}
+		return ix
 	}
 	buildStart := time.Now()
 	io := &rtree.IOCounter{}
-	tree := buildSTSSTree(ds, opt, io)
+	ix.tree = buildSTSSTree(ds, opt, io)
 	if opt.UseDyadic {
 		for _, dm := range ds.Domains {
 			dm.EnableDyadic()
 		}
 	}
-	if opt.BufferPages > 0 {
-		tree.SetBuffer(rtree.NewBuffer(opt.BufferPages))
+	ix.build = Metrics{BuildWriteIOs: io.Writes, BuildCPU: time.Since(buildStart)}
+	return ix
+}
+
+// Cursor starts one sTSS query over the index: the cursor reports the
+// index's build counters, charges its own page reads (through an LRU
+// buffer of opt.BufferPages pages when set) and does no query work
+// until the first Next.
+func (ix *STSSIndex) Cursor(opt Options) *Cursor {
+	opt = opt.withDefaults()
+	io := &rtree.IOCounter{}
+	if ix.tree == nil {
+		return &Cursor{ds: ix.ds, io: io, start: time.Now(), done: true}
 	}
-	build := Metrics{BuildWriteIOs: io.Writes, BuildCPU: time.Since(buildStart)}
-	io.Writes, io.Reads = 0, 0
-	c := newTreeCursor(ds, tree, io, opt)
-	c.metrics = build
+	var buf *rtree.Buffer
+	if opt.BufferPages > 0 {
+		buf = rtree.NewBuffer(opt.BufferPages)
+	}
+	c := newTreeCursor(ix.ds, ix.tree.NewReader(io, buf), io, opt)
+	c.metrics = ix.build
 	return c
 }
 
+// NewSTSSCursor builds the sTSS index for ds and returns a cursor over
+// its skyline. Construction performs the bulk load (charged to the
+// build counters); no query work happens until the first Next.
+func NewSTSSCursor(ds *Dataset, opt Options) *Cursor {
+	return BuildSTSSIndex(ds, opt).Cursor(opt)
+}
+
 // newTreeCursor starts the sTSS query phase over a prebuilt index whose
-// leaf entry ids index ds.Pts; split out so tests can run the algorithm
-// on explicitly laid-out trees (the paper's Figure 3(c) structure). opt
-// must already carry its defaults, and ds must be non-empty.
-func newTreeCursor(ds *Dataset, tree *rtree.Tree, io *rtree.IOCounter, opt Options) *Cursor {
-	c := &Cursor{ds: ds, tree: tree, io: io, checker: newChecker(ds.Domains, ds.NumTO(), opt)}
-	for _, e := range tree.Root().Entries {
+// leaf entry ids index ds.Pts, read through rd, which charges io; split
+// out so tests can run the algorithm on explicitly laid-out trees (the
+// paper's Figure 3(c) structure). opt must already carry its defaults,
+// and ds must be non-empty.
+func newTreeCursor(ds *Dataset, rd *rtree.Reader, io *rtree.IOCounter, opt Options) *Cursor {
+	c := &Cursor{ds: ds, rd: rd, io: io, checker: newChecker(ds.Domains, ds.NumTO(), opt)}
+	for _, e := range rd.Root().Entries {
 		c.heap.push(e)
 	}
 	c.start = time.Now()
@@ -111,7 +144,7 @@ func (c *Cursor) NextContext(ctx context.Context) (id int32, ok bool, err error)
 			c.metrics.NodesPruned++
 			continue
 		}
-		node := c.tree.Open(it.e)
+		node := c.rd.Open(it.e)
 		c.metrics.NodesOpened++
 		for _, e := range node.Entries {
 			// Children are screened before insertion (as in BBS) and
@@ -132,9 +165,9 @@ func (c *Cursor) NextContext(ctx context.Context) (id int32, ok bool, err error)
 	return 0, false, nil
 }
 
-// drain runs the cursor to exhaustion and packages what it emitted as
+// Drain runs the cursor to exhaustion and packages what it emitted as
 // a Result — the whole of sTSS as a batch algorithm.
-func (c *Cursor) drain() *Result {
+func (c *Cursor) Drain() *Result {
 	res := &Result{}
 	for id, ok := c.Next(); ok; id, ok = c.Next() {
 		res.SkylineIDs = append(res.SkylineIDs, id)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -123,6 +124,55 @@ func checkDomScan(t *testing.T, ds *Dataset, sky []int32, budget int64) {
 	}
 }
 
+// cursorTrace is everything a consumer can observe of one sTSS cursor
+// drain that the checker must not influence.
+type cursorTrace struct {
+	ids, keys                       []int64
+	opened, pruned, points, readIOs int64
+}
+
+func drainTrace(c *Cursor) cursorTrace {
+	var tr cursorTrace
+	for id, ok := c.Next(); ok; id, ok = c.Next() {
+		tr.ids = append(tr.ids, int64(id))
+		tr.keys = append(tr.keys, c.LastKey())
+	}
+	m := c.Metrics()
+	tr.opened, tr.pruned, tr.points, tr.readIOs = m.NodesOpened, m.NodesPruned, m.PointsPruned, m.ReadIOs
+	return tr
+}
+
+// checkCursorSequences is the emission-sequence leg of the harness: the
+// order sTSS emits in is the heap's (mindist key, ties by insertion),
+// and every checker prunes exactly the dominated entries, so the list
+// checker, the memtree in both point-check forms, and two successive
+// cursors over one shared STSSIndex must emit the identical id sequence
+// with identical keys and traversal counters. Capacity 3 makes even
+// these tiny datasets multi-level trees, so box pruning takes part.
+func checkCursorSequences(t *testing.T, ds *Dataset) {
+	for _, capacity := range []int{0, 3} {
+		base := Options{Capacity: capacity}
+		want := drainTrace(NewSTSSCursor(ds, base))
+		ix := BuildSTSSIndex(ds, base)
+		mem, stab := base, base
+		mem.UseMemTree = true
+		stab.UseMemTree, stab.StabOnly = true, true
+		for _, leg := range []struct {
+			name string
+			cur  *Cursor
+		}{
+			{"memtree", NewSTSSCursor(ds, mem)},
+			{"memtree-stab", NewSTSSCursor(ds, stab)},
+			{"index/1", ix.Cursor(base)},
+			{"index/2", ix.Cursor(base)},
+		} {
+			if got := drainTrace(leg.cur); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cursor %s (capacity %d): trace %+v, list checker %+v", leg.name, capacity, got, want)
+			}
+		}
+	}
+}
+
 // FuzzSkylineAgreement is the differential fuzz harness: every
 // registered algorithm — sequential and behind the partition-and-merge
 // executor at P ∈ {1, 4}, across the dominance-kernel configurations
@@ -131,7 +181,9 @@ func checkDomScan(t *testing.T, ds *Dataset, sky []int32, budget int64) {
 // oracle's skyline on any byte-derived workload, TO-only algorithms
 // must reject PO datasets with an error rather than a wrong answer, and
 // the ranking layer's dominator scan must agree with scalar dominance
-// under the same closure configurations. Runs its seed corpus
+// under the same closure configurations. The sTSS cursor additionally
+// emits one id *sequence* whatever its checker and however often its
+// index is reused (checkCursorSequences). Runs its seed corpus
 // (testdata/fuzz/…) under plain `go test`; explore further with
 //
 //	go test -run='^$' -fuzz=FuzzSkylineAgreement ./internal/core
@@ -204,5 +256,6 @@ func FuzzSkylineAgreement(f *testing.F) {
 		}
 		checkDomScan(t, ds, want, 0)
 		checkDomScan(t, ds, want, -1)
+		checkCursorSequences(t, ds)
 	})
 }

@@ -47,7 +47,7 @@ func LayersUnder(domains []*poset.Domain, pts []Point, maxLayer int, noKernel bo
 			}
 			keep = MergeSurvivorsRef(domains, sub, tags, workers)
 		} else {
-			res := STSS(&Dataset{Domains: domains, Pts: sub}, Options{UseMemTree: true})
+			res := STSS(&Dataset{Domains: domains, Pts: sub}, Options{})
 			keep = make([]int, len(res.SkylineIDs))
 			for j, id := range res.SkylineIDs {
 				keep[j] = int(id)

@@ -12,7 +12,7 @@ import "repro/internal/rtree"
 // Index construction is charged to the build counters; the query phase
 // charges a page read per R-tree node visit.
 func STSS(ds *Dataset, opt Options) *Result {
-	return NewSTSSCursor(ds, opt).drain()
+	return NewSTSSCursor(ds, opt).Drain()
 }
 
 // buildSTSSTree bulk-loads the sTSS index: an R-tree over the

@@ -55,13 +55,17 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		}
 		observedRows = len(eff.Pts)
 		algo := p.algo
-		opt := core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel}
+		opt := core.Options{NoKernel: p.Query.Hints.NoKernel}
 		if p.shards > 0 {
 			algo = core.Parallel(algo)
 			opt.Parallelism = p.shards
 		}
 		algoStart := time.Now()
-		if res, err = algo.Run(eff, opt); err != nil {
+		if p.shards == 0 && algo.Name() == "stss" {
+			// Sequential sTSS is a drain of the cursor, which may find
+			// its index resident on the snapshot.
+			res = p.cursorOver(ds, eff, env).Drain()
+		} else if res, err = algo.Run(eff, opt); err != nil {
 			return nil, err
 		}
 		// Feedback, with two guards. Skyline fractions are learned per

@@ -37,12 +37,18 @@ type ScoreIndexCache interface {
 }
 
 // Env is the planning context: the table's statistics, the feedback
-// store, and an optional full-skyline cache. All fields may be nil —
-// Stats is computed on the fly, feedback is dropped, no cache routing.
+// store, an optional full-skyline cache and the table's resident sTSS
+// index. All fields may be nil — Stats is computed on the fly, feedback
+// is dropped, no cache routing, the cursor bulk-loads per query.
 type Env struct {
 	Stats   *Stats
 	Learned *Learned
 	Cache   Cache
+	// STSSIndex returns the sTSS index over exactly the dataset the plan
+	// runs on, building it on first use; resident reports that it was
+	// already there (this query paid no bulk load). The executor calls
+	// it only for runs over the unprojected, unfiltered dataset.
+	STSSIndex func() (ix *core.STSSIndex, resident bool)
 }
 
 // Candidate is one algorithm the planner costed, for explain output.
@@ -81,8 +87,13 @@ type Explain struct {
 	// elimination loops use: "bitset+columnar" (closure bitsets fit the
 	// memory budget on every kept PO domain), "columnar" (columnar scans
 	// with interval/ordinal fallback per dominance test), or "interval"
-	// (Hints.NoKernel scalar reference path).
+	// (Hints.NoKernel scalar reference path). Empty on the cursor route,
+	// which never enters the kernel.
 	Kernel string `json:"kernel,omitempty"`
+	// CursorIndex reports where an sTSS cursor run got its R-tree:
+	// "resident" (the snapshot already held it) or "built" (this query
+	// paid the bulk load). Empty when no cursor ran.
+	CursorIndex string `json:"cursorIndex,omitempty"`
 
 	// ObservedRows counts the rows the executor actually fed an
 	// algorithm (0 on cache hits) — compare with EstRows to judge the
@@ -351,14 +362,24 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 	}
 
 	p.Explain.Route = p.route
-	if p.earlyExit {
-		p.Explain.Route = RouteCursor
-	}
 	p.Explain.Parallelism = p.shards
+	if p.earlyExit {
+		p.explainCursor()
+	}
 	p.Explain.EstRows = p.estRows
 	p.Explain.EstSkyline = p.estSky
 	p.Explain.CacheHit = p.cached != nil
 	return p, nil
+}
+
+// explainCursor rewrites the explain output for a run the sequential
+// sTSS cursor serves, whatever the buffered plan chose: the cursor's
+// checker never enters the dominance kernel.
+func (p *Plan) explainCursor() {
+	p.Explain.Algorithm = "stss"
+	p.Explain.Route = RouteCursor
+	p.Explain.Parallelism = 0
+	p.Explain.Kernel = ""
 }
 
 // kernelLabel names the dominance-kernel configuration a run over the

@@ -83,7 +83,7 @@ func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit fu
 	case cursorOK && p.Query.Rank == RankNone:
 		res, err = p.streamCursor(ctx, ds, env, emit, start)
 	case boundScore != nil:
-		res, err = p.streamThresholdTopK(ctx, ds, emit, start, boundScore, boundSlack)
+		res, err = p.streamThresholdTopK(ctx, ds, env, emit, start, boundScore, boundSlack)
 	default:
 		if res, err = p.Run(ctx, ds, env); err == nil {
 			for i, id := range res.SkylineIDs {
@@ -118,25 +118,49 @@ func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit fu
 	// The progressive paths run the sequential sTSS cursor regardless of
 	// the buffered plan's algorithm and parallelism choice — reflect that
 	// in the explain output.
-	p.Explain.Algorithm = "stss"
-	p.Explain.Route = RouteCursor
-	p.Explain.Parallelism = 0
+	p.explainCursor()
 	p.Explain.ObservedSeconds = time.Since(start).Seconds()
 	p.Explain.ObservedRows = p.cursorRows
 	p.Explain.ObservedSkyline = len(res.SkylineIDs)
 	return res, nil
 }
 
-// streamCursor is the progressive unranked path: every certified cursor
-// emission that survives the per-row post-filter is emitted immediately;
-// TopK > 0 stops after K emissions.
-func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit func(StreamRow) error, start time.Time) (*core.Result, error) {
+// openCursor starts an sTSS cursor over the plan's effective dataset.
+func (p *Plan) openCursor(ctx context.Context, ds *core.Dataset, env Env) (*core.Cursor, error) {
 	eff, err := p.effective(ctx, ds)
 	if err != nil {
 		return nil, err
 	}
 	p.cursorRows = len(eff.Pts)
-	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel})
+	return p.cursorOver(ds, eff, env), nil
+}
+
+// cursorOver starts an sTSS cursor over eff, the effective dataset of a
+// plan on ds. When eff is the table's own dataset (no projection, no
+// push-down filter) the cursor traverses env's snapshot-resident index;
+// any other shape indexes different rows or coordinates and bulk-loads
+// its own.
+func (p *Plan) cursorOver(ds, eff *core.Dataset, env Env) *core.Cursor {
+	opt := core.Options{NoKernel: p.Query.Hints.NoKernel}
+	p.Explain.CursorIndex = "built"
+	if eff != ds || env.STSSIndex == nil {
+		return core.NewSTSSCursor(eff, opt)
+	}
+	ix, resident := env.STSSIndex()
+	if resident {
+		p.Explain.CursorIndex = "resident"
+	}
+	return ix.Cursor(opt)
+}
+
+// streamCursor is the progressive unranked path: every certified cursor
+// emission that survives the per-row post-filter is emitted immediately;
+// TopK > 0 stops after K emissions.
+func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit func(StreamRow) error, start time.Time) (*core.Result, error) {
+	cur, err := p.openCursor(ctx, ds, env)
+	if err != nil {
+		return nil, err
+	}
 	res := &core.Result{}
 	postFilter := p.route == RoutePostFilter
 	k := p.Query.TopK
@@ -188,13 +212,11 @@ func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit
 // score. Once K collected scores beat that bound strictly, no future
 // emission can displace them (nor tie into a different id order), and
 // the traversal stops without enumerating the rest of the skyline.
-func (p *Plan) streamThresholdTopK(ctx context.Context, ds *core.Dataset, emit func(StreamRow) error, start time.Time, score func(pt *core.Point) float64, slack int64) (*core.Result, error) {
-	eff, err := p.effective(ctx, ds)
+func (p *Plan) streamThresholdTopK(ctx context.Context, ds *core.Dataset, env Env, emit func(StreamRow) error, start time.Time, score func(pt *core.Point) float64, slack int64) (*core.Result, error) {
+	cur, err := p.openCursor(ctx, ds, env)
 	if err != nil {
 		return nil, err
 	}
-	p.cursorRows = len(eff.Pts)
-	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel})
 	k := p.Query.TopK
 	postFilter := p.route == RoutePostFilter
 

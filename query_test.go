@@ -225,3 +225,57 @@ func TestQueryContextCancel(t *testing.T) {
 		t.Fatal("canceled query succeeded")
 	}
 }
+
+// TestExplainCursorRoute: a plan the sTSS cursor serves — the early-exit
+// top-k of plan.New and every progressive RunStream shape — reports no
+// dominance kernel (the cursor never enters it) and says whether its
+// R-tree was resident on the table or bulk-loaded by this query. Plans
+// that run a kernel algorithm keep their kernel label and name no
+// cursor index.
+func TestExplainCursorRoute(t *testing.T) {
+	ctx := context.Background()
+	drop := func(plan.StreamRow) error { return nil }
+	where := []plan.Predicate{{Kind: plan.TORange, Dim: 1, HasLo: true, Lo: 20}}
+
+	table := queryTestTable(t)
+	_, ex, err := table.Query(plan.Query{TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Route != plan.RouteCursor || ex.Algorithm != "stss" || ex.Kernel != "" || ex.CursorIndex != "built" {
+		t.Fatalf("cold early-exit top-k explain: %+v", ex)
+	}
+	for _, run := range []struct {
+		name string
+		q    plan.Query
+		want string
+	}{
+		{"first-k", plan.Query{TopK: 3}, "resident"},
+		{"full", plan.Query{}, "resident"},
+		{"threshold top-k", plan.Query{TopK: 3, Rank: plan.RankIdeal}, "resident"},
+		{"subspace", plan.Query{Subspace: &plan.Subspace{TO: []int{0}, PO: []int{0}}}, "built"},
+		{"push-down", plan.Query{Where: where}, "built"},
+	} {
+		_, ex, err := table.QueryStream(ctx, run.q, drop)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if ex.Route != plan.RouteCursor || ex.Algorithm != "stss" || ex.Parallelism != 0 {
+			t.Fatalf("%s: not a cursor plan: %+v", run.name, ex)
+		}
+		if ex.Kernel != "" {
+			t.Errorf("%s: cursor-route explain names kernel %q", run.name, ex.Kernel)
+		}
+		if ex.CursorIndex != run.want {
+			t.Errorf("%s: cursorIndex %q, want %q", run.name, ex.CursorIndex, run.want)
+		}
+	}
+
+	_, ex, err = table.Query(plan.Query{Hints: plan.Hints{Algorithm: "sfs"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Kernel == "" || ex.CursorIndex != "" {
+		t.Fatalf("kernel plan explain: kernel %q cursorIndex %q", ex.Kernel, ex.CursorIndex)
+	}
+}

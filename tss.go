@@ -156,6 +156,12 @@ type Table struct {
 	// otherwise, invalidated by Add. Atomic so lazily computing it may
 	// race concurrent queries on a shared (sealed) table.
 	stats atomic.Pointer[plan.Stats]
+	// stssIndex holds the sTSS R-tree over exactly these rows, held the
+	// way stats is: built lazily by the first cursor that wants it (never
+	// by Seal or a write), published by CAS, invalidated by Add, and
+	// absent on every table Clone/Filter/ApplyBatch derives — rows are
+	// renumbered there, and the tree's leaf ids are row indexes.
+	stssIndex atomic.Pointer[core.STSSIndex]
 	// learned is the planner's cost-feedback store, shared by every
 	// table derived through Clone/Filter/ApplyBatch — it describes the
 	// data's behavior, not one row-set version.
@@ -208,6 +214,7 @@ func (t *Table) Add(to []int64, po ...string) error {
 	}
 	t.ds.Pts = append(t.ds.Pts, p)
 	t.stats.Store(nil) // row set changed; recomputed lazily
+	t.stssIndex.Store(nil)
 	return nil
 }
 
@@ -429,7 +436,8 @@ func (t *Table) Skyline() []int {
 // traversal needed for those k rows — use this for top-k-style
 // consumption over large tables.
 func (t *Table) EachSkyline(fn func(row int) bool) {
-	cur := core.NewSTSSCursor(t.ds, core.Options{UseMemTree: true})
+	ix, _ := t.residentIndex()
+	cur := ix.Cursor(core.Options{})
 	for {
 		id, ok := cur.Next()
 		if !ok {
@@ -532,7 +540,7 @@ func (t *Table) Query(q plan.Query) (*SkylineResult, *plan.Explain, error) {
 // between pipeline stages and inside the executor's scan loops (an
 // algorithm already running is not interrupted mid-run).
 func (t *Table) QueryContext(ctx context.Context, q plan.Query) (*SkylineResult, *plan.Explain, error) {
-	env := plan.Env{Stats: t.Stats(), Learned: t.learned, Cache: t.queryCache}
+	env := t.planEnv()
 	p, err := plan.New(t.ds, q, env)
 	if err != nil {
 		return nil, nil, err
@@ -554,7 +562,7 @@ func (t *Table) QueryContext(ctx context.Context, q plan.Query) (*SkylineResult,
 // SkylineResult carries the same rows emit saw plus the run's metrics.
 // An emit error aborts the run and is returned verbatim.
 func (t *Table) QueryStream(ctx context.Context, q plan.Query, emit func(plan.StreamRow) error) (*SkylineResult, *plan.Explain, error) {
-	env := plan.Env{Stats: t.Stats(), Learned: t.learned, Cache: t.queryCache}
+	env := t.planEnv()
 	p, err := plan.New(t.ds, q, env)
 	if err != nil {
 		return nil, nil, err
@@ -631,6 +639,25 @@ func (t *Table) Stats() *plan.Stats {
 	// describes the same rows.
 	t.stats.CompareAndSwap(nil, s)
 	return s
+}
+
+// residentIndex returns the sTSS index over the table's current rows,
+// bulk-loading it on first use; resident reports that it was already
+// there. Concurrent first users each build one and the CAS publishes a
+// single winner for everyone after; a loser's tree describes the same
+// rows and dies with its query.
+func (t *Table) residentIndex() (ix *core.STSSIndex, resident bool) {
+	if ix := t.stssIndex.Load(); ix != nil {
+		return ix, true
+	}
+	ix = core.BuildSTSSIndex(t.ds, core.Options{})
+	t.stssIndex.CompareAndSwap(nil, ix)
+	return ix, false
+}
+
+// planEnv is the planning context of a query on this table.
+func (t *Table) planEnv() plan.Env {
+	return plan.Env{Stats: t.Stats(), Learned: t.learned, Cache: t.queryCache, STSSIndex: t.residentIndex}
 }
 
 // Learned returns the planner's cost-feedback store — shared across

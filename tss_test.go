@@ -1,8 +1,16 @@
 package tss
 
 import (
+	"context"
+	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/plan"
 )
 
 // flightsTable builds the paper's introduction example through the
@@ -316,4 +324,191 @@ func TestMethodsViaRegistry(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
+}
+
+// freshSequence is the emission sequence of a cursor that bulk-loads its
+// own index over the table's current rows — what every cursor over the
+// resident index must reproduce.
+func freshSequence(t *Table) ([]int, core.Metrics) {
+	var rows []int
+	cur := core.NewSTSSCursor(t.ds, core.Options{})
+	for id, ok := cur.Next(); ok; id, ok = cur.Next() {
+		rows = append(rows, int(id))
+	}
+	return rows, cur.Metrics()
+}
+
+// streamRows runs q as a progressive stream and returns the rows in
+// emission order with the run's explain and metrics.
+func streamRows(t *testing.T, table *Table, q plan.Query) ([]int, *plan.Explain, core.MetricsExport) {
+	t.Helper()
+	var rows []int
+	res, ex, err := table.QueryStream(context.Background(), q, func(r plan.StreamRow) error {
+		rows = append(rows, int(r.ID))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, ex, res.Metrics
+}
+
+// TestResidentIndexConcurrentColdStart: full and first-K streams opened
+// concurrently on a sealed table that has never served a cursor race the
+// lazy index build against itself; every stream still emits the
+// fresh-cursor sequence, and one index is left for everyone after.
+func TestResidentIndexConcurrentColdStart(t *testing.T) {
+	table := randTableT(rand.New(rand.NewSource(7)), 600, 2, 6).Seal()
+	want, _ := freshSequence(table)
+	const k = 5
+	if len(want) <= k {
+		t.Fatalf("skyline of %d rows is too small for a first-%d prefix", len(want), k)
+	}
+	if table.stssIndex.Load() != nil {
+		t.Fatal("Seal built the cursor index")
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			q, exp := plan.Query{}, want
+			if g%2 == 1 {
+				q, exp = plan.Query{TopK: k}, want[:k]
+			}
+			<-start
+			var rows []int
+			_, _, err := table.QueryStream(context.Background(), q, func(r plan.StreamRow) error {
+				rows = append(rows, int(r.ID))
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			} else if !equalRows(rows, exp) {
+				t.Errorf("stream %d emitted %v, fresh cursor %v", g, rows, exp)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	ix := table.stssIndex.Load()
+	if ix == nil {
+		t.Fatal("no index resident after eight cursor streams")
+	}
+	if _, ex, _ := streamRows(t, table, plan.Query{}); ex.CursorIndex != "resident" || table.stssIndex.Load() != ix {
+		t.Fatalf("stream after the cold start: cursorIndex %q, index replaced %v", ex.CursorIndex, table.stssIndex.Load() != ix)
+	}
+}
+
+// TestResidentIndexLifetime walks one table through the index's life:
+// nothing but a cursor over the table's own rows builds it, the second
+// such query finds it resident and traverses it exactly as a fresh
+// cursor would, NoCache does not bypass it, and Add drops it.
+func TestResidentIndexLifetime(t *testing.T) {
+	table := randTableT(rand.New(rand.NewSource(11)), 500, 2, 6).Seal()
+	table.Stats()
+	if _, _, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "sfs"}}); err != nil {
+		t.Fatal(err)
+	}
+	// Projected and push-down-filtered cursors index other coordinates
+	// or other rows: they neither use nor build the table's index.
+	for _, q := range []plan.Query{
+		{Subspace: &plan.Subspace{TO: []int{0}, PO: []int{0}}},
+		{Where: []plan.Predicate{{Kind: plan.TORange, Dim: 1, HasLo: true, Lo: 3}}},
+	} {
+		if _, ex, _ := streamRows(t, table, q); ex.CursorIndex != "built" {
+			t.Fatalf("variant %q: cursorIndex %q, want built", ex.Variant, ex.CursorIndex)
+		}
+	}
+	if table.stssIndex.Load() != nil {
+		t.Fatal("index built before any cursor ran over the table's own rows")
+	}
+
+	want, fresh := freshSequence(table)
+	first, ex, _ := streamRows(t, table, plan.Query{})
+	if ex.CursorIndex != "built" || !equalRows(first, want) {
+		t.Fatalf("first stream: cursorIndex %q, rows %v, want built %v", ex.CursorIndex, first, want)
+	}
+	ix := table.stssIndex.Load()
+	if ix == nil {
+		t.Fatal("first cursor left no index behind")
+	}
+	second, ex, m := streamRows(t, table, plan.Query{Hints: plan.Hints{NoCache: true}})
+	if ex.CursorIndex != "resident" || !equalRows(second, want) || table.stssIndex.Load() != ix {
+		t.Fatalf("second stream: cursorIndex %q, rebuilt %v, rows %v, want %v",
+			ex.CursorIndex, table.stssIndex.Load() != ix, second, want)
+	}
+	if m.ReadIOs != fresh.ReadIOs || m.NodesOpened != fresh.NodesOpened || m.NodesPruned != fresh.NodesPruned ||
+		m.PointsPruned != fresh.PointsPruned || m.DomChecks != fresh.DomChecks {
+		t.Fatalf("resident traversal %+v, fresh cursor %+v", m, fresh)
+	}
+	// The buffered sTSS leg and EachSkyline drain the same index.
+	res, ex, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "stss", Parallelism: -1, NoCache: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.CursorIndex != "resident" || !equalRows(res.Rows, want) {
+		t.Fatalf("buffered stss: cursorIndex %q, rows %v, want %v", ex.CursorIndex, res.Rows, want)
+	}
+	var each []int
+	table.EachSkyline(func(row int) bool { each = append(each, row); return true })
+	if !equalRows(each, want) || table.stssIndex.Load() != ix {
+		t.Fatalf("EachSkyline: rows %v, want %v (rebuilt %v)", each, want, table.stssIndex.Load() != ix)
+	}
+
+	// A row nothing can dominate (best TO values, a value no other is
+	// preferred to): the tree of the old row set does not hold it.
+	top := 0
+	for v := range table.orders[0].labels {
+		if table.ds.Domains[0].Ord(int32(v)) == 0 {
+			top = v
+		}
+	}
+	table.MustAdd([]int64{0, 0}, table.orders[0].labels[top])
+	if table.stssIndex.Load() != nil {
+		t.Fatal("Add kept the index of the old row set")
+	}
+	want, _ = freshSequence(table)
+	after, ex, _ := streamRows(t, table, plan.Query{})
+	if ex.CursorIndex != "built" || !equalRows(after, want) {
+		t.Fatalf("stream after Add: cursorIndex %q, rows %v, want built %v", ex.CursorIndex, after, want)
+	}
+	if i := sort.SearchInts(sortedRows(after), table.Len()-1); i == len(after) {
+		t.Fatalf("stream after Add %v misses the new row %d", after, table.Len()-1)
+	}
+}
+
+// TestResidentIndexEmptyTable: the index of no rows serves empty streams.
+func TestResidentIndexEmptyTable(t *testing.T) {
+	table := NewTable([]string{"x"}, order1())
+	for i := 0; i < 2; i++ {
+		if rows, _, _ := streamRows(t, table, plan.Query{}); len(rows) != 0 {
+			t.Fatalf("empty table streamed %v", rows)
+		}
+	}
+	table.EachSkyline(func(row int) bool {
+		t.Fatalf("empty table emitted row %d", row)
+		return false
+	})
+}
+
+// TestResidentIndexDiesWithTable: the table is the index's only owner —
+// no registry keeps a retired snapshot's tree alive.
+func TestResidentIndexDiesWithTable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		table := randTableT(rand.New(rand.NewSource(3)), 200, 2, 6)
+		table.EachSkyline(func(int) bool { return false })
+		runtime.SetFinalizer(table.stssIndex.Load(), func(*core.STSSIndex) { close(collected) })
+	}()
+	for i := 0; i < 200; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("index still reachable after its table was dropped")
 }
