@@ -17,9 +17,12 @@ import (
 // Thin-client mode (-serve URL): instead of computing locally, talk to
 // a running tssserve. With -data, the local workload is first uploaded
 // as a table (replacing any table of the same name); then the query —
-// static (-method/-parallel) or dynamic (-querydags/-ideal) — is issued
-// over HTTP and the response printed in the local mode's format.
+// the GET /skyline shorthand (-method/-parallel alone) or the POST
+// /query the shaping flags describe — is issued over HTTP and the
+// response printed in the local mode's format.
 
+// clientConfig holds the flags a query is built from — the thin
+// client's request, or the local run's plan.Query (localQuery).
 type clientConfig struct {
 	baseURL, table    string
 	dataPath, dagList string
@@ -37,11 +40,6 @@ func runClient(cfg clientConfig) error {
 	if cfg.table == "" {
 		cfg.table = "default"
 	}
-	// Match local mode: dTSS runs sequentially, so -parallel would be
-	// silently dropped by the server on a dynamic query.
-	if cfg.queryDAGs != "" && cfg.parallel != 0 {
-		return fmt.Errorf("-parallel applies to static queries only (dTSS runs sequentially)")
-	}
 	base := strings.TrimRight(cfg.baseURL, "/")
 	c := &client{base: base, http: http.DefaultClient}
 
@@ -50,13 +48,16 @@ func runClient(cfg clientConfig) error {
 			return err
 		}
 	}
-	if cfg.queryDAGs != "" {
-		return c.dynamicQuery(cfg)
-	}
-	if cfg.plan.active() {
+	if cfg.shaped() {
 		return c.planQuery(cfg)
 	}
 	return c.staticQuery(cfg)
+}
+
+// shaped reports whether any flag shapes the query beyond the bare
+// "-method's skyline" invocation.
+func (cfg *clientConfig) shaped() bool {
+	return cfg.plan.active() || cfg.queryDAGs != "" || cfg.ideal != ""
 }
 
 type client struct {
@@ -102,7 +103,7 @@ func (c *client) upload(cfg clientConfig) error {
 	if err := c.postJSON("/tables", spec, &info); err != nil {
 		return fmt.Errorf("create table: %w", err)
 	}
-	fmt.Printf("uploaded table %q: %d rows, %d groups\n", info.Name, info.Rows, info.Groups)
+	fmt.Printf("uploaded table %q: %d rows\n", info.Name, info.Rows)
 	return nil
 }
 
@@ -129,47 +130,10 @@ func (c *client) staticQuery(cfg clientConfig) error {
 	return nil
 }
 
-// dynamicQuery issues POST /tables/{t}/query with the DAG files' edges.
-func (c *client) dynamicQuery(cfg clientConfig) error {
-	var req serve.QueryRequest
-	for _, path := range strings.Split(cfg.queryDAGs, ",") {
-		dag, err := data.ReadDAGFile(path)
-		if err != nil {
-			return fmt.Errorf("read %s: %w", path, err)
-		}
-		var qo serve.QueryOrder
-		for v := 0; v < dag.N(); v++ {
-			for _, u := range dag.Out(v) {
-				qo.Edges = append(qo.Edges, [2]string{strconv.Itoa(v), strconv.Itoa(int(u))})
-			}
-		}
-		req.Orders = append(req.Orders, qo)
-	}
-	if cfg.ideal != "" {
-		var err error
-		ideal, err := parseIdealCSV(cfg.ideal)
-		if err != nil {
-			return err
-		}
-		req.Ideal = ideal
-	}
-	if cfg.limit > 0 {
-		req.Limit = cfg.limit
-	}
-	if cfg.stream {
-		return c.runStream(http.MethodPost, "/tables/"+url.PathEscape(cfg.table)+"/query?stream=1", req, cfg.first)
-	}
-	var out serve.QueryResponse
-	if err := c.postJSON("/tables/"+url.PathEscape(cfg.table)+"/query", req, &out); err != nil {
-		return err
-	}
-	printResponse(&out, cfg.limit)
-	return nil
-}
-
-// planQuery issues POST /tables/{t}/query in planner mode: the
-// subspace/where/topk/rank fields pass through verbatim (the server
-// resolves column names and PO value labels against the table schema),
+// planQuery issues POST /tables/{t}/query: the subspace/where/topk/rank
+// fields pass through verbatim (the server resolves column names and PO
+// value labels against the table schema), -querydags become the
+// request's orders (edges over the DAG files' integer value ids),
 // -method (when explicitly set) and -parallel become optimizer hints.
 func (c *client) planQuery(cfg clientConfig) error {
 	var req serve.QueryRequest
@@ -180,10 +144,16 @@ func (c *client) planQuery(cfg clientConfig) error {
 		req.Algo = cfg.method
 	}
 	req.Parallel = cfg.parallel
-	if cfg.ideal != "" {
-		if req.Rank != "ideal" {
-			return errIdealNeedsRank
+	if cfg.queryDAGs != "" {
+		for _, path := range strings.Split(cfg.queryDAGs, ",") {
+			dag, err := data.ReadDAGFile(path)
+			if err != nil {
+				return fmt.Errorf("read %s: %w", path, err)
+			}
+			req.Orders = append(req.Orders, serve.QueryOrder{Edges: serve.OrderSpecFromDAG("", dag).Edges})
 		}
+	}
+	if cfg.ideal != "" {
 		ideal, err := parseIdealCSV(cfg.ideal)
 		if err != nil {
 			return err

@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -72,12 +71,42 @@ func TestThinClientEndToEnd(t *testing.T) {
 	}
 }
 
-// TestThinClientRejectsParallelDynamic mirrors local mode's refusal.
-func TestThinClientRejectsParallelDynamic(t *testing.T) {
-	err := runClient(clientConfig{
-		baseURL: "http://127.0.0.1:1", queryDAGs: "q.txt", parallel: 4,
-	})
-	if err == nil || !strings.Contains(err.Error(), "static queries only") {
-		t.Fatalf("err = %v, want static-queries-only refusal", err)
+// TestThinClientComposesQueryDAGs: -querydags is one more field of the
+// planned request — it rides with -parallel, -where, -topk/-rank,
+// -explain and -stream instead of being refused beside them.
+func TestThinClientComposesQueryDAGs(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := writeFile(t, dir, "data.csv", "to_0,po_0\n10,0\n20,1\n5,2\n7,1\n")
+	dagPath := writeFile(t, dir, "dag_0.txt", "3\n0 1\n")
+	queryDAG := writeFile(t, dir, "qdag.txt", "3\n2 0\n2 1\n")
+	ts := httptest.NewServer(serve.New(4).Handler())
+	defer ts.Close()
+
+	base := clientConfig{
+		baseURL: ts.URL, table: "t", dataPath: dataPath, dagList: dagPath,
+		method: "stss", limit: 10, queryDAGs: queryDAG, parallel: 2,
+	}
+	if err := runClient(base); err != nil {
+		t.Fatalf("-querydags -parallel: %v", err)
+	}
+	base.dataPath, base.dagList, base.parallel = "", "", 0
+	for name, mut := range map[string]func(*clientConfig){
+		"where+explain": func(c *clientConfig) { c.plan = planFlags{where: "to_0<=9", explain: true} },
+		"topk+rank":     func(c *clientConfig) { c.plan = planFlags{topk: 1, rank: "dpidp"} },
+		"subspace":      func(c *clientConfig) { c.plan = planFlags{subspace: "to_0,po_0"} },
+		"stream":        func(c *clientConfig) { c.stream = true; c.plan = planFlags{where: "to_0<=9"} },
+		"first":         func(c *clientConfig) { c.stream, c.first = true, 1 },
+	} {
+		cfg := base
+		mut(&cfg)
+		if err := runClient(cfg); err != nil {
+			t.Errorf("-querydags with %s: %v", name, err)
+		}
+	}
+	// A cyclic query DAG is the server's 400, surfaced.
+	bad := base
+	bad.queryDAGs = writeFile(t, dir, "cyc.txt", "3\n0 1\n1 0\n")
+	if err := runClient(bad); err == nil {
+		t.Fatal("cyclic -querydags accepted")
 	}
 }

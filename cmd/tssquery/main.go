@@ -10,9 +10,11 @@
 // the current list); -parallel N runs it behind the partition-and-merge
 // executor with N shards (-1 = one per CPU).
 //
-// Planner mode (-subspace / -where / -topk / -rank / -fweights /
-// -explain) answers subspace, constrained, top-k and weight-restricted
-// skyline variants through the cost-based optimizer, which picks the
+// Every run is one planned query. -subspace / -where / -topk / -rank /
+// -fweights / -querydags / -ideal shape it — subspace, constrained,
+// top-k, weight-restricted and dynamic (the query's own preference DAGs,
+// and with -ideal but no -rank ideal the fully dynamic |v−ideal|
+// skyline), in any combination — and the cost-based optimizer picks the
 // algorithm (unless -method is explicitly set), parallelism and
 // predicate placement from workload statistics; -explain prints the
 // chosen plan as JSON:
@@ -21,9 +23,15 @@
 //	tssquery -data work/data.csv -dags work/dag_0.txt -subspace to_0,po_0
 //	tssquery -data work/data.csv -dags work/dag_0.txt -topk 10 -rank dpidp
 //	tssquery -data work/data.csv -dags work/dag_0.txt -fweights 0.5,0.2
+//	tssquery -data work/data.csv -dags work/dag_0.txt -querydags q_0.txt -where "to_0<=500" -topk 5
 //
 // The same flags work against a server (-serve URL), with column names
-// and PO value labels resolved by the table's schema.
+// and PO value labels resolved by the table's schema. A -querydags run
+// reports the counters of the algorithm the plan chose, locally as
+// against a server; dTSS — the paper's prepared structure for dynamic
+// queries — and its simulated page I/O live where the paper's dynamic
+// figures are produced (tssbench -fig 12..14, internal/exp/figures.go)
+// and in examples/preferences.
 //
 // Workloads round-trip through the durable storage engine (the same
 // format tssserve's -data-dir uses):
@@ -47,7 +55,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -65,8 +72,8 @@ func main() {
 		"skyline algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
 	parallel := flag.Int("parallel", 0,
 		"run the partition-and-merge executor with N shards (0 = sequential, -1 = one per CPU)")
-	queryDAGs := flag.String("querydags", "", "dynamic query: comma-separated DAG files replacing the data's partial orders (dTSS)")
-	ideal := flag.String("ideal", "", "fully dynamic query: comma-separated ideal TO values (requires -querydags)")
+	queryDAGs := flag.String("querydags", "", "dynamic query: comma-separated DAG files replacing the data's partial orders for this query")
+	ideal := flag.String("ideal", "", "comma-separated ideal TO values: the reference point of -rank ideal, else the fully dynamic |v-ideal| skyline")
 	limit := flag.Int("limit", 10, "skyline rows to print (0 = all)")
 	serveURL := flag.String("serve", "", "tssserve base URL: act as a thin client against a running server instead of computing locally")
 	tableName := flag.String("table", "", "server or store table name (defaults to \"default\")")
@@ -90,25 +97,20 @@ func main() {
 			methodSet = true
 		}
 	})
-	if pf.active() && *queryDAGs != "" {
-		fatalf("-subspace/-where/-topk/-rank/-fweights/-explain plan over the workload's own orders; they cannot combine with -querydags")
-	}
 	if *first > 0 {
 		*stream = true
 	}
-	if *stream && *queryDAGs != "" && *serveURL == "" {
-		fatalf("-stream with -querydags needs -serve (dTSS answers group-at-a-time; the server replays its rows as a stream)")
-	}
 
+	cfg := clientConfig{
+		baseURL: *serveURL, table: *tableName,
+		dataPath: *dataPath, dagList: *dagList,
+		method: *method, methodSet: methodSet, parallel: *parallel,
+		queryDAGs: *queryDAGs, ideal: *ideal, limit: *limit,
+		stream: *stream, first: *first,
+		plan: pf,
+	}
 	if *serveURL != "" {
-		if err := runClient(clientConfig{
-			baseURL: *serveURL, table: *tableName,
-			dataPath: *dataPath, dagList: *dagList,
-			method: *method, methodSet: methodSet, parallel: *parallel,
-			queryDAGs: *queryDAGs, ideal: *ideal, limit: *limit,
-			stream: *stream, first: *first,
-			plan: pf,
-		}); err != nil {
+		if err := runClient(cfg); err != nil {
 			fatalf("%v", err)
 		}
 		return
@@ -170,49 +172,41 @@ func main() {
 		}
 	}
 
+	q, err := cfg.localQuery(ds)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	var emit func(plan.StreamRow) error
 	if *stream {
-		forced := ""
-		if methodSet {
-			forced = *method
-		}
-		if err := runLocalStream(ds, pf, forced, *parallel, *ideal, *first, *limit); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-
-	var res *core.Result
-	var err error
-	switch {
-	case *queryDAGs != "":
-		if *parallel != 0 {
-			fatalf("-parallel applies to static queries only (dTSS runs sequentially)")
-		}
-		res, err = runDynamic(ds, *queryDAGs, *ideal)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	case pf.active():
-		forced := ""
-		if methodSet {
-			forced = *method
-		}
-		res, err = runPlanned(ds, pf, forced, *parallel, *ideal)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	default:
-		res, err = runStatic(ds, *method, *parallel)
-		if err != nil {
-			fatalf("%v", err)
+		emit = func(row plan.StreamRow) error {
+			if *limit > 0 && row.Index >= *limit {
+				return nil
+			}
+			pt := &ds.Pts[row.ID]
+			fmt.Printf("  [%d] +%v row %d: TO=%v PO=%v\n",
+				row.Index, row.Elapsed.Round(time.Microsecond), row.ID, pt.TO, pt.PO)
+			return nil
 		}
 	}
-
+	res, explain, err := runLocal(ds, q, emit)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if pf.explain && !*stream {
+		printExplain(explain)
+	}
 	m := &res.Metrics
 	fmt.Printf("rows=%d skyline=%d\n", len(ds.Pts), len(res.SkylineIDs))
 	fmt.Printf("reads=%d writes=%d checks=%d cpu=%v total=%v (5ms/IO)\n",
 		m.ReadIOs, m.WriteIOs, m.DomChecks, m.CPU.Round(1000),
 		m.TotalTime(core.DefaultIOCost).Round(1000))
+	if *stream {
+		// The rows went out as they certified; the plan follows the summary.
+		if pf.explain {
+			printExplain(explain)
+		}
+		return
+	}
 	n := *limit
 	if n == 0 || n > len(res.SkylineIDs) {
 		n = len(res.SkylineIDs)
@@ -226,6 +220,14 @@ func main() {
 	}
 }
 
+func printExplain(ex *plan.Explain) {
+	buf, err := json.MarshalIndent(ex, "", "  ")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	fmt.Printf("plan: %s\n", buf)
+}
+
 // loadDomains reads and preprocesses one DAG file per PO column.
 func loadDomains(dagList string) ([]*poset.Domain, error) {
 	if dagList == "" {
@@ -234,157 +236,64 @@ func loadDomains(dagList string) ([]*poset.Domain, error) {
 	return data.ReadDomains(strings.Split(dagList, ","))
 }
 
-// runStatic answers a static skyline query with the chosen registered
-// algorithm, optionally behind the partition-and-merge executor.
-func runStatic(ds *core.Dataset, method string, parallel int) (*core.Result, error) {
-	algo, ok := core.Lookup(method)
-	if !ok {
-		return nil, fmt.Errorf("unknown method %q (have: %s)",
-			method, strings.Join(core.AlgorithmNames(), ", "))
+// localQuery builds the one plan.Query a local run executes. A flag that
+// shapes the query (or -stream) leaves the algorithm to the optimizer
+// unless -method was explicitly set, and -parallel is a shard-count
+// hint (-1 = one per CPU, 0 = planner decides). The bare invocation
+// keeps its historical meaning: -method's algorithm — sTSS by default —
+// run sequentially unless -parallel asks for shards. -first K on a
+// stream becomes an unranked top-k, so the traversal stops after K
+// certified rows, unless -topk is already set.
+func (cfg *clientConfig) localQuery(ds *core.Dataset) (plan.Query, error) {
+	method, hint := "", cfg.parallel
+	if cfg.methodSet {
+		method = cfg.method
 	}
-	var opt core.Options
-	if parallel != 0 {
-		if parallel > 0 {
-			opt.Parallelism = parallel
-		}
-		algo = core.Parallel(algo)
-	}
-	return algo.Run(ds, opt)
-}
-
-// runPlanned answers a subspace / constrained / top-k query through the
-// cost-based planner. With -method explicitly set the algorithm is
-// forced; otherwise the optimizer chooses from the workload's
-// statistics. -parallel maps to a shard-count hint (-1 = one per CPU,
-// 0 = planner decides in this mode).
-func runPlanned(ds *core.Dataset, pf planFlags, forcedMethod string, parallel int, idealCSV string) (*core.Result, error) {
-	hint := 0
-	switch {
-	case parallel > 0:
-		hint = parallel
-	case parallel < 0:
+	if hint < 0 {
 		hint = runtime.GOMAXPROCS(0)
+	}
+	if !cfg.shaped() && !cfg.stream {
+		method = cfg.method
+		if hint == 0 {
+			hint = -1
+		}
 	}
 	var ideal []int64
-	if idealCSV != "" {
-		if pf.rank != string(plan.RankIdeal) {
-			return nil, errIdealNeedsRank
-		}
+	if cfg.ideal != "" {
 		var err error
-		if ideal, err = parseIdealCSV(idealCSV); err != nil {
-			return nil, err
+		if ideal, err = parseIdealCSV(cfg.ideal); err != nil {
+			return plan.Query{}, err
 		}
 	}
-	q, err := pf.localQuery(ds.NumTO(), ds.NumPO(), forcedMethod, hint, ideal)
+	q, err := cfg.plan.localQuery(ds.NumTO(), ds.NumPO(), method, hint, ideal)
 	if err != nil {
-		return nil, err
+		return plan.Query{}, err
 	}
+	if q.Orders, err = loadDomains(cfg.queryDAGs); err != nil {
+		return plan.Query{}, err
+	}
+	if cfg.stream && cfg.first > 0 && q.TopK == 0 {
+		q.TopK = cfg.first
+	}
+	return q, nil
+}
+
+// runLocal plans q over the workload and runs it — buffered, or with
+// emit set through the streaming executor, which hands over each row
+// the moment it is certified.
+func runLocal(ds *core.Dataset, q plan.Query, emit func(plan.StreamRow) error) (*core.Result, *plan.Explain, error) {
 	env := plan.Env{Learned: plan.NewLearned()}
 	p, err := plan.New(ds, q, env)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := p.Run(context.Background(), ds, env)
-	if err != nil {
-		return nil, err
-	}
-	if pf.explain {
-		buf, err := json.MarshalIndent(&p.Explain, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("plan: %s\n", buf)
-	}
-	return res, nil
-}
-
-// runLocalStream answers a static or planned query through the
-// streaming executor, printing each row the moment it is certified
-// (with its elapsed-to-certify). -first K becomes an unranked top-k —
-// the traversal stops after K certified rows — unless -topk is already
-// set, and -limit only truncates what is printed.
-func runLocalStream(ds *core.Dataset, pf planFlags, forcedMethod string, parallel int, idealCSV string, first, limit int) error {
-	hint := 0
-	switch {
-	case parallel > 0:
-		hint = parallel
-	case parallel < 0:
-		hint = runtime.GOMAXPROCS(0)
-	}
-	var q plan.Query
-	if pf.active() {
-		var ideal []int64
-		if idealCSV != "" {
-			if pf.rank != string(plan.RankIdeal) {
-				return errIdealNeedsRank
-			}
-			var err error
-			if ideal, err = parseIdealCSV(idealCSV); err != nil {
-				return err
-			}
-		}
-		var err error
-		if q, err = pf.localQuery(ds.NumTO(), ds.NumPO(), forcedMethod, hint, ideal); err != nil {
-			return err
-		}
+	var res *core.Result
+	if emit == nil {
+		res, err = p.Run(context.Background(), ds, env)
 	} else {
-		q = plan.Query{Hints: plan.Hints{Algorithm: forcedMethod, Parallelism: hint, NoCache: true}}
+		res, err = p.RunStream(context.Background(), ds, env, emit)
 	}
-	if first > 0 && q.TopK == 0 {
-		q.TopK = first
-	}
-	env := plan.Env{Learned: plan.NewLearned()}
-	p, err := plan.New(ds, q, env)
-	if err != nil {
-		return err
-	}
-	res, err := p.RunStream(context.Background(), ds, env, func(row plan.StreamRow) error {
-		if limit > 0 && row.Index >= limit {
-			return nil
-		}
-		pt := &ds.Pts[row.ID]
-		fmt.Printf("  [%d] +%v row %d: TO=%v PO=%v\n",
-			row.Index, row.Elapsed.Round(time.Microsecond), row.ID, pt.TO, pt.PO)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	m := &res.Metrics
-	fmt.Printf("rows=%d skyline=%d\n", len(ds.Pts), len(res.SkylineIDs))
-	fmt.Printf("reads=%d writes=%d checks=%d cpu=%v total=%v (5ms/IO)\n",
-		m.ReadIOs, m.WriteIOs, m.DomChecks, m.CPU.Round(1000),
-		m.TotalTime(core.DefaultIOCost).Round(1000))
-	if pf.explain {
-		buf, err := json.MarshalIndent(&p.Explain, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("plan: %s\n", buf)
-	}
-	return nil
-}
-
-// runDynamic answers a dynamic (or fully dynamic, when idealCSV is set)
-// skyline query with dTSS over freshly built group structures.
-func runDynamic(ds *core.Dataset, queryDAGs, idealCSV string) (*core.Result, error) {
-	qDomains, err := loadDomains(queryDAGs)
-	if err != nil {
-		return nil, err
-	}
-	db := core.NewDynamicDB(ds, core.Options{})
-	if idealCSV == "" {
-		return db.QueryTSS(qDomains, core.Options{})
-	}
-	var q []int32
-	for _, part := range strings.Split(idealCSV, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -ideal value %q: %w", part, err)
-		}
-		q = append(q, int32(v))
-	}
-	return db.QueryTSSFull(q, qDomains, core.Options{})
+	return res, &p.Explain, err
 }
 
 func fatalf(format string, args ...any) {

@@ -93,6 +93,29 @@ func TestReadDataAndSkyline(t *testing.T) {
 	}
 }
 
+// runStatic is the bare invocation: -method's algorithm forced,
+// sequential unless -parallel asks for shards.
+func runStatic(ds *core.Dataset, method string, parallel int) (*core.Result, error) {
+	cfg := clientConfig{method: method, parallel: parallel}
+	q, err := cfg.localQuery(ds)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := runLocal(ds, q, nil)
+	return res, err
+}
+
+// runDynamic is a -querydags (and -ideal) run.
+func runDynamic(ds *core.Dataset, queryDAGs, ideal string) (*core.Result, error) {
+	cfg := clientConfig{method: "stss", queryDAGs: queryDAGs, ideal: ideal}
+	q, err := cfg.localQuery(ds)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := runLocal(ds, q, nil)
+	return res, err
+}
+
 // TestRunStaticAllRegistered: -method works for every registered name
 // with no per-algorithm switch — the registry is the single dispatch
 // point — and -parallel N returns the same skyline set.
@@ -226,7 +249,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(sortIDs(resC.SkylineIDs)) != fmt.Sprint(sortIDs(resA.SkylineIDs)) {
-		t.Fatalf("dTSS after round trip %v, want %v", resC.SkylineIDs, resA.SkylineIDs)
+		t.Fatalf("-querydags after round trip %v, want %v", resC.SkylineIDs, resA.SkylineIDs)
 	}
 }
 

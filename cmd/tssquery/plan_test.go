@@ -1,12 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/plan"
 	"repro/internal/poset"
@@ -90,7 +92,7 @@ func TestRunPlannedLocal(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := runPlanned(ds, tc.pf, "", 0, "")
+			res, err := runPlanned(ds, tc.pf, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +111,7 @@ func TestRunPlannedLocal(t *testing.T) {
 
 	// Ranked top-k matches the plan oracle.
 	pf := planFlags{topk: 2, rank: "domcount"}
-	res, err := runPlanned(ds, pf, "", 0, "")
+	res, err := runPlanned(ds, pf, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +123,50 @@ func TestRunPlannedLocal(t *testing.T) {
 		t.Fatalf("topk: got %v want %v", res.SkylineIDs, want)
 	}
 
-	// -ideal without -rank ideal is refused.
-	if _, err := runPlanned(ds, planFlags{topk: 1}, "", 0, "5,5"); err == nil {
-		t.Fatal("-ideal without -rank ideal accepted")
+	// -ideal feeds -rank ideal or, unranked, is the |v-ideal| transform
+	// (row 3 sits on the ideal point and must survive); any other rank
+	// refuses it.
+	if _, err := runPlanned(ds, planFlags{topk: 1, rank: "domcount"}, "5,5"); err == nil {
+		t.Fatal("-ideal with a rank that does not consume it accepted")
 	}
+	res, err = runPlanned(ds, planFlags{}, "1200,1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = plan.Naive(ds, plan.Query{Ideal: []int64{1200, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameIDs(res.SkylineIDs, want) || !contains(res.SkylineIDs, 3) {
+		t.Fatalf("ideal transform: got %v want %v", res.SkylineIDs, want)
+	}
+}
+
+// runPlanned is a local run shaped by the planner flags (and -ideal).
+func runPlanned(ds *core.Dataset, pf planFlags, ideal string) (*core.Result, error) {
+	cfg := clientConfig{plan: pf, method: "stss", ideal: ideal}
+	q, err := cfg.localQuery(ds)
+	if err != nil {
+		return nil, err
+	}
+	res, ex, err := runLocal(ds, q, nil)
+	if err == nil && pf.explain {
+		printExplain(ex)
+	}
+	return res, err
+}
+
+func sameIDs(a, b []int32) bool {
+	return fmt.Sprint(sortIDs(a)) == fmt.Sprint(sortIDs(b))
+}
+
+func contains(ids []int32, id int32) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
 }
 
 // TestThinClientPlanQuery drives the planner flags end-to-end through

@@ -9,7 +9,7 @@ import (
 	"repro/internal/serve"
 )
 
-// Planner-mode flag parsing, shared by the local and thin-client paths.
+// Query-shaping flag parsing, shared by the local and thin-client paths.
 //
 // Grammar (comma-separated clauses in -where, comma-separated column
 // names in -subspace):
@@ -75,10 +75,6 @@ func parseIdealCSV(s string) ([]int64, error) {
 	}
 	return out, nil
 }
-
-// errIdealNeedsRank is the shared refusal when -ideal is used outside
-// the two modes that consume it.
-var errIdealNeedsRank = fmt.Errorf("-ideal needs -rank ideal (or -querydags for a fully dynamic query)")
 
 // whereClause is one parsed -where clause, still in string form.
 type whereClause struct {

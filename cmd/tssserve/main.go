@@ -1,10 +1,11 @@
 // Command tssserve is the HTTP/JSON skyline query server: a catalog of
 // named tables served to concurrent clients with copy-on-write
-// snapshot isolation. Static skylines dispatch through the algorithm
-// registry (?algo=, ?parallel=); dynamic queries bring per-request
-// preference DAGs and are answered by the prepared dTSS database and
-// its result cache; batched mutations derive the next snapshot
-// incrementally and atomically swap it in without blocking readers.
+// snapshot isolation. Every query — full, subspace, constrained,
+// top-k, restricted, under the table's own orders or under per-request
+// preference DAGs — is one planned request through the algorithm
+// registry, with -cache past results per snapshot memoised by DAG;
+// batched mutations derive the next snapshot incrementally and
+// atomically swap it in without blocking readers.
 //
 //	tssserve -addr :8080 -table flights=./work -cache 128
 //	tssserve -addr :8080 -data-dir ./tss-data -checkpoint-every 4194304
@@ -62,7 +63,7 @@
 //	GET    /tables/{name}/skyline       static skyline (?algo=, ?parallel=, ?limit=)
 //	GET    /tables/{name}/stats         planner statistics + learned state
 //	POST   /tables/{name}/rows:batch    batched mutation
-//	POST   /tables/{name}/query         dynamic query (per-request DAGs)
+//	POST   /tables/{name}/query         skyline query (orders, ideal, subspace, where, topK, rank, fweights)
 //	POST   /tables/{name}/domcount      dominance counts for candidate rows
 //	GET    /tables/{name}/replica/snapshot  columnar snapshot (follower bootstrap)
 //	GET    /tables/{name}/replica/log       committed WAL frames past ?after=N
@@ -123,12 +124,12 @@ func (t *tableFlags) Set(v string) error {
 func main() {
 	var tables tableFlags
 	addr := flag.String("addr", ":8080", "listen address")
-	cache := flag.Int("cache", serve.DefaultCacheCapacity, "per-table dynamic result cache capacity")
+	cache := flag.Int("cache", serve.DefaultCacheCapacity, "per-table cache of per-request-orders results: entries each snapshot's memo keeps")
 	subspaceCacheCap := flag.Int("subspace-cache-cap", 0,
 		"per-table subspace/constrained skyline memo capacity (0 = default, currently 32); surfaced in /statsz as planCache.subspaceCapacity")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	requestTimeout := flag.Duration("request-timeout", 0,
-		"per-request time budget: planned and dynamic (orders) queries are canceled cooperatively mid-run via the request context; only baseline (SDC+) dynamic queries still check it before starting only (0 = unlimited)")
+		"per-request time budget: queries are canceled cooperatively mid-run via the request context (0 = unlimited)")
 	shardOf := flag.String("shard-of", "",
 		"this node's cluster identity as index/count (e.g. 0/2): shown in /statsz and enforced against the coordinator's routing assertion")
 	coordinator := flag.String("coordinator", "",
@@ -189,8 +190,7 @@ func main() {
 		fatalf("recover: %v", err)
 	}
 	for _, info := range recovered {
-		fmt.Printf("recovered table %q: version %d, %d rows, %d groups\n",
-			info.Name, info.Version, info.Rows, info.Groups)
+		fmt.Printf("recovered table %q: version %d, %d rows\n", info.Name, info.Version, info.Rows)
 	}
 	for _, spec := range tables {
 		name, dir, ok := strings.Cut(spec, "=")
@@ -207,7 +207,7 @@ func main() {
 			}
 			fatalf("load table %q: %v", name, err)
 		}
-		fmt.Printf("loaded table %q: %d rows, %d groups\n", info.Name, info.Rows, info.Groups)
+		fmt.Printf("loaded table %q: %d rows\n", info.Name, info.Rows)
 	}
 
 	handler := s.Handler()
@@ -316,13 +316,10 @@ func main() {
 	}
 }
 
-// withRequestTimeout bounds each request's context. Planned and
-// dynamic (dTSS, fully dynamic) queries check it cooperatively —
-// the executor between pipeline stages and inside its scan loops, the
-// dynamic cursor between point groups and inside each group's index
-// traversal — and answer 503 on expiry, releasing the worker. Only the
-// baseline (SDC+) dynamic path still checks the budget before starting
-// and then runs to completion.
+// withRequestTimeout bounds each request's context. Queries check it
+// cooperatively — the executor between pipeline stages and inside its
+// scan loops, the cursor inside its index traversal — and answer 503 on
+// expiry, releasing the worker.
 func withRequestTimeout(h http.Handler, d time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), d)

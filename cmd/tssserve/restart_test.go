@@ -96,9 +96,8 @@ func TestKillAndRestart(t *testing.T) {
 		t.Fatalf("recovered %d tables", len(statsAfter.Tables))
 	}
 	got, want := statsAfter.Tables[0], statsBefore.Tables[0]
-	if got.Version != want.Version || got.Rows != want.Rows || got.Groups != want.Groups {
-		t.Fatalf("recovered table %+v, want version=%d rows=%d groups=%d",
-			got, want.Version, want.Rows, want.Groups)
+	if got.Version != want.Version || got.Rows != want.Rows {
+		t.Fatalf("recovered table %+v, want version=%d rows=%d", got, want.Version, want.Rows)
 	}
 	var skylineAfter serve.QueryResponse
 	getJSON(t, base+"/tables/flights/skyline", &skylineAfter)

@@ -390,7 +390,6 @@ func (co *Coordinator) aggregateInfo(ct *ctable, infos []serve.TableInfo) serve.
 		out.Version += info.Version
 		out.Versions[i] = info.Version
 		out.Rows += info.Rows
-		out.Groups += info.Groups
 		out.Stats.Queries += info.Stats.Queries
 		out.Stats.Mutations += info.Stats.Mutations
 		out.Stats.CacheHits += info.Stats.CacheHits

@@ -327,16 +327,37 @@ func (tc *testCluster) sweep(phase string, union []serve.RowSpec) {
 	getJSON(tc.t, tc.single.URL+"/tables/diff/skyline", &si)
 	tc.checkSetEqual(phase+"/skyline-GET", cl, si)
 
-	dyn := serve.QueryRequest{Orders: []serve.QueryOrder{
-		{Edges: [][2]string{{"d", "a"}, {"d", "b"}}}, // inverted-ish preference
-		{Edges: [][2]string{{"t3", "t2"}, {"t2", "t1"}}},
-	}}
+	dyn := serve.QueryRequest{Orders: queryOrders}
 	tc.checkSetEqual(phase+"/dynamic",
 		tc.query(tc.co.URL, "diff", dyn), tc.query(tc.single.URL, "diff", dyn))
 
 	ideal := serve.QueryRequest{Ideal: []int64{500, 500}, Orders: dyn.Orders}
 	tc.checkSetEqual(phase+"/dynamic-ideal",
 		tc.query(tc.co.URL, "diff", ideal), tc.query(tc.single.URL, "diff", ideal))
+
+	// orders is a field, not a mode: beside where and subspace both
+	// tiers return the brute-force skyline of the filtered rows, on the
+	// kept columns, under the request's preferences.
+	le := int64(400)
+	composed := serve.QueryRequest{Orders: queryOrders, Subspace: []string{"x", "cls"},
+		Where: []serve.WhereSpec{{Col: "x", Le: &le}}}
+	single := tc.query(tc.single.URL, "diff", composed)
+	tc.checkSetEqual(phase+"/dynamic-constrained-subspace", tc.query(tc.co.URL, "diff", composed), single)
+	var want []string
+	for i, r := range union {
+		dominated := r.TO[0] > le
+		for j := 0; j < len(union) && !dominated; j++ {
+			o := union[j]
+			dominated = o.TO[0] <= le && dominatesOracle(queryPref, o.TO[:1], o.PO[:1], r.TO[:1], r.PO[:1])
+		}
+		if !dominated {
+			want = append(want, fmt.Sprintf("%v|%v", union[i].TO, union[i].PO))
+		}
+	}
+	sort.Strings(want)
+	if got := sortedKeys(single.Skyline); !equalKeys(got, want) {
+		tc.t.Errorf("%s/dynamic-constrained-subspace: rows diverge from brute force\n got  %v\n want %v", phase, got, want)
+	}
 
 	tc.checkTopK(phase, union)
 }
@@ -379,7 +400,7 @@ func (tc *testCluster) checkTopK(phase string, union []serve.RowSpec) {
 		of   func(r *serve.SkylineRow) float64
 	}{
 		{"domcount", serve.QueryRequest{TopK: k, Rank: "domcount"},
-			func(r *serve.SkylineRow) float64 { return -float64(domCountOracle(union, r)) }},
+			func(r *serve.SkylineRow) float64 { return -float64(domCountOracle(ownPref, union, r)) }},
 		{"ideal", serve.QueryRequest{TopK: k, Rank: "ideal", Ideal: []int64{500, 500}},
 			func(r *serve.SkylineRow) float64 { return idealScoreOracle(r, []int64{500, 500}) }},
 	} {
@@ -408,20 +429,45 @@ func (tc *testCluster) checkTopK(phase string, union []serve.RowSpec) {
 }
 
 // domCountOracle brute-forces a candidate's dominance count over the
-// union rows (full dimensionality, diamond + chain orders).
-func domCountOracle(union []serve.RowSpec, c *serve.SkylineRow) int {
+// union rows (full dimensionality) under pref.
+func domCountOracle(pref prefOracle, union []serve.RowSpec, c *serve.SkylineRow) int {
 	count := 0
 	for _, r := range union {
-		if dominatesOracle(c.TO, c.PO, r.TO, r.PO) {
+		if dominatesOracle(pref, c.TO, c.PO, r.TO, r.PO) {
 			count++
 		}
 	}
 	return count
 }
 
-// dominatesOracle is the fixture's t-dominance (diamond cls + chain
-// tier), hand-coded as an independent check.
-func dominatesOracle(aTO []int64, aPO []string, bTO []int64, bPO []string) bool {
+// prefOracle is a hand-coded preference relation over the fixture's PO
+// value labels: pref[v][w] means v is (transitively) preferred to w.
+type prefOracle map[string]map[string]bool
+
+// ownPref is the fixture table's own orders: diamond cls, chain tier.
+var ownPref = prefOracle{
+	"a": {"b": true, "c": true, "d": true},
+	"b": {"d": true}, "c": {"d": true}, "d": {},
+	"t1": {"t2": true, "t3": true}, "t2": {"t3": true}, "t3": {},
+}
+
+// queryOrders is the per-request DAG set the harnesses send — cls with d
+// over a and b (c incomparable to everything), tier inverted — and
+// queryPref its hand-derived closure.
+var (
+	queryOrders = []serve.QueryOrder{
+		{Edges: [][2]string{{"d", "a"}, {"d", "b"}}},
+		{Edges: [][2]string{{"t3", "t2"}, {"t2", "t1"}}},
+	}
+	queryPref = prefOracle{
+		"a": {}, "b": {}, "c": {}, "d": {"a": true, "b": true},
+		"t3": {"t2": true, "t1": true}, "t2": {"t1": true}, "t1": {},
+	}
+)
+
+// dominatesOracle is t-dominance under pref on the given columns,
+// hand-coded as an independent check.
+func dominatesOracle(pref prefOracle, aTO []int64, aPO []string, bTO []int64, bPO []string) bool {
 	strict := false
 	for d := range aTO {
 		if aTO[d] > bTO[d] {
@@ -430,11 +476,6 @@ func dominatesOracle(aTO []int64, aPO []string, bTO []int64, bPO []string) bool 
 		if aTO[d] < bTO[d] {
 			strict = true
 		}
-	}
-	pref := map[string]map[string]bool{
-		"a": {"b": true, "c": true, "d": true},
-		"b": {"d": true}, "c": {"d": true}, "d": {},
-		"t1": {"t2": true, "t3": true}, "t2": {"t3": true}, "t3": {},
 	}
 	for d := range aPO {
 		if aPO[d] == bPO[d] {

@@ -19,8 +19,8 @@ import (
 // candidate is one shard-local skyline row in the coordinator's merge
 // pass: its wire identity (shard + shard-scoped row index + raw
 // values) and the comparison point dominance is tested on (projected
-// onto kept dimensions; distance-transformed for fully dynamic
-// queries).
+// onto kept dimensions; distance-transformed under the ideal-point
+// transform).
 type candidate struct {
 	shard int
 	row   serve.SkylineRow
@@ -36,7 +36,7 @@ type gather struct {
 	ct     *ctable
 	keptTO []int           // kept TO dims (identity when no subspace)
 	keptPO []int           // kept PO dims
-	doms   []*poset.Domain // dominance oracle, one per kept PO dim
+	doms   []*poset.Domain // dominance oracle, one per kept PO dim: the request's orders, else the table's own
 	ideal  []int64         // non-nil: |v−ideal| transform (fully dynamic)
 
 	// The shard leg: table sub-path and POST body — nil on GET /skyline
@@ -44,12 +44,13 @@ type gather struct {
 	path string
 	body *serve.QueryRequest
 
-	// q is the logical query of a planned request (nil otherwise): the
-	// input of planOnce and of the post-merge steps. union is set when its
-	// ranking is evaluated over the *un-eliminated* union of shard-local
-	// ranked results (skyline layers): cross-shard elimination would
-	// discard the deeper layers, and min-corner pruning is unsound — a
-	// dominated shard's rows are past layer 1, not past layer K.
+	// q is the logical query of a POST /query request (nil on GET
+	// /skyline): the input of planOnce and of the post-merge steps. union
+	// is set when its ranking is evaluated over the *un-eliminated* union
+	// of shard-local ranked results (skyline layers): cross-shard
+	// elimination would discard the deeper layers, and min-corner pruning
+	// is unsound — a dominated shard's rows are past layer 1, not past
+	// layer K.
 	q           *plan.Query
 	union       plan.UnionRanker
 	wantExplain bool
@@ -58,12 +59,12 @@ type gather struct {
 	// incremental: certifying rows before every shard has answered is
 	// sound — the merged skyline itself is the answer (no global re-rank,
 	// no F-dominance pass over the full union) and shard rows compare on
-	// their raw coordinates (no ideal transform, no baseline run).
+	// their raw coordinates (no ideal transform).
 	incremental bool
 
 	stats   []serve.TableStatsInfo // per-shard statistics; nil when not fetched
 	prune   bool                   // statistics-driven shard pruning applies
-	explain *plan.Explain          // planned requests: the coordinator's one plan
+	explain *plan.Explain          // POST /query requests: the coordinator's one plan
 }
 
 // result of the gather: merged candidates plus scatter metadata.
@@ -431,76 +432,67 @@ func (co *Coordinator) compile(ct *ctable, params url.Values, req *serve.QueryRe
 	if g.limit == 0 {
 		g.limit = req.Limit
 	}
-	planned, err := req.PlanMode()
-	if err != nil {
-		return nil, err
-	}
-	if !planned {
-		// Dynamic: merge under the *request's* domains — for fully dynamic
-		// queries on the |v−ideal| transformed coordinates, where statistics
-		// corners are meaningless.
-		if req.Baseline && req.Ideal != nil {
-			return nil, fmt.Errorf("baseline does not support ideal-point queries")
-		}
-		if g.doms, err = ct.schema.QueryDomains(req.Orders); err != nil {
-			return nil, err
-		}
-		if req.Ideal != nil && len(req.Ideal) != ct.schema.NumTO() {
-			return nil, fmt.Errorf("ideal point has %d values, table has %d TO columns",
-				len(req.Ideal), ct.schema.NumTO())
-		}
-		g.ideal = req.Ideal
-		g.incremental = !req.Baseline && req.Ideal == nil
-		return g, nil
-	}
-
 	q, err := ct.schema.PlanQuery(*req)
 	if err != nil {
 		return nil, err
 	}
 	g.q = &q
+	// Merge under the domains the shards ran under: the request's own
+	// orders when it brought them.
+	if q.Orders != nil {
+		g.doms = q.Orders
+	}
 	if q.Subspace != nil {
 		g.keptTO, g.keptPO = q.Subspace.TO, q.Subspace.PO
+		full := g.doms
 		g.doms = make([]*poset.Domain, len(g.keptPO))
 		for j, d := range g.keptPO {
-			g.doms[j] = ct.domains[d]
+			g.doms[j] = full[d]
 		}
 	}
 	if q.Rank != plan.RankNone {
 		r, _ := plan.LookupRanker(string(q.Rank)) // PlanQuery validated the name
 		g.union, _ = r.(plan.UnionRanker)
 	}
-	// Planned legs ship the unranked variant: rank scores are global (a
+	// Legs ship the unranked variant: rank scores are global (a
 	// shard-local rank could evict globally surviving rows), so each
 	// shard over-fetches its full local variant skyline and the
 	// coordinator re-ranks the merge. Union rankings keep top-k and rank:
 	// the shard-local ranked result is exactly what the union consumes.
-	body.Ideal = nil
+	// An ideal point rides along only as the transform every shard must
+	// apply; as a ranking's reference point it stays here.
+	if q.IdealTransform() {
+		g.ideal = q.Ideal
+	} else {
+		body.Ideal = nil
+	}
 	if g.union == nil {
 		body.TopK, body.Rank = 0, ""
 	}
-	g.incremental = q.Rank == plan.RankNone && len(q.FWeights) == 0
+	g.incremental = q.Rank == plan.RankNone && len(q.FWeights) == 0 && g.ideal == nil
 	return g, nil
 }
 
 // prepare is the half of the compile that needs the shards: per-shard
 // statistics (pruning corners, certification bounds, failover pins) and,
-// for a planned request, the one plan over their merge. A stream runs it
-// inside its producer, under heartbeat cover. stream asks for streamed
+// for a POST /query request, the one plan over their merge. A stream runs
+// it inside its producer, under heartbeat cover. stream asks for streamed
 // legs; streamed reports whether the pass gets them — only when
 // incremental certification is sound and there are statistics to bound
 // the shards with.
 func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (streamed bool, err error) {
 	stream = stream && g.incremental
 	// A plan needs statistics. Pruning and certification merely use them
-	// (a failed fetch just disables both), and only on untransformed
-	// coordinates, with a second shard to prune or a stream to bound.
-	if g.q != nil || (g.ideal == nil && (stream || len(co.shards) > 1)) {
+	// (a failed fetch just disables both), with a second shard to prune or
+	// a stream to bound.
+	if g.q != nil || stream || len(co.shards) > 1 {
 		if g.stats, err = co.ShardStats(ctx, g.ct); err != nil && g.q != nil {
 			return false, err
 		}
 	}
-	g.prune = g.stats != nil && len(co.shards) > 1 && g.union == nil
+	// Statistics corners bound raw coordinates; they say nothing about
+	// distances to an ideal point.
+	g.prune = g.stats != nil && len(co.shards) > 1 && g.union == nil && g.ideal == nil
 	streamed = stream && g.stats != nil
 	if g.q == nil {
 		return streamed, nil
@@ -536,8 +528,8 @@ func (g *gather) answer(ctx context.Context, co *Coordinator) (*serve.QueryRespo
 	return g.gatherMerge(ctx, co, start)
 }
 
-// gatherMerge scatters the buffered legs, merges, applies the planned
-// request's post-merge steps and renders the response. prepare has run.
+// gatherMerge scatters the buffered legs, merges, applies the request's
+// post-merge steps and renders the response. prepare has run.
 func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Time) (*serve.QueryResponse, error) {
 	gr, err := g.run(ctx, co)
 	if err != nil {
@@ -577,9 +569,10 @@ func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Ti
 	return resp, nil
 }
 
-// planOnce reuses internal/plan against a schema-shaped dataset plus
-// the merged shard statistics: the coordinator decides the algorithm
-// (and validates the query) exactly once, instead of N times.
+// planOnce reuses internal/plan against a schema-shaped dataset (under
+// the request's orders when it brings them) plus the merged shard
+// statistics: the coordinator decides the algorithm (and validates the
+// query) exactly once, instead of N times.
 func (co *Coordinator) planOnce(ct *ctable, q plan.Query, stats []serve.TableStatsInfo) (*plan.Explain, error) {
 	shape := &core.Dataset{Domains: ct.domains}
 	// One zero row gives the dataset its TO dimensionality; it is never
@@ -622,7 +615,7 @@ func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) 
 	case plan.PartialScorer:
 		// The rank field is left empty for domcount, preserving the
 		// endpoint's original request shape.
-		dreq := serve.DomCountRequest{Subspace: g.body.Subspace, Where: g.body.Where}
+		dreq := serve.DomCountRequest{Orders: g.body.Orders, Subspace: g.body.Subspace, Where: g.body.Where}
 		if g.q.Rank != plan.RankDomCount {
 			dreq.Rank = string(g.q.Rank)
 		}

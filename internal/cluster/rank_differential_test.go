@@ -65,52 +65,11 @@ func TestDifferentialRankings(t *testing.T) {
 func (tc *testCluster) sweepRankings(phase string, union []serve.RowSpec) {
 	tc.t.Helper()
 
-	// dp-idp: rank-equal by independently recomputed scores.
-	scores := dpidpOracle(union)
-	const k = 7
-	req := serve.QueryRequest{TopK: k, Rank: "dpidp"}
-	cluster := tc.query(tc.co.URL, "diff", req)
-	single := tc.query(tc.single.URL, "diff", req)
-	name := phase + "/dpidp"
-	if len(cluster.Skyline) != len(single.Skyline) {
-		tc.t.Errorf("%s: cluster %d rows, single %d", name, len(cluster.Skyline), len(single.Skyline))
-		cluster.Skyline = nil // row counts differ: skip the per-rank comparison
-	}
-	for i := range cluster.Skyline {
-		ck, sk := rowKey(&cluster.Skyline[i]), rowKey(&single.Skyline[i])
-		cs, cok := scores[ck]
-		ss, sok := scores[sk]
-		if !cok || !sok {
-			tc.t.Errorf("%s: rank %d row not a skyline member (cluster %q ok=%v, single %q ok=%v)",
-				name, i, ck, cok, sk, sok)
-			continue
-		}
-		if cs != ss {
-			tc.t.Errorf("%s: rank %d dp-idp score %v (cluster) vs %v (single) — not rank-equal",
-				name, i, cs, ss)
-		}
-		if i > 0 && scores[rowKey(&cluster.Skyline[i-1])] < cs {
-			tc.t.Errorf("%s: cluster dp-idp order violated at %d", name, i)
-		}
-	}
-
-	// /domcount through the coordinator answers what one node holding
-	// every row answers, for count-shaped ("" = domcount) and
-	// histogram-shaped (dpidp) partials alike.
-	dreq := serve.DomCountRequest{}
-	for _, r := range single.Skyline {
-		dreq.Rows = append(dreq.Rows, serve.RowSpec{TO: r.TO, PO: r.PO})
-	}
-	for _, rank := range []string{"", "dpidp"} {
-		dreq.Rank = rank
-		var cl, si serve.DomCountResponse
-		tc.postJSON(tc.co.URL+"/tables/diff/domcount", dreq, &cl, http.StatusOK)
-		tc.postJSON(tc.single.URL+"/tables/diff/domcount", dreq, &si, http.StatusOK)
-		if !reflect.DeepEqual(cl.Counts, si.Counts) || !reflect.DeepEqual(cl.Hists, si.Hists) {
-			tc.t.Errorf("%s/domcount(rank=%q): cluster %+v %+v\n single %+v %+v",
-				phase, rank, cl.Counts, cl.Hists, si.Counts, si.Hists)
-		}
-	}
+	// dp-idp: rank-equal by independently recomputed scores — under the
+	// table's own orders, and under per-request ones (the shard partials
+	// must then be counted under the request's DAGs too).
+	tc.sweepDPIDP(phase+"/dpidp", union, nil, ownPref)
+	tc.sweepDPIDP(phase+"/dpidp-orders", union, queryOrders, queryPref)
 
 	// Layers: membership is value-determined, so depth d is a multiset
 	// equality; the depth-2 set must also nest inside depth-3.
@@ -141,6 +100,57 @@ func (tc *testCluster) sweepRankings(phase string, union []serve.RowSpec) {
 	}
 }
 
+// sweepDPIDP checks one dp-idp top-k (and the /domcount partials behind
+// it) on both tiers against scores recomputed under pref, the closure of
+// orders (nil = the table's own).
+func (tc *testCluster) sweepDPIDP(name string, union []serve.RowSpec, orders []serve.QueryOrder, pref prefOracle) {
+	tc.t.Helper()
+	scores := dpidpOracle(pref, union)
+	const k = 7
+	req := serve.QueryRequest{Orders: orders, TopK: k, Rank: "dpidp"}
+	cluster := tc.query(tc.co.URL, "diff", req)
+	single := tc.query(tc.single.URL, "diff", req)
+	if len(cluster.Skyline) != len(single.Skyline) {
+		tc.t.Errorf("%s: cluster %d rows, single %d", name, len(cluster.Skyline), len(single.Skyline))
+		cluster.Skyline = nil // row counts differ: skip the per-rank comparison
+	}
+	for i := range cluster.Skyline {
+		ck, sk := rowKey(&cluster.Skyline[i]), rowKey(&single.Skyline[i])
+		cs, cok := scores[ck]
+		ss, sok := scores[sk]
+		if !cok || !sok {
+			tc.t.Errorf("%s: rank %d row not a skyline member (cluster %q ok=%v, single %q ok=%v)",
+				name, i, ck, cok, sk, sok)
+			continue
+		}
+		if cs != ss {
+			tc.t.Errorf("%s: rank %d dp-idp score %v (cluster) vs %v (single) — not rank-equal",
+				name, i, cs, ss)
+		}
+		if i > 0 && scores[rowKey(&cluster.Skyline[i-1])] < cs {
+			tc.t.Errorf("%s: cluster dp-idp order violated at %d", name, i)
+		}
+	}
+
+	// /domcount through the coordinator answers what one node holding
+	// every row answers, for count-shaped ("" = domcount) and
+	// histogram-shaped (dpidp) partials alike.
+	dreq := serve.DomCountRequest{Orders: orders}
+	for _, r := range single.Skyline {
+		dreq.Rows = append(dreq.Rows, serve.RowSpec{TO: r.TO, PO: r.PO})
+	}
+	for _, rank := range []string{"", "dpidp"} {
+		dreq.Rank = rank
+		var cl, si serve.DomCountResponse
+		tc.postJSON(tc.co.URL+"/tables/diff/domcount", dreq, &cl, http.StatusOK)
+		tc.postJSON(tc.single.URL+"/tables/diff/domcount", dreq, &si, http.StatusOK)
+		if !reflect.DeepEqual(cl.Counts, si.Counts) || !reflect.DeepEqual(cl.Hists, si.Hists) {
+			tc.t.Errorf("%s/domcount(rank=%q): cluster %+v %+v\n single %+v %+v",
+				name, rank, cl.Counts, cl.Hists, si.Counts, si.Hists)
+		}
+	}
+}
+
 // isSubMultiset reports whether sorted key list a ⊆ b with multiplicity.
 func isSubMultiset(a, b []string) bool {
 	i := 0
@@ -161,13 +171,13 @@ func isSubMultiset(a, b []string) bool {
 // members contributes 1/k to each, summed ascending in k exactly as
 // the serving path materializes histograms. Keyed by row values —
 // duplicate members share a score.
-func dpidpOracle(union []serve.RowSpec) map[string]float64 {
+func dpidpOracle(pref prefOracle, union []serve.RowSpec) map[string]float64 {
 	key := func(r *serve.RowSpec) string { return fmt.Sprintf("%v|%v", r.TO, r.PO) }
 	var sky []int
 	for i := range union {
 		dominated := false
 		for j := range union {
-			if dominatesOracle(union[j].TO, union[j].PO, union[i].TO, union[i].PO) {
+			if dominatesOracle(pref, union[j].TO, union[j].PO, union[i].TO, union[i].PO) {
 				dominated = true
 				break
 			}
@@ -180,7 +190,7 @@ func dpidpOracle(union []serve.RowSpec) map[string]float64 {
 	for r := range union {
 		var dom []int
 		for s, i := range sky {
-			if dominatesOracle(union[i].TO, union[i].PO, union[r].TO, union[r].PO) {
+			if dominatesOracle(pref, union[i].TO, union[i].PO, union[r].TO, union[r].PO) {
 				dom = append(dom, s)
 			}
 		}

@@ -126,7 +126,10 @@ func TestReadPathEquivalence(t *testing.T) {
 		{name: "fweights", req: serve.QueryRequest{FWeights: []float64{0.3, 0.2}}},
 		{name: "orders", req: serve.QueryRequest{Orders: orders}},
 		{name: "orders+ideal", req: serve.QueryRequest{Orders: orders, Ideal: []int64{500, 500}}},
-		{name: "orders+baseline", req: serve.QueryRequest{Orders: orders, Baseline: true}},
+		{name: "orders+where", req: serve.QueryRequest{Orders: orders, Where: []serve.WhereSpec{{Col: "x", Le: &le}, {Col: "cls", In: []string{"a", "d"}}}}},
+		{name: "orders+subspace", req: serve.QueryRequest{Orders: orders, Subspace: []string{"x", "cls"}, Explain: true}},
+		{name: "orders+topk+dpidp", req: serve.QueryRequest{Orders: orders, TopK: 5, Rank: "dpidp"}, seq: true, prefix: true},
+		{name: "orders+where+ideal", req: serve.QueryRequest{Orders: orders, Where: []serve.WhereSpec{{Col: "x", Le: &le}}, Ideal: []int64{500, 500}, NoCache: true}},
 		{name: "skyline", get: "?"},
 		{name: "skyline-algo", get: "?algo=bnl"},
 		{name: "skyline-parallel", get: "?algo=stss&parallel=2"},
@@ -142,13 +145,14 @@ func TestReadPathEquivalence(t *testing.T) {
 		shapes = append(shapes, sh)
 	}
 
-	full := ask(t, tc.single.URL, readShape{get: "?"}, false)
-	member := make(map[string]int)
-	for _, k := range valueSeq(full.rows) {
-		member[k]++
-	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
+			// The skyline a top-k cut must draw from: the bare query under
+			// the shape's orders ({} itself when it brings none).
+			member := make(map[string]int)
+			for _, k := range valueSeq(ask(t, tc.single.URL, readShape{req: serve.QueryRequest{Orders: sh.req.Orders}}, false).rows) {
+				member[k]++
+			}
 			var tiers [2][2]answer // [single, coordinator][buffered, streamed]
 			for ti, base := range []string{tc.single.URL, tc.co.URL} {
 				for di, stream := range []bool{false, true} {
@@ -173,15 +177,12 @@ func TestReadPathEquivalence(t *testing.T) {
 						t.Errorf("tier %d: streamed rows diverge from buffered", ti)
 					}
 				}
-				// algo: every planned answer names what ran, dynamic ones
-				// nothing; the coordinator's GET /skyline echoes ?algo only.
-				planned := sh.get != "" || len(sh.req.Orders) == 0
-				if ti == 1 && sh.get == "?" {
-					planned = false
-				}
+				// algo: every answer names what ran; the coordinator's GET
+				// /skyline echoes ?algo only.
+				named := !(ti == 1 && sh.get == "?")
 				for di, a := range tiers[ti] {
-					if (a.algo != "") != planned {
-						t.Errorf("tier %d delivery %d: algo %q, planned=%v", ti, di, a.algo, planned)
+					if (a.algo != "") != named {
+						t.Errorf("tier %d delivery %d: algo %q, named=%v", ti, di, a.algo, named)
 					}
 				}
 			}
@@ -225,16 +226,24 @@ func TestReadPathEquivalence(t *testing.T) {
 		}
 	}
 
-	// A request mixing both modes gets the identical refusal everywhere.
-	mixed := readShape{req: serve.QueryRequest{Orders: orders, TopK: 2}}
-	want := ask(t, tc.single.URL, mixed, false)
-	if want.status != http.StatusBadRequest || !strings.Contains(want.errText, "cannot combine") {
-		t.Fatalf("mixed-mode request: status %d, error %q", want.status, want.errText)
-	}
-	for _, base := range []string{tc.single.URL, tc.co.URL} {
-		for _, stream := range []bool{false, true} {
-			if got := ask(t, base, mixed, stream); got.status != want.status || got.errText != want.errText {
-				t.Errorf("%s stream=%v: mixed-mode answer %d %q, want %d %q", base, stream, got.status, got.errText, want.status, want.errText)
+	// Malformed orders — wrong arity, an unknown label, a preference
+	// cycle — get the identical refusal everywhere, before any stream
+	// opens, whatever they are combined with.
+	for name, bad := range map[string][]serve.QueryOrder{
+		"arity": orders[:1],
+		"label": {{Edges: [][2]string{{"d", "zz"}}}, {}},
+		"cycle": {{Edges: [][2]string{{"d", "a"}, {"a", "d"}}}, {}},
+	} {
+		sh := readShape{req: serve.QueryRequest{Orders: bad, TopK: 2}}
+		want := ask(t, tc.single.URL, sh, false)
+		if want.status != http.StatusBadRequest || want.errText == "" {
+			t.Fatalf("%s: status %d, error %q", name, want.status, want.errText)
+		}
+		for _, base := range []string{tc.single.URL, tc.co.URL} {
+			for _, stream := range []bool{false, true} {
+				if got := ask(t, base, sh, stream); got.status != want.status || got.errText != want.errText {
+					t.Errorf("%s %s stream=%v: answer %d %q, want %d %q", name, base, stream, got.status, got.errText, want.status, want.errText)
+				}
 			}
 		}
 	}

@@ -221,7 +221,7 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 	// shard s's last-seen key reaches a candidate's key, nothing s can
 	// still send dominates that candidate, even when s's static min
 	// corner never clears (hash partitioning puts every corner near the
-	// origin). Replayed legs (cache hits, dTSS, forced algorithms) send
+	// origin). Replayed legs (cache hits, forced algorithms) send
 	// no keys and stay on the conservative corner bound.
 	lastKey := make([]int64, n)
 	haveKey := make([]bool, n)

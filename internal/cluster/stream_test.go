@@ -202,7 +202,7 @@ func TestStreamedScatterDifferential(t *testing.T) {
 				of   func(r *serve.SkylineRow) float64
 			}{
 				{"domcount", serve.QueryRequest{TopK: k, Rank: "domcount"},
-					func(r *serve.SkylineRow) float64 { return -float64(domCountOracle(rows, r)) }},
+					func(r *serve.SkylineRow) float64 { return -float64(domCountOracle(ownPref, rows, r)) }},
 				{"ideal", serve.QueryRequest{TopK: k, Rank: "ideal", Ideal: []int64{500, 500}},
 					func(r *serve.SkylineRow) float64 { return idealScoreOracle(r, []int64{500, 500}) }},
 			} {

@@ -51,7 +51,10 @@ func BBSPlus(ds *Dataset, opt Options) *Result {
 			h.push(e)
 		}
 	}
-	for h.len() > 0 {
+	for step := 0; h.len() > 0; step++ {
+		if opt.canceled(step) {
+			return res
+		}
 		it := h.pop()
 		if it.isPoint {
 			if mDominatedCorner(it.e.Lo) {
@@ -80,6 +83,9 @@ func BBSPlus(ds *Dataset, opt Options) *Result {
 	// candidates even though no m-dominance was found. This terminal
 	// pass is what makes BBS+ expensive and non-progressive.
 	for i := range cands {
+		if opt.canceled(i) {
+			return res
+		}
 		dominated := false
 		for j := range cands {
 			if i == j {

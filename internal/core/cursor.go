@@ -166,14 +166,23 @@ func (c *Cursor) NextContext(ctx context.Context) (id int32, ok bool, err error)
 }
 
 // Drain runs the cursor to exhaustion and packages what it emitted as
-// a Result — the whole of sTSS as a batch algorithm.
-func (c *Cursor) Drain() *Result {
+// a Result — the whole of sTSS as a batch algorithm. ctx (nil never
+// cancels) is checked per emission and inside NextContext; a canceled
+// drain returns what it had emitted along with the context's error.
+func (c *Cursor) Drain(ctx context.Context) (*Result, error) {
 	res := &Result{}
-	for id, ok := c.Next(); ok; id, ok = c.Next() {
+	err := dynCtxErr(ctx)
+	for err == nil {
+		var id int32
+		var ok bool
+		if id, ok, err = c.NextContext(ctx); !ok {
+			break
+		}
 		res.SkylineIDs = append(res.SkylineIDs, id)
+		err = dynCtxErr(ctx)
 	}
 	res.Metrics = c.Metrics()
-	return res
+	return res, err
 }
 
 // Emitted returns the number of skyline points certified so far — the

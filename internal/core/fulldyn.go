@@ -276,11 +276,11 @@ func (db *DynamicDB) CacheStats() (hits, misses int64) {
 	return db.cache.hits, db.cache.misses
 }
 
-// signature serialises the query's preference DAGs canonically: value
+// QuerySignature serialises the query's preference DAGs canonically: value
 // count plus the sorted edge list per domain. Two queries with the same
 // preferences — however their Orders were constructed — share a
 // signature.
-func querySignature(domains []*poset.Domain) string {
+func QuerySignature(domains []*poset.Domain) string {
 	var sb strings.Builder
 	for _, dm := range domains {
 		dag := dm.DAG()
@@ -333,7 +333,7 @@ func (db *DynamicDB) lookupCache(domains []*poset.Domain) (*Result, string) {
 		return nil, ""
 	}
 	start := time.Now()
-	sig := querySignature(domains)
+	sig := QuerySignature(domains)
 	if ids, ok := db.cache.get(sig); ok {
 		res := &Result{SkylineIDs: append([]int32(nil), ids...), FromCache: true}
 		res.Metrics.CPU = time.Since(start)

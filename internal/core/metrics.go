@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/rtree"
@@ -73,6 +74,16 @@ type Options struct {
 	// closure entirely (kernel loops fall back to interval/ordinal
 	// forms).
 	ClosureBudget int64
+	// Ctx cancels a run cooperatively: every registered algorithm polls
+	// it every dynCtxCheckEvery steps of its scan loops (Parallel: its
+	// shards do) and abandons the scan, and Algorithm.Run then returns
+	// the context's error, not the partial result. Nil never cancels.
+	Ctx context.Context
+}
+
+// canceled polls o.Ctx on every dynCtxCheckEvery-th step of a scan loop.
+func (o *Options) canceled(step int) bool {
+	return o.Ctx != nil && step%dynCtxCheckEvery == 0 && o.Ctx.Err() != nil
 }
 
 // DefaultLESSWindow is the default elimination-filter window of LESS.

@@ -49,7 +49,17 @@ type funcAlgorithm struct {
 func (a *funcAlgorithm) Name() string               { return a.name }
 func (a *funcAlgorithm) Capabilities() Capabilities { return a.caps }
 func (a *funcAlgorithm) Run(ds *Dataset, opt Options) (*Result, error) {
-	return a.run(ds, opt)
+	res, err := a.run(ds, opt)
+	if err == nil && opt.Ctx != nil {
+		// A scan that saw opt.Ctx done stopped early: res is partial.
+		if cerr := opt.Ctx.Err(); cerr != nil {
+			err = fmt.Errorf("core: %s canceled: %w", a.name, cerr)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // NewAlgorithm wraps a function as a registrable Algorithm.

@@ -56,7 +56,10 @@ func SDC(ds *Dataset, opt Options) *Result {
 			h.push(e)
 		}
 	}
-	for h.len() > 0 {
+	for step := 0; h.len() > 0; step++ {
+		if opt.canceled(step) {
+			return res
+		}
 		it := h.pop()
 		if it.isPoint {
 			if mDominatedCorner(it.e.Lo) {
@@ -93,6 +96,9 @@ func SDC(ds *Dataset, opt Options) *Result {
 
 	// Terminal cross-examination of the partially covered stratum.
 	for i := range held {
+		if opt.canceled(i) {
+			return res
+		}
 		dominated := false
 		for j := range confirmed {
 			checks++

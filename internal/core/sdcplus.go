@@ -72,7 +72,7 @@ func SDCPlus(ds *Dataset, opt Options) *Result {
 	for i := range strata {
 		strata[i].tree.SetIO(io)
 	}
-	_ = runSDCPlus(nil, ds, ds.Domains, strata, io, res) // nil ctx never cancels
+	_ = runSDCPlus(opt.Ctx, ds, ds.Domains, strata, io, res) // a canceled run leaves res partial
 	return res
 }
 

@@ -78,7 +78,10 @@ func SaLSa(ds *Dataset, opt Options) (*Result, error) {
 	// Stop point: the skyline point minimising its maximum coordinate.
 	stopMax := int64(-1)
 	examined := 0
-	for _, idx := range order {
+	for i, idx := range order {
+		if opt.canceled(i) {
+			return res, nil
+		}
 		p := &ds.Pts[idx]
 		if stopMax >= 0 && minCoord(p.TO) > stopMax {
 			// Every remaining point q has min(q) ≥ min(p) > stopMax, so
@@ -170,6 +173,9 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 	var ef []efEntry
 	var survivors []int32
 	for i := range ds.Pts {
+		if opt.canceled(i) {
+			return res, nil
+		}
 		p := &ds.Pts[i]
 		sum := sumInt32(p.TO)
 		dominated := false
@@ -210,43 +216,9 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 		key[idx] = sumInt32(ds.Pts[idx].TO)
 	}
 	sortByKey(survivors, key)
-	if !opt.withDefaults().NoKernel {
-		k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
-		pr := k.newProbe()
-		for _, idx := range survivors {
-			p := &ds.Pts[idx]
-			k.begin(pr, p.TO, p.PO, false)
-			if k.anyDominator(pr) {
-				continue
-			}
-			k.append(p.TO, p.PO, p.ID, -1)
-			res.SkylineIDs = append(res.SkylineIDs, p.ID)
-			res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-		}
-		res.Metrics.DomChecks = checks
-		pr.addTo(&res.Metrics)
-		res.Metrics.CPU = clock.elapsed()
-		return res, nil
-	}
-	var sky []*Point
-	for _, idx := range survivors {
-		p := &ds.Pts[idx]
-		dominated := false
-		for _, s := range sky {
-			checks++
-			if toDominates(s.TO, p.TO) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		sky = append(sky, p)
-		res.SkylineIDs = append(res.SkylineIDs, p.ID)
-		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-	}
-	res.Metrics.DomChecks = checks
+	o := opt.withDefaults()
+	scanSorted(ds, survivors, &o, clock, res)
+	res.Metrics.DomChecks += checks
 	res.Metrics.CPU = clock.elapsed()
 	return res, nil
 }

@@ -12,7 +12,8 @@ import "repro/internal/rtree"
 // Index construction is charged to the build counters; the query phase
 // charges a page read per R-tree node visit.
 func STSS(ds *Dataset, opt Options) *Result {
-	return NewSTSSCursor(ds, opt).Drain()
+	res, _ := NewSTSSCursor(ds, opt).Drain(opt.Ctx)
+	return res
 }
 
 // buildSTSSTree bulk-loads the sTSS index: an R-tree over the
@@ -38,13 +39,16 @@ func buildSTSSTree(ds *Dataset, opt Options, io *rtree.IOCounter) *rtree.Tree {
 func BNL(ds *Dataset, opt Options) *Result {
 	opt = opt.withDefaults()
 	if opt.NoKernel {
-		return bnlScalar(ds)
+		return bnlScalar(ds, &opt)
 	}
 	res := &Result{}
 	clock := newEmitClock(&rtree.IOCounter{})
 	k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
 	pr := k.newProbe()
 	for i := range ds.Pts {
+		if opt.canceled(i) {
+			return res
+		}
 		p := &ds.Pts[i]
 		k.begin(pr, p.TO, p.PO, true)
 		if k.anyDominator(pr) {
@@ -69,12 +73,15 @@ func BNL(ds *Dataset, opt Options) *Result {
 
 // bnlScalar is the scalar *Point/interval BNL the kernel path is
 // validated against (Options.NoKernel).
-func bnlScalar(ds *Dataset) *Result {
+func bnlScalar(ds *Dataset, opt *Options) *Result {
 	res := &Result{}
 	clock := newEmitClock(&rtree.IOCounter{})
 	var cands []*Point
 	var checks int64
 	for i := range ds.Pts {
+		if opt.canceled(i) {
+			return res
+		}
 		p := &ds.Pts[i]
 		dominated := false
 		keep := cands[:0]
@@ -132,45 +139,55 @@ func SFS(ds *Dataset, opt Options) *Result {
 		key[i] = s
 	}
 	sortByKey(order, key)
+	scanSorted(ds, order, &opt, clock, res)
+	res.Metrics.CPU = clock.elapsed()
+	return res
+}
+
+// scanSorted is the grow-only window scan over rows presorted by a
+// function monotone under dominance, shared by SFS and LESS's second
+// pass: precedence makes every undominated row definite, so it is
+// emitted at once and never evicted. The window runs on the dominance
+// kernel unless opt.NoKernel (defaults applied) selects the scalar
+// reference loop. Dominance tests are added to res.Metrics.
+func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res *Result) {
+	var k *colSet
+	var pr *probe
 	if !opt.NoKernel {
-		k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
-		pr := k.newProbe()
-		for _, idx := range order {
-			p := &ds.Pts[idx]
-			k.begin(pr, p.TO, p.PO, false)
-			if k.anyDominator(pr) {
-				continue
-			}
-			k.append(p.TO, p.PO, p.ID, -1)
-			res.SkylineIDs = append(res.SkylineIDs, p.ID)
-			res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-		}
-		pr.addTo(&res.Metrics)
-		res.Metrics.CPU = clock.elapsed()
-		return res
+		k = newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
+		pr = k.newProbe()
+		defer pr.addTo(&res.Metrics)
 	}
-	var checks int64
 	var sky []*Point
-	for _, idx := range order {
+	for i, idx := range order {
+		if opt.canceled(i) {
+			return
+		}
 		p := &ds.Pts[idx]
 		dominated := false
-		for _, s := range sky {
-			checks++
-			if DominatesUnder(ds.Domains, s, p) {
-				dominated = true
-				break
+		if k != nil {
+			k.begin(pr, p.TO, p.PO, false)
+			dominated = k.anyDominator(pr)
+		} else {
+			for _, s := range sky {
+				res.Metrics.DomChecks++
+				if DominatesUnder(ds.Domains, s, p) {
+					dominated = true
+					break
+				}
 			}
 		}
 		if dominated {
 			continue
 		}
-		sky = append(sky, p)
+		if k != nil {
+			k.append(p.TO, p.PO, p.ID, -1)
+		} else {
+			sky = append(sky, p)
+		}
 		res.SkylineIDs = append(res.SkylineIDs, p.ID)
 		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
 	}
-	res.Metrics.DomChecks = checks
-	res.Metrics.CPU = clock.elapsed()
-	return res
 }
 
 // sortByKey sorts order by ascending key, breaking ties by id for

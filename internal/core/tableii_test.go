@@ -49,7 +49,7 @@ func TestTableIIExactTree(t *testing.T) {
 	io.Writes, io.Reads = 0, 0
 
 	for _, opt := range []Options{{}, {UseMemTree: true}} {
-		res := newTreeCursor(ds, tree.NewReader(io, nil), io, opt.withDefaults()).Drain()
+		res, _ := newTreeCursor(ds, tree.NewReader(io, nil), io, opt.withDefaults()).Drain(nil)
 		want := []int32{1, 2, 3, 4, 5}
 		if !sameIDSet(res.SkylineIDs, want) {
 			t.Fatalf("opt %+v: skyline = %v, want %v", opt, res.SkylineIDs, want)

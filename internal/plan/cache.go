@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/poset"
 )
 
 // DefaultSubspaceCap bounds the subspace half of a MemoCache. Now that
@@ -16,6 +17,44 @@ import (
 // each snapshot; beyond the cap the least-recently-used entry is
 // evicted.
 const DefaultSubspaceCap = 32
+
+// DefaultOrdersCap bounds the per-request-orders entries of a MemoCache
+// (see ordersView) when the memo's owner does not size them.
+const DefaultOrdersCap = 64
+
+// ordersKeyMark separates the per-request-orders suffix in a memo key.
+const ordersKeyMark = "|ord:"
+
+// ordersView scopes c to one set of per-request preference domains:
+// the full skyline and every subspace or restricted skyline computed
+// under them are keyed entries suffixed with the orders' canonical
+// signature — §V-B's cache of past dynamic results, so a repeated DAG is
+// a hit however its Orders were rebuilt. A MemoCache keeps them in their
+// own LRU; any other Cache sees them as subspace entries. The view is
+// deliberately not a ScoreIndexCache: a score index describes dominance
+// under the table's own orders. A nil c stays nil.
+func ordersView(c Cache, orders []*poset.Domain) Cache {
+	if c == nil {
+		return nil
+	}
+	v := ordersCache{get: c.GetSubspace, put: c.PutSubspace, suffix: ordersKeyMark + core.QuerySignature(orders)}
+	if m, ok := c.(*MemoCache); ok {
+		v.get = func(key string) ([]int32, bool, bool) { return m.get(&m.ord, key) }
+		v.put = func(key string, ids []int32) { m.put(&m.ord, key, &memoEntry{ids: ids}) }
+	}
+	return v
+}
+
+type ordersCache struct {
+	get    func(key string) (ids []int32, maintained, ok bool)
+	put    func(key string, ids []int32)
+	suffix string
+}
+
+func (o ordersCache) GetFull() ([]int32, bool, bool)               { return o.get(FullVariant + o.suffix) }
+func (o ordersCache) PutFull(ids []int32)                          { o.put(FullVariant+o.suffix, ids) }
+func (o ordersCache) GetSubspace(key string) ([]int32, bool, bool) { return o.get(key + o.suffix) }
+func (o ordersCache) PutSubspace(key string, ids []int32)          { o.put(key+o.suffix, ids) }
 
 // memoEntry is one memoised skyline: the ids plus whether the entry was
 // produced by delta maintenance (Advance) rather than a cold compute.
@@ -59,48 +98,53 @@ type maintCounters struct {
 }
 
 // MemoCache is a ready-made Cache: an atomically published memo of the
-// full skyline of one immutable row set, plus a bounded LRU-keyed memo
-// of subspace skylines (one entry per kept-dimension set). The serving
-// layer binds one to each table snapshot; tss.Table.SetQueryCache
-// accepts one directly. Concurrent racing Puts are benign — for any
-// given key every writer stores the same skyline set, because the row
-// set the memo describes never changes. Across mutations the memo is
-// not discarded: Advance re-certifies its entries against the batch
-// delta (see that method).
+// full skyline of one immutable row set, plus two bounded LRU-keyed
+// memos — subspace skylines under the table's own orders (one entry per
+// kept-dimension set), and skylines under per-request orders (reached
+// only through ordersView). The serving layer binds one to each
+// table snapshot; tss.Table.SetQueryCache accepts one directly.
+// Concurrent racing Puts are benign — for any given key every writer
+// stores the same skyline set, because the row set the memo describes
+// never changes. Across mutations the memo is not discarded: Advance
+// re-certifies its own-order entries against the batch delta (see that
+// method).
 type MemoCache struct {
 	full     atomic.Pointer[memoEntry]
 	scoreIdx atomic.Pointer[core.ScoreIndex] // dp-idp index of the full skyline
 
-	mu     sync.Mutex
-	sub    map[string]*memoEntry // kept-dimension key -> subspace skyline
-	seq    uint64                // LRU clock
-	subCap int
+	mu  sync.Mutex
+	seq uint64   // LRU clock
+	sub keyedLRU // kept-dimension key -> subspace skyline
+	ord keyedLRU // key + orders suffix -> skyline under those orders
 
 	maint *maintCounters // shared across the Advance lineage
 }
 
-// NewMemoCache returns an empty memo with the default subspace cap.
-func NewMemoCache() *MemoCache {
-	return &MemoCache{subCap: DefaultSubspaceCap, maint: &maintCounters{}}
+// keyedLRU is one bounded keyed half of a MemoCache, guarded by its mu.
+type keyedLRU struct {
+	entries map[string]*memoEntry
+	cap     int
 }
 
-// NewMemoCacheWithCap returns an empty memo whose subspace LRU holds up
-// to cap entries; cap <= 0 means DefaultSubspaceCap. Advance propagates
-// the cap to successor memos.
-func NewMemoCacheWithCap(cap int) *MemoCache {
-	if cap <= 0 {
-		cap = DefaultSubspaceCap
+// NewMemoCache returns an empty memo with the default caps.
+func NewMemoCache() *MemoCache { return NewMemoCacheWithCaps(0, 0) }
+
+// NewMemoCacheWithCaps returns an empty memo whose subspace LRU holds up
+// to subspaceCap entries and whose per-request-orders LRU up to
+// ordersCap; <= 0 means DefaultSubspaceCap / DefaultOrdersCap. Advance
+// propagates both to successor memos.
+func NewMemoCacheWithCaps(subspaceCap, ordersCap int) *MemoCache {
+	if subspaceCap <= 0 {
+		subspaceCap = DefaultSubspaceCap
 	}
-	return &MemoCache{subCap: cap, maint: &maintCounters{}}
+	if ordersCap <= 0 {
+		ordersCap = DefaultOrdersCap
+	}
+	return &MemoCache{sub: keyedLRU{cap: subspaceCap}, ord: keyedLRU{cap: ordersCap}, maint: &maintCounters{}}
 }
 
 // SubspaceCap reports the configured subspace LRU capacity.
-func (c *MemoCache) SubspaceCap() int {
-	if c.subCap <= 0 {
-		return DefaultSubspaceCap
-	}
-	return c.subCap
-}
+func (c *MemoCache) SubspaceCap() int { return c.sub.cap }
 
 // GetFull returns the memoised full skyline, if any, and whether the
 // entry was produced by delta maintenance.
@@ -134,9 +178,14 @@ func (c *MemoCache) PutScoreIndex(ix *core.ScoreIndex) { c.scoreIdx.Store(ix) }
 // produced by delta maintenance. A hit refreshes the entry's LRU
 // recency.
 func (c *MemoCache) GetSubspace(key string) (ids []int32, maintained, ok bool) {
+	return c.get(&c.sub, key)
+}
+
+// get looks key up in l, one of c's two keyed LRUs.
+func (c *MemoCache) get(l *keyedLRU, key string) (ids []int32, maintained, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.sub[key]
+	e, ok := l.entries[key]
 	if !ok {
 		return nil, false, false
 	}
@@ -149,31 +198,28 @@ func (c *MemoCache) GetSubspace(key string) (ids []int32, maintained, ok bool) {
 // the least-recently-used entry if the cap is exceeded. The caller must
 // not mutate ids afterwards.
 func (c *MemoCache) PutSubspace(key string, ids []int32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putSubspaceLocked(key, &memoEntry{ids: ids})
+	c.put(&c.sub, key, &memoEntry{ids: ids})
 }
 
-func (c *MemoCache) putSubspaceLocked(key string, e *memoEntry) {
-	if c.sub == nil {
-		c.sub = make(map[string]*memoEntry)
+// put stores e under key in l, one of c's two keyed LRUs.
+func (c *MemoCache) put(l *keyedLRU, key string, e *memoEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if l.entries == nil {
+		l.entries = make(map[string]*memoEntry)
 	}
 	c.seq++
 	e.seq = c.seq
-	c.sub[key] = e
-	limit := c.subCap
-	if limit <= 0 {
-		limit = DefaultSubspaceCap
-	}
-	for len(c.sub) > limit {
+	l.entries[key] = e
+	for len(l.entries) > l.cap {
 		victim, min := "", uint64(0)
-		for k, se := range c.sub {
+		for k, se := range l.entries {
 			if victim == "" || se.seq < min {
 				victim, min = k, se.seq
 			}
 		}
-		delete(c.sub, victim)
-		if c.maint != nil {
+		delete(l.entries, victim)
+		if l == &c.sub {
 			c.maint.subEvictions.Add(1)
 		}
 	}
@@ -183,9 +229,6 @@ func (c *MemoCache) putSubspaceLocked(key string, e *memoEntry) {
 // (cumulative across Advance calls, shared with every ancestor and
 // successor memo of the same table).
 func (c *MemoCache) MaintStats() MaintStats {
-	if c.maint == nil {
-		return MaintStats{}
-	}
 	return MaintStats{
 		Advances:          c.maint.advances.Load(),
 		Fallbacks:         c.maint.fallbacks.Load(),
@@ -202,13 +245,12 @@ func (c *MemoCache) MaintStats() MaintStats {
 // of being recomputed from cold. Entries whose batch churn exceeds the
 // maintenance threshold are dropped individually (counted as
 // fallbacks); the receiving memo stays valid for readers of the old
-// snapshot. oldDS/newDS are the row sets before and after the batch;
-// delta maps old row indexes to new ones as Table.ApplyBatch reports.
+// snapshot. Per-request-orders entries die with the snapshot, silently:
+// the next query under those orders recomputes. oldDS/newDS are the row
+// sets before and after the batch; delta maps old row indexes to new
+// ones as Table.ApplyBatch reports.
 func (c *MemoCache) Advance(oldDS, newDS *core.Dataset, delta *core.Delta) *MemoCache {
-	next := &MemoCache{subCap: c.subCap, maint: c.maint}
-	if next.maint == nil {
-		next.maint = &maintCounters{}
-	}
+	next := &MemoCache{sub: keyedLRU{cap: c.sub.cap}, ord: keyedLRU{cap: c.ord.cap}, maint: c.maint}
 
 	if e := c.full.Load(); e != nil {
 		if ids, st, ok := core.MaintainSkyline(oldDS, newDS, delta, e.ids, nil, nil); ok {
@@ -240,9 +282,9 @@ func (c *MemoCache) Advance(oldDS, newDS *core.Dataset, delta *core.Delta) *Memo
 	}
 
 	c.mu.Lock()
-	keys := make([]string, 0, len(c.sub))
-	entries := make([]*memoEntry, 0, len(c.sub))
-	for k, e := range c.sub {
+	keys := make([]string, 0, len(c.sub.entries))
+	entries := make([]*memoEntry, 0, len(c.sub.entries))
+	for k, e := range c.sub.entries {
 		keys = append(keys, k)
 		entries = append(entries, e)
 	}
@@ -267,9 +309,7 @@ func (c *MemoCache) Advance(oldDS, newDS *core.Dataset, delta *core.Delta) *Memo
 		}
 		next.maint.advances.Add(1)
 		next.maint.promotions.Add(int64(st.Promotions))
-		next.mu.Lock()
-		next.putSubspaceLocked(key, &memoEntry{ids: ids, maintained: true})
-		next.mu.Unlock()
+		next.put(&next.sub, key, &memoEntry{ids: ids, maintained: true})
 	}
 	return next
 }

@@ -135,8 +135,7 @@ func TestMemoAdvanceChurnFallback(t *testing.T) {
 // TestMemoSubspaceLRU: the subspace half is bounded; overflow evicts
 // the least-recently-used entry and counts it.
 func TestMemoSubspaceLRU(t *testing.T) {
-	cache := NewMemoCache()
-	cache.subCap = 3
+	cache := NewMemoCacheWithCaps(3, 0)
 	for i := 0; i < 3; i++ {
 		cache.PutSubspace(fmt.Sprintf("to:%d|po:", i), []int32{int32(i)})
 	}

@@ -18,15 +18,21 @@ const ctxCheckEvery = 4096
 // must use the table layout (ds.Pts[i].ID == i), which Table datasets
 // always do; result IDs are row indexes of that table.
 //
-// Cancellation is cooperative: ctx is checked between pipeline stages
-// and periodically inside the executor's own scan loops. A registered
-// algorithm that is already running is not interrupted mid-run — the
-// check happens before it starts and the filter/rank work after it.
+// Cancellation is cooperative: ctx is checked between pipeline stages,
+// periodically inside the executor's own scan loops, and by the chosen
+// algorithm every few thousand rows of its scan (core.Options.Ctx).
 func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result, error) {
+	ds, env = p.Query.scope(ds, env)
+	return p.run(ctx, ds, env)
+}
+
+// run is Run over an already scoped ds and env.
+func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result, error) {
 	start := time.Now()
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
+	cache := env.Cache
 
 	var res *core.Result
 	observedRows := 0 // rows the executor actually fed an algorithm
@@ -55,7 +61,7 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		}
 		observedRows = len(eff.Pts)
 		algo := p.algo
-		opt := core.Options{NoKernel: p.Query.Hints.NoKernel}
+		opt := core.Options{NoKernel: p.Query.Hints.NoKernel, Ctx: ctx}
 		if p.shards > 0 {
 			algo = core.Parallel(algo)
 			opt.Parallelism = p.shards
@@ -64,8 +70,11 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		if p.shards == 0 && algo.Name() == "stss" {
 			// Sequential sTSS is a drain of the cursor, which may find
 			// its index resident on the snapshot.
-			res = p.cursorOver(ds, eff, env).Drain()
-		} else if res, err = algo.Run(eff, opt); err != nil {
+			res, err = p.cursorOver(ds, eff, env).Drain(ctx)
+		} else {
+			res, err = algo.Run(eff, opt)
+		}
+		if err != nil {
 			return nil, err
 		}
 		// Feedback, with two guards. Skyline fractions are learned per
@@ -91,17 +100,12 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 			env.Learned.ObserveCost(p.algo.Name(), predicted, time.Since(algoStart).Seconds())
 		}
 		if p.route == RoutePostFilter {
-			if env.Cache != nil && !p.Query.Hints.NoCache {
-				env.Cache.PutFull(append([]int32(nil), res.SkylineIDs...))
+			if cache != nil {
+				cache.PutFull(append([]int32(nil), res.SkylineIDs...))
 			}
 			res.SkylineIDs = p.filterIDs(ds, res.SkylineIDs)
-		} else if p.route == RouteDirect && env.Cache != nil && !p.Query.Hints.NoCache {
-			ids := append([]int32(nil), res.SkylineIDs...)
-			if p.Query.Subspace == nil {
-				env.Cache.PutFull(ids)
-			} else {
-				env.Cache.PutSubspace(p.baseVariant, ids)
-			}
+		} else if p.route == RouteDirect {
+			p.memoise(cache, res.SkylineIDs)
 		}
 	}
 	if err := ctxErr(ctx); err != nil {
@@ -119,8 +123,8 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		if err != nil {
 			return nil, err
 		}
-		if p.route == RouteDirect && env.Cache != nil && !p.Query.Hints.NoCache {
-			env.Cache.PutSubspace(p.variant, append([]int32(nil), ids...))
+		if p.route == RouteDirect && cache != nil {
+			cache.PutSubspace(p.variant, append([]int32(nil), ids...))
 		}
 		if p.route == RouteDirect && !res.FromCache {
 			env.Learned.ObserveSkyline(p.variant, observedRows, len(ids))
@@ -134,23 +138,7 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 			return nil, err
 		}
 		res.SkylineIDs = ids
-		// Keep only the emission records of rows that survived the
-		// truncation. Unranked truncation keeps an emission-order
-		// prefix; a ranked one keeps a scattered subset, so a prefix
-		// cut would report emissions for rows not in the result.
-		if len(res.Metrics.Emissions) > 0 {
-			kept := make(map[int32]bool, len(ids))
-			for _, id := range ids {
-				kept[id] = true
-			}
-			out := res.Metrics.Emissions[:0]
-			for _, e := range res.Metrics.Emissions {
-				if kept[e.ID] {
-					out = append(out, e)
-				}
-			}
-			res.Metrics.Emissions = out
-		}
+		trimEmissions(res)
 	}
 
 	p.Explain.ObservedSeconds = time.Since(start).Seconds()
@@ -159,11 +147,48 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 	return res, nil
 }
 
+// trimEmissions keeps only the emission records of rows in a top-k
+// result. Unranked truncation keeps an emission-order prefix; a ranked
+// one keeps a scattered subset, and a post-filter cursor run certifies
+// rows the per-row filter then drops, so a prefix cut would report
+// emissions for rows not in the result.
+func trimEmissions(res *core.Result) {
+	if len(res.Metrics.Emissions) == 0 {
+		return
+	}
+	kept := make(map[int32]bool, len(res.SkylineIDs))
+	for _, id := range res.SkylineIDs {
+		kept[id] = true
+	}
+	out := res.Metrics.Emissions[:0]
+	for _, e := range res.Metrics.Emissions {
+		if kept[e.ID] {
+			out = append(out, e)
+		}
+	}
+	res.Metrics.Emissions = out
+}
+
+// memoise stores the unrestricted skyline a direct-route run produced
+// under the key its shape reads back: the full entry, or the subspace's.
+func (p *Plan) memoise(cache Cache, skyline []int32) {
+	if cache == nil {
+		return
+	}
+	ids := append([]int32(nil), skyline...)
+	if p.Query.Subspace == nil {
+		cache.PutFull(ids)
+	} else {
+		cache.PutSubspace(p.baseVariant, ids)
+	}
+}
+
 // effective materializes the dataset the algorithm runs on: predicate
-// filtering (push-down route) and subspace projection, with original
-// row ids preserved so results need no mapping back.
+// filtering (push-down route), subspace projection and the ideal-point
+// transform, with original row ids preserved so results need no mapping
+// back.
 func (p *Plan) effective(ctx context.Context, ds *core.Dataset) (*core.Dataset, error) {
-	project := p.Query.Subspace != nil
+	project := p.Query.Subspace != nil || p.Query.IdealTransform()
 	filter := p.route == RoutePushdown
 	if !project && !filter {
 		return ds, nil
@@ -248,8 +273,7 @@ func (p *Plan) rankAndTruncate(ctx context.Context, ds *core.Dataset, env Env, i
 // dominance on all rows; any other shape scores cold.
 func (p *Plan) scoreContext(ds *core.Dataset, env Env) *ScoreContext {
 	sc := &ScoreContext{DS: ds, Query: &p.Query, KeptTO: p.keptTO, KeptPO: p.keptPO, Algo: p.algo}
-	if p.Query.Subspace == nil && len(p.Query.Where) == 0 && len(p.Query.FWeights) == 0 &&
-		env.Cache != nil && !p.Query.Hints.NoCache {
+	if p.Query.Subspace == nil && len(p.Query.Where) == 0 && len(p.Query.FWeights) == 0 {
 		if sic, ok := env.Cache.(ScoreIndexCache); ok {
 			if ix, ok := sic.GetScoreIndex(); ok {
 				sc.Index = ix
@@ -280,9 +304,19 @@ func (p *Plan) restrictIDs(ctx context.Context, ds *core.Dataset, ids []int32) (
 	return out, nil
 }
 
-// projectPoint maps a full-dimensional row into the kept dimensions.
+// projectPoint maps a full-dimensional row into the kept dimensions —
+// and, under the ideal-point transform, each kept TO value v to
+// |v − ideal|, the coordinate fully dynamic dominance is tested on.
 func (p *Plan) projectPoint(pt *core.Point) core.Point {
-	return projectInto(pt, p.keptTO, p.keptPO)
+	np := projectInto(pt, p.keptTO, p.keptPO)
+	if p.Query.IdealTransform() {
+		for j, d := range p.keptTO {
+			if np.TO[j] -= int32(p.Query.Ideal[d]); np.TO[j] < 0 {
+				np.TO[j] = -np.TO[j]
+			}
+		}
+	}
+	return np
 }
 
 // keptPODomains selects the kept PO columns' domains in subspace order.

@@ -144,7 +144,9 @@ func fuzzQuery(r *fuzzReader, ds *core.Dataset) Query {
 // registered algorithm forced through the same plan — plus the forced
 // push-down and (when provable) post-filter routes, cold and behind a
 // warm full-skyline cache — must return exactly the brute-force
-// oracle's rows. Runs its seed corpus under plain `go test`; explore
+// oracle's rows; fuzzOrdersLeg then repeats the exercise under
+// per-request preference DAGs beside a fully warmed table. Runs its
+// seed corpus under plain `go test`; explore
 // further with
 //
 //	go test -run='^$' -fuzz=FuzzPlanAgreement ./internal/plan
@@ -153,6 +155,16 @@ func FuzzPlanAgreement(f *testing.F) {
 	f.Add([]byte{1, 1, 3, 2, 0, 1, 8, 1, 0, 2, 0, 3, 1, 4, 2, 5, 3, 6, 0, 7, 1})
 	f.Add([]byte{0, 2, 4, 4, 0, 1, 1, 2, 2, 3, 3, 2, 12, 5, 0, 5, 1, 5, 2, 5, 0, 1, 1, 2, 2, 0, 9, 9})
 	f.Add([]byte{1, 0, 16, 2, 1, 0, 3, 1, 7, 7, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6})
+	// Long enough to reach fuzzOrdersLeg with non-zero bytes: 2 TO + 2 PO
+	// columns, a subspace, two predicates, inverted query DAGs.
+	f.Add([]byte{1, 2, 2, 3, 0, 1, 1, 2, 0, 3, 3, 5, 0, 2, 1, 3, 2, 4, 0, 1, 11,
+		3, 1, 0, 2, 5, 2, 1, 1, 4, 0, 3, 6, 1, 2, 0, 7, 0, 1, 2, 2, 3, 1, 5, 1, 1, 0, 4, 3, 2, 3, 0,
+		0, 1, 0, 1, 1, 2, 1, 0, 0, 1, 2, 0, 1, 1, 3, 2,
+		1, 5, 3, 0, 2, 1, 3, 2, 0, 1, 1, 4, 0, 2, 3, 1, 2, 0, 3, 3, 5, 1, 2, 4, 2, 1, 0, 1, 3, 2, 5, 1, 0, 2})
+	// Eight rows around the ideal point (5,5) fuzzOrdersLeg then draws:
+	// the |v−ideal| skyline differs from the table's own in rows and size.
+	f.Add([]byte{1, 1, 1, 1, 0, 1, 7, 0, 0, 0, 5, 5, 0, 4, 6, 1, 6, 4, 2, 7, 7, 0, 1, 6, 1, 6, 1, 2, 3, 3, 0,
+		1, 0, 0, 0, 1, 0, 2, 2, 5, 1, 5, 0, 1, 1, 1, 3, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		ds := fuzzDataset(r)
@@ -280,5 +292,6 @@ func FuzzPlanAgreement(f *testing.F) {
 			}
 			run("cached", q, cenv, false)
 		}
+		fuzzOrdersLeg(t, r, ds, q)
 	})
 }

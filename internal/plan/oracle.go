@@ -8,18 +8,18 @@ import (
 	"repro/internal/poset"
 )
 
-// Naive answers the query by brute force — filter, project, O(n²)
+// Naive answers the query by brute force — filter, project (under the
+// query's own orders and ideal point, when it brings them), O(n²)
 // skyline, O(n·m) rank — with no planner, no index and no cache. It is
 // the ground truth every physical plan is differential-tested against
 // (FuzzPlanAgreement, exp.FigurePlan's verification pass). The dataset
 // must use the table layout (ds.Pts[i].ID == i).
 func Naive(ds *core.Dataset, q Query) ([]int32, error) {
-	sizes := make([]int, len(ds.Domains))
-	for d, dom := range ds.Domains {
-		sizes[d] = dom.Size()
-	}
-	if err := q.Validate(ds.NumTO(), ds.NumPO(), sizes); err != nil {
+	if err := q.Validate(ds.NumTO(), ds.NumPO(), domainSizes(ds)); err != nil {
 		return nil, err
+	}
+	if q.Orders != nil {
+		ds = &core.Dataset{Domains: q.Orders, Pts: ds.Pts}
 	}
 	keptTO, keptPO := resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
 	doms := keptPODomains(ds, keptPO)
@@ -41,6 +41,11 @@ func Naive(ds *core.Dataset, q Query) ([]int32, error) {
 		np := core.Point{ID: pt.ID, TO: make([]int32, len(keptTO))}
 		for j, d := range keptTO {
 			np.TO[j] = pt.TO[d]
+			if q.IdealTransform() {
+				if np.TO[j] -= int32(q.Ideal[d]); np.TO[j] < 0 {
+					np.TO[j] = -np.TO[j]
+				}
+			}
 		}
 		if len(keptPO) > 0 {
 			np.PO = make([]int32, len(keptPO))

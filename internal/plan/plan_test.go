@@ -411,8 +411,9 @@ func TestValidateRejects(t *testing.T) {
 	ds := sampleDS(t, 10)
 	bad := []Query{
 		{TopK: -1},
-		{Rank: RankDomCount},   // rank without TopK
-		{Ideal: []int64{1, 2}}, // ideal without rank
+		{Rank: RankDomCount}, // rank without TopK
+		{TopK: 1, Rank: RankDomCount, Ideal: []int64{1, 2}},        // ideal with a rank that does not consume it
+		{Ideal: []int64{1, -2}},                                    // ideal transform out of range
 		{TopK: 1, Rank: RankIdeal, Ideal: []int64{1}},              // ideal arity
 		{Subspace: &Subspace{TO: []int{}}},                         // no TO dim kept
 		{Subspace: &Subspace{TO: []int{1, 0}}},                     // not ascending

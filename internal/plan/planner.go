@@ -51,6 +51,43 @@ type Env struct {
 	STSSIndex func() (ix *core.STSSIndex, resident bool)
 }
 
+// scope resolves what q plans and runs over, given a table's rows and
+// the derived state of its own orders. New, Run, RunStream and
+// RankPartials each open with it, so callers pass the table's ds and env.
+// A query under the table's orders keeps both (bar the cache, under
+// Hints.NoCache). One that brings its own dominance — Orders, or the
+// ideal-point transform — keeps the rows and the table's Stats only: no
+// resident sTSS index or score index (both encode the table's
+// dominance), no feedback store (a request-scoped fraction would fold
+// into the table's EWMAs, or grow one key per distinct DAG), and the
+// cache through ordersView — not at all under the transform, whose
+// coordinates no entry describes. q must have passed Validate on ds.
+func (q *Query) scope(ds *core.Dataset, env Env) (*core.Dataset, Env) {
+	if q.Hints.NoCache {
+		env.Cache = nil
+	}
+	if q.Orders == nil && !q.IdealTransform() {
+		return ds, env
+	}
+	scoped := Env{Stats: env.Stats}
+	if q.Orders != nil {
+		ds = &core.Dataset{Domains: q.Orders, Pts: ds.Pts}
+		if !q.IdealTransform() {
+			scoped.Cache = ordersView(env.Cache, q.Orders)
+		}
+	}
+	return ds, scoped
+}
+
+// domainSizes lists ds's per-PO-column value counts, Validate's shape.
+func domainSizes(ds *core.Dataset) []int {
+	sizes := make([]int, len(ds.Domains))
+	for d, dom := range ds.Domains {
+		sizes[d] = dom.Size()
+	}
+	return sizes
+}
+
 // Candidate is one algorithm the planner costed, for explain output.
 type Candidate struct {
 	Name       string  `json:"name"`
@@ -184,16 +221,15 @@ func (c costPrior) modelSeconds(n, m, effPO int) float64 {
 // executor's fixed overhead outweighs its speedup.
 const parallelMinRows = 20_000
 
-// New plans q against ds. The returned plan is ready to Run; its
-// Explain describes every decision (before observation fields).
+// New plans q against a table's rows ds and derived state env (scope
+// decides what a query that brings its own dominance sees of them). The
+// plan is ready to Run with the same ds and env; its Explain describes
+// every decision (before observation fields).
 func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
-	sizes := make([]int, len(ds.Domains))
-	for d, dom := range ds.Domains {
-		sizes[d] = dom.Size()
-	}
-	if err := q.Validate(ds.NumTO(), ds.NumPO(), sizes); err != nil {
+	if err := q.Validate(ds.NumTO(), ds.NumPO(), domainSizes(ds)); err != nil {
 		return nil, err
 	}
+	ds, env = q.scope(ds, env)
 	stats := env.Stats
 	if stats == nil {
 		stats = Analyze(ds)
@@ -213,12 +249,13 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 	// already cached (the filtered run reads fewer rows otherwise).
 	antiMono, proofReason := allAntiMonotone(ds, q)
 	p.Explain.AntiMonotone = antiMono
-	useCache := env.Cache != nil && !q.Hints.NoCache
+	cache := env.Cache
+	useCache := cache != nil
 	var cachedFull []int32
 	cacheHas := false
 	cacheMaint := false
 	if useCache && q.Subspace == nil {
-		cachedFull, cacheMaint, cacheHas = env.Cache.GetFull()
+		cachedFull, cacheMaint, cacheHas = cache.GetFull()
 	}
 	switch {
 	case len(q.Where) == 0:
@@ -228,7 +265,7 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 			// Restricted results memoise under their weight-suffixed key;
 			// a miss still reuses the unrestricted base entry below as
 			// elimination input (ND ⊆ SKY).
-			if ids, maint, ok := env.Cache.GetSubspace(p.variant); ok {
+			if ids, maint, ok := cache.GetSubspace(p.variant); ok {
 				p.cached = ids
 				p.cachedRestricted = true
 				p.Explain.Maintained = maint
@@ -250,7 +287,7 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 			// Subspace-keyed memo: repeated subspace queries on the same
 			// snapshot are served without recomputation, exactly like
 			// repeated full queries.
-			if ids, maint, ok := env.Cache.GetSubspace(p.baseVariant); ok {
+			if ids, maint, ok := cache.GetSubspace(p.baseVariant); ok {
 				p.cached = ids
 				p.Explain.Maintained = maint
 				if maint {
@@ -506,7 +543,9 @@ func resolveSubspace(s *Subspace, nTO, nPO int) (to, po []int) {
 //
 //   - A TO range is anti-monotone iff it has no lower bound: dominators
 //     have values ≤ the satisfying row's (smaller is better), which can
-//     escape below a lower bound but never above an upper one.
+//     escape below a lower bound but never above an upper one. Under the
+//     ideal-point transform no TO range is: a dominator is closer to the
+//     ideal, on either side of the bound.
 //   - A PO value set is anti-monotone iff it is upward closed under the
 //     table's preference order: for every allowed value, every value
 //     t-preferred to it is allowed too. Checked exhaustively against
@@ -516,6 +555,9 @@ func allAntiMonotone(ds *core.Dataset, q Query) (bool, string) {
 	for i, pr := range q.Where {
 		switch pr.Kind {
 		case TORange:
+			if q.IdealTransform() {
+				return false, fmt.Sprintf("predicate %d bounds a column compared by distance to the ideal point", i)
+			}
 			if pr.HasLo {
 				return false, fmt.Sprintf("predicate %d has a lower bound (a dominator may fall below it)", i)
 			}

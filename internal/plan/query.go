@@ -6,6 +6,11 @@
 //
 // Query semantics, in evaluation order:
 //
+//  0. Dominance is tested under Query.Orders when set (per-request
+//     preference domains over the table's PO value sets — the paper's
+//     dynamic skyline), else under the table's own orders. An unranked
+//     Query.Ideal re-centres every TO comparison on |v − ideal| (the
+//     fully dynamic skyline); predicates still read the raw values.
 //  1. R := the rows satisfying every Where predicate (all of them, over
 //     the table's full dimensionality). No predicates → R is the table.
 //  2. S := the skyline of R projected onto the Subspace dimensions
@@ -37,6 +42,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/poset"
 )
 
 // PredicateKind selects which field set of a Predicate applies.
@@ -174,12 +180,22 @@ type Hints struct {
 // Query is a logical skyline query. The zero value asks for the full
 // skyline of the full table.
 type Query struct {
+	// Orders are per-request preference domains (the paper's dynamic
+	// skyline, §V): one per table PO column, over that column's value
+	// set; nil runs the query under the table's own orders. Everything
+	// below composes with them — the same plan over the same rows under
+	// these domains (see Scope).
+	Orders   []*poset.Domain
 	Subspace *Subspace
 	Where    []Predicate
 	// TopK keeps only the best K result rows (0 = all).
-	TopK  int
-	Rank  Rank
-	Ideal []int64 // RankIdeal reference point, one value per table TO column
+	TopK int
+	Rank Rank
+	// Ideal is one value per table TO column. A ranking that consumes it
+	// (RankIdeal) takes it as its reference point; an unranked query is
+	// the fully dynamic skyline (§V-B): dominance is tested on |v − ideal|
+	// per TO column, so "best" means closest to the ideal.
+	Ideal []int64
 	// FWeights asks for the F-dominance restricted skyline instead of
 	// the full one: per table TO column, a lower bound w_d ≥ 0 on the
 	// scoring weight, with Σ over the kept columns ≤ 1 (see fdom.go for
@@ -188,6 +204,10 @@ type Query struct {
 	FWeights []float64
 	Hints    Hints
 }
+
+// IdealTransform reports whether Ideal re-centres TO dominance on
+// |v − ideal| rather than feeding a ranking.
+func (q *Query) IdealTransform() bool { return q.Ideal != nil && q.Rank == RankNone }
 
 // Variant names the query shape for explain output and metrics.
 func (q *Query) Variant() string {
@@ -231,12 +251,29 @@ func (q *Query) Validate(nTO, nPO int, domainSizes []int) error {
 			return fmt.Errorf("plan: rank %q without TopK", q.Rank)
 		}
 	}
+	if q.Orders != nil {
+		if len(q.Orders) != nPO {
+			return fmt.Errorf("plan: query has %d orders, table has %d PO columns", len(q.Orders), nPO)
+		}
+		for d, dom := range q.Orders {
+			if dom == nil || dom.Size() != domainSizes[d] {
+				return fmt.Errorf("plan: query order %d does not cover the column's %d values", d, domainSizes[d])
+			}
+		}
+	}
 	if q.Ideal != nil {
-		if _, uses := ranker.(IdealConsumer); !uses {
-			return fmt.Errorf("plan: ideal point without rank %q", RankIdeal)
+		if _, uses := ranker.(IdealConsumer); !uses && ranker != nil {
+			return fmt.Errorf("plan: ideal point without rank %q (unranked, it is the |v-ideal| transform)", RankIdeal)
 		}
 		if len(q.Ideal) != nTO {
 			return fmt.Errorf("plan: ideal point has %d values, table has %d TO columns", len(q.Ideal), nTO)
+		}
+		if q.IdealTransform() {
+			for _, v := range q.Ideal {
+				if v < 0 || v > 1<<30 {
+					return fmt.Errorf("plan: ideal value %d out of supported range [0, 2^30]", v)
+				}
+			}
 		}
 	}
 	if len(q.FWeights) > 0 {

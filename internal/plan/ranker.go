@@ -230,8 +230,13 @@ func quotedRankerNames() string {
 }
 
 // RankPartials evaluates one shard's partial scores for a distributed
-// ranking — the serving layer's /domcount handler dispatches here.
+// ranking — the serving layer's /domcount handler dispatches here —
+// counting dominance under q.Orders when set.
 func RankPartials(ctx context.Context, ds *core.Dataset, q Query, rank string, cands []core.Point) (Partials, error) {
+	if err := q.Validate(ds.NumTO(), ds.NumPO(), domainSizes(ds)); err != nil {
+		return Partials{}, err
+	}
+	ds, _ = q.scope(ds, Env{})
 	r, ok := LookupRanker(rank)
 	if !ok {
 		return Partials{}, fmt.Errorf("plan: unknown rank %q (have: %s)", rank, quotedRankerNames())

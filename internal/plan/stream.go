@@ -57,6 +57,7 @@ func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit fu
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
+	ds, env = p.Query.scope(ds, env)
 	hinted := strings.ToLower(p.Query.Hints.Algorithm)
 	cursorOK := p.cached == nil && p.Query.Hints.Parallelism <= 0 &&
 		len(p.Query.FWeights) == 0 && (hinted == "" || hinted == "stss")
@@ -85,7 +86,7 @@ func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit fu
 	case boundScore != nil:
 		res, err = p.streamThresholdTopK(ctx, ds, env, emit, start, boundScore, boundSlack)
 	default:
-		if res, err = p.Run(ctx, ds, env); err == nil {
+		if res, err = p.run(ctx, ds, env); err == nil {
 			for i, id := range res.SkylineIDs {
 				if err := emit(StreamRow{ID: id, Index: i, Elapsed: time.Since(start)}); err != nil {
 					return nil, err
@@ -98,21 +99,8 @@ func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit fu
 		return nil, err
 	}
 
-	// Mirror Run's top-k emission trim: keep only the emission records of
-	// rows in the result (a post-filter cursor run certifies rows the
-	// per-row filter then drops).
-	if p.Query.TopK > 0 && len(res.Metrics.Emissions) > 0 {
-		kept := make(map[int32]bool, len(res.SkylineIDs))
-		for _, id := range res.SkylineIDs {
-			kept[id] = true
-		}
-		out := res.Metrics.Emissions[:0]
-		for _, e := range res.Metrics.Emissions {
-			if kept[e.ID] {
-				out = append(out, e)
-			}
-		}
-		res.Metrics.Emissions = out
+	if p.Query.TopK > 0 {
+		trimEmissions(res)
 	}
 
 	// The progressive paths run the sequential sTSS cursor regardless of
@@ -191,14 +179,8 @@ func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit
 	// A fully exhausted unranked enumeration produced the exact skyline
 	// the buffered route would have cached — store it so the stream warms
 	// the same memo. Early-stopped or canceled runs store nothing.
-	if k == 0 && cur.Exhausted() && p.route == RouteDirect &&
-		env.Cache != nil && !p.Query.Hints.NoCache {
-		ids := append([]int32(nil), res.SkylineIDs...)
-		if p.Query.Subspace == nil {
-			env.Cache.PutFull(ids)
-		} else {
-			env.Cache.PutSubspace(p.baseVariant, ids)
-		}
+	if k == 0 && cur.Exhausted() && p.route == RouteDirect {
+		p.memoise(env.Cache, res.SkylineIDs)
 	}
 	return res, nil
 }

@@ -28,10 +28,12 @@ func (c *countdownCtx) Err() error {
 
 // TestDynamicQueryCanceledMidRun is the -request-timeout regression
 // test for dynamic (orders) queries: before PR 5 the budget was checked
-// only *before* starting, so a slow dTSS run held its worker to
-// completion. Now the cursor loop checks the request context between
-// point groups: a budget expiring mid-run aborts the query and maps to
-// the same 499/503 statuses planned queries use.
+// only *before* starting, so a slow run held its worker to completion.
+// An orders query is the planned query under the request's domains, so
+// it is canceled where every query is: between pipeline stages and
+// inside the chosen algorithm's scan (core.Options.Ctx). A budget
+// expiring mid-run aborts the query and maps to the 499/503 statuses
+// every query uses.
 func TestDynamicQueryCanceledMidRun(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -43,8 +45,8 @@ func TestDynamicQueryCanceledMidRun(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A fresh server per case: a warmed dTSS result cache would
-			// answer before the cursor loop ever runs.
+			// A fresh server per case: a warmed memo would answer before
+			// the algorithm ever runs.
 			s := New(8)
 			if _, err := s.CreateTable(flightsSpec("flights")); err != nil {
 				t.Fatal(err)

@@ -93,9 +93,8 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 				t.Fatalf("recovered %d tables", len(infos))
 			}
 			got := infos[0]
-			if got.Version != wantInfo.Version || got.Rows != wantInfo.Rows || got.Groups != wantInfo.Groups {
-				t.Fatalf("recovered %+v, want version=%d rows=%d groups=%d",
-					got, wantInfo.Version, wantInfo.Rows, wantInfo.Groups)
+			if got.Version != wantInfo.Version || got.Rows != wantInfo.Rows {
+				t.Fatalf("recovered %+v, want version=%d rows=%d", got, wantInfo.Version, wantInfo.Rows)
 			}
 			if !reflect.DeepEqual(got.Orders, wantInfo.Orders) || !reflect.DeepEqual(got.TOColumns, wantInfo.TOColumns) {
 				t.Fatal("recovered schema diverges")

@@ -173,21 +173,35 @@ func TestPlanQueryErrors(t *testing.T) {
 		}
 	}
 
-	// Legacy: a bare {} still routes to the dynamic path — on this
-	// table that means "orders required" (400), exactly as before.
-	var e errorResponse
-	if code := doJSON(t, http.MethodPost, url, QueryRequest{}, &e); code != http.StatusBadRequest {
+	// A bare {} is the zero query: the table's skyline, 200.
+	var zero QueryResponse
+	if code := doJSON(t, http.MethodPost, url, QueryRequest{}, &zero); code != http.StatusOK {
 		t.Fatalf("bare query: status %d", code)
 	}
+	if !equalInts(rowSet(zero.Skyline), []int{0, 4, 5, 8, 9}) {
+		t.Fatalf("bare query: %v, want the table's skyline", rowSet(zero.Skyline))
+	}
 
-	// Mixing modes must be refused, not silently half-applied: orders
-	// plus any planner field is a 400 naming the conflict.
+	// orders is one more field of the query, not a mode: beside topK it
+	// keeps K rows of the skyline under *those* preferences (b over a:
+	// rows 2 5 6 7 8 9), and stays a 400 only when malformed itself.
 	mixed := QueryRequest{
 		Orders: []QueryOrder{{Edges: [][2]string{{"b", "a"}}}},
 		TopK:   2,
 	}
-	if code := doJSON(t, http.MethodPost, url, mixed, &e); code != http.StatusBadRequest {
-		t.Fatalf("orders+topK: status %d (want 400, error %q)", code, e.Error)
+	var top QueryResponse
+	if code := doJSON(t, http.MethodPost, url, mixed, &top); code != http.StatusOK || top.Count != 2 {
+		t.Fatalf("orders+topK: status %d, count %d (want 200, 2)", code, top.Count)
+	}
+	for _, r := range rowSet(top.Skyline) {
+		if !contains([]int{2, 5, 6, 7, 8, 9}, r) {
+			t.Fatalf("orders+topK: row %d is not in the skyline under b over a", r)
+		}
+	}
+	mixed.Orders = append(mixed.Orders, QueryOrder{})
+	var e errorResponse
+	if code := doJSON(t, http.MethodPost, url, mixed, &e); code != http.StatusBadRequest || e.Error == "" {
+		t.Fatalf("orders of the wrong arity + topK: status %d (want 400, error %q)", code, e.Error)
 	}
 }
 

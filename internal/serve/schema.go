@@ -11,7 +11,7 @@ import (
 // Schema is the wire-level shape of a table — TO column names plus the
 // PO OrderSpecs — with the name-resolution and query-translation logic
 // every server role needs: the single-node table entry resolves
-// planner-mode requests against it, and the cluster coordinator reuses
+// requests against it, and the cluster coordinator reuses
 // the identical resolution (and compiled preference domains) so a
 // query means the same thing at either layer.
 type Schema struct {
@@ -105,10 +105,11 @@ func (sc *Schema) LookupCol(name string) (dim int, isTO bool, err error) {
 	return 0, false, fmt.Errorf("unknown column %q", name)
 }
 
-// PlanQuery translates a planner-mode request into the plan package's
-// logical query, resolving column names and PO value labels, and
-// validates it against the table shape — so a malformed query is a
-// client error before any work starts or any stream opens. The wire
+// PlanQuery translates a request into the plan package's logical query,
+// resolving column names and PO value labels and compiling per-request
+// orders, and validates it against the table shape — so a malformed
+// query is a client error before any work starts or any stream opens,
+// with the same text on a node and on a coordinator. The wire
 // parallelism contract matches the CLI flag: > 0 forces that many
 // shards, < 0 forces one shard per *executing host* CPU, 0 lets the
 // planner decide — so `tssquery -parallel -1` means the same thing
@@ -124,6 +125,12 @@ func (sc *Schema) PlanQuery(req QueryRequest) (plan.Query, error) {
 		Ideal:    req.Ideal,
 		FWeights: req.FWeights,
 		Hints:    plan.Hints{Algorithm: req.Algo, Parallelism: par, NoCache: req.NoCache},
+	}
+	if len(req.Orders) > 0 {
+		var err error
+		if q.Orders, err = sc.QueryDomains(req.Orders); err != nil {
+			return plan.Query{}, err
+		}
 	}
 	if len(req.Subspace) > 0 {
 		s := &plan.Subspace{}
@@ -227,8 +234,9 @@ func (sc *Schema) BaseDomains() ([]*poset.Domain, error) {
 	return sc.compileDomains(edges)
 }
 
-// QueryDomains compiles per-request preference DAGs (dynamic queries)
-// over the schema's value sets.
+// QueryDomains compiles per-request preference DAGs over the schema's
+// value sets — the one place a request's `orders` are compiled, on
+// either tier.
 func (sc *Schema) QueryDomains(orders []QueryOrder) ([]*poset.Domain, error) {
 	if len(orders) != len(sc.orderSpecs) {
 		return nil, fmt.Errorf("query has %d orders, table has %d PO columns", len(orders), len(sc.orderSpecs))

@@ -20,9 +20,10 @@ import (
 	"repro/internal/store"
 )
 
-// DefaultCacheCapacity sizes a table's dynamic-query result cache when
-// neither the server nor the table spec overrides it.
-const DefaultCacheCapacity = 64
+// DefaultCacheCapacity is how many per-request-orders results each
+// snapshot of a table memoises when neither the server nor the table
+// spec overrides it.
+const DefaultCacheCapacity = plan.DefaultOrdersCap
 
 // DefaultCheckpointEvery is the WAL size past which a batch triggers a
 // checkpoint (snapshot rewrite + log truncation).
@@ -30,8 +31,8 @@ const DefaultCheckpointEvery = 4 << 20
 
 // Config tunes a Server.
 type Config struct {
-	// CacheCapacity sizes each new table's dynamic result cache
-	// (0 = DefaultCacheCapacity).
+	// CacheCapacity sizes each new table's cache of per-request-orders
+	// results (0 = DefaultCacheCapacity).
 	CacheCapacity int
 	// SubspaceCacheCap sizes each table's subspace skyline-memo LRU
 	// (0 = plan.DefaultSubspaceCap). Surfaced per table in /statsz as
@@ -88,7 +89,7 @@ type Server struct {
 }
 
 // New creates an empty, ephemeral (storeless) catalog. cacheCap sizes
-// each new table's dynamic result cache (0 selects
+// each new table's cache of per-request-orders results (0 selects
 // DefaultCacheCapacity).
 func New(cacheCap int) *Server {
 	return NewWithConfig(Config{CacheCapacity: cacheCap})
@@ -411,8 +412,8 @@ func statusFor(err error) int {
 //	POST   /tables                            create a table (TableSpec)
 //	GET    /tables/{name}                     table info
 //	DELETE /tables/{name}                     drop a table
-//	POST   /tables/{name}/query               skyline query, planned or dynamic (QueryRequest; ?stream=1, ?limit=)
-//	GET    /tables/{name}/skyline             shorthand: the planned full skyline, algorithm forced (?algo=, ?parallel=)
+//	POST   /tables/{name}/query               skyline query (QueryRequest; ?stream=1, ?limit=)
+//	GET    /tables/{name}/skyline             shorthand: the full skyline, algorithm forced (?algo=, ?parallel=)
 //	POST   /tables/{name}/rows:batch          batched mutation (BatchRequest)
 //	GET    /tables/{name}/stats               planner statistics + learned feedback
 //	POST   /tables/{name}/domcount            per-candidate partial rank scores (DomCountRequest)
@@ -567,7 +568,7 @@ func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry
 }
 
 // getSkyline answers GET /tables/{name}/skyline — shorthand for the
-// planned query over the table's own orders with the algorithm forced
+// query over the table's own orders with the algorithm forced
 // (?algo=, default stss), the memo bypassed, and a sequential run unless
 // ?parallel=N asks for the partition-and-merge executor.
 func (s *Server) getSkyline(w http.ResponseWriter, r *http.Request, e *tableEntry) {
@@ -594,91 +595,38 @@ func (s *Server) getSkyline(w http.ResponseWriter, r *http.Request, e *tableEntr
 	s.serveQuery(w, r, e, rq)
 }
 
-// readQuery is a validated read request in the one mode it runs in: a
-// planned query over the table's own orders (algorithm, placement and
-// cache routing chosen by the cost-based optimizer), or — dynamic — a
-// query bringing its own preference DAGs, answered by the snapshot's
-// prepared dTSS database and its result cache.
+// readQuery is a validated read request: the logical query the
+// cost-based optimizer plans (algorithm, placement and cache routing),
+// plus what only the renderer applies.
 type readQuery struct {
-	dynamic  bool
-	plan     plan.Query   // planned mode
-	orders   []*tss.Order // dynamic mode: one compiled DAG per PO column
-	ideal    []int64      // dynamic mode: fully dynamic reference point
-	baseline bool         // dynamic mode: the rebuild-everything SDC+ adaptation
-	explain  bool
-	limit    int // the body's limit; ?limit overrides it
+	plan    plan.Query
+	explain bool
+	limit   int // the body's limit; ?limit overrides it
 }
 
-// compile classifies and validates a request. Every error is a client
-// error, raised before any work starts or any stream opens.
+// compile validates a request. Every error is a client error, raised
+// before any work starts or any stream opens.
 func (e *tableEntry) compile(req QueryRequest) (readQuery, error) {
-	rq := readQuery{explain: req.Explain, limit: req.Limit}
-	planned, err := req.PlanMode()
-	if err != nil {
-		return rq, err
-	}
-	if planned {
-		rq.plan, err = e.schema.PlanQuery(req)
-		return rq, err
-	}
-	if req.Baseline && req.Ideal != nil {
-		return rq, fmt.Errorf("baseline does not support ideal-point queries")
-	}
-	rq.dynamic, rq.ideal, rq.baseline = true, req.Ideal, req.Baseline
-	rq.orders, err = e.queryOrders(req.Orders)
-	return rq, err
+	q, err := e.schema.PlanQuery(req)
+	return readQuery{plan: q, explain: req.Explain, limit: req.Limit}, err
 }
 
 // execute answers one compiled query entirely from one pinned snapshot
-// and moves the traffic counters. With emit set, planned queries
-// deliver rows as the streaming executor certifies them; dynamic
-// queries (which dTSS answers group-at-a-time) compute first and
-// replay. ctx rides along, so a request timeout or a vanished client
-// cancels the run cooperatively. explain is nil for dynamic queries.
+// and moves the traffic counters. With emit set, rows are delivered as
+// the streaming executor certifies them. ctx rides along, so a request
+// timeout or a vanished client cancels the run cooperatively.
 func (s *Server) execute(ctx context.Context, e *tableEntry, snap *snapshot, rq *readQuery,
 	emit func(plan.StreamRow) error) (res *tss.SkylineResult, explain *plan.Explain, err error) {
-	start := time.Now()
-	switch {
-	case !rq.dynamic && emit == nil:
+	if emit == nil {
 		res, explain, err = snap.table.QueryContext(ctx, rq.plan)
-	case !rq.dynamic:
+	} else {
 		res, explain, err = snap.table.QueryStream(ctx, rq.plan, emit)
-	case ctx.Err() != nil:
-		// Refuse work whose budget already expired while the request was
-		// queued or being read; the runs below check ctx mid-run too.
-		err = fmt.Errorf("query canceled before start: %w", ctx.Err())
-	case rq.baseline:
-		res, err = snap.dyn.QueryBaselineContext(ctx, rq.orders...)
-	case rq.ideal != nil:
-		res, err = snap.dyn.QueryAtContext(ctx, rq.ideal, rq.orders...)
-	default:
-		res, err = snap.dyn.QueryContext(ctx, rq.orders...)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	s.countQuery(e)
-	switch {
-	case !rq.dynamic:
-		// The skyline memo, not the dTSS result cache; a NoCache bypass is
-		// neither a hit nor a miss of it.
-		if !rq.plan.Hints.NoCache {
-			e.countPlanCache(explain, rq.plan.Subspace != nil)
-		}
-	case rq.baseline || rq.ideal != nil:
-		// The result cache serves only plain dTSS: these bypass it.
-	case res.CacheHit:
-		e.cacheHits.Add(1)
-	default:
-		e.cacheMisses.Add(1)
-	}
-	if rq.dynamic && emit != nil {
-		for i, row := range res.Rows {
-			if err := emit(plan.StreamRow{ID: int32(row), Index: i, Elapsed: time.Since(start)}); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
+	e.countCache(explain, &rq.plan)
 	return res, explain, nil
 }
 
@@ -714,12 +662,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, e *tableEntr
 		Skyline:  skylineRows(snap, res.Rows, rq.limit),
 		Metrics:  res.Metrics,
 		CacheHit: res.CacheHit,
+		Algo:     explain.Algorithm,
 	}
-	if explain != nil {
-		resp.Algo = explain.Algorithm
-		if rq.explain {
-			resp.Plan = explain
-		}
+	if rq.explain {
+		resp.Plan = explain
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -779,7 +725,7 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad domcount request: %w", err))
 		return
 	}
-	q, err := e.schema.PlanQuery(QueryRequest{Subspace: req.Subspace, Where: req.Where})
+	q, err := e.schema.PlanQuery(QueryRequest{Orders: req.Orders, Subspace: req.Subspace, Where: req.Where})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

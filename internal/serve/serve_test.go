@@ -126,7 +126,7 @@ func TestTableLifecycle(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, ts.URL+"/tables", flightsSpec("other"), &created); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
-	if created.Rows != 10 || created.Groups != 4 {
+	if created.Rows != 10 {
 		t.Fatalf("created info: %+v", created)
 	}
 	var list []TableInfo
@@ -244,18 +244,15 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("limited query: %d rows, count %d", len(lq.Skyline), lq.Count)
 	}
 
-	// Baseline answers the same query by rebuilding (more IOs, same set).
-	base := bOverA
-	base.Baseline = true
+	// The retired `baseline` ablation flag is ignored by lenient decoding:
+	// the same query, the same memo entry.
 	var bl QueryResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", base, &bl); code != http.StatusOK {
-		t.Fatalf("baseline: %d", code)
+	raw := json.RawMessage(`{"orders":[{"edges":[["b","a"]]}],"baseline":true}`)
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", raw, &bl); code != http.StatusOK {
+		t.Fatalf("retired baseline field: %d", code)
 	}
-	if !equalInts(rowSet(bl.Skyline), want) {
-		t.Fatalf("baseline skyline: %v", rowSet(bl.Skyline))
-	}
-	if bl.Metrics.WriteIOs == 0 {
-		t.Error("baseline should charge rebuild writes")
+	if !equalInts(rowSet(bl.Skyline), want) || !bl.CacheHit {
+		t.Fatalf("retired baseline field: skyline %v, cacheHit %v", rowSet(bl.Skyline), bl.CacheHit)
 	}
 
 	// Ideal-point query (fully dynamic): the traveller at (1200, 1)
@@ -274,14 +271,21 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("ideal skyline: %v (want row 3 in, row 1 out)", got)
 	}
 
-	// Errors: wrong arity, unknown label, cyclic order, baseline+ideal.
+	// A bare {} is the zero query: the table's own skyline.
+	var zero QueryResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", QueryRequest{}, &zero); code != http.StatusOK {
+		t.Fatalf("bare {}: %d, want 200", code)
+	}
+	if !equalInts(rowSet(zero.Skyline), []int{0, 4, 5, 8, 9}) {
+		t.Fatalf("bare {}: %v, want the table's skyline", rowSet(zero.Skyline))
+	}
+
+	// Errors: wrong arity, unknown label, cyclic order, ideal arity.
 	bad := []QueryRequest{
-		{},
 		{Orders: []QueryOrder{{}, {}}},
 		{Orders: []QueryOrder{{Edges: [][2]string{{"a", "z"}}}}},
 		{Orders: []QueryOrder{{Edges: [][2]string{{"a", "b"}, {"b", "a"}}}}},
 		{Orders: []QueryOrder{{}}, Ideal: []int64{1}},
-		{Orders: []QueryOrder{{}}, Ideal: []int64{1, 2}, Baseline: true},
 	}
 	for i, req := range bad {
 		if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", req, nil); code != http.StatusBadRequest {

@@ -165,9 +165,9 @@ func streamRowRecord(snap *snapshot, row int, index int, elapsed time.Duration) 
 }
 
 // streamQuery is serveQuery's ?stream=1 delivery: header, one row
-// record per emission the executor hands over (planned queries as they
-// certify, with the cursor's key; dynamic queries replayed), and a
-// trailer carrying the buffered response's tail.
+// record per emission the executor hands over (as rows certify, with
+// the cursor's key, on the progressive routes), and a trailer carrying
+// the buffered response's tail.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, e *tableEntry, snap *snapshot, rq readQuery) {
 	header := StreamRecord{Type: "header", Table: e.name, Version: snap.version, Rows: snap.table.Len()}
 	StreamResponse(w, r, s.streamHeartbeat, header, func(ctx context.Context, emit func(StreamRecord) error) (StreamRecord, error) {
@@ -184,13 +184,10 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, e *tableEnt
 		}
 		trailer := StreamRecord{
 			Type: "trailer", Version: snap.version, Count: len(res.Rows),
-			Metrics: &res.Metrics, CacheHit: res.CacheHit,
+			Metrics: &res.Metrics, CacheHit: res.CacheHit, Algo: explain.Algorithm,
 		}
-		if explain != nil {
-			trailer.Algo = explain.Algorithm
-			if rq.explain {
-				trailer.Plan = explain
-			}
+		if rq.explain {
+			trailer.Plan = explain
 		}
 		return trailer, nil
 	})

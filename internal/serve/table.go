@@ -1,12 +1,12 @@
 // Package serve is the HTTP/JSON skyline query server behind
 // cmd/tssserve: a catalog of named tables, each published as an
-// immutable copy-on-write snapshot (a sealed tss.Table plus its
-// prepared dynamic-query database), so any number of concurrent readers
-// query lock-free while batched mutations derive the next snapshot and
-// atomically swap it in. With a storage engine attached, every batch is
-// appended to the table's write-ahead log before the snapshot is
-// published, logs checkpoint into columnar snapshots past a size
-// threshold, and tables recover on startup — see internal/store.
+// immutable copy-on-write snapshot (a sealed tss.Table with its skyline
+// memo), so any number of concurrent readers query lock-free while
+// batched mutations derive the next snapshot and atomically swap it in.
+// With a storage engine attached, every batch is appended to the table's
+// write-ahead log before the snapshot is published, logs checkpoint into
+// columnar snapshots past a size threshold, and tables recover on
+// startup — see internal/store.
 //
 // Consistency model: a query is answered entirely by one snapshot — the
 // one current when the request reached the table — and the response
@@ -25,13 +25,12 @@ import (
 )
 
 // snapshot is one immutable published state of a table. The table is
-// sealed (all lazily built per-domain indexes precompiled) and the
-// dynamic database prepared with its result cache, so serving a
-// snapshot never writes shared memory.
+// sealed (all lazily built per-domain indexes precompiled); what a
+// query derives from it afterwards (memo entries, the sTSS index) is
+// published atomically.
 type snapshot struct {
 	version int64
 	table   *tss.Table
-	dyn     *tss.Dynamic
 }
 
 // tableEntry is a catalog slot: the current snapshot behind an atomic
@@ -42,8 +41,10 @@ type tableEntry struct {
 	orders []*tss.Order // compiled base orders, shared by all snapshots
 
 	// specCacheCap preserves the table spec's cache sizing (0 = server
-	// default) for persistence across restarts.
+	// default) for persistence across restarts; cacheCap is the resolved
+	// size of each fresh snapshot memo's per-request-orders LRU.
 	specCacheCap int
+	cacheCap     int
 
 	// subspaceCap sizes each fresh snapshot memo's subspace LRU
 	// (Config.SubspaceCacheCap; 0 = plan.DefaultSubspaceCap). Advanced
@@ -66,17 +67,17 @@ type tableEntry struct {
 
 	queries   atomic.Int64
 	mutations atomic.Int64
-	// Cache counters, accumulated per served query (on the response's
-	// CacheHit flag) rather than read from the snapshots' own caches:
-	// snapshots retire while queries are still in flight on them, so
-	// folding their internal stats at swap time would race and lose
-	// counts. These stay exact and cumulative across swaps.
+	// Memo counters of per-request-orders queries, accumulated per served
+	// query rather than read from the snapshots' memos: snapshots retire
+	// while queries are still in flight on them. Exact and cumulative
+	// across swaps.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-	// Planner-path memo counters, split by route: a maintained hit is a
-	// memo entry carried across mutations by delta maintenance; full and
-	// subspace hits are cold-computed entries of the current snapshot.
-	// Misses count cacheable queries (no Where) that found no entry.
+	// Memo counters of queries under the table's own orders, split by
+	// route: a maintained hit is a memo entry carried across mutations by
+	// delta maintenance; full and subspace hits are cold-computed entries
+	// of the current snapshot. Misses count cacheable queries (no Where)
+	// that found no entry.
 	planFullHits       atomic.Int64
 	planFullMisses     atomic.Int64
 	planSubHits        atomic.Int64
@@ -109,15 +110,14 @@ func buildOrders(specs []OrderSpec) (orders []*tss.Order, err error) {
 }
 
 // newTableEntry validates a spec, builds the initial snapshot at the
-// given version and returns the ready entry. cacheCap sizes the
-// dynamic result cache; version is 0 for fresh tables and the
-// recovered version when loading from a store.
+// given version and returns the ready entry. cacheCap sizes the memo's
+// per-request-orders LRU unless the spec does; version is 0 for fresh
+// tables and the recovered version when loading from a store.
 func newTableEntry(spec TableSpec, cacheCap, subspaceCap int, version int64) (*tableEntry, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("table name is required")
 	}
-	// The dynamic database indexes each PO group's rows by their TO
-	// coordinates, so a served table needs at least one TO column.
+	// Every index and every subspace keeps at least one TO coordinate.
 	if len(spec.TOColumns) == 0 {
 		return nil, fmt.Errorf("table %q needs at least one totally ordered column", spec.Name)
 	}
@@ -132,15 +132,16 @@ func newTableEntry(spec TableSpec, cacheCap, subspaceCap int, version int64) (*t
 	if err != nil {
 		return nil, err
 	}
+	if spec.CacheCapacity > 0 {
+		cacheCap = spec.CacheCapacity
+	}
 	e := &tableEntry{
 		name:         spec.Name,
 		schema:       schema,
 		orders:       orders,
 		specCacheCap: spec.CacheCapacity,
+		cacheCap:     cacheCap,
 		subspaceCap:  subspaceCap,
-	}
-	if spec.CacheCapacity > 0 {
-		cacheCap = spec.CacheCapacity
 	}
 	table, err := e.freshTable()
 	if err != nil {
@@ -151,7 +152,9 @@ func newTableEntry(spec TableSpec, cacheCap, subspaceCap int, version int64) (*t
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
-	e.publish(version, table, cacheCap)
+	table.Seal()
+	table.SetQueryCache(e.freshMemo())
+	e.snap.Store(&snapshot{version: version, table: table})
 	return e, nil
 }
 
@@ -166,16 +169,11 @@ func (e *tableEntry) freshTable() (t *tss.Table, err error) {
 	return tss.NewTable(e.schema.toCols, e.orders...), nil
 }
 
-// publish seals table, prepares its dynamic database, attaches a fresh
-// full-skyline memo for the planner's cache routing (snapshot-scoped:
-// the memo describes exactly this row set) and swaps the new snapshot
-// in. Callers hold writeMu (or own the entry exclusively).
-func (e *tableEntry) publish(version int64, table *tss.Table, cacheCap int) {
-	table.Seal()
-	table.SetQueryCache(plan.NewMemoCacheWithCap(e.subspaceCap))
-	dyn := table.PrepareDynamic()
-	dyn.EnableCache(cacheCap)
-	e.snap.Store(&snapshot{version: version, table: table, dyn: dyn})
+// freshMemo returns an empty skyline memo for the planner's cache
+// routing, sized by the entry's caps. A memo is snapshot-scoped: it
+// describes exactly one row set.
+func (e *tableEntry) freshMemo() *plan.MemoCache {
+	return plan.NewMemoCacheWithCaps(e.subspaceCap, e.cacheCap)
 }
 
 // current returns the snapshot serving reads right now.
@@ -184,8 +182,7 @@ func (e *tableEntry) current() *snapshot { return e.snap.Load() }
 // applyBatch atomically applies a batched mutation. The next snapshot
 // is *derived*, not rebuilt: Table.ApplyBatch copies the row header
 // (removals first — by current-snapshot row index — then appends,
-// survivors renumbered) and Dynamic.ApplyDelta maintains the prepared
-// group indexes incrementally, copy-on-write, in O(batch·log N).
+// survivors renumbered) and advances the statistics and the memo.
 // Reads issued while this runs are served by the old snapshot.
 //
 // persist, when non-nil, is called with the produced version *before*
@@ -197,8 +194,7 @@ func (e *tableEntry) applyBatch(req BatchRequest, persist func(version int64) er
 	defer e.writeMu.Unlock()
 	cur := e.current()
 
-	// A no-op batch must not rebuild the dynamic database or discard
-	// the warm result cache.
+	// A no-op batch must not discard the warm memo.
 	if len(req.Add) == 0 && len(req.Remove) == 0 {
 		return BatchResponse{Table: e.name, Version: cur.version, Rows: cur.table.Len()}, nil
 	}
@@ -219,9 +215,8 @@ func (e *tableEntry) applyBatch(req BatchRequest, persist func(version int64) er
 	// instead of recomputing from cold. NoMaintain restores the old
 	// fresh-memo-per-batch behaviour.
 	if e.noMaintain || next.QueryCache() == nil {
-		next.SetQueryCache(plan.NewMemoCacheWithCap(e.subspaceCap))
+		next.SetQueryCache(e.freshMemo())
 	}
-	dyn := cur.dyn.ApplyDelta(next, delta)
 
 	version := cur.version + 1
 	if persist != nil {
@@ -229,7 +224,7 @@ func (e *tableEntry) applyBatch(req BatchRequest, persist func(version int64) er
 			return BatchResponse{}, err
 		}
 	}
-	e.snap.Store(&snapshot{version: version, table: next, dyn: dyn})
+	e.snap.Store(&snapshot{version: version, table: next})
 	e.mutations.Add(1)
 	return BatchResponse{
 		Table:   e.name,
@@ -269,7 +264,6 @@ func (e *tableEntry) info() TableInfo {
 		Name:      e.name,
 		Version:   s.version,
 		Rows:      s.table.Len(),
-		Groups:    s.dyn.Groups(),
 		TOColumns: e.schema.TOColumns(),
 		Orders:    e.schema.Orders(),
 		Stats: TableStats{
@@ -282,13 +276,20 @@ func (e *tableEntry) info() TableInfo {
 	}
 }
 
-// countPlanCache folds one planner-path query outcome into the
-// per-route memo counters. Maintained hits are exclusive of full and
-// subspace hits; misses are counted only for memo-cacheable queries
-// (no predicates — Where queries push down without consulting the
-// memo, unless a post-filter cache hit is reported, which counts as a
-// hit of its entry's route).
-func (e *tableEntry) countPlanCache(ex *plan.Explain, subspace bool) {
+// countCache folds one query outcome into the memo counters: the
+// orders-keyed pair for a query that brought its own orders, the
+// per-route ones otherwise. Maintained hits are exclusive of full and
+// subspace hits; misses are counted only for queries that consulted the
+// memo and found nothing (no predicates — Where queries push down
+// without consulting it, unless a post-filter cache hit is reported,
+// which counts as a hit of its entry's route — and neither a NoCache
+// bypass nor the ideal-point transform, which the memo never holds).
+func (e *tableEntry) countCache(ex *plan.Explain, q *plan.Query) {
+	if q.Hints.NoCache {
+		return
+	}
+	subspace := q.Subspace != nil
+	miss := !ex.CacheHit && ex.Route == plan.RouteDirect && !q.IdealTransform()
 	switch ex.RankedFrom {
 	case "index":
 		e.planRankedIndex.Add(1)
@@ -298,33 +299,23 @@ func (e *tableEntry) countPlanCache(ex *plan.Explain, subspace bool) {
 		e.planRankedCold.Add(1)
 	}
 	switch {
+	case q.Orders != nil && ex.CacheHit:
+		e.cacheHits.Add(1)
+	case q.Orders != nil:
+		if miss {
+			e.cacheMisses.Add(1)
+		}
 	case ex.CacheHit && ex.Maintained:
 		e.planMaintainedHits.Add(1)
 	case ex.CacheHit && subspace:
 		e.planSubHits.Add(1)
 	case ex.CacheHit:
 		e.planFullHits.Add(1)
-	case ex.Route == plan.RouteDirect:
-		if subspace {
-			e.planSubMisses.Add(1)
-		} else {
-			e.planFullMisses.Add(1)
-		}
+	case miss && subspace:
+		e.planSubMisses.Add(1)
+	case miss:
+		e.planFullMisses.Add(1)
 	}
-}
-
-// queryOrders builds per-request preference Orders over the table's
-// value labels, converting label/cycle panics into errors.
-func (e *tableEntry) queryOrders(reqOrders []QueryOrder) ([]*tss.Order, error) {
-	if len(reqOrders) != len(e.schema.orderSpecs) {
-		return nil, fmt.Errorf("query has %d orders, table has %d PO columns",
-			len(reqOrders), len(e.schema.orderSpecs))
-	}
-	specs := make([]OrderSpec, len(reqOrders))
-	for d, q := range reqOrders {
-		specs[d] = OrderSpec{Values: e.schema.orderSpecs[d].Values, Edges: q.Edges}
-	}
-	return buildOrders(specs)
 }
 
 // skylineRows renders result row indexes with their values from the

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"errors"
-
 	"repro/internal/core"
 	"repro/internal/plan"
 )
@@ -32,8 +30,9 @@ type TableSpec struct {
 	TOColumns []string    `json:"toColumns"`
 	Orders    []OrderSpec `json:"orders,omitempty"`
 	Rows      []RowSpec   `json:"rows,omitempty"`
-	// CacheCapacity sizes the table's dynamic-query result cache
-	// (0 = the server default).
+	// CacheCapacity sizes the table's cache of per-request-orders
+	// results: how many each snapshot's memo keeps (0 = the server
+	// default).
 	CacheCapacity int `json:"cacheCapacity,omitempty"`
 	// Partition selects how a cluster coordinator spreads rows over its
 	// shards. Only meaningful against a coordinator; a single-node
@@ -66,18 +65,17 @@ type TableInfo struct {
 	Name      string      `json:"name"`
 	Version   int64       `json:"version"`
 	Rows      int         `json:"rows"`
-	Groups    int         `json:"groups"`
 	TOColumns []string    `json:"toColumns"`
 	Orders    []OrderSpec `json:"orders,omitempty"`
 	Stats     TableStats  `json:"stats"`
 	Versions  []int64     `json:"versions,omitempty"`
 }
 
-// TableStats carries a table's served-traffic counters. Cache counters
-// count served dynamic queries by their cache outcome, so they are
-// exact and cumulative across snapshot swaps (a batch mutation
-// rebuilds the prepared database with a fresh cache, but these
-// counters never reset).
+// TableStats carries a table's served-traffic counters. CacheHits and
+// CacheMisses count served per-request-orders queries by their memo
+// outcome (§V-B's cache of past dynamic results); they are exact and
+// cumulative across snapshot swaps (a batch mutation drops those entries
+// with the snapshot, but these counters never reset).
 type TableStats struct {
 	Queries     int64 `json:"queries"`
 	Mutations   int64 `json:"mutations"`
@@ -193,29 +191,27 @@ type WhereSpec struct {
 	In  []string `json:"in,omitempty"`
 }
 
-// QueryRequest is a skyline query (POST /tables/{name}/query) in one of
-// two modes.
-//
-// With Orders set (one preference DAG per PO column) it is a *dynamic*
-// query answered by the prepared dTSS database: an optional ideal point
-// (one value per TO column) makes it fully dynamic, and Baseline
-// switches to the rebuild-everything SDC+ adaptation.
-//
-// Without Orders it is a *planned* query over the table's own orders:
-// Subspace, Where, TopK/Rank and the hint fields select the variant,
-// and the cost-based planner picks algorithm, parallelism, predicate
-// placement and cache routing (per-response decisions in the `plan`
-// field when Explain is set). Ideal doubles as the RankIdeal reference
-// point in this mode.
+// QueryRequest is a skyline query (POST /tables/{name}/query); the zero
+// value asks for the table's skyline. Every field composes with every
+// other (see plan.Query for the exact semantics): Subspace, Where,
+// TopK/Rank, FWeights and the hint fields select the variant, and the
+// cost-based planner picks algorithm, parallelism, predicate placement
+// and cache routing (per-response decisions in the `plan` field when
+// Explain is set).
 type QueryRequest struct {
-	Orders   []QueryOrder `json:"orders,omitempty"`
-	Ideal    []int64      `json:"ideal,omitempty"`
-	Baseline bool         `json:"baseline,omitempty"`
+	// Orders makes the query *dynamic*: one preference DAG per PO column
+	// replaces the table's own orders for this request — the same plan
+	// over the same rows under those preferences. Empty = the table's own.
+	Orders []QueryOrder `json:"orders,omitempty"`
+	// Ideal is one value per TO column. With rank "ideal" it is the
+	// ranking's reference point; without a rank the query is *fully
+	// dynamic*: every TO comparison is on |value − ideal|, so "best" means
+	// closest to the ideal.
+	Ideal []int64 `json:"ideal,omitempty"`
 	// Limit truncates the rows serialized into the response (0 = all);
 	// Count always reports the full skyline size.
 	Limit int `json:"limit,omitempty"`
 
-	// Planner-mode fields (see plan.Query for the exact semantics).
 	Subspace []string    `json:"subspace,omitempty"` // kept column names
 	Where    []WhereSpec `json:"where,omitempty"`
 	TopK     int         `json:"topK,omitempty"`
@@ -235,22 +231,6 @@ type QueryRequest struct {
 	// the differential switch for verifying maintained memo entries
 	// against recomputation.
 	NoCache bool `json:"noCache,omitempty"`
-}
-
-// PlanMode classifies the request — the one place both server tiers
-// decide which of the two modes a query runs in. planned is true when
-// the request takes the planner path: no per-request preference DAGs,
-// and at least one planner-mode field (a bare `{}` keeps its historical
-// dTSS meaning). A request mixing both modes would silently drop one
-// half, so it is refused; the error is a client error (HTTP 400).
-func (r *QueryRequest) PlanMode() (planned bool, err error) {
-	planned = len(r.Subspace) > 0 || len(r.Where) > 0 || r.TopK > 0 || r.Rank != "" ||
-		len(r.FWeights) > 0 || r.Algo != "" || r.Parallel != 0 || r.Explain || r.NoCache
-	if planned && (len(r.Orders) > 0 || r.Baseline) {
-		return false, errors.New(
-			"subspace/where/topK/rank/fweights/algo/parallel/explain/noCache cannot combine with orders/baseline (dynamic queries run dTSS as-is)")
-	}
-	return planned, nil
 }
 
 // SkylineRow is one skyline member with its snapshot-scoped row index
@@ -274,8 +254,8 @@ type QueryResponse struct {
 	Metrics  core.MetricsExport `json:"metrics"`
 	CacheHit bool               `json:"cacheHit,omitempty"`
 	Algo     string             `json:"algo,omitempty"`
-	// Plan is the optimizer's explain output (planner-mode requests
-	// with "explain": true).
+	// Plan is the optimizer's explain output (requests with
+	// "explain": true).
 	Plan *plan.Explain `json:"plan,omitempty"`
 	// Cluster carries scatter/gather metadata on coordinator responses.
 	Cluster *ClusterMeta `json:"cluster,omitempty"`
@@ -319,7 +299,7 @@ type StreamRecord struct {
 	// has a strictly smaller key, so a consumer merging several
 	// key-ordered streams can rule this stream out as a dominator source
 	// for any candidate whose key the stream has reached. Absent on
-	// replayed (buffered, cache-hit, rank-ordered, dTSS) streams, whose
+	// replayed (buffered, cache-hit, rank-ordered) streams, whose
 	// emission order carries no such bound.
 	Key *int64 `json:"key,omitempty"`
 
@@ -392,14 +372,16 @@ type TableStatsInfo struct {
 
 // DomCountRequest (POST /tables/{t}/domcount) asks for the number of
 // rows of R — the table filtered by Where — each candidate row
-// dominates on the Subspace dimensions. Candidates are value-addressed
+// dominates on the Subspace dimensions, under Orders when the ranked
+// query brought its own. Candidates are value-addressed
 // (not row-addressed): the cluster coordinator scores merged skyline
 // rows whose ids are shard-scoped, and every shard contributes its
 // partial count toward the global dominance-count rank.
 type DomCountRequest struct {
-	Rows     []RowSpec   `json:"rows"`
-	Subspace []string    `json:"subspace,omitempty"`
-	Where    []WhereSpec `json:"where,omitempty"`
+	Rows     []RowSpec    `json:"rows"`
+	Orders   []QueryOrder `json:"orders,omitempty"`
+	Subspace []string     `json:"subspace,omitempty"`
+	Where    []WhereSpec  `json:"where,omitempty"`
 	// Rank selects which ranking's per-shard partial scores to compute
 	// ("" = "domcount", the endpoint's original meaning). Rankings with
 	// histogram-shaped partials (dpidp) answer in Hists; count-shaped

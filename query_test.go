@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/plan"
+	"repro/internal/poset"
 )
 
 // queryTestTable builds a small mixed table: price/stops TO columns and
@@ -277,5 +278,118 @@ func TestExplainCursorRoute(t *testing.T) {
 	}
 	if ex.Kernel == "" || ex.CursorIndex != "" {
 		t.Fatalf("kernel plan explain: kernel %q cursorIndex %q", ex.Kernel, ex.CursorIndex)
+	}
+}
+
+// TestOrdersQueryIsRequestScoped: table-scoped derived state never
+// answers a request-scoped question. Beside a warm memo (full, subspace
+// and score-index entries), a resident sTSS index and learned skyline
+// fractions — all describing the table's own orders — a query bringing
+// its own Orders returns the skyline under *those* (dTSS, the paper's
+// independent structure, is the oracle), builds its own cursor index,
+// scores cold, leaves every table entry as it was, learns no per-DAG
+// key, memoises under the DAG's signature for the life of the snapshot,
+// and misses again — with the right answer — after a batch.
+func TestOrdersQueryIsRequestScoped(t *testing.T) {
+	ctx := context.Background()
+	drop := func(plan.StreamRow) error { return nil }
+	table := queryTestTable(t)
+	memo := plan.NewMemoCache()
+	table.SetQueryCache(memo)
+	sub := &plan.Subspace{TO: []int{0}, PO: []int{0}}
+	for _, q := range []plan.Query{{}, {Subspace: sub}, {TopK: 3, Rank: plan.RankDPIDP}} {
+		if _, _, err := table.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ex, err := table.QueryStream(ctx, plan.Query{Hints: plan.Hints{NoCache: true}}, drop); err != nil || ex.CursorIndex == "" {
+		t.Fatalf("warming the resident index: %v %+v", err, ex)
+	}
+	full0, _, _ := memo.GetFull()
+	sub0, _, _ := memo.GetSubspace(plan.SubspaceKey(sub))
+	idx0, ok := memo.GetScoreIndex()
+	if full0 == nil || sub0 == nil || !ok || table.stssIndex.Load() == nil {
+		t.Fatal("table-scoped state not warm")
+	}
+	learned0 := len(table.Learned().Export().Variants)
+
+	// d over b and c, a incomparable: nothing like the table's diamond.
+	inverted := func() *Order { return NewOrder("a", "b", "c", "d").Prefer("d", "b").Prefer("d", "c") }
+	dom, err := inverted().compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := []*poset.Domain{dom}
+	oracle := func(tb *Table) []int {
+		res, err := tb.PrepareDynamic().Query(inverted())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedInts(res.Rows)
+	}
+	want := oracle(table)
+	if equalInts(want, sortedInts(table.Skyline())) {
+		t.Fatal("fixture: the query orders do not change the skyline")
+	}
+	member := make(map[int]bool)
+	for _, r := range want {
+		member[r] = true
+	}
+
+	firstK, ex, err := table.QueryStream(ctx, plan.Query{Orders: orders, TopK: 3}, drop)
+	if err != nil || len(firstK.Rows) != 3 || ex.CursorIndex != "built" {
+		t.Fatalf("first-K stream under orders: %v rows %v explain %+v", err, firstK, ex)
+	}
+	for _, r := range firstK.Rows {
+		if !member[r] {
+			t.Fatalf("first-K stream: row %d is not in the skyline under the query's orders", r)
+		}
+	}
+	ranked, ex, err := table.Query(plan.Query{Orders: orders, TopK: 3, Rank: plan.RankDPIDP})
+	if err != nil || ex.RankedFrom != "cold" || ex.CursorIndex == "resident" {
+		t.Fatalf("ranked under orders: %v explain %+v", err, ex)
+	}
+	naive, err := plan.Naive(table.ds, plan.Query{Orders: orders, TopK: 3, Rank: plan.RankDPIDP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range naive {
+		if ranked.Rows[i] != int(id) {
+			t.Fatalf("ranked under orders: %v, oracle %v", ranked.Rows, naive)
+		}
+	}
+	// The ranked run memoised the skyline it ranked, under the DAG's
+	// signature: the same DAG, rebuilt from scratch, is §V-B's cache of
+	// past results.
+	dom2, _ := inverted().compile()
+	res, ex, err := table.Query(plan.Query{Orders: []*poset.Domain{dom2}})
+	if err != nil || !ex.CacheHit || !res.CacheHit || ex.Maintained || !equalInts(sortedInts(res.Rows), want) {
+		t.Fatalf("full under the same DAG: %v rows %v want %v explain %+v", err, sortedInts(res.Rows), want, ex)
+	}
+
+	full1, _, _ := memo.GetFull()
+	sub1, _, _ := memo.GetSubspace(plan.SubspaceKey(sub))
+	if idx1, _ := memo.GetScoreIndex(); idx1 != idx0 || &full1[0] != &full0[0] || &sub1[0] != &sub0[0] {
+		t.Fatal("orders queries touched the table's own memo entries")
+	}
+	if n := len(table.Learned().Export().Variants); n != learned0 {
+		t.Fatalf("learned skyline fractions grew from %d to %d keys", learned0, n)
+	}
+
+	next, _, err := table.ApplyBatch([]int{want[0]}, []TableRow{{TO: []int64{1, 1}, PO: []string{"c"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ex, err = next.Query(plan.Query{Orders: orders})
+	if err != nil || ex.CacheHit || !equalInts(sortedInts(res.Rows), oracle(next)) {
+		t.Fatalf("after a batch: %v rows %v want %v explain %+v", err, sortedInts(res.Rows), oracle(next), ex)
+	}
+
+	// Malformed orders are refused before anything runs.
+	two, _ := NewOrder("x", "y").compile()
+	for _, bad := range [][]*poset.Domain{{}, {dom, dom}, {two}, {nil}} {
+		if _, _, err := table.Query(plan.Query{Orders: bad}); err == nil {
+			t.Fatalf("orders %v accepted", bad)
+		}
 	}
 }

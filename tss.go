@@ -17,7 +17,9 @@
 // never produce false hits), which makes it optimally progressive:
 // every skyline tuple is emitted the moment it is examined. Dynamic
 // skyline queries — where each query brings its own preference DAGs —
-// are served by a prepared Dynamic database that never rebuilds its
+// are a field of the planned query (plan.Query.Orders: the same plan over
+// the same rows under those domains); the paper's own structure for them,
+// dTSS, is the prepared Dynamic database, which never rebuilds its
 // indexes between queries.
 //
 // Quick start:
@@ -537,15 +539,27 @@ func (t *Table) Query(q plan.Query) (*SkylineResult, *plan.Explain, error) {
 }
 
 // QueryContext is Query with cooperative cancellation: ctx is checked
-// between pipeline stages and inside the executor's scan loops (an
-// algorithm already running is not interrupted mid-run).
+// between pipeline stages, inside the executor's scan loops and every
+// few thousand rows of the chosen algorithm's scan.
 func (t *Table) QueryContext(ctx context.Context, q plan.Query) (*SkylineResult, *plan.Explain, error) {
+	return t.run(ctx, q, nil)
+}
+
+// run plans q over the table's rows and derived state (the planner keeps
+// the latter away from a query that brings its own orders) and executes
+// the plan, through the streaming executor when emit is set.
+func (t *Table) run(ctx context.Context, q plan.Query, emit func(plan.StreamRow) error) (*SkylineResult, *plan.Explain, error) {
 	env := t.planEnv()
 	p, err := plan.New(t.ds, q, env)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := p.Run(ctx, t.ds, env)
+	var res *core.Result
+	if emit == nil {
+		res, err = p.Run(ctx, t.ds, env)
+	} else {
+		res, err = p.RunStream(ctx, t.ds, env, emit)
+	}
 	if err != nil {
 		return nil, &p.Explain, err
 	}
@@ -562,16 +576,7 @@ func (t *Table) QueryContext(ctx context.Context, q plan.Query) (*SkylineResult,
 // SkylineResult carries the same rows emit saw plus the run's metrics.
 // An emit error aborts the run and is returned verbatim.
 func (t *Table) QueryStream(ctx context.Context, q plan.Query, emit func(plan.StreamRow) error) (*SkylineResult, *plan.Explain, error) {
-	env := t.planEnv()
-	p, err := plan.New(t.ds, q, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := p.RunStream(ctx, t.ds, env, emit)
-	if err != nil {
-		return nil, &p.Explain, err
-	}
-	return wrapResult(res), &p.Explain, nil
+	return t.run(ctx, q, emit)
 }
 
 // RankPartials computes, per candidate row, this table's partial
@@ -582,7 +587,8 @@ func (t *Table) QueryStream(ctx context.Context, q plan.Query, emit func(plan.St
 // Candidates are value-addressed TableRows rather than row indexes: this
 // is the shard-side scoring half of distributed ranked top-k, where the
 // coordinator's merged skyline rows carry no usable ids for any one
-// shard. q's TopK/Rank/Ideal/FWeights fields are ignored.
+// shard. Dominance is counted under q.Orders when set; q's
+// TopK/Rank/Ideal/FWeights fields are ignored.
 func (t *Table) RankPartials(ctx context.Context, q plan.Query, rank string, rows []TableRow) (plan.Partials, error) {
 	cands, err := t.wireCandidates(rows)
 	if err != nil {
@@ -703,8 +709,9 @@ type SkylineResult struct {
 	// Metrics is the full JSON-ready counter export of the run (a
 	// superset of Stats), as attached to server query responses.
 	Metrics core.MetricsExport
-	// CacheHit marks a dynamic query answered from the past-result
-	// cache (see Dynamic.EnableCache) without touching any index.
+	// CacheHit marks a result answered from a cache of past results (the
+	// table's skyline memo, see SetQueryCache, or Dynamic.EnableCache's)
+	// without touching any index.
 	CacheHit bool
 }
 
