@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/poset"
 )
 
 // randOrderT builds a random acyclic preference order over k labelled
@@ -92,13 +94,22 @@ func TestApplyBatchSemantics(t *testing.T) {
 }
 
 // TestApplyDeltaMatchesReprepare: across a chain of random batches the
-// incrementally maintained Dynamic answers exactly like a full
-// Reprepare, for plain, ideal-point and repeated (cached) queries.
+// Dynamic ApplyDelta derives, a fresh PrepareDynamic of the new table,
+// and the receiver over its own table all answer plain and ideal-point
+// queries under random orders exactly like the naive oracle, and the
+// derived Dynamic serves repeated queries from its carried-over cache.
 func TestApplyDeltaMatchesReprepare(t *testing.T) {
+	sameRows := func(rows []int, want []int32) bool {
+		ids := make([]int, len(want))
+		for i, id := range want {
+			ids[i] = int(id)
+		}
+		return fmt.Sprint(sortedInts(rows)) == fmt.Sprint(sortedInts(ids))
+	}
+	ideal := []int64{3, 3}
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := randTableT(rng, 30+rng.Intn(30), 2, 4)
-		tab.Seal()
+		tab := randTableT(rng, 30+rng.Intn(30), 2, 4).Seal()
 		dyn := tab.PrepareDynamic()
 		dyn.EnableCache(8)
 
@@ -118,50 +129,53 @@ func TestApplyDeltaMatchesReprepare(t *testing.T) {
 				t.Fatal(err)
 			}
 			next.Seal()
-			inc := dyn.ApplyDelta(next, delta)
-			full := dyn.Reprepare(next)
+			nd := dyn.ApplyDelta(next, delta)
+			full := next.PrepareDynamic()
 
 			for q := 0; q < 3; q++ {
 				order := randOrderT(rng, 4, 0.5)
-				a, err := inc.Query(order)
+				dom, err := order.compile()
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := full.Query(order)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(sortedInts(a.Rows)) != fmt.Sprint(sortedInts(b.Rows)) {
-					t.Fatalf("seed %d batch %d: incremental %v, reprepare %v", seed, batch, a.Rows, b.Rows)
-				}
-				if next.Len() > 0 {
-					ai, err := inc.QueryAt([]int64{3, 3}, order)
+				domains := []*poset.Domain{dom}
+				for _, c := range []struct {
+					dyn *Dynamic
+					tab *Table
+				}{{nd, next}, {full, next}, {dyn, tab}} {
+					res, err := c.dyn.Query(order)
 					if err != nil {
 						t.Fatal(err)
 					}
-					bi, err := full.QueryAt([]int64{3, 3}, order)
+					if want := core.NaiveSkylineUnder(domains, c.tab.ds.Pts); !sameRows(res.Rows, want) {
+						t.Fatalf("seed %d batch %d: Query = %v, naive %v", seed, batch, res.Rows, want)
+					}
+					if c.tab.Len() == 0 {
+						continue
+					}
+					res, err = c.dyn.QueryAt(ideal, order)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if fmt.Sprint(sortedInts(ai.Rows)) != fmt.Sprint(sortedInts(bi.Rows)) {
-						t.Fatalf("seed %d batch %d: ideal-point queries diverge", seed, batch)
+					if want := core.FullyDynamicNaive(c.tab.ds, []int32{3, 3}, domains); !sameRows(res.Rows, want) {
+						t.Fatalf("seed %d batch %d: QueryAt = %v, naive %v", seed, batch, res.Rows, want)
 					}
 				}
 			}
-			// The cache carried over its capacity but not stale entries:
-			// a repeat of the same query must now hit.
+			// The cache carried over its capacity: a repeat of the same
+			// query hits.
 			order := randOrderT(rng, 4, 0.5)
-			if _, err := inc.Query(order); err != nil {
+			if _, err := nd.Query(order); err != nil {
 				t.Fatal(err)
 			}
-			res, err := inc.Query(order)
+			res, err := nd.Query(order)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.CacheHit {
 				t.Fatalf("seed %d batch %d: repeated query missed the carried-over cache", seed, batch)
 			}
-			tab, dyn = next, inc
+			tab, dyn = next, nd
 		}
 	}
 }

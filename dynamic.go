@@ -30,45 +30,13 @@ func (t *Table) PrepareDynamic() *Dynamic {
 // Table returns the table this database was prepared from.
 func (d *Dynamic) Table() *Table { return d.table }
 
-// Reprepare rebuilds the dynamic-query database from the table's
-// current rows, carrying over the cache configuration (with a fresh,
-// empty cache — cached skylines are stale once rows changed). This is
-// the re-prepare hook behind batched mutations: clone the table, apply
-// the batch, Reprepare, atomically publish the pair; in-flight queries
-// keep using the old database, which is never mutated.
-func (d *Dynamic) Reprepare(t *Table) *Dynamic {
-	if t == nil {
-		t = d.table
-	}
-	nd := t.PrepareDynamic()
-	if d.cacheCap > 0 {
-		nd.EnableCache(d.cacheCap)
-	}
-	return nd
-}
-
-// ApplyDelta derives a prepared Dynamic for next — a table produced by
-// Table.ApplyBatch on this database's table — by incremental index
-// maintenance: only the point groups the batch touched have their
-// R-trees (copy-on-write) and local skylines updated, in
-// O(batch·log N) plus one O(N) row-mapping pass, instead of the full
-// re-partition, re-sort and bulk-load Reprepare performs. The receiver
-// keeps serving queries untouched; the cache configuration carries
-// over with a fresh cache (cached skylines are stale once rows
-// changed).
-//
-// On any inconsistency between delta and the prepared state — or when
-// accumulated churn calls for compaction — ApplyDelta transparently
-// falls back to a full Reprepare, so the result is always equivalent.
+// ApplyDelta prepares next — a table produced by Table.ApplyBatch on
+// this database's table — for dynamic queries by rebuilding its
+// database, carrying over the cache capacity with a fresh, empty cache
+// (cached skylines are stale once rows changed). The receiver keeps
+// answering for its own table; delta is not consulted.
 func (d *Dynamic) ApplyDelta(next *Table, delta *BatchDelta) *Dynamic {
-	if next == nil || delta == nil {
-		return d.Reprepare(next)
-	}
-	db, err := d.db.ApplyBatch(next.ds, &core.Delta{OldToNew: delta.OldToNew, Added: delta.Added})
-	if err != nil {
-		return d.Reprepare(next)
-	}
-	nd := &Dynamic{table: next, db: db}
+	nd := next.PrepareDynamic()
 	if d.cacheCap > 0 {
 		nd.EnableCache(d.cacheCap)
 	}

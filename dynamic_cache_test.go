@@ -192,8 +192,8 @@ func TestCacheIgnoresIdealQueries(t *testing.T) {
 	}
 }
 
-// TestReprepareCarriesCacheConfig: the re-prepare hook starts with a
-// fresh cache of the same capacity.
+// TestReprepareCarriesCacheConfig: the re-prepare hook (ApplyDelta)
+// starts with a fresh cache of the same capacity.
 func TestReprepareCarriesCacheConfig(t *testing.T) {
 	table := flightsTable(order1())
 	dyn := table.PrepareDynamic()
@@ -202,11 +202,13 @@ func TestReprepareCarriesCacheConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	grown := table.Clone()
-	grown.MustAdd([]int64{100, 0}, "a")
-	nd := dyn.Reprepare(grown)
+	grown, delta, err := table.ApplyBatch(nil, []TableRow{{TO: []int64{100, 0}, PO: []string{"a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := dyn.ApplyDelta(grown, delta)
 	if nd.Table() != grown {
-		t.Fatal("Reprepare must bind the new table")
+		t.Fatal("ApplyDelta must bind the new table")
 	}
 	if hits, misses := nd.CacheStats(); hits != 0 || misses != 0 {
 		t.Fatalf("re-prepared cache not fresh: %d/%d", hits, misses)

@@ -45,11 +45,10 @@ func BBSPlus(ds *Dataset, opt Options) *Result {
 		return false
 	}
 
+	rd := tree.NewReader(io, nil)
 	var h bbsHeap
-	if len(ds.Pts) > 0 {
-		for _, e := range tree.Root().Entries {
-			h.push(e)
-		}
+	for _, e := range rd.Root().Entries {
+		h.push(e)
 	}
 	for step := 0; h.len() > 0; step++ {
 		if opt.canceled(step) {
@@ -68,7 +67,7 @@ func BBSPlus(ds *Dataset, opt Options) *Result {
 			res.Metrics.NodesPruned++
 			continue
 		}
-		node := tree.Open(it.e)
+		node := rd.Open(it.e)
 		res.Metrics.NodesOpened++
 		for _, e := range node.Entries {
 			if !e.IsLeafEntry() && mDominatedCorner(e.Lo) {

@@ -466,21 +466,11 @@ func TestSortByKey(t *testing.T) {
 // then insertion order.
 func TestHeapOrdering(t *testing.T) {
 	var h bbsHeap
-	mk := func(lo []int32, leaf bool) rtree.Entry {
-		e := rtree.Entry{Lo: lo, Hi: lo}
-		if !leaf {
-			// Fabricate an internal entry by bulk-loading a tiny tree.
-			tr := rtree.BulkLoad(len(lo), []rtree.Point{{Coords: lo, ID: 0}}, 4, nil)
-			root := tr.Root()
-			_ = root
-			e = rtree.Entry{Lo: lo, Hi: lo}
-		}
-		return e
-	}
-	h.push(mk([]int32{5}, true))
-	h.push(mk([]int32{3}, true))
-	h.push(mk([]int32{4}, true))
-	h.push(mk([]int32{3}, true))
+	mk := func(lo []int32) rtree.Entry { return rtree.Entry{Lo: lo, Hi: lo} }
+	h.push(mk([]int32{5}))
+	h.push(mk([]int32{3}))
+	h.push(mk([]int32{4}))
+	h.push(mk([]int32{3}))
 	got := []int64{}
 	for h.len() > 0 {
 		got = append(got, h.pop().mind)

@@ -42,49 +42,14 @@ type DynamicDB struct {
 	byKey  map[string]int // PO value combination -> group index
 	cache  *queryCache
 
-	// Stable-id indirection for incremental maintenance (ApplyBatch):
-	// group trees, idxs and local lists store *stable* point ids, which
-	// survive the row renumbering a removal causes; rowOf maps a stable
-	// id to its current row index. A nil rowOf means the identity map
-	// (fresh build: stable id == row index), so query paths resolve
-	// through row(). stableOf is the inverse (row index -> stable id).
-	rowOf    []int32
-	stableOf []int32
-
-	// Build metrics for reporting; queries are charged separately. After
-	// an ApplyBatch they hold the incremental maintenance cost instead.
+	// Build metrics for reporting; queries are charged separately.
 	BuildWriteIOs int64
 	BuildCPU      time.Duration
 }
 
-// row resolves a stable point id to its current row index.
-func (db *DynamicDB) row(stable int32) int32 {
-	if db.rowOf == nil {
-		return stable
-	}
-	return db.rowOf[stable]
-}
-
-// stable resolves a current row index to its stable point id.
-func (db *DynamicDB) stable(row int32) int32 {
-	if db.stableOf == nil {
-		return row
-	}
-	return db.stableOf[row]
-}
-
-// stableSpace returns the size of the stable-id space (ids are
-// allocated densely from 0; deleted ids leave holes until a rebuild).
-func (db *DynamicDB) stableSpace() int {
-	if db.rowOf == nil {
-		return len(db.ds.Pts)
-	}
-	return len(db.rowOf)
-}
-
 type dynGroup struct {
 	vals []int32 // the PO value per PO dimension shared by all members
-	idxs []int32 // point indexes, ordered by ascending TO L1 (mindist)
+	idxs []int32 // row indexes of the members, ascending
 	tree *rtree.Tree
 	// local is the group's TO-only local skyline in ascending-mindist
 	// order, for the §V-B pre-processing optimisation.
@@ -187,19 +152,8 @@ func toDominates(a, b []int32) bool {
 	return strict
 }
 
-// NumGroups returns the number of distinct PO value combinations among
-// the current rows. Incremental maintenance can leave a group empty
-// (all members removed); such groups cost one slot until compaction
-// but are not part of the logical partition.
-func (db *DynamicDB) NumGroups() int {
-	n := 0
-	for gi := range db.groups {
-		if len(db.groups[gi].idxs) > 0 {
-			n++
-		}
-	}
-	return n
-}
+// NumGroups returns the number of distinct PO value combinations.
+func (db *DynamicDB) NumGroups() int { return len(db.groups) }
 
 // QueryTSS answers a dynamic skyline query with dTSS (§V-A): the query
 // supplies one preference DAG per PO attribute (as domains preprocessed
@@ -293,7 +247,7 @@ func (db *DynamicDB) QueryTSSContext(ctx context.Context, domains []*poset.Domai
 //
 // The tree is traversed through a per-query rtree.Reader so that
 // concurrent queries against the same DynamicDB never touch shared
-// mutable state — the property the serving layer's snapshots rely on.
+// mutable state.
 func (db *DynamicDB) searchGroup(ctx context.Context, g *dynGroup, domains []*poset.Domain, checker tChecker, clock *emitClock, io *rtree.IOCounter, buf *rtree.Buffer, packedRoots bool, res *Result) error {
 	ds := db.ds
 	rd := g.tree.NewReader(io, buf)
@@ -302,9 +256,6 @@ func (db *DynamicDB) searchGroup(ctx context.Context, g *dynGroup, domains []*po
 		root = rd.RootNoIO() // charged sequentially up front
 	} else {
 		root = rd.Root()
-	}
-	if len(root.Entries) == 0 {
-		return nil
 	}
 	corner := groupCorner(root, ds.NumTO())
 	if checker.dominatedPoint(corner, g.vals) {
@@ -323,7 +274,7 @@ func (db *DynamicDB) searchGroup(ctx context.Context, g *dynGroup, domains []*po
 		}
 		it := h.pop()
 		if it.isPoint {
-			p := &ds.Pts[db.row(it.e.ID)]
+			p := &ds.Pts[it.e.ID]
 			if checker.dominatedPoint(p.TO, p.PO) {
 				res.Metrics.PointsPruned++
 				continue
@@ -359,7 +310,7 @@ func (db *DynamicDB) scanLocal(g *dynGroup, domains []*poset.Domain, checker tCh
 	ds := db.ds
 	*extra += db.opt.dataPages(len(g.local), ds.NumTO()+ds.NumPO())
 	for _, i := range g.local {
-		p := &ds.Pts[db.row(i)]
+		p := &ds.Pts[i]
 		if checker.dominatedPoint(p.TO, p.PO) {
 			res.Metrics.PointsPruned++
 			continue

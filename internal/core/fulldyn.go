@@ -128,9 +128,6 @@ func (db *DynamicDB) QueryTSSFullContext(ctx context.Context, q []int32, domains
 		} else {
 			root = rd.Root()
 		}
-		if len(root.Entries) == 0 {
-			continue
-		}
 		// The group's best achievable transformed corner.
 		lo, hi := rootMBB(root, ds.NumTO())
 		corner := boxMinDist(lo, hi, q)
@@ -150,7 +147,7 @@ func (db *DynamicDB) QueryTSSFullContext(ctx context.Context, q []int32, domains
 			}
 			it := h.pop()
 			if it.isPoint {
-				p := &ds.Pts[db.row(it.e.ID)]
+				p := &ds.Pts[it.e.ID]
 				tq := absDiff(p.TO, q)
 				if checker.dominatedPoint(tq, p.PO) {
 					res.Metrics.PointsPruned++
@@ -240,7 +237,7 @@ func rootMBB(root *rtree.Node, dims int) (lo, hi []int32) {
 // queryCache memoises dynamic skyline results keyed by the canonical
 // signature of the query's partial orders, with FIFO eviction. All
 // accesses go through the mutex: QueryTSS may be called from many
-// goroutines sharing one DynamicDB (the serving layer's snapshots).
+// goroutines sharing one DynamicDB.
 type queryCache struct {
 	mu       sync.Mutex
 	capacity int

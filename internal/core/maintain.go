@@ -178,6 +178,20 @@ func MaintainSkyline(oldDS, newDS *Dataset, delta *Delta, oldSky []int32, keptTO
 	return ids, st, true
 }
 
+// Delta describes a batched row mutation in the terms delta-driven
+// maintenance needs: how old row indexes map to new ones, and how many
+// rows were appended. The new dataset is the old one with the removed
+// rows dropped, survivors renumbered to consecutive indexes in their
+// original order, and the added rows at the tail.
+type Delta struct {
+	// OldToNew maps every old row index to its new index, -1 for
+	// removed rows. Its length must equal the old row count.
+	OldToNew []int32
+	// Added is the number of rows appended at the tail of the new
+	// dataset (new indexes newN-Added … newN-1).
+	Added int
+}
+
 // OldLen returns the row count the delta maps from.
 func (d *Delta) OldLen() int { return len(d.OldToNew) }
 

@@ -68,21 +68,16 @@ func SDCPlus(ds *Dataset, opt Options) *Result {
 	res.Metrics.BuildWriteIOs = buildIO.Writes
 	res.Metrics.BuildCPU = time.Since(buildStart)
 
-	io := &rtree.IOCounter{}
-	for i := range strata {
-		strata[i].tree.SetIO(io)
-	}
-	_ = runSDCPlus(opt.Ctx, ds, ds.Domains, strata, io, res) // a canceled run leaves res partial
+	_ = runSDCPlus(opt.Ctx, ds, ds.Domains, strata, &rtree.IOCounter{}, res) // a canceled run leaves res partial
 	return res
 }
 
 // runSDCPlus executes the SDC+ query phase over prebuilt strata,
-// appending results and metrics to res. Reads performed on the strata
-// trees are observed as deltas on each tree's own counter. ctx is
-// checked every dynCtxCheckEvery heap steps — the same cooperative
-// cadence as the dTSS traversal loops — so even the rebuild-everything
-// baseline releases its worker mid-run when the request is canceled; a
-// nil ctx never cancels.
+// appending results and metrics to res. Node visits are charged to io
+// through one Reader per stratum. ctx is checked every dynCtxCheckEvery
+// heap steps — the same cooperative cadence as the dTSS traversal
+// loops — so even the rebuild-everything baseline releases its worker
+// mid-run when the request is canceled; a nil ctx never cancels.
 func runSDCPlus(ctx context.Context, ds *Dataset, domains []*poset.Domain, strata []stratumIndex, io *rtree.IOCounter, res *Result) error {
 	clock := newEmitClock(io)
 	type cand struct {
@@ -110,8 +105,9 @@ func runSDCPlus(ctx context.Context, ds *Dataset, domains []*poset.Domain, strat
 
 	for _, st := range strata {
 		var local []cand
+		rd := st.tree.NewReader(io, nil)
 		var h bbsHeap
-		for _, e := range st.tree.Root().Entries {
+		for _, e := range rd.Root().Entries {
 			h.push(e)
 		}
 		for steps := 0; h.len() > 0; steps++ {
@@ -164,7 +160,7 @@ func runSDCPlus(ctx context.Context, ds *Dataset, domains []*poset.Domain, strat
 				res.Metrics.NodesPruned++
 				continue
 			}
-			node := st.tree.Open(it.e)
+			node := rd.Open(it.e)
 			res.Metrics.NodesOpened++
 			for _, e := range node.Entries {
 				if !e.IsLeafEntry() && mDominatedCorner(e.Lo, local) {

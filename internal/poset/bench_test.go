@@ -78,29 +78,6 @@ func BenchmarkReachabilityBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkDomainMarshal(b *testing.B) {
-	dm := benchRandomDomain(b, 512, 0.05)
-	data, err := dm.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("marshal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dm.MarshalBinary(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unmarshal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := UnmarshalDomain(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(len(data)), "encoded_bytes")
-}
-
 func sizeName(n int) string {
 	switch {
 	case n >= 1024:

@@ -45,32 +45,6 @@ func FuzzMergeIntervals(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalDomain: the decoder must never panic and every accepted
-// encoding must pass structural invariants.
-func FuzzUnmarshalDomain(f *testing.F) {
-	dag, parents := figure2DAG()
-	dm := MustDomain(dag, WithTreeParents(parents))
-	good, _ := dm.MarshalBinary()
-	f.Add(good)
-	f.Add([]byte("TSSD"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := UnmarshalDomain(data)
-		if err != nil {
-			return
-		}
-		n := int32(back.Size())
-		for v := int32(0); v < n; v++ {
-			if !back.Intervals(v).Stabs(back.Post(v)) {
-				t.Fatal("accepted domain whose own post is uncovered")
-			}
-			if back.ValueAt(back.Ord(v)) != v {
-				t.Fatal("accepted domain with broken ordinal bijection")
-			}
-		}
-	})
-}
-
 // FuzzClosureAgreement: enabling the transitive-closure bitset must
 // never change a single TPrefers answer — the closure fast path, the
 // interval stabbing form and raw DAG reachability agree on every pair —

@@ -60,22 +60,17 @@ func BenchmarkSearchRange(b *testing.B) {
 }
 
 func BenchmarkBufferedTraversal(b *testing.B) {
-	io := &IOCounter{}
-	tr := BulkLoad(3, benchPoints(50_000, 3), 128, io)
-	scan := func() {
-		tr.SearchRange([]int32{0, 0, 0}, []int32{9_999, 9_999, 9_999},
-			func(Entry) bool { return true })
-	}
+	tr := BulkLoad(3, benchPoints(50_000, 3), 128, nil)
 	b.Run("unbuffered", func(b *testing.B) {
-		tr.SetBuffer(nil)
+		rd := tr.NewReader(&IOCounter{}, nil)
 		for i := 0; i < b.N; i++ {
-			scan()
+			walk(rd)
 		}
 	})
 	b.Run("buffered", func(b *testing.B) {
-		tr.SetBuffer(NewBuffer(tr.NodeCount()))
+		rd := tr.NewReader(&IOCounter{}, NewBuffer(tr.NodeCount()))
 		for i := 0; i < b.N; i++ {
-			scan()
+			walk(rd)
 		}
 	})
 }

@@ -2,14 +2,14 @@ package rtree
 
 import "container/list"
 
-// Buffer is an LRU page buffer shared by one or more trees: node visits
-// that hit the buffer are not charged to the IO counter. The paper's
-// §VI-B observes that TSS's IO cost — unlike SDC+'s CPU-heavy cross-
-// examination — "can be mitigated (to some extent) using buffers"; the
-// buffered ablation benchmark quantifies exactly that.
+// Buffer is an LRU page buffer shared by one or more Readers: node
+// visits that hit the buffer are not charged to the IO counter. The
+// paper's §VI-B observes that TSS's IO cost — unlike SDC+'s CPU-heavy
+// cross-examination — "can be mitigated (to some extent) using
+// buffers"; the buffered ablation benchmark quantifies exactly that.
 //
 // The zero value is not usable; construct with NewBuffer. A nil *Buffer
-// on a tree means every access is charged.
+// on a Reader means every access is charged.
 type Buffer struct {
 	capacity int
 	lru      *list.List // front = most recent; values are *Node
@@ -60,19 +60,4 @@ func (b *Buffer) Reset() {
 	b.lru.Init()
 	b.pos = make(map[*Node]*list.Element, b.capacity)
 	b.hits, b.misses = 0, 0
-}
-
-// SetBuffer attaches an LRU page buffer to the tree (nil detaches).
-// Buffered trees charge a read only on buffer misses.
-func (t *Tree) SetBuffer(b *Buffer) { t.buf = b }
-
-// chargeRead accounts one node visit, honouring the buffer.
-func (t *Tree) chargeRead(n *Node) {
-	if t.io == nil {
-		return
-	}
-	if t.buf != nil && t.buf.touch(n) {
-		return
-	}
-	t.io.Reads++
 }

@@ -7,30 +7,30 @@ import (
 
 func TestBufferHitsAndMisses(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	io := &IOCounter{}
-	tr := BulkLoad(2, randomPoints(rng, 500, 2, 100), 8, io)
-	io.Reads, io.Writes = 0, 0
+	tr := BulkLoad(2, randomPoints(rng, 500, 2, 100), 8, nil)
 
-	// Unbuffered: two identical full scans charge twice.
-	tr.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
+	// Unbuffered: two identical full walks charge twice.
+	io := &IOCounter{}
+	rd := tr.NewReader(io, nil)
+	walk(rd)
 	unbuffered := io.Reads
-	tr.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
+	walk(rd)
 	if io.Reads != 2*unbuffered {
 		t.Fatalf("unbuffered reads = %d, want %d", io.Reads, 2*unbuffered)
 	}
 
-	// Buffered with room for the whole tree: the second scan is free.
+	// Buffered with room for the whole tree: the second walk is free.
 	io.Reads = 0
 	buf := NewBuffer(tr.NodeCount())
-	tr.SetBuffer(buf)
-	tr.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
+	rd = tr.NewReader(io, buf)
+	walk(rd)
 	first := io.Reads
 	if first != unbuffered {
-		t.Fatalf("first buffered scan reads = %d, want %d (cold misses)", first, unbuffered)
+		t.Fatalf("first buffered walk reads = %d, want %d (cold misses)", first, unbuffered)
 	}
-	tr.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
+	walk(rd)
 	if io.Reads != first {
-		t.Errorf("second buffered scan charged %d extra reads, want 0", io.Reads-first)
+		t.Errorf("second buffered walk charged %d extra reads, want 0", io.Reads-first)
 	}
 	if buf.Hits() == 0 || buf.Misses() != unbuffered {
 		t.Errorf("buffer stats hits=%d misses=%d", buf.Hits(), buf.Misses())
@@ -39,17 +39,16 @@ func TestBufferHitsAndMisses(t *testing.T) {
 
 func TestBufferEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
+	tr := BulkLoad(2, randomPoints(rng, 500, 2, 100), 8, nil)
 	io := &IOCounter{}
-	tr := BulkLoad(2, randomPoints(rng, 500, 2, 100), 8, io)
-	io.Reads = 0
-	// A one-page buffer cannot help a multi-node scan much: repeated
-	// scans keep missing (apart from possible consecutive root hits).
-	tr.SetBuffer(NewBuffer(1))
-	tr.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
+	// A one-page buffer cannot help a multi-node walk much: repeated
+	// walks keep missing (apart from possible consecutive root hits).
+	rd := tr.NewReader(io, NewBuffer(1))
+	walk(rd)
 	first := io.Reads
-	tr.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
+	walk(rd)
 	if io.Reads < 2*first-2 {
-		t.Errorf("tiny buffer absorbed too many reads: %d after two scans of %d", io.Reads, first)
+		t.Errorf("tiny buffer absorbed too many reads: %d after two walks of %d", io.Reads, first)
 	}
 }
 

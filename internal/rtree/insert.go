@@ -11,88 +11,46 @@ func (t *Tree) Insert(p Point) {
 	if len(p.Coords) != t.dims {
 		panic("rtree: point dimensionality mismatch")
 	}
-	t.insertEntry(nil, Entry{Lo: p.Coords, Hi: p.Coords, ID: p.ID}, 1)
-	t.size++
-}
-
-// cowCtx tracks the nodes a copy-on-write operation has freshly
-// allocated: those may be mutated in place; every other node is shared
-// with the source tree and must be copied before modification. A nil
-// *cowCtx selects in-place (mutable) operation.
-type cowCtx struct{ fresh map[*Node]bool }
-
-func newCowCtx() *cowCtx { return &cowCtx{fresh: make(map[*Node]bool, 16)} }
-
-// editable returns a node that is safe to mutate: n itself in mutable
-// mode or when this operation already owns it, otherwise a copy.
-func (c *cowCtx) editable(n *Node) *Node {
-	if c == nil || c.fresh[n] {
-		return n
-	}
-	cp := &Node{Leaf: n.Leaf, Entries: append([]Entry(nil), n.Entries...)}
-	c.fresh[cp] = true
-	return cp
-}
-
-// mark registers a node freshly allocated by this operation so later
-// steps mutate it in place instead of copying again.
-func (c *cowCtx) mark(n *Node) {
-	if c != nil {
-		c.fresh[n] = true
-	}
-}
-
-// insertEntry places e into a node at targetLevel (1 = leaf; higher
-// levels reinsert orphaned subtree entries during deletion), growing
-// the root when a split propagates all the way up. In COW mode every
-// modified node is copied first, so the previous root remains a valid
-// immutable tree.
-func (t *Tree) insertEntry(c *cowCtx, e Entry, targetLevel int) {
-	root, split := t.insert(c, t.root, e, t.height, targetLevel)
-	t.root = root
-	if split != nil {
-		lo1, hi1 := mbbOf(root, t.dims)
+	if split := t.insert(t.root, Entry{Lo: p.Coords, Hi: p.Coords, ID: p.ID}, t.height); split != nil {
+		// The split reached the root: grow the tree by one level.
+		lo1, hi1 := mbbOf(t.root, t.dims)
 		lo2, hi2 := mbbOf(split, t.dims)
 		t.root = &Node{Entries: []Entry{
-			{Lo: lo1, Hi: hi1, child: root},
+			{Lo: lo1, Hi: hi1, child: t.root},
 			{Lo: lo2, Hi: hi2, child: split},
 		}}
-		c.mark(t.root)
 		t.height++
 		t.nodes++
 		t.chargeWrites(1)
 	}
+	t.size++
 }
 
 // insert places e in the subtree rooted at n (level counts down to 1 =
-// leaf; e lands in the node at targetLevel). It returns the possibly
-// copied replacement for n plus a new sibling if n was split.
-func (t *Tree) insert(c *cowCtx, n *Node, e Entry, level, targetLevel int) (*Node, *Node) {
-	t.chargeRead(n)
-	n = c.editable(n)
-	if level == targetLevel {
+// leaf), returning the new sibling if n was split.
+func (t *Tree) insert(n *Node, e Entry, level int) *Node {
+	t.chargeRead()
+	if level == 1 {
 		n.Entries = append(n.Entries, e)
 		t.chargeWrites(1)
 		if len(n.Entries) > t.maxEntries {
-			return n, t.split(c, n)
+			return t.split(n)
 		}
-		return n, nil
+		return nil
 	}
 	i := chooseSubtree(n, e)
-	child, split := t.insert(c, n.Entries[i].child, e, level-1, targetLevel)
-	// Re-link (COW may have copied the child) and refresh the MBB.
-	n.Entries[i].child = child
-	lo, hi := mbbOf(child, t.dims)
-	n.Entries[i].Lo, n.Entries[i].Hi = lo, hi
+	child := n.Entries[i].child
+	split := t.insert(child, e, level-1)
+	n.Entries[i].Lo, n.Entries[i].Hi = mbbOf(child, t.dims)
 	t.chargeWrites(1)
 	if split != nil {
 		lo, hi := mbbOf(split, t.dims)
 		n.Entries = append(n.Entries, Entry{Lo: lo, Hi: hi, child: split})
 		if len(n.Entries) > t.maxEntries {
-			return n, t.split(c, n)
+			return t.split(n)
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // chooseSubtree picks the child needing least area enlargement to cover
@@ -135,22 +93,9 @@ func enlargement(e, x Entry) float64 {
 	return a - area(e)
 }
 
-// linearSplitThreshold selects the split algorithm: quadratic split
-// costs O(cap²) pair evaluations, which is fine for the small fan-outs
-// of the in-memory dominance trees (and the paper's capacity-3
-// examples) but pathological for page-sized nodes (~146 entries),
-// where bulk-loaded leaves are 100% full and every incremental insert
-// pays a split. Past this fan-out Guttman's linear split — O(cap·d) —
-// keeps insert/delete maintenance cheap.
-const linearSplitThreshold = 32
-
-// split performs a Guttman split on an overfull node (already
-// editable), leaving one group in n and returning the other as a new
-// sibling. Small nodes split quadratically, large ones linearly.
-func (t *Tree) split(c *cowCtx, n *Node) *Node {
-	if t.maxEntries > linearSplitThreshold {
-		return t.splitLinear(c, n)
-	}
+// split performs Guttman's quadratic split on an overfull node,
+// leaving one group in n and returning the other as a new sibling.
+func (t *Tree) split(n *Node) *Node {
 	entries := n.Entries
 	// Pick the two seeds wasting the most area if paired.
 	s1, s2 := 0, 1
@@ -212,98 +157,6 @@ func (t *Tree) split(c *cowCtx, n *Node) *Node {
 		}
 	}
 	n.Entries = g1.Entries
-	c.mark(g2)
-	t.nodes++
-	t.chargeWrites(2)
-	return g2
-}
-
-// splitLinear is Guttman's linear split: seeds are the pair with the
-// greatest normalized separation along any dimension, remaining
-// entries go to the group needing least enlargement (ties: smaller
-// area, then fewer entries), with force-assignment protecting the
-// minimum fill. One pass per phase — O(cap·d) total.
-func (t *Tree) splitLinear(c *cowCtx, n *Node) *Node {
-	entries := n.Entries
-	s1, s2 := 0, 1
-	bestSep := -1.0
-	for d := 0; d < t.dims; d++ {
-		maxLo, minHi := 0, 0
-		lo, hi := entries[0].Lo[d], entries[0].Hi[d]
-		for i := 1; i < len(entries); i++ {
-			e := &entries[i]
-			if e.Lo[d] > entries[maxLo].Lo[d] {
-				maxLo = i
-			}
-			if e.Hi[d] < entries[minHi].Hi[d] {
-				minHi = i
-			}
-			if e.Lo[d] < lo {
-				lo = e.Lo[d]
-			}
-			if e.Hi[d] > hi {
-				hi = e.Hi[d]
-			}
-		}
-		if maxLo == minHi {
-			continue
-		}
-		extent := float64(hi-lo) + 1
-		sep := float64(entries[maxLo].Lo[d]-entries[minHi].Hi[d]) / extent
-		if sep > bestSep {
-			bestSep, s1, s2 = sep, maxLo, minHi
-		}
-	}
-	if s1 == s2 { // fully degenerate node (all entries identical)
-		s2 = (s1 + 1) % len(entries)
-	}
-	g1 := &Node{Leaf: n.Leaf, Entries: []Entry{entries[s1]}}
-	g2 := &Node{Leaf: n.Leaf, Entries: []Entry{entries[s2]}}
-	lo1, hi1 := mbbOf(g1, t.dims)
-	lo2, hi2 := mbbOf(g2, t.dims)
-	grow := func(lo, hi []int32, e *Entry) {
-		for d := range lo {
-			if e.Lo[d] < lo[d] {
-				lo[d] = e.Lo[d]
-			}
-			if e.Hi[d] > hi[d] {
-				hi[d] = e.Hi[d]
-			}
-		}
-	}
-	rest := len(entries) - 2
-	for i := range entries {
-		if i == s1 || i == s2 {
-			continue
-		}
-		e := &entries[i]
-		switch {
-		case len(g1.Entries)+rest == t.minEntries:
-			g1.Entries = append(g1.Entries, *e)
-			grow(lo1, hi1, e)
-		case len(g2.Entries)+rest == t.minEntries:
-			g2.Entries = append(g2.Entries, *e)
-			grow(lo2, hi2, e)
-		default:
-			d1 := enlargement(Entry{Lo: lo1, Hi: hi1}, *e)
-			d2 := enlargement(Entry{Lo: lo2, Hi: hi2}, *e)
-			toG1 := d1 < d2
-			if d1 == d2 {
-				a1, a2 := area(Entry{Lo: lo1, Hi: hi1}), area(Entry{Lo: lo2, Hi: hi2})
-				toG1 = a1 < a2 || (a1 == a2 && len(g1.Entries) <= len(g2.Entries))
-			}
-			if toG1 {
-				g1.Entries = append(g1.Entries, *e)
-				grow(lo1, hi1, e)
-			} else {
-				g2.Entries = append(g2.Entries, *e)
-				grow(lo2, hi2, e)
-			}
-		}
-		rest--
-	}
-	n.Entries = g1.Entries
-	c.mark(g2)
 	t.nodes++
 	t.chargeWrites(2)
 	return g2

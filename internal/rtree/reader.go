@@ -1,15 +1,10 @@
 package rtree
 
-// Reader is a read-only traversal handle over a tree: node visits are
-// charged to the reader's own counter and buffer instead of the tree's
-// mutable fields, so any number of concurrent queries can share one
-// immutable tree. The handle exposes the same navigation surface the
-// skyline traversals use (Root / RootNoIO / Open); structural accessors
-// stay on the tree itself.
-//
-// SetIO/SetBuffer remain for single-owner uses (algorithms that build a
-// private tree per run); long-lived shared trees — dTSS's per-group
-// trees behind a server snapshot — must be traversed through readers.
+// Reader is a read-only traversal handle over a tree and the only way
+// to navigate one node by node (Root / RootNoIO / Open): node visits
+// are charged to the reader's own counter and buffer, so any number of
+// concurrent queries can share one tree. Structural accessors stay on
+// the tree itself.
 type Reader struct {
 	t   *Tree
 	io  *IOCounter
@@ -21,10 +16,6 @@ type Reader struct {
 func (t *Tree) NewReader(io *IOCounter, buf *Buffer) *Reader {
 	return &Reader{t: t, io: io, buf: buf}
 }
-
-// Tree returns the underlying tree (for structural accessors such as
-// RootBytes or Len).
-func (r *Reader) Tree() *Tree { return r.t }
 
 // Root returns the root node, charging one page read (buffer
 // permitting) to the reader's counter.

@@ -10,10 +10,12 @@
 // non-empty") queries with an optional per-entry predicate — the
 // Boolean range query of the paper's §IV-B.
 //
-// IO model: every node visit (root included) counts one page read on
-// the attached IOCounter; bulk loading and insertion report page writes.
-// A nil counter disables accounting, which is how the main-memory trees
-// are run.
+// IO model: every node visit (root included) counts one page read;
+// bulk loading and insertion report page writes. The tree's own
+// operations charge the counter it was built with; skyline traversals
+// go through a Reader, which charges its own counter and optional LRU
+// buffer. A nil counter disables accounting, which is how the
+// main-memory trees are run.
 package rtree
 
 import "fmt"
@@ -60,7 +62,6 @@ type Tree struct {
 	size       int // number of points
 	nodes      int // number of nodes (pages)
 	io         *IOCounter
-	buf        *Buffer
 }
 
 // New returns an empty tree with the given dimensionality and node
@@ -112,40 +113,11 @@ func (t *Tree) Height() int { return t.height }
 // NodeCount returns the number of nodes, i.e. simulated pages.
 func (t *Tree) NodeCount() int { return t.nodes }
 
-// IO returns the attached counter (nil for memory trees).
-func (t *Tree) IO() *IOCounter { return t.io }
-
-// SetIO swaps the accounting counter, letting callers charge build and
-// query phases to different counters (nil disables accounting).
-func (t *Tree) SetIO(io *IOCounter) { t.io = io }
-
-// Root returns the root node, charging one page read (buffer permitting).
-func (t *Tree) Root() *Node {
-	t.chargeRead(t.root)
-	return t.root
-}
-
-// RootNoIO returns the root without charging a page read — for callers
-// that account root storage themselves, such as dTSS's packed-roots
-// layout where the roots of many small group trees share sequential
-// pages (the remedy §VI-C suggests for the per-group root-visit cost).
-func (t *Tree) RootNoIO() *Node { return t.root }
-
 // RootBytes returns the root node's serialized size under the cost
 // model (one MBB of 2×4-byte coordinates per dimension plus a 4-byte
 // pointer per entry) — used to compute packed-root page charges.
 func (t *Tree) RootBytes() int {
 	return len(t.root.Entries) * (t.dims*8 + 4)
-}
-
-// Open dereferences an internal entry's child node, charging one page
-// read (buffer permitting). Panics if e is a leaf entry.
-func (t *Tree) Open(e Entry) *Node {
-	if e.child == nil {
-		panic("rtree: Open on a leaf entry")
-	}
-	t.chargeRead(e.child)
-	return e.child
 }
 
 // MinDistL1 returns the L1 mindist of an entry's MBB to the origin —
@@ -194,8 +166,15 @@ func (t *Tree) SearchRange(lo, hi []int32, fn func(e Entry) bool) {
 	t.searchNode(t.root, lo, hi, fn)
 }
 
+// chargeRead accounts one node visit of the tree's own operations.
+func (t *Tree) chargeRead() {
+	if t.io != nil {
+		t.io.Reads++
+	}
+}
+
 func (t *Tree) searchNode(n *Node, lo, hi []int32, fn func(e Entry) bool) bool {
-	t.chargeRead(n)
+	t.chargeRead()
 	for _, e := range n.Entries {
 		if !intersects(e, lo, hi) {
 			continue

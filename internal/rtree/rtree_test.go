@@ -93,14 +93,20 @@ func TestBulkLoadQueryMatchesScan(t *testing.T) {
 }
 
 // TestInsertQueryMatchesScan: the same property for incrementally built
-// trees.
+// trees, at a small fan-out and at the in-memory dominance tree's 16,
+// with duplicate coordinates (equal skyline members give equal virtual
+// points).
 func TestInsertQueryMatchesScan(t *testing.T) {
-	prop := func(seed int64, nRaw uint16, dimsRaw uint8) bool {
+	prop := func(seed int64, nRaw uint16, dimsRaw uint8, wide bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%300) + 1
 		dims := int(dimsRaw%3) + 2
-		pts := randomPoints(rng, n, dims, 60)
-		tr := New(dims, 6, nil)
+		capacity := 6
+		if wide {
+			capacity = 16
+		}
+		pts := withDuplicates(rng, randomPoints(rng, n, dims, 60))
+		tr := New(dims, capacity, nil)
 		for _, p := range pts {
 			tr.Insert(p)
 		}
@@ -128,61 +134,81 @@ func TestInsertQueryMatchesScan(t *testing.T) {
 	}
 }
 
+// withDuplicates gives about a quarter of the points the coordinates of
+// an earlier point (keeping their own ids).
+func withDuplicates(rng *rand.Rand, pts []Point) []Point {
+	for i := 1; i < len(pts); i++ {
+		if rng.Intn(4) == 0 {
+			pts[i].Coords = pts[rng.Intn(i)].Coords
+		}
+	}
+	return pts
+}
+
 func clonePoints(pts []Point) []Point {
 	out := make([]Point, len(pts))
 	copy(out, pts)
 	return out
 }
 
-// TestStructuralInvariants: every child MBB is contained in its parent
-// entry's MBB, leaves are all at the same depth, and node occupancy is
-// within [1, max] (bulk load) after construction.
+// TestStructuralInvariants: every entry's MBB is exactly its child's,
+// leaves are all at the same depth, node occupancy is within [1, max]
+// (bulk load) or [min, max] below the root (insertion), and the size and
+// node counters match the tree.
 func TestStructuralInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 7, 8, 9, 64, 65, 500, 2000} {
 		pts := randomPoints(rng, n, 3, 1000)
 		tr := BulkLoad(3, pts, 8, nil)
-		checkInvariants(t, tr)
+		checkInvariants(t, tr, false)
 	}
-	// Incremental build.
-	tr := New(3, 8, nil)
-	for _, p := range randomPoints(rng, 500, 3, 1000) {
-		tr.Insert(p)
+	// Incremental builds, at the in-memory dominance tree's fan-out too,
+	// with and without duplicate coordinates.
+	for _, capacity := range []int{8, 16} {
+		for _, maxCoord := range []int{1000, 8} {
+			tr := New(3, capacity, nil)
+			for _, p := range withDuplicates(rng, randomPoints(rng, 500, 3, maxCoord)) {
+				tr.Insert(p)
+			}
+			checkInvariants(t, tr, true)
+		}
 	}
-	checkInvariants(t, tr)
 }
 
-func checkInvariants(t *testing.T, tr *Tree) {
+func checkInvariants(t *testing.T, tr *Tree, minFill bool) {
 	t.Helper()
 	leafDepth := -1
-	count := 0
-	var walk func(n *Node, depth int, lo, hi []int32)
-	walk = func(n *Node, depth int, lo, hi []int32) {
+	count, nodes := 0, 0
+	var walk func(n *Node, depth int)
+	walk = func(n *Node, depth int) {
+		nodes++
 		if len(n.Entries) == 0 && tr.Len() > 0 {
 			t.Fatal("empty node in non-empty tree")
 		}
 		if len(n.Entries) > tr.maxEntries {
 			t.Fatalf("node overflow: %d > %d", len(n.Entries), tr.maxEntries)
 		}
+		if minFill && n != tr.root && len(n.Entries) < tr.minEntries {
+			t.Fatalf("node at depth %d underfull: %d < %d", depth, len(n.Entries), tr.minEntries)
+		}
 		for _, e := range n.Entries {
-			if lo != nil {
-				for d := range lo {
-					if e.Lo[d] < lo[d] || e.Hi[d] > hi[d] {
-						t.Fatal("child MBB escapes parent MBB")
-					}
-				}
-			}
 			if n.Leaf {
 				count++
 				if !e.IsLeafEntry() {
 					t.Fatal("internal entry in leaf")
 				}
-			} else {
-				if e.IsLeafEntry() {
-					t.Fatal("leaf entry in internal node")
-				}
-				walk(e.child, depth+1, e.Lo, e.Hi)
+				continue
 			}
+			if e.IsLeafEntry() {
+				t.Fatal("leaf entry in internal node")
+			}
+			lo, hi := mbbOf(e.child, tr.dims)
+			for d := range lo {
+				if e.Lo[d] != lo[d] || e.Hi[d] != hi[d] {
+					t.Fatalf("stale MBB at depth %d: entry [%v %v], child [%v %v]", depth, e.Lo, e.Hi, lo, hi)
+				}
+			}
+			walk(e.child, depth+1)
 		}
 		if n.Leaf {
 			if leafDepth == -1 {
@@ -192,13 +218,31 @@ func checkInvariants(t *testing.T, tr *Tree) {
 			}
 		}
 	}
-	walk(tr.root, 1, nil, nil)
+	walk(tr.root, 1)
 	if count != tr.Len() {
 		t.Fatalf("point count %d, Len() %d", count, tr.Len())
+	}
+	if nodes != tr.NodeCount() {
+		t.Fatalf("walked %d nodes, NodeCount() %d", nodes, tr.NodeCount())
 	}
 	if leafDepth != tr.Height() {
 		t.Fatalf("leaf depth %d, Height() %d", leafDepth, tr.Height())
 	}
+}
+
+// walk visits every node of the tree through rd, as a traversal that
+// prunes nothing would.
+func walk(rd *Reader) {
+	var open func(n *Node)
+	open = func(n *Node) {
+		if n.Leaf {
+			return
+		}
+		for _, e := range n.Entries {
+			open(rd.Open(e))
+		}
+	}
+	open(rd.Root())
 }
 
 func TestIOAccounting(t *testing.T) {
@@ -212,19 +256,28 @@ func TestIOAccounting(t *testing.T) {
 	if io.Reads != 0 {
 		t.Errorf("bulk load should not read, got %d", io.Reads)
 	}
-	before := io.Reads
-	tr.Root()
-	if io.Reads != before+1 {
-		t.Error("Root() must charge one read")
+	rdIO := &IOCounter{}
+	rd := tr.NewReader(rdIO, nil)
+	rd.Root()
+	if rdIO.Reads != 1 {
+		t.Error("Reader.Root() must charge one read")
 	}
-	before = io.Reads
+	rd.RootNoIO()
+	if rdIO.Reads != 1 {
+		t.Error("Reader.RootNoIO() must not charge")
+	}
+	rdIO.Reads = 0
+	walk(rd)
+	if rdIO.Reads != int64(tr.NodeCount()) || io.Reads != 0 {
+		t.Errorf("full walk charged the reader %d and the tree %d reads, want %d and 0", rdIO.Reads, io.Reads, tr.NodeCount())
+	}
 	tr.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
-	if io.Reads-before != int64(tr.NodeCount()) {
-		t.Errorf("full-range search read %d nodes, want %d", io.Reads-before, tr.NodeCount())
+	if io.Reads != int64(tr.NodeCount()) {
+		t.Errorf("full-range search read %d nodes, want %d", io.Reads, tr.NodeCount())
 	}
-	// A nil-counter tree never panics on accounting paths.
+	// A nil-counter tree or reader never panics on accounting paths.
 	free := BulkLoad(2, randomPoints(rng, 50, 2, 100), 8, nil)
-	free.Root()
+	walk(free.NewReader(nil, nil))
 	free.SearchRange([]int32{0, 0}, []int32{99, 99}, func(Entry) bool { return true })
 }
 
@@ -297,7 +350,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if got := collectIDs(tr2, []int32{5, 5}, []int32{5, 5}); len(got) != 20 {
 		t.Errorf("insert path: got %d duplicates, want 20", len(got))
 	}
-	checkInvariants(t, tr2)
+	checkInvariants(t, tr2, true)
 }
 
 func TestAllVisitsEveryPoint(t *testing.T) {

@@ -328,8 +328,9 @@ type TableRow struct {
 
 // BatchDelta records how an ApplyBatch moved rows around: the mapping
 // from old to new row indexes and the count of appended rows. It is
-// the contract between a table mutation and the incremental index
-// maintenance of Dynamic.ApplyDelta.
+// the contract between a table mutation and the delta-driven
+// maintenance of the planner statistics, the skyline memo and its
+// score indexes.
 type BatchDelta struct {
 	// OldLen and NewLen are the row counts before and after the batch.
 	OldLen, NewLen int
@@ -346,8 +347,7 @@ type BatchDelta struct {
 // and the adds appended — plus the BatchDelta describing the move.
 // The receiver is unchanged; like Clone, the result shares the
 // compiled orders (and their seal state) and the surviving rows' value
-// storage. Point work is O(N + batch); pair it with
-// Dynamic.ApplyDelta to avoid rebuilding prepared indexes.
+// storage. Point work is O(N + batch).
 func (t *Table) ApplyBatch(removes []int, adds []TableRow) (*Table, *BatchDelta, error) {
 	oldLen := len(t.ds.Pts)
 	drop := make([]bool, oldLen)
