@@ -91,11 +91,10 @@ func idsEqual(a, b []int32) bool {
 }
 
 // domScanWithBudget is NewDomScan under an explicit closure budget, so
-// the tests reach the refused-closure and interval-fallback paths the
-// elimination kernels' Options.ClosureBudget reaches.
+// the tests reach the ordinal-bin and TPrefers paths a refused (1) or
+// disabled (−1) closure takes.
 func domScanWithBudget(ds *Dataset, capHint int, budget int64) *DomScan {
-	k := newColSet(ds.Domains, ds.NumTO(), capHint, budget, false)
-	return &DomScan{k: k, pr: k.newProbe()}
+	return newDomScan(ds.Domains, ds.NumTO(), capHint, budget)
 }
 
 // checkDomScan is the dominator-scan leg of the harness: over the

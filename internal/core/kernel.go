@@ -9,9 +9,8 @@ import (
 )
 
 // This file is the dominance kernel: the columnar (SoA) elimination
-// engine shared by the BNL/SFS/SaLSa/LESS window scans, the
-// partition/cluster merge passes and the rankings' dominator scans
-// (DomScan). Three ideas compose:
+// engine shared by the BNL/SFS/SaLSa/LESS window scans and the
+// partition/cluster merge passes. Three ideas compose:
 //
 //  1. Bitset closure dominance — when a domain's transitive closure
 //     fits its memory budget (poset.Domain.EnableClosure), the per-pair
@@ -340,29 +339,6 @@ func (k *colSet) scanDominator(b *kblock, pr *probe) bool {
 		}
 	}
 	return false
-}
-
-// dominators appends the index of every live member that strictly
-// dominates the candidate compiled into pr — anyDominator's scan
-// without the early exit, for callers that need the dominator set.
-func (k *colSet) dominators(pr *probe, out []int32) []int32 {
-	for bi := range k.blocks {
-		b := &k.blocks[bi]
-		if !k.blockMayDominate(b, pr) {
-			pr.blockSkips++
-			continue
-		}
-		for base := b.lo; base < b.hi; base += 64 {
-			for m := k.weakDominators(b, base, pr); m != 0; {
-				j := bits.TrailingZeros64(m)
-				m &^= 1 << uint(j)
-				if !k.equalAt(base+j, pr) {
-					out = append(out, int32(base+j))
-				}
-			}
-		}
-	}
-	return out
 }
 
 // weakDominators runs the masked columnar dominance test over the 64

@@ -3,6 +3,7 @@ package core
 import (
 	"maps"
 	"sort"
+	"sync"
 )
 
 // ScoreIndex is the per-table dp-idp score structure: for every skyline
@@ -15,9 +16,15 @@ import (
 // score bit-reproducible: DPIDPScoreFromHist sums in ascending-k order
 // everywhere (build, advance, per-shard combine), so index-backed,
 // cold-computed and cluster-combined scores are comparable with ==.
+//
+// A published index is immutable and shared by concurrent readers; its
+// scores are materialized once, on the first read.
 type ScoreIndex struct {
 	members []int32           // skyline member ids, ascending
 	hists   []map[int32]int64 // parallel to members; k -> count, counts > 0
+
+	scoresOnce sync.Once
+	scores     []float64 // parallel to members; set by Scores
 }
 
 // NewScoreIndex builds an index from per-member k-histograms: hists is
@@ -41,7 +48,7 @@ func NewScoreIndex(members []int32, hists []map[int32]int64) *ScoreIndex {
 }
 
 // BuildScoreIndex computes the full-dimension dp-idp index for the
-// skyline sky of ds from scratch: one kernel dominator scan (DomScan)
+// skyline sky of ds from scratch: one bitmap dominator scan (DomScan)
 // collecting, per row, the set of members dominating it.
 func BuildScoreIndex(ds *Dataset, sky []int32) *ScoreIndex {
 	ix := NewScoreIndex(sky, make([]map[int32]int64, len(sky)))
@@ -76,13 +83,18 @@ func (ix *ScoreIndex) Len() int { return len(ix.members) }
 // Hist returns member i's k-histogram (shared; do not mutate).
 func (ix *ScoreIndex) Hist(i int) map[int32]int64 { return ix.hists[i] }
 
-// ScoreMap materializes the dp-idp score of every indexed member.
-func (ix *ScoreIndex) ScoreMap() map[int32]float64 {
-	out := make(map[int32]float64, len(ix.members))
-	for i, m := range ix.members {
-		out[m] = DPIDPScoreFromHist(ix.hists[i])
-	}
-	return out
+// Scores returns the dp-idp score of every indexed member, parallel to
+// Members. They are materialized on the first call and shared after
+// that, so an index that is never read pays nothing; do not mutate.
+func (ix *ScoreIndex) Scores() []float64 {
+	ix.scoresOnce.Do(func() {
+		scores := make([]float64, len(ix.hists))
+		for i, h := range ix.hists {
+			scores[i] = DPIDPScoreFromHist(h)
+		}
+		ix.scores = scores
+	})
+	return ix.scores
 }
 
 // DPIDPScoreFromHist materializes a k-histogram into the dp-idp score

@@ -36,10 +36,10 @@ func domCounts(ctx context.Context, sc *ScoreContext, members []core.Point) ([]i
 }
 
 // scanDominators is the one row walker behind every scan-backed
-// ranking. It loads members (full-dimensional points) into a kernel
-// dominator scan over sc's kept dimensions, then walks R — sc.DS
-// filtered by the query's predicates and projected onto the kept
-// dimensions — and hands visit, for each row some member strictly
+// ranking. It loads members (full-dimensional points) into a bitmap
+// dominator scan (core.DomScan) over sc's kept dimensions, then walks
+// R — sc.DS filtered by the query's predicates and projected onto the
+// kept dimensions — and hands visit, for each row some member strictly
 // dominates, the indexes of all members that do (reused between calls).
 func scanDominators(ctx context.Context, sc *ScoreContext, members []core.Point, visit func(doms []int32)) error {
 	scan := core.NewDomScan(keptPODomains(sc.DS, sc.KeptPO), len(sc.KeptTO), len(members))
@@ -76,13 +76,17 @@ func scanDominators(ctx context.Context, sc *ScoreContext, members []core.Point,
 }
 
 // domScanCostSeconds is the planner's cost term for one scanDominators
-// pass of n rows against m members, shared by the scan-backed rankings
-// (domcount, dp-idp). Fitted to one cold run each at exp.StaticDefaults,
-// N=10000 (n=10000 rows, m=1861 members, 2 TO + 2 PO dims): 0.18 s with
-// the domcount visitor, 0.22 s with the dp-idp one, i.e. 1.0–1.2e-8·n·m,
-// on a 2-vCPU Intel Xeon @ 2.10GHz sandbox, go1.24, one goroutine.
-func domScanCostSeconds(n, m int) float64 {
-	return 1.1e-8 * float64(n) * float64(m)
+// pass of n rows against m members over dims kept dimensions, shared by
+// the scan-backed rankings (domcount, dp-idp): a·n·dims·⌈m/64⌉ for the
+// per-dimension bitmap ANDs plus b·n per row. Fitted by relative least
+// squares to cold in-process runs at exp.StaticDefaults (2 TO + 2 PO
+// dims), N = 4k/10k/50k (m = 958/1861/3166): domcount 1.5/5.7/53 ms,
+// dp-idp 3.0/16/205 ms, on a 2-vCPU Intel Xeon @ 2.10GHz sandbox,
+// go1.24, one goroutine. The fit reads domcount at 1.1–1.3× and dp-idp
+// at 0.3–0.6×: dp-idp's map visitor grows with the dominating pairs,
+// which this shape does not see.
+func domScanCostSeconds(n, m, dims int) float64 {
+	return 5.2e-9*float64(n)*float64(dims)*float64((m+63)/64) + 1.2e-7*float64(n)
 }
 
 // memberPoints gathers the table rows of the given ids.

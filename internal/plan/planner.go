@@ -379,7 +379,7 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 	if q.TopK > 0 && q.Rank != RankNone {
 		if r, ok := LookupRanker(string(q.Rank)); ok {
 			if rc, ok := r.(RankCoster); ok {
-				p.Explain.EstSeconds += rc.RankCostSeconds(p.estRows, p.estSky, q.TopK)
+				p.Explain.EstSeconds += rc.RankCostSeconds(p.estRows, p.estSky, len(p.keptTO)+len(p.keptPO), q.TopK)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -141,19 +142,22 @@ func (dpidpRanker) CombinePartials(shards []Partials, n int) (Partials, []float6
 }
 
 // RankCostSeconds: the same dominator scan domcount runs.
-func (dpidpRanker) RankCostSeconds(n, m, k int) float64 { return domScanCostSeconds(n, m) }
+func (dpidpRanker) RankCostSeconds(n, m, dims, k int) float64 {
+	return domScanCostSeconds(n, m, dims)
+}
 
-// indexScores serves the ranked ids from the maintained index; a single
-// missing member declines the whole lookup.
+// indexScores serves the ranked ids from the maintained index's
+// memoized scores, found by binary search over its ascending members; a
+// single missing member declines the whole lookup.
 func indexScores(ix *core.ScoreIndex, ids []int32) (map[int32]float64, bool) {
-	sm := ix.ScoreMap()
+	members, all := ix.Members(), ix.Scores()
 	scores := make(map[int32]float64, len(ids))
 	for _, id := range ids {
-		s, ok := sm[id]
+		i, ok := slices.BinarySearch(members, id)
 		if !ok {
 			return nil, false
 		}
-		scores[id] = -s
+		scores[id] = -all[i]
 	}
 	return scores, true
 }
@@ -312,7 +316,7 @@ func (layerRanker) RankUnion(wc *WireContext, pts []core.Point, k int) ([]float6
 }
 
 // RankCostSeconds: up to k kernel peels over n rows.
-func (layerRanker) RankCostSeconds(n, m, k int) float64 {
+func (layerRanker) RankCostSeconds(n, m, dims, k int) float64 {
 	peels := k
 	if peels > 8 {
 		peels = 8

@@ -157,11 +157,11 @@ type StreamBounder interface {
 type IdealConsumer interface{ ConsumesIdeal() }
 
 // RankCoster adds the ranking stage's own cost-model term (seconds, for
-// n table rows, m estimated skyline rows and top-k k) to the planner's
-// estimate. Rankings cheap relative to the skyline itself (ideal
+// n table rows, m estimated skyline rows, dims kept dimensions and top-k
+// k) to the planner's estimate. Rankings cheap relative to the skyline itself (ideal
 // distance) omit it.
 type RankCoster interface {
-	RankCostSeconds(n, m, k int) float64
+	RankCostSeconds(n, m, dims, k int) float64
 }
 
 var (
@@ -320,7 +320,9 @@ func (domcountRanker) CombinePartials(shards []Partials, n int) (Partials, []flo
 }
 
 // RankCostSeconds: one dominator scan of the table against the skyline.
-func (domcountRanker) RankCostSeconds(n, m, k int) float64 { return domScanCostSeconds(n, m) }
+func (domcountRanker) RankCostSeconds(n, m, dims, k int) float64 {
+	return domScanCostSeconds(n, m, dims)
+}
 
 // idealRanker is RankIdeal: skyline rows ordered by L1 distance to an
 // ideal point over the kept TO columns (the dTSS fully-dynamic |v − q|

@@ -343,7 +343,10 @@ type StatsResponse struct {
 	// KernelDomTests / KernelBlockSkips are the process-wide cumulative
 	// dominance-kernel counters: member dominance tests performed by the
 	// columnar scans, and zone-mapped blocks skipped without scanning
-	// (across every query this process served, kernel paths only).
+	// (across every query this process served, kernel paths only). A
+	// ranking's dominator scan (core.DomScan) counts the exact
+	// verifications of the members its bitmaps let through and
+	// contributes no KernelBlockSkips.
 	KernelDomTests   int64 `json:"kernelDomTests"`
 	KernelBlockSkips int64 `json:"kernelBlockSkips"`
 }

@@ -46,26 +46,30 @@ func TestKernelMatchesScalarLargeN(t *testing.T) {
 
 // TestDomScanMatchesScalarLargeN runs the ranking layer's dominator
 // scan against scalar dominance at the same paper-shaped N=5K, where the
-// skyline is wide enough (≥ 512 members) that collection spans several
-// 256-point zone-map blocks. Members are loaded sorted by their first TO
-// attribute so block min-corners are tight and zone-map skips actually
-// fire, and the first members are loaded twice: every member row is an
-// exact duplicate of at least one member, which must never dominate it.
+// skyline is wide enough (≥ 512 members) that every bitmap spans many
+// words and the TO dimensions fill all 64 quantile bins. Members are
+// loaded in id order, as the rankings load them, and the first 16 are
+// loaded twice: every member row is an exact duplicate of at least one
+// member, which must never dominate it. The bitmaps must also do their
+// job: the exact verifications of the Dominators pass are bounded by
+// twice the dominating pairs it finds plus one per row.
 func TestDomScanMatchesScalarLargeN(t *testing.T) {
 	for _, dist := range []data.Distribution{data.Independent, data.AntiCorrelated} {
 		cfg := exp.StaticDefaults(0.005) // N = 5K
 		cfg.Dist = dist
 		ds := exp.BuildDataset(cfg)
-		sky := core.BNL(ds, core.Options{NoKernel: true}).SkylineIDs
+		sky := sortedCopy(core.BNL(ds, core.Options{NoKernel: true}).SkylineIDs)
 		if len(sky) < 512 {
-			t.Fatalf("%s: skyline has %d members, want ≥ 512 for a multi-block scan", dist, len(sky))
+			t.Fatalf("%s: skyline has %d members, want ≥ 512 for a multi-word scan", dist, len(sky))
 		}
-		sort.Slice(sky, func(i, j int) bool { return ds.Pts[sky[i]].TO[0] < ds.Pts[sky[j]].TO[0] })
 		members := append(append([]int32(nil), sky...), sky[:16]...)
 		scan := core.NewDomScan(ds.Domains, ds.NumTO(), len(members))
 		for _, m := range members {
 			scan.Add(ds.Pts[m].TO, ds.Pts[m].PO)
 		}
+		dominated := make([]bool, len(ds.Pts))
+		before, _ := core.KernelCounters()
+		pairs := 0
 		for i := range ds.Pts {
 			row := &ds.Pts[i]
 			var want []int32
@@ -77,15 +81,23 @@ func TestDomScanMatchesScalarLargeN(t *testing.T) {
 			if got := scan.Dominators(row.TO, row.PO); !equalIDs(got, want) {
 				t.Fatalf("%s: row %d has %d scan dominators, %d scalar", dist, i, len(got), len(want))
 			}
-			if got := scan.Any(row.TO, row.PO); got != (len(want) > 0) {
-				t.Fatalf("%s: row %d Any=%v with %d scalar dominators", dist, i, got, len(want))
+			pairs += len(want)
+			dominated[i] = len(want) > 0
+		}
+		scan.Close()
+		after, _ := core.KernelCounters()
+		if tests, bound := after-before, int64(2*pairs+len(ds.Pts)); tests > bound {
+			t.Errorf("%s: %d exact verifications for %d dominating pairs over %d rows, want ≤ %d",
+				dist, tests, pairs, len(ds.Pts), bound)
+		}
+		for i := range ds.Pts {
+			row := &ds.Pts[i]
+			if got := scan.Any(row.TO, row.PO); got != dominated[i] {
+				t.Fatalf("%s: row %d Any=%v, scalar dominated=%v", dist, i, got, dominated[i])
 			}
 		}
-		_, before := core.KernelCounters()
 		scan.Close()
-		if _, after := core.KernelCounters(); after == before {
-			t.Errorf("%s: the scan skipped no zone-map block", dist)
-		}
+		t.Logf("%s: %d members, %d pairs, %d verifications", dist, len(members), pairs, after-before)
 	}
 }
 
