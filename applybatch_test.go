@@ -210,7 +210,7 @@ func TestCloneSealRaceRegression(t *testing.T) {
 					return
 				default:
 				}
-				// Queries lazily build the dyadic index via UseDyadic.
+				// Queries lazily build the dyadic index (on unless NoDyadic).
 				if got := tab.Skyline(); len(got) == 0 {
 					t.Error("empty skyline")
 					return

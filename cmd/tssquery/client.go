@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
 	"repro/internal/data"
@@ -16,13 +15,11 @@ import (
 
 // Thin-client mode (-serve URL): instead of computing locally, talk to
 // a running tssserve. With -data, the local workload is first uploaded
-// as a table (replacing any table of the same name); then the query —
-// the GET /skyline shorthand (-method/-parallel alone) or the POST
-// /query the shaping flags describe — is issued over HTTP and the
-// response printed in the local mode's format.
+// as a table (replacing any table of the same name); then the query the
+// flags describe is POSTed to /tables/{t}/query and the response printed
+// in the local mode's format.
 
-// clientConfig holds the flags a query is built from — the thin
-// client's request, or the local run's plan.Query (localQuery).
+// clientConfig holds the flags a query is built from (see request).
 type clientConfig struct {
 	baseURL, table    string
 	dataPath, dagList string
@@ -32,7 +29,7 @@ type clientConfig struct {
 	queryDAGs, ideal  string
 	limit             int
 	stream            bool // ?stream=1: print rows as the server certifies them
-	first             int  // stop after K streamed rows (plan mode: server-side top-k)
+	first             int  // stop after K streamed rows (a server-side unranked top-k)
 	plan              planFlags
 }
 
@@ -48,16 +45,78 @@ func runClient(cfg clientConfig) error {
 			return err
 		}
 	}
-	if cfg.shaped() {
-		return c.planQuery(cfg)
+	req, err := cfg.request()
+	if err != nil {
+		return err
 	}
-	return c.staticQuery(cfg)
+	path := "/tables/" + url.PathEscape(cfg.table) + "/query"
+	if cfg.stream {
+		return c.runStream(path+"?stream=1", req, cfg.first)
+	}
+	var out serve.QueryResponse
+	if err := c.postJSON(path, req, &out); err != nil {
+		return err
+	}
+	if out.Plan != nil {
+		buf, err := json.MarshalIndent(out.Plan, "", "  ")
+		if err != nil {
+			return err
+		}
+		fmt.Printf("plan: %s\n", buf)
+	}
+	printResponse(&out, cfg.limit)
+	return nil
 }
 
 // shaped reports whether any flag shapes the query beyond the bare
 // "-method's skyline" invocation.
 func (cfg *clientConfig) shaped() bool {
 	return cfg.plan.active() || cfg.queryDAGs != "" || cfg.ideal != ""
+}
+
+// request builds the one QueryRequest both modes run: -serve POSTs it, a
+// local run translates it with the workload's schema (runLocal). The
+// shaping flags pass through verbatim — column names and PO value labels
+// resolve against the schema — -querydags become the request's orders
+// (edges over the DAG files' integer value ids), and -method (when
+// explicitly set) and -parallel become optimizer hints. The bare
+// invocation forces -method's algorithm (sTSS by default) and bypasses
+// the memo. On a stream, -first K becomes an unranked top-k unless -topk
+// is set, so the query itself stops (and a coordinator cancels its
+// remaining shard legs) after K certified rows.
+func (cfg *clientConfig) request() (serve.QueryRequest, error) {
+	var req serve.QueryRequest
+	if err := cfg.plan.wireFields(&req); err != nil {
+		return req, err
+	}
+	if cfg.methodSet || !cfg.shaped() {
+		req.Algo = cfg.method
+	}
+	req.Parallel = cfg.parallel
+	req.NoCache = !cfg.shaped()
+	if cfg.queryDAGs != "" {
+		for _, path := range strings.Split(cfg.queryDAGs, ",") {
+			dag, err := data.ReadDAGFile(path)
+			if err != nil {
+				return req, fmt.Errorf("read %s: %w", path, err)
+			}
+			req.Orders = append(req.Orders, serve.QueryOrder{Edges: serve.OrderSpecFromDAG("", dag).Edges})
+		}
+	}
+	if cfg.ideal != "" {
+		ideal, err := parseIdealCSV(cfg.ideal)
+		if err != nil {
+			return req, err
+		}
+		req.Ideal = ideal
+	}
+	if cfg.limit > 0 {
+		req.Limit = cfg.limit
+	}
+	if cfg.stream && cfg.first > 0 && req.TopK == 0 {
+		req.TopK = cfg.first
+	}
+	return req, nil
 }
 
 type client struct {
@@ -67,11 +126,7 @@ type client struct {
 
 // upload replaces the server table with the local CSV workload.
 func (c *client) upload(cfg clientConfig) error {
-	var dagPaths []string
-	if cfg.dagList != "" {
-		dagPaths = strings.Split(cfg.dagList, ",")
-	}
-	domains, err := data.ReadDomains(dagPaths)
+	domains, err := loadDomains(cfg.dagList)
 	if err != nil {
 		return err
 	}
@@ -104,86 +159,6 @@ func (c *client) upload(cfg clientConfig) error {
 		return fmt.Errorf("create table: %w", err)
 	}
 	fmt.Printf("uploaded table %q: %d rows\n", info.Name, info.Rows)
-	return nil
-}
-
-// staticQuery issues GET /tables/{t}/skyline.
-func (c *client) staticQuery(cfg clientConfig) error {
-	q := url.Values{}
-	q.Set("algo", cfg.method)
-	if cfg.parallel != 0 {
-		q.Set("parallel", strconv.Itoa(cfg.parallel))
-	}
-	if cfg.limit > 0 {
-		q.Set("limit", strconv.Itoa(cfg.limit))
-	}
-	path := "/tables/" + url.PathEscape(cfg.table) + "/skyline?"
-	if cfg.stream {
-		q.Set("stream", "1")
-		return c.runStream(http.MethodGet, path+q.Encode(), nil, cfg.first)
-	}
-	var out serve.QueryResponse
-	if err := c.getJSON(path+q.Encode(), &out); err != nil {
-		return err
-	}
-	printResponse(&out, cfg.limit)
-	return nil
-}
-
-// planQuery issues POST /tables/{t}/query: the subspace/where/topk/rank
-// fields pass through verbatim (the server resolves column names and PO
-// value labels against the table schema), -querydags become the
-// request's orders (edges over the DAG files' integer value ids),
-// -method (when explicitly set) and -parallel become optimizer hints.
-func (c *client) planQuery(cfg clientConfig) error {
-	var req serve.QueryRequest
-	if err := cfg.plan.wireFields(&req); err != nil {
-		return err
-	}
-	if cfg.methodSet {
-		req.Algo = cfg.method
-	}
-	req.Parallel = cfg.parallel
-	if cfg.queryDAGs != "" {
-		for _, path := range strings.Split(cfg.queryDAGs, ",") {
-			dag, err := data.ReadDAGFile(path)
-			if err != nil {
-				return fmt.Errorf("read %s: %w", path, err)
-			}
-			req.Orders = append(req.Orders, serve.QueryOrder{Edges: serve.OrderSpecFromDAG("", dag).Edges})
-		}
-	}
-	if cfg.ideal != "" {
-		ideal, err := parseIdealCSV(cfg.ideal)
-		if err != nil {
-			return err
-		}
-		req.Ideal = ideal
-	}
-	if cfg.limit > 0 {
-		req.Limit = cfg.limit
-	}
-	if cfg.stream {
-		// -first becomes a server-side unranked top-k: the query itself
-		// stops (and a coordinator cancels its remaining shard legs) after
-		// K certified rows, instead of the client discarding over-fetch.
-		if cfg.first > 0 && req.TopK == 0 {
-			req.TopK = cfg.first
-		}
-		return c.runStream(http.MethodPost, "/tables/"+url.PathEscape(cfg.table)+"/query?stream=1", req, cfg.first)
-	}
-	var out serve.QueryResponse
-	if err := c.postJSON("/tables/"+url.PathEscape(cfg.table)+"/query", req, &out); err != nil {
-		return err
-	}
-	if out.Plan != nil {
-		buf, err := json.MarshalIndent(out.Plan, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("plan: %s\n", buf)
-	}
-	printResponse(&out, cfg.limit)
 	return nil
 }
 
@@ -223,28 +198,17 @@ func printResponse(out *serve.QueryResponse, limit int) {
 	}
 }
 
-// runStream issues a ?stream=1 request and prints each NDJSON record as
-// it arrives: rows the moment the server certifies them, then the
-// trailer summary. With first > 0 the client stops reading — and closes
-// the connection, cancelling the server-side query — once K rows have
-// been printed.
-func (c *client) runStream(method, path string, body any, first int) error {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
+// runStream POSTs a ?stream=1 query and prints each NDJSON record as it
+// arrives: rows the moment the server certifies them, then the trailer
+// summary. With first > 0 the client stops reading — and closes the
+// connection, cancelling the server-side query — once K rows have been
+// printed.
+func (c *client) runStream(path string, body any, first int) error {
+	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.http.Post(c.base+path, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		return fmt.Errorf("reach server: %w", err)
 	}
@@ -316,14 +280,6 @@ func (c *client) runStream(method, path string, body any, first int) error {
 			return nil
 		}
 	}
-}
-
-func (c *client) getJSON(path string, out any) error {
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return fmt.Errorf("reach server: %w", err)
-	}
-	return decodeResponse(resp, out)
 }
 
 func (c *client) postJSON(path string, body, out any) error {

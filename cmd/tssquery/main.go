@@ -8,16 +8,19 @@
 //
 // The -method flag accepts any algorithm in the registry (see -help for
 // the current list); -parallel N runs it behind the partition-and-merge
-// executor with N shards (-1 = one per CPU).
+// executor with N shards (-1 = one per CPU, 0 = the planner decides).
 //
-// Every run is one planned query. -subspace / -where / -topk / -rank /
-// -fweights / -querydags / -ideal shape it — subspace, constrained,
-// top-k, weight-restricted and dynamic (the query's own preference DAGs,
-// and with -ideal but no -rank ideal the fully dynamic |v−ideal|
-// skyline), in any combination — and the cost-based optimizer picks the
-// algorithm (unless -method is explicitly set), parallelism and
-// predicate placement from workload statistics; -explain prints the
-// chosen plan as JSON:
+// Every run is one planned query: the flags build one serve.QueryRequest,
+// which -serve POSTs to /tables/{t}/query and a local run translates
+// with the workload's schema, so a flag means the same thing in both
+// modes. -subspace / -where / -topk / -rank / -fweights / -querydags /
+// -ideal shape it — subspace, constrained, top-k, weight-restricted and
+// dynamic (the query's own preference DAGs, and with -ideal but no -rank
+// ideal the fully dynamic |v−ideal| skyline), in any combination — and
+// the cost-based optimizer picks the algorithm (unless -method is
+// explicitly set), parallelism and predicate placement from workload
+// statistics; -explain prints the chosen plan as JSON. Without a shaping
+// flag the run forces -method's algorithm and bypasses the skyline memo.
 //
 //	tssquery -data work/data.csv -dags work/dag_0.txt -where "to_0<=500,po_0 in 1|3" -explain
 //	tssquery -data work/data.csv -dags work/dag_0.txt -subspace to_0,po_0
@@ -25,13 +28,13 @@
 //	tssquery -data work/data.csv -dags work/dag_0.txt -fweights 0.5,0.2
 //	tssquery -data work/data.csv -dags work/dag_0.txt -querydags q_0.txt -where "to_0<=500" -topk 5
 //
-// The same flags work against a server (-serve URL), with column names
-// and PO value labels resolved by the table's schema. A -querydags run
-// reports the counters of the algorithm the plan chose, locally as
-// against a server; dTSS — the paper's prepared structure for dynamic
-// queries — and its simulated page I/O live where the paper's dynamic
-// figures are produced (tssbench -fig 12..14, internal/exp/figures.go)
-// and in examples/preferences.
+// Columns are named as on a server: a CSV workload's to_<i> and po_<i>
+// (po<i> also works), and PO values are the integer ids the CSV stores.
+// A -querydags run reports the counters of the algorithm the plan chose,
+// locally as against a server; dTSS — the paper's prepared structure for
+// dynamic queries — and its simulated page I/O live where the paper's
+// dynamic figures are produced (tssbench -fig 12..14,
+// internal/exp/figures.go) and in examples/preferences.
 //
 // Workloads round-trip through the durable storage engine (the same
 // format tssserve's -data-dir uses):
@@ -54,7 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -62,6 +64,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/plan"
 	"repro/internal/poset"
+	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -71,7 +74,7 @@ func main() {
 	method := flag.String("method", "stss",
 		"skyline algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
 	parallel := flag.Int("parallel", 0,
-		"run the partition-and-merge executor with N shards (0 = sequential, -1 = one per CPU)")
+		"run the partition-and-merge executor with N shards (0 = planner decides, -1 = one per CPU)")
 	queryDAGs := flag.String("querydags", "", "dynamic query: comma-separated DAG files replacing the data's partial orders for this query")
 	ideal := flag.String("ideal", "", "comma-separated ideal TO values: the reference point of -rank ideal, else the fully dynamic |v-ideal| skyline")
 	limit := flag.Int("limit", 10, "skyline rows to print (0 = all)")
@@ -82,7 +85,7 @@ func main() {
 	stream := flag.Bool("stream", false, "progressive delivery: print each row the moment it is certified (server mode: NDJSON over ?stream=1)")
 	first := flag.Int("first", 0, "stop after the first K streamed rows (implies -stream; unranked queries terminate server-side)")
 	var pf planFlags
-	flag.StringVar(&pf.subspace, "subspace", "", "planned query: comma-separated kept columns (to_<i>/po_<i> locally, schema names against a server)")
+	flag.StringVar(&pf.subspace, "subspace", "", "planned query: comma-separated kept column names (to_<i>/po_<i> for a CSV workload)")
 	flag.StringVar(&pf.where, "where", "", "planned query: comma-separated predicates, e.g. \"to_0<=500,po_0 in 1|3\"")
 	flag.IntVar(&pf.topk, "topk", 0, "planned query: keep only the best K skyline rows")
 	flag.StringVar(&pf.rank, "rank", "",
@@ -172,7 +175,7 @@ func main() {
 		}
 	}
 
-	q, err := cfg.localQuery(ds)
+	req, err := cfg.request()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -188,7 +191,7 @@ func main() {
 			return nil
 		}
 	}
-	res, explain, err := runLocal(ds, q, emit)
+	res, explain, err := runLocal(ds, req, emit)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -236,52 +239,27 @@ func loadDomains(dagList string) ([]*poset.Domain, error) {
 	return data.ReadDomains(strings.Split(dagList, ","))
 }
 
-// localQuery builds the one plan.Query a local run executes. A flag that
-// shapes the query (or -stream) leaves the algorithm to the optimizer
-// unless -method was explicitly set, and -parallel is a shard-count
-// hint (-1 = one per CPU, 0 = planner decides). The bare invocation
-// keeps its historical meaning: -method's algorithm — sTSS by default —
-// run sequentially unless -parallel asks for shards. -first K on a
-// stream becomes an unranked top-k, so the traversal stops after K
-// certified rows, unless -topk is already set.
-func (cfg *clientConfig) localQuery(ds *core.Dataset) (plan.Query, error) {
-	method, hint := "", cfg.parallel
-	if cfg.methodSet {
-		method = cfg.method
-	}
-	if hint < 0 {
-		hint = runtime.GOMAXPROCS(0)
-	}
-	if !cfg.shaped() && !cfg.stream {
-		method = cfg.method
-		if hint == 0 {
-			hint = -1
-		}
-	}
-	var ideal []int64
-	if cfg.ideal != "" {
-		var err error
-		if ideal, err = parseIdealCSV(cfg.ideal); err != nil {
-			return plan.Query{}, err
-		}
-	}
-	q, err := cfg.plan.localQuery(ds.NumTO(), ds.NumPO(), method, hint, ideal)
-	if err != nil {
-		return plan.Query{}, err
-	}
-	if q.Orders, err = loadDomains(cfg.queryDAGs); err != nil {
-		return plan.Query{}, err
-	}
-	if cfg.stream && cfg.first > 0 && q.TopK == 0 {
-		q.TopK = cfg.first
-	}
-	return q, nil
+// localSchema is the schema of the table serve.SpecFromDataset makes of
+// the workload — the one naming rule -serve -data uploads with. One row
+// is enough for it to size the columns, so the rest are not converted.
+func localSchema(ds *core.Dataset) (*serve.Schema, error) {
+	spec := serve.SpecFromDataset("", &core.Dataset{Pts: ds.Pts[:min(len(ds.Pts), 1)], Domains: ds.Domains})
+	return serve.NewSchema(spec.TOColumns, spec.Orders)
 }
 
-// runLocal plans q over the workload and runs it — buffered, or with
-// emit set through the streaming executor, which hands over each row
-// the moment it is certified.
-func runLocal(ds *core.Dataset, q plan.Query, emit func(plan.StreamRow) error) (*core.Result, *plan.Explain, error) {
+// runLocal translates req with the workload's schema — exactly as a
+// server translates it — then plans and runs the query: buffered, or
+// with emit set through the streaming executor, which hands over each
+// row the moment it is certified.
+func runLocal(ds *core.Dataset, req serve.QueryRequest, emit func(plan.StreamRow) error) (*core.Result, *plan.Explain, error) {
+	schema, err := localSchema(ds)
+	if err != nil {
+		return nil, nil, err
+	}
+	q, err := schema.PlanQuery(req)
+	if err != nil {
+		return nil, nil, err
+	}
 	env := plan.Env{Learned: plan.NewLearned()}
 	p, err := plan.New(ds, q, env)
 	if err != nil {

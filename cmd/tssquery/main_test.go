@@ -93,27 +93,25 @@ func TestReadDataAndSkyline(t *testing.T) {
 	}
 }
 
-// runStatic is the bare invocation: -method's algorithm forced,
-// sequential unless -parallel asks for shards.
-func runStatic(ds *core.Dataset, method string, parallel int) (*core.Result, error) {
-	cfg := clientConfig{method: method, parallel: parallel}
-	q, err := cfg.localQuery(ds)
+// runFlags is a local run of the request the flags build.
+func runFlags(ds *core.Dataset, cfg clientConfig) (*core.Result, error) {
+	req, err := cfg.request()
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := runLocal(ds, q, nil)
+	res, _, err := runLocal(ds, req, nil)
 	return res, err
+}
+
+// runStatic is the bare invocation: -method's algorithm forced,
+// -parallel's shard count (0 = the planner decides).
+func runStatic(ds *core.Dataset, method string, parallel int) (*core.Result, error) {
+	return runFlags(ds, clientConfig{method: method, parallel: parallel})
 }
 
 // runDynamic is a -querydags (and -ideal) run.
 func runDynamic(ds *core.Dataset, queryDAGs, ideal string) (*core.Result, error) {
-	cfg := clientConfig{method: "stss", queryDAGs: queryDAGs, ideal: ideal}
-	q, err := cfg.localQuery(ds)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := runLocal(ds, q, nil)
-	return res, err
+	return runFlags(ds, clientConfig{method: "stss", queryDAGs: queryDAGs, ideal: ideal})
 }
 
 // TestRunStaticAllRegistered: -method works for every registered name

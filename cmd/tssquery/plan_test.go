@@ -1,11 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -38,22 +45,120 @@ func TestParseWhere(t *testing.T) {
 	}
 }
 
+// TestParseCol: a local run resolves column names through the schema a
+// server gives the uploaded workload — to_<i>, po_<i> and po<i> — and
+// rejects what a server rejects, to1 included.
 func TestParseCol(t *testing.T) {
+	dir := t.TempDir()
+	domains, err := data.ReadDomains([]string{writeFile(t, dir, "dag.txt", "2\n0 1\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := data.ReadCSVDataset(writeFile(t, dir, "data.csv", "to_0,to_1,po_0\n1,2,0\n"), domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := localSchema(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		tok  string
 		dim  int
 		isTO bool
 	}{
-		{"to_0", 0, true}, {"to1", 1, true}, {"po_0", 0, false}, {"po0", 0, false},
+		{"to_0", 0, true}, {"to_1", 1, true}, {"po_0", 0, false}, {"po0", 0, false},
 	} {
-		dim, isTO, err := parseCol(tc.tok, 2, 1)
+		dim, isTO, err := schema.LookupCol(tc.tok)
 		if err != nil || dim != tc.dim || isTO != tc.isTO {
-			t.Fatalf("parseCol(%q) = (%d, %v, %v)", tc.tok, dim, isTO, err)
+			t.Fatalf("LookupCol(%q) = (%d, %v, %v)", tc.tok, dim, isTO, err)
 		}
 	}
-	for _, bad := range []string{"x0", "to_9", "po_5", "to_x"} {
-		if _, _, err := parseCol(bad, 2, 1); err == nil {
-			t.Fatalf("parseCol(%q) accepted", bad)
+	for _, bad := range []string{"to1", "x0", "to_9", "po_5", "po5", "to_x"} {
+		if _, _, err := schema.LookupCol(bad); err == nil {
+			t.Fatalf("LookupCol(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSameRequestBothModes: for the same flags, the body -serve POSTs
+// is the request a local run translates, and both answer the same
+// skyline.
+func TestSameRequestBothModes(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := writeFile(t, dir, "data.csv", "to_0,po_0\n10,0\n20,1\n5,2\n7,1\n")
+	dagPath := writeFile(t, dir, "dag_0.txt", "3\n0 1\n")
+	queryDAG := writeFile(t, dir, "qdag.txt", "3\n2 0\n2 1\n")
+	domains, err := loadDomains(dagPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := data.ReadCSVDataset(dataPath, domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu   sync.Mutex
+		sent []serve.QueryRequest
+	)
+	h := serve.New(4).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/query") {
+			var req serve.QueryRequest
+			buf, _ := io.ReadAll(r.Body)
+			if err := json.Unmarshal(buf, &req); err != nil {
+				t.Errorf("decode POSTed query: %v", err)
+			}
+			mu.Lock()
+			sent = append(sent, req)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(buf))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	base := clientConfig{baseURL: ts.URL, table: "t", dataPath: dataPath, dagList: dagPath, method: "stss", limit: 10}
+	if err := runClient(base); err != nil {
+		t.Fatal(err)
+	}
+	base.dataPath, base.dagList = "", ""
+	for name, mut := range map[string]func(*clientConfig){
+		"bare":     func(c *clientConfig) { c.method, c.parallel = "bnl", 2 },
+		"stream":   func(c *clientConfig) { c.stream, c.first = true, 2 },
+		"shaped":   func(c *clientConfig) { c.plan = planFlags{where: "to_0<=9,po_0 in 1|2", explain: true} },
+		"subspace": func(c *clientConfig) { c.plan = planFlags{subspace: "to_0,po0", topk: 2, rank: "domcount"} },
+		"dynamic":  func(c *clientConfig) { c.queryDAGs, c.ideal = queryDAG, "8" },
+	} {
+		cfg := base
+		mut(&cfg)
+		mu.Lock()
+		sent = sent[:0]
+		mu.Unlock()
+		if err := runClient(cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mu.Lock()
+		posted := append([]serve.QueryRequest(nil), sent...)
+		mu.Unlock()
+		local, err := cfg.request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(posted) != 1 || !reflect.DeepEqual(posted[0], local) {
+			t.Fatalf("%s: POSTed %+v, local run translates %+v", name, posted, local)
+		}
+		res, _, err := runLocal(ds, local, nil)
+		if err != nil {
+			t.Fatalf("%s: local run: %v", name, err)
+		}
+		var out serve.QueryResponse
+		if err := (&client{base: ts.URL, http: http.DefaultClient}).postJSON("/tables/t/query", local, &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.SkylineIDs) != out.Count {
+			t.Errorf("%s: local skyline %d rows, server %d", name, len(res.SkylineIDs), out.Count)
 		}
 	}
 }
@@ -145,11 +250,11 @@ func TestRunPlannedLocal(t *testing.T) {
 // runPlanned is a local run shaped by the planner flags (and -ideal).
 func runPlanned(ds *core.Dataset, pf planFlags, ideal string) (*core.Result, error) {
 	cfg := clientConfig{plan: pf, method: "stss", ideal: ideal}
-	q, err := cfg.localQuery(ds)
+	req, err := cfg.request()
 	if err != nil {
 		return nil, err
 	}
-	res, ex, err := runLocal(ds, q, nil)
+	res, ex, err := runLocal(ds, req, nil)
 	if err == nil && pf.explain {
 		printExplain(ex)
 	}

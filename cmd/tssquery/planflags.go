@@ -5,11 +5,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/plan"
 	"repro/internal/serve"
 )
 
-// Query-shaping flag parsing, shared by the local and thin-client paths.
+// Query-shaping flag parsing into the one QueryRequest both modes run.
 //
 // Grammar (comma-separated clauses in -where, comma-separated column
 // names in -subspace):
@@ -19,11 +18,10 @@ import (
 //	-topk 10 -rank domcount|ideal|dpidp|layer -explain
 //	-fweights 0.5,0.2
 //
-// Locally the columns of a CSV workload are positional: to_<i> /
-// po_<i> (the header's own to_*/po_* names in column order), and PO
-// values are the integer ids the CSV stores. Against a server, column
-// names and PO value labels are passed through verbatim and resolved by
-// the table's schema.
+// Column names and PO value labels pass through verbatim and resolve
+// against the table's schema — a server's, or for a local run the one a
+// CSV workload uploads as: to_<i> / po_<i> (po<i> also works) in column
+// order, PO values labelled by the integer ids the CSV stores.
 
 type planFlags struct {
 	subspace string
@@ -107,116 +105,8 @@ func parseWhere(s string) ([]whereClause, error) {
 	return out, nil
 }
 
-// parseCol resolves a positional column token: to_<i>/to<i> or
-// po_<i>/po<i>.
-func parseCol(tok string, nTO, nPO int) (dim int, isTO bool, err error) {
-	var idx string
-	switch {
-	case strings.HasPrefix(tok, "to_"):
-		idx, isTO = tok[3:], true
-	case strings.HasPrefix(tok, "to"):
-		idx, isTO = tok[2:], true
-	case strings.HasPrefix(tok, "po_"):
-		idx = tok[3:]
-	case strings.HasPrefix(tok, "po"):
-		idx = tok[2:]
-	default:
-		return 0, false, fmt.Errorf("bad column %q (want to_<i> or po_<i>)", tok)
-	}
-	dim, err = strconv.Atoi(idx)
-	if err != nil {
-		return 0, false, fmt.Errorf("bad column %q: %v", tok, err)
-	}
-	limit := nPO
-	if isTO {
-		limit = nTO
-	}
-	if dim < 0 || dim >= limit {
-		return 0, false, fmt.Errorf("column %q out of range (workload has %d TO / %d PO columns)", tok, nTO, nPO)
-	}
-	return dim, isTO, nil
-}
-
-// localQuery builds the plan.Query of the local path against a
-// workload's shape.
-func (pf *planFlags) localQuery(nTO, nPO int, method string, parallel int, ideal []int64) (plan.Query, error) {
-	if err := pf.checkCombos(); err != nil {
-		return plan.Query{}, err
-	}
-	q := plan.Query{
-		TopK:  pf.topk,
-		Rank:  plan.Rank(pf.rank),
-		Ideal: ideal,
-		Hints: plan.Hints{Algorithm: method, Parallelism: parallel},
-	}
-	if pf.fweights != "" {
-		fw, err := parseFWeightsCSV(pf.fweights)
-		if err != nil {
-			return plan.Query{}, err
-		}
-		q.FWeights = fw
-	}
-	if pf.subspace != "" {
-		s := &plan.Subspace{}
-		for _, tok := range strings.Split(pf.subspace, ",") {
-			dim, isTO, err := parseCol(strings.TrimSpace(tok), nTO, nPO)
-			if err != nil {
-				return plan.Query{}, fmt.Errorf("-subspace: %w", err)
-			}
-			if isTO {
-				s.TO = append(s.TO, dim)
-			} else {
-				s.PO = append(s.PO, dim)
-			}
-		}
-		s.TO = plan.NormalizeDims(s.TO)
-		s.PO = plan.NormalizeDims(s.PO)
-		q.Subspace = s
-	}
-	clauses, err := parseWhere(pf.where)
-	if err != nil {
-		return plan.Query{}, err
-	}
-	for _, c := range clauses {
-		dim, isTO, err := parseCol(c.col, nTO, nPO)
-		if err != nil {
-			return plan.Query{}, fmt.Errorf("-where: %w", err)
-		}
-		if c.op == "in" {
-			if isTO {
-				return plan.Query{}, fmt.Errorf("-where: `in` needs a po_* column, got %q", c.col)
-			}
-			pr := plan.Predicate{Kind: plan.POIn, Dim: dim}
-			for _, v := range strings.Split(c.val, "|") {
-				id, err := strconv.Atoi(strings.TrimSpace(v))
-				if err != nil {
-					return plan.Query{}, fmt.Errorf("-where: bad PO value id %q: %v", v, err)
-				}
-				pr.In = append(pr.In, int32(id))
-			}
-			q.Where = append(q.Where, pr)
-			continue
-		}
-		if !isTO {
-			return plan.Query{}, fmt.Errorf("-where: %s needs a to_* column, got %q", c.op, c.col)
-		}
-		n, err := strconv.ParseInt(c.val, 10, 64)
-		if err != nil {
-			return plan.Query{}, fmt.Errorf("-where: bad bound %q: %v", c.val, err)
-		}
-		pr := plan.Predicate{Kind: plan.TORange, Dim: dim}
-		if c.op == "<=" {
-			pr.HasHi, pr.Hi = true, n
-		} else {
-			pr.HasLo, pr.Lo = true, n
-		}
-		q.Where = append(q.Where, pr)
-	}
-	return q, nil
-}
-
-// wireFields renders the flags as QueryRequest fields for the thin
-// client: names and labels pass through verbatim.
+// wireFields renders the flags as QueryRequest fields: names and labels
+// pass through verbatim.
 func (pf *planFlags) wireFields(req *serve.QueryRequest) error {
 	if err := pf.checkCombos(); err != nil {
 		return err

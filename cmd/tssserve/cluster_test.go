@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -236,15 +237,14 @@ func TestClusterIntegrationSlowShard(t *testing.T) {
 	shard0 := start("-shard-of", "0/2")
 	shard1 := start("-shard-of", "1/2")
 
-	// The proxy delays only query/skyline traffic to shard 1; table
+	// The proxy delays only query traffic to shard 1; table
 	// management and statistics pass straight through, so the slowness
 	// hits exactly the scatter leg. forwarded records when the delayed
 	// response actually left for the coordinator.
 	const delay = 1500 * time.Millisecond
 	var forwarded atomic.Int64
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		slow := strings.HasSuffix(r.URL.Path, "/query") || strings.HasSuffix(r.URL.Path, "/skyline")
-		if slow {
+		if strings.HasSuffix(r.URL.Path, "/query") {
 			time.Sleep(delay)
 			forwarded.Store(time.Now().UnixNano())
 		}
@@ -319,7 +319,11 @@ func TestClusterIntegrationSlowShard(t *testing.T) {
 
 	const k = 5
 	t0 := time.Now()
-	resp, err := http.Get(coord + "/tables/slow/skyline?stream=1")
+	buf, err := json.Marshal(forcedSkyline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(coord+"/tables/slow/query?stream=1", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

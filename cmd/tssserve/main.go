@@ -60,10 +60,9 @@
 //	POST   /tables                      create a table
 //	GET    /tables/{name}               table info
 //	DELETE /tables/{name}               drop a table
-//	GET    /tables/{name}/skyline       static skyline (?algo=, ?parallel=, ?limit=)
 //	GET    /tables/{name}/stats         planner statistics + learned state
 //	POST   /tables/{name}/rows:batch    batched mutation
-//	POST   /tables/{name}/query         skyline query (orders, ideal, subspace, where, topK, rank, fweights)
+//	POST   /tables/{name}/query         skyline query (orders, ideal, subspace, where, topK, rank, fweights, algo, parallel; ?stream=1, ?limit=)
 //	POST   /tables/{name}/domcount      dominance counts for candidate rows
 //	GET    /tables/{name}/replica/snapshot  columnar snapshot (follower bootstrap)
 //	GET    /tables/{name}/replica/log       committed WAL frames past ?after=N
@@ -125,8 +124,6 @@ func main() {
 	var tables tableFlags
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", serve.DefaultCacheCapacity, "per-table cache of per-request-orders results: entries each snapshot's memo keeps")
-	subspaceCacheCap := flag.Int("subspace-cache-cap", 0,
-		"per-table subspace/constrained skyline memo capacity (0 = default, currently 32); surfaced in /statsz as planCache.subspaceCapacity")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	requestTimeout := flag.Duration("request-timeout", 0,
 		"per-request time budget: queries are canceled cooperatively mid-run via the request context (0 = unlimited)")
@@ -145,8 +142,6 @@ func main() {
 		"WAL bytes after which a batch checkpoints its table into a fresh snapshot")
 	noFsync := flag.Bool("no-fsync", false,
 		"skip fsync on WAL appends and snapshot writes (faster; unsafe across power failures)")
-	noMaintain := flag.Bool("no-maintain", false,
-		"disable incremental skyline-memo maintenance: every batch starts a fresh memo and post-batch queries recompute from cold (benchmark/differential switch)")
 	pprofAddr := flag.String("pprof", "",
 		"expose net/http/pprof on this separate listen address (e.g. localhost:6060; empty = off) — kept off the serving listener so profiling is never part of the public API surface")
 	flag.Var(&tables, "table", "preload a table from a tssgen output dir, as name=dir (repeatable)")
@@ -162,11 +157,9 @@ func main() {
 		fatalf("-replicas only applies to a coordinator (-coordinator)")
 	}
 	cfg := serve.Config{
-		CacheCapacity:    *cache,
-		SubspaceCacheCap: *subspaceCacheCap,
-		CheckpointEvery:  *checkpointEvery,
-		ReadOnly:         *followerOf != "",
-		NoMaintain:       *noMaintain,
+		CacheCapacity:   *cache,
+		CheckpointEvery: *checkpointEvery,
+		ReadOnly:        *followerOf != "",
 	}
 	if *shardOf != "" {
 		var idx, count int

@@ -84,7 +84,7 @@ func TestPreloadAndServe(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, path := range []string{"/healthz", "/statsz", "/tables", "/tables/gen", "/tables/gen/skyline"} {
+	for _, path := range []string{"/healthz", "/statsz", "/tables", "/tables/gen"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -93,5 +93,10 @@ func TestPreloadAndServe(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: HTTP %d", path, resp.StatusCode)
 		}
+	}
+	var out serve.QueryResponse
+	postJSON(t, ts.URL+"/tables/gen/query", forcedSkyline, &out)
+	if out.Count != 2 {
+		t.Errorf("gen skyline: %d rows, want 2", out.Count)
 	}
 }

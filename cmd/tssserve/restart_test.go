@@ -70,7 +70,7 @@ func TestKillAndRestart(t *testing.T) {
 	var statsBefore serve.StatsResponse
 	getJSON(t, base+"/statsz", &statsBefore)
 	var skylineBefore serve.QueryResponse
-	getJSON(t, base+"/tables/flights/skyline", &skylineBefore)
+	postJSON(t, base+"/tables/flights/query", forcedSkyline, &skylineBefore)
 
 	// SIGTERM and wait for a clean exit.
 	if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
@@ -100,7 +100,7 @@ func TestKillAndRestart(t *testing.T) {
 		t.Fatalf("recovered table %+v, want version=%d rows=%d", got, want.Version, want.Rows)
 	}
 	var skylineAfter serve.QueryResponse
-	getJSON(t, base+"/tables/flights/skyline", &skylineAfter)
+	postJSON(t, base+"/tables/flights/query", forcedSkyline, &skylineAfter)
 	if skylineAfter.Version != skylineBefore.Version || skylineAfter.Count != skylineBefore.Count {
 		t.Fatalf("skyline version/count %d/%d, want %d/%d",
 			skylineAfter.Version, skylineAfter.Count, skylineBefore.Version, skylineBefore.Count)
@@ -153,6 +153,10 @@ func freePort(t *testing.T) int {
 	defer l.Close()
 	return l.Addr().(*net.TCPAddr).Port
 }
+
+// forcedSkyline is a table's skyline with sTSS forced and the memo
+// bypassed — what tssquery's bare invocation sends.
+var forcedSkyline = serve.QueryRequest{Algo: "stss", NoCache: true}
 
 func postJSON(t *testing.T, url string, body, out any) {
 	t.Helper()

@@ -34,53 +34,34 @@ type shardClient struct {
 	streamHTTP *http.Client
 }
 
-// do issues one JSON round trip. Every request carries the shard-direct
-// marker and the expected-identity assertion, and rides the caller's
-// context so a coordinator-side timeout cancels the whole scatter.
+// do issues one JSON round trip and decodes the answer into out.
 func (c *shardClient) do(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	resp, err := c.send(ctx, c.http, method, path, body)
 	if err != nil {
 		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(ShardDirectHeader, "1")
-	req.Header.Set(serve.ExpectShardHeader, fmt.Sprintf("%d/%d", c.index, c.count))
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("shard %d (%s): %w", c.index, c.base, err)
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(raw))
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &shardError{shard: c.index, status: resp.StatusCode, msg: msg}
-	}
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// stream opens one streamed round trip (?stream=1 legs): like do, but
-// hands the caller the raw NDJSON body to decode frame by frame.
-// Non-2xx statuses decode into shardError exactly like buffered trips.
-func (c *shardClient) stream(ctx context.Context, method, path string, body any) (io.ReadCloser, error) {
+// stream opens one streamed leg (a POST to a ?stream=1 path): like do,
+// but hands the caller the raw NDJSON body to decode frame by frame.
+func (c *shardClient) stream(ctx context.Context, path string, body any) (io.ReadCloser, error) {
+	resp, err := c.send(ctx, c.streamHTTP, http.MethodPost, path, body)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Body, nil
+}
+
+// send issues one request. Every request carries the shard-direct
+// marker and the expected-identity assertion, and rides the caller's
+// context so a coordinator-side timeout cancels the whole scatter. A
+// non-2xx status becomes a shardError (the body closed).
+func (c *shardClient) send(ctx context.Context, hc *http.Client, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -98,7 +79,7 @@ func (c *shardClient) stream(ctx context.Context, method, path string, body any)
 	}
 	req.Header.Set(ShardDirectHeader, "1")
 	req.Header.Set(serve.ExpectShardHeader, fmt.Sprintf("%d/%d", c.index, c.count))
-	resp, err := c.streamHTTP.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d (%s): %w", c.index, c.base, err)
 	}
@@ -114,7 +95,7 @@ func (c *shardClient) stream(ctx context.Context, method, path string, body any)
 		}
 		return nil, &shardError{shard: c.index, status: resp.StatusCode, msg: msg}
 	}
-	return resp.Body, nil
+	return resp, nil
 }
 
 // shardError preserves the shard's HTTP status so the coordinator can

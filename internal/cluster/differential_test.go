@@ -69,24 +69,21 @@ type testCluster struct {
 	// per-shard primary servers (killable) and their follower loops.
 	primaries []*httptest.Server
 	followers []*replica.Follower
+
+	// cold sends every query with noCache, so no shard leg reads or
+	// fills a skyline memo.
+	cold bool
 }
 
 // newTestCluster boots n shard servers, a coordinator over them, and a
 // single-node reference server holding the identical union of rows.
 func newTestCluster(t *testing.T, n int, spec serve.TableSpec) *testCluster {
-	return newTestClusterCfg(t, n, spec, false)
-}
-
-// newTestClusterCfg is newTestCluster with shard-local skyline-memo
-// maintenance switchable (the differential harness sweeps both).
-func newTestClusterCfg(t *testing.T, n int, spec serve.TableSpec, noMaintain bool) *testCluster {
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		shard := serve.NewWithConfig(serve.Config{
 			CacheCapacity: 8,
 			Shard:         &serve.ShardIdentity{Index: i, Count: n},
-			NoMaintain:    noMaintain,
 		})
 		ts := httptest.NewServer(shard.Handler())
 		t.Cleanup(ts.Close)
@@ -143,6 +140,7 @@ func (tc *testCluster) postJSON(url string, body, out any, wantStatus int) {
 
 func (tc *testCluster) query(base, table string, req serve.QueryRequest) serve.QueryResponse {
 	tc.t.Helper()
+	req.NoCache = req.NoCache || tc.cold
 	var out serve.QueryResponse
 	tc.postJSON(base+"/tables/"+table+"/query", req, &out, http.StatusOK)
 	return out
@@ -196,6 +194,10 @@ func (tc *testCluster) checkSetEqual(name string, cluster, single serve.QueryRes
 
 // --- the differential sweep --------------------------------------------------
 
+// forcedSkyline is the table's skyline with sTSS forced and the memo
+// bypassed — what tssquery's bare invocation sends.
+var forcedSkyline = serve.QueryRequest{Algo: "stss", NoCache: true}
+
 // variantQueries is the PR 4 battery the tentpole must preserve across
 // the distributed path.
 func variantQueries() []struct {
@@ -228,20 +230,23 @@ func variantQueries() []struct {
 // including after batch mutations routed through the coordinator.
 func TestDifferentialScatterGather(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
-		// Shard-local memo maintenance on and off must be
+		// Maintained memo hits and cold shard legs must be
 		// indistinguishable in every answer: maintenance only changes
-		// whether post-batch scatter legs recompute or re-certify.
-		for _, noMaintain := range []bool{false, true} {
-			n, noMaintain := n, noMaintain
-			t.Run(fmt.Sprintf("shards=%d/maintain=%v", n, !noMaintain), func(t *testing.T) {
-				tc := newTestClusterCfg(t, n, fixtureSpec("diff", fixtureRows(260, int64(1000+n))), noMaintain)
-				runDifferential(t, tc, n, noMaintain)
+		// whether post-batch scatter legs recompute or re-certify. The
+		// maintain=false legs send every query with noCache, so no leg
+		// reads or fills a memo and nothing is left to maintain.
+		for _, maintain := range []bool{true, false} {
+			n, maintain := n, maintain
+			t.Run(fmt.Sprintf("shards=%d/maintain=%v", n, maintain), func(t *testing.T) {
+				tc := newTestCluster(t, n, fixtureSpec("diff", fixtureRows(260, int64(1000+n))))
+				tc.cold = !maintain
+				runDifferential(t, tc, n)
 			})
 		}
 	}
 }
 
-func runDifferential(t *testing.T, tc *testCluster, n int, noMaintain bool) {
+func runDifferential(t *testing.T, tc *testCluster, n int) {
 	rows := fixtureRows(260, int64(1000+n))
 
 	tc.sweep("initial", rows)
@@ -287,14 +292,14 @@ func runDifferential(t *testing.T, tc *testCluster, n int, noMaintain bool) {
 
 	tc.sweep("post-batch", next)
 
-	// With maintenance on, the post-batch full-query scatter legs were
-	// maintained memo hits; with it off, none were. /clusterz exposes
+	// With memoised legs, the post-batch full-query scatter legs were
+	// maintained memo hits; with cold legs, none were. /clusterz exposes
 	// the summed shard counters either way.
 	var cz ClusterzInfo
 	getJSON(t, tc.co.URL+"/clusterz", &cz)
-	if noMaintain {
+	if tc.cold {
 		if cz.PlanCache.MaintainedHits != 0 || cz.PlanCache.Advances != 0 {
-			t.Errorf("maintenance off but /clusterz shows maintainedHits=%d advances=%d",
+			t.Errorf("cold legs but /clusterz shows maintainedHits=%d advances=%d",
 				cz.PlanCache.MaintainedHits, cz.PlanCache.Advances)
 		}
 	} else {
@@ -320,12 +325,10 @@ func (tc *testCluster) sweep(phase string, union []serve.RowSpec) {
 		}
 	}
 
-	// Static skyline GET (table's own orders) and a dynamic query with
-	// per-request DAGs.
-	var cl, si serve.QueryResponse
-	getJSON(tc.t, tc.co.URL+"/tables/diff/skyline", &cl)
-	getJSON(tc.t, tc.single.URL+"/tables/diff/skyline", &si)
-	tc.checkSetEqual(phase+"/skyline-GET", cl, si)
+	// The table's skyline with the algorithm forced and a dynamic query
+	// with per-request DAGs.
+	tc.checkSetEqual(phase+"/skyline-forced",
+		tc.query(tc.co.URL, "diff", forcedSkyline), tc.query(tc.single.URL, "diff", forcedSkyline))
 
 	dyn := serve.QueryRequest{Orders: queryOrders}
 	tc.checkSetEqual(phase+"/dynamic",

@@ -20,21 +20,17 @@ import (
 // never fail over: followers reject them, the primary's WAL is the
 // only write path.
 
-// withParam appends one already-escaped key=value to a request path.
-func withParam(path, kv string) string {
-	if strings.Contains(path, "?") {
-		return path + "&" + kv
-	}
-	return path + "?" + kv
-}
-
 // withMinVersion appends the read-at-version pin to a request path.
 // pin 0 means unpinned (any version is acceptable).
 func withMinVersion(path string, pin int64) string {
 	if pin <= 0 {
 		return path
 	}
-	return withParam(path, "minVersion="+strconv.FormatInt(pin, 10))
+	sep := "?"
+	if strings.Contains(path, "?") {
+		sep = "&"
+	}
+	return path + sep + "minVersion=" + strconv.FormatInt(pin, 10)
 }
 
 // shouldFailover classifies a primary read error: only transport
@@ -73,15 +69,15 @@ func (co *Coordinator) readShard(ctx context.Context, i int, method, path string
 	return primaryErr
 }
 
-// openShardStream is readShard for streamed legs: open against the
-// primary, fail over to followers on transport errors.
-func (co *Coordinator) openShardStream(ctx context.Context, i int, method, path string, pin int64, body any) (io.ReadCloser, error) {
-	rd, primaryErr := co.shards[i].stream(ctx, method, path, body)
+// openShardStream is readShard for streamed legs (always a POST): open
+// against the primary, fail over to followers on transport errors.
+func (co *Coordinator) openShardStream(ctx context.Context, i int, path string, pin int64, body any) (io.ReadCloser, error) {
+	rd, primaryErr := co.shards[i].stream(ctx, path, body)
 	if primaryErr == nil || !co.shouldFailover(ctx, primaryErr) || len(co.replicas[i]) == 0 {
 		return rd, primaryErr
 	}
 	for _, rc := range co.replicas[i] {
-		if rd, err := rc.stream(ctx, method, withMinVersion(path, pin), body); err == nil {
+		if rd, err := rc.stream(ctx, withMinVersion(path, pin), body); err == nil {
 			co.failovers.Add(1)
 			return rd, nil
 		}

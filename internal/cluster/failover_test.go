@@ -87,7 +87,7 @@ func (tc *testCluster) killPrimary(i int) {
 }
 
 // TestReadFailover: with one follower per shard and shard 0's primary
-// dead, every read route (query variants, dynamic, skyline GET, top-k,
+// dead, every read (query variants, dynamic, forced skyline, top-k,
 // streamed, table info) keeps answering — correctly, via the follower —
 // while mutations, which must never fail over, surface 502.
 func TestReadFailover(t *testing.T) {
@@ -104,7 +104,7 @@ func TestReadFailover(t *testing.T) {
 	tc.killPrimary(0)
 
 	// The whole differential battery — every variant, dynamic DAGs,
-	// skyline GET, ranked and unranked top-k — against the single-node
+	// forced skyline, ranked and unranked top-k — against the single-node
 	// union, now served partly by the follower.
 	tc.sweep("post-kill", rows)
 	after := tc.query(tc.co.URL, "diff", serve.QueryRequest{Algo: "stss"})
@@ -113,11 +113,10 @@ func TestReadFailover(t *testing.T) {
 		t.Errorf("reads succeeded with a dead primary but the failover counter is still 0")
 	}
 
-	// Streamed skyline GET fails over at leg-open time too.
-	frames := streamFrames(t, http.MethodGet, tc.co.URL+"/tables/diff/skyline?stream=1", nil)
+	// A streamed read fails over at leg-open time too.
+	frames := streamFrames(t, tc.co.URL+"/tables/diff/query?stream=1", forcedSkyline)
 	srows, _ := streamedRows(t, frames)
-	var want serve.QueryResponse
-	getJSON(t, tc.single.URL+"/tables/diff/skyline", &want)
+	want := tc.query(tc.single.URL, "diff", forcedSkyline)
 	if !equalKeys(sortedKeys(srows), sortedKeys(want.Skyline)) {
 		t.Errorf("post-kill streamed skyline diverges from the single-node union")
 	}
@@ -339,12 +338,10 @@ func TestDifferentialKillPrimaryMidWorkload(t *testing.T) {
 		resp := tc.query(tc.single.URL, "diff", v.req)
 		expected[v.name] = sortedKeys(resp.Skyline)
 	}
-	var skyline serve.QueryResponse
-	getJSON(t, tc.single.URL+"/tables/diff/skyline", &skyline)
-	skyKeys := sortedKeys(skyline.Skyline)
+	skyKeys := sortedKeys(tc.query(tc.single.URL, "diff", forcedSkyline).Skyline)
 
 	// The workload: 4 clients looping the variant battery plus a
-	// streamed skyline GET, racing the kill. Failures (a leg severed
+	// streamed forced skyline, racing the kill. Failures (a leg severed
 	// mid-body) are counted and bounded; wrong answers are test errors.
 	var okCount, failed, wrong atomic.Int64
 	checkKeys := func(name string, got, want []string) {
@@ -382,7 +379,7 @@ func TestDifferentialKillPrimaryMidWorkload(t *testing.T) {
 				// One streamed read per round: mid-body kills may end in an
 				// error frame (a failed query); a trailer means the stream
 				// completed and must carry the exact skyline.
-				srows, done := streamQuietly(tc.co.URL + "/tables/diff/skyline?stream=1")
+				srows, done := streamQuietly(tc.co.URL + "/tables/diff/query?stream=1")
 				if !done {
 					failed.Add(1)
 					continue
@@ -416,9 +413,10 @@ func TestDifferentialKillPrimaryMidWorkload(t *testing.T) {
 
 // streamQuietly consumes one NDJSON stream without failing the test on
 // transport errors: done=false reports any outcome other than a clean
-// header→rows→trailer envelope.
+// header→rows→trailer envelope. The query is forcedSkyline.
 func streamQuietly(url string) (rows []serve.SkylineRow, done bool) {
-	resp, err := http.Get(url)
+	buf, _ := json.Marshal(forcedSkyline)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		return nil, false
 	}

@@ -81,8 +81,6 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"dropped": ct.name})
-	case rest == "skyline" && r.Method == http.MethodGet:
-		co.serveRead(w, r, ct, nil)
 	case rest == "stats" && r.Method == http.MethodGet:
 		co.handleStats(w, r, ct)
 	case rest == "rows:batch" && r.Method == http.MethodPost:
@@ -98,17 +96,7 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 		}
 		writeJSON(w, http.StatusOK, resp)
 	case rest == "query" && r.Method == http.MethodPost:
-		var req serve.QueryRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, status, fmt.Errorf("bad query: %w", err))
-			return
-		}
-		co.serveRead(w, r, ct, &req)
+		co.serveRead(w, r, ct)
 	case rest == "domcount" && r.Method == http.MethodPost:
 		var req serve.DomCountRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -130,11 +118,20 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 // limit (a lattice of 500 values with all its edges is ~100 KB).
 const maxQueryBody = 4 << 20
 
-// serveRead is the read path behind both query routes — POST /query
-// (req decoded) and its GET /skyline shorthand (req nil): compile the
-// request into its scatter/gather pass, then hand it to the buffered or
-// the streamed runner.
-func (co *Coordinator) serveRead(w http.ResponseWriter, r *http.Request, ct *ctable, req *serve.QueryRequest) {
+// serveRead answers POST /query, the one read route: decode and compile
+// the request into its scatter/gather pass, then hand it to the buffered
+// or the streamed runner.
+func (co *Coordinator) serveRead(w http.ResponseWriter, r *http.Request, ct *ctable) {
+	var req serve.QueryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad query: %w", err))
+		return
+	}
 	co.queries.Add(1)
 	g, err := co.compile(ct, r.URL.Query(), req)
 	if err != nil {

@@ -39,32 +39,28 @@ type gather struct {
 	doms   []*poset.Domain // dominance oracle, one per kept PO dim: the request's orders, else the table's own
 	ideal  []int64         // non-nil: |v−ideal| transform (fully dynamic)
 
-	// The shard leg: table sub-path and POST body — nil on GET /skyline
-	// legs, whose parameters ride the path.
-	path string
-	body *serve.QueryRequest
+	// body is the shard leg's POST /query body.
+	body serve.QueryRequest
 
-	// q is the logical query of a POST /query request (nil on GET
-	// /skyline): the input of planOnce and of the post-merge steps. union
-	// is set when its ranking is evaluated over the *un-eliminated* union
-	// of shard-local ranked results (skyline layers): cross-shard
-	// elimination would discard the deeper layers, and min-corner pruning
-	// is unsound — a dominated shard's rows are past layer 1, not past
-	// layer K.
-	q           *plan.Query
+	// q is the logical query: the input of planOnce and of the post-merge
+	// steps. union is set when its ranking is evaluated over the
+	// *un-eliminated* union of shard-local ranked results (skyline
+	// layers): cross-shard elimination would discard the deeper layers,
+	// and min-corner pruning is unsound — a dominated shard's rows are past
+	// layer 1, not past layer K.
+	q           plan.Query
 	union       plan.UnionRanker
 	wantExplain bool
-	limit       int    // delivered-row truncation; count still reports every row
-	algo        string // response annotation
+	limit       int // delivered-row truncation; count still reports every row
 	// incremental: certifying rows before every shard has answered is
 	// sound — the merged skyline itself is the answer (no global re-rank,
 	// no F-dominance pass over the full union) and shard rows compare on
 	// their raw coordinates (no ideal transform).
 	incremental bool
 
-	stats   []serve.TableStatsInfo // per-shard statistics; nil when not fetched
+	stats   []serve.TableStatsInfo // per-shard statistics
 	prune   bool                   // statistics-driven shard pruning applies
-	explain *plan.Explain          // POST /query requests: the coordinator's one plan
+	explain *plan.Explain          // the coordinator's one plan
 }
 
 // result of the gather: merged candidates plus scatter metadata.
@@ -190,8 +186,7 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 
 	queryShard := func(i int) error {
 		resp := new(serve.QueryResponse)
-		method, body := g.legRequest()
-		err := co.readShard(ctx, i, method, co.shards[i].tablePath(g.ct.name, g.path), pin(g.stats, i), body, resp)
+		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(g.ct.name, "/query"), pin(g.stats, i), &g.body, resp)
 		if err == nil {
 			resps[i] = resp
 		}
@@ -308,15 +303,6 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 	return out, nil
 }
 
-// legRequest returns the shard request's method and body as the shard client
-// wants them: a GET with an untyped nil (no body) on /skyline legs.
-func (g *gather) legRequest() (method string, body any) {
-	if g.body == nil {
-		return http.MethodGet, nil
-	}
-	return http.MethodPost, g.body
-}
-
 // pin returns the version shard i's read must observe on failover: the
 // version its statistics snapshot was taken at, so the shard's view
 // never moves backwards within one scatter. 0 (unpinned) without
@@ -391,52 +377,38 @@ func identityDims(n int) []int {
 	return out
 }
 
-// compile turns one read request — a decoded POST /query body, or nil
-// for GET /skyline — into the scatter/gather pass that answers it,
-// reusing the single-node wire contract end to end. Every error is a
-// client error, raised before any shard is contacted or any stream
-// opens.
-func (co *Coordinator) compile(ct *ctable, params url.Values, req *serve.QueryRequest) (*gather, error) {
-	g := &gather{
-		ct:     ct,
-		keptTO: identityDims(ct.schema.NumTO()),
-		keptPO: identityDims(ct.schema.NumPO()),
-		doms:   ct.domains,
-		path:   "/query",
-	}
+// compile turns one decoded POST /query body into the scatter/gather
+// pass that answers it, reusing the single-node wire contract end to
+// end. ?limit (else the body's limit) truncates the delivered rows, as
+// on a node. Every error is a client error, raised before any shard is
+// contacted or any stream opens.
+func (co *Coordinator) compile(ct *ctable, params url.Values, req serve.QueryRequest) (*gather, error) {
 	if v := params.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			return nil, fmt.Errorf("bad limit=%q: %w", v, err)
 		}
-		g.limit = n
-	}
-	if req == nil {
-		// The static skyline under the table's own orders: ?algo/?parallel
-		// pass through to every shard's own GET /skyline.
-		g.path, g.algo = "/skyline", params.Get("algo")
-		for _, k := range []string{"algo", "parallel"} {
-			if v := params.Get(k); v != "" {
-				g.path = withParam(g.path, k+"="+url.QueryEscape(v))
-			}
+		if n != 0 {
+			req.Limit = n
 		}
-		g.incremental = true
-		return g, nil
 	}
-
-	// The leg carries the request minus what only the coordinator can
-	// apply: the row limit (the merge needs every candidate) and explain.
-	body := *req
-	body.Limit, body.Explain = 0, false
-	g.body, g.wantExplain = &body, req.Explain
-	if g.limit == 0 {
-		g.limit = req.Limit
-	}
-	q, err := ct.schema.PlanQuery(*req)
+	q, err := ct.schema.PlanQuery(req)
 	if err != nil {
 		return nil, err
 	}
-	g.q = &q
+	g := &gather{
+		ct:     ct,
+		keptTO: identityDims(ct.schema.NumTO()),
+		keptPO: identityDims(ct.schema.NumPO()),
+		doms:   ct.domains,
+		// The leg carries the request minus what only the coordinator can
+		// apply: the row limit (the merge needs every candidate) and explain.
+		body:        req,
+		q:           q,
+		wantExplain: req.Explain,
+		limit:       req.Limit,
+	}
+	g.body.Limit, g.body.Explain = 0, false
 	// Merge under the domains the shards ran under: the request's own
 	// orders when it brought them.
 	if q.Orders != nil {
@@ -464,40 +436,30 @@ func (co *Coordinator) compile(ct *ctable, params url.Values, req *serve.QueryRe
 	if q.IdealTransform() {
 		g.ideal = q.Ideal
 	} else {
-		body.Ideal = nil
+		g.body.Ideal = nil
 	}
 	if g.union == nil {
-		body.TopK, body.Rank = 0, ""
+		g.body.TopK, g.body.Rank = 0, ""
 	}
 	g.incremental = q.Rank == plan.RankNone && len(q.FWeights) == 0 && g.ideal == nil
 	return g, nil
 }
 
 // prepare is the half of the compile that needs the shards: per-shard
-// statistics (pruning corners, certification bounds, failover pins) and,
-// for a POST /query request, the one plan over their merge. A stream runs
-// it inside its producer, under heartbeat cover. stream asks for streamed
-// legs; streamed reports whether the pass gets them — only when
-// incremental certification is sound and there are statistics to bound
-// the shards with.
+// statistics (pruning corners, certification bounds, failover pins) and
+// the one plan over their merge. A stream runs it inside its producer,
+// under heartbeat cover. stream asks for streamed legs; streamed reports
+// whether the pass gets them — only when incremental certification is
+// sound.
 func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (streamed bool, err error) {
-	stream = stream && g.incremental
-	// A plan needs statistics. Pruning and certification merely use them
-	// (a failed fetch just disables both), with a second shard to prune or
-	// a stream to bound.
-	if g.q != nil || stream || len(co.shards) > 1 {
-		if g.stats, err = co.ShardStats(ctx, g.ct); err != nil && g.q != nil {
-			return false, err
-		}
+	if g.stats, err = co.ShardStats(ctx, g.ct); err != nil {
+		return false, err
 	}
 	// Statistics corners bound raw coordinates; they say nothing about
 	// distances to an ideal point.
-	g.prune = g.stats != nil && len(co.shards) > 1 && g.union == nil && g.ideal == nil
-	streamed = stream && g.stats != nil
-	if g.q == nil {
-		return streamed, nil
-	}
-	if g.explain, err = co.planOnce(g.ct, *g.q, g.stats); err != nil {
+	g.prune = len(co.shards) > 1 && g.union == nil && g.ideal == nil
+	streamed = stream && g.incremental
+	if g.explain, err = co.planOnce(g.ct, g.q, g.stats); err != nil {
 		return false, err
 	}
 	if g.body.Algo == "" {
@@ -515,7 +477,6 @@ func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (str
 	if streamed {
 		g.explain.Algorithm = g.body.Algo
 	}
-	g.algo = g.explain.Algorithm
 	return streamed, nil
 }
 
@@ -537,32 +498,30 @@ func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Ti
 	}
 	co.pruned.Add(int64(len(gr.pruned)))
 	merged := gr.merged
-	if g.q != nil {
-		if len(g.q.FWeights) > 0 {
-			// Weight-restricted skylines (never ranked — Validate refuses the
-			// combination): each shard already restricted its local result
-			// (FWeights rode the scatter), and F-dominance is transitive, so
-			// one member-only elimination pass over the merged union is exact.
-			// Sound under pruning too: a pruned shard's rows are t-dominated —
-			// hence F-dominated — by a gathered candidate.
-			merged = restrictCandidates(g, merged)
-		}
-		switch {
-		case g.q.TopK == 0:
-		case g.union != nil:
-			merged = rankUnion(g, merged)
-		default:
-			if merged, err = co.rank(ctx, g, merged); err != nil {
-				return nil, err
-			}
-		}
-		g.explain.ObservedSeconds = time.Since(start).Seconds()
-		g.explain.ObservedSkyline = len(merged)
-		g.explain.CacheHit = gr.cacheHit
+	if len(g.q.FWeights) > 0 {
+		// Weight-restricted skylines (never ranked — Validate refuses the
+		// combination): each shard already restricted its local result
+		// (FWeights rode the scatter), and F-dominance is transitive, so
+		// one member-only elimination pass over the merged union is exact.
+		// Sound under pruning too: a pruned shard's rows are t-dominated —
+		// hence F-dominated — by a gathered candidate.
+		merged = restrictCandidates(g, merged)
 	}
+	switch {
+	case g.q.TopK == 0:
+	case g.union != nil:
+		merged = rankUnion(g, merged)
+	default:
+		if merged, err = co.rank(ctx, g, merged); err != nil {
+			return nil, err
+		}
+	}
+	g.explain.ObservedSeconds = time.Since(start).Seconds()
+	g.explain.ObservedSkyline = len(merged)
+	g.explain.CacheHit = gr.cacheHit
 	resp := co.response(g.ct, gr, merged, g.limit)
 	resp.CacheHit = gr.cacheHit
-	resp.Algo = g.algo
+	resp.Algo = g.explain.Algorithm
 	if g.wantExplain {
 		resp.Plan = g.explain
 	}
@@ -637,7 +596,7 @@ func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) 
 
 // wireContext assembles the coordinator-side scoring context.
 func (g *gather) wireContext() *plan.WireContext {
-	return &plan.WireContext{Query: g.q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms}
+	return &plan.WireContext{Query: &g.q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms}
 }
 
 // scatterPartials fans a /domcount request out to every shard and

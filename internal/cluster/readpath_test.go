@@ -13,12 +13,12 @@ import (
 	"repro/internal/serve"
 )
 
-// readShape is one request shape of the read path: a POST /query body,
-// or (get set) the GET /skyline shorthand with its URL parameters.
+// readShape is one request shape of the read path: a POST /query body
+// plus URL parameters.
 type readShape struct {
-	name string
-	get  string // "?…" of GET /skyline; req is ignored when non-empty
-	req  serve.QueryRequest
+	name   string
+	req    serve.QueryRequest
+	params string // "k=v&…" beside ?stream=1
 	// seq: the row order is part of the answer (ranked top-k), so
 	// buffered ≡ streamed is checked as a sequence within a tier.
 	seq bool
@@ -41,28 +41,19 @@ type answer struct {
 // ask sends one shape to one tier, buffered or streamed.
 func ask(t *testing.T, base string, sh readShape, stream bool) answer {
 	t.Helper()
-	method, url, body := http.MethodPost, base+"/tables/diff/query", io.Reader(nil)
-	if sh.get != "" {
-		method, url = http.MethodGet, base+"/tables/diff/skyline"+sh.get
-	} else {
-		buf, err := json.Marshal(sh.req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = bytes.NewReader(buf)
+	params := []string{}
+	if sh.params != "" {
+		params = append(params, sh.params)
 	}
 	if stream {
-		sep := "?"
-		if strings.Contains(url, "?") {
-			sep = "&"
-		}
-		url += sep + "stream=1"
+		params = append(params, "stream=1")
 	}
-	req, err := http.NewRequest(method, url, body)
+	buf, err := json.Marshal(sh.req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	url := base + "/tables/diff/query?" + strings.Join(params, "&")
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +100,8 @@ func valueSeq(rows []serve.SkylineRow) []string {
 
 // TestReadPathEquivalence pins what the single read path per tier rests
 // on: every request shape answers the same through all four routes —
-// {single node, 2-shard coordinator} × {buffered, ?stream=1} — and GET
-// /skyline is exactly the planned query it is shorthand for.
+// {single node, 2-shard coordinator} × {buffered, ?stream=1} — and
+// POST /query is the only read route on either tier.
 func TestReadPathEquivalence(t *testing.T) {
 	tc := newTestCluster(t, 2, fixtureSpec("diff", fixtureRows(300, 7)))
 	le := int64(400)
@@ -130,9 +121,11 @@ func TestReadPathEquivalence(t *testing.T) {
 		{name: "orders+subspace", req: serve.QueryRequest{Orders: orders, Subspace: []string{"x", "cls"}, Explain: true}},
 		{name: "orders+topk+dpidp", req: serve.QueryRequest{Orders: orders, TopK: 5, Rank: "dpidp"}, seq: true, prefix: true},
 		{name: "orders+where+ideal", req: serve.QueryRequest{Orders: orders, Where: []serve.WhereSpec{{Col: "x", Le: &le}}, Ideal: []int64{500, 500}, NoCache: true}},
-		{name: "skyline", get: "?"},
-		{name: "skyline-algo", get: "?algo=bnl"},
-		{name: "skyline-parallel", get: "?algo=stss&parallel=2"},
+		// The algorithm forced, the memo bypassed: tssquery's bare
+		// invocation.
+		{name: "skyline", req: serve.QueryRequest{Algo: "stss", NoCache: true}},
+		{name: "skyline-algo", req: serve.QueryRequest{Algo: "bnl", NoCache: true}},
+		{name: "skyline-parallel", req: serve.QueryRequest{Algo: "stss", Parallel: 2, NoCache: true}},
 	}
 	for _, rank := range plan.RankerNames() {
 		sh := readShape{name: "rank-" + rank, req: serve.QueryRequest{TopK: 5, Rank: rank}, seq: true, prefix: true}
@@ -177,12 +170,10 @@ func TestReadPathEquivalence(t *testing.T) {
 						t.Errorf("tier %d: streamed rows diverge from buffered", ti)
 					}
 				}
-				// algo: every answer names what ran; the coordinator's GET
-				// /skyline echoes ?algo only.
-				named := !(ti == 1 && sh.get == "?")
+				// algo: every answer names what ran.
 				for di, a := range tiers[ti] {
-					if (a.algo != "") != named {
-						t.Errorf("tier %d delivery %d: algo %q, named=%v", ti, di, a.algo, named)
+					if a.algo == "" || (sh.req.Algo != "" && a.algo != sh.req.Algo) {
+						t.Errorf("tier %d delivery %d: algo %q, forced %q", ti, di, a.algo, sh.req.Algo)
 					}
 				}
 			}
@@ -209,20 +200,15 @@ func TestReadPathEquivalence(t *testing.T) {
 		})
 	}
 
-	// GET /skyline?algo=A&parallel=P is POST /query {algo:A, parallel:P,
-	// noCache:true}, row for row, on either tier.
+	// The GET /skyline shorthand is gone from both tiers.
 	for _, base := range []string{tc.single.URL, tc.co.URL} {
-		for _, c := range []struct {
-			algo     string
-			parallel int
-		}{{"stss", 0}, {"bnl", 0}, {"stss", 2}} {
-			get := ask(t, base, readShape{get: fmt.Sprintf("?algo=%s&parallel=%d", c.algo, c.parallel)}, false)
-			post := ask(t, base, readShape{req: serve.QueryRequest{Algo: c.algo, Parallel: c.parallel, NoCache: true}}, false)
-			if get.status != http.StatusOK || post.status != http.StatusOK ||
-				fmt.Sprint(valueSeq(get.rows)) != fmt.Sprint(valueSeq(post.rows)) || get.count != post.count || get.algo != post.algo {
-				t.Errorf("%s algo=%s parallel=%d: GET /skyline %v (algo %q) != POST /query %v (algo %q)",
-					base, c.algo, c.parallel, valueSeq(get.rows), get.algo, valueSeq(post.rows), post.algo)
-			}
+		resp, err := http.Get(base + "/tables/diff/skyline?algo=stss")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: GET /tables/diff/skyline answered %d, want 404", base, resp.StatusCode)
 		}
 	}
 
@@ -256,5 +242,24 @@ func TestCoordinatorQueryBodyBound(t *testing.T) {
 	huge := readShape{req: serve.QueryRequest{Subspace: []string{strings.Repeat("x", maxQueryBody)}}}
 	if got := ask(t, tc.co.URL, huge, false); got.status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized query body: status %d (%s), want 413", got.status, got.errText)
+	}
+}
+
+// TestNegativeLimitRejected: a negative limit is a client error on both
+// tiers, buffered and streamed, from the body or ?limit — never a
+// stream whose trailer counts rows it did not send.
+func TestNegativeLimitRejected(t *testing.T) {
+	tc := newTestCluster(t, 2, fixtureSpec("diff", fixtureRows(60, 3)))
+	for _, tier := range []struct{ name, base string }{{"node", tc.single.URL}, {"coordinator", tc.co.URL}} {
+		for _, stream := range []bool{false, true} {
+			for _, sh := range []readShape{
+				{name: "body", req: serve.QueryRequest{Limit: -1}},
+				{name: "param", params: "limit=-1"},
+			} {
+				if got := ask(t, tier.base, sh, stream); got.status != http.StatusBadRequest || got.errText == "" {
+					t.Errorf("%s stream=%v %s: status %d (%q), want 400", tier.name, stream, sh.name, got.status, got.errText)
+				}
+			}
+		}
 	}
 }

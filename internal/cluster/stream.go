@@ -119,9 +119,8 @@ type legEvent struct {
 // decode error before the trailer (a torn mid-query stream) surfaces as
 // a leg failure, never as silent truncation.
 func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events chan<- legEvent) {
-	method, reqBody := g.legRequest()
-	path := co.shards[shard].tablePath(g.ct.name, withParam(g.path, "stream=1"))
-	body, err := co.openShardStream(ctx, shard, method, path, pin(g.stats, shard), reqBody)
+	path := co.shards[shard].tablePath(g.ct.name, "/query?stream=1")
+	body, err := co.openShardStream(ctx, shard, path, pin(g.stats, shard), &g.body)
 	if err != nil {
 		events <- legEvent{shard: shard, err: err}
 		return
@@ -156,14 +155,11 @@ func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events cha
 }
 
 // streamMerge is the incremental scatter/merge: the stream producer
-// running the merge loop against the leg streams. prepare has run and
-// found statistics. An unranked top-k stops after K certified rows;
-// g.limit only truncates emission, certification continues.
+// running the merge loop against the leg streams. prepare has run. An
+// unranked top-k stops after K certified rows; g.limit only truncates
+// emission, certification continues.
 func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(serve.StreamRecord) error) (serve.StreamRecord, error) {
-	topK := 0
-	if g.q != nil {
-		topK = g.q.TopK
-	}
+	topK := g.q.TopK
 	start := time.Now()
 	n := len(co.shards)
 	legCtx, cancel := context.WithCancel(ctx)
@@ -195,8 +191,7 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 	versions := make([]int64, n)
 	shardRows := make([]int, n)
 	complete := make([]bool, n)
-	for i := 0; i < n && i < len(g.stats); i++ {
-		st := g.stats[i]
+	for i, st := range g.stats {
 		versions[i] = st.Version
 		shardRows[i] = st.Rows
 		if c, ok := g.corner(i); ok {
@@ -278,7 +273,7 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 		trailer := serve.StreamRecord{
 			Type: "trailer", Version: version, Rows: rowsTot, Count: certified,
 			Metrics: &metrics, CacheHit: trailers > 0 && cacheHits == trailers,
-			Algo:    g.algo,
+			Algo:    g.explain.Algorithm,
 			Cluster: &serve.ClusterMeta{Shards: n, Versions: versions},
 		}
 		if g.wantExplain {

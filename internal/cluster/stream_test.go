@@ -17,31 +17,20 @@ import (
 
 // streamFrames issues one streamed request against base and decodes
 // every NDJSON frame.
-func streamFrames(t *testing.T, method, url string, body any) []serve.StreamRecord {
+func streamFrames(t *testing.T, url string, body any) []serve.StreamRecord {
 	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequest(method, url, rd)
+	buf, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		t.Fatalf("%s %s: HTTP %d: %s", method, url, resp.StatusCode, msg)
+		t.Fatalf("POST %s: HTTP %d: %s", url, resp.StatusCode, msg)
 	}
 	var recs []serve.StreamRecord
 	dec := json.NewDecoder(resp.Body)
@@ -105,7 +94,7 @@ func checkTrailerMeta(t *testing.T, name string, trailer serve.StreamRecord, n i
 
 // TestStreamedScatterDifferential: the incremental streamed merge must
 // deliver exactly the buffered scatter/gather's rows for every variant
-// — planned, dynamic, ideal-fallback and the skyline route — and its
+// — planned, dynamic, ideal-fallback and forced-algorithm — and its
 // unranked top-k must return K members of the full merged skyline with
 // a complete trailer despite canceling legs early.
 func TestStreamedScatterDifferential(t *testing.T) {
@@ -117,7 +106,7 @@ func TestStreamedScatterDifferential(t *testing.T) {
 
 			for _, v := range variantQueries() {
 				buffered := tc.query(tc.co.URL, "diff", v.req)
-				recs := streamFrames(t, http.MethodPost, queryURL+"?stream=1", v.req)
+				recs := streamFrames(t, queryURL+"?stream=1", v.req)
 				got, trailer := streamedRows(t, recs)
 				if !equalKeys(sortedKeys(got), sortedKeys(buffered.Skyline)) {
 					t.Errorf("%s: streamed %v\n buffered %v", v.name, sortedKeys(got), sortedKeys(buffered.Skyline))
@@ -146,7 +135,7 @@ func TestStreamedScatterDifferential(t *testing.T) {
 			}}
 			for _, req := range []serve.QueryRequest{dyn, {Ideal: []int64{500, 500}, Orders: dyn.Orders}} {
 				buffered := tc.query(tc.co.URL, "diff", req)
-				got, trailer := streamedRows(t, streamFrames(t, http.MethodPost, queryURL+"?stream=1", req))
+				got, trailer := streamedRows(t, streamFrames(t, queryURL+"?stream=1", req))
 				name := "dynamic"
 				if req.Ideal != nil {
 					name = "dynamic-ideal"
@@ -159,10 +148,9 @@ func TestStreamedScatterDifferential(t *testing.T) {
 				}
 			}
 
-			// Skyline GET route.
-			var skyline serve.QueryResponse
-			getJSON(t, tc.co.URL+"/tables/diff/skyline", &skyline)
-			got, trailer := streamedRows(t, streamFrames(t, http.MethodGet, tc.co.URL+"/tables/diff/skyline?stream=1", nil))
+			// The skyline with sTSS forced.
+			skyline := tc.query(tc.co.URL, "diff", forcedSkyline)
+			got, trailer := streamedRows(t, streamFrames(t, queryURL+"?stream=1", forcedSkyline))
 			if !equalKeys(sortedKeys(got), sortedKeys(skyline.Skyline)) {
 				t.Error("skyline: streamed rows diverge from buffered")
 			}
@@ -176,7 +164,7 @@ func TestStreamedScatterDifferential(t *testing.T) {
 			for i := range skyline.Skyline {
 				member[rowKey(&skyline.Skyline[i])]++
 			}
-			got, trailer = streamedRows(t, streamFrames(t, http.MethodPost, queryURL+"?stream=1", serve.QueryRequest{TopK: k}))
+			got, trailer = streamedRows(t, streamFrames(t, queryURL+"?stream=1", serve.QueryRequest{TopK: k}))
 			wantLen := k
 			if skyline.Count < k {
 				wantLen = skyline.Count
@@ -207,7 +195,7 @@ func TestStreamedScatterDifferential(t *testing.T) {
 					func(r *serve.SkylineRow) float64 { return idealScoreOracle(r, []int64{500, 500}) }},
 			} {
 				buffered := tc.query(tc.co.URL, "diff", rank.req)
-				got, _ := streamedRows(t, streamFrames(t, http.MethodPost, queryURL+"?stream=1", rank.req))
+				got, _ := streamedRows(t, streamFrames(t, queryURL+"?stream=1", rank.req))
 				if len(got) != len(buffered.Skyline) {
 					t.Errorf("topk-%s: streamed %d rows, buffered %d", rank.name, len(got), len(buffered.Skyline))
 					continue
@@ -366,7 +354,8 @@ func TestStreamedHashCertifyBeforeCompletion(t *testing.T) {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
 
-	sres, err := http.Get(front.URL + "/tables/ac/skyline?stream=1")
+	buf, _ = json.Marshal(forcedSkyline)
+	sres, err := http.Post(front.URL+"/tables/ac/query?stream=1", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +449,7 @@ func TestStreamedDeadShardLeg(t *testing.T) {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
 
-	recs := streamFrames(t, http.MethodPost, front.URL+"/tables/diff/query?stream=1",
+	recs := streamFrames(t, front.URL+"/tables/diff/query?stream=1",
 		serve.QueryRequest{Subspace: []string{"x", "y"}})
 	last := recs[len(recs)-1]
 	if last.Type != "error" {

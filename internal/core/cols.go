@@ -38,12 +38,3 @@ func (c *Cols) Append(to, po []int32, id int32) {
 	}
 	c.IDs = append(c.IDs, id)
 }
-
-// Columns materialises the SoA view of the dataset's points.
-func (ds *Dataset) Columns() *Cols {
-	c := NewCols(ds.NumTO(), ds.NumPO(), len(ds.Pts))
-	for i := range ds.Pts {
-		c.Append(ds.Pts[i].TO, ds.Pts[i].PO, ds.Pts[i].ID)
-	}
-	return c
-}

@@ -50,7 +50,7 @@ func BuildSTSSIndex(ds *Dataset, opt Options) *STSSIndex {
 	buildStart := time.Now()
 	io := &rtree.IOCounter{}
 	ix.tree = buildSTSSTree(ds, opt, io)
-	if opt.UseDyadic {
+	if !opt.NoDyadic {
 		for _, dm := range ds.Domains {
 			dm.EnableDyadic()
 		}
@@ -183,20 +183,6 @@ func (c *Cursor) Drain(ctx context.Context) (*Result, error) {
 	}
 	res.Metrics = c.Metrics()
 	return res, err
-}
-
-// Emitted returns the number of skyline points certified so far — the
-// emission index of the next Next result.
-func (c *Cursor) Emitted() int { return len(c.metrics.Emissions) }
-
-// LastEmission returns the per-emission record of the most recent Next
-// result: the emission's IO count and elapsed-to-certify. ok is false
-// before the first emission.
-func (c *Cursor) LastEmission() (e Emission, ok bool) {
-	if len(c.metrics.Emissions) == 0 {
-		return Emission{}, false
-	}
-	return c.metrics.Emissions[len(c.metrics.Emissions)-1], true
 }
 
 // LastKey returns the L1 mindist key (sum of TO coordinates plus

@@ -186,7 +186,7 @@ func (db *DynamicDB) QueryTSSContext(ctx context.Context, domains []*poset.Domai
 			return nil, fmt.Errorf("core: query domain %d has %d values, dataset expects %d",
 				d, dm.Size(), ds.Domains[d].Size())
 		}
-		if opt.UseDyadic {
+		if !opt.NoDyadic {
 			dm.EnableDyadic()
 		}
 	}

@@ -96,7 +96,7 @@ func (db *DynamicDB) QueryTSSFullContext(ctx context.Context, q []int32, domains
 			return nil, fmt.Errorf("core: query domain %d has %d values, dataset expects %d",
 				d, dm.Size(), ds.Domains[d].Size())
 		}
-		if opt.UseDyadic {
+		if !opt.NoDyadic {
 			dm.EnableDyadic()
 		}
 	}

@@ -32,10 +32,9 @@ type Options struct {
 	// combination of every accepted point). Only internal/exp's figures
 	// and ablations, and tests, turn it on.
 	UseMemTree bool
-	// UseDyadic enables the dyadic-range interval index (paper §IV-B
-	// first optimisation). Default on (cheap, pure win).
-	UseDyadic bool
-	// NoDyadic disables the dyadic index (ablation).
+	// NoDyadic disables the dyadic-range interval index (paper §IV-B
+	// first optimisation), which is on by default (cheap, pure win) — the
+	// ablation switch.
 	NoDyadic bool
 	// StabOnly makes point-level t-dominance checks query only the
 	// interval run containing the candidate value's own postorder
@@ -95,11 +94,6 @@ const DefaultLESSWindow = 16
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = DefaultPageSize
-	}
-	if !o.NoDyadic {
-		o.UseDyadic = true
-	} else {
-		o.UseDyadic = false
 	}
 	if o.LESSWindow == 0 {
 		o.LESSWindow = DefaultLESSWindow

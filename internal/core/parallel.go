@@ -97,7 +97,7 @@ func (p *parallelAlgorithm) Run(ds *Dataset, opt Options) (*Result, error) {
 	// build it on first use; doing that here, before the workers start,
 	// keeps the domains strictly read-only inside the pool. Algorithms
 	// that never touch the index skip the build cost.
-	if opt.UseDyadic && p.inner.Capabilities().UsesDyadic {
+	if !opt.NoDyadic && p.inner.Capabilities().UsesDyadic {
 		for _, dm := range ds.Domains {
 			dm.EnableDyadic()
 		}

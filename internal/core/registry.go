@@ -19,7 +19,7 @@ type Capabilities struct {
 	// ones output everything at the end.
 	Progressive bool
 	// UsesDyadic marks algorithms whose dominance checks lazily build
-	// the PO domains' dyadic interval index (Options.UseDyadic).
+	// the PO domains' dyadic interval index (unless Options.NoDyadic).
 	// Parallel executors pre-build the index for such algorithms before
 	// starting workers, keeping the domains read-only inside the pool —
 	// an algorithm that builds it lazily without setting this flag is

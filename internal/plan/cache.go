@@ -127,24 +127,18 @@ type keyedLRU struct {
 }
 
 // NewMemoCache returns an empty memo with the default caps.
-func NewMemoCache() *MemoCache { return NewMemoCacheWithCaps(0, 0) }
+func NewMemoCache() *MemoCache { return NewMemoCacheWithCaps(0) }
 
 // NewMemoCacheWithCaps returns an empty memo whose subspace LRU holds up
-// to subspaceCap entries and whose per-request-orders LRU up to
-// ordersCap; <= 0 means DefaultSubspaceCap / DefaultOrdersCap. Advance
-// propagates both to successor memos.
-func NewMemoCacheWithCaps(subspaceCap, ordersCap int) *MemoCache {
-	if subspaceCap <= 0 {
-		subspaceCap = DefaultSubspaceCap
-	}
+// to DefaultSubspaceCap entries and whose per-request-orders LRU up to
+// ordersCap (<= 0 means DefaultOrdersCap). Advance propagates both caps
+// to successor memos.
+func NewMemoCacheWithCaps(ordersCap int) *MemoCache {
 	if ordersCap <= 0 {
 		ordersCap = DefaultOrdersCap
 	}
-	return &MemoCache{sub: keyedLRU{cap: subspaceCap}, ord: keyedLRU{cap: ordersCap}, maint: &maintCounters{}}
+	return &MemoCache{sub: keyedLRU{cap: DefaultSubspaceCap}, ord: keyedLRU{cap: ordersCap}, maint: &maintCounters{}}
 }
-
-// SubspaceCap reports the configured subspace LRU capacity.
-func (c *MemoCache) SubspaceCap() int { return c.sub.cap }
 
 // GetFull returns the memoised full skyline, if any, and whether the
 // entry was produced by delta maintenance.

@@ -135,21 +135,22 @@ func TestMemoAdvanceChurnFallback(t *testing.T) {
 // TestMemoSubspaceLRU: the subspace half is bounded; overflow evicts
 // the least-recently-used entry and counts it.
 func TestMemoSubspaceLRU(t *testing.T) {
-	cache := NewMemoCacheWithCaps(3, 0)
-	for i := 0; i < 3; i++ {
-		cache.PutSubspace(fmt.Sprintf("to:%d|po:", i), []int32{int32(i)})
+	cache := NewMemoCache()
+	key := func(i int) string { return fmt.Sprintf("to:%d|po:", i) }
+	for i := 0; i < DefaultSubspaceCap; i++ {
+		cache.PutSubspace(key(i), []int32{int32(i)})
 	}
 	// Touch entry 0 so entry 1 is the LRU victim.
-	if _, _, ok := cache.GetSubspace("to:0|po:"); !ok {
+	if _, _, ok := cache.GetSubspace(key(0)); !ok {
 		t.Fatal("entry 0 missing")
 	}
-	cache.PutSubspace("to:9|po:", []int32{9})
-	if _, _, ok := cache.GetSubspace("to:1|po:"); ok {
+	cache.PutSubspace(key(DefaultSubspaceCap), []int32{DefaultSubspaceCap})
+	if _, _, ok := cache.GetSubspace(key(1)); ok {
 		t.Fatal("LRU entry 1 survived overflow")
 	}
-	for _, k := range []string{"to:0|po:", "to:2|po:", "to:9|po:"} {
-		if _, _, ok := cache.GetSubspace(k); !ok {
-			t.Fatalf("entry %q evicted wrongly", k)
+	for i := 0; i <= DefaultSubspaceCap; i++ {
+		if _, _, ok := cache.GetSubspace(key(i)); !ok && i != 1 {
+			t.Fatalf("entry %q evicted wrongly", key(i))
 		}
 	}
 	if st := cache.MaintStats(); st.SubspaceEvictions != 1 {

@@ -270,9 +270,6 @@ func (dm *Domain) TreeInterval(v int32) Interval {
 	return Interval{dm.minpost[v], dm.post[v]}
 }
 
-// TreeParent returns v's spanning-tree parent, or -1 for roots.
-func (dm *Domain) TreeParent(v int32) int32 { return dm.treeParent[v] }
-
 // Intervals returns the final merged interval set of v (paper Figure
 // 2(d), fourth column). The slice is shared; callers must not modify it.
 func (dm *Domain) Intervals(v int32) IntervalSet { return dm.sets[v] }

@@ -52,9 +52,12 @@ func postBatch(t *testing.T, url string, rows ...serve.RowSpec) {
 	}
 }
 
-func getBody(t *testing.T, url string) []byte {
+// skylineBody is the raw answer of flights' skyline with sTSS forced and
+// the memo bypassed.
+func skylineBody(t *testing.T, base string) []byte {
 	t.Helper()
-	resp, err := http.Get(url)
+	url := base + "/tables/flights/query"
+	resp, err := http.Post(url, "application/json", strings.NewReader(`{"algo":"stss","noCache":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func getBody(t *testing.T, url string) []byte {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, b)
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, b)
 	}
 	return b
 }
@@ -139,10 +142,10 @@ func TestBootstrapAndTail(t *testing.T) {
 		Skyline json.RawMessage `json:"skyline"`
 	}
 	var want, got skylineResult
-	if err := json.Unmarshal(getBody(t, pts.URL+"/tables/flights/skyline"), &want); err != nil {
+	if err := json.Unmarshal(skylineBody(t, pts.URL), &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(getBody(t, fts.URL+"/tables/flights/skyline"), &got); err != nil {
+	if err := json.Unmarshal(skylineBody(t, fts.URL), &got); err != nil {
 		t.Fatal(err)
 	}
 	if want.Version != got.Version || want.Rows != got.Rows || want.Count != got.Count ||

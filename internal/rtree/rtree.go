@@ -101,9 +101,6 @@ func CapacityForPage(pageSize, dims int) int {
 	return c
 }
 
-// Dims returns the tree's dimensionality.
-func (t *Tree) Dims() int { return t.dims }
-
 // Len returns the number of stored points.
 func (t *Tree) Len() int { return t.size }
 

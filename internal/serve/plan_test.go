@@ -225,6 +225,27 @@ func TestCreateRejectsColumnNameCollisions(t *testing.T) {
 	}
 }
 
+// TestLookupColPositionalAlias: "po<d>" reaches a named PO column too,
+// and a declared name wins over another column's position.
+func TestLookupColPositionalAlias(t *testing.T) {
+	sc, err := NewSchema([]string{"x"}, []OrderSpec{
+		{Name: "po1", Values: []string{"a"}}, {Name: "grade", Values: []string{"a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tok  string
+		want int
+	}{{"po1", 0}, {"po0", 0}, {"grade", 1}} {
+		if dim, isTO, err := sc.LookupCol(c.tok); err != nil || isTO || dim != c.want {
+			t.Errorf("LookupCol(%q) = (%d, %v, %v), want PO column %d", c.tok, dim, isTO, err, c.want)
+		}
+	}
+	if _, _, err := sc.LookupCol("po2"); err == nil {
+		t.Error("LookupCol(\"po2\") accepted past the last PO column")
+	}
+}
+
 // TestLearnedStatsPersistAcrossRestart: planner feedback observed
 // before a checkpoint comes back after recovery — the cost multipliers
 // resume instead of restarting cold.

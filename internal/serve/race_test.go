@@ -93,7 +93,7 @@ func TestConcurrentQueriesDuringMutations(t *testing.T) {
 				dag := -1
 				var code int
 				if q%3 == 0 {
-					code = doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline", nil, &out)
+					code = doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", forcedSkyline, &out)
 				} else {
 					dag = (rd + q) % len(dagPool)
 					req := QueryRequest{Orders: []QueryOrder{{Edges: dagPool[dag]}}}

@@ -115,11 +115,10 @@ func (s *Server) ImportSnapshot(name string, snap *store.Snapshot) (TableInfo, e
 	if err != nil {
 		return TableInfo{}, err
 	}
-	e, err := newTableEntry(spec, s.cacheCap, s.subspaceCap, snap.Version)
+	e, err := newTableEntry(spec, s.cacheCap, snap.Version)
 	if err != nil {
 		return TableInfo{}, err
 	}
-	e.noMaintain = s.noMaintain
 	if l := importLearned(snap.Stats); l != nil {
 		e.current().table.SetLearned(l)
 	}

@@ -147,8 +147,8 @@ func TestMinVersionPinning(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/flights?minVersion=1", nil, nil); code != http.StatusPreconditionFailed {
 		t.Fatalf("minVersion=1 at version 0: status %d, want 412", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline?minVersion=1", nil, nil); code != http.StatusPreconditionFailed {
-		t.Fatalf("skyline minVersion=1 at version 0: status %d, want 412", code)
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query?minVersion=1", QueryRequest{}, nil); code != http.StatusPreconditionFailed {
+		t.Fatalf("query minVersion=1 at version 0: status %d, want 412", code)
 	}
 	batch := BatchRequest{Add: []RowSpec{{TO: []int64{10, 0}, PO: []string{"a"}}}}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/rows:batch", batch, nil); code != http.StatusOK {

@@ -90,7 +90,10 @@ func (sc *Schema) POValueLabel(d, id int) (string, bool) {
 }
 
 // LookupCol resolves a column name: TO columns by their declared name,
-// PO columns by their OrderSpec name or "po<d>" fallback.
+// PO columns by their OrderSpec name or "po<d>" fallback. The positional
+// "po<d>" also addresses a named PO column, but a declared name comes
+// first: if PO column 0 is named "po1", "po1" is column 0, and PO column
+// 1 is reachable only by its own name.
 func (sc *Schema) LookupCol(name string) (dim int, isTO bool, err error) {
 	for d, c := range sc.toCols {
 		if c == name {
@@ -99,6 +102,11 @@ func (sc *Schema) LookupCol(name string) (dim int, isTO bool, err error) {
 	}
 	for d := range sc.orderSpecs {
 		if sc.POColName(d) == name {
+			return d, false, nil
+		}
+	}
+	for d := range sc.orderSpecs {
+		if fmt.Sprintf("po%d", d) == name {
 			return d, false, nil
 		}
 	}
@@ -115,6 +123,9 @@ func (sc *Schema) LookupCol(name string) (dim int, isTO bool, err error) {
 // planner decide — so `tssquery -parallel -1` means the same thing
 // locally and against a server.
 func (sc *Schema) PlanQuery(req QueryRequest) (plan.Query, error) {
+	if req.Limit < 0 {
+		return plan.Query{}, fmt.Errorf("limit %d: must not be negative", req.Limit)
+	}
 	par := req.Parallel
 	if par < 0 {
 		par = runtime.GOMAXPROCS(0)

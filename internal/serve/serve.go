@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +33,6 @@ type Config struct {
 	// CacheCapacity sizes each new table's cache of per-request-orders
 	// results (0 = DefaultCacheCapacity).
 	CacheCapacity int
-	// SubspaceCacheCap sizes each table's subspace skyline-memo LRU
-	// (0 = plan.DefaultSubspaceCap). Surfaced per table in /statsz as
-	// planCache.subspaceCapacity.
-	SubspaceCacheCap int
 	// Store, when non-nil, makes every table durable: batches append
 	// to a write-ahead log before publishing, logs checkpoint into
 	// snapshots, and tables recover on startup (see Recover).
@@ -61,11 +56,6 @@ type Config struct {
 	// is how a follower stays a faithful mirror: the primary is the only
 	// writer its tables ever see.
 	ReadOnly bool
-	// NoMaintain disables incremental skyline-memo maintenance: every
-	// batch installs a fresh empty memo (the pre-maintenance behaviour)
-	// and post-batch queries recompute from cold. For benchmarking and
-	// differential testing.
-	NoMaintain bool
 }
 
 // Server is the catalog of named skyline tables plus the HTTP handlers
@@ -76,13 +66,11 @@ type Server struct {
 	tables map[string]*tableEntry
 
 	cacheCap        int
-	subspaceCap     int
 	store           store.Store // nil = ephemeral
 	checkpointEvery int64
 	shard           *ShardIdentity
 	streamHeartbeat time.Duration
 	readOnly        bool
-	noMaintain      bool
 	checkpointErrs  atomic.Int64
 	started         time.Time
 	queries         atomic.Int64
@@ -108,13 +96,11 @@ func NewWithConfig(cfg Config) *Server {
 	return &Server{
 		tables:          make(map[string]*tableEntry),
 		cacheCap:        cfg.CacheCapacity,
-		subspaceCap:     cfg.SubspaceCacheCap,
 		store:           cfg.Store,
 		checkpointEvery: cfg.CheckpointEvery,
 		shard:           cfg.Shard,
 		streamHeartbeat: cfg.StreamHeartbeat,
 		readOnly:        cfg.ReadOnly,
-		noMaintain:      cfg.NoMaintain,
 		started:         time.Now(),
 	}
 }
@@ -140,11 +126,10 @@ func (s *Server) Recover() ([]TableInfo, error) {
 		if err != nil {
 			return infos, fmt.Errorf("recover table %q: %w", name, err)
 		}
-		e, err := newTableEntry(spec, s.cacheCap, s.subspaceCap, snap.Version)
+		e, err := newTableEntry(spec, s.cacheCap, snap.Version)
 		if err != nil {
 			return infos, fmt.Errorf("recover table %q: %w", name, err)
 		}
-		e.noMaintain = s.noMaintain
 		// Resume the planner's learning where the checkpoint left it —
 		// before the entry is visible to any query.
 		if l := importLearned(snap.Stats); l != nil {
@@ -172,11 +157,10 @@ func (s *Server) CreateTable(spec TableSpec) (TableInfo, error) {
 	if dup {
 		return TableInfo{}, ErrTableExists
 	}
-	e, err := newTableEntry(spec, s.cacheCap, s.subspaceCap, 0)
+	e, err := newTableEntry(spec, s.cacheCap, 0)
 	if err != nil {
 		return TableInfo{}, err
 	}
-	e.noMaintain = s.noMaintain
 	// The snapshot build above ran without the lock; persisting runs
 	// inside the critical section, after winning the name, so a losing
 	// concurrent create can never overwrite — or clean up — the
@@ -413,7 +397,6 @@ func statusFor(err error) int {
 //	GET    /tables/{name}                     table info
 //	DELETE /tables/{name}                     drop a table
 //	POST   /tables/{name}/query               skyline query (QueryRequest; ?stream=1, ?limit=)
-//	GET    /tables/{name}/skyline             shorthand: the full skyline, algorithm forced (?algo=, ?parallel=)
 //	POST   /tables/{name}/rows:batch          batched mutation (BatchRequest)
 //	GET    /tables/{name}/stats               planner statistics + learned feedback
 //	POST   /tables/{name}/domcount            per-candidate partial rank scores (DomCountRequest)
@@ -462,7 +445,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"dropped": r.PathValue("name")})
 	})
-	mux.HandleFunc("GET /tables/{name}/skyline", s.withTable(s.getSkyline))
 	mux.HandleFunc("GET /tables/{name}/stats", s.withTable(s.handleTableStats))
 	mux.HandleFunc("POST /tables/{name}/rows:batch", s.withTable(s.handleBatch))
 	mux.HandleFunc("POST /tables/{name}/query", s.withTable(s.postQuery))
@@ -547,7 +529,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // with all its edges is ~100 KB; nothing legitimate comes near 4 MiB.
 const maxQueryBody = 4 << 20
 
-// postQuery answers POST /tables/{name}/query.
+// postQuery answers POST /tables/{name}/query, the one read route: pin
+// the snapshot once and deliver the executor's answer as one JSON body
+// or — under ?stream=1 — as a record stream. ?limit (else the body's
+// limit) truncates the delivered rows without changing the query: count
+// always reports every certified row.
 func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
@@ -559,91 +545,24 @@ func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry
 		writeError(w, status, fmt.Errorf("bad query: %w", err))
 		return
 	}
-	rq, err := e.compile(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if v := r.URL.Query().Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit=%q: %w", v, err))
+			return
+		}
+		if n != 0 {
+			req.Limit = n
+		}
 	}
-	s.serveQuery(w, r, e, rq)
-}
-
-// getSkyline answers GET /tables/{name}/skyline — shorthand for the
-// query over the table's own orders with the algorithm forced
-// (?algo=, default stss), the memo bypassed, and a sequential run unless
-// ?parallel=N asks for the partition-and-merge executor.
-func (s *Server) getSkyline(w http.ResponseWriter, r *http.Request, e *tableEntry) {
-	// Query decoding turns '+' into ' '; algorithm names ("sdc+",
-	// "bbs+") contain '+' and never spaces, so map it back — ?algo=sdc+
-	// works unescaped from curl.
-	algo := strings.ReplaceAll(r.URL.Query().Get("algo"), " ", "+")
-	if algo == "" {
-		algo = "stss"
-	}
-	parallel, err := intParam(r, "parallel", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	rq, err := e.compile(QueryRequest{Algo: algo, Parallel: parallel, NoCache: true})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if parallel == 0 {
-		rq.plan.Hints.Parallelism = -1 // this route defaults to sequential, not to the planner's choice
-	}
-	s.serveQuery(w, r, e, rq)
-}
-
-// readQuery is a validated read request: the logical query the
-// cost-based optimizer plans (algorithm, placement and cache routing),
-// plus what only the renderer applies.
-type readQuery struct {
-	plan    plan.Query
-	explain bool
-	limit   int // the body's limit; ?limit overrides it
-}
-
-// compile validates a request. Every error is a client error, raised
-// before any work starts or any stream opens.
-func (e *tableEntry) compile(req QueryRequest) (readQuery, error) {
+	// A malformed query is a client error, raised before any work starts
+	// or any stream opens.
 	q, err := e.schema.PlanQuery(req)
-	return readQuery{plan: q, explain: req.Explain, limit: req.Limit}, err
-}
-
-// execute answers one compiled query entirely from one pinned snapshot
-// and moves the traffic counters. With emit set, rows are delivered as
-// the streaming executor certifies them. ctx rides along, so a request
-// timeout or a vanished client cancels the run cooperatively.
-func (s *Server) execute(ctx context.Context, e *tableEntry, snap *snapshot, rq *readQuery,
-	emit func(plan.StreamRow) error) (res *tss.SkylineResult, explain *plan.Explain, err error) {
-	if emit == nil {
-		res, explain, err = snap.table.QueryContext(ctx, rq.plan)
-	} else {
-		res, explain, err = snap.table.QueryStream(ctx, rq.plan, emit)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	s.countQuery(e)
-	e.countCache(explain, &rq.plan)
-	return res, explain, nil
-}
-
-// serveQuery is the read path behind both query routes: pin the
-// snapshot once and deliver the executor's answer as one JSON body or —
-// under ?stream=1 — as a record stream. ?limit (else the body's limit)
-// truncates the delivered rows without changing the query: count
-// always reports every certified row.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, e *tableEntry, rq readQuery) {
-	limit, err := intParam(r, "limit", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if limit != 0 {
-		rq.limit = limit
-	}
+	rq := readQuery{plan: q, explain: req.Explain, limit: req.Limit}
 	snap := e.current()
 	if WantsStream(r) {
 		s.streamQuery(w, r, e, snap, rq)
@@ -668,6 +587,34 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, e *tableEntr
 		resp.Plan = explain
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// readQuery is a validated read request: the logical query the
+// cost-based optimizer plans (algorithm, placement and cache routing),
+// plus what only the renderer applies.
+type readQuery struct {
+	plan    plan.Query
+	explain bool
+	limit   int // delivered-row truncation
+}
+
+// execute answers one compiled query entirely from one pinned snapshot
+// and moves the traffic counters. With emit set, rows are delivered as
+// the streaming executor certifies them. ctx rides along, so a request
+// timeout or a vanished client cancels the run cooperatively.
+func (s *Server) execute(ctx context.Context, e *tableEntry, snap *snapshot, rq *readQuery,
+	emit func(plan.StreamRow) error) (res *tss.SkylineResult, explain *plan.Explain, err error) {
+	if emit == nil {
+		res, explain, err = snap.table.QueryContext(ctx, rq.plan)
+	} else {
+		res, explain, err = snap.table.QueryStream(ctx, rq.plan, emit)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.countQuery(e)
+	e.countCache(explain, &rq.plan)
+	return res, explain, nil
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEntry) {
@@ -754,18 +701,6 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 func (s *Server) countQuery(e *tableEntry) {
 	s.queries.Add(1)
 	e.queries.Add(1)
-}
-
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q: %w", name, v, err)
-	}
-	return n, nil
 }
 
 // encBufPool pools the per-response JSON encode buffers: every request

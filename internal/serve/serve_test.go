@@ -159,17 +159,17 @@ func TestTableLifecycle(t *testing.T) {
 	}
 }
 
+// TestSkylineEndpoint: the table's skyline is POST /query with the
+// algorithm forced and the memo bypassed, so every algorithm really
+// runs; the GET /skyline shorthand is gone.
 func TestSkylineEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	want := []int{0, 4, 5, 8, 9}
+	url := ts.URL + "/tables/flights/query"
 
 	for _, algo := range []string{"", "stss", "sdc+", "bnl"} {
-		url := ts.URL + "/tables/flights/skyline"
-		if algo != "" {
-			url += "?algo=" + algo
-		}
 		var out QueryResponse
-		if code := doJSON(t, http.MethodGet, url, nil, &out); code != http.StatusOK {
+		if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: algo, NoCache: true}, &out); code != http.StatusOK {
 			t.Fatalf("algo %q: %d", algo, code)
 		}
 		if !equalInts(rowSet(out.Skyline), want) {
@@ -178,32 +178,48 @@ func TestSkylineEndpoint(t *testing.T) {
 		if out.Version != 0 || out.Rows != 10 || out.Count != 5 {
 			t.Fatalf("algo %q header: %+v", algo, out)
 		}
-		if out.Metrics.DomChecks == 0 {
-			t.Errorf("algo %q: metrics missing dominance checks", algo)
+		if algo != "" && out.Algo != algo {
+			t.Errorf("algo %q: response names %q", algo, out.Algo)
+		}
+		if out.CacheHit || out.Metrics.DomChecks == 0 {
+			t.Errorf("algo %q: served without running (cacheHit %v, %d dominance checks)", algo, out.CacheHit, out.Metrics.DomChecks)
 		}
 	}
 	// Parallel executor route.
 	var par QueryResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline?algo=stss&parallel=2", nil, &par); code != http.StatusOK {
+	if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: "stss", Parallel: 2, NoCache: true}, &par); code != http.StatusOK {
 		t.Fatalf("parallel: %d", code)
 	}
 	if !equalInts(rowSet(par.Skyline), want) {
 		t.Fatalf("parallel skyline: %v", rowSet(par.Skyline))
 	}
+	if par.Metrics.DomChecks == 0 {
+		t.Errorf("parallel: metrics missing dominance checks")
+	}
 	// Limit truncates rows but keeps the count.
 	var lim QueryResponse
-	doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline?limit=2", nil, &lim)
+	doJSON(t, http.MethodPost, url+"?limit=2", QueryRequest{}, &lim)
 	if len(lim.Skyline) != 2 || lim.Count != 5 {
 		t.Fatalf("limit: %d rows, count %d", len(lim.Skyline), lim.Count)
 	}
 	// Errors: unknown algorithm, TO-only algorithm on a PO table, bad ints.
-	for _, q := range []string{"?algo=bogus", "?algo=salsa", "?parallel=x", "?limit=x"} {
-		if code := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline"+q, nil, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: %d, want 400", q, code)
+	for name, c := range map[string]struct {
+		query string
+		req   QueryRequest
+	}{
+		"bogus algo":  {req: QueryRequest{Algo: "bogus"}},
+		"salsa on PO": {req: QueryRequest{Algo: "salsa", NoCache: true}},
+		"bad limit":   {query: "?limit=x"},
+	} {
+		if code := doJSON(t, http.MethodPost, url+c.query, c.req, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", name, code)
 		}
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/nope/skyline", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/nope/query", QueryRequest{}, nil); code != http.StatusNotFound {
 		t.Errorf("missing table: %d, want 404", code)
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline", nil, nil); code != http.StatusNotFound {
+		t.Errorf("GET /skyline: %d, want 404", code)
 	}
 }
 
@@ -310,7 +326,7 @@ func TestBatchAndStatsz(t *testing.T) {
 		t.Fatalf("batch response: %+v", br)
 	}
 	var out QueryResponse
-	doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline", nil, &out)
+	doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", QueryRequest{}, &out)
 	if out.Version != 1 || out.Rows != 12 {
 		t.Fatalf("post-batch skyline header: %+v", out)
 	}
@@ -330,7 +346,7 @@ func TestBatchAndStatsz(t *testing.T) {
 	if br2.Version != 2 || br2.Rows != 10 || br2.Removed != 2 {
 		t.Fatalf("remove response: %+v", br2)
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline", nil, &out)
+	doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", QueryRequest{}, &out)
 	if !equalInts(rowSet(out.Skyline), []int{0, 4, 5, 8, 9}) {
 		t.Fatalf("after remove: %v", rowSet(out.Skyline))
 	}
@@ -401,7 +417,7 @@ func TestLoadCSVDir(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var out QueryResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/gen/skyline", nil, &out); code != http.StatusOK {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/gen/query", QueryRequest{}, &out); code != http.StatusOK {
 		t.Fatalf("skyline: %d", code)
 	}
 	// (10,"0") dominates (20,"1"); (5,"2") survives on price.

@@ -164,7 +164,7 @@ func streamRowRecord(snap *snapshot, row int, index int, elapsed time.Duration) 
 	}
 }
 
-// streamQuery is serveQuery's ?stream=1 delivery: header, one row
+// streamQuery is postQuery's ?stream=1 delivery: header, one row
 // record per emission the executor hands over (as rows certify, with
 // the cursor's key, on the progressive routes), and a trailer carrying
 // the buffered response's tail.

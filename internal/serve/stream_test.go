@@ -13,11 +13,11 @@ import (
 	"time"
 )
 
-// streamRecords issues one streamed request and decodes every NDJSON
-// frame in order.
-func streamRecords(t *testing.T, method, url string, body any) []StreamRecord {
+// streamRecords POSTs one streamed query and decodes every NDJSON frame
+// in order.
+func streamRecords(t *testing.T, url string, body any) []StreamRecord {
 	t.Helper()
-	resp := openStream(t, method, url, body)
+	resp := openStream(t, url, body)
 	defer resp.Body.Close()
 	var recs []StreamRecord
 	dec := json.NewDecoder(resp.Body)
@@ -32,31 +32,20 @@ func streamRecords(t *testing.T, method, url string, body any) []StreamRecord {
 	}
 }
 
-func openStream(t *testing.T, method, url string, body any) *http.Response {
+func openStream(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequest(method, url, rd)
+	buf, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		t.Fatalf("%s %s: HTTP %d: %s", method, url, resp.StatusCode, msg)
+		t.Fatalf("POST %s: HTTP %d: %s", url, resp.StatusCode, msg)
 	}
 	return resp
 }
@@ -87,7 +76,11 @@ func splitFrames(t *testing.T, recs []StreamRecord) (header StreamRecord, rows [
 	return recs[0], rows, last
 }
 
-// TestStreamSkylineNDJSON: GET /skyline?stream=1 delivers the exact
+// forcedSkyline is the table's skyline with sTSS forced and the memo
+// bypassed — what tssquery's bare invocation sends.
+var forcedSkyline = QueryRequest{Algo: "stss", NoCache: true}
+
+// TestStreamSkylineNDJSON: POST /query?stream=1 delivers the exact
 // buffered skyline as header → rows → trailer NDJSON frames, with
 // emission indexes in order and the trailer repeating the snapshot
 // version.
@@ -95,11 +88,11 @@ func TestStreamSkylineNDJSON(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var buffered QueryResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline", nil, &buffered); code != http.StatusOK {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", forcedSkyline, &buffered); code != http.StatusOK {
 		t.Fatalf("buffered skyline: %d", code)
 	}
 
-	recs := streamRecords(t, http.MethodGet, ts.URL+"/tables/flights/skyline?stream=1", nil)
+	recs := streamRecords(t, ts.URL+"/tables/flights/query?stream=1", forcedSkyline)
 	header, rows, trailer := splitFrames(t, recs)
 	if header.Table != "flights" || header.Rows != 10 {
 		t.Fatalf("header %+v, want table=flights rows=10", header)
@@ -129,7 +122,7 @@ func TestStreamSkylineNDJSON(t *testing.T) {
 // as an SSE data event with the text/event-stream content type.
 func TestStreamQuerySSE(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp := openStream(t, http.MethodGet, ts.URL+"/tables/flights/skyline?stream=1&sse=1", nil)
+	resp := openStream(t, ts.URL+"/tables/flights/query?stream=1&sse=1", forcedSkyline)
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
@@ -173,7 +166,7 @@ func TestStreamDynamicQuery(t *testing.T) {
 		t.Fatalf("buffered query: %d", code)
 	}
 
-	recs := streamRecords(t, http.MethodPost, ts.URL+"/tables/flights/query?stream=1", body)
+	recs := streamRecords(t, ts.URL+"/tables/flights/query?stream=1", body)
 	_, rows, trailer := splitFrames(t, recs)
 	if len(rows) != len(buffered.Skyline) {
 		t.Fatalf("streamed %d rows, buffered %d", len(rows), len(buffered.Skyline))
@@ -187,7 +180,7 @@ func TestStreamDynamicQuery(t *testing.T) {
 		t.Fatalf("trailer count %d, buffered %d", trailer.Count, buffered.Count)
 	}
 
-	recs = streamRecords(t, http.MethodPost, ts.URL+"/tables/flights/query?stream=1&limit=2", body)
+	recs = streamRecords(t, ts.URL+"/tables/flights/query?stream=1&limit=2", body)
 	_, rows, trailer = splitFrames(t, recs)
 	if len(rows) != 2 {
 		t.Fatalf("limit=2 streamed %d rows", len(rows))
@@ -201,7 +194,7 @@ func TestStreamDynamicQuery(t *testing.T) {
 // K rows and reports the plan in the trailer when asked.
 func TestStreamPlannedTopK(t *testing.T) {
 	_, ts := newTestServer(t)
-	recs := streamRecords(t, http.MethodPost, ts.URL+"/tables/flights/query?stream=1",
+	recs := streamRecords(t, ts.URL+"/tables/flights/query?stream=1",
 		map[string]any{"topK": 3, "explain": true})
 	_, rows, trailer := splitFrames(t, recs)
 	if len(rows) != 3 || trailer.Count != 3 {
@@ -219,7 +212,7 @@ func TestStreamPlannedTopK(t *testing.T) {
 	body := map[string]any{"explain": true, "limit": 3}
 	var buffered QueryResponse
 	doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", body, &buffered)
-	_, rows, trailer = splitFrames(t, streamRecords(t, http.MethodPost, ts.URL+"/tables/flights/query?stream=1", body))
+	_, rows, trailer = splitFrames(t, streamRecords(t, ts.URL+"/tables/flights/query?stream=1", body))
 	if len(buffered.Skyline) != 3 || len(rows) != 3 || trailer.Count != 5 || buffered.Count != 5 {
 		t.Fatalf("body limit=3: buffered %d rows (count %d), streamed %d rows (count %d); want 3 rows, count 5",
 			len(buffered.Skyline), buffered.Count, len(rows), trailer.Count)
@@ -269,7 +262,7 @@ func TestStreamHeartbeat(t *testing.T) {
 	body := map[string]any{
 		"orders": []map[string]any{{"edges": [][2]string{{"g1", "g0"}}}},
 	}
-	recs := streamRecords(t, http.MethodPost, ts.URL+"/tables/wide/query?stream=1&limit=5", body)
+	recs := streamRecords(t, ts.URL+"/tables/wide/query?stream=1&limit=5", body)
 	beats := 0
 	for _, rec := range recs {
 		if rec.Type == "heartbeat" {
@@ -300,7 +293,7 @@ func TestStreamClientDisconnectTeardown(t *testing.T) {
 	defer ts.Close()
 
 	query := map[string]any{"subspace": []string{"x", "y"}}
-	resp := openStream(t, http.MethodPost, ts.URL+"/tables/wide/query?stream=1", query)
+	resp := openStream(t, ts.URL+"/tables/wide/query?stream=1", query)
 	dec := json.NewDecoder(resp.Body)
 	for i := 0; i < 4; i++ { // header + a few rows: strictly mid-stream
 		var rec StreamRecord
@@ -332,8 +325,8 @@ func TestStreamClientDisconnectTeardown(t *testing.T) {
 		t.Fatalf("cached skyline has %d rows, want 20000", second.Count)
 	}
 
-	// A completed stream fills the same memo the buffered route reads.
-	recs := streamRecords(t, http.MethodGet, ts.URL+"/tables/wide/skyline?stream=1&limit=3", nil)
+	// A limited stream still counts every certified row.
+	recs := streamRecords(t, ts.URL+"/tables/wide/query?stream=1&limit=3", forcedSkyline)
 	_, rows, trailer := splitFrames(t, recs)
 	if len(rows) != 3 || trailer.Count != 20000 {
 		t.Fatalf("limit=3 full stream: %d rows, trailer count %d (want 20000)", len(rows), trailer.Count)

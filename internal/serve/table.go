@@ -46,11 +46,6 @@ type tableEntry struct {
 	specCacheCap int
 	cacheCap     int
 
-	// subspaceCap sizes each fresh snapshot memo's subspace LRU
-	// (Config.SubspaceCacheCap; 0 = plan.DefaultSubspaceCap). Advanced
-	// memos inherit it through plan.MemoCache.Advance.
-	subspaceCap int
-
 	writeMu sync.Mutex // serializes mutations; readers never take it
 	snap    atomic.Pointer[snapshot]
 
@@ -60,10 +55,6 @@ type tableEntry struct {
 	ckptSkip     int
 	ckptSkipLeft int
 	ckptStreak   atomic.Int64
-
-	// noMaintain disables carrying the skyline memo across batches
-	// (Config.NoMaintain): every mutation installs a fresh empty memo.
-	noMaintain bool
 
 	queries   atomic.Int64
 	mutations atomic.Int64
@@ -113,7 +104,7 @@ func buildOrders(specs []OrderSpec) (orders []*tss.Order, err error) {
 // given version and returns the ready entry. cacheCap sizes the memo's
 // per-request-orders LRU unless the spec does; version is 0 for fresh
 // tables and the recovered version when loading from a store.
-func newTableEntry(spec TableSpec, cacheCap, subspaceCap int, version int64) (*tableEntry, error) {
+func newTableEntry(spec TableSpec, cacheCap int, version int64) (*tableEntry, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("table name is required")
 	}
@@ -141,7 +132,6 @@ func newTableEntry(spec TableSpec, cacheCap, subspaceCap int, version int64) (*t
 		orders:       orders,
 		specCacheCap: spec.CacheCapacity,
 		cacheCap:     cacheCap,
-		subspaceCap:  subspaceCap,
 	}
 	table, err := e.freshTable()
 	if err != nil {
@@ -170,10 +160,10 @@ func (e *tableEntry) freshTable() (t *tss.Table, err error) {
 }
 
 // freshMemo returns an empty skyline memo for the planner's cache
-// routing, sized by the entry's caps. A memo is snapshot-scoped: it
-// describes exactly one row set.
+// routing, its per-request-orders LRU sized by the entry. A memo is
+// snapshot-scoped: it describes exactly one row set.
 func (e *tableEntry) freshMemo() *plan.MemoCache {
-	return plan.NewMemoCacheWithCaps(e.subspaceCap, e.cacheCap)
+	return plan.NewMemoCacheWithCaps(e.cacheCap)
 }
 
 // current returns the snapshot serving reads right now.
@@ -212,9 +202,8 @@ func (e *tableEntry) applyBatch(req BatchRequest, persist func(version int64) er
 	// advanced the old snapshot's memo across the delta (entries
 	// re-certified by the incremental maintainer, over-churn entries
 	// dropped), so post-batch repeat queries hit the maintained route
-	// instead of recomputing from cold. NoMaintain restores the old
-	// fresh-memo-per-batch behaviour.
-	if e.noMaintain || next.QueryCache() == nil {
+	// instead of recomputing from cold.
+	if next.QueryCache() == nil {
 		next.SetQueryCache(e.freshMemo())
 	}
 
@@ -258,7 +247,6 @@ func (e *tableEntry) info() TableInfo {
 		pc.SubspaceEvictions = ms.SubspaceEvictions
 		pc.IndexAdvances = ms.IndexAdvances
 		pc.IndexFallbacks = ms.IndexFallbacks
-		pc.SubspaceCapacity = mc.SubspaceCap()
 	}
 	return TableInfo{
 		Name:      e.name,

@@ -104,9 +104,6 @@ type PlanCacheStats struct {
 	Promotions        int64 `json:"promotions"`
 	MaintFallbacks    int64 `json:"maintFallbacks"`
 	SubspaceEvictions int64 `json:"subspaceEvictions"`
-	// SubspaceCapacity is the configured subspace-memo LRU cap (tssserve
-	// -subspace-cache-cap; not a counter).
-	SubspaceCapacity int `json:"subspaceCapacity,omitempty"`
 	// Ranked top-k queries by where their scores came from: the
 	// incrementally maintained score index, the memoised skyline (scored
 	// on demand), or a cold skyline compute.
@@ -130,9 +127,6 @@ func (p *PlanCacheStats) Add(o PlanCacheStats) {
 	p.Promotions += o.Promotions
 	p.MaintFallbacks += o.MaintFallbacks
 	p.SubspaceEvictions += o.SubspaceEvictions
-	if p.SubspaceCapacity == 0 {
-		p.SubspaceCapacity = o.SubspaceCapacity
-	}
 	p.RankedIndex += o.RankedIndex
 	p.RankedMemo += o.RankedMemo
 	p.RankedCold += o.RankedCold

@@ -230,10 +230,6 @@ func (t *Table) MustAdd(to []int64, po ...string) {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.ds.Pts) }
 
-// TONames returns the totally ordered column names in declaration
-// order.
-func (t *Table) TONames() []string { return append([]string(nil), t.toNames...) }
-
 // Orders returns the table's partially ordered column domains. The
 // returned Orders are the table's own (compiled and frozen): inspect
 // them with Values/Preferred, but further Prefer calls panic.
