@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/poset"
 	"repro/internal/serve"
 )
 
@@ -45,7 +46,16 @@ import (
 // relevant shard, not the slowest leg. Unranked top-k stops the scatter
 // outright once K rows certify (each certified row already beats every
 // remaining shard bound), cancelling the remaining legs mid-traversal
-// instead of over-fetching every shard's full local skyline.
+// instead of over-fetching every shard's full local skyline; the legs
+// are drained in the background, so the trailer does not wait for them.
+//
+// The merge state is a merger. Condition 1 is a shard-tagged
+// core.Window: one kernel offer per arrival, tested against the other
+// shards' members only. Condition 2 is checked over a certification
+// frontier, the uncertified live candidates in arrival order. The
+// frontier is swept in full only after a shard's bound moved (a
+// trailer, or a new streamed key); otherwise only the new arrival can
+// have become certifiable, so only it is tested.
 
 // stream is the streamed runner: the header first, then — inside the
 // producer, so heartbeats flow while the statistics fetch and the plan
@@ -155,11 +165,10 @@ func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events cha
 }
 
 // streamMerge is the incremental scatter/merge: the stream producer
-// running the merge loop against the leg streams. prepare has run. An
-// unranked top-k stops after K certified rows; g.limit only truncates
-// emission, certification continues.
+// feeding the leg streams to a merger. prepare has run. An unranked
+// top-k stops after K certified rows; g.limit only truncates emission,
+// certification continues.
 func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(serve.StreamRecord) error) (serve.StreamRecord, error) {
-	topK := g.q.TopK
 	start := time.Now()
 	n := len(co.shards)
 	legCtx, cancel := context.WithCancel(ctx)
@@ -176,12 +185,16 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 		wg.Wait()
 		close(events)
 	}()
-	// On every exit, cancel the remaining legs and drain their events so
-	// no goroutine blocks on a send into an abandoned channel.
+	// On every exit, cancel the remaining legs and drain their events in
+	// the background: no leg blocks on a send into an abandoned channel,
+	// and the trailer goes out without waiting for cancelled legs to
+	// return. The drain ends once the stream's own legs have returned.
 	defer func() {
 		cancel()
-		for range events { //nolint:revive // intentional drain
-		}
+		go func() {
+			for range events { //nolint:revive // intentional drain
+			}
+		}()
 	}()
 
 	// Per-shard bookkeeping, pre-seeded from the statistics snapshot so
@@ -190,7 +203,6 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 	bounds := make([]shardBound, n)
 	versions := make([]int64, n)
 	shardRows := make([]int, n)
-	complete := make([]bool, n)
 	for i, st := range g.stats {
 		versions[i] = st.Version
 		shardRows[i] = st.Rows
@@ -201,66 +213,18 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 		}
 	}
 
-	type mcand struct {
-		c         candidate
-		key       *int64 // emission key on cursor-leg rows; nil otherwise
-		certified bool
-	}
-	var alive []mcand
 	var metrics core.MetricsExport
-	trailers, cacheHits, certified, emitted := 0, 0, 0, 0
-
-	// Per-shard streamed-key progress: cursor legs annotate each row with
-	// its non-decreasing L1 mindist key, and a strict t-dominator always
-	// has a strictly smaller key than the row it dominates — so once
-	// shard s's last-seen key reaches a candidate's key, nothing s can
-	// still send dominates that candidate, even when s's static min
-	// corner never clears (hash partitioning puts every corner near the
-	// origin). Replayed legs (cache hits, forced algorithms) send
-	// no keys and stay on the conservative corner bound.
-	lastKey := make([]int64, n)
-	haveKey := make([]bool, n)
-
-	// certifySweep certifies and emits every pending candidate no
-	// incomplete foreign shard threatens. Returns done=true once an
-	// unranked top-k has its K rows.
-	certifySweep := func() (bool, error) {
-		for i := range alive {
-			p := &alive[i]
-			if p.certified {
-				continue
-			}
-			threatened := false
-			for s := 0; s < n && !threatened; s++ {
-				if s == p.c.shard || complete[s] {
-					continue
-				}
-				if p.key != nil && haveKey[s] && lastKey[s] >= *p.key {
-					continue
-				}
-				threatened = bounds[s].threatens(&p.c.pt)
-			}
-			if threatened {
-				continue
-			}
-			p.certified = true
-			certified++
-			if g.limit == 0 || emitted < g.limit {
-				shard := p.c.shard
-				row := p.c.row
-				row.Shard = &shard
-				rec := serve.StreamRecord{Type: "row", Row: &row, Emission: certified - 1, Elapsed: time.Since(start).Seconds()}
-				if err := emit(rec); err != nil {
-					return false, err
-				}
-				emitted++
-			}
-			if topK > 0 && certified == topK {
-				return true, nil
-			}
+	trailers, cacheHits := 0, 0
+	m := newMerger(g.doms, len(g.keptTO), bounds, g.q.TopK, func(c *candidate, index int) error {
+		if g.limit > 0 && index >= g.limit {
+			return nil
 		}
-		return false, nil
-	}
+		shard := c.shard
+		row := c.row
+		row.Shard = &shard
+		return emit(serve.StreamRecord{Type: "row", Row: &row, Emission: index, Elapsed: time.Since(start).Seconds()})
+	})
+	defer m.win.Close()
 
 	finish := func() (serve.StreamRecord, error) {
 		var version int64
@@ -271,14 +235,14 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 		}
 		metrics.Shards = n
 		trailer := serve.StreamRecord{
-			Type: "trailer", Version: version, Rows: rowsTot, Count: certified,
+			Type: "trailer", Version: version, Rows: rowsTot, Count: m.certified,
 			Metrics: &metrics, CacheHit: trailers > 0 && cacheHits == trailers,
 			Algo:    g.explain.Algorithm,
 			Cluster: &serve.ClusterMeta{Shards: n, Versions: versions},
 		}
 		if g.wantExplain {
 			g.explain.ObservedSeconds = time.Since(start).Seconds()
-			g.explain.ObservedSkyline = certified
+			g.explain.ObservedSkyline = m.certified
 			g.explain.CacheHit = trailer.CacheHit
 			trailer.Plan = g.explain
 		}
@@ -289,45 +253,20 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 		if ev.err != nil {
 			return serve.StreamRecord{}, ev.err
 		}
+		var done bool
+		var err error
 		switch ev.rec.Type {
 		case "header":
 			versions[ev.shard] = ev.rec.Version
 			shardRows[ev.shard] = ev.rec.Rows
 			continue
 		case "row":
-			pt, err := g.point(ev.rec.Row)
-			if err != nil {
+			var pt core.Point
+			if pt, err = g.point(ev.rec.Row); err != nil {
 				return serve.StreamRecord{}, err
 			}
-			// Every keyed arrival advances its shard's progress bound,
-			// whether or not the row survives as a candidate.
-			if ev.rec.Key != nil {
-				lastKey[ev.shard] = *ev.rec.Key
-				haveKey[ev.shard] = true
-			}
-			c := candidate{shard: ev.shard, row: *ev.rec.Row, pt: pt}
-			dominated := false
-			for i := range alive {
-				if core.DominatesUnder(g.doms, &alive[i].c.pt, &c.pt) {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				continue
-			}
-			// The arrival may retire pending candidates; certified rows
-			// are un-dominatable by construction and always survive.
-			kept := alive[:0]
-			for i := range alive {
-				if !alive[i].certified && core.DominatesUnder(g.doms, &c.pt, &alive[i].c.pt) {
-					continue
-				}
-				kept = append(kept, alive[i])
-			}
-			alive = append(kept, mcand{c: c, key: ev.rec.Key})
+			done, err = m.row(candidate{shard: ev.shard, row: *ev.rec.Row, pt: pt}, ev.rec.Key)
 		case "trailer":
-			complete[ev.shard] = true
 			trailers++
 			if ev.rec.CacheHit {
 				cacheHits++
@@ -335,10 +274,10 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 			if ev.rec.Metrics != nil {
 				addMetrics(&metrics, ev.rec.Metrics)
 			}
+			done, err = m.trailer(ev.shard)
 		default:
 			continue // forward-compatible: ignore unknown record types
 		}
-		done, err := certifySweep()
 		if err != nil {
 			return serve.StreamRecord{}, err
 		}
@@ -348,8 +287,140 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 	}
 	// All legs complete: every remaining pending candidate survived the
 	// full gather and certifies now.
-	if _, err := certifySweep(); err != nil {
+	if _, err := m.sweep(); err != nil {
 		return serve.StreamRecord{}, err
 	}
 	return finish()
+}
+
+// merger is the incremental merge state of one streamed scatter, apart
+// from the legs that feed it: shard rows and trailers go in, certified
+// candidates come out through sink. Emission order and indexes are
+// those of a full certification sweep after every admitted row and
+// every trailer. After done or an error the merger is spent.
+type merger struct {
+	win   *core.Window // condition 1; member i is cands[i]
+	cands []pending
+	// frontier holds the uncertified candidates in arrival order; an
+	// entry evicted since the last sweep is dropped by the next one.
+	frontier []int
+	stale    bool // a shard's threat bound moved since the last sweep
+
+	bounds   []shardBound
+	complete []bool
+	// Per-shard streamed-key progress: cursor legs annotate each row
+	// with its non-decreasing L1 mindist key, and a strict t-dominator
+	// always has a strictly smaller key than the row it dominates — so
+	// once shard s's last-seen key reaches a candidate's key, nothing s
+	// can still send dominates that candidate, even when s's static min
+	// corner never clears (hash partitioning puts every corner near the
+	// origin). Replayed legs (cache hits, forced algorithms) send no
+	// keys and stay on the conservative corner bound.
+	lastKey []int64
+	haveKey []bool
+
+	topK      int // > 0: done after K certified rows
+	certified int
+	sink      func(c *candidate, index int) error
+}
+
+// pending is one admitted candidate with its emission key (nil on
+// replayed legs).
+type pending struct {
+	c   candidate
+	key *int64
+}
+
+func newMerger(doms []*poset.Domain, nTO int, bounds []shardBound, topK int, sink func(c *candidate, index int) error) *merger {
+	n := len(bounds)
+	return &merger{
+		win:      core.NewWindow(doms, nTO, 0, true),
+		bounds:   bounds,
+		complete: make([]bool, n),
+		lastKey:  make([]int64, n),
+		haveKey:  make([]bool, n),
+		topK:     topK,
+		sink:     sink,
+	}
+}
+
+// row takes one streamed shard row. Every keyed arrival advances its
+// shard's progress bound, whether or not the row survives as a
+// candidate; a dominated row is dropped without a sweep. done reports
+// that a top-k has its K rows.
+func (m *merger) row(c candidate, key *int64) (done bool, err error) {
+	if key != nil {
+		if !m.haveKey[c.shard] || m.lastKey[c.shard] != *key {
+			m.stale = true
+		}
+		m.lastKey[c.shard], m.haveKey[c.shard] = *key, true
+	}
+	i := len(m.cands)
+	if !m.win.Offer(c.pt.TO, c.pt.PO, int32(i), int32(c.shard)) {
+		return false, nil
+	}
+	m.cands = append(m.cands, pending{c: c, key: key})
+	m.frontier = append(m.frontier, i)
+	if m.stale {
+		return m.sweep()
+	}
+	// The last sweep left every older frontier entry threatened, and no
+	// bound has moved since: only the arrival can certify.
+	if m.threatened(&m.cands[i]) {
+		return false, nil
+	}
+	m.frontier = m.frontier[:len(m.frontier)-1]
+	return m.certify(i)
+}
+
+// trailer marks a shard's leg complete and sweeps.
+func (m *merger) trailer(shard int) (done bool, err error) {
+	m.complete[shard] = true
+	return m.sweep()
+}
+
+// sweep certifies, in arrival order, every frontier candidate that no
+// incomplete foreign shard threatens.
+func (m *merger) sweep() (done bool, err error) {
+	m.stale = false
+	kept := m.frontier[:0]
+	for _, i := range m.frontier {
+		if !m.win.Alive(i) {
+			continue
+		}
+		if m.threatened(&m.cands[i]) {
+			kept = append(kept, i)
+			continue
+		}
+		if done, err := m.certify(i); done || err != nil {
+			return done, err
+		}
+	}
+	m.frontier = kept
+	return false, nil
+}
+
+// threatened reports whether an incomplete shard other than the
+// candidate's own could still stream a dominator of it.
+func (m *merger) threatened(p *pending) bool {
+	for s := range m.bounds {
+		if s == p.c.shard || m.complete[s] {
+			continue
+		}
+		if p.key != nil && m.haveKey[s] && m.lastKey[s] >= *p.key {
+			continue
+		}
+		if m.bounds[s].threatens(&p.c.pt) {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *merger) certify(i int) (done bool, err error) {
+	m.certified++
+	if err := m.sink(&m.cands[i].c, m.certified-1); err != nil {
+		return false, err
+	}
+	return m.certified == m.topK, nil
 }

@@ -8,12 +8,38 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
 )
+
+// checkGoroutines fails t unless, once t's servers are closed (cleanups
+// registered later run first), the goroutine count returns to its value
+// at the call within a bounded wait: no leg, drain or handler goroutine
+// of a stream outlives the test.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			n := runtime.NumGoroutine()
+			if n <= before {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after the test, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}
 
 // streamFrames issues one streamed request against base and decodes
 // every NDJSON frame.
@@ -98,6 +124,7 @@ func checkTrailerMeta(t *testing.T, name string, trailer serve.StreamRecord, n i
 // unranked top-k must return K members of the full merged skyline with
 // a complete trailer despite canceling legs early.
 func TestStreamedScatterDifferential(t *testing.T) {
+	checkGoroutines(t)
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			rows := fixtureRows(260, int64(4000+n))
@@ -315,6 +342,7 @@ func stallingProxy(t *testing.T, shardURL string, stallAfter int, release <-chan
 // (their keys are covered by the stalled shard's last-seen key) instead
 // of waiting for the stalled leg to complete.
 func TestStreamedHashCertifyBeforeCompletion(t *testing.T) {
+	checkGoroutines(t)
 	shard0 := httptest.NewServer(serve.NewWithConfig(serve.Config{
 		Shard: &serve.ShardIdentity{Index: 0, Count: 2},
 	}).Handler())
@@ -421,6 +449,7 @@ func TestStreamedHashCertifyBeforeCompletion(t *testing.T) {
 // frame — a torn leg can never pass off a partial merge as complete —
 // and the coordinator keeps serving afterwards.
 func TestStreamedDeadShardLeg(t *testing.T) {
+	checkGoroutines(t)
 	shard0 := httptest.NewServer(serve.NewWithConfig(serve.Config{
 		Shard: &serve.ShardIdentity{Index: 0, Count: 2},
 	}).Handler())

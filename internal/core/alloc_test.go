@@ -59,6 +59,51 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 				t.Errorf("probe loop allocates %.1f objects per pass, want 0", allocs)
 			}
 
+			// Window.Offer: a rejected offer allocates nothing; an admitted
+			// one only grows the columns — amortized slice doubling plus one
+			// zone-map block per kernelBlock members. Each pass re-offers
+			// the skyline round-robin under four shard tags, so every offer
+			// is admitted (duplicates never dominate) and the window grows.
+			sky := ds.NaiveSkyline()
+			inSky := make(map[int32]bool, len(sky))
+			for _, id := range sky {
+				inSky[id] = true
+			}
+			w := NewWindow(ds.Domains, 2, tc.budget, true)
+			const tagsPerPass = 32
+			tag := int32(0)
+			admitAll := func() {
+				for range tagsPerPass {
+					for _, id := range sky {
+						p := &ds.Pts[id]
+						if !w.Offer(p.TO, p.PO, p.ID, tag%4) {
+							t.Fatalf("skyline point %d rejected", id)
+						}
+					}
+					tag++
+				}
+			}
+			rejectAll := func() {
+				for i := range ds.Pts {
+					p := &ds.Pts[i]
+					if !inSky[p.ID] && w.Offer(p.TO, p.PO, p.ID, 4) {
+						t.Fatalf("dominated point %d admitted", p.ID)
+					}
+				}
+			}
+			admitAll()
+			if allocs := testing.AllocsPerRun(20, rejectAll); allocs != 0 {
+				t.Errorf("rejected Window.Offer allocates %.1f objects per pass, want 0", allocs)
+			}
+			perOffer := testing.AllocsPerRun(10, admitAll) / float64(tagsPerPass*len(sky))
+			// A block's zone maps are ≤ 7 objects per 256 members (0.027
+			// per offer); each set's six growing slices and the member
+			// index double a few times.
+			if perOffer > 0.1 {
+				t.Errorf("admitted Window.Offer allocates %.3f objects per offer, want only amortized column growth (≤ 0.1)", perOffer)
+			}
+			w.Close()
+
 			scan := domScanWithBudget(ds, len(ds.Pts), tc.budget)
 			for i := range ds.Pts {
 				scan.Add(ds.Pts[i].TO, ds.Pts[i].PO)

@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the dominance kernel: the columnar (SoA) elimination
-// engine shared by the BNL/SFS/SaLSa/LESS window scans and the
-// partition/cluster merge passes. Three ideas compose:
+// engine shared by the BNL/SFS/SaLSa/LESS window scans, the
+// partition/cluster merge passes and the coordinator's streamed merge.
+// Three ideas compose:
 //
 //  1. Bitset closure dominance — when a domain's transitive closure
 //     fits its memory budget (poset.Domain.EnableClosure), the per-pair
@@ -65,8 +66,9 @@ type kblock struct {
 
 // colSet is the kernel's member set: columnar storage plus zone-map
 // blocks plus an aliveness mask (for BNL-style eviction). It backs both
-// grow-only windows (SFS/SaLSa/LESS), evicting windows (BNL) and bulk
-// merge-candidate sets (eliminateDominated).
+// grow-only windows (SFS/SaLSa/LESS), the evicting Window (BNL and the
+// coordinator's streamed merge) and bulk merge-candidate sets
+// (eliminateDominated).
 type colSet struct {
 	domains []*poset.Domain
 	nTO     int

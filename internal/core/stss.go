@@ -33,9 +33,8 @@ func buildSTSSTree(ds *Dataset, opt Options, io *rtree.IOCounter) *rtree.Tree {
 // neither progressive (output happens only at the end) nor precedence-
 // aware; it serves as a simple correct baseline and as the local-
 // skyline substrate of the dTSS pre-processing optimisation. The
-// candidate window runs on the dominance kernel (columnar masked scans
-// over zone-mapped blocks, with an aliveness mask standing in for
-// eviction) unless opt.NoKernel selects the scalar reference loop.
+// candidate list is the kernel's evicting Window unless opt.NoKernel
+// selects the scalar reference loop.
 func BNL(ds *Dataset, opt Options) *Result {
 	opt = opt.withDefaults()
 	if opt.NoKernel {
@@ -43,30 +42,19 @@ func BNL(ds *Dataset, opt Options) *Result {
 	}
 	res := &Result{}
 	clock := newEmitClock(&rtree.IOCounter{})
-	k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
-	pr := k.newProbe()
+	w := NewWindow(ds.Domains, ds.NumTO(), opt.ClosureBudget, false)
 	for i := range ds.Pts {
 		if opt.canceled(i) {
 			return res
 		}
 		p := &ds.Pts[i]
-		k.begin(pr, p.TO, p.PO, true)
-		if k.anyDominator(pr) {
-			continue
-		}
-		// p is undominated: evict what it dominates, then join the
-		// window. (If p were dominated it could evict nothing — its
-		// dominator would dominate the same members, and the window is
-		// mutually non-dominated.)
-		k.evictDominatedBy(pr)
-		k.maybeCompact()
-		k.append(p.TO, p.PO, p.ID, -1)
+		w.Offer(p.TO, p.PO, p.ID, -1)
 	}
-	res.SkylineIDs = k.aliveIDs(res.SkylineIDs)
+	res.SkylineIDs = w.sets[0].aliveIDs(res.SkylineIDs)
 	for _, id := range res.SkylineIDs {
 		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(id))
 	}
-	pr.addTo(&res.Metrics)
+	w.pr.addTo(&res.Metrics)
 	res.Metrics.CPU = clock.elapsed()
 	return res
 }

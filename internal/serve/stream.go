@@ -12,6 +12,15 @@ import (
 	"repro/internal/plan"
 )
 
+// Streamed delivery: a query's rows go out as NDJSON (or SSE) records
+// while it certifies them — header, rows, heartbeats while the producer
+// is silent, then a trailer or an error. The first row is flushed
+// alone, for time to first row; every later row goes out in one flush
+// with the rows the producer already has waiting behind it, so a burst
+// (a coordinator certifies hundreds of rows at once when a shard leg
+// completes, and a warm leg replays its memo) costs one flush, not one
+// per row.
+
 // DefaultStreamHeartbeat is the idle interval between heartbeat records
 // on a streamed response when the server config does not override it.
 // Heartbeats keep proxies and clients from timing out a stream whose
@@ -35,8 +44,9 @@ func wantsSSE(r *http.Request) bool {
 }
 
 // streamWriter frames StreamRecords onto the response: one JSON object
-// per line (NDJSON) or one SSE data event per record, each followed by
-// a flush so rows reach the client the moment they are certified.
+// per line (NDJSON) or one SSE data event per record. write only
+// buffers a record; flush pushes everything buffered to the client, and
+// send does both.
 type streamWriter struct {
 	w   http.ResponseWriter
 	f   http.Flusher // nil when the ResponseWriter cannot flush
@@ -56,14 +66,28 @@ func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	if sw.f != nil {
-		sw.f.Flush()
-	}
+	sw.flush()
 	return sw
 }
 
-// send encodes one record through the pooled buffer and flushes it.
+// send writes one record and flushes it.
 func (sw *streamWriter) send(rec *StreamRecord) error {
+	if err := sw.write(rec); err != nil {
+		return err
+	}
+	sw.flush()
+	return nil
+}
+
+func (sw *streamWriter) flush() {
+	if sw.f != nil {
+		sw.f.Flush()
+	}
+}
+
+// write encodes one record through the pooled buffer onto the response,
+// without flushing.
+func (sw *streamWriter) write(rec *StreamRecord) error {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
 	buf.Reset()
@@ -76,13 +100,8 @@ func (sw *streamWriter) send(rec *StreamRecord) error {
 	if sw.sse {
 		buf.WriteByte('\n') // Encode wrote one \n; SSE events end with a blank line
 	}
-	if _, err := sw.w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if sw.f != nil {
-		sw.f.Flush()
-	}
-	return nil
+	_, err := sw.w.Write(buf.Bytes())
+	return err
 }
 
 // StreamResponse drives a streamed query response: the header record
@@ -93,8 +112,11 @@ func (sw *streamWriter) send(rec *StreamRecord) error {
 // client disconnects (or stops reading), so a torn-down stream releases
 // the query's cursor instead of computing into a closed socket; its emit
 // returns the cancellation as an error, and StreamResponse always waits
-// for produce to return before it does. Exported for the cluster
-// coordinator, whose streamed scatter/gather reuses the exact framing.
+// for produce to return before it does. Rows are flushed by the burst
+// rule above; the row channel is unbuffered, so produce never runs
+// ahead of the client and its trailer cannot overtake a row. Exported
+// for the cluster coordinator, whose streamed scatter/gather reuses the
+// exact framing.
 func StreamResponse(w http.ResponseWriter, r *http.Request, heartbeat time.Duration, header StreamRecord,
 	produce func(ctx context.Context, emit func(StreamRecord) error) (StreamRecord, error)) {
 	if heartbeat <= 0 {
@@ -127,14 +149,21 @@ func StreamResponse(w http.ResponseWriter, r *http.Request, heartbeat time.Durat
 
 	ticker := time.NewTicker(heartbeat)
 	defer ticker.Stop()
+	firstRow := true
 	for {
 		select {
 		case rec := <-rows:
-			if err := sw.send(&rec); err != nil {
+			err := sw.write(&rec)
+			if err == nil && !firstRow {
+				err = writeWaiting(sw, rows)
+			}
+			firstRow = false
+			if err != nil {
 				cancel()
 				<-done // drain the producer before returning the handler
 				return
 			}
+			sw.flush()
 			ticker.Reset(heartbeat)
 		case <-ticker.C:
 			if err := sw.send(&StreamRecord{Type: "heartbeat"}); err != nil {
@@ -149,6 +178,21 @@ func StreamResponse(w http.ResponseWriter, r *http.Request, heartbeat time.Durat
 			}
 			_ = sw.send(&out.trailer)
 			return
+		}
+	}
+}
+
+// writeWaiting writes every row the producer already has blocked on
+// rows, stopping as soon as none is waiting.
+func writeWaiting(sw *streamWriter, rows <-chan StreamRecord) error {
+	for {
+		select {
+		case rec := <-rows:
+			if err := sw.write(&rec); err != nil {
+				return err
+			}
+		default:
+			return nil
 		}
 	}
 }

@@ -8,10 +8,36 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+// checkGoroutines fails t unless, once the test has closed its servers,
+// the goroutine count returns to its value at the call within a bounded
+// wait: no producer or handler goroutine of a torn-down stream outlives
+// the test.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			n := runtime.NumGoroutine()
+			if n <= before {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after the test, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}
 
 // streamRecords POSTs one streamed query and decodes every NDJSON frame
 // in order.
@@ -285,6 +311,7 @@ func TestStreamHeartbeat(t *testing.T) {
 // clean full run) a hit: the memo plumbing works, the aborted stream
 // just never fed it.
 func TestStreamClientDisconnectTeardown(t *testing.T) {
+	checkGoroutines(t)
 	s := New(8)
 	if _, err := s.CreateTable(antiCorrSpec("wide", 20000)); err != nil {
 		t.Fatal(err)
