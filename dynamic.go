@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/poset"
 )
 
@@ -91,9 +92,9 @@ func (d *Dynamic) QueryContext(ctx context.Context, orders ...*Order) (*SkylineR
 // QueryAt computes the *fully dynamic* skyline (§V-B): besides the
 // preference orders, the query names the ideal TO values ideal (one per
 // TO column); every TO comparison becomes a distance |value − ideal|,
-// so "best" means closest to the ideal rather than smallest. Row
-// grouping and per-group indexes are still reused; only the precomputed
-// local skylines are unusable for this query class.
+// so "best" means closest to the ideal rather than smallest. It is the
+// table's planned query with Orders and Ideal set, so it bypasses the
+// result cache and neither reads nor rebuilds the group trees.
 func (d *Dynamic) QueryAt(ideal []int64, orders ...*Order) (*SkylineResult, error) {
 	return d.QueryAtContext(context.Background(), ideal, orders...)
 }
@@ -105,22 +106,8 @@ func (d *Dynamic) QueryAtContext(ctx context.Context, ideal []int64, orders ...*
 	if err != nil {
 		return nil, err
 	}
-	if len(ideal) != len(d.table.toNames) {
-		return nil, fmt.Errorf("tss: ideal point has %d values, table has %d TO columns",
-			len(ideal), len(d.table.toNames))
-	}
-	q := make([]int32, len(ideal))
-	for i, v := range ideal {
-		if v < 0 || v > 1<<30 {
-			return nil, fmt.Errorf("tss: ideal value %d out of supported range [0, 2^30]", v)
-		}
-		q[i] = int32(v)
-	}
-	res, err := d.db.QueryTSSFullContext(ctx, q, domains, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(res), nil
+	res, _, err := d.table.QueryContext(ctx, plan.Query{Orders: domains, Ideal: ideal})
+	return res, err
 }
 
 // QueryBaseline answers the same query with the rebuild-everything

@@ -27,9 +27,10 @@ func allocDataset(seed int64, n int) *Dataset {
 }
 
 // TestKernelProbeLoopAllocs: the colSet probe loop — compile candidate,
-// dominator scan, eviction scan — and the ranking layer's DomScan
-// collector are allocation-free in the steady state, on both the
-// bitset-closure path and the interval fallback.
+// dominator scan, eviction scan — the merge pass's per-shard probe and
+// the ranking layer's DomScan collector are allocation-free in the
+// steady state, on both the bitset-closure path and the interval
+// fallback.
 func TestKernelProbeLoopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -40,10 +41,10 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := allocDataset(7, 600)
-			k := newColSet(ds.Domains, 2, len(ds.Pts), tc.budget, false)
+			k := newColSet(ds.Domains, 2, len(ds.Pts), tc.budget)
 			for i := range ds.Pts {
 				p := &ds.Pts[i]
-				k.append(p.TO, p.PO, p.ID, -1)
+				k.append(p.TO, p.PO, p.ID)
 			}
 			pr := k.newProbe()
 			probeAll := func() {
@@ -57,6 +58,24 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 			probeAll() // warm-up: nothing left to grow after this
 			if allocs := testing.AllocsPerRun(20, probeAll); allocs != 0 {
 				t.Errorf("probe loop allocates %.1f objects per pass, want 0", allocs)
+			}
+
+			// The merge pass: candidates dealt to four shard tags, one set
+			// per tag, each probed against the other tags' sets.
+			cands := make([]mergeCand, len(ds.Pts))
+			for i := range ds.Pts {
+				cands[i] = mergeCand{p: &ds.Pts[i], shard: i % 4}
+			}
+			sets := tagSets(ds.Domains, 2, cands, tc.budget)
+			mpr := sets[0].newProbe()
+			mergeAll := func() {
+				for _, mc := range cands {
+					_ = mergeProbe(sets, mc, mpr)
+				}
+			}
+			mergeAll()
+			if allocs := testing.AllocsPerRun(20, mergeAll); allocs != 0 {
+				t.Errorf("merge probe allocates %.1f objects per pass, want 0", allocs)
 			}
 
 			// Window.Offer: a rejected offer allocates nothing; an admitted

@@ -87,26 +87,6 @@ func TestQueryTSSContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestQueryTSSFullContextCancelMidRun is the fully dynamic analogue.
-func TestQueryTSSFullContextCancelMidRun(t *testing.T) {
-	db, domains := cancelFixture(t)
-	ctx := &countdownCtx{Context: context.Background(), after: 2, err: context.DeadlineExceeded}
-	_, err := db.QueryTSSFullContext(ctx, []int32{500, 500}, domains, Options{UseMemTree: true})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
-	}
-	// A nil/background context still completes and agrees with the
-	// naive oracle.
-	res, err := db.QueryTSSFull([]int32{500, 500}, domains, Options{UseMemTree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FullyDynamicNaive(db.ds, []int32{500, 500}, domains)
-	if len(res.SkylineIDs) != len(want) {
-		t.Fatalf("full-dynamic run after cancellation test: %d rows, oracle %d", len(res.SkylineIDs), len(want))
-	}
-}
-
 // TestDynamicSDCPlusContextCancelMidTraversal proves the SDC+ baseline
 // honours cancellation *inside* a stratum traversal, not only at the
 // pre-start check. A single-stratum dataset larger than dynCtxCheckEvery

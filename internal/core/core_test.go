@@ -339,9 +339,6 @@ func TestMetricsAccounting(t *testing.T) {
 	if e.Time(DefaultIOCost) != 10*DefaultIOCost {
 		t.Error("Emission.Time broken")
 	}
-	if got := res.Metrics.IOTime(DefaultIOCost); got != res.Metrics.TotalTime(DefaultIOCost)-res.Metrics.CPU {
-		t.Errorf("IOTime = %v, inconsistent with TotalTime-CPU", got)
-	}
 }
 
 // TestCheckerParity: the list checker and the memtree checker give

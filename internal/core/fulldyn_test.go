@@ -8,9 +8,21 @@ import (
 	"repro/internal/poset"
 )
 
-// TestFullyDynamicMatchesNaive: QueryTSSFull agrees with brute force
-// over the transformed space, for random query points and partial
-// orders, with and without the memtree and buffer.
+// transformedDataset re-centres ds on the query point q under the
+// query's domains: the rows a planned ideal-point query hands to its
+// algorithm.
+func transformedDataset(ds *Dataset, q []int32, domains []*poset.Domain) *Dataset {
+	out := &Dataset{Domains: domains, Pts: make([]Point, len(ds.Pts))}
+	for i, p := range ds.Pts {
+		out.Pts[i] = Point{ID: p.ID, TO: absDiff(p.TO, q), PO: p.PO}
+	}
+	return out
+}
+
+// TestFullyDynamicMatchesNaive: every PO-capable registered algorithm
+// over the |t − q| transform agrees with the brute-force oracle, for
+// random query points and partial orders, on the kernel and the scalar
+// reference path.
 func TestFullyDynamicMatchesNaive(t *testing.T) {
 	prop := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -18,7 +30,6 @@ func TestFullyDynamicMatchesNaive(t *testing.T) {
 		nTO := rng.Intn(2) + 1
 		nPO := rng.Intn(2) + 1
 		ds := randomDataset(rng, n, nTO, nPO)
-		db := NewDynamicDB(ds, Options{})
 		for trial := 0; trial < 3; trial++ {
 			q := make([]int32, nTO)
 			for d := range q {
@@ -30,18 +41,22 @@ func TestFullyDynamicMatchesNaive(t *testing.T) {
 					rng, ds.Domains[d].Size(), rng.Float64()*0.6))
 			}
 			want := FullyDynamicNaive(ds, q, domains)
-			for _, opt := range []Options{
-				{}, {UseMemTree: true}, {BufferPages: 4}, {UseMemTree: true, StabOnly: true},
-			} {
-				res, err := db.QueryTSSFull(q, domains, opt)
-				if err != nil {
-					t.Log(err)
-					return false
+			tds := transformedDataset(ds, q, domains)
+			for _, algo := range Algorithms() {
+				if !algo.Capabilities().POCapable {
+					continue
 				}
-				if !sameIDSet(res.SkylineIDs, want) {
-					t.Logf("seed=%d q=%v opt=%+v: got %v, want %v",
-						seed, q, opt, res.SkylineIDs, want)
-					return false
+				for _, opt := range []Options{{}, {NoKernel: true}} {
+					res, err := algo.Run(tds, opt)
+					if err != nil {
+						t.Log(err)
+						return false
+					}
+					if !sameIDSet(res.SkylineIDs, want) {
+						t.Logf("seed=%d q=%v %s opt=%+v: got %v, want %v",
+							seed, q, algo.Name(), opt, res.SkylineIDs, want)
+						return false
+					}
 				}
 			}
 		}
@@ -57,16 +72,12 @@ func TestFullyDynamicMatchesNaive(t *testing.T) {
 // with a worse PO value — and itself always be in the skyline.
 func TestFullyDynamicCentredOnPoint(t *testing.T) {
 	ds := figure5Dataset()
-	db := NewDynamicDB(ds, Options{})
 	q := []int32{3, 4} // exactly p3 (and p8's coordinates)
 	dag := poset.NewDAG(3)
 	dag.MustEdge(0, 1) // a preferred to b
 	dag.MustEdge(0, 2) // a preferred to c
 	dom := poset.MustDomain(dag)
-	res, err := db.QueryTSSFull(q, []*poset.Domain{dom}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := SFS(transformedDataset(ds, q, []*poset.Domain{dom}), Options{})
 	want := FullyDynamicNaive(ds, q, []*poset.Domain{dom})
 	if !sameIDSet(res.SkylineIDs, want) {
 		t.Fatalf("got %v, want %v", res.SkylineIDs, want)
@@ -81,22 +92,6 @@ func TestFullyDynamicCentredOnPoint(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("p3 must be in the dynamic skyline centred on it; got %v", res.SkylineIDs)
-	}
-}
-
-func TestFullyDynamicValidation(t *testing.T) {
-	ds := figure5Dataset()
-	db := NewDynamicDB(ds, Options{})
-	dom := poset.MustDomain(poset.NewDAG(3))
-	if _, err := db.QueryTSSFull([]int32{1}, []*poset.Domain{dom}, Options{}); err == nil {
-		t.Error("wrong query-point arity must fail")
-	}
-	if _, err := db.QueryTSSFull([]int32{1, 2}, nil, Options{}); err == nil {
-		t.Error("missing domains must fail")
-	}
-	if _, err := db.QueryTSSFull([]int32{1, 2}, []*poset.Domain{dom},
-		Options{PrecomputedLocal: true}); err == nil {
-		t.Error("precomputed local skylines must be rejected for fully dynamic queries")
 	}
 }
 
@@ -217,23 +212,6 @@ func TestPackedRoots(t *testing.T) {
 	}
 	if packed.Metrics.ReadIOs >= plain.Metrics.ReadIOs {
 		t.Errorf("packed reads %d, want fewer than %d", packed.Metrics.ReadIOs, plain.Metrics.ReadIOs)
-	}
-	// Fully dynamic path too.
-	q := []int32{10, 10}
-	fp, err := db.QueryTSSFull(q, domains, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpk, err := db.QueryTSSFull(q, domains, Options{PackedRoots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameIDSet(fp.SkylineIDs, fpk.SkylineIDs) {
-		t.Fatal("packed roots must not change the fully dynamic result")
-	}
-	if fpk.Metrics.ReadIOs >= fp.Metrics.ReadIOs {
-		t.Errorf("fully dynamic packed reads %d, want fewer than %d",
-			fpk.Metrics.ReadIOs, fp.Metrics.ReadIOs)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the dominance kernel: the columnar (SoA) elimination
-// engine shared by the BNL/SFS/SaLSa/LESS window scans, the
-// partition/cluster merge passes and the coordinator's streamed merge.
+// engine shared by the BNL/SFS/LESS window scans, skyline maintenance,
+// the partition/cluster merge passes and the coordinator's streamed
+// merge.
 // Three ideas compose:
 //
 //  1. Bitset closure dominance — when a domain's transitive closure
@@ -53,9 +54,6 @@ func KernelCounters() (domTests, blockSkips int64) {
 // kblock is one zone-map block over members [lo, hi).
 type kblock struct {
 	lo, hi int
-	// shard is the uniform shard tag of every member, or -1 when the
-	// block is mixed (or members are untagged).
-	shard int32
 
 	minTO, maxTO   []int32 // per TO dim corner summaries
 	minOrd, maxOrd []int32 // per PO dim topological-ordinal bounds
@@ -65,10 +63,12 @@ type kblock struct {
 }
 
 // colSet is the kernel's member set: columnar storage plus zone-map
-// blocks plus an aliveness mask (for BNL-style eviction). It backs both
-// grow-only windows (SFS/SaLSa/LESS), the evicting Window (BNL and the
-// coordinator's streamed merge) and bulk merge-candidate sets
-// (eliminateDominated).
+// blocks plus an aliveness mask (for BNL-style eviction). It backs the
+// grow-only SFS/LESS scan, the evicting Window (BNL and the
+// coordinator's streamed merge) and the merge pass's per-shard sets
+// (eliminateDominated). A set holds no shard tags: callers that keep
+// several shards' lists apart keep one set per shard (tagSets, a
+// tagged Window) and probe only the other shards' sets.
 type colSet struct {
 	domains []*poset.Domain
 	nTO     int
@@ -77,7 +77,6 @@ type colSet struct {
 	words   []int                 // closure row words per PO dim (0 without closure)
 
 	cols   *Cols
-	shard  []int32  // per-member shard tags; nil when untagged
 	alive  []uint64 // member liveness mask
 	nAlive int
 	blocks []kblock
@@ -86,8 +85,7 @@ type colSet struct {
 // newColSet builds an empty kernel set over the given domains. budget
 // is the per-domain closure budget (0 → poset.DefaultClosureBudget,
 // negative → closure disabled, interval/ordinal fallbacks throughout).
-// tagged pre-sizes per-member shard tags for merge passes.
-func newColSet(domains []*poset.Domain, nTO, capHint int, budget int64, tagged bool) *colSet {
+func newColSet(domains []*poset.Domain, nTO, capHint int, budget int64) *colSet {
 	k := &colSet{
 		domains: domains,
 		nTO:     nTO,
@@ -103,15 +101,11 @@ func newColSet(domains []*poset.Domain, nTO, capHint int, budget int64, tagged b
 			k.words[d] = k.reach[d].Words()
 		}
 	}
-	if tagged {
-		k.shard = make([]int32, 0, capHint)
-	}
 	return k
 }
 
-// append adds a member (with shard tag when the set is tagged) and
-// folds it into the current block's zone map.
-func (k *colSet) append(to, po []int32, id, shard int32) {
+// append adds a member and folds it into the current block's zone map.
+func (k *colSet) append(to, po []int32, id int32) {
 	i := k.cols.Len()
 	k.cols.Append(to, po, id)
 	if i&63 == 0 {
@@ -119,12 +113,9 @@ func (k *colSet) append(to, po []int32, id, shard int32) {
 	}
 	k.alive[i>>6] |= 1 << (uint(i) & 63)
 	k.nAlive++
-	if k.shard != nil {
-		k.shard = append(k.shard, shard)
-	}
 	if i%kernelBlock == 0 {
 		b := kblock{
-			lo: i, hi: i, shard: -1,
+			lo: i, hi: i,
 			minTO: make([]int32, k.nTO), maxTO: make([]int32, k.nTO),
 		}
 		if len(k.domains) > 0 {
@@ -141,16 +132,10 @@ func (k *colSet) append(to, po []int32, id, shard int32) {
 				b.present[d] = make([]uint64, k.words[d])
 			}
 		}
-		if k.shard != nil {
-			b.shard = shard
-		}
 		k.blocks = append(k.blocks, b)
 	}
 	b := &k.blocks[len(k.blocks)-1]
 	b.hi = i + 1
-	if k.shard != nil && b.shard != shard {
-		b.shard = -1
-	}
 	for d, v := range to {
 		if v < b.minTO[d] {
 			b.minTO[d] = v
@@ -188,7 +173,6 @@ func (k *colSet) aliveIDs(out []int32) []int32 {
 // counters (merged into Metrics and the process counters at pass end).
 type probe struct {
 	to, po []int32
-	shard  int32
 	ord    []int32 // per PO dim: ord(po[d])
 	// leq[d] = {v : v ⪯ po[d]} — the values at least as good as the
 	// candidate's (candidate's dominator set). geq[d] = {v : po[d] ⪯ v}
@@ -221,7 +205,6 @@ func (k *colSet) newProbe() *probe {
 // dominated-set bitsets evictions need.
 func (k *colSet) begin(pr *probe, to, po []int32, needGeq bool) {
 	pr.to, pr.po = to, po
-	pr.shard = -1
 	for d, dm := range k.domains {
 		v := po[d]
 		pr.ord[d] = dm.Ord(v)
@@ -309,19 +292,28 @@ func (k *colSet) blockMayBeDominated(b *kblock, pr *probe) bool {
 }
 
 // anyDominator reports whether a live member strictly dominates the
-// candidate compiled into pr. When the set is shard-tagged, members of
-// pr.shard are excluded (a shard's own list is already a skyline).
+// candidate compiled into pr.
 func (k *colSet) anyDominator(pr *probe) bool {
 	for bi := range k.blocks {
 		b := &k.blocks[bi]
-		if k.shard != nil && b.shard >= 0 && b.shard == pr.shard {
-			continue
-		}
 		if !k.blockMayDominate(b, pr) {
 			pr.blockSkips++
 			continue
 		}
 		if k.scanDominator(b, pr) {
+			return true
+		}
+	}
+	return false
+}
+
+// anyOtherDominator reports whether a live member of a set other than
+// sets[own] strictly dominates the candidate compiled into pr. Each set
+// holds one shard's members, and a shard's own list is already a
+// skyline, so its set is never probed. own < 0 probes every set.
+func anyOtherDominator(sets []*colSet, own int, pr *probe) bool {
+	for s, k := range sets {
+		if s != own && k.anyDominator(pr) {
 			return true
 		}
 	}
@@ -356,20 +348,6 @@ func (k *colSet) weakDominators(b *kblock, base int, pr *probe) uint64 {
 		return 0
 	}
 	lim := min(base+64, b.hi)
-	if k.shard != nil && b.shard < 0 {
-		sh := k.shard[base:lim]
-		mm := m
-		for mm != 0 {
-			j := bits.TrailingZeros64(mm)
-			mm &^= 1 << uint(j)
-			if sh[j] == pr.shard {
-				m &^= 1 << uint(j)
-			}
-		}
-		if m == 0 {
-			return 0
-		}
-	}
 	pr.domTests += int64(bits.OnesCount64(m))
 	for d := 0; d < k.nTO && m != 0; d++ {
 		col := k.cols.TO[d][base:lim]
@@ -502,10 +480,12 @@ func (k *colSet) scanEvict(b *kblock, pr *probe) {
 
 // maybeCompact rebuilds the columns without dead members once more than
 // half the set has been evicted, so long BNL runs do not keep scanning
-// corpses. Insertion order (and therefore output order) is preserved.
+// corpses. Insertion order (and therefore output order) is preserved,
+// but member indexes shift: sets whose indexes must stay stable (a
+// tagged Window's, the merge pass's) never call it.
 func (k *colSet) maybeCompact() {
 	n := k.cols.Len()
-	if k.shard != nil || n < 2*kernelBlock || 2*k.nAlive >= n {
+	if n < 2*kernelBlock || 2*k.nAlive >= n {
 		return
 	}
 	old := k.cols
@@ -529,6 +509,6 @@ func (k *colSet) maybeCompact() {
 		for d := range po {
 			po[d] = old.PO[d][i]
 		}
-		k.append(to, po, old.IDs[i], -1)
+		k.append(to, po, old.IDs[i])
 	}
 }

@@ -137,37 +137,30 @@ func MaintainSkyline(oldDS, newDS *Dataset, delta *Delta, oldSky []int32, keptTO
 		}
 	}
 
-	// Seeded kernel window: survivors first, then every candidate
-	// probed (dominated candidates are discarded; surviving ones join
-	// and evict the members they dominate).
-	ks := newColSet(domains, nTO, len(survivors)+len(promos)+delta.Added, 0, false)
+	// Seeded kernel window: survivors first (mutually non-dominated, so
+	// admitted unprobed), then every candidate offered (dominated
+	// candidates are discarded; surviving ones join and evict the members
+	// they dominate).
+	w := NewWindow(domains, nTO, 0, false)
 	var scratch Point
 	for _, ni := range survivors {
 		scratch = prj.pointInto(&newDS.Pts[ni], scratch)
-		ks.append(scratch.TO, scratch.PO, ni, -1)
+		w.seed(scratch.TO, scratch.PO, ni)
 	}
-	pr := ks.newProbe()
-	probe := func(ni int32) {
+	offer := func(ni int32) {
 		scratch = prj.pointInto(&newDS.Pts[ni], scratch)
-		ks.begin(pr, scratch.TO, scratch.PO, true)
 		st.Probes++
-		if ks.anyDominator(pr) {
-			return
-		}
-		ks.evictDominatedBy(pr)
-		ks.append(scratch.TO, scratch.PO, ni, -1)
-		ks.maybeCompact()
+		w.Offer(scratch.TO, scratch.PO, ni, -1)
 	}
 	for _, ni := range promos {
-		probe(ni)
+		offer(ni)
 	}
 	for ni := newN - delta.Added; ni < newN; ni++ {
-		probe(int32(ni))
+		offer(int32(ni))
 	}
-	var m Metrics
-	pr.addTo(&m)
+	w.Close()
 
-	ids := ks.aliveIDs(make([]int32, 0, ks.nAlive))
+	ids := w.aliveIDs(make([]int32, 0, len(survivors)))
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	oldRows := int32(newN - delta.Added)
 	for _, id := range ids {

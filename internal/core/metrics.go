@@ -179,11 +179,6 @@ func (m *Metrics) TotalTime(ioCost time.Duration) time.Duration {
 	return m.CPU + time.Duration(m.ReadIOs+m.WriteIOs)*ioCost
 }
 
-// IOTime returns only the simulated IO component.
-func (m *Metrics) IOTime(ioCost time.Duration) time.Duration {
-	return time.Duration(m.ReadIOs+m.WriteIOs) * ioCost
-}
-
 // CPUShare returns CPU / total time — the percentage annotated on the
 // markers of the paper's Figure 7.
 func (m *Metrics) CPUShare(ioCost time.Duration) float64 {

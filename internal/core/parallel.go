@@ -263,8 +263,9 @@ func mergeEliminate(domains []*poset.Domain, cands []mergeCand, workers int, opt
 // (and its worker parallelism) instead of re-deriving it. pts[i]
 // originates from shard[i]; same-shard pairs are skipped, so each
 // shard's list must itself be a skyline (mutually non-dominated), which
-// shard query responses are by construction. The pass runs on the
-// dominance kernel; MergeSurvivorsRef is the scalar reference.
+// shard query responses are by construction. Shard tags are small
+// non-negative integers. The pass runs on the dominance kernel;
+// MergeSurvivorsRef is the scalar reference.
 func MergeSurvivors(domains []*poset.Domain, pts []Point, shard []int, workers int) []int {
 	return mergeSurvivors(domains, pts, shard, workers, false)
 }
@@ -343,17 +344,12 @@ func eliminateDominated(domains []*poset.Domain, cands []mergeCand, workers int,
 }
 
 // eliminateDominatedKernel is the columnar/zone-map form of the merge
-// elimination: candidates are loaded into a shard-tagged colSet once,
-// then workers probe their strided candidate sets against it. Blocks
-// wholly of the probing candidate's shard are skipped (the same-shard
-// rule), mixed blocks mask same-shard members per word.
+// elimination: candidates are loaded into one colSet per shard tag
+// once, then workers probe their strided candidate sets against the
+// other tags' sets (the same-shard rule), each candidate compiled once.
 func eliminateDominatedKernel(domains []*poset.Domain, cands []mergeCand, workers int, sc *mergeScratch, budget int64) ([]bool, int64, int64) {
 	n := len(cands)
-	nTO := len(cands[0].p.TO)
-	k := newColSet(domains, nTO, n, budget, true)
-	for _, mc := range cands {
-		k.append(mc.p.TO, mc.p.PO, mc.p.ID, int32(mc.shard))
-	}
+	sets := tagSets(domains, len(cands[0].p.TO), cands, budget)
 	dominated := sc.boolSlice(n)
 	counters := sc.int64Slice(2 * workers)
 	var wg sync.WaitGroup
@@ -361,14 +357,9 @@ func eliminateDominatedKernel(domains []*poset.Domain, cands []mergeCand, worker
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pr := k.newProbe()
+			pr := sets[0].newProbe()
 			for i := w; i < n; i += workers {
-				mc := cands[i]
-				k.begin(pr, mc.p.TO, mc.p.PO, false)
-				pr.shard = int32(mc.shard)
-				if k.anyDominator(pr) {
-					dominated[i] = true
-				}
+				dominated[i] = mergeProbe(sets, cands[i], pr)
 			}
 			counters[w] = pr.domTests
 			counters[workers+w] = pr.blockSkips
@@ -383,4 +374,33 @@ func eliminateDominatedKernel(domains []*poset.Domain, cands []mergeCand, worker
 	kernelDomTests.Add(checks)
 	kernelBlockSkips.Add(skips)
 	return dominated, checks, skips
+}
+
+// tagSets loads merge candidates into one colSet per shard tag (tags
+// are small non-negative integers; a tag without candidates gets an
+// empty set). Nothing is evicted from them, so they never compact.
+func tagSets(domains []*poset.Domain, nTO int, cands []mergeCand, budget int64) []*colSet {
+	var counts []int
+	for _, mc := range cands {
+		for mc.shard >= len(counts) {
+			counts = append(counts, 0)
+		}
+		counts[mc.shard]++
+	}
+	sets := make([]*colSet, len(counts))
+	for s, c := range counts {
+		sets[s] = newColSet(domains, nTO, c, budget)
+	}
+	for _, mc := range cands {
+		sets[mc.shard].append(mc.p.TO, mc.p.PO, mc.p.ID)
+	}
+	return sets
+}
+
+// mergeProbe reports whether a member of another shard's set strictly
+// dominates mc. The sets share domains and budget, so the candidate is
+// compiled once, by the first set, for all of them.
+func mergeProbe(sets []*colSet, mc mergeCand, pr *probe) bool {
+	sets[0].begin(pr, mc.p.TO, mc.p.PO, false)
+	return anyOtherDominator(sets, mc.shard, pr)
 }

@@ -153,9 +153,6 @@ func init() {
 	Register(NewAlgorithm("sfs",
 		Capabilities{POCapable: true, Progressive: true, PaperRef: "§II-A (Chomicki et al.)"},
 		func(ds *Dataset, opt Options) (*Result, error) { return SFS(ds, opt), nil }))
-	Register(NewAlgorithm("salsa",
-		Capabilities{Progressive: true, PaperRef: "§II-A (Bartolini et al.)"},
-		SaLSa))
 	Register(NewAlgorithm("less",
 		Capabilities{Progressive: true, PaperRef: "§II-A (Godfrey et al.)"},
 		LESS))

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// TestSortBasedMatchNaive: SaLSa and LESS agree with the naive skyline
+// TestSortBasedMatchNaive: LESS agrees with the naive skyline
 // on random TO data with heavy ties, across window sizes.
 func TestSortBasedMatchNaive(t *testing.T) {
 	prop := func(seed int64, nRaw uint16, dimsRaw, winRaw uint8) bool {
@@ -15,15 +15,6 @@ func TestSortBasedMatchNaive(t *testing.T) {
 		dims := int(dimsRaw%3) + 1
 		ds := randomDataset(rng, n, dims, 0)
 		want := ds.NaiveSkyline()
-		sal, err := SaLSa(ds, Options{})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if !sameIDSet(sal.SkylineIDs, want) {
-			t.Logf("seed=%d: SaLSa = %v, want %v", seed, sal.SkylineIDs, want)
-			return false
-		}
 		less, err := LESS(ds, Options{LESSWindow: int(winRaw % 16)})
 		if err != nil {
 			t.Log(err)
@@ -37,51 +28,6 @@ func TestSortBasedMatchNaive(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSaLSaEarlyStop: on data with one clearly dominating point, SaLSa
-// must terminate without examining the bulk of the data.
-func TestSaLSaEarlyStop(t *testing.T) {
-	ds := &Dataset{}
-	ds.Pts = append(ds.Pts, Point{ID: 0, TO: []int32{1, 1}}) // dominates all below
-	rng := rand.New(rand.NewSource(41))
-	for i := 1; i <= 1000; i++ {
-		ds.Pts = append(ds.Pts, Point{ID: int32(i), TO: []int32{
-			10 + int32(rng.Intn(100)), 10 + int32(rng.Intn(100)),
-		}})
-	}
-	res, err := SaLSa(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.SkylineIDs) != 1 || res.SkylineIDs[0] != 0 {
-		t.Fatalf("skyline = %v, want [0]", res.SkylineIDs)
-	}
-	if res.Metrics.PointsPruned == 0 {
-		t.Error("SaLSa should stop early and skip unexamined points")
-	}
-}
-
-// TestSaLSaStopIsStrict: points tying the stop bound must still be
-// examined (strict inequality), so duplicates on the stop frontier are
-// not lost.
-func TestSaLSaStopIsStrict(t *testing.T) {
-	ds := &Dataset{
-		Pts: []Point{
-			{ID: 0, TO: []int32{2, 2}},
-			{ID: 1, TO: []int32{2, 2}}, // duplicate of the stop point
-			{ID: 2, TO: []int32{1, 4}},
-			{ID: 3, TO: []int32{4, 1}},
-		},
-	}
-	want := ds.NaiveSkyline()
-	res, err := SaLSa(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameIDSet(res.SkylineIDs, want) {
-		t.Fatalf("skyline = %v, want %v", res.SkylineIDs, want)
 	}
 }
 
@@ -107,9 +53,6 @@ func TestLESSFilterEliminates(t *testing.T) {
 
 func TestSortBasedRejectPO(t *testing.T) {
 	ds := flightsDataset(airlineOrder1())
-	if _, err := SaLSa(ds, Options{}); err == nil {
-		t.Error("SaLSa must reject PO attributes")
-	}
 	if _, err := LESS(ds, Options{LESSWindow: 8}); err == nil {
 		t.Error("LESS must reject PO attributes")
 	}
@@ -117,9 +60,6 @@ func TestSortBasedRejectPO(t *testing.T) {
 
 func TestSortBasedEmpty(t *testing.T) {
 	empty := &Dataset{}
-	if res, err := SaLSa(empty, Options{}); err != nil || len(res.SkylineIDs) != 0 {
-		t.Error("SaLSa on empty dataset broken")
-	}
 	if res, err := LESS(empty, Options{}); err != nil || len(res.SkylineIDs) != 0 {
 		t.Error("LESS on empty dataset broken")
 	}
@@ -133,10 +73,6 @@ func TestSortBasedAgainstFlightsTO(t *testing.T) {
 		ds.Pts = append(ds.Pts, Point{ID: p.ID, TO: p.TO})
 	}
 	want := []int32{1, 3, 6, 7, 9}
-	sal, _ := SaLSa(ds, Options{})
-	if !sameIDSet(sal.SkylineIDs, want) {
-		t.Errorf("SaLSa = %v, want %v", sal.SkylineIDs, want)
-	}
 	less, _ := LESS(ds, Options{LESSWindow: 2})
 	if !sameIDSet(less.SkylineIDs, want) {
 		t.Errorf("LESS = %v, want %v", less.SkylineIDs, want)

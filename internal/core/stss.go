@@ -50,7 +50,7 @@ func BNL(ds *Dataset, opt Options) *Result {
 		p := &ds.Pts[i]
 		w.Offer(p.TO, p.PO, p.ID, -1)
 	}
-	res.SkylineIDs = w.sets[0].aliveIDs(res.SkylineIDs)
+	res.SkylineIDs = w.aliveIDs(res.SkylineIDs)
 	for _, id := range res.SkylineIDs {
 		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(id))
 	}
@@ -142,7 +142,7 @@ func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res 
 	var k *colSet
 	var pr *probe
 	if !opt.NoKernel {
-		k = newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
+		k = newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget)
 		pr = k.newProbe()
 		defer pr.addTo(&res.Metrics)
 	}
@@ -169,7 +169,7 @@ func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res 
 			continue
 		}
 		if k != nil {
-			k.append(p.TO, p.PO, p.ID, -1)
+			k.append(p.TO, p.PO, p.ID)
 		} else {
 			sky = append(sky, p)
 		}

@@ -5,8 +5,9 @@ import "repro/internal/poset"
 // Window is the kernel's evicting dominance window — "is this point
 // dominated by the set so far; if not, evict what it dominates and
 // join" — over columnar, zone-mapped colSets, so one offer skips every
-// block that cannot hold a dominator or a victim. BNL's candidate list
-// and the coordinator's streamed merge are its callers.
+// block that cannot hold a dominator or a victim. BNL's candidate list,
+// skyline maintenance and the coordinator's streamed merge are its
+// callers.
 //
 // A tagged window holds the lists of several shards, each of them
 // already a skyline, in one colSet per shard tag: an offer never looks
@@ -29,7 +30,7 @@ type member struct{ set, i int32 }
 // and the given PO domains. budget is the per-domain closure budget
 // (0 → poset.DefaultClosureBudget, negative → closure disabled).
 func NewWindow(domains []*poset.Domain, nTO int, budget int64, tagged bool) *Window {
-	k := newColSet(domains, nTO, 64, budget, false)
+	k := newColSet(domains, nTO, 64, budget)
 	return &Window{sets: []*colSet{k}, pr: k.newProbe(), tagged: tagged, budget: budget}
 }
 
@@ -44,10 +45,8 @@ func (w *Window) Offer(to, po []int32, id, shard int32) bool {
 		own = int(shard)
 	}
 	w.sets[0].begin(w.pr, to, po, true)
-	for s, k := range w.sets {
-		if s != own && k.anyDominator(w.pr) {
-			return false
-		}
+	if anyOtherDominator(w.sets, own, w.pr) {
+		return false
 	}
 	// An undominated point evicts what it dominates; a dominated one
 	// could evict nothing, since its dominator would dominate the same
@@ -59,18 +58,27 @@ func (w *Window) Offer(to, po []int32, id, shard int32) bool {
 	}
 	if !w.tagged {
 		w.sets[0].maybeCompact()
-		w.sets[0].append(to, po, id, -1)
+		w.sets[0].append(to, po, id)
 		return true
 	}
 	for own >= len(w.sets) {
 		first := w.sets[0]
-		w.sets = append(w.sets, newColSet(first.domains, first.nTO, 64, w.budget, false))
+		w.sets = append(w.sets, newColSet(first.domains, first.nTO, 64, w.budget))
 	}
 	k := w.sets[own]
 	w.at = append(w.at, member{set: shard, i: int32(k.cols.Len())})
-	k.append(to, po, id, -1)
+	k.append(to, po, id)
 	return true
 }
+
+// seed admits a point into an untagged window without probing it, for
+// seed points known to be mutually non-dominated (a maintained
+// skyline's surviving members).
+func (w *Window) seed(to, po []int32, id int32) { w.sets[0].append(to, po, id) }
+
+// aliveIDs appends the ids of an untagged window's live members, in
+// admission order.
+func (w *Window) aliveIDs(out []int32) []int32 { return w.sets[0].aliveIDs(out) }
 
 // Alive reports whether member i of a tagged window is still live.
 func (w *Window) Alive(i int) bool {

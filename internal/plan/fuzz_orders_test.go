@@ -158,7 +158,8 @@ func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 		"ideal-transform": {Ideal: ideal, Where: q.Where, Subspace: q.Subspace},
 		"ideal-topk":      {Ideal: ideal, TopK: k},
 	}
-	for _, rk := range Rankers() {
+	for _, name := range RankerNames() {
+		rk, _ := LookupRanker(name)
 		sq := Query{TopK: k, Rank: Rank(rk.Name()), Subspace: q.Subspace}
 		if _, ok := rk.(IdealConsumer); ok && r.byte()%2 == 0 {
 			sq.Ideal = ideal

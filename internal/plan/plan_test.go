@@ -574,17 +574,17 @@ func TestPlannerUsesFeedback(t *testing.T) {
 // the TO-only sort-based algorithms legal candidates.
 func TestSubspaceDropsPOEnablesTOOnly(t *testing.T) {
 	ds := sampleDS(t, 50)
-	q := Query{Subspace: &Subspace{TO: []int{0, 1}}, Hints: Hints{Algorithm: "salsa"}}
+	q := Query{Subspace: &Subspace{TO: []int{0, 1}}, Hints: Hints{Algorithm: "less"}}
 	want, err := Naive(ds, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, ex := runPlan(t, ds, q, Env{})
-	if ex.Algorithm != "salsa" {
+	if ex.Algorithm != "less" {
 		t.Fatalf("algorithm %q", ex.Algorithm)
 	}
 	if !equal32(sorted32(got), sorted32(want)) {
-		t.Fatalf("salsa on TO subspace: got %v want %v", sorted32(got), sorted32(want))
+		t.Fatalf("less on TO subspace: got %v want %v", sorted32(got), sorted32(want))
 	}
 }
 

@@ -183,10 +183,11 @@ type Plan struct {
 // A carries the per-row work (sorting, index bulk-load, topological
 // preprocessing), B the pairwise dominance work that survives the
 // algorithm's pruning, and POB how much a PO dimension inflates one
-// dominance check (interval probes instead of integer compares; sTSS's
-// in-memory dominance tree makes it by far the most PO-sensitive in
-// wall-clock terms). The constants were fitted by hand in PR 4 to one
-// wall-clock run of every algorithm on the paper's default static
+// dominance check (interval probes instead of integer compares). sTSS's
+// POB of 20 priced the in-memory dominance tree it was fitted with; it
+// now serves through the flat list checker, so the value is stale
+// until the priors are re-fitted. The constants were fitted by hand to
+// one wall-clock run of every algorithm on the paper's default static
 // configuration at n=20k (2 TO, 2 PO, h=8, d=0.8; correlated,
 // independent and anti-correlated) on a 1-CPU container, and have not
 // been re-fitted since; deliberately rough — Learned.CostMultiplier
@@ -194,14 +195,13 @@ type Plan struct {
 type costPrior struct{ A, B, POB float64 }
 
 var costPriors = map[string]costPrior{
-	"stss":  {A: 25, B: 3.5, POB: 20},
-	"bbs+":  {A: 40, B: 5, POB: 1},
-	"sdc":   {A: 30, B: 4, POB: 0.9},
-	"sdc+":  {A: 30, B: 2.8, POB: 0.6},
-	"bnl":   {A: 5, B: 3, POB: 0.75},
-	"sfs":   {A: 8, B: 2.5, POB: 0.5},
-	"salsa": {A: 10, B: 2.2},
-	"less":  {A: 8, B: 1.2},
+	"stss": {A: 25, B: 3.5, POB: 20},
+	"bbs+": {A: 40, B: 5, POB: 1},
+	"sdc":  {A: 30, B: 4, POB: 0.9},
+	"sdc+": {A: 30, B: 2.8, POB: 0.6},
+	"bnl":  {A: 5, B: 3, POB: 0.75},
+	"sfs":  {A: 8, B: 2.5, POB: 0.5},
+	"less": {A: 8, B: 1.2},
 }
 
 // defaultPrior covers algorithms registered after this model was

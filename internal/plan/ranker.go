@@ -206,18 +206,6 @@ func RankerNames() []string {
 	return names
 }
 
-// Rankers returns the registered rankings, sorted by name.
-func Rankers() []Ranker {
-	names := RankerNames()
-	rankerMu.RLock()
-	defer rankerMu.RUnlock()
-	out := make([]Ranker, 0, len(names))
-	for _, name := range names {
-		out = append(out, rankerReg[name])
-	}
-	return out
-}
-
 func canonicalRankName(name string) string { return strings.ToLower(name) }
 
 // quotedRankerNames renders the registry for error messages.

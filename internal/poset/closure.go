@@ -50,9 +50,6 @@ func (dm *Domain) EnableClosure(budget int64) bool {
 	return true
 }
 
-// ClosureEnabled reports whether the closure bitset has been built.
-func (dm *Domain) ClosureEnabled() bool { return dm.reach.Load() != nil }
-
 // Closure returns the published closure bitset, or nil when it has not
 // been built (or did not fit its budget). Callers holding the returned
 // pointer may use it freely — Reachability is immutable.

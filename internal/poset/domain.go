@@ -265,11 +265,6 @@ func (dm *Domain) ValueAt(i int32) int32 { return dm.byOrd[i] }
 // Post returns the 1-based postorder number of v in the spanning tree.
 func (dm *Domain) Post(v int32) int32 { return dm.post[v] }
 
-// TreeInterval returns v's own spanning-tree interval [minpost, post].
-func (dm *Domain) TreeInterval(v int32) Interval {
-	return Interval{dm.minpost[v], dm.post[v]}
-}
-
 // Intervals returns the final merged interval set of v (paper Figure
 // 2(d), fourth column). The slice is shared; callers must not modify it.
 func (dm *Domain) Intervals(v int32) IntervalSet { return dm.sets[v] }
@@ -415,6 +410,3 @@ func (dm *Domain) EnableDyadic() {
 		dm.dy.Store(newDyadicIndex(dm))
 	}
 }
-
-// DyadicEnabled reports whether the dyadic index has been built.
-func (dm *Domain) DyadicEnabled() bool { return dm.dy.Load() != nil }

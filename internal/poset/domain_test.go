@@ -70,7 +70,7 @@ func TestFigure2(t *testing.T) {
 		{4, 4}, // i
 	}
 	for v, want := range wantTree {
-		if got := dm.TreeInterval(int32(v)); got != want {
+		if got := (Interval{dm.minpost[v], dm.post[v]}); got != want {
 			t.Errorf("tree interval of %s = %v, want %v", dag.Label(v), got, want)
 		}
 	}

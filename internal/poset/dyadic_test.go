@@ -21,7 +21,7 @@ func TestDyadicMatchesDirect(t *testing.T) {
 		}
 	}
 	dm.EnableDyadic()
-	if !dm.DyadicEnabled() {
+	if dm.dy.Load() == nil {
 		t.Fatal("dyadic index not enabled")
 	}
 	for lo := int32(0); lo < n; lo++ {

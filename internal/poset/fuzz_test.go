@@ -83,7 +83,7 @@ func FuzzClosureAgreement(f *testing.F) {
 		if dm.EnableClosure(1) {
 			t.Fatal("EnableClosure(1) accepted a closure larger than its budget")
 		}
-		if dm.ClosureEnabled() || dm.Closure() != nil || dm.ClosureTranspose() != nil {
+		if dm.Closure() != nil || dm.ClosureTranspose() != nil {
 			t.Fatal("refused closure left state behind")
 		}
 		if !dm.EnableClosure(0) {

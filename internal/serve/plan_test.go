@@ -163,7 +163,7 @@ func TestPlanQueryErrors(t *testing.T) {
 		{TopK: 2, Rank: "bogus"},
 		{Rank: "domcount"}, // rank without topK
 		{Algo: "bogus"},
-		{Algo: "salsa"},                 // TO-only algorithm on a PO table
+		{Algo: "less"},                  // TO-only algorithm on a PO table
 		{Subspace: []string{"airline"}}, // no TO column kept
 	}
 	for i, req := range bad {

@@ -207,9 +207,9 @@ func TestSkylineEndpoint(t *testing.T) {
 		query string
 		req   QueryRequest
 	}{
-		"bogus algo":  {req: QueryRequest{Algo: "bogus"}},
-		"salsa on PO": {req: QueryRequest{Algo: "salsa", NoCache: true}},
-		"bad limit":   {query: "?limit=x"},
+		"bogus algo": {req: QueryRequest{Algo: "bogus"}},
+		"less on PO": {req: QueryRequest{Algo: "less", NoCache: true}},
+		"bad limit":  {query: "?limit=x"},
 	} {
 		if code := doJSON(t, http.MethodPost, url+c.query, c.req, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", name, code)

@@ -267,7 +267,7 @@ type ClusterMeta struct {
 }
 
 // StreamRecord is one frame of a streamed query response (?stream=1 on
-// the query POST and skyline GET routes). The stream is framed as NDJSON
+// POST /tables/{t}/query, the one read route). The stream is framed as NDJSON
 // (one record per line, Content-Type application/x-ndjson) or — when the
 // client asks via `Accept: text/event-stream` or ?sse=1 — as SSE data
 // events carrying the same JSON. Frame order: exactly one "header",
