@@ -140,9 +140,10 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckerDominatedPointAllocs: both checkers answer point dominance
-// without allocating once their scratch is warm, in both the stabbing
-// and the paper-literal containment modes.
+// TestCheckerDominatedPointAllocs: every checker answers point
+// dominance without allocating once its scratch is warm — the list and
+// memtree in both the stabbing and the paper-literal containment modes,
+// the kernel checker with and without the closure bitsets.
 func TestCheckerDominatedPointAllocs(t *testing.T) {
 	ds := allocDataset(11, 200)
 	sky := ds.NaiveSkyline()
@@ -154,6 +155,8 @@ func TestCheckerDominatedPointAllocs(t *testing.T) {
 		{"list-stab", func() tChecker { return newListChecker(ds.Domains, true) }},
 		{"mem", func() tChecker { return newMemChecker(ds.Domains, 2, false) }},
 		{"mem-stab", func() tChecker { return newMemChecker(ds.Domains, 2, true) }},
+		{"kernel", func() tChecker { return newKernelChecker(ds.Domains, 2, 0) }},
+		{"kernel-noclosure", func() tChecker { return newKernelChecker(ds.Domains, 2, -1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.mk()

@@ -11,14 +11,17 @@ import (
 // dominates the candidate), and sound for boxes (dominatedBox true ⟹
 // every point inside is dominated; false may be conservative).
 //
-// Two implementations exist. The candidate-list scan (the configuration
-// the paper benchmarks "for fairness") is the default and the one every
-// serving path runs: a check is a few integer compares over a flat
-// slice. The in-memory R-tree over virtual points with Boolean range
-// queries (paper §IV-B, Options.UseMemTree) counts far fewer checks but
-// pays an R-tree insert per interval combination of every accepted
-// point, which measured 26–61× slower end to end; it stays for the
-// paper's figures and ablations (internal/exp) and for MaintainSkyline.
+// Three implementations exist. The kernel checker is the default and
+// the one every serving cursor runs: point checks are the dominance
+// kernel's grow-only window test (scanSorted's), and box checks stay on
+// a candidate list's interval test. The candidate-list scan on its own
+// (Options.NoKernel) is the configuration the paper benchmarks "for
+// fairness" and counts checks with. The in-memory R-tree over virtual
+// points with Boolean range queries (paper §IV-B, Options.UseMemTree)
+// counts far fewer checks but pays an R-tree insert per interval
+// combination of every accepted point, which measured 26–70× slower end
+// to end; both stay for the paper's figures and ablations
+// (internal/exp), and the memtree also for MaintainSkyline.
 type tChecker interface {
 	// dominatedPoint reports whether the point (to, vals) is strictly
 	// t-dominated by an accepted point.
@@ -30,8 +33,8 @@ type tChecker interface {
 	// add accepts a skyline point.
 	add(p *Point)
 	// checks returns the number of elementary dominance-check
-	// operations performed (list comparisons or R-tree leaf predicate
-	// evaluations).
+	// operations performed (list comparisons, kernel member tests or
+	// R-tree leaf predicate evaluations).
 	checks() int64
 }
 
@@ -337,10 +340,61 @@ func (c *memChecker) dominatedBox(toLo []int32, ordLo, ordHi []int32) bool {
 	})
 }
 
-// newChecker builds the checker selected by the options.
-func newChecker(domains []*poset.Domain, nTO int, opt Options) tChecker {
-	if opt.UseMemTree {
-		return newMemChecker(domains, nTO, opt.StabOnly)
+// kernelChecker answers point checks from a grow-only dominance-kernel
+// colSet: sTSS and dTSS accept members in precedence order and never
+// revoke one, so the point check is scanSorted's window test, begin +
+// anyDominator, over a set that never evicts or compacts. Box checks
+// (R-tree nodes, which the point-level kernel cannot decide) stay on the
+// embedded list's joint-coverage test, so every accepted member is
+// appended to both.
+type kernelChecker struct {
+	*listChecker
+	set    *colSet
+	pr     *probe
+	folded Metrics // probe counters already folded into KernelCounters
+}
+
+func newKernelChecker(domains []*poset.Domain, nTO int, budget int64) *kernelChecker {
+	set := newColSet(domains, nTO, 64, budget)
+	return &kernelChecker{listChecker: newListChecker(domains, false), set: set, pr: set.newProbe()}
+}
+
+func (c *kernelChecker) add(p *Point) {
+	c.set.append(p.TO, p.PO, p.ID)
+	c.listChecker.add(p)
+}
+
+func (c *kernelChecker) dominatedPoint(to []int32, vals []int32) bool {
+	c.set.begin(c.pr, to, vals, false)
+	return c.set.anyDominator(c.pr)
+}
+
+// checks is the list's box checks plus the kernel's member tests.
+func (c *kernelChecker) checks() int64 {
+	return c.nChecks + c.folded.DomChecks + c.pr.domTests
+}
+
+// checkerMetrics sets m's dominance counters from c. A kernel checker
+// also folds the probe work done since its previous call into the
+// process-cumulative KernelCounters, so each test is counted there once
+// however often a cursor's Metrics is read.
+func checkerMetrics(c tChecker, m *Metrics) {
+	if k, ok := c.(*kernelChecker); ok {
+		k.pr.addTo(&k.folded)
+		m.BlocksSkipped = k.folded.BlocksSkipped
 	}
-	return newListChecker(domains, opt.StabOnly)
+	m.DomChecks = c.checks()
+}
+
+// newChecker builds the checker selected by the options: the memtree
+// under UseMemTree, the bare candidate list under NoKernel, otherwise
+// the kernel checker.
+func newChecker(domains []*poset.Domain, nTO int, opt Options) tChecker {
+	switch {
+	case opt.UseMemTree:
+		return newMemChecker(domains, nTO, opt.StabOnly)
+	case opt.NoKernel:
+		return newListChecker(domains, opt.StabOnly)
+	}
+	return newKernelChecker(domains, nTO, opt.ClosureBudget)
 }

@@ -341,26 +341,41 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-// TestCheckerParity: the list checker and the memtree checker give
-// identical answers on identical query sequences (differential test).
+// TestCheckerParity: the list checker, the memtree checker and the
+// kernel checker — with the closure bitsets, with the closure refused by
+// a too-small budget and with it disabled — give identical answers on
+// identical query sequences (differential test).
 func TestCheckerParity(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nPO := rng.Intn(2) + 1
 		ds := randomDataset(rng, 30, 2, nPO)
 		list := newListChecker(ds.Domains, false)
-		mem := newMemChecker(ds.Domains, 2, false)
+		others := []struct {
+			name string
+			c    tChecker
+		}{
+			{"mem", newMemChecker(ds.Domains, 2, false)},
+			// Budget 1 goes first, while the domains are fresh: once the
+			// budget-0 checker builds a closure it is sticky.
+			{"kernel/tinybudget", newKernelChecker(ds.Domains, 2, 1)},
+			{"kernel/closure", newKernelChecker(ds.Domains, 2, 0)},
+			{"kernel/noclosure", newKernelChecker(ds.Domains, 2, -1)},
+		}
 		for i := range ds.Pts {
 			p := &ds.Pts[i]
 			dl := list.dominatedPoint(p.TO, p.PO)
-			dm := mem.dominatedPoint(p.TO, p.PO)
-			if dl != dm {
-				t.Logf("seed=%d point %d: list=%v mem=%v", seed, p.ID, dl, dm)
-				return false
+			for _, o := range others {
+				if got := o.c.dominatedPoint(p.TO, p.PO); got != dl {
+					t.Logf("seed=%d point %d: list=%v %s=%v", seed, p.ID, dl, o.name, got)
+					return false
+				}
 			}
 			if !dl {
 				list.add(p)
-				mem.add(p)
+				for _, o := range others {
+					o.c.add(p)
+				}
 			}
 			// Random box probes.
 			ordLo := make([]int32, nPO)
@@ -375,10 +390,11 @@ func TestCheckerParity(t *testing.T) {
 			}
 			toLo := []int32{int32(rng.Intn(6)), int32(rng.Intn(6))}
 			bl := list.dominatedBox(toLo, ordLo, ordHi)
-			bm := mem.dominatedBox(toLo, ordLo, ordHi)
-			if bl != bm {
-				t.Logf("seed=%d box: list=%v mem=%v", seed, bl, bm)
-				return false
+			for _, o := range others {
+				if got := o.c.dominatedBox(toLo, ordLo, ordHi); got != bl {
+					t.Logf("seed=%d box: list=%v %s=%v", seed, bl, o.name, got)
+					return false
+				}
 			}
 		}
 		return true

@@ -210,11 +210,12 @@ func (c *Cursor) PeekBound() (bound int64, ok bool) {
 }
 
 // Metrics snapshots the work done so far (IOs, checks, prunes and the
-// emissions already returned by Next).
+// emissions already returned by Next), folding the kernel checker's
+// work since the previous snapshot into KernelCounters.
 func (c *Cursor) Metrics() Metrics {
 	m := c.metrics
 	if c.checker != nil {
-		m.DomChecks = c.checker.checks()
+		checkerMetrics(c.checker, &m)
 	}
 	m.ReadIOs = c.io.Reads
 	m.WriteIOs = c.io.Writes

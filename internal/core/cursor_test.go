@@ -66,6 +66,32 @@ func TestCursorTopKCostsLess(t *testing.T) {
 	}
 }
 
+// TestCursorFoldsKernelCounters: a cursor's kernel point tests and
+// block skips reach KernelCounters exactly once — a mid-stream Metrics
+// read folds the work so far, and further reads add nothing.
+func TestCursorFoldsKernelCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	ds := randomDataset(rng, 2000, 2, 1)
+	tests0, skips0 := KernelCounters()
+	cur := NewSTSSCursor(ds, Options{})
+	for range 5 {
+		cur.Next()
+	}
+	cur.Metrics()
+	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
+	}
+	m := cur.Metrics()
+	cur.Metrics()
+	tests1, skips1 := KernelCounters()
+	boxChecks := cur.checker.(*kernelChecker).nChecks
+	if got, want := tests1-tests0, m.DomChecks-boxChecks; got != want || got == 0 {
+		t.Errorf("KernelCounters gained %d dom tests, the cursor ran %d", got, want)
+	}
+	if got := skips1 - skips0; got != m.BlocksSkipped {
+		t.Errorf("KernelCounters gained %d block skips, the cursor skipped %d", got, m.BlocksSkipped)
+	}
+}
+
 func TestCursorEmpty(t *testing.T) {
 	cur := NewSTSSCursor(&Dataset{}, Options{})
 	if _, ok := cur.Next(); ok {

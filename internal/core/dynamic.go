@@ -232,7 +232,7 @@ func (db *DynamicDB) QueryTSSContext(ctx context.Context, domains []*poset.Domai
 		}
 	}
 
-	res.Metrics.DomChecks = checker.checks()
+	checkerMetrics(checker, &res.Metrics)
 	res.Metrics.ReadIOs = io.Reads + extra
 	res.Metrics.WriteIOs = io.Writes
 	res.Metrics.CPU = clock.elapsed()

@@ -143,8 +143,9 @@ func drainTrace(c *Cursor) cursorTrace {
 
 // checkCursorSequences is the emission-sequence leg of the harness: the
 // order sTSS emits in is the heap's (mindist key, ties by insertion),
-// and every checker prunes exactly the dominated entries, so the list
-// checker, the memtree in both point-check forms, and two successive
+// and every checker prunes exactly the dominated entries, so the kernel
+// checker (with and without the closure bitsets), the bare list checker
+// (NoKernel), the memtree in both point-check forms, and two successive
 // cursors over one shared STSSIndex must emit the identical id sequence
 // with identical keys and traversal counters. Capacity 3 makes even
 // these tiny datasets multi-level trees, so box pruning takes part.
@@ -153,20 +154,24 @@ func checkCursorSequences(t *testing.T, ds *Dataset) {
 		base := Options{Capacity: capacity}
 		want := drainTrace(NewSTSSCursor(ds, base))
 		ix := BuildSTSSIndex(ds, base)
-		mem, stab := base, base
+		list, noclosure, mem, stab := base, base, base, base
+		list.NoKernel = true
+		noclosure.ClosureBudget = -1
 		mem.UseMemTree = true
 		stab.UseMemTree, stab.StabOnly = true, true
 		for _, leg := range []struct {
 			name string
 			cur  *Cursor
 		}{
+			{"list", NewSTSSCursor(ds, list)},
+			{"kernel-noclosure", NewSTSSCursor(ds, noclosure)},
 			{"memtree", NewSTSSCursor(ds, mem)},
 			{"memtree-stab", NewSTSSCursor(ds, stab)},
 			{"index/1", ix.Cursor(base)},
 			{"index/2", ix.Cursor(base)},
 		} {
 			if got := drainTrace(leg.cur); !reflect.DeepEqual(got, want) {
-				t.Fatalf("cursor %s (capacity %d): trace %+v, list checker %+v", leg.name, capacity, got, want)
+				t.Fatalf("cursor %s (capacity %d): trace %+v, kernel checker %+v", leg.name, capacity, got, want)
 			}
 		}
 	}

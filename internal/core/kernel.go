@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the dominance kernel: the columnar (SoA) elimination
-// engine shared by the BNL/SFS/LESS window scans, skyline maintenance,
-// the partition/cluster merge passes and the coordinator's streamed
-// merge.
+// engine shared by the BNL/SFS/LESS window scans, the sTSS/dTSS
+// checker's point tests, skyline maintenance, the partition/cluster
+// merge passes and the coordinator's streamed merge.
 // Three ideas compose:
 //
 //  1. Bitset closure dominance — when a domain's transitive closure
@@ -64,7 +64,7 @@ type kblock struct {
 
 // colSet is the kernel's member set: columnar storage plus zone-map
 // blocks plus an aliveness mask (for BNL-style eviction). It backs the
-// grow-only SFS/LESS scan, the evicting Window (BNL and the
+// grow-only SFS/LESS scan and kernelChecker, the evicting Window (BNL and the
 // coordinator's streamed merge) and the merge pass's per-shard sets
 // (eliminateDominated). A set holds no shard tags: callers that keep
 // several shards' lists apart keep one set per shard (tagSets, a

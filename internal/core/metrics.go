@@ -28,7 +28,7 @@ type Options struct {
 	// paper-figure knob: off by default — as in the paper's headline
 	// experiments, which run TSS without it "for fairness" — and off on
 	// every serving path, because it trades 7–54× fewer counted checks
-	// for 26–61× more wall-clock (one R-tree insert per interval
+	// for 26–70× more wall-clock (one R-tree insert per interval
 	// combination of every accepted point). Only internal/exp's figures
 	// and ablations, and tests, turn it on.
 	UseMemTree bool
@@ -65,7 +65,9 @@ type Options struct {
 	LESSWindow int
 	// NoKernel disables the dominance kernel (bitset closure, columnar
 	// elimination, block zone maps), forcing the scalar *Point/interval
-	// reference path — the ablation and differential-harness switch.
+	// reference path — the ablation and differential-harness switch. For
+	// sTSS and dTSS it selects the bare candidate-list checker, whose
+	// counted checks are the ones the paper's figures report.
 	NoKernel bool
 	// ClosureBudget is the per-domain memory budget in bytes for the
 	// transitive-closure bitset the kernel promotes to the serving

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 )
 
@@ -73,6 +74,19 @@ func TestRunStaticPairAgreesAndReports(t *testing.T) {
 	for _, r := range rows {
 		if r.TotalSec <= 0 || r.Skyline == 0 {
 			t.Errorf("degenerate row: %+v", r)
+		}
+	}
+}
+
+// TestTSSRowCountsListChecks: the figures' checks column counts the
+// paper's candidate-list checks, not the serving cursor's kernel tests.
+func TestTSSRowCountsListChecks(t *testing.T) {
+	cfg := StaticDefaults(tinyScale)
+	cfg.Dist = data.AntiCorrelated
+	want := core.STSS(BuildDataset(cfg), core.Options{NoKernel: true}).Metrics.DomChecks
+	for _, r := range runStaticPair("t", "x", cfg) {
+		if r.Series == "TSS" && r.Checks != want {
+			t.Errorf("TSS row counts %d checks, the list checker %d", r.Checks, want)
 		}
 	}
 }

@@ -37,11 +37,14 @@ func rowFrom(fig, series, x string, cfg Config, m *core.Metrics, skyline int) Ro
 
 // runStaticPair runs the paper's static contenders — SDC+ (the
 // strongest baseline) and TSS (sTSS without the memtree, as in §VI-B
-// "for fairness") — on one configuration.
+// "for fairness") — on one configuration. Every TSS and dTSS leg of the
+// figures passes NoKernel: the paper counts candidate-list checks, so
+// the figures run the bare list checker, not the serving cursor's
+// kernel checker.
 func runStaticPair(fig, x string, cfg Config) []Row {
 	ds := BuildDataset(cfg)
 	sdc := core.SDCPlus(ds, core.Options{})
-	tss := core.STSS(ds, core.Options{})
+	tss := core.STSS(ds, core.Options{NoKernel: true})
 	if !sameSet(sdc.SkylineIDs, tss.SkylineIDs) {
 		panic(fmt.Sprintf("exp: SDC+ and TSS disagree on %s x=%s", fig, x))
 	}
@@ -65,7 +68,7 @@ func runDynamicPair(fig, x string, cfg Config) []Row {
 		if err != nil {
 			panic(err)
 		}
-		rt, err := db.QueryTSS(domains, core.Options{})
+		rt, err := db.QueryTSS(domains, core.Options{NoKernel: true})
 		if err != nil {
 			panic(err)
 		}
@@ -229,7 +232,7 @@ func Figure11(scale float64) []ProgressRow {
 		cfg.Dist = dist
 		ds := BuildDataset(cfg)
 		sdc := core.SDCPlus(ds, core.Options{})
-		tss := core.STSS(ds, core.Options{})
+		tss := core.STSS(ds, core.Options{NoKernel: true})
 		rows = append(rows, progressCurve(fig, "SDC+", cfg, sdc)...)
 		rows = append(rows, progressCurve(fig, "TSS", cfg, tss)...)
 	}
@@ -327,12 +330,12 @@ func Ablations(scale float64) []Row {
 		name string
 		opt  core.Options
 	}{
-		{"list/full/dyadic", core.Options{}},
-		{"list/full/nodyadic", core.Options{NoDyadic: true}},
-		{"list/stab/dyadic", core.Options{StabOnly: true}},
+		{"list/full/dyadic", core.Options{NoKernel: true}},
+		{"list/full/nodyadic", core.Options{NoKernel: true, NoDyadic: true}},
+		{"list/stab/dyadic", core.Options{NoKernel: true, StabOnly: true}},
 		{"mem/full/dyadic", core.Options{UseMemTree: true}},
 		{"mem/stab/dyadic", core.Options{UseMemTree: true, StabOnly: true}},
-		{"list/full/buffered", core.Options{BufferPages: 1 << 14}},
+		{"list/full/buffered", core.Options{NoKernel: true, BufferPages: 1 << 14}},
 	}
 	var base []int32
 	for _, v := range variants {
@@ -354,11 +357,11 @@ func Ablations(scale float64) []Row {
 		name string
 		opt  core.Options
 	}{
-		{"trees/list", core.Options{}},
+		{"trees/list", core.Options{NoKernel: true}},
 		{"trees/mem", core.Options{UseMemTree: true}},
-		{"trees/buffered", core.Options{BufferPages: 1 << 14}},
-		{"trees/packedroots", core.Options{PackedRoots: true}},
-		{"local/list", core.Options{PrecomputedLocal: true}},
+		{"trees/buffered", core.Options{NoKernel: true, BufferPages: 1 << 14}},
+		{"trees/packedroots", core.Options{NoKernel: true, PackedRoots: true}},
+		{"local/list", core.Options{NoKernel: true, PrecomputedLocal: true}},
 		{"local/mem", core.Options{PrecomputedLocal: true, UseMemTree: true}},
 	}
 	for _, v := range dvariants {
@@ -387,10 +390,10 @@ func Ablations(scale float64) []Row {
 	// from the cache; its row shows the near-zero hit cost.
 	db.EnableCache(4)
 	domains := QueryDomains(dcfg, dds, 0)
-	if _, err := db.QueryTSS(domains, core.Options{}); err != nil {
+	if _, err := db.QueryTSS(domains, core.Options{NoKernel: true}); err != nil {
 		panic(err)
 	}
-	cached, err := db.QueryTSS(domains, core.Options{})
+	cached, err := db.QueryTSS(domains, core.Options{NoKernel: true})
 	if err != nil {
 		panic(err)
 	}
@@ -458,22 +461,29 @@ func VerifyAgreement(scale float64) error {
 			return fmt.Errorf("exp: parallel(%s) disagrees with the %s on the TO projection", algo.Name(), oracle)
 		}
 	}
+	// The registry's stss leg above runs the kernel checker; the paper's
+	// list checker and memtree must agree with it.
+	if res := core.STSS(ds, core.Options{NoKernel: true}); !sameSet(res.SkylineIDs, want) {
+		return fmt.Errorf("exp: sTSS with the list checker disagrees with the %s", oracle)
+	}
 	if res := core.STSS(ds, core.Options{UseMemTree: true}); !sameSet(res.SkylineIDs, want) {
 		return fmt.Errorf("exp: sTSS with memtree disagrees with the %s", oracle)
 	}
 	db := core.NewDynamicDB(ds, core.Options{})
 	for q := 0; q < 2; q++ {
 		domains := QueryDomains(cfg, ds, q)
-		rt, err := db.QueryTSS(domains, core.Options{})
-		if err != nil {
-			return err
-		}
 		rs, err := core.DynamicSDCPlus(ds, domains, core.Options{})
 		if err != nil {
 			return err
 		}
-		if !sameSet(rt.SkylineIDs, rs.SkylineIDs) {
-			return fmt.Errorf("exp: dynamic methods disagree on query %d", q)
+		for _, opt := range []core.Options{{NoKernel: true}, {}} {
+			rt, err := db.QueryTSS(domains, opt)
+			if err != nil {
+				return err
+			}
+			if !sameSet(rt.SkylineIDs, rs.SkylineIDs) {
+				return fmt.Errorf("exp: dynamic methods disagree on query %d (dTSS NoKernel=%v)", q, opt.NoKernel)
+			}
 		}
 	}
 	return nil

@@ -124,8 +124,9 @@ type Explain struct {
 	// elimination loops use: "bitset+columnar" (closure bitsets fit the
 	// memory budget on every kept PO domain), "columnar" (columnar scans
 	// with interval/ordinal fallback per dominance test), or "interval"
-	// (Hints.NoKernel scalar reference path). Empty on the cursor route,
-	// which never enters the kernel.
+	// (Hints.NoKernel scalar reference path). On the cursor route it
+	// names the checker's point tests; its R-tree node tests are always
+	// the candidate list's interval test.
 	Kernel string `json:"kernel,omitempty"`
 	// CursorIndex reports where an sTSS cursor run got its R-tree:
 	// "resident" (the snapshot already held it) or "built" (this query
@@ -185,13 +186,14 @@ type Plan struct {
 // algorithm's pruning, and POB how much a PO dimension inflates one
 // dominance check (interval probes instead of integer compares). sTSS's
 // POB of 20 priced the in-memory dominance tree it was fitted with; it
-// now serves through the flat list checker, so the value is stale
-// until the priors are re-fitted. The constants were fitted by hand to
-// one wall-clock run of every algorithm on the paper's default static
-// configuration at n=20k (2 TO, 2 PO, h=8, d=0.8; correlated,
-// independent and anti-correlated) on a 1-CPU container, and have not
-// been re-fitted since; deliberately rough — Learned.CostMultiplier
-// corrects each algorithm per table from observed runs.
+// now serves through the kernel checker (kernel point tests, list box
+// tests), so the value is stale until the priors are re-fitted. The
+// constants were fitted by hand to one wall-clock run of every
+// algorithm on the paper's default static configuration at n=20k (2 TO,
+// 2 PO, h=8, d=0.8; correlated, independent and anti-correlated) on a
+// 1-CPU container, and have not been re-fitted since; deliberately
+// rough — Learned.CostMultiplier corrects each algorithm per table from
+// observed runs.
 type costPrior struct{ A, B, POB float64 }
 
 var costPriors = map[string]costPrior{
@@ -410,13 +412,13 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 }
 
 // explainCursor rewrites the explain output for a run the sequential
-// sTSS cursor serves, whatever the buffered plan chose: the cursor's
-// checker never enters the dominance kernel.
+// sTSS cursor serves, whatever the buffered plan chose. The kernel label
+// stands: the cursor's point checks run on the same kernel
+// configuration.
 func (p *Plan) explainCursor() {
 	p.Explain.Algorithm = "stss"
 	p.Explain.Route = RouteCursor
 	p.Explain.Parallelism = 0
-	p.Explain.Kernel = ""
 }
 
 // kernelLabel names the dominance-kernel configuration a run over the
