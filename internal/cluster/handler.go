@@ -99,8 +99,8 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 		co.serveRead(w, r, ct)
 	case rest == "domcount" && r.Method == http.MethodPost:
 		var req serve.DomCountRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad domcount request: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxDomCountBody)).Decode(&req); err != nil {
+			writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
 			return
 		}
 		resp, err := co.DomCount(ctx, ct, req)
@@ -124,12 +124,7 @@ const maxQueryBody = 4 << 20
 func (co *Coordinator) serveRead(w http.ResponseWriter, r *http.Request, ct *ctable) {
 	var req serve.QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Errorf("bad query: %w", err))
+		writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad query: %w", err))
 		return
 	}
 	co.queries.Add(1)

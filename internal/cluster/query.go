@@ -615,8 +615,12 @@ func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, dreq ser
 	for i, r := range resps {
 		version += r.Version
 		parts[i] = plan.Partials{Counts: r.Counts}
-		for _, h := range r.Hists {
-			parts[i].Hists = append(parts[i].Hists, plan.KHist{Ks: h.Ks, Counts: h.Counts})
+		if r.Hists != nil {
+			hists, err := serve.UnpackHists(r.Hists, len(dreq.Rows))
+			if err != nil {
+				return nil, 0, fmt.Errorf("cluster: shard %d: %w", i, err)
+			}
+			parts[i].Hists = hists
 		}
 	}
 	return parts, version, nil
@@ -738,11 +742,7 @@ func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCo
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s", err)
 	}
-	out := &serve.DomCountResponse{Table: ct.name, Version: version, Counts: merged.Counts}
-	for _, h := range merged.Hists {
-		out.Hists = append(out.Hists, serve.RankHist{Ks: h.Ks, Counts: h.Counts})
-	}
-	return out, nil
+	return &serve.DomCountResponse{Table: ct.name, Version: version, Counts: merged.Counts, Hists: serve.PackHists(merged.Hists)}, nil
 }
 
 // response renders the merged candidates in the single-node wire shape

@@ -245,6 +245,32 @@ func TestCoordinatorQueryBodyBound(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDomCountBodyBound: the coordinator refuses a
+// /domcount body past serve.MaxDomCountBody with 413, like a single
+// node. The body is JSON whitespace generated as it is sent.
+func TestCoordinatorDomCountBodyBound(t *testing.T) {
+	tc := newTestCluster(t, 2, fixtureSpec("diff", fixtureRows(10, 1)))
+	body := io.MultiReader(strings.NewReader(`{"rows":[`), io.LimitReader(spaces{}, serve.MaxDomCountBody))
+	resp, err := http.Post(tc.co.URL+"/tables/diff/domcount", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized domcount body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // TestNegativeLimitRejected: a negative limit is a client error on both
 // tiers, buffered and streamed, from the body or ?limit — never a
 // stream whose trailer counts rows it did not send.

@@ -109,9 +109,20 @@ func DPIDPScoreFromHist(h map[int32]int64) float64 {
 		ks = append(ks, k)
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	counts := make([]int64, len(ks))
+	for i, k := range ks {
+		counts[i] = h[k]
+	}
+	return DPIDPScoreFromRuns(ks, counts)
+}
+
+// DPIDPScoreFromRuns is DPIDPScoreFromHist over a histogram already
+// laid out as ascending-k runs: counts[i] rows have exactly ks[i]
+// dominators.
+func DPIDPScoreFromRuns(ks []int32, counts []int64) float64 {
 	var s float64
-	for _, k := range ks {
-		s += float64(h[k]) / float64(k)
+	for i, k := range ks {
+		s += float64(counts[i]) / float64(k)
 	}
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"sort"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/poset"
 )
 
@@ -842,4 +844,139 @@ func TestDomCounts(t *testing.T) {
 	if _, err := DomCounts(context.Background(), ds, Query{}, []core.Point{{TO: []int32{1}}}); err == nil {
 		t.Fatal("mis-dimensioned candidate accepted")
 	}
+}
+
+// TestPartialsSplitAgreement: dp-idp partials are additive across any
+// split of the rows. Each query's skyline is scored as the coordinator
+// scores it: the table's rows are split at random into 1–4 shards,
+// and CombinePartials over the shards' Partials must equal the whole
+// table's Partials run for run, with scores == to DPIDPScoreFromHist
+// over a scalar oracle's map histograms.
+func TestPartialsSplitAgreement(t *testing.T) {
+	cfg := exp.StaticDefaults(1)
+	cfg.N = 600
+	ds := exp.BuildDataset(cfg)
+	rng := rand.New(rand.NewPCG(1, 33))
+	// The request's orders invert the table's: every edge turned around.
+	orders := make([]*poset.Domain, ds.NumPO())
+	for d, dom := range ds.Domains {
+		rev := poset.NewDAG(dom.Size())
+		for v := range dom.Size() {
+			for _, w := range dom.DAG().Out(v) {
+				rev.MustEdge(int(w), v)
+			}
+		}
+		orders[d] = poset.MustDomain(rev)
+	}
+	sub := &Subspace{TO: []int{1}, PO: []int{0}}
+	where := []Predicate{{Kind: TORange, Dim: 0, HasHi: true, Hi: int64(cfg.TODomain / 2)}}
+	for _, q := range []Query{
+		{},
+		{Orders: orders},
+		{Subspace: sub},
+		{Where: where},
+		{Orders: orders, Subspace: sub, Where: where},
+	} {
+		sky, err := Naive(ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := memberPoints(ds, sky)
+		whole, err := RankPartials(context.Background(), ds, q, "dpidp", cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := oracleHists(ds, q, cands)
+		for i, h := range oracle {
+			if want := histToWire(h); !reflect.DeepEqual(whole.Hists[i], want) {
+				t.Fatalf("query %+v: candidate %d whole-table runs %+v, oracle %+v", q, i, whole.Hists[i], want)
+			}
+		}
+		for trial := range 4 {
+			parts := 1 + trial%4
+			shards := make([]*core.Dataset, parts)
+			for s := range shards {
+				shards[s] = &core.Dataset{Domains: ds.Domains}
+			}
+			for i := range ds.Pts {
+				s := i % parts // every shard gets a row; the rest land at random
+				if i >= parts {
+					s = rng.IntN(parts)
+				}
+				pt := ds.Pts[i]
+				pt.ID = int32(len(shards[s].Pts))
+				shards[s].Pts = append(shards[s].Pts, pt)
+			}
+			partials := make([]Partials, parts)
+			for s, shard := range shards {
+				if partials[s], err = RankPartials(context.Background(), shard, q, "dpidp", cands); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged, scores, err := dpidpRanker{}.CombinePartials(partials, len(cands))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(merged, whole) {
+				t.Fatalf("query %+v, %d shards: combined runs differ from the whole table's", q, parts)
+			}
+			for i, h := range oracle {
+				if want := -core.DPIDPScoreFromHist(h); scores[i] != want {
+					t.Fatalf("query %+v, %d shards: candidate %d score %v, oracle %v", q, parts, i, scores[i], want)
+				}
+			}
+		}
+	}
+}
+
+// oracleHists is the scalar dp-idp oracle: per candidate, the map
+// histogram of the rows of R it dominates, keyed by how many
+// candidates dominate each row, under q's orders and kept dimensions.
+func oracleHists(ds *core.Dataset, q Query, cands []core.Point) []map[int32]int64 {
+	if q.Orders != nil {
+		ds = &core.Dataset{Domains: q.Orders, Pts: ds.Pts}
+	}
+	keptTO, keptPO := resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
+	doms := keptPODomains(ds, keptPO)
+	cps := make([]core.Point, len(cands))
+	for i := range cands {
+		cps[i] = projectInto(&cands[i], keptTO, keptPO)
+	}
+	hists := make([]map[int32]int64, len(cands))
+	for r := range ds.Pts {
+		if !matchesAllPreds(q.Where, &ds.Pts[r]) {
+			continue
+		}
+		rp := projectInto(&ds.Pts[r], keptTO, keptPO)
+		var by []int
+		for i := range cps {
+			if core.DominatesUnder(doms, &cps[i], &rp) {
+				by = append(by, i)
+			}
+		}
+		for _, i := range by {
+			if hists[i] == nil {
+				hists[i] = map[int32]int64{}
+			}
+			hists[i][int32(len(by))]++
+		}
+	}
+	return hists
+}
+
+// histToWire flattens a k-histogram into ascending-k parallel arrays.
+func histToWire(h map[int32]int64) KHist {
+	if len(h) == 0 {
+		return KHist{}
+	}
+	ks := make([]int32, 0, len(h))
+	for k := range h {
+		ks = append(ks, k)
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	out := KHist{Ks: ks, Counts: make([]int64, len(ks))}
+	for i, k := range ks {
+		out.Counts[i] = h[k]
+	}
+	return out
 }

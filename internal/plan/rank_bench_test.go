@@ -25,7 +25,7 @@ func BenchmarkDomScanDPIDP(b *testing.B) {
 	sc := &ScoreContext{DS: ds, Query: &Query{}}
 	sc.KeptTO, sc.KeptPO = resolveSubspace(nil, ds.NumTO(), ds.NumPO())
 	members := memberPoints(ds, sky)
-	var hists []map[int32]int64
+	var hists []KHist
 	before, _ := core.KernelCounters()
 	b.ResetTimer()
 	for range b.N {
@@ -39,9 +39,45 @@ func BenchmarkDomScanDPIDP(b *testing.B) {
 	b.ReportMetric(float64(after-before)/float64(b.N), "checks/op")
 	pairs := int64(0)
 	for _, h := range hists {
-		for _, c := range h {
+		for _, c := range h.Counts {
 			pairs += c
 		}
 	}
 	b.ReportMetric(float64(pairs), "pairs/op")
+}
+
+// BenchmarkCombinePartials times the coordinator's dp-idp combine: the
+// skyline of the BenchmarkDomScanDPIDP table scored against each half
+// of its rows, as two shards would score it, then merged run by run.
+//
+//	go test -run '^$' -bench CombinePartials ./internal/plan
+func BenchmarkCombinePartials(b *testing.B) {
+	cfg := exp.StaticDefaults(1)
+	cfg.N = 10_000
+	ds := exp.BuildDataset(cfg)
+	cands := memberPoints(ds, core.SFS(ds, core.Options{}).SkylineIDs)
+	halves := [2]*core.Dataset{{Domains: ds.Domains}, {Domains: ds.Domains}}
+	for i, pt := range ds.Pts {
+		h := halves[i%2]
+		pt.ID = int32(len(h.Pts))
+		h.Pts = append(h.Pts, pt)
+	}
+	shards := make([]Partials, len(halves))
+	runs := 0
+	for s, h := range halves {
+		var err error
+		if shards[s], err = RankPartials(context.Background(), h, Query{}, "dpidp", cands); err != nil {
+			b.Fatal(err)
+		}
+		for _, hist := range shards[s].Hists {
+			runs += len(hist.Ks)
+		}
+	}
+	b.ResetTimer()
+	for range b.N {
+		if _, _, err := (dpidpRanker{}).CombinePartials(shards, len(cands)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(runs), "runs/op")
 }

@@ -22,11 +22,14 @@ func init() {
 // Members order descending by score (ascending after negation, matching
 // the shared rank sort).
 //
-// Scores are carried as integer k-histograms everywhere (executor,
-// score index, oracle, per-shard partials) and materialized by one
-// shared ascending-k summation (core.DPIDPScoreFromHist), so the
-// index-backed, cold-computed and cluster-combined floats are
-// bit-identical.
+// Scores are carried as integer k-histograms everywhere and
+// materialized by one shared ascending-k summation
+// (core.DPIDPScoreFromRuns), so the index-backed, cold-computed and
+// cluster-combined floats are bit-identical. The cold scan, the
+// per-shard partials and the coordinator's combine hold them as
+// ascending (k, count) runs (KHist), built and merged without maps; the
+// maintained core.ScoreIndex keeps per-member maps, filled from the
+// cold scan's runs.
 type dpidpRanker struct{}
 
 func (dpidpRanker) Name() string { return string(RankDPIDP) }
@@ -46,10 +49,10 @@ func (dpidpRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 	}
 	scores := make(map[int32]float64, len(ids))
 	for i, id := range ids {
-		scores[id] = -core.DPIDPScoreFromHist(hists[i])
+		scores[id] = -hists[i].Score()
 	}
 	if sc.StoreIndex != nil {
-		sc.StoreIndex(core.NewScoreIndex(ids, hists))
+		sc.StoreIndex(core.NewScoreIndex(ids, histMaps(hists)))
 	}
 	return sortByScore(ids, scores, k), false, nil
 }
@@ -107,18 +110,15 @@ func (dpidpRanker) Partials(ctx context.Context, ds *core.Dataset, q Query, cand
 	if err != nil {
 		return Partials{}, err
 	}
-	out := Partials{Hists: make([]KHist, len(cands))}
-	for j, h := range hists {
-		out.Hists[j] = histToWire(h)
-	}
-	return out, nil
+	return Partials{Hists: hists}, nil
 }
 
+// CombinePartials merges each candidate's ascending runs across shards,
+// summing the counts of equal k, and scores the merged runs. Every
+// shard's runs must be ascending, as Partials and serve.UnpackHists
+// return them.
 func (dpidpRanker) CombinePartials(shards []Partials, n int) (Partials, []float64, error) {
-	merged := make([]map[int32]int64, n)
-	for i := range merged {
-		merged[i] = map[int32]int64{}
-	}
+	total := 0
 	for _, p := range shards {
 		if len(p.Hists) != n {
 			return Partials{}, nil, fmt.Errorf("shard returned %d dp-idp histograms for %d candidates", len(p.Hists), n)
@@ -127,18 +127,48 @@ func (dpidpRanker) CombinePartials(shards []Partials, n int) (Partials, []float6
 			if len(h.Ks) != len(h.Counts) {
 				return Partials{}, nil, fmt.Errorf("shard histogram %d has %d ks but %d counts", i, len(h.Ks), len(h.Counts))
 			}
-			for x, k := range h.Ks {
-				merged[i][k] += h.Counts[x]
-			}
+			total += len(h.Ks)
 		}
 	}
+	ks, counts := make([]int32, 0, total), make([]int64, 0, total)
 	out := Partials{Hists: make([]KHist, n)}
 	scores := make([]float64, n)
-	for i, h := range merged {
-		out.Hists[i] = histToWire(h)
-		scores[i] = -core.DPIDPScoreFromHist(h)
+	var acc, spare KHist // scratch: one candidate's runs merged so far
+	for i := range n {
+		acc.Ks, acc.Counts = acc.Ks[:0], acc.Counts[:0]
+		for _, p := range shards {
+			spare.Ks, spare.Counts = mergeRuns(spare.Ks[:0], spare.Counts[:0], acc, p.Hists[i])
+			acc, spare = spare, acc
+		}
+		from := len(ks)
+		ks, counts = append(ks, acc.Ks...), append(counts, acc.Counts...)
+		if to := len(ks); to > from {
+			out.Hists[i] = KHist{Ks: ks[from:to:to], Counts: counts[from:to:to]}
+		}
+		scores[i] = -out.Hists[i].Score()
 	}
 	return out, scores, nil
+}
+
+// mergeRuns appends the merge of ascending runs a and b to ks and
+// counts, summing the counts of a k both hold.
+func mergeRuns(ks []int32, counts []int64, a, b KHist) ([]int32, []int64) {
+	x, y := 0, 0
+	for x < len(a.Ks) && y < len(b.Ks) {
+		ka, kb := a.Ks[x], b.Ks[y]
+		k, c := min(ka, kb), int64(0)
+		if ka == k {
+			c += a.Counts[x]
+			x++
+		}
+		if kb == k {
+			c += b.Counts[y]
+			y++
+		}
+		ks, counts = append(ks, k), append(counts, c)
+	}
+	ks, counts = append(ks, a.Ks[x:]...), append(counts, a.Counts[x:]...)
+	return append(ks, b.Ks[y:]...), append(counts, b.Counts[y:]...)
 }
 
 // RankCostSeconds: the same dominator scan domcount runs.
@@ -163,38 +193,113 @@ func indexScores(ix *core.ScoreIndex, ids []int32) (map[int32]float64, bool) {
 }
 
 // dpidpHists computes each member's k-histogram against R (the
-// predicate-filtered table in the kept dimensions), nil for members
-// that dominate nothing. For the index-eligible full-table shape it
-// produces exactly what core.BuildScoreIndex would — same integers,
-// same member set — so the result doubles as a freshly built index.
-func dpidpHists(ctx context.Context, sc *ScoreContext, members []core.Point) ([]map[int32]int64, error) {
-	hists := make([]map[int32]int64, len(members))
-	err := scanDominators(ctx, sc, members, func(doms []int32) {
-		for _, j := range doms {
-			if hists[j] == nil {
-				hists[j] = map[int32]int64{}
-			}
-			hists[j][int32(len(doms))]++
-		}
+// predicate-filtered table in the kept dimensions) as ascending-k runs,
+// KHist{} for members that dominate nothing. For the index-eligible
+// full-table shape it holds exactly what core.BuildScoreIndex would —
+// same integers, same member set — so the result doubles as a freshly
+// built index.
+func dpidpHists(ctx context.Context, sc *ScoreContext, members []core.Point) ([]KHist, error) {
+	// The dominator lists of the dominated rows, end to end: row r's
+	// list ends at ends[r], and its length is the row's k.
+	var doms, ends []int32
+	err := scanDominators(ctx, sc, members, func(d []int32) {
+		doms = append(doms, d...)
+		ends = append(ends, int32(len(doms)))
 	})
-	return hists, err
+	if err != nil {
+		return nil, err
+	}
+	return histRuns(len(members), doms, ends), nil
 }
 
-// histToWire flattens a k-histogram into ascending-k parallel arrays.
-func histToWire(h map[int32]int64) KHist {
-	if len(h) == 0 {
-		return KHist{}
+// histRuns turns dpidpHists' dominator lists into each of n members'
+// ascending-k runs without comparisons or maps: a counting sort of the
+// rows by k, then a counting sort of their (member, k) pairs by member —
+// stable, so each member's ks stay ascending — and a run-length pass
+// that compacts the ks in place. The views share two backing arrays.
+func histRuns(n int, doms, ends []int32) []KHist {
+	bounds := func(r int) (int32, int32) {
+		if r == 0 {
+			return 0, ends[0]
+		}
+		return ends[r-1], ends[r]
 	}
-	ks := make([]int32, 0, len(h))
-	for k := range h {
-		ks = append(ks, k)
+	maxK := int32(0)
+	for r := range ends {
+		from, to := bounds(r)
+		maxK = max(maxK, to-from)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	out := KHist{Ks: ks, Counts: make([]int64, len(ks))}
-	for i, k := range ks {
-		out.Counts[i] = h[k]
+	byK := make([]int, maxK+2)
+	for r := range ends {
+		from, to := bounds(r)
+		byK[to-from+1]++
 	}
-	return out
+	for k := range maxK + 1 {
+		byK[k+1] += byK[k]
+	}
+	rows := make([]int32, len(ends))
+	for r := range ends {
+		from, to := bounds(r)
+		rows[byK[to-from]] = int32(r)
+		byK[to-from]++
+	}
+
+	start := make([]int, n+1)
+	for _, j := range doms {
+		start[j+1]++
+	}
+	for j := range n {
+		start[j+1] += start[j]
+	}
+	next := slices.Clone(start[:n])
+	ks := make([]int32, len(doms))
+	for _, r := range rows {
+		from, to := bounds(int(r))
+		for _, j := range doms[from:to] {
+			ks[next[j]] = to - from
+			next[j]++
+		}
+	}
+
+	counts := make([]int64, len(doms))
+	hists := make([]KHist, n)
+	w := 0
+	for j := range n {
+		seg := ks[start[j]:start[j+1]]
+		if len(seg) == 0 {
+			continue
+		}
+		from := w
+		for i := 0; i < len(seg); {
+			c := 1
+			for i+c < len(seg) && seg[i+c] == seg[i] {
+				c++
+			}
+			// w never passes i's slot in ks, so the write lands on a
+			// pair this pass has already read.
+			ks[w], counts[w] = seg[i], int64(c)
+			w++
+			i += c
+		}
+		hists[j] = KHist{Ks: ks[from:w:w], Counts: counts[from:w:w]}
+	}
+	return hists
+}
+
+// histMaps expands runs into the map histograms a core.ScoreIndex keeps.
+func histMaps(hists []KHist) []map[int32]int64 {
+	maps := make([]map[int32]int64, len(hists))
+	for i, h := range hists {
+		if len(h.Ks) == 0 {
+			continue
+		}
+		m := make(map[int32]int64, len(h.Ks))
+		for x, k := range h.Ks {
+			m[k] = h.Counts[x]
+		}
+		maps[i] = m
+	}
+	return maps
 }
 
 // layerRanker is RankLayer: iterated-skyline depth. TopK is a depth

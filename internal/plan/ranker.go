@@ -103,12 +103,17 @@ type WireContext struct {
 	Doms   []*poset.Domain
 }
 
-// KHist is the wire form of one candidate's k-histogram: parallel
-// (k, count) pairs with k ascending.
+// KHist is one candidate's k-histogram as ascending runs: Counts[i]
+// rows are dominated by the candidate and have exactly Ks[i]
+// dominators. Ks is strictly ascending and every count is positive; a
+// candidate that dominates nothing has no runs.
 type KHist struct {
 	Ks     []int32
 	Counts []int64
 }
+
+// Score is the histogram's dp-idp score (core.DPIDPScoreFromRuns).
+func (h KHist) Score() float64 { return core.DPIDPScoreFromRuns(h.Ks, h.Counts) }
 
 // Partials is one shard's contribution to a distributed ranking:
 // Counts for count-additive scores (dominance counts), Hists for

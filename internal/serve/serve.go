@@ -529,6 +529,21 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // with all its edges is ~100 KB; nothing legitimate comes near 4 MiB.
 const maxQueryBody = 4 << 20
 
+// MaxDomCountBody bounds a /domcount request body on both tiers. Its
+// candidate list is a coordinator's whole merged skyline, ~40 bytes of
+// JSON per row: 64 MiB holds well over a million candidates.
+const MaxDomCountBody = 64 << 20
+
+// BodyErrorStatus is 413 for a body cut off by http.MaxBytesReader and
+// 400 for any other decode error.
+func BodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // postQuery answers POST /tables/{name}/query, the one read route: pin
 // the snapshot once and deliver the executor's answer as one JSON body
 // or — under ?stream=1 — as a record stream. ?limit (else the body's
@@ -537,12 +552,7 @@ const maxQueryBody = 4 << 20
 func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Errorf("bad query: %w", err))
+		writeError(w, BodyErrorStatus(err), fmt.Errorf("bad query: %w", err))
 		return
 	}
 	if v := r.URL.Query().Get("limit"); v != "" {
@@ -668,8 +678,8 @@ func (s *Server) handleTableStats(w http.ResponseWriter, r *http.Request, e *tab
 // ranked top-k.
 func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	var req DomCountRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad domcount request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDomCountBody)).Decode(&req); err != nil {
+		writeError(w, BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
 		return
 	}
 	q, err := e.schema.PlanQuery(QueryRequest{Orders: req.Orders, Subspace: req.Subspace, Where: req.Where})
@@ -691,11 +701,7 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 		writeError(w, statusFor(err), err)
 		return
 	}
-	resp := DomCountResponse{Table: e.name, Version: snap.version, Counts: parts.Counts}
-	for _, h := range parts.Hists {
-		resp.Hists = append(resp.Hists, RankHist{Ks: h.Ks, Counts: h.Counts})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, DomCountResponse{Table: e.name, Version: snap.version, Counts: parts.Counts, Hists: PackHists(parts.Hists)})
 }
 
 func (s *Server) countQuery(e *tableEntry) {

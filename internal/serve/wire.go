@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/plan"
 )
@@ -386,22 +390,100 @@ type DomCountRequest struct {
 	Rank string `json:"rank,omitempty"`
 }
 
-// RankHist is one candidate's dominator-count histogram, ascending-k
-// parallel arrays: Counts[i] rows are dominated by the candidate and
-// have exactly Ks[i] dominators in this shard's filtered rows.
-type RankHist struct {
-	Ks     []int32 `json:"ks"`
-	Counts []int64 `json:"counts"`
-}
-
 // DomCountResponse carries one partial score per candidate, in request
 // order: Counts for count-shaped rankings, Hists for histogram-shaped
-// ones (exactly one of the two is set).
+// ones (exactly one of the two is set). Hists is PackHists' packed form
+// of the candidates' ascending (k, count) runs — base64 in JSON — and
+// UnpackHists reads it back.
 type DomCountResponse struct {
-	Table   string     `json:"table"`
-	Version int64      `json:"version"`
-	Counts  []int64    `json:"counts"`
-	Hists   []RankHist `json:"hists,omitempty"`
+	Table   string  `json:"table"`
+	Version int64   `json:"version"`
+	Counts  []int64 `json:"counts"`
+	Hists   []byte  `json:"hists,omitempty"`
+}
+
+// PackHists packs per-candidate k-histograms into uvarints: for each
+// candidate in order, its number of runs, then per run the step from
+// the previous run's k (from 0) and the run's count. The runs must be
+// valid plan.KHist runs — k strictly ascending from 1, counts positive —
+// so every step and every count is at least 1.
+func PackHists(hists []plan.KHist) []byte {
+	runs := 0
+	for _, h := range hists {
+		runs += len(h.Ks)
+	}
+	b := make([]byte, 0, len(hists)+3*runs)
+	for _, h := range hists {
+		b = binary.AppendUvarint(b, uint64(len(h.Ks)))
+		prev := int32(0)
+		for i, k := range h.Ks {
+			b = binary.AppendUvarint(b, uint64(k-prev))
+			b = binary.AppendUvarint(b, uint64(h.Counts[i]))
+			prev = k
+		}
+	}
+	return b
+}
+
+// UnpackHists decodes PackHists' form of n candidates' histograms. It
+// returns an error, never a panic, for truncated input, trailing bytes,
+// a non-minimal uvarint, a zero k step, a zero count, a k past int32, a
+// count past int64, a run length the remaining bytes cannot hold and a
+// candidate count other than n; it allocates only what len(b) can
+// describe (every run takes at least two bytes). The views share two
+// backing arrays.
+func UnpackHists(b []byte, n int) ([]plan.KHist, error) {
+	if n < 0 || n > len(b) {
+		return nil, fmt.Errorf("packed hists: %d bytes cannot hold %d candidates", len(b), n)
+	}
+	next := func(what string) (uint64, error) {
+		v, w := binary.Uvarint(b)
+		if w <= 0 {
+			return 0, fmt.Errorf("packed hists: truncated or overflowing %s", what)
+		}
+		if w > 1 && b[w-1] == 0 {
+			return 0, fmt.Errorf("packed hists: non-minimal %s", what)
+		}
+		b = b[w:]
+		return v, nil
+	}
+	hists := make([]plan.KHist, n)
+	ks, counts := make([]int32, 0, len(b)/2), make([]int64, 0, len(b)/2)
+	for i := range hists {
+		runs, err := next("run length")
+		if err != nil {
+			return nil, err
+		}
+		if runs > uint64(len(b)/2) {
+			return nil, fmt.Errorf("packed hists: candidate %d has %d runs past the end", i, runs)
+		}
+		from, k := len(ks), uint64(0)
+		for range runs {
+			step, err := next("k step")
+			if err != nil {
+				return nil, err
+			}
+			if step == 0 || step > math.MaxInt32-k {
+				return nil, fmt.Errorf("packed hists: candidate %d has k step %d after k %d", i, step, k)
+			}
+			k += step
+			c, err := next("count")
+			if err != nil {
+				return nil, err
+			}
+			if c == 0 || c > math.MaxInt64 {
+				return nil, fmt.Errorf("packed hists: candidate %d has count %d at k %d", i, c, k)
+			}
+			ks, counts = append(ks, int32(k)), append(counts, int64(c))
+		}
+		if to := len(ks); to > from {
+			hists[i] = plan.KHist{Ks: ks[from:to:to], Counts: counts[from:to:to]}
+		}
+	}
+	if len(b) > 0 {
+		return nil, fmt.Errorf("packed hists: %d bytes past %d candidates", len(b), n)
+	}
+	return hists, nil
 }
 
 // errorResponse is every non-2xx body.
