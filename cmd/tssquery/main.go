@@ -3,12 +3,13 @@
 // algorithm, reporting the simulated cost model's counters.
 //
 //	tssquery -data work/data.csv -dags work/dag_0.txt,work/dag_1.txt -method stss
-//	tssquery -data work/data.csv -dags work/dag_0.txt -method sdc+ -limit 20
+//	tssquery -data work/data.csv -dags work/dag_0.txt -method sfs -limit 20
 //	tssquery -data work/data.csv -dags work/dag_0.txt -method stss -parallel 4
 //
-// The -method flag accepts any algorithm in the registry (see -help for
-// the current list); -parallel N runs it behind the partition-and-merge
-// executor with N shards (-1 = one per CPU, 0 = the planner decides).
+// The -method flag accepts any serving algorithm: bnl, less, sfs or
+// stss (the paper's BBS+/SDC/SDC+ baselines run only in tssbench);
+// -parallel N runs it behind the partition-and-merge executor with N
+// shards (-1 = one per CPU, 0 = the planner decides).
 //
 // Every run is one planned query: the flags build one serve.QueryRequest,
 // which -serve POSTs to /tables/{t}/query and a local run translates

@@ -2,8 +2,8 @@
 // named tables served to concurrent clients with copy-on-write
 // snapshot isolation. Every query — full, subspace, constrained,
 // top-k, restricted, under the table's own orders or under per-request
-// preference DAGs — is one planned request through the algorithm
-// registry, with -cache past results per snapshot memoised by DAG;
+// preference DAGs — is one planned request over the serving algorithms,
+// with -cache past results per snapshot memoised by DAG;
 // batched mutations derive the next snapshot incrementally and
 // atomically swap it in without blocking readers.
 //

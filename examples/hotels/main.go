@@ -34,7 +34,7 @@ func setLabel(mask int) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// skyline runs one registered algorithm; the names used here handle PO
+// skyline runs one named algorithm; the names used here handle PO
 // columns, so an error is a bug in the example.
 func skyline(t *tss.Table, algo string) *tss.SkylineResult {
 	res, err := t.SkylineWith(algo)

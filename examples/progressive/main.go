@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("  SDC+  %s\n", sparkline(sdc))
 }
 
-// skyline runs one registered algorithm; the names used here handle PO
+// skyline runs one named algorithm; the names used here handle PO
 // columns, so an error is a bug in the example.
 func skyline(t *tss.Table, algo string) *tss.SkylineResult {
 	res, err := t.SkylineWith(algo)

@@ -546,13 +546,13 @@ func (co *Coordinator) planOnce(ct *ctable, q plan.Query, stats []serve.TableSta
 }
 
 // rank orders the merged skyline globally and keeps the best K — the
-// re-rank half of distributed top-k, dispatched through the plan.Ranker
-// registry by capability. WireScorer rankings (ideal) are row-intrinsic
-// and score at the coordinator; PartialScorer rankings (domcount,
-// dpidp) scatter the candidates to every shard — including pruned ones:
-// their rows are still part of R — and combine the partial scores. Ties
-// break on row values (then shard, row), which is deterministic across
-// any placement.
+// re-rank half of distributed top-k, dispatched through
+// plan.LookupRanker by capability. WireScorer rankings (ideal) are
+// row-intrinsic and score at the coordinator; PartialScorer rankings
+// (domcount, dpidp) scatter the candidates to every shard — including
+// pruned ones: their rows are still part of R — and combine the partial
+// scores. Ties break on row values (then shard, row), which is
+// deterministic across any placement.
 func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) ([]candidate, error) {
 	k := g.q.TopK
 	if g.q.Rank == plan.RankNone {

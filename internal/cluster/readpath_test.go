@@ -213,17 +213,22 @@ func TestReadPathEquivalence(t *testing.T) {
 	}
 
 	// Malformed orders — wrong arity, an unknown label, a preference
-	// cycle — get the identical refusal everywhere, before any stream
-	// opens, whatever they are combined with.
-	for name, bad := range map[string][]serve.QueryOrder{
-		"arity": orders[:1],
-		"label": {{Edges: [][2]string{{"d", "zz"}}}, {}},
-		"cycle": {{Edges: [][2]string{{"d", "a"}, {"a", "d"}}}, {}},
+	// cycle — and a forced paper baseline get the identical refusal
+	// everywhere, before any stream opens, whatever they are combined
+	// with.
+	for name, bad := range map[string]serve.QueryRequest{
+		"arity":    {Orders: orders[:1], TopK: 2},
+		"label":    {Orders: []serve.QueryOrder{{Edges: [][2]string{{"d", "zz"}}}, {}}, TopK: 2},
+		"cycle":    {Orders: []serve.QueryOrder{{Edges: [][2]string{{"d", "a"}, {"a", "d"}}}, {}}, TopK: 2},
+		"baseline": {Algo: "sdc+", NoCache: true},
 	} {
-		sh := readShape{req: serve.QueryRequest{Orders: bad, TopK: 2}}
+		sh := readShape{req: bad}
 		want := ask(t, tc.single.URL, sh, false)
 		if want.status != http.StatusBadRequest || want.errText == "" {
 			t.Fatalf("%s: status %d, error %q", name, want.status, want.errText)
+		}
+		if name == "baseline" && !strings.Contains(want.errText, "(have: bnl, less, sfs, stss)") {
+			t.Errorf("baseline: error %q does not name the four serving algorithms", want.errText)
 		}
 		for _, base := range []string{tc.single.URL, tc.co.URL} {
 			for _, stream := range []bool{false, true} {

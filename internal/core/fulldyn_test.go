@@ -19,7 +19,7 @@ func transformedDataset(ds *Dataset, q []int32, domains []*poset.Domain) *Datase
 	return out
 }
 
-// TestFullyDynamicMatchesNaive: every PO-capable registered algorithm
+// TestFullyDynamicMatchesNaive: every PO-capable algorithm
 // over the |t − q| transform agrees with the brute-force oracle, for
 // random query points and partial orders, on the kernel and the scalar
 // reference path.
@@ -42,7 +42,7 @@ func TestFullyDynamicMatchesNaive(t *testing.T) {
 			}
 			want := FullyDynamicNaive(ds, q, domains)
 			tds := transformedDataset(ds, q, domains)
-			for _, algo := range Algorithms() {
+			for _, algo := range append(Algorithms(), Baselines()...) {
 				if !algo.Capabilities().POCapable {
 					continue
 				}

@@ -208,7 +208,7 @@ func FuzzSkylineAgreement(f *testing.F) {
 		// closure-building legs wait until after the algorithms.
 		checkDomScan(t, ds, want, 1)
 
-		for _, a := range Algorithms() {
+		for _, a := range append(Algorithms(), Baselines()...) {
 			runs := []struct {
 				name string
 				run  func() (*Result, error)

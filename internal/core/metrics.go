@@ -75,7 +75,7 @@ type Options struct {
 	// closure entirely (kernel loops fall back to interval/ordinal
 	// forms).
 	ClosureBudget int64
-	// Ctx cancels a run cooperatively: every registered algorithm polls
+	// Ctx cancels a run cooperatively: every algorithm polls
 	// it every dynCtxCheckEvery steps of its scan loops (Parallel: its
 	// shards do) and abandons the scan, and Algorithm.Run then returns
 	// the context's error, not the partial result. Nil never cancels.

@@ -9,7 +9,7 @@ import (
 	"repro/internal/poset"
 )
 
-// Parallel wraps any registered algorithm in a partition-and-merge
+// Parallel wraps any algorithm in a partition-and-merge
 // executor: the dataset is split into P contiguous shards
 // (P = opt.Parallelism, defaulting to runtime.GOMAXPROCS(0)), the inner
 // algorithm computes each shard's local skyline on a worker pool, and a
@@ -24,8 +24,7 @@ import (
 // itself dominated only by points that also dominate the candidate —
 // hence checking candidates against the candidate union alone suffices.
 //
-// The executor is blocking (results surface only after the merge), so
-// its Capabilities drop the inner algorithm's progressiveness. Metrics
+// The executor is blocking: results surface only after the merge. Metrics
 // are aggregated across shards — counters summed, per-shard detail kept
 // in Metrics.Shards — and the top-level CPU is the executor's
 // wall-clock time, the number parallel speedups are measured on.
@@ -41,11 +40,7 @@ func (p *parallelAlgorithm) Name() string {
 	return "parallel(" + p.inner.Name() + ")"
 }
 
-func (p *parallelAlgorithm) Capabilities() Capabilities {
-	caps := p.inner.Capabilities()
-	caps.Progressive = false
-	return caps
-}
+func (p *parallelAlgorithm) Capabilities() Capabilities { return p.inner.Capabilities() }
 
 func (p *parallelAlgorithm) Run(ds *Dataset, opt Options) (*Result, error) {
 	opt = opt.withDefaults()

@@ -9,9 +9,9 @@ import (
 var parallelPs = []int{1, 2, 4, 7}
 
 // TestParallelMatchesNaive is the executor's central property: for
-// randomized datasets (mixed TO/PO, heavy duplicates), every registered
-// PO-capable algorithm behind the partition-and-merge executor returns
-// exactly the naive skyline for every shard count. When the draw has no
+// randomized datasets (mixed TO/PO, heavy duplicates), every PO-capable
+// algorithm, baselines included, behind the partition-and-merge executor
+// returns exactly the naive skyline for every shard count. When the draw has no
 // PO attributes the TO-only algorithms are exercised too.
 func TestParallelMatchesNaive(t *testing.T) {
 	prop := func(seed int64, nRaw uint16, toRaw, poRaw uint8) bool {
@@ -21,7 +21,7 @@ func TestParallelMatchesNaive(t *testing.T) {
 		nPO := int(poRaw % 3)
 		ds := randomDataset(rng, n, nTO, nPO)
 		want := ds.NaiveSkyline()
-		for _, algo := range Algorithms() {
+		for _, algo := range append(Algorithms(), Baselines()...) {
 			if !algo.Capabilities().POCapable && nPO > 0 {
 				continue
 			}
@@ -52,7 +52,7 @@ func TestParallelEdgeCases(t *testing.T) {
 	empty := randomDataset(rng, 1, 2, 1)
 	empty.Pts = nil
 	single := randomDataset(rng, 1, 2, 1)
-	for _, algo := range Algorithms() {
+	for _, algo := range append(Algorithms(), Baselines()...) {
 		if !algo.Capabilities().POCapable {
 			continue
 		}
@@ -140,13 +140,11 @@ func TestParallelMetrics(t *testing.T) {
 	}
 }
 
-// TestParallelCapabilities: the wrapper inherits PO-capability but is
-// always blocking.
+// TestParallelCapabilities: the wrapper inherits PO-capability.
 func TestParallelCapabilities(t *testing.T) {
 	p := Parallel(MustLookup("stss"))
-	caps := p.Capabilities()
-	if !caps.POCapable || caps.Progressive {
-		t.Errorf("parallel(stss) caps = %+v, want POCapable && !Progressive", caps)
+	if caps := p.Capabilities(); !caps.POCapable {
+		t.Errorf("parallel(stss) caps = %+v, want POCapable", caps)
 	}
 	if p.Name() != "parallel(stss)" {
 		t.Errorf("name = %q", p.Name())

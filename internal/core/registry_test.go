@@ -3,46 +3,38 @@ package core
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/poset"
 )
 
-// TestRegistryContents: all seven registered algorithms are invocable
-// through the registry, lookups are case-insensitive, and the listing
-// is sorted and stable.
+// TestRegistryContents: the serving list is exactly the four
+// algorithms a plan can run, sorted; lookups are case-insensitive and
+// never resolve a paper baseline.
 func TestRegistryContents(t *testing.T) {
-	want := []string{"bbs+", "bnl", "less", "sdc", "sdc+", "sfs", "stss"}
-	names := AlgorithmNames()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("AlgorithmNames not sorted: %v", names)
-	}
-	got := map[string]bool{}
-	for _, n := range names {
-		got[n] = true
-	}
-	for _, n := range want {
-		if !got[n] {
-			t.Errorf("algorithm %q not registered (have %v)", n, names)
-		}
+	want := []string{"bnl", "less", "sfs", "stss"}
+	if names := AlgorithmNames(); !slices.Equal(names, want) {
+		t.Errorf("AlgorithmNames() = %v, want %v", names, want)
 	}
 	if _, ok := Lookup("sTSS"); !ok {
 		t.Error("lookup must be case-insensitive")
 	}
-	if _, ok := Lookup("no-such-algorithm"); ok {
-		t.Error("lookup of unknown name must fail")
+	for _, name := range []string{"no-such-algorithm", "bbs+", "sdc", "sdc+"} {
+		if _, ok := Lookup(name); ok {
+			t.Errorf("lookup of %q must fail", name)
+		}
 	}
 }
 
-// TestRegistryRun: every registered algorithm computes the flights
+// TestRegistryRun: every algorithm, baselines included, computes the flights
 // example correctly through the uniform Run signature — PO-capable ones
 // on the PO dataset, TO-only ones via their error.
 func TestRegistryRun(t *testing.T) {
 	ds := flightsDataset(airlineOrder1())
 	want := ds.NaiveSkyline()
-	for _, algo := range Algorithms() {
+	for _, algo := range append(Algorithms(), Baselines()...) {
 		res, err := algo.Run(ds, Options{})
 		if algo.Capabilities().POCapable {
 			if err != nil {
@@ -56,17 +48,6 @@ func TestRegistryRun(t *testing.T) {
 			t.Errorf("%s must reject PO attributes through Run", algo.Name())
 		}
 	}
-}
-
-// TestRegisterDuplicatePanics: double registration is a programming
-// error.
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register must panic")
-		}
-	}()
-	Register(NewAlgorithm("stss", Capabilities{}, nil))
 }
 
 // pollCtx reports Canceled from its (after+1)-th Err call on.
@@ -83,7 +64,7 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// TestAlgorithmsObserveCtxMidRun: every registered algorithm polls
+// TestAlgorithmsObserveCtxMidRun: every algorithm polls
 // Options.Ctx inside its scan, not just around it. The rows sit on an
 // anti-diagonal, so nothing is pruned and every scan is longer than two
 // poll cadences; the context survives the first poll and cancels at the
@@ -102,7 +83,7 @@ func TestAlgorithmsObserveCtxMidRun(t *testing.T) {
 		p.PO = []int32{int32(i % 2)}
 		po.Pts = append(po.Pts, p)
 	}
-	for _, algo := range Algorithms() {
+	for _, algo := range append(Algorithms(), Baselines()...) {
 		ds := to
 		if algo.Capabilities().POCapable {
 			ds = po

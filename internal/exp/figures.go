@@ -402,11 +402,11 @@ func Ablations(scale float64) []Row {
 	return rows
 }
 
-// VerifyAgreement cross-checks every registered algorithm — sequential
-// and behind the partition-and-merge executor — on a modest
-// configuration; the harness-level integration test. PO-capable
-// algorithms run on the mixed TO/PO dataset; every algorithm (the
-// sort-based TO baselines included) runs on its TO projection.
+// VerifyAgreement cross-checks every serving algorithm and paper
+// baseline — sequential and behind the partition-and-merge executor —
+// on a modest configuration; the harness-level integration test.
+// PO-capable algorithms run on the mixed TO/PO dataset; every algorithm
+// (the sort-based TO baselines included) runs on its TO projection.
 func VerifyAgreement(scale float64) error {
 	cfg := StaticDefaults(scale / 10)
 	cfg.Dist = data.AntiCorrelated
@@ -427,7 +427,7 @@ func VerifyAgreement(scale float64) error {
 		want = core.STSS(ds, core.Options{}).SkylineIDs
 		toWant = core.STSS(toDS, core.Options{}).SkylineIDs
 	}
-	for _, algo := range core.Algorithms() {
+	for _, algo := range append(core.Algorithms(), core.Baselines()...) {
 		if algo.Capabilities().POCapable {
 			res, err := algo.Run(ds, core.Options{})
 			if err != nil {
@@ -461,8 +461,8 @@ func VerifyAgreement(scale float64) error {
 			return fmt.Errorf("exp: parallel(%s) disagrees with the %s on the TO projection", algo.Name(), oracle)
 		}
 	}
-	// The registry's stss leg above runs the kernel checker; the paper's
-	// list checker and memtree must agree with it.
+	// The stss leg above runs the kernel checker; the paper's list
+	// checker and memtree must agree with it.
 	if res := core.STSS(ds, core.Options{NoKernel: true}); !sameSet(res.SkylineIDs, want) {
 		return fmt.Errorf("exp: sTSS with the list checker disagrees with the %s", oracle)
 	}

@@ -235,8 +235,8 @@ func (p *Plan) filterIDs(ds *core.Dataset, ids []int32) []int32 {
 
 // rankAndTruncate orders the skyline by the query's rank and keeps the
 // best K. RankNone keeps the first K in emission order; everything else
-// dispatches through the Ranker registry and records where the scores
-// came from (index / memo / cold) in the explain output.
+// dispatches through LookupRanker and records where the scores came
+// from (index / memo / cold) in the explain output.
 func (p *Plan) rankAndTruncate(ctx context.Context, ds *core.Dataset, env Env, ids []int32) ([]int32, error) {
 	k := p.Query.TopK
 	if p.Query.Rank == RankNone {

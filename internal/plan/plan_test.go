@@ -572,6 +572,20 @@ func TestPlannerUsesFeedback(t *testing.T) {
 	}
 }
 
+// TestCostPriorsCoverServing: every serving algorithm has a static
+// prior and no other name does — a missing prior would model as free
+// and win every plan.
+func TestCostPriorsCoverServing(t *testing.T) {
+	var keys []string
+	for name := range costPriors {
+		keys = append(keys, name)
+	}
+	sort.Strings(keys)
+	if want := core.AlgorithmNames(); !reflect.DeepEqual(keys, want) {
+		t.Fatalf("costPriors keys %v, serving algorithms %v", keys, want)
+	}
+}
+
 // TestSubspaceDropsPOEnablesTOOnly: projecting away the PO column makes
 // the TO-only sort-based algorithms legal candidates.
 func TestSubspaceDropsPOEnablesTOOnly(t *testing.T) {

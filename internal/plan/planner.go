@@ -196,19 +196,14 @@ type Plan struct {
 // observed runs.
 type costPrior struct{ A, B, POB float64 }
 
+// costPriors has an entry for every serving algorithm (core.Algorithms);
+// a missing one would model as free and win every plan.
 var costPriors = map[string]costPrior{
 	"stss": {A: 25, B: 3.5, POB: 20},
-	"bbs+": {A: 40, B: 5, POB: 1},
-	"sdc":  {A: 30, B: 4, POB: 0.9},
-	"sdc+": {A: 30, B: 2.8, POB: 0.6},
 	"bnl":  {A: 5, B: 3, POB: 0.75},
 	"sfs":  {A: 8, B: 2.5, POB: 0.5},
 	"less": {A: 8, B: 1.2},
 }
-
-// defaultPrior covers algorithms registered after this model was
-// calibrated.
-var defaultPrior = costPrior{A: 30, B: 3, POB: 1}
 
 // modelSeconds evaluates the static cost model.
 func (c costPrior) modelSeconds(n, m, effPO int) float64 {
@@ -371,9 +366,7 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 	// forced. A projection that drops every PO column widens the field
 	// to the TO-only sort-based algorithms.
 	effPO := len(p.keptPO)
-	if err := p.chooseAlgorithm(env.Learned, effPO, hinted); err != nil {
-		return nil, err
-	}
+	p.chooseAlgorithm(env.Learned, effPO, hinted)
 
 	// Rankings that declare their own cost-model term (RankCoster) add
 	// it to the estimate. The term lands after algorithm choice, so it
@@ -460,25 +453,17 @@ func (p *Plan) scaledPrior(prior costPrior) costPrior {
 
 // chooseAlgorithm fills p.algo, p.predBase and the explain candidate
 // table.
-func (p *Plan) chooseAlgorithm(learned *Learned, effPO int, hinted string) error {
+func (p *Plan) chooseAlgorithm(learned *Learned, effPO int, hinted string) {
 	if hinted != "" {
-		a, ok := core.Lookup(hinted)
-		if !ok {
-			return fmt.Errorf("plan: unknown algorithm %q (have: %s)",
-				p.Query.Hints.Algorithm, strings.Join(core.AlgorithmNames(), ", "))
-		}
+		a := core.MustLookup(hinted) // Validate resolved the name
 		p.algo = a
-		prior, ok := costPriors[a.Name()]
-		if !ok {
-			prior = defaultPrior
-		}
-		prior = p.scaledPrior(prior)
+		prior := p.scaledPrior(costPriors[a.Name()])
 		p.prior = prior
 		p.predBase = prior.modelSeconds(p.estRows, p.estSky, effPO)
 		p.Explain.Algorithm = a.Name()
 		p.Explain.Forced = true
 		p.Explain.EstSeconds = p.predBase * learned.CostMultiplier(a.Name())
-		return nil
+		return
 	}
 	var best core.Algorithm
 	var bestPrior costPrior
@@ -487,20 +472,13 @@ func (p *Plan) chooseAlgorithm(learned *Learned, effPO int, hinted string) error
 		if effPO > 0 && !a.Capabilities().POCapable {
 			continue
 		}
-		prior, ok := costPriors[a.Name()]
-		if !ok {
-			prior = defaultPrior
-		}
-		prior = p.scaledPrior(prior)
+		prior := p.scaledPrior(costPriors[a.Name()])
 		base := prior.modelSeconds(p.estRows, p.estSky, effPO)
 		est := base * learned.CostMultiplier(a.Name())
 		p.Explain.Candidates = append(p.Explain.Candidates, Candidate{Name: a.Name(), EstSeconds: est})
 		if best == nil || est < bestEst {
 			best, bestEst, bestBase, bestPrior = a, est, base, prior
 		}
-	}
-	if best == nil {
-		return fmt.Errorf("plan: no capable algorithm registered")
 	}
 	// The cursor route is sTSS-specific: prefer it for unranked top-k
 	// even when another algorithm models cheaper on a full run, since
@@ -520,7 +498,6 @@ func (p *Plan) chooseAlgorithm(learned *Learned, effPO int, hinted string) error
 	p.predBase = bestBase
 	p.Explain.Algorithm = best.Name()
 	p.Explain.EstSeconds = bestEst
-	return nil
 }
 
 // resolveSubspace expands a nil subspace to the identity dimension

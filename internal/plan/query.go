@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/poset"
@@ -132,11 +133,9 @@ const (
 	RankLayer Rank = "layer"
 )
 
-// The built-in rankings are registered in ranker.go/rankdpidp.go; the
-// constants above are their wire names. Every tier — executor, oracle,
-// stream, serving layer, cluster coordinator — dispatches through
-// LookupRanker, so an externally registered Ranker is served end to end
-// without new switch arms.
+// The rankings are listed in ranker.go's rankers; the constants above
+// are their wire names. Every tier — executor, oracle, stream, serving
+// layer, cluster coordinator — dispatches through LookupRanker.
 
 // Route is a physical predicate/cache placement, as reported (and
 // optionally forced through Hints) by the planner.
@@ -159,7 +158,7 @@ const (
 // Hints lets callers pin planner decisions (benchmarking, debugging).
 // Zero values mean "planner decides".
 type Hints struct {
-	// Algorithm forces the named registered algorithm.
+	// Algorithm forces the named serving algorithm (core.Algorithms).
 	Algorithm string
 	// Parallelism > 0 forces that many shards behind the partition-and-
 	// merge executor; < 0 forces a sequential run; 0 lets the planner
@@ -239,6 +238,12 @@ func (q *Query) Variant() string {
 func (q *Query) Validate(nTO, nPO int, domainSizes []int) error {
 	if q.TopK < 0 {
 		return fmt.Errorf("plan: negative TopK %d", q.TopK)
+	}
+	if q.Hints.Algorithm != "" {
+		if _, ok := core.Lookup(q.Hints.Algorithm); !ok {
+			return fmt.Errorf("plan: unknown algorithm %q (have: %s)",
+				q.Hints.Algorithm, strings.Join(core.AlgorithmNames(), ", "))
+		}
 	}
 	var ranker Ranker
 	if q.Rank != RankNone {

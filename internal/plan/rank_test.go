@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestRankerRegistry pins the open registry's contract: the four
+// TestRankerRegistry pins the ranking list's contract: the four
 // built-in rankings are present, names resolve case-insensitively, and
 // an unknown name misses rather than panicking.
 func TestRankerRegistry(t *testing.T) {

@@ -10,11 +10,6 @@ import (
 	"repro/internal/poset"
 )
 
-func init() {
-	RegisterRanker(dpidpRanker{})
-	RegisterRanker(layerRanker{})
-}
-
 // dpidpRanker is RankDPIDP — the dominance-potential / inverse-
 // dominance-partition score: each row t of R dominated by exactly k
 // skyline members contributes 1/k to each of those k members, so a

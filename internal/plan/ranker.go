@@ -3,19 +3,15 @@ package plan
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/poset"
 )
 
-// Ranker is one registered top-k ranking method. The executor, the
-// brute-force oracle, the streaming path and the cluster coordinator
-// all dispatch through this registry — a new ranking registers itself
-// here (like core.Algorithm implementations) and every tier picks it up
-// without a new switch arm.
+// Ranker is one top-k ranking method. The executor, the brute-force
+// oracle, the streaming path and the cluster coordinator all dispatch
+// through LookupRanker, so no tier has a per-ranking switch arm.
 //
 // Rank orders the skyline ids of the running query and returns the
 // best k. A ranker may return rows beyond the input ids when its
@@ -169,51 +165,30 @@ type RankCoster interface {
 	RankCostSeconds(n, m, dims, k int) float64
 }
 
-var (
-	rankerMu  sync.RWMutex
-	rankerReg = map[string]Ranker{}
-)
+// rankers holds the built-in rankings, sorted by name; the Rank
+// constants are their wire names.
+var rankers = [...]Ranker{domcountRanker{}, dpidpRanker{}, idealRanker{}, layerRanker{}}
 
-// RegisterRanker adds a ranking to the registry under its Name,
-// case-insensitively. It panics on an empty or duplicate name —
-// registration happens in init functions, where a clash is a
-// programming error.
-func RegisterRanker(r Ranker) {
-	name := canonicalRankName(r.Name())
-	if name == "" {
-		panic("plan: RegisterRanker with empty name")
-	}
-	rankerMu.Lock()
-	defer rankerMu.Unlock()
-	if _, dup := rankerReg[name]; dup {
-		panic(fmt.Sprintf("plan: RegisterRanker called twice for %q", name))
-	}
-	rankerReg[name] = r
-}
-
-// LookupRanker finds a registered ranking by name, case-insensitively.
+// LookupRanker finds a ranking by name, case-insensitively.
 func LookupRanker(name string) (Ranker, bool) {
-	rankerMu.RLock()
-	defer rankerMu.RUnlock()
-	r, ok := rankerReg[canonicalRankName(name)]
-	return r, ok
+	for _, r := range rankers {
+		if strings.EqualFold(r.Name(), name) {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
-// RankerNames returns the registered ranking names, sorted.
+// RankerNames returns the ranking names, sorted.
 func RankerNames() []string {
-	rankerMu.RLock()
-	defer rankerMu.RUnlock()
-	names := make([]string, 0, len(rankerReg))
-	for name := range rankerReg {
-		names = append(names, name)
+	names := make([]string, len(rankers))
+	for i, r := range rankers {
+		names[i] = r.Name()
 	}
-	sort.Strings(names)
 	return names
 }
 
-func canonicalRankName(name string) string { return strings.ToLower(name) }
-
-// quotedRankerNames renders the registry for error messages.
+// quotedRankerNames renders the ranking names for error messages.
 func quotedRankerNames() string {
 	names := RankerNames()
 	for i, n := range names {
@@ -239,11 +214,6 @@ func RankPartials(ctx context.Context, ds *core.Dataset, q Query, rank string, c
 		return Partials{}, fmt.Errorf("plan: rank %q has no per-shard partial scores", rank)
 	}
 	return ps.Partials(ctx, ds, q, cands)
-}
-
-func init() {
-	RegisterRanker(domcountRanker{})
-	RegisterRanker(idealRanker{})
 }
 
 // domcountRanker is RankDomCount: skyline rows ordered by the number of

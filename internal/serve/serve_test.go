@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -161,13 +162,14 @@ func TestTableLifecycle(t *testing.T) {
 
 // TestSkylineEndpoint: the table's skyline is POST /query with the
 // algorithm forced and the memo bypassed, so every algorithm really
-// runs; the GET /skyline shorthand is gone.
+// runs; the GET /skyline shorthand is gone, and the paper's baselines
+// are not served.
 func TestSkylineEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	want := []int{0, 4, 5, 8, 9}
 	url := ts.URL + "/tables/flights/query"
 
-	for _, algo := range []string{"", "stss", "sdc+", "bnl"} {
+	for _, algo := range []string{"", "stss", "bnl"} {
 		var out QueryResponse
 		if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: algo, NoCache: true}, &out); code != http.StatusOK {
 			t.Fatalf("algo %q: %d", algo, code)
@@ -184,6 +186,14 @@ func TestSkylineEndpoint(t *testing.T) {
 		if out.CacheHit || out.Metrics.DomChecks == 0 {
 			t.Errorf("algo %q: served without running (cacheHit %v, %d dominance checks)", algo, out.CacheHit, out.Metrics.DomChecks)
 		}
+	}
+	// A forced paper baseline is an unknown algorithm.
+	var baseline errorResponse
+	if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: "sdc+", NoCache: true}, &baseline); code != http.StatusBadRequest {
+		t.Errorf("algo \"sdc+\": %d, want 400", code)
+	}
+	if !strings.Contains(baseline.Error, "unknown algorithm") || !strings.Contains(baseline.Error, "(have: bnl, less, sfs, stss)") {
+		t.Errorf("algo \"sdc+\": error %q, want the unknown-algorithm refusal naming the four serving algorithms", baseline.Error)
 	}
 	// Parallel executor route.
 	var par QueryResponse

@@ -213,7 +213,7 @@ type QueryRequest struct {
 	Subspace []string    `json:"subspace,omitempty"` // kept column names
 	Where    []WhereSpec `json:"where,omitempty"`
 	TopK     int         `json:"topK,omitempty"`
-	Rank     string      `json:"rank,omitempty"` // "", or a registered ranking: "domcount", "ideal", "dpidp", "layer"
+	Rank     string      `json:"rank,omitempty"` // "", or a ranking: "domcount", "ideal", "dpidp", "layer"
 	// FWeights asks for the F-dominance *restricted* skyline: one lower
 	// bound per table TO column, defining the linear-scoring family
 	// { v : v >= w, sum(v) = 1 } over the kept TO dimensions. Combines

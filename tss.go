@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -423,7 +422,7 @@ func (t *Table) Row(i int) string {
 func (t *Table) Skyline() []int {
 	res, err := t.SkylineWith("stss")
 	if err != nil {
-		panic(err) // stss is registered and PO-capable; the run cannot fail
+		panic(err) // stss is PO-capable; the run cannot fail
 	}
 	return res.Rows
 }
@@ -447,55 +446,24 @@ func (t *Table) EachSkyline(fn func(row int) bool) {
 	}
 }
 
-// AlgorithmInfo describes one entry of the skyline-algorithm registry.
-type AlgorithmInfo struct {
-	// Name is the registry key, usable with Table.SkylineWith and the
-	// tssquery -method flag.
-	Name string
-	// POCapable algorithms handle partially ordered columns; the others
-	// (the classic sort-based baselines) require TO-only tables.
-	POCapable bool
-	// Progressive algorithms emit skyline rows while the run is still
-	// in flight.
-	Progressive bool
-	// PaperRef cites where the algorithm is described.
-	PaperRef string
-}
-
-// Algorithms lists every registered skyline algorithm, sorted by name.
-func Algorithms() []AlgorithmInfo {
-	var out []AlgorithmInfo
-	for _, a := range core.Algorithms() {
-		caps := a.Capabilities()
-		out = append(out, AlgorithmInfo{
-			Name:        a.Name(),
-			POCapable:   caps.POCapable,
-			Progressive: caps.Progressive,
-			PaperRef:    caps.PaperRef,
-		})
-	}
-	return out
-}
-
-// lookupAlgo resolves a registry name, listing the known names on
-// failure.
-func lookupAlgo(name string) (core.Algorithm, error) {
-	a, ok := core.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("tss: unknown algorithm %q (have: %s)",
-			name, strings.Join(core.AlgorithmNames(), ", "))
-	}
-	return a, nil
-}
-
-// SkylineWith runs the named registered algorithm (see Algorithms) and
-// returns the skyline with its run statistics. TO-only algorithms
-// return an error when the table has PO columns. It is a thin wrapper
-// over Query with the algorithm forced, a sequential run pinned and
-// cache routing disabled — exactly the historical behavior.
+// SkylineWith runs the named algorithm (case-insensitive) and returns
+// the skyline with its run statistics. A serving algorithm — bnl, less,
+// sfs or stss, the ones a plan can pick — runs as a Query with the
+// algorithm forced, a sequential run pinned and cache routing disabled.
+// One of the paper's index-based baselines — bbs+, sdc or sdc+ — runs
+// once over the table's rows. TO-only algorithms return an error when
+// the table has PO columns.
 func (t *Table) SkylineWith(algo string) (*SkylineResult, error) {
-	if _, err := lookupAlgo(algo); err != nil {
-		return nil, err
+	if _, serving := core.Lookup(algo); !serving {
+		for _, a := range core.Baselines() {
+			if strings.EqualFold(a.Name(), algo) {
+				res, err := a.Run(t.ds, core.Options{})
+				if err != nil {
+					return nil, err
+				}
+				return wrapResult(res), nil
+			}
+		}
 	}
 	res, _, err := t.Query(plan.Query{Hints: plan.Hints{
 		Algorithm: algo, Parallelism: -1, NoCache: true,
@@ -503,30 +471,10 @@ func (t *Table) SkylineWith(algo string) (*SkylineResult, error) {
 	return res, err
 }
 
-// SkylineParallel runs the named algorithm behind the partition-and-
-// merge executor: the table is split into parallelism shards (0 = one
-// per CPU), local skylines are computed concurrently and merged with a
-// final t-dominance elimination pass. The result set always equals the
-// sequential one; on multi-core hosts and large tables the wall-clock
-// time drops. Like SkylineWith, it is a Query wrapper with the
-// algorithm and shard count forced.
-func (t *Table) SkylineParallel(algo string, parallelism int) (*SkylineResult, error) {
-	if _, err := lookupAlgo(algo); err != nil {
-		return nil, err
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	res, _, err := t.Query(plan.Query{Hints: plan.Hints{
-		Algorithm: algo, Parallelism: parallelism, NoCache: true,
-	}})
-	return res, err
-}
-
 // Query plans and executes a logical skyline query — full, subspace,
 // constrained, top-k, in any combination (see plan.Query for the exact
 // semantics) — through the cost-based optimizer: per-table statistics
-// and the registry's capability metadata pick the algorithm,
+// and the algorithms' capability metadata pick the algorithm,
 // parallelism, predicate placement and cache routing, and the run's
 // observed cost feeds the statistics for the next query. The returned
 // Explain documents every decision.

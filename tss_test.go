@@ -256,44 +256,44 @@ func TestPureTOTable(t *testing.T) {
 	}
 }
 
-// TestSkylineWith: every registered algorithm is reachable by name from
-// the public API; PO-capable ones agree on the flights example, TO-only
-// ones surface their rejection as an error.
+// TestSkylineWith: every serving algorithm and paper baseline is
+// reachable by name from the public API; PO-capable ones agree on the
+// flights example, the TO-only less surfaces its rejection as an error,
+// and an unknown name errors.
 func TestSkylineWith(t *testing.T) {
 	table := flightsTable(order1())
 	want := sortedRows(table.Skyline())
-	algos := Algorithms()
-	if len(algos) < 7 {
-		t.Fatalf("Algorithms() lists %d entries, want >= 7", len(algos))
-	}
-	for _, info := range algos {
-		res, err := table.SkylineWith(info.Name)
-		if !info.POCapable {
-			if err == nil {
-				t.Errorf("%s: expected PO rejection", info.Name)
-			}
-			continue
-		}
+	for _, name := range []string{"bbs+", "bnl", "sdc", "sdc+", "sfs", "stss"} {
+		res, err := table.SkylineWith(name)
 		if err != nil {
-			t.Errorf("%s: %v", info.Name, err)
+			t.Errorf("%s: %v", name, err)
 			continue
 		}
 		if got := sortedRows(res.Rows); !equalRows(got, want) {
-			t.Errorf("%s = %v, want %v", info.Name, got, want)
+			t.Errorf("%s = %v, want %v", name, got, want)
 		}
+	}
+	if _, err := table.SkylineWith("less"); err == nil {
+		t.Error("less: expected PO rejection")
 	}
 	if _, err := table.SkylineWith("nope"); err == nil {
 		t.Error("unknown algorithm must error")
 	}
 }
 
-// TestSkylineParallel: the partition-and-merge executor matches the
-// sequential result through the public API.
+// TestSkylineParallel: a plan forced onto the partition-and-merge
+// executor (Hints.Parallelism) matches the sequential result.
 func TestSkylineParallel(t *testing.T) {
 	table := flightsTable(order1())
 	want := sortedRows(table.Skyline())
+	parallel := func(algo string, p int) (*SkylineResult, error) {
+		res, _, err := table.Query(plan.Query{Hints: plan.Hints{
+			Algorithm: algo, Parallelism: p, NoCache: true,
+		}})
+		return res, err
+	}
 	for _, p := range []int{0, 1, 2, 4} {
-		res, err := table.SkylineParallel("stss", p)
+		res, err := parallel("stss", p)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
@@ -301,15 +301,15 @@ func TestSkylineParallel(t *testing.T) {
 			t.Errorf("parallelism %d: %v, want %v", p, got, want)
 		}
 	}
-	if _, err := table.SkylineParallel("nope", 2); err == nil {
+	if _, err := parallel("nope", 2); err == nil {
 		t.Error("unknown algorithm must error")
 	}
-	if _, err := table.SkylineParallel("less", 2); err == nil {
+	if _, err := parallel("less", 2); err == nil {
 		t.Error("parallel(less) on PO table must error")
 	}
 }
 
-// TestMethodsViaRegistry: registry lookup is case-insensitive at the
+// TestMethodsViaRegistry: name lookup is case-insensitive at the
 // public API — the algorithms' display names (sTSS, BBS+, …) resolve
 // like the canonical lowercase ones and return the same skyline.
 func TestMethodsViaRegistry(t *testing.T) {
