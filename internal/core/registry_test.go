@@ -28,9 +28,9 @@ func TestRegistryContents(t *testing.T) {
 	}
 }
 
-// TestRegistryRun: every algorithm, baselines included, computes the flights
-// example correctly through the uniform Run signature — PO-capable ones
-// on the PO dataset, TO-only ones via their error.
+// TestRegistryRun: every algorithm, baselines included, computes the
+// flights example correctly through the uniform Run signature —
+// PO-capable ones on the PO dataset, TO-only ones via their error.
 func TestRegistryRun(t *testing.T) {
 	ds := flightsDataset(airlineOrder1())
 	want := ds.NaiveSkyline()
@@ -64,8 +64,8 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// TestAlgorithmsObserveCtxMidRun: every algorithm polls
-// Options.Ctx inside its scan, not just around it. The rows sit on an
+// TestAlgorithmsObserveCtxMidRun: every algorithm polls Options.Ctx
+// inside its scan, not just around it. The rows sit on an
 // anti-diagonal, so nothing is pruned and every scan is longer than two
 // poll cadences; the context survives the first poll and cancels at the
 // second, a cadence into the scan. An algorithm that polled only at its
