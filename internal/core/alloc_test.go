@@ -29,8 +29,9 @@ func allocDataset(seed int64, n int) *Dataset {
 // TestKernelProbeLoopAllocs: the colSet probe loop — compile candidate,
 // dominator scan, eviction scan — the merge pass's per-shard probe and
 // the ranking layer's DomScan collector are allocation-free in the
-// steady state, on both the bitset-closure path and the interval
-// fallback.
+// steady state, on the member-row path, the interval fallback, and a
+// budget that the 8-value domain's member rows outgrow at the second
+// block, so one set mixes row and per-member dimensions.
 func TestKernelProbeLoopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -38,19 +39,23 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 	}{
 		{"closure", 0},
 		{"interval-fallback", -1},
+		{"rows-budget", 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := allocDataset(7, 600)
-			k := newColSet(ds.Domains, 2, len(ds.Pts), tc.budget)
+			k := newColSet(ds.Domains, 2, len(ds.Pts), tc.budget, true)
 			for i := range ds.Pts {
 				p := &ds.Pts[i]
 				k.append(p.TO, p.PO, p.ID)
+			}
+			if dropped := k.reach[0] == nil && ds.Domains[0].Closure() != nil; dropped != (tc.budget > 0) {
+				t.Fatalf("member rows of the 8-value dimension dropped = %v under budget %d", dropped, tc.budget)
 			}
 			pr := k.newProbe()
 			probeAll := func() {
 				for i := range ds.Pts {
 					p := &ds.Pts[i]
-					k.begin(pr, p.TO, p.PO, true)
+					k.begin(pr, p.TO, p.PO)
 					_ = k.anyDominator(pr)
 					k.evictDominatedBy(pr)
 				}
@@ -115,9 +120,9 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 				t.Errorf("rejected Window.Offer allocates %.1f objects per pass, want 0", allocs)
 			}
 			perOffer := testing.AllocsPerRun(10, admitAll) / float64(tagsPerPass*len(sky))
-			// A block's zone maps are ≤ 7 objects per 256 members (0.027
-			// per offer); each set's six growing slices and the member
-			// index double a few times.
+			// A block's zone maps and member rows are ≤ 9 objects per 256
+			// members (0.035 per offer); each set's six growing slices and
+			// the member index double a few times.
 			if perOffer > 0.1 {
 				t.Errorf("admitted Window.Offer allocates %.3f objects per offer, want only amortized column growth (≤ 0.1)", perOffer)
 			}

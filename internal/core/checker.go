@@ -355,7 +355,7 @@ type kernelChecker struct {
 }
 
 func newKernelChecker(domains []*poset.Domain, nTO int, budget int64) *kernelChecker {
-	set := newColSet(domains, nTO, 64, budget)
+	set := newColSet(domains, nTO, 64, budget, false)
 	return &kernelChecker{listChecker: newListChecker(domains, false), set: set, pr: set.newProbe()}
 }
 
@@ -365,7 +365,7 @@ func (c *kernelChecker) add(p *Point) {
 }
 
 func (c *kernelChecker) dominatedPoint(to []int32, vals []int32) bool {
-	c.set.begin(c.pr, to, vals, false)
+	c.set.begin(c.pr, to, vals)
 	return c.set.anyDominator(c.pr)
 }
 

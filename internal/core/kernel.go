@@ -14,20 +14,22 @@ import (
 // merge passes and the coordinator's streamed merge.
 // Three ideas compose:
 //
-//  1. Bitset closure dominance — when a domain's transitive closure
-//     fits its memory budget (poset.Domain.EnableClosure), the per-pair
-//     PO preference test is one word test, and each candidate compiles
-//     its per-dimension predecessor/successor sets into bitsets so a
-//     member test is a single indexed bit load.
+//  1. Per-value member rows — when a domain's transitive closure fits
+//     its memory budget (poset.Domain.EnableClosure), each block keeps,
+//     per domain value v, the mask of its members whose value is ⪯ v
+//     (and, in sets that evict, ⪰ v), so one PO dimension of a 64-member
+//     word is one word load. Dimensions without rows test each member
+//     with TPrefers.
 //  2. Columnar loops — members live in dimension-major int32 columns
-//     (Cols) and are tested 64 at a time per dimension with branchless
-//     sign-trick masks, early-exiting a word as soon as no member can
-//     still dominate.
+//     (Cols); the TO columns are tested only on the members the rows
+//     leave, one at a time when few survive and 64 at a time with
+//     branchless sign-trick masks when many do.
 //  3. Block zone maps — members are grouped into fixed 256-point blocks
-//     carrying min/max TO corners and PO value-presence bitsets, so an
-//     elimination pass skips whole blocks that provably cannot contain
-//     a dominator (or, for evictions, a dominated member) — the
-//     intra-node analog of the cluster's min-corner shard pruning.
+//     carrying min/max TO corners, topological-ordinal bounds and the
+//     member rows, so an elimination pass skips whole blocks that
+//     provably cannot contain a dominator (or, for evictions, a
+//     dominated member) — the intra-node analog of the cluster's
+//     min-corner shard pruning.
 //
 // Options.NoKernel forces the scalar *Point/interval reference path,
 // which remains the correctness oracle the kernel is fuzzed against.
@@ -36,6 +38,9 @@ import (
 // small enough that min-corner summaries stay tight, large enough that
 // a skipped block saves real work.
 const kernelBlock = 256
+
+// blockWords is the number of 64-member mask words in a block.
+const blockWords = kernelBlock / 64
 
 // Process-cumulative kernel counters, surfaced by /statsz and
 // /clusterz: how many member dominance tests the kernels ran and how
@@ -57,9 +62,11 @@ type kblock struct {
 
 	minTO, maxTO   []int32 // per TO dim corner summaries
 	minOrd, maxOrd []int32 // per PO dim topological-ordinal bounds
-	// present[d] is the value-presence bitset of PO dim d (which domain
-	// values occur among members); nil when dim d has no closure.
-	present [][]uint64
+	// dn[d] and up[d] are PO dim d's member rows: word v·blockWords+w
+	// holds the members in mask word w whose value is ⪯ v (dn) or ⪰ v
+	// (up). A nil row set is tested per member. Rows keep evicted
+	// members, as the corners do; the alive mask removes them.
+	dn, up [][]uint64
 }
 
 // colSet is the kernel's member set: columnar storage plus zone-map
@@ -72,9 +79,9 @@ type kblock struct {
 type colSet struct {
 	domains []*poset.Domain
 	nTO     int
-	reach   []*poset.Reachability // per PO dim closure; nil → interval fallback
-	reachT  []*poset.Reachability // per PO dim transposed closure
-	words   []int                 // closure row words per PO dim (0 without closure)
+	budget  int64                 // bytes of member rows one PO dim may hold per direction
+	reach   []*poset.Reachability // per PO dim closure dn rows are built from; nil → no rows
+	reachT  []*poset.Reachability // per PO dim transposed closure for up rows; nil → none
 
 	cols   *Cols
 	alive  []uint64 // member liveness mask
@@ -84,24 +91,71 @@ type colSet struct {
 
 // newColSet builds an empty kernel set over the given domains. budget
 // is the per-domain closure budget (0 → poset.DefaultClosureBudget,
-// negative → closure disabled, interval/ordinal fallbacks throughout).
-func newColSet(domains []*poset.Domain, nTO, capHint int, budget int64) *colSet {
+// negative → closure disabled, no member rows, interval/ordinal
+// fallbacks throughout), and so are one dimension's member rows in each
+// direction. evicts adds the up rows evictDominatedBy tests with.
+func newColSet(domains []*poset.Domain, nTO, capHint int, budget int64, evicts bool) *colSet {
+	if budget == 0 {
+		budget = poset.DefaultClosureBudget
+	}
 	k := &colSet{
 		domains: domains,
 		nTO:     nTO,
+		budget:  budget,
 		cols:    NewCols(nTO, len(domains), capHint),
 		reach:   make([]*poset.Reachability, len(domains)),
 		reachT:  make([]*poset.Reachability, len(domains)),
-		words:   make([]int, len(domains)),
 	}
 	for d, dm := range domains {
-		if budget >= 0 && dm.EnableClosure(budget) {
+		if budget > 0 && dm.EnableClosure(budget) {
 			k.reach[d] = dm.Closure()
-			k.reachT[d] = dm.ClosureTranspose()
-			k.words[d] = k.reach[d].Words()
+			if evicts {
+				k.reachT[d] = dm.ClosureTranspose()
+			}
 		}
 	}
 	return k
+}
+
+// dropRows stops keeping member rows on PO dim d, for every block of
+// the set; its members are tested with TPrefers from then on.
+func (k *colSet) dropRows(d int) {
+	k.reach[d], k.reachT[d] = nil, nil
+	for bi := range k.blocks {
+		k.blocks[bi].dn[d], k.blocks[bi].up[d] = nil, nil
+	}
+}
+
+// newBlock opens the zone-map block that starts at member i. A PO
+// dimension drops its member rows once they would outgrow the budget
+// (per direction) with this block.
+func (k *colSet) newBlock(i int) kblock {
+	nPO := len(k.domains)
+	rows := make([][]uint64, 2*nPO)
+	b := kblock{
+		lo: i, hi: i,
+		minTO: make([]int32, k.nTO), maxTO: make([]int32, k.nTO),
+		minOrd: make([]int32, nPO), maxOrd: make([]int32, nPO),
+		dn: rows[:nPO:nPO], up: rows[nPO:],
+	}
+	for d := range b.minTO {
+		b.minTO[d], b.maxTO[d] = math.MaxInt32, math.MinInt32
+	}
+	for d, dm := range k.domains {
+		b.minOrd[d], b.maxOrd[d] = math.MaxInt32, math.MinInt32
+		n := blockWords * dm.Size()
+		switch {
+		case k.reach[d] == nil:
+		case int64(len(k.blocks)+1)*int64(n)*8 > k.budget:
+			k.dropRows(d)
+		default:
+			b.dn[d] = make([]uint64, n)
+			if k.reachT[d] != nil {
+				b.up[d] = make([]uint64, n)
+			}
+		}
+	}
+	return b
 }
 
 // append adds a member and folds it into the current block's zone map.
@@ -111,28 +165,11 @@ func (k *colSet) append(to, po []int32, id int32) {
 	if i&63 == 0 {
 		k.alive = append(k.alive, 0)
 	}
-	k.alive[i>>6] |= 1 << (uint(i) & 63)
+	bit := uint64(1) << (uint(i) & 63)
+	k.alive[i>>6] |= bit
 	k.nAlive++
 	if i%kernelBlock == 0 {
-		b := kblock{
-			lo: i, hi: i,
-			minTO: make([]int32, k.nTO), maxTO: make([]int32, k.nTO),
-		}
-		if len(k.domains) > 0 {
-			b.minOrd = make([]int32, len(k.domains))
-			b.maxOrd = make([]int32, len(k.domains))
-			b.present = make([][]uint64, len(k.domains))
-		}
-		for d := range b.minTO {
-			b.minTO[d], b.maxTO[d] = math.MaxInt32, math.MinInt32
-		}
-		for d := range k.domains {
-			b.minOrd[d], b.maxOrd[d] = math.MaxInt32, math.MinInt32
-			if k.words[d] > 0 {
-				b.present[d] = make([]uint64, k.words[d])
-			}
-		}
-		k.blocks = append(k.blocks, b)
+		k.blocks = append(k.blocks, k.newBlock(i))
 	}
 	b := &k.blocks[len(k.blocks)-1]
 	b.hi = i + 1
@@ -144,6 +181,7 @@ func (k *colSet) append(to, po []int32, id int32) {
 			b.maxTO[d] = v
 		}
 	}
+	w := (i - b.lo) >> 6
 	for d, v := range po {
 		o := k.domains[d].Ord(v)
 		if o < b.minOrd[d] {
@@ -152,10 +190,34 @@ func (k *colSet) append(to, po []int32, id int32) {
 		if o > b.maxOrd[d] {
 			b.maxOrd[d] = o
 		}
-		if b.present[d] != nil {
-			b.present[d][v>>6] |= 1 << (uint(v) & 63)
+		if r := b.dn[d]; r != nil {
+			setRows(r, k.reach[d].Row(v), v, w, bit)
+		}
+		if r := b.up[d]; r != nil {
+			setRows(r, k.reachT[d].Row(v), v, w, bit)
 		}
 	}
+}
+
+// setRows sets bit in mask word w of the rows of v and of every value
+// in closure row cl.
+func setRows(rows, cl []uint64, v int32, w int, bit uint64) {
+	rows[int(v)*blockWords+w] |= bit
+	for cw, word := range cl {
+		for ; word != 0; word &= word - 1 {
+			rows[(cw*64+bits.TrailingZeros64(word))*blockWords+w] |= bit
+		}
+	}
+}
+
+// anyRow reports whether some member of a block is in the row of v.
+func anyRow(rows []uint64, v int32) bool {
+	for _, w := range rows[int(v)*blockWords : (int(v)+1)*blockWords] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // aliveIDs appends the ids of live members, in insertion order.
@@ -169,62 +231,25 @@ func (k *colSet) aliveIDs(out []int32) []int32 {
 }
 
 // probe is the per-candidate, per-goroutine state of a kernel pass: the
-// candidate's attributes, its compiled per-dimension bitsets, and local
-// counters (merged into Metrics and the process counters at pass end).
+// candidate's attributes and ordinals, and local counters (merged into
+// Metrics and the process counters at pass end).
 type probe struct {
 	to, po []int32
 	ord    []int32 // per PO dim: ord(po[d])
-	// leq[d] = {v : v ⪯ po[d]} — the values at least as good as the
-	// candidate's (candidate's dominator set). geq[d] = {v : po[d] ⪯ v}
-	// — the values the candidate is at least as good as (its dominated
-	// set, used for evictions). nil entries → interval fallback.
-	leq, geq       [][]uint64
-	leqBuf, geqBuf [][]uint64
 
 	domTests   int64
 	blockSkips int64
 }
 
 func (k *colSet) newProbe() *probe {
-	nPO := len(k.domains)
-	pr := &probe{
-		ord: make([]int32, nPO),
-		leq: make([][]uint64, nPO), geq: make([][]uint64, nPO),
-		leqBuf: make([][]uint64, nPO), geqBuf: make([][]uint64, nPO),
-	}
-	for d := range k.domains {
-		if k.words[d] > 0 {
-			pr.leqBuf[d] = make([]uint64, k.words[d])
-			pr.geqBuf[d] = make([]uint64, k.words[d])
-		}
-	}
-	return pr
+	return &probe{ord: make([]int32, len(k.domains))}
 }
 
-// begin compiles a candidate into pr. needGeq additionally compiles the
-// dominated-set bitsets evictions need.
-func (k *colSet) begin(pr *probe, to, po []int32, needGeq bool) {
+// begin loads a candidate into pr.
+func (k *colSet) begin(pr *probe, to, po []int32) {
 	pr.to, pr.po = to, po
 	for d, dm := range k.domains {
-		v := po[d]
-		pr.ord[d] = dm.Ord(v)
-		if rt := k.reachT[d]; rt != nil {
-			buf := pr.leqBuf[d]
-			copy(buf, rt.Row(v))
-			buf[v>>6] |= 1 << (uint(v) & 63)
-			pr.leq[d] = buf
-		} else {
-			pr.leq[d] = nil
-		}
-		pr.geq[d] = nil
-		if needGeq {
-			if r := k.reach[d]; r != nil {
-				buf := pr.geqBuf[d]
-				copy(buf, r.Row(v))
-				buf[v>>6] |= 1 << (uint(v) & 63)
-				pr.geq[d] = buf
-			}
-		}
+		pr.ord[d] = dm.Ord(po[d])
 	}
 }
 
@@ -238,65 +263,46 @@ func (pr *probe) addTo(m *Metrics) {
 	pr.domTests, pr.blockSkips = 0, 0
 }
 
-func wordsIntersect(a, b []uint64) bool {
-	for i, w := range a {
-		if w&b[i] != 0 {
-			return true
-		}
+// blockMayHold is the zone-map admission test of both scans: false
+// proves that no member of b is at least as good as the candidate or,
+// under evict, that the candidate is at least as good as no member —
+// some TO dim has every member beyond the candidate, or some PO dim has
+// no member on the candidate's side: an empty row or, without rows, the
+// ordinal bound (sound because reachability implies a smaller
+// topological ordinal).
+func (k *colSet) blockMayHold(b *kblock, pr *probe, evict bool) bool {
+	to, ord, rows := b.minTO, b.minOrd, b.dn
+	if evict {
+		to, ord, rows = b.maxTO, b.maxOrd, b.up
 	}
-	return false
-}
-
-// blockMayDominate is the zone-map admission test for dominator scans:
-// false proves no member of b can dominate the candidate — some TO dim
-// has every member strictly worse than the candidate, or some PO dim
-// has no member value at least as good (presence ∩ dominator set empty;
-// ordinal bound in the no-closure fallback, sound because reachability
-// implies a smaller topological ordinal).
-func (k *colSet) blockMayDominate(b *kblock, pr *probe) bool {
-	for d := 0; d < k.nTO; d++ {
-		if b.minTO[d] > pr.to[d] {
+	for d, c := range to {
+		if beyond(c, pr.to[d], evict) {
 			return false
 		}
 	}
-	for d := range k.domains {
-		if lq := pr.leq[d]; lq != nil {
-			if !wordsIntersect(b.present[d], lq) {
-				return false
-			}
-		} else if b.minOrd[d] > pr.ord[d] {
+	for d, r := range rows {
+		if r != nil && !anyRow(r, pr.po[d]) || r == nil && beyond(ord[d], pr.ord[d], evict) {
 			return false
 		}
 	}
 	return true
 }
 
-// blockMayBeDominated is the eviction-direction zone test: false proves
-// the candidate dominates no member of b.
-func (k *colSet) blockMayBeDominated(b *kblock, pr *probe) bool {
-	for d := 0; d < k.nTO; d++ {
-		if b.maxTO[d] < pr.to[d] {
-			return false
-		}
+// beyond reports whether a member's value c is strictly worse than the
+// candidate's v or, under evict, strictly better.
+func beyond(c, v int32, evict bool) bool {
+	if evict {
+		return c < v
 	}
-	for d := range k.domains {
-		if gq := pr.geq[d]; gq != nil {
-			if !wordsIntersect(b.present[d], gq) {
-				return false
-			}
-		} else if b.maxOrd[d] < pr.ord[d] {
-			return false
-		}
-	}
-	return true
+	return c > v
 }
 
 // anyDominator reports whether a live member strictly dominates the
-// candidate compiled into pr.
+// candidate loaded into pr.
 func (k *colSet) anyDominator(pr *probe) bool {
 	for bi := range k.blocks {
 		b := &k.blocks[bi]
-		if !k.blockMayDominate(b, pr) {
+		if !k.blockMayHold(b, pr, false) {
 			pr.blockSkips++
 			continue
 		}
@@ -308,7 +314,7 @@ func (k *colSet) anyDominator(pr *probe) bool {
 }
 
 // anyOtherDominator reports whether a live member of a set other than
-// sets[own] strictly dominates the candidate compiled into pr. Each set
+// sets[own] strictly dominates the candidate loaded into pr. Each set
 // holds one shard's members, and a shard's own list is already a
 // skyline, so its set is never probed. own < 0 probes every set.
 func anyOtherDominator(sets []*colSet, own int, pr *probe) bool {
@@ -324,10 +330,8 @@ func anyOtherDominator(sets []*colSet, own int, pr *probe) bool {
 // candidate: the first weak dominator that is not an exact duplicate.
 func (k *colSet) scanDominator(b *kblock, pr *probe) bool {
 	for base := b.lo; base < b.hi; base += 64 {
-		for m := k.weakDominators(b, base, pr); m != 0; {
-			j := bits.TrailingZeros64(m)
-			m &^= 1 << uint(j)
-			if !k.equalAt(base+j, pr) {
+		for m := k.weakMembers(b, base, pr, false); m != 0; m &= m - 1 {
+			if !k.equalAt(base+bits.TrailingZeros64(m), pr) {
 				return true
 			}
 		}
@@ -335,51 +339,76 @@ func (k *colSet) scanDominator(b *kblock, pr *probe) bool {
 	return false
 }
 
-// weakDominators runs the masked columnar dominance test over the 64
-// members of block b starting at base and returns the mask of those at
-// least as good as the candidate in every dimension: m tracks members
-// still qualifying after each dimension processed. Strictness (exact
-// duplicates never dominate) is left to a scalar equalAt check by the
-// caller on the few bits that survive all dimensions — keeping the hot
-// per-lane loops to one mask each.
-func (k *colSet) weakDominators(b *kblock, base int, pr *probe) uint64 {
+// weakMembers is the member filter of both scans: it returns the mask
+// of the live members of block b in the 64-member word at base that are
+// at least as good as the candidate in every dimension (the weak
+// dominators) or, under evict, that the candidate is at least as good
+// as. It ANDs one row word per PO dimension with rows, tests the TO
+// columns on the members that survive, then tests each remaining
+// member of the dimensions without rows with TPrefers. Strictness
+// (exact duplicates never dominate) is left to a scalar equalAt check
+// by the caller.
+func (k *colSet) weakMembers(b *kblock, base int, pr *probe, evict bool) uint64 {
 	m := k.alive[base>>6]
 	if m == 0 {
 		return 0
 	}
-	lim := min(base+64, b.hi)
 	pr.domTests += int64(bits.OnesCount64(m))
-	for d := 0; d < k.nTO && m != 0; d++ {
-		col := k.cols.TO[d][base:lim]
-		v := int64(pr.to[d])
-		var gt uint64
-		for j := 0; j < len(col); j++ {
-			diff := v - int64(col[j])
-			gt |= (uint64(diff) >> 63) << uint(j)
-		}
-		m &^= gt
+	rows := b.dn
+	if evict {
+		rows = b.up
 	}
-	for d := 0; d < len(k.domains) && m != 0; d++ {
-		col := k.cols.PO[d][base:lim]
-		bv := pr.po[d]
-		if lq := pr.leq[d]; lq != nil {
+	w := (base - b.lo) >> 6
+	for d, r := range rows {
+		if r != nil {
+			m &= r[int(pr.po[d])*blockWords+w]
+		}
+	}
+	if m == 0 {
+		return 0
+	}
+	if bits.OnesCount64(m) <= 8 { // few survivors: test them one by one
+		for mm := m; mm != 0; mm &= mm - 1 {
+			j := bits.TrailingZeros64(mm)
+			for d := 0; d < k.nTO; d++ {
+				if beyond(k.cols.TO[d][base+j], pr.to[d], evict) {
+					m &^= 1 << uint(j)
+					break
+				}
+			}
+		}
+	} else {
+		lim := min(base+64, b.hi)
+		for d := 0; d < k.nTO && m != 0; d++ {
+			col := k.cols.TO[d][base:lim]
+			v := int64(pr.to[d])
 			var bad uint64
-			for j := 0; j < len(col); j++ {
-				cv := col[j]
-				good := lq[cv>>6] >> (uint(cv) & 63) & 1
-				bad |= (good ^ 1) << uint(j)
+			if evict {
+				for j, c := range col {
+					bad |= (uint64(int64(c)-v) >> 63) << uint(j)
+				}
+			} else {
+				for j, c := range col {
+					bad |= (uint64(v-int64(c)) >> 63) << uint(j)
+				}
 			}
 			m &^= bad
-		} else {
-			dm := k.domains[d]
-			mm := m
-			for mm != 0 {
-				j := bits.TrailingZeros64(mm)
-				mm &^= 1 << uint(j)
-				cv := col[j]
-				if cv != bv && !dm.TPrefers(cv, bv) {
-					m &^= 1 << uint(j)
-				}
+		}
+	}
+	for d, r := range rows {
+		if r != nil || m == 0 {
+			continue
+		}
+		col := k.cols.PO[d][base:]
+		dm, bv := k.domains[d], pr.po[d]
+		for mm := m; mm != 0; mm &= mm - 1 {
+			j := bits.TrailingZeros64(mm)
+			x, y := col[j], bv
+			if evict {
+				x, y = y, x
+			}
+			if x != y && !dm.TPrefers(x, y) {
+				m &^= 1 << uint(j)
 			}
 		}
 	}
@@ -409,7 +438,7 @@ func (k *colSet) equalAt(i int, pr *probe) bool {
 func (k *colSet) evictDominatedBy(pr *probe) {
 	for bi := range k.blocks {
 		b := &k.blocks[bi]
-		if !k.blockMayBeDominated(b, pr) {
+		if !k.blockMayHold(b, pr, true) {
 			pr.blockSkips++
 			continue
 		}
@@ -417,72 +446,30 @@ func (k *colSet) evictDominatedBy(pr *probe) {
 	}
 }
 
-// scanEvict is weakDominators with the comparison reversed: m tracks
-// members the candidate is at-least-as-good as in every dimension, and
-// the surviving bits minus exact duplicates are evicted.
+// scanEvict evicts the members of block b the candidate strictly
+// dominates: its weakly dominated members minus exact duplicates.
 func (k *colSet) scanEvict(b *kblock, pr *probe) {
 	for base := b.lo; base < b.hi; base += 64 {
-		w := base >> 6
-		m := k.alive[w]
-		if m == 0 {
-			continue
-		}
-		lim := min(base+64, b.hi)
-		pr.domTests += int64(bits.OnesCount64(m))
-		for d := 0; d < k.nTO && m != 0; d++ {
-			col := k.cols.TO[d][base:lim]
-			v := int64(pr.to[d])
-			var lt uint64
-			for j := 0; j < len(col); j++ {
-				diff := int64(col[j]) - v
-				lt |= (uint64(diff) >> 63) << uint(j)
-			}
-			m &^= lt
-		}
-		for d := 0; d < len(k.domains) && m != 0; d++ {
-			col := k.cols.PO[d][base:lim]
-			bv := pr.po[d]
-			if gq := pr.geq[d]; gq != nil {
-				var bad uint64
-				for j := 0; j < len(col); j++ {
-					cv := col[j]
-					good := gq[cv>>6] >> (uint(cv) & 63) & 1
-					bad |= (good ^ 1) << uint(j)
-				}
-				m &^= bad
-			} else {
-				dm := k.domains[d]
-				mm := m
-				for mm != 0 {
-					j := bits.TrailingZeros64(mm)
-					mm &^= 1 << uint(j)
-					cv := col[j]
-					if cv != bv && !dm.TPrefers(bv, cv) {
-						m &^= 1 << uint(j)
-					}
-				}
-			}
-		}
-		dom := m
-		for mm := m; mm != 0; {
+		dom := k.weakMembers(b, base, pr, true)
+		for mm := dom; mm != 0; mm &= mm - 1 {
 			j := bits.TrailingZeros64(mm)
-			mm &^= 1 << uint(j)
 			if k.equalAt(base+j, pr) {
 				dom &^= 1 << uint(j)
 			}
 		}
 		if dom != 0 {
-			k.alive[w] &^= dom
+			k.alive[base>>6] &^= dom
 			k.nAlive -= bits.OnesCount64(dom)
 		}
 	}
 }
 
-// maybeCompact rebuilds the columns without dead members once more than
-// half the set has been evicted, so long BNL runs do not keep scanning
-// corpses. Insertion order (and therefore output order) is preserved,
-// but member indexes shift: sets whose indexes must stay stable (a
-// tagged Window's, the merge pass's) never call it.
+// maybeCompact rebuilds the columns, and with them the blocks' zone
+// maps and member rows, without dead members once more than half the
+// set has been evicted, so long BNL runs do not keep scanning corpses.
+// Insertion order (and therefore output order) is preserved, but member
+// indexes shift: sets whose indexes must stay stable (a tagged
+// Window's, the merge pass's) never call it.
 func (k *colSet) maybeCompact() {
 	n := k.cols.Len()
 	if n < 2*kernelBlock || 2*k.nAlive >= n {

@@ -5,43 +5,91 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/poset"
 )
 
 // TestColSetCompactInterleaved: compaction must preserve exactly the
 // live members, in insertion order, when survivors and corpses
-// interleave within alive words. This is the regression test for a
-// compaction bug where the rebuilt alive mask reused the old mask's
+// interleave within alive words, and must rebuild the zone maps and
+// member rows of the blocks it refills. This is the regression test for
+// a compaction bug where the rebuilt alive mask reused the old mask's
 // backing array and clobbered liveness bits ahead of the read cursor,
-// silently dropping the oldest survivors.
+// silently dropping the oldest survivors. The second input has two PO
+// dimensions, so stale member rows would show: after compaction, every
+// probe must get the same dominator and eviction answers from the set
+// as from one built fresh from the survivors.
 func TestColSetCompactInterleaved(t *testing.T) {
-	k := newColSet(nil, 2, 0, 0)
-	n := 1024
-	for i := 0; i < n; i++ {
-		k.append([]int32{int32(i), int32(n - i)}, nil, int32(i))
-	}
-	// Kill two of every three members (strictly more than half, so
-	// maybeCompact actually compacts), leaving survivors interleaved.
-	var want []int32
-	for i := 0; i < n; i++ {
-		if i%3 != 0 {
-			k.alive[i>>6] &^= 1 << (uint(i) & 63)
-			k.nAlive--
-		} else {
-			want = append(want, int32(i))
-		}
-	}
-	k.maybeCompact()
-	if k.cols.Len() != len(want) {
-		t.Fatalf("compacted to %d members, want %d", k.cols.Len(), len(want))
-	}
-	got := k.aliveIDs(nil)
-	if len(got) != len(want) {
-		t.Fatalf("%d alive ids after compaction, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("alive[%d] = %d, want %d", i, got[i], want[i])
-		}
+	const n = 1024
+	rng := rand.New(rand.NewSource(11))
+	mixed := randomDataset(rng, 2*n, 2, 2)
+	for _, tc := range []struct {
+		name string
+		ds   *Dataset
+	}{
+		{"to-only", nil},
+		{"2 PO dims", mixed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var domains []*poset.Domain
+			pts := make([]Point, n)
+			for i := range pts {
+				pts[i] = Point{ID: int32(i), TO: []int32{int32(i), int32(n - i)}}
+			}
+			if tc.ds != nil {
+				domains = tc.ds.Domains
+				copy(pts, tc.ds.Pts[:n])
+			}
+			k := newColSet(domains, 2, 0, 0, true)
+			for _, p := range pts {
+				k.append(p.TO, p.PO, p.ID)
+			}
+			// Kill two of every three members (strictly more than half, so
+			// maybeCompact actually compacts), leaving survivors interleaved.
+			var want []int32
+			fresh := newColSet(domains, 2, 0, 0, true)
+			for i, p := range pts {
+				if i%3 != 0 {
+					k.alive[i>>6] &^= 1 << (uint(i) & 63)
+					k.nAlive--
+				} else {
+					want = append(want, int32(i))
+					fresh.append(p.TO, p.PO, p.ID)
+				}
+			}
+			k.maybeCompact()
+			if k.cols.Len() != len(want) {
+				t.Fatalf("compacted to %d members, want %d", k.cols.Len(), len(want))
+			}
+			got := k.aliveIDs(nil)
+			if len(got) != len(want) {
+				t.Fatalf("%d alive ids after compaction, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("alive[%d] = %d, want %d", i, got[i], want[i])
+				}
+			}
+			if tc.ds == nil {
+				return
+			}
+			pr, fpr := k.newProbe(), fresh.newProbe()
+			for _, p := range tc.ds.Pts[n:] {
+				k.begin(pr, p.TO, p.PO)
+				fresh.begin(fpr, p.TO, p.PO)
+				if a, b := k.anyDominator(pr), fresh.anyDominator(fpr); a != b {
+					t.Fatalf("probe %d: compacted set anyDominator=%v, fresh set %v", p.ID, a, b)
+				}
+				k.evictDominatedBy(pr)
+				fresh.evictDominatedBy(fpr)
+				if a, b := k.aliveIDs(nil), fresh.aliveIDs(nil); !equalIDs(a, b) {
+					t.Fatalf("probe %d evicts down to %d members in the compacted set, %d in the fresh set", p.ID, len(a), len(b))
+				}
+			}
+			if k.nAlive == len(want) {
+				t.Fatal("no probe evicted a member")
+			}
+		})
 	}
 }
 

@@ -140,7 +140,9 @@ func MaintainSkyline(oldDS, newDS *Dataset, delta *Delta, oldSky []int32, keptTO
 	// Seeded kernel window: survivors first (mutually non-dominated, so
 	// admitted unprobed), then every candidate offered (dominated
 	// candidates are discarded; surviving ones join and evict the members
-	// they dominate).
+	// they dominate). Seeding leaves the window without member rows:
+	// hundreds of seeds would each file themselves under every value
+	// they reach, for the handful of offers a batch makes.
 	w := NewWindow(domains, nTO, 0, false)
 	var scratch Point
 	for _, ni := range survivors {

@@ -384,7 +384,7 @@ func tagSets(domains []*poset.Domain, nTO int, cands []mergeCand, budget int64) 
 	}
 	sets := make([]*colSet, len(counts))
 	for s, c := range counts {
-		sets[s] = newColSet(domains, nTO, c, budget)
+		sets[s] = newColSet(domains, nTO, c, budget, false)
 	}
 	for _, mc := range cands {
 		sets[mc.shard].append(mc.p.TO, mc.p.PO, mc.p.ID)
@@ -396,6 +396,6 @@ func tagSets(domains []*poset.Domain, nTO int, cands []mergeCand, budget int64) 
 // dominates mc. The sets share domains and budget, so the candidate is
 // compiled once, by the first set, for all of them.
 func mergeProbe(sets []*colSet, mc mergeCand, pr *probe) bool {
-	sets[0].begin(pr, mc.p.TO, mc.p.PO, false)
+	sets[0].begin(pr, mc.p.TO, mc.p.PO)
 	return anyOtherDominator(sets, mc.shard, pr)
 }

@@ -142,7 +142,7 @@ func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res 
 	var k *colSet
 	var pr *probe
 	if !opt.NoKernel {
-		k = newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget)
+		k = newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
 		pr = k.newProbe()
 		defer pr.addTo(&res.Metrics)
 	}
@@ -154,7 +154,7 @@ func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res 
 		p := &ds.Pts[idx]
 		dominated := false
 		if k != nil {
-			k.begin(pr, p.TO, p.PO, false)
+			k.begin(pr, p.TO, p.PO)
 			dominated = k.anyDominator(pr)
 		} else {
 			for _, s := range sky {

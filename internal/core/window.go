@@ -30,7 +30,7 @@ type member struct{ set, i int32 }
 // and the given PO domains. budget is the per-domain closure budget
 // (0 → poset.DefaultClosureBudget, negative → closure disabled).
 func NewWindow(domains []*poset.Domain, nTO int, budget int64, tagged bool) *Window {
-	k := newColSet(domains, nTO, 64, budget)
+	k := newColSet(domains, nTO, 64, budget, true)
 	return &Window{sets: []*colSet{k}, pr: k.newProbe(), tagged: tagged, budget: budget}
 }
 
@@ -44,7 +44,7 @@ func (w *Window) Offer(to, po []int32, id, shard int32) bool {
 	if w.tagged {
 		own = int(shard)
 	}
-	w.sets[0].begin(w.pr, to, po, true)
+	w.sets[0].begin(w.pr, to, po)
 	if anyOtherDominator(w.sets, own, w.pr) {
 		return false
 	}
@@ -63,7 +63,7 @@ func (w *Window) Offer(to, po []int32, id, shard int32) bool {
 	}
 	for own >= len(w.sets) {
 		first := w.sets[0]
-		w.sets = append(w.sets, newColSet(first.domains, first.nTO, 64, w.budget))
+		w.sets = append(w.sets, newColSet(first.domains, first.nTO, 64, w.budget, true))
 	}
 	k := w.sets[own]
 	w.at = append(w.at, member{set: shard, i: int32(k.cols.Len())})
@@ -73,8 +73,15 @@ func (w *Window) Offer(to, po []int32, id, shard int32) bool {
 
 // seed admits a point into an untagged window without probing it, for
 // seed points known to be mutually non-dominated (a maintained
-// skyline's surviving members).
-func (w *Window) seed(to, po []int32, id int32) { w.sets[0].append(to, po, id) }
+// skyline's surviving members). A seeded window keeps no member rows:
+// it is probed too few times to repay building them.
+func (w *Window) seed(to, po []int32, id int32) {
+	if k := w.sets[0]; k.cols.Len() == 0 {
+		clear(k.reach)
+		clear(k.reachT)
+	}
+	w.sets[0].append(to, po, id)
+}
 
 // aliveIDs appends the ids of an untagged window's live members, in
 // admission order.

@@ -44,7 +44,7 @@ type Domain struct {
 
 	// reach is the lazily built transitive-closure bitset (the serving
 	// fast path of TPrefers) and reachT its transpose (predecessor
-	// rows, used by the dominance kernels' zone maps). Same publication
+	// rows, used by the dominance kernel's member rows). Same publication
 	// discipline as dy: built once under reachMu, published atomically,
 	// shared by snapshot clones.
 	reach   atomic.Pointer[Reachability]

@@ -44,12 +44,10 @@ func (r *Reachability) row(v int32) []uint64 {
 }
 
 // Row exposes v's closure row (bit y set ⟺ x reaches y) for bulk
-// consumers — the dominance kernels OR rows together to build block
-// zone maps. The slice aliases the closure; callers must not modify it.
+// consumers — the dominance kernel walks it to file a member under
+// every value it is at least as good as. The slice aliases the
+// closure; callers must not modify it.
 func (r *Reachability) Row(v int32) []uint64 { return r.row(v) }
-
-// Words returns the number of uint64 words per row.
-func (r *Reachability) Words() int { return r.words }
 
 // Reaches reports whether a directed path x→y exists (x strictly
 // preferred to y). Reaches(x, x) is false.
@@ -73,8 +71,8 @@ func (r *Reachability) Count(x int32) int {
 
 // Transpose returns the reversed closure: bit x of the transpose's row
 // y is set iff x reaches y. Row y is therefore y's *predecessor* set —
-// the values at least as good as y — which dominance kernels intersect
-// against block presence bitsets to prune whole blocks at once.
+// the values at least as good as y — which the dominance kernel walks
+// to file a member under every value it is no better than.
 func (r *Reachability) Transpose() *Reachability {
 	t := &Reachability{n: r.n, words: r.words, bits: make([]uint64, len(r.bits))}
 	for x := 0; x < r.n; x++ {

@@ -28,11 +28,16 @@ func TestKernelMatchesScalarLargeN(t *testing.T) {
 		}{
 			{"kernel", core.Options{}},
 			{"kernel-noclosure", core.Options{ClosureBudget: -1}},
+			{"kernel-rows-budget", core.Options{ClosureBudget: 16 << 10}},
 		} {
 			got := sortedCopy(core.BNL(ds, v.opt).SkylineIDs)
 			if !equalIDs(got, want) {
 				t.Errorf("%s/%s: BNL kernel %d ids, scalar reference %d ids",
 					dist, v.name, len(got), len(want))
+			}
+			if sfs := sortedCopy(core.SFS(ds, v.opt).SkylineIDs); !equalIDs(sfs, want) {
+				t.Errorf("%s/%s: SFS kernel %d ids, scalar reference %d ids",
+					dist, v.name, len(sfs), len(want))
 			}
 		}
 		sfsK := sortedCopy(core.SFS(ds, core.Options{}).SkylineIDs)
@@ -117,4 +122,59 @@ func equalIDs(a, b []int32) bool {
 		}
 	}
 	return true
+}
+
+// BenchmarkSFSPaperShape is one cold SFS run on the dominance kernel
+// over the paper's §VI-B shape at N = 10 000 (2 TO + 2 PO, seed 1).
+func BenchmarkSFSPaperShape(b *testing.B) {
+	ds := exp.BuildDataset(exp.StaticDefaults(0.01))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(core.SFS(ds, core.Options{}).SkylineIDs) == 0 {
+			b.Fatal("empty skyline")
+		}
+	}
+}
+
+// BenchmarkMaintainBatch is one MaintainSkyline call over the paper's
+// shape at N = 2000: a batch removes 8 rows outside the skyline and
+// adds 8 fresh rows drawn from the same distribution, so the call seeds
+// the surviving skyline and offers the adds.
+func BenchmarkMaintainBatch(b *testing.B) {
+	cfg := exp.StaticDefaults(0.002)
+	cfg.N += 8
+	all := exp.BuildDataset(cfg)
+	old := &core.Dataset{Domains: all.Domains, Pts: all.Pts[:len(all.Pts)-8]}
+	sky := core.SFS(old, core.Options{}).SkylineIDs
+	member := make([]bool, len(old.Pts))
+	for _, id := range sky {
+		member[id] = true
+	}
+	delta := &core.Delta{OldToNew: make([]int32, len(old.Pts)), Added: 8}
+	next := &core.Dataset{Domains: old.Domains}
+	removed := 0
+	for i, p := range old.Pts {
+		if !member[i] && removed < 8 {
+			delta.OldToNew[i] = -1
+			removed++
+			continue
+		}
+		p.ID = int32(len(next.Pts))
+		delta.OldToNew[i] = p.ID
+		next.Pts = append(next.Pts, p)
+	}
+	for _, p := range all.Pts[len(old.Pts):] {
+		p.ID = int32(len(next.Pts))
+		next.Pts = append(next.Pts, p)
+	}
+	want := sortedCopy(core.SFS(next, core.Options{}).SkylineIDs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, ok := core.MaintainSkyline(old, next, delta, sky, nil, nil)
+		if !ok || len(got) != len(want) {
+			b.Fatalf("maintained %d ids (ok=%v), want %d", len(got), ok, len(want))
+		}
+	}
 }
