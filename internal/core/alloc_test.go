@@ -30,8 +30,9 @@ func allocDataset(seed int64, n int) *Dataset {
 // dominator scan, eviction scan — the merge pass's per-shard probe and
 // the ranking layer's DomScan collector are allocation-free in the
 // steady state, on the member-row path, the interval fallback, and a
-// budget that the 8-value domain's member rows outgrow at the second
-// block, so one set mixes row and per-member dimensions.
+// budget that the 8-value domain's member rows outgrow at the third
+// block (4·8·8 = 256 B per block and direction, 3·256 > 512), so one
+// set mixes row blocks, presence-bitset blocks and per-member tests.
 func TestKernelProbeLoopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -48,8 +49,15 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 				p := &ds.Pts[i]
 				k.append(p.TO, p.PO, p.ID)
 			}
-			if dropped := k.reach[0] == nil && ds.Domains[0].Closure() != nil; dropped != (tc.budget > 0) {
-				t.Fatalf("member rows of the 8-value dimension dropped = %v under budget %d", dropped, tc.budget)
+			if tc.budget > 0 {
+				if n := ds.Domains[0].Size(); n != 8 {
+					t.Fatalf("dimension 0 has %d values, want 8", n)
+				}
+				for bi, b := range k.blocks {
+					if rows := b.dn[0] != nil && b.up[0] != nil; rows != (bi < 2) || (b.present[0] != nil) != (bi >= 2) {
+						t.Fatalf("block %d: member rows %v, presence bitset %v; want rows in blocks 0-1 only", bi, rows, b.present[0] != nil)
+					}
+				}
 			}
 			pr := k.newProbe()
 			probeAll := func() {

@@ -18,18 +18,18 @@ import (
 //     its memory budget (poset.Domain.EnableClosure), each block keeps,
 //     per domain value v, the mask of its members whose value is ⪯ v
 //     (and, in sets that evict, ⪰ v), so one PO dimension of a 64-member
-//     word is one word load. Dimensions without rows test each member
-//     with TPrefers.
+//     word is one word load. Blocks past the rows' budget, and
+//     dimensions without a closure, test each member with TPrefers.
 //  2. Columnar loops — members live in dimension-major int32 columns
 //     (Cols); the TO columns are tested only on the members the rows
 //     leave, one at a time when few survive and 64 at a time with
 //     branchless sign-trick masks when many do.
 //  3. Block zone maps — members are grouped into fixed 256-point blocks
 //     carrying min/max TO corners, topological-ordinal bounds and the
-//     member rows, so an elimination pass skips whole blocks that
-//     provably cannot contain a dominator (or, for evictions, a
-//     dominated member) — the intra-node analog of the cluster's
-//     min-corner shard pruning.
+//     member rows (a value-presence bitset past the rows' budget), so an
+//     elimination pass skips whole blocks that provably cannot contain
+//     a dominator (or, for evictions, a dominated member) — the
+//     intra-node analog of the cluster's min-corner shard pruning.
 //
 // Options.NoKernel forces the scalar *Point/interval reference path,
 // which remains the correctness oracle the kernel is fuzzed against.
@@ -64,9 +64,9 @@ type kblock struct {
 	minOrd, maxOrd []int32 // per PO dim topological-ordinal bounds
 	// dn[d] and up[d] are PO dim d's member rows: word v·blockWords+w
 	// holds the members in mask word w whose value is ⪯ v (dn) or ⪰ v
-	// (up). A nil row set is tested per member. Rows keep evicted
-	// members, as the corners do; the alive mask removes them.
-	dn, up [][]uint64
+	// (up); evicted members stay, as in the corners. A block past the
+	// rows' budget has present[d], the values its members take, instead.
+	dn, up, present [][]uint64
 }
 
 // colSet is the kernel's member set: columnar storage plus zone-map
@@ -80,8 +80,9 @@ type colSet struct {
 	domains []*poset.Domain
 	nTO     int
 	budget  int64                 // bytes of member rows one PO dim may hold per direction
-	reach   []*poset.Reachability // per PO dim closure dn rows are built from; nil → no rows
-	reachT  []*poset.Reachability // per PO dim transposed closure for up rows; nil → none
+	evicts  bool                  // blocks also keep up rows
+	reach   []*poset.Reachability // per PO dim closure; nil → no rows, ordinal bounds
+	reachT  []*poset.Reachability // per PO dim transposed closure
 
 	cols   *Cols
 	alive  []uint64 // member liveness mask
@@ -102,41 +103,31 @@ func newColSet(domains []*poset.Domain, nTO, capHint int, budget int64, evicts b
 		domains: domains,
 		nTO:     nTO,
 		budget:  budget,
+		evicts:  evicts,
 		cols:    NewCols(nTO, len(domains), capHint),
 		reach:   make([]*poset.Reachability, len(domains)),
 		reachT:  make([]*poset.Reachability, len(domains)),
 	}
 	for d, dm := range domains {
 		if budget > 0 && dm.EnableClosure(budget) {
-			k.reach[d] = dm.Closure()
-			if evicts {
-				k.reachT[d] = dm.ClosureTranspose()
-			}
+			k.reach[d], k.reachT[d] = dm.Closure(), dm.ClosureTranspose()
 		}
 	}
 	return k
 }
 
-// dropRows stops keeping member rows on PO dim d, for every block of
-// the set; its members are tested with TPrefers from then on.
-func (k *colSet) dropRows(d int) {
-	k.reach[d], k.reachT[d] = nil, nil
-	for bi := range k.blocks {
-		k.blocks[bi].dn[d], k.blocks[bi].up[d] = nil, nil
-	}
-}
-
 // newBlock opens the zone-map block that starts at member i. A PO
-// dimension drops its member rows once they would outgrow the budget
-// (per direction) with this block.
+// dimension with a closure gives it member rows while the set's rows
+// of that dimension stay within the budget (per direction), and a
+// value-presence bitset after that.
 func (k *colSet) newBlock(i int) kblock {
 	nPO := len(k.domains)
-	rows := make([][]uint64, 2*nPO)
+	rows := make([][]uint64, 3*nPO)
 	b := kblock{
 		lo: i, hi: i,
 		minTO: make([]int32, k.nTO), maxTO: make([]int32, k.nTO),
 		minOrd: make([]int32, nPO), maxOrd: make([]int32, nPO),
-		dn: rows[:nPO:nPO], up: rows[nPO:],
+		dn: rows[:nPO:nPO], up: rows[nPO : 2*nPO : 2*nPO], present: rows[2*nPO:],
 	}
 	for d := range b.minTO {
 		b.minTO[d], b.maxTO[d] = math.MaxInt32, math.MinInt32
@@ -147,10 +138,10 @@ func (k *colSet) newBlock(i int) kblock {
 		switch {
 		case k.reach[d] == nil:
 		case int64(len(k.blocks)+1)*int64(n)*8 > k.budget:
-			k.dropRows(d)
+			b.present[d] = make([]uint64, (dm.Size()+63)/64)
 		default:
 			b.dn[d] = make([]uint64, n)
-			if k.reachT[d] != nil {
+			if k.evicts {
 				b.up[d] = make([]uint64, n)
 			}
 		}
@@ -196,6 +187,9 @@ func (k *colSet) append(to, po []int32, id int32) {
 		if r := b.up[d]; r != nil {
 			setRows(r, k.reachT[d].Row(v), v, w, bit)
 		}
+		if p := b.present[d]; p != nil {
+			p[v>>6] |= 1 << (uint(v) & 63)
+		}
 	}
 }
 
@@ -214,6 +208,20 @@ func setRows(rows, cl []uint64, v int32, w int, bit uint64) {
 func anyRow(rows []uint64, v int32) bool {
 	for _, w := range rows[int(v)*blockWords : (int(v)+1)*blockWords] {
 		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// anyPresent reports whether a value-presence bitset holds v or a value
+// of closure row cl.
+func anyPresent(present, cl []uint64, v int32) bool {
+	if present[v>>6]>>(uint(v)&63)&1 != 0 {
+		return true
+	}
+	for i, w := range present {
+		if w&cl[i] != 0 {
 			return true
 		}
 	}
@@ -267,13 +275,13 @@ func (pr *probe) addTo(m *Metrics) {
 // proves that no member of b is at least as good as the candidate or,
 // under evict, that the candidate is at least as good as no member —
 // some TO dim has every member beyond the candidate, or some PO dim has
-// no member on the candidate's side: an empty row or, without rows, the
-// ordinal bound (sound because reachability implies a smaller
-// topological ordinal).
+// no member on the candidate's side: an empty row, no present value in
+// the candidate's closure row or, without a closure, the ordinal bound
+// (sound because reachability implies a smaller topological ordinal).
 func (k *colSet) blockMayHold(b *kblock, pr *probe, evict bool) bool {
-	to, ord, rows := b.minTO, b.minOrd, b.dn
+	to, ord, rows, cl := b.minTO, b.minOrd, b.dn, k.reachT
 	if evict {
-		to, ord, rows = b.maxTO, b.maxOrd, b.up
+		to, ord, rows, cl = b.maxTO, b.maxOrd, b.up, k.reach
 	}
 	for d, c := range to {
 		if beyond(c, pr.to[d], evict) {
@@ -281,7 +289,9 @@ func (k *colSet) blockMayHold(b *kblock, pr *probe, evict bool) bool {
 		}
 	}
 	for d, r := range rows {
-		if r != nil && !anyRow(r, pr.po[d]) || r == nil && beyond(ord[d], pr.ord[d], evict) {
+		v, p := pr.po[d], b.present[d]
+		if r != nil && !anyRow(r, v) || p != nil && !anyPresent(p, cl[d].Row(v), v) ||
+			r == nil && p == nil && beyond(ord[d], pr.ord[d], evict) {
 			return false
 		}
 	}
@@ -339,15 +349,14 @@ func (k *colSet) scanDominator(b *kblock, pr *probe) bool {
 	return false
 }
 
-// weakMembers is the member filter of both scans: it returns the mask
-// of the live members of block b in the 64-member word at base that are
-// at least as good as the candidate in every dimension (the weak
-// dominators) or, under evict, that the candidate is at least as good
-// as. It ANDs one row word per PO dimension with rows, tests the TO
-// columns on the members that survive, then tests each remaining
-// member of the dimensions without rows with TPrefers. Strictness
-// (exact duplicates never dominate) is left to a scalar equalAt check
-// by the caller.
+// weakMembers is the member filter of both scans: the mask of the live
+// members of block b in the 64-member word at base that are at least as
+// good as the candidate in every dimension (the weak dominators) or,
+// under evict, that the candidate is at least as good as. It ANDs one
+// row word per PO dimension with rows, tests the TO columns on the
+// survivors, then each remaining member of the other PO dimensions with
+// TPrefers. Strictness (exact duplicates never dominate) is left to a
+// scalar equalAt check by the caller.
 func (k *colSet) weakMembers(b *kblock, base int, pr *probe, evict bool) uint64 {
 	m := k.alive[base>>6]
 	if m == 0 {
@@ -367,7 +376,10 @@ func (k *colSet) weakMembers(b *kblock, base int, pr *probe, evict bool) uint64 
 	if m == 0 {
 		return 0
 	}
-	if bits.OnesCount64(m) <= 8 { // few survivors: test them one by one
+	// TO: one survivor at a time when the rows leave few (the paper's
+	// shapes), 64 lanes when many survive (rowless windows, TO-only sets).
+	// Each loop alone is slower on one of them; cutoffs 16–32 measured best.
+	if bits.OnesCount64(m) <= 16 {
 		for mm := m; mm != 0; mm &= mm - 1 {
 			j := bits.TrailingZeros64(mm)
 			for d := 0; d < k.nTO; d++ {
@@ -380,19 +392,7 @@ func (k *colSet) weakMembers(b *kblock, base int, pr *probe, evict bool) uint64 
 	} else {
 		lim := min(base+64, b.hi)
 		for d := 0; d < k.nTO && m != 0; d++ {
-			col := k.cols.TO[d][base:lim]
-			v := int64(pr.to[d])
-			var bad uint64
-			if evict {
-				for j, c := range col {
-					bad |= (uint64(int64(c)-v) >> 63) << uint(j)
-				}
-			} else {
-				for j, c := range col {
-					bad |= (uint64(v-int64(c)) >> 63) << uint(j)
-				}
-			}
-			m &^= bad
+			m &^= beyondLanes(k.cols.TO[d][base:lim], pr.to[d], evict)
 		}
 	}
 	for d, r := range rows {
@@ -413,6 +413,26 @@ func (k *colSet) weakMembers(b *kblock, base int, pr *probe, evict bool) uint64 
 		}
 	}
 	return m
+}
+
+// beyondLanes is beyond over up to 64 members at once: bit j is set
+// when col[j] is beyond v, by branchless sign tricks. Inlined into
+// weakMembers, its loop spilled the mask to the stack on every member
+// and TO-only scans ran ≈ 20 % slower.
+//
+//go:noinline
+func beyondLanes(col []int32, v int32, evict bool) (bad uint64) {
+	w := int64(v)
+	if evict {
+		for j, c := range col {
+			bad |= (uint64(int64(c)-w) >> 63) << uint(j)
+		}
+		return bad
+	}
+	for j, c := range col {
+		bad |= (uint64(w-int64(c)) >> 63) << uint(j)
+	}
+	return bad
 }
 
 // equalAt reports whether member i is an exact duplicate of the probe's
@@ -457,10 +477,8 @@ func (k *colSet) scanEvict(b *kblock, pr *probe) {
 				dom &^= 1 << uint(j)
 			}
 		}
-		if dom != 0 {
-			k.alive[base>>6] &^= dom
-			k.nAlive -= bits.OnesCount64(dom)
-		}
+		k.alive[base>>6] &^= dom
+		k.nAlive -= bits.OnesCount64(dom)
 	}
 }
 

@@ -93,6 +93,38 @@ func TestColSetCompactInterleaved(t *testing.T) {
 	}
 }
 
+// TestRowBudgetDecidesLikeRows: a block past the member rows' budget
+// tests its zone map with a value-presence bitset and its members with
+// TPrefers, and both make the rows' decisions. So SFS and BNL under a
+// budget that leaves rows on a few blocks only return the skyline of
+// the default budget after exactly the same dominance tests and block
+// skips.
+func TestRowBudgetDecidesLikeRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ds := randomDataset(rng, 4000, 2, 2)
+	for i := range ds.Pts {
+		x := int32(rng.Intn(1000))
+		ds.Pts[i].TO[0], ds.Pts[i].TO[1] = x, 1000-x+int32(rng.Intn(100))
+	}
+	for _, alg := range []struct {
+		name string
+		run  func(*Dataset, Options) *Result
+	}{{"SFS", SFS}, {"BNL", BNL}} {
+		want, got := alg.run(ds, Options{}), alg.run(ds, Options{ClosureBudget: 600})
+		if len(want.SkylineIDs) < 3*kernelBlock {
+			t.Fatalf("%s: skyline of %d spans too few blocks to pass the budget", alg.name, len(want.SkylineIDs))
+		}
+		if !sameIDSet(got.SkylineIDs, want.SkylineIDs) {
+			t.Errorf("%s: %d ids under the tight budget, %d under the default", alg.name, len(got.SkylineIDs), len(want.SkylineIDs))
+		}
+		g, w := got.Metrics, want.Metrics
+		if g.DomChecks != w.DomChecks || g.BlocksSkipped != w.BlocksSkipped {
+			t.Errorf("%s: tight budget ran %d tests and skipped %d blocks, default budget %d and %d",
+				alg.name, g.DomChecks, g.BlocksSkipped, w.DomChecks, w.BlocksSkipped)
+		}
+	}
+}
+
 // shardedCandidates splits ds round-robin into nShards shards and
 // returns each shard's local skyline as merge candidates: grouped
 // shard by shard, or interleaved one candidate per shard in turn.
