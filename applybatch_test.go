@@ -230,10 +230,10 @@ func TestCloneSealRaceRegression(t *testing.T) {
 	wg.Wait()
 }
 
-// TestResidentIndexNotInherited: the cursor index belongs to one row
-// set. ApplyBatch, Clone and Filter renumber or fork the rows, so the
-// tables they derive start without it and answer from a tree of their
-// own rows — never the parent's, whose index stays put.
+// TestResidentIndexNotInherited: the scan order belongs to one row set.
+// ApplyBatch, Clone and Filter renumber or fork the rows, so the tables
+// they derive start without it and answer from an order of their own
+// rows — never the parent's, whose order stays put.
 func TestResidentIndexNotInherited(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	parent := randTableT(rng, 300, 2, 6).Seal()
@@ -241,9 +241,9 @@ func TestResidentIndexNotInherited(t *testing.T) {
 	if rows, _, _ := streamRows(t, parent, plan.Query{}); !equalRows(rows, parentRows) {
 		t.Fatalf("parent stream %v, want %v", rows, parentRows)
 	}
-	ix := parent.stssIndex.Load()
+	ix := parent.order.Load()
 	if ix == nil {
-		t.Fatal("parent stream left no index")
+		t.Fatal("parent stream left no order")
 	}
 
 	// Dropping the first skyline member renumbers every later row and
@@ -256,20 +256,20 @@ func TestResidentIndexNotInherited(t *testing.T) {
 	clone.MustAdd([]int64{0, 0}, "0")
 	filtered := parent.Filter(func(row int) bool { return row%3 != 0 })
 	for name, derived := range map[string]*Table{"ApplyBatch": batch, "Clone+Add": clone, "Filter": filtered} {
-		if derived.stssIndex.Load() != nil {
-			t.Fatalf("%s inherited the parent's index", name)
+		if derived.order.Load() != nil {
+			t.Fatalf("%s inherited the parent's order", name)
 		}
 		want, _ := freshSequence(derived)
 		rows, ex, _ := streamRows(t, derived, plan.Query{})
 		if ex.CursorIndex != "built" || !equalRows(rows, want) {
 			t.Fatalf("%s: cursorIndex %q, rows %v, want built %v", name, ex.CursorIndex, rows, want)
 		}
-		if derived.stssIndex.Load() == ix {
-			t.Fatalf("%s shares the parent's index", name)
+		if derived.order.Load() == ix {
+			t.Fatalf("%s shares the parent's order", name)
 		}
 	}
-	if parent.stssIndex.Load() != ix {
-		t.Fatal("deriving tables disturbed the parent's index")
+	if parent.order.Load() != ix {
+		t.Fatal("deriving tables disturbed the parent's order")
 	}
 	if rows, ex, _ := streamRows(t, parent, plan.Query{}); ex.CursorIndex != "resident" || !equalRows(rows, parentRows) {
 		t.Fatalf("parent after deriving: cursorIndex %q, rows %v, want resident %v", ex.CursorIndex, rows, parentRows)

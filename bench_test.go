@@ -248,8 +248,9 @@ func BenchmarkRTree(b *testing.B) {
 
 // BenchmarkSTSSEndToEnd measures one default-configuration static run
 // at N=10K for each checker configuration, then the first ten emissions
-// of a cursor that bulk-loads its index per query against one over a
-// resident index.
+// of a cursor that bulk-loads its index per query against those of
+// SFS's scan over a resident presorted order — what a progressive query
+// runs.
 func BenchmarkSTSSEndToEnd(b *testing.B) {
 	cfg := exp.StaticDefaults(0.01)
 	cfg.Dist = data.AntiCorrelated
@@ -281,11 +282,12 @@ func BenchmarkSTSSEndToEnd(b *testing.B) {
 			first10(core.NewSTSSCursor(ds, core.Options{}))
 		}
 	})
-	b.Run("first10/resident", func(b *testing.B) {
-		ix := core.BuildSTSSIndex(ds, core.Options{})
+	b.Run("first10/sfs-resident", func(b *testing.B) {
+		order := core.SFSOrder(ds)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			first10(ix.Cursor(core.Options{}))
+			n := 0
+			core.ScanSorted(ds, order, core.Options{}, func(int32, int64, int64) bool { n++; return n < 10 })
 		}
 	})
 }

@@ -80,16 +80,18 @@ func (cfg *clientConfig) shaped() bool {
 // resolve against the schema — -querydags become the request's orders
 // (edges over the DAG files' integer value ids), and -method (when
 // explicitly set) and -parallel become optimizer hints. The bare
-// invocation forces -method's algorithm (sTSS by default) and bypasses
-// the memo. On a stream, -first K becomes an unranked top-k unless -topk
-// is set, so the query itself stops (and a coordinator cancels its
-// remaining shard legs) after K certified rows.
+// invocation bypasses the memo and forces -method's algorithm (sTSS by
+// default) — except on a stream, which only SFS's scan serves
+// progressively, so an unset -method is left to the planner there. On
+// a stream, -first K becomes an unranked top-k unless -topk is set, so
+// the query itself stops (and a coordinator cancels its remaining shard
+// legs) after K certified rows.
 func (cfg *clientConfig) request() (serve.QueryRequest, error) {
 	var req serve.QueryRequest
 	if err := cfg.plan.wireFields(&req); err != nil {
 		return req, err
 	}
-	if cfg.methodSet || !cfg.shaped() {
+	if cfg.methodSet || !(cfg.shaped() || cfg.stream) {
 		req.Algo = cfg.method
 	}
 	req.Parallel = cfg.parallel

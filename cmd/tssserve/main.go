@@ -311,8 +311,7 @@ func main() {
 
 // withRequestTimeout bounds each request's context. Queries check it
 // cooperatively — the executor between pipeline stages and inside its
-// scan loops, the cursor inside its index traversal — and answer 503 on
-// expiry, releasing the worker.
+// scan loops — and answer 503 on expiry, releasing the worker.
 func withRequestTimeout(h http.Handler, d time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), d)

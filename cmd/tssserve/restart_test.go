@@ -154,9 +154,9 @@ func freePort(t *testing.T) int {
 	return l.Addr().(*net.TCPAddr).Port
 }
 
-// forcedSkyline is a table's skyline with sTSS forced and the memo
-// bypassed — what tssquery's bare invocation sends.
-var forcedSkyline = serve.QueryRequest{Algo: "stss", NoCache: true}
+// forcedSkyline is a table's skyline with SFS forced and the memo
+// bypassed — on a stream, the progressive scan.
+var forcedSkyline = serve.QueryRequest{Algo: "sfs", NoCache: true}
 
 func postJSON(t *testing.T, url string, body, out any) {
 	t.Helper()

@@ -194,9 +194,9 @@ func (tc *testCluster) checkSetEqual(name string, cluster, single serve.QueryRes
 
 // --- the differential sweep --------------------------------------------------
 
-// forcedSkyline is the table's skyline with sTSS forced and the memo
-// bypassed — what tssquery's bare invocation sends.
-var forcedSkyline = serve.QueryRequest{Algo: "stss", NoCache: true}
+// forcedSkyline is the table's skyline with SFS forced and the memo
+// bypassed — on a stream, the progressive scan.
+var forcedSkyline = serve.QueryRequest{Algo: "sfs", NoCache: true}
 
 // variantQueries is the PR 4 battery the tentpole must preserve across
 // the distributed path.

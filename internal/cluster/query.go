@@ -464,14 +464,14 @@ func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (str
 	}
 	if g.body.Algo == "" {
 		// Buffered legs pin the coordinator's cost-based choice so shards
-		// skip re-planning. Streamed legs pin sTSS instead: the streamed
-		// path optimizes time-to-first-row, and only the progressive cursor
-		// emits shard rows before the local run finishes (a first-K
-		// cancellation then stops the shard's traversal mid-flight instead
-		// of after a full materialization).
+		// skip re-planning. Streamed legs pin SFS instead: the streamed
+		// path optimizes time-to-first-row, and only SFS's progressive
+		// scan emits shard rows, with their keys, before the local run
+		// finishes (a first-K cancellation then stops the shard's scan
+		// mid-flight instead of after a full materialization).
 		g.body.Algo = g.explain.Algorithm
 		if streamed {
-			g.body.Algo = "stss"
+			g.body.Algo = "sfs"
 		}
 	}
 	if streamed {

@@ -27,8 +27,8 @@ import (
 //     on some kept TO dimension (every row of s is coordinate-wise ≥
 //     that corner, so such a corner rules out every dominator s could
 //     produce, regardless of PO values); or dynamically, once s's
-//     last-seen emission key reaches r's key — cursor legs stream in
-//     non-decreasing L1 mindist key order and a strict t-dominator
+//     last-seen emission key reaches r's key — progressive legs stream
+//     in non-decreasing SFS key order and a strict t-dominator
 //     always has a strictly smaller key than the row it dominates, so
 //     everything s can still send has key ≥ key(r) > key(any dominator
 //     of r). The dynamic bound is what makes hash partitioning
@@ -308,8 +308,8 @@ type merger struct {
 
 	bounds   []shardBound
 	complete []bool
-	// Per-shard streamed-key progress: cursor legs annotate each row
-	// with its non-decreasing L1 mindist key, and a strict t-dominator
+	// Per-shard streamed-key progress: progressive legs annotate each
+	// row with its non-decreasing SFS key, and a strict t-dominator
 	// always has a strictly smaller key than the row it dominates — so
 	// once shard s's last-seen key reaches a candidate's key, nothing s
 	// can still send dominates that candidate, even when s's static min

@@ -11,17 +11,17 @@ import (
 // dominates the candidate), and sound for boxes (dominatedBox true ⟹
 // every point inside is dominated; false may be conservative).
 //
-// Three implementations exist. The kernel checker is the default and
-// the one every serving cursor runs: point checks are the dominance
-// kernel's grow-only window test (scanSorted's), and box checks stay on
-// a candidate list's interval test. The candidate-list scan on its own
-// (Options.NoKernel) is the configuration the paper benchmarks "for
-// fairness" and counts checks with. The in-memory R-tree over virtual
-// points with Boolean range queries (paper §IV-B, Options.UseMemTree)
-// counts far fewer checks but pays an R-tree insert per interval
-// combination of every accepted point, which measured 26–70× slower end
-// to end; both stay for the paper's figures and ablations
-// (internal/exp), and the memtree also for MaintainSkyline.
+// Three implementations exist. The kernel checker is the default: point
+// checks are the dominance kernel's grow-only window test
+// (ScanSorted's), and box checks stay on a candidate list's interval
+// test. The candidate-list scan on its own (Options.NoKernel) is the
+// configuration the paper benchmarks "for fairness" and counts checks
+// with. The in-memory R-tree over virtual points with Boolean range
+// queries (paper §IV-B, Options.UseMemTree) counts far fewer checks but
+// pays an R-tree insert per interval combination of every accepted
+// point, which measured 26–70× slower end to end; both stay for the
+// paper's figures and ablations (internal/exp), and the memtree also
+// for MaintainSkyline.
 type tChecker interface {
 	// dominatedPoint reports whether the point (to, vals) is strictly
 	// t-dominated by an accepted point.
@@ -342,7 +342,7 @@ func (c *memChecker) dominatedBox(toLo []int32, ordLo, ordHi []int32) bool {
 
 // kernelChecker answers point checks from a grow-only dominance-kernel
 // colSet: sTSS and dTSS accept members in precedence order and never
-// revoke one, so the point check is scanSorted's window test, begin +
+// revoke one, so the point check is ScanSorted's window test, begin +
 // anyDominator, over a set that never evicts or compacts. Box checks
 // (R-tree nodes, which the point-level kernel cannot decide) stay on the
 // embedded list's joint-coverage test, so every accepted member is

@@ -23,66 +23,36 @@ type Cursor struct {
 	heap    bbsHeap
 	metrics Metrics
 	start   time.Time
-	lastKey int64
 	done    bool
 }
 
-// STSSIndex is the sTSS index of one dataset: the R-tree bulk-loaded
-// over the (TO…, topological ordinal…) coordinates of its points, plus
-// what building it cost. It is immutable once built — every Cursor
-// traverses it through its own rtree.Reader — so one index serves any
-// number of concurrent queries over the same rows.
-type STSSIndex struct {
-	ds    *Dataset
-	tree  *rtree.Tree // nil for an empty dataset
-	build Metrics     // BuildWriteIOs and BuildCPU of the bulk load
-}
-
-// BuildSTSSIndex bulk-loads the sTSS index for ds. Of opt only the
-// R-tree layout (PageSize, Capacity) and the dyadic switch matter; the
-// checker and buffer are chosen per Cursor.
-func BuildSTSSIndex(ds *Dataset, opt Options) *STSSIndex {
+// NewSTSSCursor bulk-loads the sTSS index for ds and returns a cursor
+// over its skyline. The bulk load is charged to the build counters
+// (BuildWriteIOs, BuildCPU); the cursor charges its own page reads
+// (through an LRU buffer of opt.BufferPages pages when set) and does no
+// query work until the first Next.
+func NewSTSSCursor(ds *Dataset, opt Options) *Cursor {
 	opt = opt.withDefaults()
-	ix := &STSSIndex{ds: ds}
+	io := &rtree.IOCounter{}
 	if len(ds.Pts) == 0 {
-		return ix
+		return &Cursor{ds: ds, io: io, start: time.Now(), done: true}
 	}
 	buildStart := time.Now()
-	io := &rtree.IOCounter{}
-	ix.tree = buildSTSSTree(ds, opt, io)
+	buildIO := &rtree.IOCounter{}
+	tree := buildSTSSTree(ds, opt, buildIO)
 	if !opt.NoDyadic {
 		for _, dm := range ds.Domains {
 			dm.EnableDyadic()
 		}
 	}
-	ix.build = Metrics{BuildWriteIOs: io.Writes, BuildCPU: time.Since(buildStart)}
-	return ix
-}
-
-// Cursor starts one sTSS query over the index: the cursor reports the
-// index's build counters, charges its own page reads (through an LRU
-// buffer of opt.BufferPages pages when set) and does no query work
-// until the first Next.
-func (ix *STSSIndex) Cursor(opt Options) *Cursor {
-	opt = opt.withDefaults()
-	io := &rtree.IOCounter{}
-	if ix.tree == nil {
-		return &Cursor{ds: ix.ds, io: io, start: time.Now(), done: true}
-	}
+	build := Metrics{BuildWriteIOs: buildIO.Writes, BuildCPU: time.Since(buildStart)}
 	var buf *rtree.Buffer
 	if opt.BufferPages > 0 {
 		buf = rtree.NewBuffer(opt.BufferPages)
 	}
-	c := newTreeCursor(ix.ds, ix.tree.NewReader(io, buf), io, opt)
-	c.metrics = ix.build
+	c := newTreeCursor(ds, tree.NewReader(io, buf), io, opt)
+	c.metrics = build
 	return c
-}
-
-// NewSTSSCursor builds the sTSS index for ds and returns a cursor over
-// its skyline. Construction performs the bulk load (charged to the
-// build counters); no query work happens until the first Next.
-func NewSTSSCursor(ds *Dataset, opt Options) *Cursor {
-	return BuildSTSSIndex(ds, opt).Cursor(opt)
 }
 
 // newTreeCursor starts the sTSS query phase over a prebuilt index whose
@@ -132,7 +102,6 @@ func (c *Cursor) NextContext(ctx context.Context) (id int32, ok bool, err error)
 			// Precedence (topological ordinals) plus exactness: p is a
 			// definite skyline point, output immediately.
 			c.checker.add(p)
-			c.lastKey = it.mind
 			c.metrics.Emissions = append(c.metrics.Emissions, Emission{
 				ID:  p.ID,
 				IOs: c.io.Reads + c.io.Writes,
@@ -183,30 +152,6 @@ func (c *Cursor) Drain(ctx context.Context) (*Result, error) {
 	}
 	res.Metrics = c.Metrics()
 	return res, err
-}
-
-// LastKey returns the L1 mindist key (sum of TO coordinates plus
-// topological ordinals) of the most recent Next result, 0 before the
-// first emission. Keys are non-decreasing across emissions, and a
-// strict t-dominator always has a strictly smaller key than the point
-// it dominates — which is what lets a consumer merging several
-// key-ordered streams rule a stream out as a dominator source once its
-// last-seen key reaches a candidate's key.
-func (c *Cursor) LastKey() int64 { return c.lastKey }
-
-// PeekBound returns the L1 mindist key of the best unexamined heap
-// entry — a lower bound on the key (sum of TO coordinates plus
-// topological ordinals) of every future emission, since Next pops in
-// non-decreasing key order. ok is false when the traversal frontier is
-// empty (no further emissions are possible). Consumers use it as a
-// sound stopping rule for score-threshold top-k: once the k-th best
-// score beats the bound (minus the ordinal/depth slack), no future
-// emission can enter the top k.
-func (c *Cursor) PeekBound() (bound int64, ok bool) {
-	if c.done || c.heap.len() == 0 {
-		return 0, false
-	}
-	return c.heap.a[0].mind, true
 }
 
 // Metrics snapshots the work done so far (IOs, checks, prunes and the

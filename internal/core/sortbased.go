@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-
-	"repro/internal/rtree"
+	"time"
 )
 
 // This file implements LESS (Godfrey et al., VLDBJ 2007), the strongest
@@ -41,9 +40,8 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 	if window < 1 {
 		window = DefaultLESSWindow
 	}
-	res := &Result{}
-	clock := newEmitClock(&rtree.IOCounter{})
-	var checks int64
+	start := time.Now()
+	var checks, pruned int64
 
 	// Pass 1: elimination filter. ef holds at most `window` points with
 	// the smallest sums seen so far.
@@ -55,7 +53,7 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 	var survivors []int32
 	for i := range ds.Pts {
 		if opt.canceled(i) {
-			return res, nil
+			return &Result{}, nil
 		}
 		p := &ds.Pts[i]
 		sum := sumInt32(p.TO)
@@ -68,7 +66,7 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 			}
 		}
 		if dominated {
-			res.Metrics.PointsPruned++
+			pruned++
 			continue
 		}
 		survivors = append(survivors, int32(i))
@@ -97,10 +95,10 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 		key[idx] = sumInt32(ds.Pts[idx].TO)
 	}
 	sortByKey(survivors, key)
-	o := opt.withDefaults()
-	scanSorted(ds, survivors, &o, clock, res)
+	res := ScanSorted(ds, survivors, opt, nil)
+	res.Metrics.PointsPruned = pruned
 	res.Metrics.DomChecks += checks
-	res.Metrics.CPU = clock.elapsed()
+	res.Metrics.CPU = time.Since(start)
 	return res, nil
 }
 

@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/rtree"
+import (
+	"math"
+	"time"
+
+	"repro/internal/rtree"
+)
 
 // STSS computes the static skyline of ds with the paper's sTSS
 // algorithm (§IV): best-first (BBS-style) traversal of an R-tree built
@@ -105,40 +110,62 @@ func bnlScalar(ds *Dataset, opt *Options) *Result {
 
 // SFS computes the skyline by presorting on a preference function that
 // is monotone under exact dominance — the sum of TO coordinates and
-// topological ordinals — and then scanning with a candidate list
-// (Chomicki et al.). The presort establishes precedence, so accepted
-// points are emitted immediately and never evicted; the grow-only
-// window runs on the dominance kernel unless opt.NoKernel.
+// topological ordinals (SFSOrder) — and then scanning with a candidate
+// list (Chomicki et al.; ScanSorted). The presort establishes
+// precedence, so accepted points are emitted immediately and never
+// evicted; the grow-only window runs on the dominance kernel unless
+// opt.NoKernel.
 func SFS(ds *Dataset, opt Options) *Result {
-	opt = opt.withDefaults()
-	res := &Result{}
-	clock := newEmitClock(&rtree.IOCounter{})
+	start := time.Now()
+	res := ScanSorted(ds, SFSOrder(ds), opt, nil)
+	res.Metrics.CPU = time.Since(start)
+	return res
+}
+
+// SFSOrder returns ds's row indexes sorted by SFS's presort key, ties
+// by index. The key of a row is the sum of its TO coordinates and
+// topological ordinals — its L1 mindist in sTSS's index space — and a
+// strict t-dominator always has a strictly smaller key, so every row
+// this order puts first is undominated.
+func SFSOrder(ds *Dataset) []int32 {
 	order := make([]int32, len(ds.Pts))
 	key := make([]int64, len(ds.Pts))
 	for i := range ds.Pts {
 		order[i] = int32(i)
-		var s int64
-		for _, v := range ds.Pts[i].TO {
-			s += int64(v)
-		}
-		for d, v := range ds.Pts[i].PO {
-			s += int64(ds.Domains[d].Ord(v))
-		}
-		key[i] = s
+		key[i] = sfsKey(ds, &ds.Pts[i])
 	}
 	sortByKey(order, key)
-	scanSorted(ds, order, &opt, clock, res)
-	res.Metrics.CPU = clock.elapsed()
-	return res
+	return order
 }
 
-// scanSorted is the grow-only window scan over rows presorted by a
-// function monotone under dominance, shared by SFS and LESS's second
-// pass: precedence makes every undominated row definite, so it is
-// emitted at once and never evicted. The window runs on the dominance
-// kernel unless opt.NoKernel (defaults applied) selects the scalar
-// reference loop. Dominance tests are added to res.Metrics.
-func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res *Result) {
+// sfsKey is SFSOrder's key of p.
+func sfsKey(ds *Dataset, p *Point) int64 {
+	var s int64
+	for _, v := range p.TO {
+		s += int64(v)
+	}
+	for d, v := range p.PO {
+		s += int64(ds.Domains[d].Ord(v))
+	}
+	return s
+}
+
+// ScanSorted is the grow-only window scan over ds's rows in order,
+// which must be sorted by a function monotone under dominance — SFS's
+// and every progressive query's SFSOrder, LESS's survivors by TO sum.
+// Precedence makes every undominated row definite, so it is accepted at
+// once and never evicted. The window runs on the dominance kernel
+// unless opt.NoKernel selects the scalar reference loop; opt.Ctx is
+// polled every dynCtxCheckEvery rows and abandons the scan.
+//
+// emit, when non-nil, sees the id of each accepted row the moment the
+// scan reaches it, with the row's SFS key and bound, the key of the
+// next row in order (math.MaxInt64 after the last) — under SFSOrder a
+// lower bound on the key of every later acceptance. emit returning
+// false stops the scan. The result lists the accepted ids in order.
+func ScanSorted(ds *Dataset, order []int32, opt Options, emit func(id int32, key, bound int64) bool) *Result {
+	res := &Result{}
+	clock := newEmitClock(&rtree.IOCounter{})
 	var k *colSet
 	var pr *probe
 	if !opt.NoKernel {
@@ -146,10 +173,11 @@ func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res 
 		pr = k.newProbe()
 		defer pr.addTo(&res.Metrics)
 	}
+	defer func() { res.Metrics.CPU = clock.elapsed() }()
 	var sky []*Point
 	for i, idx := range order {
 		if opt.canceled(i) {
-			return
+			return res
 		}
 		p := &ds.Pts[idx]
 		dominated := false
@@ -175,7 +203,17 @@ func scanSorted(ds *Dataset, order []int32, opt *Options, clock *emitClock, res 
 		}
 		res.SkylineIDs = append(res.SkylineIDs, p.ID)
 		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
+		if emit != nil {
+			bound := int64(math.MaxInt64)
+			if i+1 < len(order) {
+				bound = sfsKey(ds, &ds.Pts[order[i+1]])
+			}
+			if !emit(p.ID, sfsKey(ds, p), bound) {
+				return res
+			}
+		}
 	}
+	return res
 }
 
 // sortByKey sorts order by ascending key, breaking ties by id for

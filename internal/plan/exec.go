@@ -47,8 +47,8 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		}
 		res = &core.Result{SkylineIDs: append([]int32(nil), ids...), FromCache: true}
 	case p.earlyExit:
-		// Unranked top-k: the progressive cursor's first K certified
-		// emissions, delivered to nobody.
+		// Unranked top-k: the progressive scan's first K accepted rows,
+		// delivered to nobody.
 		var err error
 		if res, err = p.streamCursor(ctx, ds, env, func(StreamRow) error { return nil }, start); err != nil {
 			return nil, err
@@ -67,10 +67,10 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 			opt.Parallelism = p.shards
 		}
 		algoStart := time.Now()
-		if p.shards == 0 && algo.Name() == "stss" {
-			// Sequential sTSS is a drain of the cursor, which may find
-			// its index resident on the snapshot.
-			res, err = p.cursorOver(ds, eff, env).Drain(ctx)
+		if p.shards == 0 && algo.Name() == "sfs" {
+			// Sequential SFS scans the presorted order, which may be
+			// resident on the snapshot.
+			res, err = p.scan(ctx, ds, eff, env, nil)
 		} else {
 			res, err = algo.Run(eff, opt)
 		}

@@ -39,8 +39,8 @@ func fuzzOrders(r *fuzzReader, ds *core.Dataset) []*poset.Domain {
 
 // fuzzOrdersLeg is FuzzPlanAgreement's per-request-DAG leg. The table
 // side is made as tempting as it gets — a warm memo (full, subspace and
-// score-index entries under the table's own orders) and a resident sTSS
-// index — so any leak of table-scoped state into a request-scoped
+// score-index entries under the table's own orders) and a resident scan
+// order — so any leak of table-scoped state into a request-scoped
 // question is a wrong answer or a wrong explain. Random Orders then run
 // every query shape through New → Run/RunStream — handed the table's own
 // dataset and Env, as every caller does — against the brute-force oracle
@@ -53,9 +53,9 @@ func fuzzOrders(r *fuzzReader, ds *core.Dataset) []*poset.Domain {
 func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 	ctx := context.Background()
 	memo := NewMemoCache()
-	ix := core.BuildSTSSIndex(ds, core.Options{})
+	order := core.SFSOrder(ds)
 	learned := NewLearned()
-	tenv := Env{Learned: learned, Cache: memo, STSSIndex: func() (*core.STSSIndex, bool) { return ix, true }}
+	tenv := Env{Learned: learned, Cache: memo, Order: func() ([]int32, bool) { return order, true }}
 	exec := func(label string, ds *core.Dataset, q Query, tenv Env) ([]int32, *Explain) {
 		t.Helper()
 		p, err := New(ds, q, tenv)
@@ -217,8 +217,8 @@ func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 		t.Fatalf("the same DAG twice missed the memo: %+v", ex)
 	}
 	nds, delta := mutateDS(ds, []int{int(r.byte()) % len(ds.Pts)}, []core.Point{fuzzPoint(r, ds)})
-	nix := core.BuildSTSSIndex(nds, core.Options{})
-	nenv := Env{Learned: learned, Cache: memo.Advance(ds, nds, delta), STSSIndex: func() (*core.STSSIndex, bool) { return nix, true }}
+	norder := core.SFSOrder(nds)
+	nenv := Env{Learned: learned, Cache: memo.Advance(ds, nds, delta), Order: func() ([]int32, bool) { return norder, true }}
 	var ex *Explain
 	ids, ex = exec("orders after batch", nds, Query{Orders: again}, nenv)
 	if ex.CacheHit {

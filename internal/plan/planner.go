@@ -37,18 +37,19 @@ type ScoreIndexCache interface {
 }
 
 // Env is the planning context: the table's statistics, the feedback
-// store, an optional full-skyline cache and the table's resident sTSS
-// index. All fields may be nil — Stats is computed on the fly, feedback
-// is dropped, no cache routing, the cursor bulk-loads per query.
+// store, an optional full-skyline cache and the table's resident scan
+// order. All fields may be nil — Stats is computed on the fly, feedback
+// is dropped, no cache routing, every SFS scan sorts its own rows.
 type Env struct {
 	Stats   *Stats
 	Learned *Learned
 	Cache   Cache
-	// STSSIndex returns the sTSS index over exactly the dataset the plan
-	// runs on, building it on first use; resident reports that it was
-	// already there (this query paid no bulk load). The executor calls
-	// it only for runs over the unprojected, unfiltered dataset.
-	STSSIndex func() (ix *core.STSSIndex, resident bool)
+	// Order returns the rows of exactly the dataset the plan runs on
+	// in SFS's presort order (core.SFSOrder), sorting them on first
+	// use; resident reports that the order was already there (this
+	// query paid no sort). The executor calls it only for scans over
+	// the unprojected, unfiltered dataset.
+	Order func() (order []int32, resident bool)
 }
 
 // scope resolves what q plans and runs over, given a table's rows and
@@ -57,7 +58,7 @@ type Env struct {
 // A query under the table's orders keeps both (bar the cache, under
 // Hints.NoCache). One that brings its own dominance — Orders, or the
 // ideal-point transform — keeps the rows and the table's Stats only: no
-// resident sTSS index or score index (both encode the table's
+// resident scan order or score index (both encode the table's
 // dominance), no feedback store (a request-scoped fraction would fold
 // into the table's EWMAs, or grow one key per distinct DAG), and the
 // cache through ordersView — not at all under the transform, whose
@@ -124,13 +125,12 @@ type Explain struct {
 	// elimination loops use: "bitset+columnar" (closure bitsets fit the
 	// memory budget on every kept PO domain), "columnar" (columnar scans
 	// with interval/ordinal fallback per dominance test), or "interval"
-	// (Hints.NoKernel scalar reference path). On the cursor route it
-	// names the checker's point tests; its R-tree node tests are always
-	// the candidate list's interval test.
+	// (Hints.NoKernel scalar reference path).
 	Kernel string `json:"kernel,omitempty"`
-	// CursorIndex reports where an sTSS cursor run got its R-tree:
+	// CursorIndex reports where an SFS scan — every cursor-route run,
+	// and a buffered sequential sfs run — got its presorted row order:
 	// "resident" (the snapshot already held it) or "built" (this query
-	// paid the bulk load). Empty when no cursor ran.
+	// sorted). Empty when no such scan ran.
 	CursorIndex string `json:"cursorIndex,omitempty"`
 
 	// ObservedRows counts the rows the executor actually fed an
@@ -151,7 +151,7 @@ type Plan struct {
 	algo      core.Algorithm
 	shards    int // partition-and-merge shard count; 0 = sequential
 	route     Route
-	earlyExit bool    // RouteCursor: stop the progressive cursor after TopK
+	earlyExit bool    // RouteCursor: stop the progressive scan after TopK
 	cached    []int32 // full or subspace skyline served from Env.Cache, nil on miss
 	keptTO    []int   // resolved subspace (identity when Query.Subspace == nil)
 	keptPO    []int
@@ -173,7 +173,7 @@ type Plan struct {
 	predBase         float64   // static model prediction before the learned multiplier
 	prior            costPrior // chosen algorithm's model, for observation-time feedback
 
-	cursorRows int // rows the cursor route indexed (observed-rows reporting)
+	cursorRows int // rows the cursor route scanned (observed-rows reporting)
 }
 
 // costPrior is the static cost model of one algorithm:
@@ -185,9 +185,8 @@ type Plan struct {
 // preprocessing), B the pairwise dominance work that survives the
 // algorithm's pruning, and POB how much a PO dimension inflates one
 // dominance check (interval probes instead of integer compares). sTSS's
-// POB of 20 priced the in-memory dominance tree it was fitted with; it
-// now serves through the kernel checker (kernel point tests, list box
-// tests), so the value is stale until the priors are re-fitted. The
+// prior is larger than SFS's term by term, so a plan picks it only when
+// the learned multipliers say so; it runs when a query forces it. The
 // constants were fitted by hand to one wall-clock run of every
 // algorithm on the paper's default static configuration at n=20k (2 TO,
 // 2 PO, h=8, d=0.8; correlated, independent and anti-correlated) on a
@@ -343,19 +342,19 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 		p.estSky = 1
 	}
 
-	// Unranked top-k on a progressive algorithm never needs the full
-	// skyline: the sTSS cursor stops after K certified emissions
-	// (optimal progressiveness, paper §IV). Not applicable when the
-	// post-filter route would discard an unknown number of results, and
-	// skipped when the caller forced a shard count — the cursor is
-	// sequential, so honoring the hint means running the full
-	// partition-and-merge pass and truncating.
+	// Unranked top-k never needs the full skyline: the SFS scan over
+	// the presorted order stops after K accepted rows (optimal
+	// progressiveness, paper §IV). Not applicable when the post-filter
+	// route would discard an unknown number of results, and skipped
+	// when the caller forced a shard count — the scan is sequential, so
+	// honoring the hint means running the full partition-and-merge pass
+	// and truncating.
 	// A restricted query can never stop early: the weight-constraint
 	// elimination needs every skyline member before TopK truncates.
 	hinted := strings.ToLower(q.Hints.Algorithm)
 	p.earlyExit = q.TopK > 0 && q.Rank == RankNone && len(q.FWeights) == 0 &&
 		p.route != RoutePostFilter &&
-		p.cached == nil && q.Hints.Parallelism <= 0 && (hinted == "" || hinted == "stss")
+		p.cached == nil && q.Hints.Parallelism <= 0 && (hinted == "" || hinted == "sfs")
 
 	// Dominance-kernel selection, reported up front so Explain shows
 	// which elimination path the run will take and so the cost model can
@@ -405,11 +404,9 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 }
 
 // explainCursor rewrites the explain output for a run the sequential
-// sTSS cursor serves, whatever the buffered plan chose. The kernel label
-// stands: the cursor's point checks run on the same kernel
-// configuration.
+// SFS scan serves, whatever the buffered plan chose.
 func (p *Plan) explainCursor() {
-	p.Explain.Algorithm = "stss"
+	p.Explain.Algorithm = "sfs"
 	p.Explain.Route = RouteCursor
 	p.Explain.Parallelism = 0
 }
@@ -479,19 +476,6 @@ func (p *Plan) chooseAlgorithm(learned *Learned, effPO int, hinted string) {
 		if best == nil || est < bestEst {
 			best, bestEst, bestBase, bestPrior = a, est, base, prior
 		}
-	}
-	// The cursor route is sTSS-specific: prefer it for unranked top-k
-	// even when another algorithm models cheaper on a full run, since
-	// the cursor only pays for the first K emissions.
-	if p.earlyExit {
-		best = core.MustLookup("stss")
-		bestPrior = p.scaledPrior(costPriors["stss"])
-		bestBase = bestPrior.modelSeconds(p.estRows, p.estSky, effPO)
-		frac := 1.0
-		if p.estSky > p.Query.TopK && p.estSky > 0 {
-			frac = float64(p.Query.TopK) / float64(p.estSky)
-		}
-		bestEst = bestBase * learned.CostMultiplier("stss") * frac
 	}
 	p.algo = best
 	p.prior = bestPrior

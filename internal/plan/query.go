@@ -107,8 +107,8 @@ type Rank string
 
 const (
 	// RankNone keeps the first K skyline rows in emission order — the
-	// progressive-algorithm fast path (paper §IV: sTSS emits every
-	// skyline point the moment it is certified).
+	// progressive fast path (paper §IV: a scan in topological order
+	// emits every skyline point the moment it is certified).
 	RankNone Rank = ""
 	// RankDomCount orders skyline rows by the number of rows of R they
 	// dominate, descending — the classic "most representative" score.
@@ -150,8 +150,8 @@ const (
 	// RoutePostFilter computes (or reuses) the full skyline and filters
 	// it afterwards — sound only under the anti-monotonicity proof.
 	RoutePostFilter Route = "postfilter"
-	// RouteCursor answers an unranked top-k with a progressive cursor
-	// that stops after K emissions.
+	// RouteCursor answers an unranked top-k with SFS's progressive
+	// scan, which stops after K emissions.
 	RouteCursor Route = "cursor"
 )
 

@@ -35,9 +35,8 @@ import (
 //   - UnionRanker: the coordinator gathers every shard's local result
 //     without dominance elimination and the ranker orders the union
 //     (skyline layers).
-//   - StreamBounder: a sound lower bound on every future progressive-
-//     cursor emission's score, enabling ranked streaming with early
-//     termination.
+//   - StreamBounder: a sound lower bound on every later progressive
+//     row's score, enabling ranked streaming with early termination.
 //   - IdealConsumer: the ranker consumes Query.Ideal.
 //   - RankCoster: adds the ranking stage's cost-model term to the
 //     planner's estimate.
@@ -145,8 +144,8 @@ type UnionRanker interface {
 }
 
 // StreamBounder yields a per-row score function plus a slack s such
-// that key − s never exceeds any future emission's score, where key is
-// the progressive cursor's non-decreasing heap bound — the sound
+// that key − s never exceeds any later row's score, where key is the
+// progressive scan's bound, the SFS key of its next row — the sound
 // early-stop condition of the score-threshold streaming path. ok=false
 // declines (e.g. the bound is only sound for a specific query shape).
 type StreamBounder interface {
@@ -381,9 +380,9 @@ func (idealRanker) WireScores(wc *WireContext, rows []WireRow) []float64 {
 }
 
 // StreamScorer is the sound streaming bound of the origin-ideal
-// ranking: the cursor's heap bound is Σ kept TO + Σ topological
-// ordinal, an ordinal never undershoots its value's depth, so
-// key − Σ(|domain|−1) ≤ score for every future emission. Off-origin
+// ranking: the scan's bound is an SFS key, Σ kept TO + Σ topological
+// ordinal, and an ordinal never undershoots its value's depth, so
+// key − Σ(|domain|−1) ≤ score for every later row. Off-origin
 // ideal points break the bound, so the capability declines them.
 func (idealRanker) StreamScorer(sc *ScoreContext) (func(pt *core.Point) float64, int64, bool) {
 	if sc.Query.Ideal != nil {

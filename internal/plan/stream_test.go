@@ -96,11 +96,32 @@ func TestRunStreamAgreesWithRun(t *testing.T) {
 }
 
 // TestRunStreamFirstKIsPrefix: a first-K stream (unranked TopK) must be
-// an exact prefix of the full stream — the cursor's mindist order makes
-// early termination a truncation, never a different answer.
+// an exact prefix of the full stream — the scan's presorted order makes
+// early termination a truncation, never a different answer. Every
+// progressive row carries its SFS key, Σ TO + Σ topological ordinal,
+// in non-decreasing order with ties in ascending id: the contract the
+// coordinator's streamed certification relies on.
 func TestRunStreamFirstKIsPrefix(t *testing.T) {
 	ds := sampleDS(t, 200)
 	full, _, _ := streamPlan(t, ds, Query{}, Env{Learned: NewLearned()})
+	for i, r := range full {
+		var want int64
+		for _, v := range ds.Pts[r.ID].TO {
+			want += int64(v)
+		}
+		for d, v := range ds.Pts[r.ID].PO {
+			want += int64(ds.Domains[d].Ord(v))
+		}
+		if r.Key == nil {
+			t.Fatalf("row %d: progressive row without a key", r.ID)
+		}
+		if *r.Key != want {
+			t.Fatalf("row %d: key %d, want Σ TO + Σ ordinal = %d", r.ID, *r.Key, want)
+		}
+		if i > 0 && (*r.Key < *full[i-1].Key || *r.Key == *full[i-1].Key && r.ID < full[i-1].ID) {
+			t.Fatalf("emission %d: row %d key %d follows row %d key %d", i, r.ID, *r.Key, full[i-1].ID, *full[i-1].Key)
+		}
+	}
 	for _, k := range []int{1, 2, 5, len(full), len(full) + 10} {
 		rows, _, _ := streamPlan(t, ds, Query{TopK: k}, Env{Learned: NewLearned()})
 		want := k
@@ -121,15 +142,20 @@ func TestRunStreamFirstKIsPrefix(t *testing.T) {
 // TestRunStreamThresholdTopK: the score-threshold early stop of the
 // origin-ideal ranked stream must reproduce the buffered ranking
 // exactly — same ids, same order — while visiting fewer rows than the
-// full enumeration when the bound bites.
+// full enumeration when the bound bites: at k = 1 it makes fewer
+// dominance tests than an unranked full stream.
 func TestRunStreamThresholdTopK(t *testing.T) {
 	ds := sampleDS(t, 400)
+	_, full, _ := streamPlan(t, ds, Query{}, Env{Learned: NewLearned()})
 	for _, k := range []int{1, 3, 10} {
 		q := Query{TopK: k, Rank: RankIdeal}
 		buffered, _ := runPlan(t, ds, q, Env{Learned: NewLearned()})
 		rows, res, ex := streamPlan(t, ds, q, Env{Learned: NewLearned()})
-		if ex.Route != RouteCursor || ex.Algorithm != "stss" {
-			t.Fatalf("k=%d: streamed explain %s/%s, want cursor/stss", k, ex.Route, ex.Algorithm)
+		if ex.Route != RouteCursor || ex.Algorithm != "sfs" {
+			t.Fatalf("k=%d: streamed explain %s/%s, want cursor/sfs", k, ex.Route, ex.Algorithm)
+		}
+		if k == 1 && res.Metrics.DomChecks >= full.Metrics.DomChecks {
+			t.Fatalf("k=1: %d dominance tests, the full stream made %d", res.Metrics.DomChecks, full.Metrics.DomChecks)
 		}
 		if !equal32(res.SkylineIDs, buffered) {
 			t.Fatalf("k=%d: streamed %v, buffered %v", k, res.SkylineIDs, buffered)

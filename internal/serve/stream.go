@@ -110,7 +110,7 @@ func (sw *streamWriter) write(rec *StreamRecord) error {
 // trailer produce returns — or an "error" record if it fails. produce
 // runs on its own goroutine against a context that is canceled when the
 // client disconnects (or stops reading), so a torn-down stream releases
-// the query's cursor instead of computing into a closed socket; its emit
+// the query's scan instead of computing into a closed socket; its emit
 // returns the cancellation as an error, and StreamResponse always waits
 // for produce to return before it does. Rows are flushed by the burst
 // rule above; the row channel is unbuffered, so produce never runs
@@ -210,7 +210,7 @@ func streamRowRecord(snap *snapshot, row int, index int, elapsed time.Duration) 
 
 // streamQuery is postQuery's ?stream=1 delivery: header, one row
 // record per emission the executor hands over (as rows certify, with
-// the cursor's key, on the progressive routes), and a trailer carrying
+// the row's SFS key, on the progressive routes), and a trailer carrying
 // the buffered response's tail.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, e *tableEntry, snap *snapshot, rq readQuery) {
 	header := StreamRecord{Type: "header", Table: e.name, Version: snap.version, Rows: snap.table.Len()}

@@ -102,9 +102,9 @@ func splitFrames(t *testing.T, recs []StreamRecord) (header StreamRecord, rows [
 	return recs[0], rows, last
 }
 
-// forcedSkyline is the table's skyline with sTSS forced and the memo
-// bypassed — what tssquery's bare invocation sends.
-var forcedSkyline = QueryRequest{Algo: "stss", NoCache: true}
+// forcedSkyline is the table's skyline with SFS forced and the memo
+// bypassed — on a stream, the progressive scan.
+var forcedSkyline = QueryRequest{Algo: "sfs", NoCache: true}
 
 // TestStreamSkylineNDJSON: POST /query?stream=1 delivers the exact
 // buffered skyline as header → rows → trailer NDJSON frames, with
@@ -229,8 +229,8 @@ func TestStreamPlannedTopK(t *testing.T) {
 	if trailer.Plan == nil {
 		t.Fatal("explain=true trailer has no plan")
 	}
-	if trailer.Plan.Algorithm != "stss" {
-		t.Fatalf("streamed top-k ran %q, want the progressive cursor", trailer.Plan.Algorithm)
+	if trailer.Plan.Algorithm != "sfs" {
+		t.Fatalf("streamed top-k ran %q, want the progressive scan", trailer.Plan.Algorithm)
 	}
 
 	// The body's limit truncates a streamed planned query exactly like a

@@ -26,7 +26,7 @@ import (
 
 // snapshot is one immutable published state of a table. The table is
 // sealed (all lazily built per-domain indexes precompiled); what a
-// query derives from it afterwards (memo entries, the sTSS index) is
+// query derives from it afterwards (memo entries, the scan order) is
 // published atomically.
 type snapshot struct {
 	version int64

@@ -292,11 +292,12 @@ type StreamRecord struct {
 	Row      *SkylineRow `json:"row,omitempty"`
 	Emission int         `json:"emission,omitempty"`
 	Elapsed  float64     `json:"elapsedSeconds,omitempty"`
-	// Key is the emission's L1 mindist key on progressive cursor rows:
-	// non-decreasing along the stream, and a strict t-dominator always
-	// has a strictly smaller key, so a consumer merging several
-	// key-ordered streams can rule this stream out as a dominator source
-	// for any candidate whose key the stream has reached. Absent on
+	// Key is the row's SFS key (Σ TO + Σ topological ordinal) on
+	// progressive rows: non-decreasing along the stream, ties in
+	// ascending row id, and a strict t-dominator always has a strictly
+	// smaller key, so a consumer merging several key-ordered streams can
+	// rule this stream out as a dominator source for any candidate whose
+	// key the stream has reached. Absent on
 	// replayed (buffered, cache-hit, rank-ordered) streams, whose
 	// emission order carries no such bound.
 	Key *int64 `json:"key,omitempty"`

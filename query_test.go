@@ -227,12 +227,12 @@ func TestQueryContextCancel(t *testing.T) {
 	}
 }
 
-// TestExplainCursorRoute: a plan the sTSS cursor serves — the early-exit
-// top-k of plan.New and every progressive RunStream shape — names the
-// dominance kernel its checker's point tests run on ("interval" under
-// Hints.NoKernel) and says whether its R-tree was resident on the table
-// or bulk-loaded by this query. Plans that run a kernel algorithm keep
-// their kernel label and name no cursor index.
+// TestExplainCursorRoute: a plan SFS's progressive scan serves — the
+// early-exit top-k of plan.New and every progressive RunStream shape —
+// names the dominance kernel its scan runs on ("interval" under
+// Hints.NoKernel) and says whether its presorted order was resident on
+// the table or sorted by this query. Plans that scan no presorted
+// order keep their kernel label and name no cursor index.
 func TestExplainCursorRoute(t *testing.T) {
 	ctx := context.Background()
 	drop := func(plan.StreamRow) error { return nil }
@@ -244,7 +244,7 @@ func TestExplainCursorRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Route != plan.RouteCursor || ex.Algorithm != "stss" || ex.Kernel != bitset || ex.CursorIndex != "built" {
+	if ex.Route != plan.RouteCursor || ex.Algorithm != "sfs" || ex.Kernel != bitset || ex.CursorIndex != "built" {
 		t.Fatalf("cold early-exit top-k explain: %+v", ex)
 	}
 	for _, run := range []struct {
@@ -264,7 +264,7 @@ func TestExplainCursorRoute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}
-		if ex.Route != plan.RouteCursor || ex.Algorithm != "stss" || ex.Parallelism != 0 {
+		if ex.Route != plan.RouteCursor || ex.Algorithm != "sfs" || ex.Parallelism != 0 {
 			t.Fatalf("%s: not a cursor plan: %+v", run.name, ex)
 		}
 		if ex.Kernel != run.kernel {
@@ -275,7 +275,7 @@ func TestExplainCursorRoute(t *testing.T) {
 		}
 	}
 
-	_, ex, err = table.Query(plan.Query{Hints: plan.Hints{Algorithm: "sfs"}})
+	_, ex, err = table.Query(plan.Query{Hints: plan.Hints{Algorithm: "bnl"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +286,10 @@ func TestExplainCursorRoute(t *testing.T) {
 
 // TestOrdersQueryIsRequestScoped: table-scoped derived state never
 // answers a request-scoped question. Beside a warm memo (full, subspace
-// and score-index entries), a resident sTSS index and learned skyline
+// and score-index entries), a resident scan order and learned skyline
 // fractions — all describing the table's own orders — a query bringing
 // its own Orders returns the skyline under *those* (dTSS, the paper's
-// independent structure, is the oracle), builds its own cursor index,
+// independent structure, is the oracle), sorts its own scan order,
 // scores cold, leaves every table entry as it was, learns no per-DAG
 // key, memoises under the DAG's signature for the life of the snapshot,
 // and misses again — with the right answer — after a batch.
@@ -306,12 +306,12 @@ func TestOrdersQueryIsRequestScoped(t *testing.T) {
 		}
 	}
 	if _, ex, err := table.QueryStream(ctx, plan.Query{Hints: plan.Hints{NoCache: true}}, drop); err != nil || ex.CursorIndex == "" {
-		t.Fatalf("warming the resident index: %v %+v", err, ex)
+		t.Fatalf("warming the resident order: %v %+v", err, ex)
 	}
 	full0, _, _ := memo.GetFull()
 	sub0, _, _ := memo.GetSubspace(plan.SubspaceKey(sub))
 	idx0, ok := memo.GetScoreIndex()
-	if full0 == nil || sub0 == nil || !ok || table.stssIndex.Load() == nil {
+	if full0 == nil || sub0 == nil || !ok || table.order.Load() == nil {
 		t.Fatal("table-scoped state not warm")
 	}
 	learned0 := len(table.Learned().Export().Variants)

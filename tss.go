@@ -157,12 +157,12 @@ type Table struct {
 	// otherwise, invalidated by Add. Atomic so lazily computing it may
 	// race concurrent queries on a shared (sealed) table.
 	stats atomic.Pointer[plan.Stats]
-	// stssIndex holds the sTSS R-tree over exactly these rows, held the
-	// way stats is: built lazily by the first cursor that wants it (never
-	// by Seal or a write), published by CAS, invalidated by Add, and
-	// absent on every table Clone/Filter/ApplyBatch derives — rows are
-	// renumbered there, and the tree's leaf ids are row indexes.
-	stssIndex atomic.Pointer[core.STSSIndex]
+	// order holds these rows' indexes in SFS's presort order
+	// (core.SFSOrder), held the way stats is: sorted lazily by the first
+	// scan that wants it (never by Seal or a write), published by CAS,
+	// invalidated by Add, and absent on every table Clone/Filter/
+	// ApplyBatch derives — rows are renumbered there.
+	order atomic.Pointer[[]int32]
 	// learned is the planner's cost-feedback store, shared by every
 	// table derived through Clone/Filter/ApplyBatch — it describes the
 	// data's behavior, not one row-set version.
@@ -215,7 +215,7 @@ func (t *Table) Add(to []int64, po ...string) error {
 	}
 	t.ds.Pts = append(t.ds.Pts, p)
 	t.stats.Store(nil) // row set changed; recomputed lazily
-	t.stssIndex.Store(nil)
+	t.order.Store(nil)
 	return nil
 }
 
@@ -430,11 +430,10 @@ func (t *Table) Skyline() []int {
 // EachSkyline streams skyline rows to fn as they are certified, in
 // discovery order; fn returning false stops the enumeration. Because
 // sTSS is optimally progressive, stopping after k rows costs only the
-// traversal needed for those k rows — use this for top-k-style
-// consumption over large tables.
+// traversal needed for those k rows (plus the R-tree bulk load each
+// call pays) — use this for top-k-style consumption over large tables.
 func (t *Table) EachSkyline(fn func(row int) bool) {
-	ix, _ := t.residentIndex()
-	cur := ix.Cursor(core.Options{})
+	cur := core.NewSTSSCursor(t.ds, core.Options{})
 	for {
 		id, ok := cur.Next()
 		if !ok {
@@ -512,13 +511,14 @@ func (t *Table) run(ctx context.Context, q plan.Query, emit func(plan.StreamRow)
 
 // QueryStream is QueryContext with progressive delivery: result rows
 // are passed to emit the moment they are certified, in stream order,
-// before the full result exists. Unranked queries stream through the
-// sTSS cursor (an unranked top-k stops the traversal after K rows, and
-// a first-K stream is a prefix of the full stream); origin-ideal ranked
-// top-k stops on a sound score threshold; everything else computes the
-// buffered result and replays it through emit. The returned
-// SkylineResult carries the same rows emit saw plus the run's metrics.
-// An emit error aborts the run and is returned verbatim.
+// before the full result exists. Unranked queries stream through SFS's
+// scan of the presorted rows (an unranked top-k stops the scan after K
+// rows, and a first-K stream is a prefix of the full stream);
+// origin-ideal ranked top-k stops on a sound score threshold;
+// everything else computes the buffered result and replays it through
+// emit. The returned SkylineResult carries the same rows emit saw plus
+// the run's metrics. An emit error aborts the run and is returned
+// verbatim.
 func (t *Table) QueryStream(ctx context.Context, q plan.Query, emit func(plan.StreamRow) error) (*SkylineResult, *plan.Explain, error) {
 	return t.run(ctx, q, emit)
 }
@@ -591,23 +591,23 @@ func (t *Table) Stats() *plan.Stats {
 	return s
 }
 
-// residentIndex returns the sTSS index over the table's current rows,
-// bulk-loading it on first use; resident reports that it was already
-// there. Concurrent first users each build one and the CAS publishes a
-// single winner for everyone after; a loser's tree describes the same
-// rows and dies with its query.
-func (t *Table) residentIndex() (ix *core.STSSIndex, resident bool) {
-	if ix := t.stssIndex.Load(); ix != nil {
-		return ix, true
+// residentOrder returns the table's current rows in SFS's presort
+// order, sorting them on first use; resident reports that the order was
+// already there. Concurrent first users each sort and the CAS publishes
+// a single winner for everyone after; a loser's order describes the
+// same rows and dies with its query.
+func (t *Table) residentOrder() (order []int32, resident bool) {
+	if o := t.order.Load(); o != nil {
+		return *o, true
 	}
-	ix = core.BuildSTSSIndex(t.ds, core.Options{})
-	t.stssIndex.CompareAndSwap(nil, ix)
-	return ix, false
+	order = core.SFSOrder(t.ds)
+	t.order.CompareAndSwap(nil, &order)
+	return order, false
 }
 
 // planEnv is the planning context of a query on this table.
 func (t *Table) planEnv() plan.Env {
-	return plan.Env{Stats: t.Stats(), Learned: t.learned, Cache: t.queryCache, STSSIndex: t.residentIndex}
+	return plan.Env{Stats: t.Stats(), Learned: t.learned, Cache: t.queryCache, Order: t.residentOrder}
 }
 
 // Learned returns the planner's cost-feedback store — shared across

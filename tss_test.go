@@ -326,16 +326,16 @@ func TestMethodsViaRegistry(t *testing.T) {
 	}
 }
 
-// freshSequence is the emission sequence of a cursor that bulk-loads its
-// own index over the table's current rows — what every cursor over the
-// resident index must reproduce.
+// freshSequence is the emission sequence of an SFS run that sorts the
+// table's current rows itself — what every scan over the resident
+// order must reproduce.
 func freshSequence(t *Table) ([]int, core.Metrics) {
-	var rows []int
-	cur := core.NewSTSSCursor(t.ds, core.Options{})
-	for id, ok := cur.Next(); ok; id, ok = cur.Next() {
-		rows = append(rows, int(id))
+	res := core.SFS(t.ds, core.Options{})
+	rows := make([]int, len(res.SkylineIDs))
+	for i, id := range res.SkylineIDs {
+		rows[i] = int(id)
 	}
-	return rows, cur.Metrics()
+	return rows, res.Metrics
 }
 
 // streamRows runs q as a progressive stream and returns the rows in
@@ -354,9 +354,9 @@ func streamRows(t *testing.T, table *Table, q plan.Query) ([]int, *plan.Explain,
 }
 
 // TestResidentIndexConcurrentColdStart: full and first-K streams opened
-// concurrently on a sealed table that has never served a cursor race the
-// lazy index build against itself; every stream still emits the
-// fresh-cursor sequence, and one index is left for everyone after.
+// concurrently on a sealed table that has never sorted its scan order
+// race the lazy sort against itself; every stream still emits the fresh
+// SFS sequence, and one order is left for everyone after.
 func TestResidentIndexConcurrentColdStart(t *testing.T) {
 	table := randTableT(rand.New(rand.NewSource(7)), 600, 2, 6).Seal()
 	want, _ := freshSequence(table)
@@ -364,8 +364,8 @@ func TestResidentIndexConcurrentColdStart(t *testing.T) {
 	if len(want) <= k {
 		t.Fatalf("skyline of %d rows is too small for a first-%d prefix", len(want), k)
 	}
-	if table.stssIndex.Load() != nil {
-		t.Fatal("Seal built the cursor index")
+	if table.order.Load() != nil {
+		t.Fatal("Seal sorted the scan order")
 	}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -386,33 +386,33 @@ func TestResidentIndexConcurrentColdStart(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			} else if !equalRows(rows, exp) {
-				t.Errorf("stream %d emitted %v, fresh cursor %v", g, rows, exp)
+				t.Errorf("stream %d emitted %v, fresh SFS %v", g, rows, exp)
 			}
 		}(g)
 	}
 	close(start)
 	wg.Wait()
-	ix := table.stssIndex.Load()
+	ix := table.order.Load()
 	if ix == nil {
-		t.Fatal("no index resident after eight cursor streams")
+		t.Fatal("no order resident after eight streams")
 	}
-	if _, ex, _ := streamRows(t, table, plan.Query{}); ex.CursorIndex != "resident" || table.stssIndex.Load() != ix {
-		t.Fatalf("stream after the cold start: cursorIndex %q, index replaced %v", ex.CursorIndex, table.stssIndex.Load() != ix)
+	if _, ex, _ := streamRows(t, table, plan.Query{}); ex.CursorIndex != "resident" || table.order.Load() != ix {
+		t.Fatalf("stream after the cold start: cursorIndex %q, order replaced %v", ex.CursorIndex, table.order.Load() != ix)
 	}
 }
 
-// TestResidentIndexLifetime walks one table through the index's life:
-// nothing but a cursor over the table's own rows builds it, the second
-// such query finds it resident and traverses it exactly as a fresh
-// cursor would, NoCache does not bypass it, and Add drops it.
+// TestResidentIndexLifetime walks one table through its scan order's
+// life: nothing but an SFS scan over the table's own rows sorts it, the
+// second such query finds it resident and scans it exactly as a fresh
+// SFS run would, NoCache does not bypass it, and Add drops it.
 func TestResidentIndexLifetime(t *testing.T) {
 	table := randTableT(rand.New(rand.NewSource(11)), 500, 2, 6).Seal()
 	table.Stats()
-	if _, _, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "sfs"}}); err != nil {
+	if _, _, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "bnl"}}); err != nil {
 		t.Fatal(err)
 	}
-	// Projected and push-down-filtered cursors index other coordinates
-	// or other rows: they neither use nor build the table's index.
+	// Projected and push-down-filtered streams scan other coordinates
+	// or other rows: they neither use nor sort the table's order.
 	for _, q := range []plan.Query{
 		{Subspace: &plan.Subspace{TO: []int{0}, PO: []int{0}}},
 		{Where: []plan.Predicate{{Kind: plan.TORange, Dim: 1, HasLo: true, Lo: 3}}},
@@ -421,8 +421,8 @@ func TestResidentIndexLifetime(t *testing.T) {
 			t.Fatalf("variant %q: cursorIndex %q, want built", ex.Variant, ex.CursorIndex)
 		}
 	}
-	if table.stssIndex.Load() != nil {
-		t.Fatal("index built before any cursor ran over the table's own rows")
+	if table.order.Load() != nil {
+		t.Fatal("order sorted before any scan ran over the table's own rows")
 	}
 
 	want, fresh := freshSequence(table)
@@ -430,35 +430,42 @@ func TestResidentIndexLifetime(t *testing.T) {
 	if ex.CursorIndex != "built" || !equalRows(first, want) {
 		t.Fatalf("first stream: cursorIndex %q, rows %v, want built %v", ex.CursorIndex, first, want)
 	}
-	ix := table.stssIndex.Load()
+	ix := table.order.Load()
 	if ix == nil {
-		t.Fatal("first cursor left no index behind")
+		t.Fatal("first stream left no order behind")
 	}
 	second, ex, m := streamRows(t, table, plan.Query{Hints: plan.Hints{NoCache: true}})
-	if ex.CursorIndex != "resident" || !equalRows(second, want) || table.stssIndex.Load() != ix {
-		t.Fatalf("second stream: cursorIndex %q, rebuilt %v, rows %v, want %v",
-			ex.CursorIndex, table.stssIndex.Load() != ix, second, want)
+	if ex.CursorIndex != "resident" || !equalRows(second, want) || table.order.Load() != ix {
+		t.Fatalf("second stream: cursorIndex %q, resorted %v, rows %v, want %v",
+			ex.CursorIndex, table.order.Load() != ix, second, want)
 	}
-	if m.ReadIOs != fresh.ReadIOs || m.NodesOpened != fresh.NodesOpened || m.NodesPruned != fresh.NodesPruned ||
-		m.PointsPruned != fresh.PointsPruned || m.DomChecks != fresh.DomChecks {
-		t.Fatalf("resident traversal %+v, fresh cursor %+v", m, fresh)
+	if m.DomChecks != fresh.DomChecks || m.DomChecks == 0 {
+		t.Fatalf("resident scan %+v, fresh SFS %+v", m, fresh)
 	}
-	// The buffered sTSS leg and EachSkyline drain the same index.
-	res, ex, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "stss", Parallelism: -1, NoCache: true}})
+	// A buffered sequential sfs run scans the same order. Forced sTSS and
+	// EachSkyline bulk-load an R-tree of their own and leave it alone.
+	res, ex, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "sfs", Parallelism: -1, NoCache: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.CursorIndex != "resident" || !equalRows(res.Rows, want) {
-		t.Fatalf("buffered stss: cursorIndex %q, rows %v, want %v", ex.CursorIndex, res.Rows, want)
+		t.Fatalf("buffered sfs: cursorIndex %q, rows %v, want %v", ex.CursorIndex, res.Rows, want)
+	}
+	res, ex, err = table.Query(plan.Query{Hints: plan.Hints{Algorithm: "stss", Parallelism: -1, NoCache: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.CursorIndex != "" || !equalRows(sortedRows(res.Rows), sortedRows(want)) {
+		t.Fatalf("buffered stss: cursorIndex %q, rows %v, want the set %v", ex.CursorIndex, res.Rows, want)
 	}
 	var each []int
 	table.EachSkyline(func(row int) bool { each = append(each, row); return true })
-	if !equalRows(each, want) || table.stssIndex.Load() != ix {
-		t.Fatalf("EachSkyline: rows %v, want %v (rebuilt %v)", each, want, table.stssIndex.Load() != ix)
+	if !equalRows(sortedRows(each), sortedRows(want)) || table.order.Load() != ix {
+		t.Fatalf("EachSkyline: rows %v, want the set %v (resorted %v)", each, want, table.order.Load() != ix)
 	}
 
 	// A row nothing can dominate (best TO values, a value no other is
-	// preferred to): the tree of the old row set does not hold it.
+	// preferred to): the order of the old row set does not hold it.
 	top := 0
 	for v := range table.orders[0].labels {
 		if table.ds.Domains[0].Ord(int32(v)) == 0 {
@@ -466,8 +473,8 @@ func TestResidentIndexLifetime(t *testing.T) {
 		}
 	}
 	table.MustAdd([]int64{0, 0}, table.orders[0].labels[top])
-	if table.stssIndex.Load() != nil {
-		t.Fatal("Add kept the index of the old row set")
+	if table.order.Load() != nil {
+		t.Fatal("Add kept the order of the old row set")
 	}
 	want, _ = freshSequence(table)
 	after, ex, _ := streamRows(t, table, plan.Query{})
@@ -479,7 +486,7 @@ func TestResidentIndexLifetime(t *testing.T) {
 	}
 }
 
-// TestResidentIndexEmptyTable: the index of no rows serves empty streams.
+// TestResidentIndexEmptyTable: the order of no rows serves empty streams.
 func TestResidentIndexEmptyTable(t *testing.T) {
 	table := NewTable([]string{"x"}, order1())
 	for i := 0; i < 2; i++ {
@@ -493,14 +500,14 @@ func TestResidentIndexEmptyTable(t *testing.T) {
 	})
 }
 
-// TestResidentIndexDiesWithTable: the table is the index's only owner —
-// no registry keeps a retired snapshot's tree alive.
+// TestResidentIndexDiesWithTable: the table is its order's only owner —
+// no registry keeps a retired snapshot's order alive.
 func TestResidentIndexDiesWithTable(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
 		table := randTableT(rand.New(rand.NewSource(3)), 200, 2, 6)
-		table.EachSkyline(func(int) bool { return false })
-		runtime.SetFinalizer(table.stssIndex.Load(), func(*core.STSSIndex) { close(collected) })
+		streamRows(t, table, plan.Query{TopK: 1})
+		runtime.SetFinalizer(table.order.Load(), func(*[]int32) { close(collected) })
 	}()
 	for i := 0; i < 200; i++ {
 		runtime.GC()
@@ -510,5 +517,5 @@ func TestResidentIndexDiesWithTable(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	t.Fatal("index still reachable after its table was dropped")
+	t.Fatal("order still reachable after its table was dropped")
 }
