@@ -6,8 +6,8 @@
 //	tssquery -data work/data.csv -dags work/dag_0.txt -method sfs -limit 20
 //	tssquery -data work/data.csv -dags work/dag_0.txt -method stss -parallel 4
 //
-// The -method flag accepts any serving algorithm: bnl, less, sfs or
-// stss (the paper's BBS+/SDC/SDC+ baselines run only in tssbench);
+// The -method flag accepts a serving algorithm, sfs or stss (the
+// BNL, BBS+, SDC and SDC+ baselines run only in tssbench);
 // -parallel N runs it behind the partition-and-merge executor with N
 // shards (-1 = one per CPU, 0 = the planner decides).
 //
@@ -18,9 +18,9 @@
 // -ideal shape it — subspace, constrained, top-k, weight-restricted and
 // dynamic (the query's own preference DAGs, and with -ideal but no -rank
 // ideal the fully dynamic |v−ideal| skyline), in any combination — and
-// the cost-based optimizer picks the algorithm (unless -method is
-// explicitly set), parallelism and predicate placement from workload
-// statistics; -explain prints the chosen plan as JSON. Without a shaping
+// the planner runs SFS's scan (unless -method is explicitly set) and
+// picks parallelism and predicate placement from workload statistics;
+// -explain prints the chosen plan as JSON. Without a shaping
 // flag the run forces -method's algorithm and bypasses the skyline memo.
 //
 //	tssquery -data work/data.csv -dags work/dag_0.txt -where "to_0<=500,po_0 in 1|3" -explain

@@ -125,7 +125,7 @@ func TestSameRequestBothModes(t *testing.T) {
 	}
 	base.dataPath, base.dagList = "", ""
 	for name, mut := range map[string]func(*clientConfig){
-		"bare":     func(c *clientConfig) { c.method, c.parallel = "bnl", 2 },
+		"bare":     func(c *clientConfig) { c.method, c.parallel = "sfs", 2 },
 		"stream":   func(c *clientConfig) { c.stream, c.first = true, 2 },
 		"shaped":   func(c *clientConfig) { c.plan = planFlags{where: "to_0<=9,po_0 in 1|2", explain: true} },
 		"subspace": func(c *clientConfig) { c.plan = planFlags{subspace: "to_0,po0", topk: 2, rank: "domcount"} },

@@ -124,7 +124,7 @@ func TestReadPathEquivalence(t *testing.T) {
 		// The algorithm forced, the memo bypassed: tssquery's bare
 		// invocation.
 		{name: "skyline", req: serve.QueryRequest{Algo: "stss", NoCache: true}},
-		{name: "skyline-algo", req: serve.QueryRequest{Algo: "bnl", NoCache: true}},
+		{name: "skyline-algo", req: serve.QueryRequest{Algo: "sfs", NoCache: true}},
 		{name: "skyline-parallel", req: serve.QueryRequest{Algo: "stss", Parallel: 2, NoCache: true}},
 	}
 	for _, rank := range plan.RankerNames() {
@@ -213,7 +213,8 @@ func TestReadPathEquivalence(t *testing.T) {
 	}
 
 	// Malformed orders — wrong arity, an unknown label, a preference
-	// cycle — and a forced paper baseline get the identical refusal
+	// cycle — and a forced baseline (the paper's, or bnl and less, which
+	// no plan runs) get the identical refusal
 	// everywhere, before any stream opens, whatever they are combined
 	// with.
 	for name, bad := range map[string]serve.QueryRequest{
@@ -221,14 +222,16 @@ func TestReadPathEquivalence(t *testing.T) {
 		"label":    {Orders: []serve.QueryOrder{{Edges: [][2]string{{"d", "zz"}}}, {}}, TopK: 2},
 		"cycle":    {Orders: []serve.QueryOrder{{Edges: [][2]string{{"d", "a"}, {"a", "d"}}}, {}}, TopK: 2},
 		"baseline": {Algo: "sdc+", NoCache: true},
+		"bnl":      {Algo: "bnl", NoCache: true},
+		"less":     {Algo: "less", NoCache: true},
 	} {
 		sh := readShape{req: bad}
 		want := ask(t, tc.single.URL, sh, false)
 		if want.status != http.StatusBadRequest || want.errText == "" {
 			t.Fatalf("%s: status %d, error %q", name, want.status, want.errText)
 		}
-		if name == "baseline" && !strings.Contains(want.errText, "(have: bnl, less, sfs, stss)") {
-			t.Errorf("baseline: error %q does not name the four serving algorithms", want.errText)
+		if bad.Algo != "" && (!strings.Contains(want.errText, "unknown algorithm") || !strings.Contains(want.errText, "(have: sfs, stss)")) {
+			t.Errorf("%s: error %q does not refuse the algorithm naming the two serving ones", name, want.errText)
 		}
 		for _, base := range []string{tc.single.URL, tc.co.URL} {
 			for _, stream := range []bool{false, true} {

@@ -32,18 +32,24 @@ func allocDataset(seed int64, n int) *Dataset {
 // steady state, on the member-row path, the interval fallback, and a
 // budget that the 8-value domain's member rows outgrow at the third
 // block (4·8·8 = 256 B per block and direction, 3·256 > 512), so one
-// set mixes row blocks, presence-bitset blocks and per-member tests.
+// set mixes row blocks, presence-bitset blocks and per-member tests —
+// and on TO-only rows, where a grow-only set tests its hot list first.
 func TestKernelProbeLoopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		budget int64
+		toOnly bool
 	}{
-		{"closure", 0},
-		{"interval-fallback", -1},
-		{"rows-budget", 512},
+		{"closure", 0, false},
+		{"interval-fallback", -1, false},
+		{"rows-budget", 512, false},
+		{"to-only", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := allocDataset(7, 600)
+			if tc.toOnly {
+				ds = randomDataset(rand.New(rand.NewSource(7)), 600, 2, 0)
+			}
 			k := newColSet(ds.Domains, 2, len(ds.Pts), tc.budget, true)
 			for i := range ds.Pts {
 				p := &ds.Pts[i]
@@ -71,6 +77,33 @@ func TestKernelProbeLoopAllocs(t *testing.T) {
 			probeAll() // warm-up: nothing left to grow after this
 			if allocs := testing.AllocsPerRun(20, probeAll); allocs != 0 {
 				t.Errorf("probe loop allocates %.1f objects per pass, want 0", allocs)
+			}
+
+			// The grow-only set of SFS's scan and the sTSS checker, which
+			// keeps a hot list exactly when it has no PO dimension.
+			g := newColSet(ds.Domains, 2, len(ds.Pts), tc.budget, false)
+			for i := range ds.Pts {
+				p := &ds.Pts[i]
+				g.append(p.TO, p.PO, p.ID)
+			}
+			wantHot := 0
+			if tc.toOnly {
+				wantHot = hotMembers
+			}
+			if hot := len(g.hot) / 2; hot != wantHot {
+				t.Fatalf("grow-only set keeps %d hot members, want %d", hot, wantHot)
+			}
+			gpr := g.newProbe()
+			scanAll := func() {
+				for i := range ds.Pts {
+					p := &ds.Pts[i]
+					g.begin(gpr, p.TO, p.PO)
+					_ = g.anyDominator(gpr)
+				}
+			}
+			scanAll()
+			if allocs := testing.AllocsPerRun(20, scanAll); allocs != 0 {
+				t.Errorf("grow-only probe loop allocates %.1f objects per pass, want 0", allocs)
 			}
 
 			// The merge pass: candidates dealt to four shard tags, one set

@@ -19,8 +19,7 @@ func transformedDataset(ds *Dataset, q []int32, domains []*poset.Domain) *Datase
 	return out
 }
 
-// TestFullyDynamicMatchesNaive: every PO-capable algorithm
-// over the |t − q| transform agrees with the brute-force oracle, for
+// TestFullyDynamicMatchesNaive: every algorithm over the |t − q| transform agrees with the brute-force oracle, for
 // random query points and partial orders, on the kernel and the scalar
 // reference path.
 func TestFullyDynamicMatchesNaive(t *testing.T) {
@@ -43,9 +42,6 @@ func TestFullyDynamicMatchesNaive(t *testing.T) {
 			want := FullyDynamicNaive(ds, q, domains)
 			tds := transformedDataset(ds, q, domains)
 			for _, algo := range append(Algorithms(), Baselines()...) {
-				if !algo.Capabilities().POCapable {
-					continue
-				}
 				for _, opt := range []Options{{}, {NoKernel: true}} {
 					res, err := algo.Run(tds, opt)
 					if err != nil {

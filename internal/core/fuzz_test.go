@@ -238,12 +238,6 @@ func FuzzSkylineAgreement(f *testing.F) {
 			}
 			for _, rn := range runs {
 				res, err := rn.run()
-				if !a.Capabilities().POCapable && ds.NumPO() > 0 {
-					if err == nil {
-						t.Fatalf("%s/%s: TO-only algorithm accepted a PO dataset", a.Name(), rn.name)
-					}
-					continue
-				}
 				if err != nil {
 					t.Fatalf("%s/%s: %v", a.Name(), rn.name, err)
 				}

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the dominance kernel: the columnar (SoA) elimination
-// engine shared by the BNL/SFS/LESS window scans, the sTSS/dTSS
+// engine shared by SFS's scan and BNL's window, the sTSS/dTSS
 // checker's point tests, skyline maintenance, the partition/cluster
 // merge passes and the coordinator's streamed merge.
-// Three ideas compose:
+// Three ideas compose, and a fourth serves TO-only sets:
 //
 //  1. Per-value member rows — when a domain's transitive closure fits
 //     its memory budget (poset.Domain.EnableClosure), each block keeps,
@@ -30,6 +30,13 @@ import (
 //     elimination pass skips whole blocks that provably cannot contain
 //     a dominator (or, for evictions, a dominated member) — the
 //     intra-node analog of the cluster's min-corner shard pruning.
+//  4. A hot list — a grow-only set with no PO dimension tests its first
+//     hotMembers members exactly before the block scan. In a presorted
+//     scan they have the smallest keys and dominate most of what is
+//     dominated, so most probes stop at one or two row compares instead
+//     of a block's 64-lane TO loops. This is LESS's elimination filter
+//     (Godfrey et al.) kept inside the kernel; PO sets skip it, because
+//     their member rows already filter cheaply.
 //
 // Options.NoKernel forces the scalar *Point/interval reference path,
 // which remains the correctness oracle the kernel is fuzzed against.
@@ -41,6 +48,11 @@ const kernelBlock = 256
 
 // blockWords is the number of 64-member mask words in a block.
 const blockWords = kernelBlock / 64
+
+// hotMembers bounds a hot list: LESS's elimination filter saturates at
+// a handful of points (Godfrey et al.), and 16 row compares stay cheap
+// when none of them dominates.
+const hotMembers = 16
 
 // Process-cumulative kernel counters, surfaced by /statsz and
 // /clusterz: how many member dominance tests the kernels ran and how
@@ -71,7 +83,7 @@ type kblock struct {
 
 // colSet is the kernel's member set: columnar storage plus zone-map
 // blocks plus an aliveness mask (for BNL-style eviction). It backs the
-// grow-only SFS/LESS scan and kernelChecker, the evicting Window (BNL and the
+// grow-only SFS scan and kernelChecker, the evicting Window (BNL and the
 // coordinator's streamed merge) and the merge pass's per-shard sets
 // (eliminateDominated). A set holds no shard tags: callers that keep
 // several shards' lists apart keep one set per shard (tagSets, a
@@ -88,6 +100,9 @@ type colSet struct {
 	alive  []uint64 // member liveness mask
 	nAlive int
 	blocks []kblock
+	// hot holds the TO rows of the first hotMembers members, row-major,
+	// in a grow-only set with no PO dimension; nil in every other set.
+	hot []int32
 }
 
 // newColSet builds an empty kernel set over the given domains. budget
@@ -112,6 +127,9 @@ func newColSet(domains []*poset.Domain, nTO, capHint int, budget int64, evicts b
 		if budget > 0 && dm.EnableClosure(budget) {
 			k.reach[d], k.reachT[d] = dm.Closure(), dm.ClosureTranspose()
 		}
+	}
+	if !evicts && len(domains) == 0 && nTO > 0 {
+		k.hot = make([]int32, 0, hotMembers*nTO)
 	}
 	return k
 }
@@ -153,6 +171,9 @@ func (k *colSet) newBlock(i int) kblock {
 func (k *colSet) append(to, po []int32, id int32) {
 	i := k.cols.Len()
 	k.cols.Append(to, po, id)
+	if k.hot != nil && i < hotMembers {
+		k.hot = append(k.hot, to...)
+	}
 	if i&63 == 0 {
 		k.alive = append(k.alive, 0)
 	}
@@ -308,8 +329,15 @@ func beyond(c, v int32, evict bool) bool {
 }
 
 // anyDominator reports whether a live member strictly dominates the
-// candidate loaded into pr.
+// candidate loaded into pr: a hot-list member, or one the block scan
+// finds (which tests the hot members again when none of them does).
 func (k *colSet) anyDominator(pr *probe) bool {
+	for h := 0; h < len(k.hot); h += k.nTO {
+		pr.domTests++
+		if toDominates(k.hot[h:h+k.nTO], pr.to) {
+			return true
+		}
+	}
 	for bi := range k.blocks {
 		b := &k.blocks[bi]
 		if !k.blockMayHold(b, pr, false) {

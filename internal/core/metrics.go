@@ -59,10 +59,6 @@ type Options struct {
 	// executor (Parallel). 0 selects runtime.GOMAXPROCS(0); sequential
 	// algorithms ignore it.
 	Parallelism int
-	// LESSWindow is the size of LESS's elimination-filter window — the
-	// small set of low-entropy points pass one screens the stream
-	// against. 0 selects DefaultLESSWindow.
-	LESSWindow int
 	// NoKernel disables the dominance kernel (bitset closure, columnar
 	// elimination, block zone maps), forcing the scalar *Point/interval
 	// reference path — the ablation and differential-harness switch. For
@@ -87,18 +83,9 @@ func (o *Options) canceled(step int) bool {
 	return o.Ctx != nil && step%dynCtxCheckEvery == 0 && o.Ctx.Err() != nil
 }
 
-// DefaultLESSWindow is the default elimination-filter window of LESS.
-// Godfrey et al. observe the filter saturates at a handful of points;
-// 16 keeps pass one cheap while still eliminating the bulk of the
-// dominated stream.
-const DefaultLESSWindow = 16
-
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = DefaultPageSize
-	}
-	if o.LESSWindow == 0 {
-		o.LESSWindow = DefaultLESSWindow
 	}
 	return o
 }

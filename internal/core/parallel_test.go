@@ -9,10 +9,9 @@ import (
 var parallelPs = []int{1, 2, 4, 7}
 
 // TestParallelMatchesNaive is the executor's central property: for
-// randomized datasets (mixed TO/PO, heavy duplicates), every PO-capable
-// algorithm, baselines included, behind the partition-and-merge executor
-// returns exactly the naive skyline for every shard count. When the draw has no
-// PO attributes the TO-only algorithms are exercised too.
+// randomized datasets (mixed TO/PO or TO-only, heavy duplicates), every
+// algorithm, baselines included, behind the partition-and-merge
+// executor returns exactly the naive skyline for every shard count.
 func TestParallelMatchesNaive(t *testing.T) {
 	prop := func(seed int64, nRaw uint16, toRaw, poRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -22,9 +21,6 @@ func TestParallelMatchesNaive(t *testing.T) {
 		ds := randomDataset(rng, n, nTO, nPO)
 		want := ds.NaiveSkyline()
 		for _, algo := range append(Algorithms(), Baselines()...) {
-			if !algo.Capabilities().POCapable && nPO > 0 {
-				continue
-			}
 			for _, p := range parallelPs {
 				res, err := Parallel(algo).Run(ds, Options{Parallelism: p})
 				if err != nil {
@@ -46,16 +42,13 @@ func TestParallelMatchesNaive(t *testing.T) {
 }
 
 // TestParallelEdgeCases pins the empty and singleton datasets for every
-// PO-capable algorithm and shard count.
+// algorithm and shard count.
 func TestParallelEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	empty := randomDataset(rng, 1, 2, 1)
 	empty.Pts = nil
 	single := randomDataset(rng, 1, 2, 1)
 	for _, algo := range append(Algorithms(), Baselines()...) {
-		if !algo.Capabilities().POCapable {
-			continue
-		}
 		for _, p := range parallelPs {
 			res, err := Parallel(algo).Run(empty, Options{Parallelism: p})
 			if err != nil || len(res.SkylineIDs) != 0 {
@@ -71,17 +64,6 @@ func TestParallelEdgeCases(t *testing.T) {
 	}
 }
 
-// TestParallelRejectsTOOnlyOnPOData: the executor surfaces the inner
-// algorithm's PO rejection instead of returning a partial result.
-func TestParallelRejectsTOOnlyOnPOData(t *testing.T) {
-	ds := flightsDataset(airlineOrder1())
-	for _, name := range []string{"less"} {
-		if _, err := Parallel(MustLookup(name)).Run(ds, Options{Parallelism: 4}); err == nil {
-			t.Errorf("parallel(%s) must reject PO attributes", name)
-		}
-	}
-}
-
 // TestParallelDuplicateIDs: id-ambiguous datasets are refused (the
 // merge cannot resolve local skyline ids back to points).
 func TestParallelDuplicateIDs(t *testing.T) {
@@ -92,7 +74,7 @@ func TestParallelDuplicateIDs(t *testing.T) {
 	// Rejected for every shard count, so acceptance does not depend on
 	// how Parallelism resolves against the host's CPU count.
 	for _, p := range []int{1, 2} {
-		if _, err := Parallel(MustLookup("bnl")).Run(ds, Options{Parallelism: p}); err == nil {
+		if _, err := Parallel(MustLookup("sfs")).Run(ds, Options{Parallelism: p}); err == nil {
 			t.Errorf("duplicate point IDs must be rejected (P=%d)", p)
 		}
 	}
@@ -140,16 +122,17 @@ func TestParallelMetrics(t *testing.T) {
 	}
 }
 
-// TestParallelCapabilities: the wrapper inherits PO-capability.
+// TestParallelCapabilities: the wrapper inherits the inner algorithm's
+// capabilities.
 func TestParallelCapabilities(t *testing.T) {
 	p := Parallel(MustLookup("stss"))
-	if caps := p.Capabilities(); !caps.POCapable {
-		t.Errorf("parallel(stss) caps = %+v, want POCapable", caps)
+	if caps := p.Capabilities(); !caps.UsesDyadic {
+		t.Errorf("parallel(stss) caps = %+v, want UsesDyadic", caps)
 	}
 	if p.Name() != "parallel(stss)" {
 		t.Errorf("name = %q", p.Name())
 	}
-	if caps := Parallel(MustLookup("less")).Capabilities(); caps.POCapable {
-		t.Error("parallel(less) must not claim PO capability")
+	if caps := Parallel(MustLookup("sfs")).Capabilities(); caps.UsesDyadic {
+		t.Error("parallel(sfs) must not claim the dyadic index")
 	}
 }

@@ -5,13 +5,9 @@ import (
 	"strings"
 )
 
-// Capabilities declares what an algorithm can handle, so executors and
-// front-ends can dispatch without per-algorithm switches.
+// Capabilities declares what an algorithm needs from the executors
+// that run it, so they can dispatch without per-algorithm switches.
 type Capabilities struct {
-	// POCapable algorithms handle partially ordered attributes; the
-	// others (the classic sort-based TO baselines) reject any dataset
-	// with PO attributes through Run's error.
-	POCapable bool
 	// UsesDyadic marks algorithms whose dominance checks lazily build
 	// the PO domains' dyadic interval index (unless Options.NoDyadic).
 	// Parallel executors pre-build the index for such algorithms before
@@ -22,8 +18,7 @@ type Capabilities struct {
 }
 
 // Algorithm is the uniform interface every skyline algorithm runs
-// behind. Run computes the skyline of ds under opt; TO-only algorithms
-// return an error when ds has PO attributes.
+// behind. Run computes the skyline of ds under opt.
 type Algorithm interface {
 	Name() string
 	Capabilities() Capabilities
@@ -58,15 +53,13 @@ func newAlgorithm(name string, caps Capabilities, run func(ds *Dataset, opt Opti
 	return &funcAlgorithm{name: name, caps: caps, run: run}
 }
 
-// serving holds the algorithms a plan can run, sorted by name: the
-// paper's contribution and the scan-based baselines (§II-A).
+// serving holds the algorithms a plan can run, sorted by name: SFS's
+// scan, which every plan runs unless a query forces another, and the
+// paper's sTSS (§IV).
 var serving = []Algorithm{
-	newAlgorithm("bnl", Capabilities{POCapable: true},
-		func(ds *Dataset, opt Options) (*Result, error) { return BNL(ds, opt), nil }),
-	newAlgorithm("less", Capabilities{}, LESS),
-	newAlgorithm("sfs", Capabilities{POCapable: true},
+	newAlgorithm("sfs", Capabilities{},
 		func(ds *Dataset, opt Options) (*Result, error) { return SFS(ds, opt), nil }),
-	newAlgorithm("stss", Capabilities{POCapable: true, UsesDyadic: true},
+	newAlgorithm("stss", Capabilities{UsesDyadic: true},
 		func(ds *Dataset, opt Options) (*Result, error) { return STSS(ds, opt), nil }),
 }
 
@@ -74,17 +67,20 @@ var serving = []Algorithm{
 // slice is shared: callers must not modify it.
 func Algorithms() []Algorithm { return serving }
 
-// Baselines returns the index-based baselines the paper evaluates sTSS
-// against (§II-C, Chan et al.): BBS+, SDC and SDC+. No plan runs them;
-// they are built per call, so a binary that never asks for them does
-// not link them.
+// Baselines returns the baselines the paper evaluates sTSS against that
+// no plan runs: BNL, the scan-based baseline (§II-A), and the
+// index-based BBS+, SDC and SDC+ (§II-C, Chan et al.). They are built
+// per call, so a binary that never asks for them does not link the
+// index-based ones.
 func Baselines() []Algorithm {
 	return []Algorithm{
-		newAlgorithm("bbs+", Capabilities{POCapable: true},
+		newAlgorithm("bbs+", Capabilities{},
 			func(ds *Dataset, opt Options) (*Result, error) { return BBSPlus(ds, opt), nil }),
-		newAlgorithm("sdc", Capabilities{POCapable: true},
+		newAlgorithm("bnl", Capabilities{},
+			func(ds *Dataset, opt Options) (*Result, error) { return BNL(ds, opt), nil }),
+		newAlgorithm("sdc", Capabilities{},
 			func(ds *Dataset, opt Options) (*Result, error) { return SDC(ds, opt), nil }),
-		newAlgorithm("sdc+", Capabilities{POCapable: true},
+		newAlgorithm("sdc+", Capabilities{},
 			func(ds *Dataset, opt Options) (*Result, error) { return SDCPlus(ds, opt), nil }),
 	}
 }

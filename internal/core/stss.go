@@ -114,10 +114,11 @@ func bnlScalar(ds *Dataset, opt *Options) *Result {
 // list (Chomicki et al.; ScanSorted). The presort establishes
 // precedence, so accepted points are emitted immediately and never
 // evicted; the grow-only window runs on the dominance kernel unless
-// opt.NoKernel.
+// opt.NoKernel. On a dataset with no PO attributes the presort first
+// runs LESS's elimination filter (sfsSurvivors).
 func SFS(ds *Dataset, opt Options) *Result {
 	start := time.Now()
-	res := ScanSorted(ds, SFSOrder(ds), opt, nil)
+	res := ScanSorted(ds, nil, opt, nil)
 	res.Metrics.CPU = time.Since(start)
 	return res
 }
@@ -138,6 +139,69 @@ func SFSOrder(ds *Dataset) []int32 {
 	return order
 }
 
+// sfsSurvivors is SFSOrder less the rows LESS's elimination filter
+// (Godfrey et al.) drops, for a dataset with no PO attributes: one pass
+// tests each row against a window of the hotMembers smallest-key rows
+// seen so far and drops the ones they dominate, so only the survivors
+// are sorted. The filter counts its tests in m.DomChecks and its drops
+// in m.PointsPruned. A canceled pass returns nil. The filter is only
+// sound for totally ordered attributes — a smaller topological ordinal
+// does not imply preference — so PO datasets get SFSOrder.
+func sfsSurvivors(ds *Dataset, opt *Options, m *Metrics) []int32 {
+	n := ds.NumTO()
+	if len(ds.Domains) > 0 || n == 0 {
+		return SFSOrder(ds)
+	}
+	key := make([]int64, len(ds.Pts))
+	survivors := make([]int32, 0, len(ds.Pts))
+	// The window's TO rows, row-major, and their keys.
+	win := make([]int32, 0, hotMembers*n)
+	var winKey [hotMembers]int64
+	var checks, pruned int64
+	for i := range ds.Pts {
+		if opt.canceled(i) {
+			return nil
+		}
+		to := ds.Pts[i].TO
+		k := sfsKey(ds, &ds.Pts[i])
+		key[i] = k
+		dominated := false
+		for h := 0; h < len(win); h += n {
+			checks++
+			if toDominates(win[h:h+n], to) {
+				dominated = true
+				break
+			}
+		}
+		if dominated {
+			pruned++
+			continue
+		}
+		survivors = append(survivors, int32(i))
+		// Keep the window filled with the smallest-key rows: they have
+		// the highest pruning power.
+		if w := len(win) / n; w < hotMembers {
+			win = append(win, to...)
+			winKey[w] = k
+			continue
+		}
+		worst := 0
+		for j, wk := range winKey {
+			if wk > winKey[worst] {
+				worst = j
+			}
+		}
+		if k < winKey[worst] {
+			copy(win[worst*n:], to)
+			winKey[worst] = k
+		}
+	}
+	m.DomChecks += checks
+	m.PointsPruned += pruned
+	sortByKey(survivors, key)
+	return survivors
+}
+
 // sfsKey is SFSOrder's key of p.
 func sfsKey(ds *Dataset, p *Point) int64 {
 	var s int64
@@ -151,12 +215,14 @@ func sfsKey(ds *Dataset, p *Point) int64 {
 }
 
 // ScanSorted is the grow-only window scan over ds's rows in order,
-// which must be sorted by a function monotone under dominance — SFS's
-// and every progressive query's SFSOrder, LESS's survivors by TO sum.
-// Precedence makes every undominated row definite, so it is accepted at
-// once and never evicted. The window runs on the dominance kernel
-// unless opt.NoKernel selects the scalar reference loop; opt.Ctx is
-// polled every dynCtxCheckEvery rows and abandons the scan.
+// which must be sorted by a function monotone under dominance — a
+// table's resident SFSOrder, or nil for SFS's own presort of ds
+// (sfsSurvivors: SFSOrder, after LESS's elimination filter on a
+// dataset with no PO attributes). Precedence makes every undominated
+// row definite, so it is accepted at once and never evicted. The window
+// runs on the dominance kernel unless opt.NoKernel selects the scalar
+// reference loop; opt.Ctx is polled every dynCtxCheckEvery rows and
+// abandons the scan.
 //
 // emit, when non-nil, sees the id of each accepted row the moment the
 // scan reaches it, with the row's SFS key and bound, the key of the
@@ -166,6 +232,11 @@ func sfsKey(ds *Dataset, p *Point) int64 {
 func ScanSorted(ds *Dataset, order []int32, opt Options, emit func(id int32, key, bound int64) bool) *Result {
 	res := &Result{}
 	clock := newEmitClock(&rtree.IOCounter{})
+	if order == nil {
+		if order = sfsSurvivors(ds, &opt, &res.Metrics); order == nil {
+			return &Result{}
+		}
+	}
 	var k *colSet
 	var pr *probe
 	if !opt.NoKernel {

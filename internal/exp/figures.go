@@ -404,9 +404,8 @@ func Ablations(scale float64) []Row {
 
 // VerifyAgreement cross-checks every serving algorithm and paper
 // baseline — sequential and behind the partition-and-merge executor —
-// on a modest configuration; the harness-level integration test.
-// PO-capable algorithms run on the mixed TO/PO dataset; every algorithm
-// (the sort-based TO baselines included) runs on its TO projection.
+// on a modest configuration; the harness-level integration test. Every
+// algorithm runs on the mixed TO/PO dataset and on its TO projection.
 func VerifyAgreement(scale float64) error {
 	cfg := StaticDefaults(scale / 10)
 	cfg.Dist = data.AntiCorrelated
@@ -428,37 +427,27 @@ func VerifyAgreement(scale float64) error {
 		toWant = core.STSS(toDS, core.Options{}).SkylineIDs
 	}
 	for _, algo := range append(core.Algorithms(), core.Baselines()...) {
-		if algo.Capabilities().POCapable {
-			res, err := algo.Run(ds, core.Options{})
+		for _, leg := range []struct {
+			name string
+			ds   *core.Dataset
+			want []int32
+		}{{"", ds, want}, {" on the TO projection", toDS, toWant}} {
+			res, err := algo.Run(leg.ds, core.Options{})
 			if err != nil {
-				return fmt.Errorf("exp: %s: %w", algo.Name(), err)
+				return fmt.Errorf("exp: %s%s: %w", algo.Name(), leg.name, err)
 			}
-			if !sameSet(res.SkylineIDs, want) {
-				return fmt.Errorf("exp: %s disagrees with the %s (%d vs %d points)",
-					algo.Name(), oracle, len(res.SkylineIDs), len(want))
+			if !sameSet(res.SkylineIDs, leg.want) {
+				return fmt.Errorf("exp: %s disagrees with the %s%s (%d vs %d points)",
+					algo.Name(), oracle, leg.name, len(res.SkylineIDs), len(leg.want))
 			}
-			pres, err := core.Parallel(algo).Run(ds, core.Options{Parallelism: 4})
+			pres, err := core.Parallel(algo).Run(leg.ds, core.Options{Parallelism: 4})
 			if err != nil {
-				return fmt.Errorf("exp: parallel(%s): %w", algo.Name(), err)
+				return fmt.Errorf("exp: parallel(%s)%s: %w", algo.Name(), leg.name, err)
 			}
-			if !sameSet(pres.SkylineIDs, want) {
-				return fmt.Errorf("exp: parallel(%s) disagrees with the %s (%d vs %d points)",
-					algo.Name(), oracle, len(pres.SkylineIDs), len(want))
+			if !sameSet(pres.SkylineIDs, leg.want) {
+				return fmt.Errorf("exp: parallel(%s) disagrees with the %s%s (%d vs %d points)",
+					algo.Name(), oracle, leg.name, len(pres.SkylineIDs), len(leg.want))
 			}
-		}
-		res, err := algo.Run(toDS, core.Options{})
-		if err != nil {
-			return fmt.Errorf("exp: %s on TO projection: %w", algo.Name(), err)
-		}
-		if !sameSet(res.SkylineIDs, toWant) {
-			return fmt.Errorf("exp: %s disagrees with the %s on the TO projection", algo.Name(), oracle)
-		}
-		pres, err := core.Parallel(algo).Run(toDS, core.Options{Parallelism: 4})
-		if err != nil {
-			return fmt.Errorf("exp: parallel(%s) on TO projection: %w", algo.Name(), err)
-		}
-		if !sameSet(pres.SkylineIDs, toWant) {
-			return fmt.Errorf("exp: parallel(%s) disagrees with the %s on the TO projection", algo.Name(), oracle)
 		}
 	}
 	// The stss leg above runs the kernel checker; the paper's list

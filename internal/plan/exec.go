@@ -13,10 +13,10 @@ import (
 // context checks in the executor's scan loops.
 const ctxCheckEvery = 4096
 
-// Run executes the plan on ds, records the observed cost back into
-// env.Learned, and fills the Explain's observed fields. The dataset
-// must use the table layout (ds.Pts[i].ID == i), which Table datasets
-// always do; result IDs are row indexes of that table.
+// Run executes the plan on ds, records the observed skyline fraction
+// back into env.Learned, and fills the Explain's observed fields. The
+// dataset must use the table layout (ds.Pts[i].ID == i), which Table
+// datasets always do; result IDs are row indexes of that table.
 //
 // Cancellation is cooperative: ctx is checked between pipeline stages,
 // periodically inside the executor's own scan loops, and by the chosen
@@ -66,7 +66,6 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 			algo = core.Parallel(algo)
 			opt.Parallelism = p.shards
 		}
-		algoStart := time.Now()
 		if p.shards == 0 && algo.Name() == "sfs" {
 			// Sequential SFS scans the presorted order, which may be
 			// resident on the snapshot.
@@ -77,27 +76,13 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		if err != nil {
 			return nil, err
 		}
-		// Feedback, with two guards. Skyline fractions are learned per
-		// variant (kept-dimension key), so subspace runs feed their own
-		// EWMA rather than dragging the full-dimensional estimate toward
-		// ~1/n; filtered runs still feed nothing — their fraction
-		// conflates selectivity with skyline density. The cost multiplier
-		// corrects the *sequential* model, so parallel runs — whose
-		// wall-clock is divided across cores the model knows nothing
-		// about — are excluded too.
+		// Feedback: skyline fractions are learned per variant
+		// (kept-dimension key), so subspace runs feed their own EWMA
+		// rather than dragging the full-dimensional estimate toward
+		// ~1/n; filtered runs feed nothing — their fraction conflates
+		// selectivity with skyline density.
 		if p.route == RouteDirect {
 			env.Learned.ObserveSkyline(p.baseVariant, len(eff.Pts), len(res.SkylineIDs))
-		}
-		if p.shards == 0 {
-			// Train the multiplier on the model's *shape* error alone:
-			// re-evaluate the prior at the rows and skyline size the run
-			// actually saw, and time only the algorithm itself (the
-			// executor's O(table) filter/projection scan is not part of
-			// the model), so a selectivity misestimate — already visible
-			// as estimatedRows vs observedRows — is not folded into the
-			// per-algorithm correction that full-table plans reuse.
-			predicted := p.prior.modelSeconds(len(eff.Pts), len(res.SkylineIDs), len(p.keptPO))
-			env.Learned.ObserveCost(p.algo.Name(), predicted, time.Since(algoStart).Seconds())
 		}
 		if p.route == RoutePostFilter {
 			if cache != nil {

@@ -190,11 +190,8 @@ func FuzzPlanAgreement(f *testing.F) {
 			member[id] = true
 		}
 
-		check := func(label string, ids []int32, err error, allowReject bool) {
+		check := func(label string, ids []int32, err error) {
 			if err != nil {
-				if allowReject {
-					return
-				}
 				t.Fatalf("%s: %v (query %+v)", label, err, q)
 			}
 			if unranked {
@@ -217,7 +214,7 @@ func FuzzPlanAgreement(f *testing.F) {
 			}
 		}
 
-		run := func(label string, fq Query, env Env, allowReject bool) {
+		run := func(label string, fq Query, env Env) {
 			p, err := New(ds, fq, env)
 			if err != nil {
 				t.Fatalf("%s: New: %v (query %+v)", label, err, fq)
@@ -227,7 +224,7 @@ func FuzzPlanAgreement(f *testing.F) {
 			if res != nil {
 				ids = res.SkylineIDs
 			}
-			check(label, ids, err, allowReject)
+			check(label, ids, err)
 
 			// Streamed leg: the same plan delivered through RunStream must
 			// produce the same rows, and the emitted sequence must equal
@@ -245,38 +242,33 @@ func FuzzPlanAgreement(f *testing.F) {
 			if sres != nil {
 				sids = sres.SkylineIDs
 			}
-			check(label+" streamed", sids, serr, allowReject)
+			check(label+" streamed", sids, serr)
 			if serr == nil && !equal32(emitted, sids) {
 				t.Fatalf("%s streamed: emissions %v, result %v (query %+v)", label, emitted, sids, fq)
 			}
 		}
 
 		env := Env{Learned: NewLearned()}
-		run("auto", q, env, false)
+		run("auto", q, env)
 		{
 			// Kernel ablation: the scalar/interval reference path must
 			// plan and answer identically.
 			fq := q
 			fq.Hints.NoKernel = true
-			run("nokernel", fq, env, false)
+			run("nokernel", fq, env)
 		}
 		for _, a := range core.Algorithms() {
 			fq := q
 			fq.Hints.Algorithm = a.Name()
-			effPO := ds.NumPO()
-			if q.Subspace != nil {
-				effPO = len(q.Subspace.PO)
-			}
-			toOnlyReject := !a.Capabilities().POCapable && effPO > 0
-			run("forced "+a.Name(), fq, env, toOnlyReject)
+			run("forced "+a.Name(), fq, env)
 		}
 		if len(q.Where) > 0 {
 			fq := q
 			fq.Hints.Route = RoutePushdown
-			run("forced pushdown", fq, env, false)
+			run("forced pushdown", fq, env)
 			if am, _ := allAntiMonotone(ds, q); am && q.Subspace == nil {
 				fq.Hints.Route = RoutePostFilter
-				run("forced postfilter cold", fq, env, false)
+				run("forced postfilter cold", fq, env)
 			}
 		}
 		// Cache routing: warm the full skyline, then re-run the query so
@@ -290,7 +282,7 @@ func FuzzPlanAgreement(f *testing.F) {
 			if _, err := p.Run(context.Background(), ds, cenv); err != nil {
 				t.Fatalf("cache warm-up: %v", err)
 			}
-			run("cached", q, cenv, false)
+			run("cached", q, cenv)
 		}
 		fuzzOrdersLeg(t, r, ds, q)
 	})

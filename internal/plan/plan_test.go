@@ -173,9 +173,6 @@ func TestPlansAgreeWithOracle(t *testing.T) {
 			}
 			res, err := p.Run(context.Background(), ds, Env{})
 			if err != nil {
-				if algo != "" && !core.MustLookup(algo).Capabilities().POCapable && len(p.keptPO) > 0 {
-					continue // TO-only algorithm on PO data: rejection is the contract
-				}
 				t.Fatalf("query %d algo %q: Run: %v", qi, algo, err)
 			}
 			if !equal32(sorted32(res.SkylineIDs), sorted32(want)) {
@@ -516,12 +513,8 @@ func TestCorrelationSign(t *testing.T) {
 
 func TestLearnedFeedback(t *testing.T) {
 	l := NewLearned()
-	if m := l.CostMultiplier("stss"); m != 1 {
-		t.Fatalf("cold multiplier %f", m)
-	}
-	l.ObserveCost("stss", 1.0, 3.0)
-	if m := l.CostMultiplier("stss"); m != 3 {
-		t.Fatalf("first observation multiplier %f, want 3", m)
+	if _, ok := l.SkylineFrac(FullVariant); ok {
+		t.Fatal("cold store reports a skyline fraction")
 	}
 	l.ObserveSkyline(FullVariant, 1000, 100)
 	if f, ok := l.SkylineFrac(FullVariant); !ok || f != 0.1 {
@@ -537,9 +530,6 @@ func TestLearnedFeedback(t *testing.T) {
 
 	st := l.Export()
 	l2 := ImportLearned(st)
-	if m := l2.CostMultiplier("stss"); m != 3 {
-		t.Fatalf("round-trip multiplier %f", m)
-	}
 	if f, ok := l2.SkylineFrac(FullVariant); !ok || f != 0.1 {
 		t.Fatalf("round-trip frac %f ok=%v", f, ok)
 	}
@@ -548,9 +538,6 @@ func TestLearnedFeedback(t *testing.T) {
 	}
 	if len(st.Variants) != 2 {
 		t.Fatalf("exported %d variants, want 2", len(st.Variants))
-	}
-	if len(st.Algos) != 1 || st.Algos[0].Name != "stss" {
-		t.Fatalf("export %+v", st)
 	}
 }
 
@@ -572,35 +559,32 @@ func TestPlannerUsesFeedback(t *testing.T) {
 	}
 }
 
-// TestCostPriorsCoverServing: every serving algorithm has a static
-// prior and no other name does — a missing prior would model as free
-// and win every plan.
-func TestCostPriorsCoverServing(t *testing.T) {
-	var keys []string
-	for name := range costPriors {
-		keys = append(keys, name)
-	}
-	sort.Strings(keys)
-	if want := core.AlgorithmNames(); !reflect.DeepEqual(keys, want) {
-		t.Fatalf("costPriors keys %v, serving algorithms %v", keys, want)
-	}
-}
-
-// TestSubspaceDropsPOEnablesTOOnly: projecting away the PO column makes
-// the TO-only sort-based algorithms legal candidates.
+// TestSubspaceDropsPOEnablesTOOnly: projecting away the PO column
+// gives SFS a TO-only dataset, so its presort runs the elimination
+// filter, which drops rows before the sort and keeps the answer exact.
 func TestSubspaceDropsPOEnablesTOOnly(t *testing.T) {
 	ds := sampleDS(t, 50)
-	q := Query{Subspace: &Subspace{TO: []int{0, 1}}, Hints: Hints{Algorithm: "less"}}
+	q := Query{Subspace: &Subspace{TO: []int{0, 1}}}
 	want, err := Naive(ds, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ex := runPlan(t, ds, q, Env{})
-	if ex.Algorithm != "less" {
-		t.Fatalf("algorithm %q", ex.Algorithm)
+	p, err := New(ds, q, Env{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !equal32(sorted32(got), sorted32(want)) {
-		t.Fatalf("less on TO subspace: got %v want %v", sorted32(got), sorted32(want))
+	res, err := p.Run(context.Background(), ds, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Explain.Algorithm != "sfs" || p.Explain.CursorIndex != "built" {
+		t.Fatalf("algorithm %q, cursorIndex %q", p.Explain.Algorithm, p.Explain.CursorIndex)
+	}
+	if res.Metrics.PointsPruned == 0 {
+		t.Error("elimination filter pruned nothing on the TO subspace")
+	}
+	if got := res.SkylineIDs; !equal32(sorted32(got), sorted32(want)) {
+		t.Fatalf("sfs on TO subspace: got %v want %v", sorted32(got), sorted32(want))
 	}
 }
 

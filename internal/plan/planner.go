@@ -89,29 +89,22 @@ func domainSizes(ds *core.Dataset) []int {
 	return sizes
 }
 
-// Candidate is one algorithm the planner costed, for explain output.
-type Candidate struct {
-	Name       string  `json:"name"`
-	EstSeconds float64 `json:"estSeconds"`
-}
-
 // Explain is the JSON-ready account of a planning decision, attached to
 // query responses and printed by the CLIs' -explain flags. Observed*
 // fields are filled in by the executor after the run.
 type Explain struct {
-	Variant      string      `json:"variant"`
-	Algorithm    string      `json:"algorithm"`
-	Forced       bool        `json:"forced,omitempty"`
-	Parallelism  int         `json:"parallelism,omitempty"`
-	Route        Route       `json:"route"`
-	RouteReason  string      `json:"routeReason,omitempty"`
-	AntiMonotone bool        `json:"antiMonotone,omitempty"`
-	EstRows      int         `json:"estimatedRows"`
-	EstSkyline   int         `json:"estimatedSkyline"`
-	EstSeconds   float64     `json:"estimatedSeconds"`
-	SkyFracFrom  string      `json:"skylineFracSource"`
-	Candidates   []Candidate `json:"candidates,omitempty"`
-	CacheHit     bool        `json:"cacheHit,omitempty"`
+	Variant      string  `json:"variant"`
+	Algorithm    string  `json:"algorithm"`
+	Forced       bool    `json:"forced,omitempty"`
+	Parallelism  int     `json:"parallelism,omitempty"`
+	Route        Route   `json:"route"`
+	RouteReason  string  `json:"routeReason,omitempty"`
+	AntiMonotone bool    `json:"antiMonotone,omitempty"`
+	EstRows      int     `json:"estimatedRows"`
+	EstSkyline   int     `json:"estimatedSkyline"`
+	EstSeconds   float64 `json:"estimatedSeconds"`
+	SkyFracFrom  string  `json:"skylineFracSource"`
+	CacheHit     bool    `json:"cacheHit,omitempty"`
 	// Maintained reports that the cache entry this plan serves from was
 	// carried across mutations by delta maintenance rather than computed
 	// cold on this row set.
@@ -170,47 +163,35 @@ type Plan struct {
 	cachedRestricted bool
 	estRows          int
 	estSky           int
-	predBase         float64   // static model prediction before the learned multiplier
-	prior            costPrior // chosen algorithm's model, for observation-time feedback
 
 	cursorRows int // rows the cursor route scanned (observed-rows reporting)
 }
 
-// costPrior is the static cost model of one algorithm:
+// estimatedSeconds is the static cost model behind Explain.EstSeconds:
 //
 //	seconds ≈ (A·n·log2(n) + B·(1 + POB·p)·n·m) × 1e-9
 //
 // with n input rows, m skyline rows and p partially ordered dimensions.
-// A carries the per-row work (sorting, index bulk-load, topological
-// preprocessing), B the pairwise dominance work that survives the
-// algorithm's pruning, and POB how much a PO dimension inflates one
-// dominance check (interval probes instead of integer compares). sTSS's
-// prior is larger than SFS's term by term, so a plan picks it only when
-// the learned multipliers say so; it runs when a query forces it. The
-// constants were fitted by hand to one wall-clock run of every
-// algorithm on the paper's default static configuration at n=20k (2 TO,
-// 2 PO, h=8, d=0.8; correlated, independent and anti-correlated) on a
-// 1-CPU container, and have not been re-fitted since; deliberately
-// rough — Learned.CostMultiplier corrects each algorithm per table from
-// observed runs.
-type costPrior struct{ A, B, POB float64 }
-
-// costPriors has an entry for every serving algorithm (core.Algorithms);
-// a missing one would model as free and win every plan.
-var costPriors = map[string]costPrior{
-	"stss": {A: 25, B: 3.5, POB: 20},
-	"bnl":  {A: 5, B: 3, POB: 0.75},
-	"sfs":  {A: 8, B: 2.5, POB: 0.5},
-	"less": {A: 8, B: 1.2},
-}
-
-// modelSeconds evaluates the static cost model.
-func (c costPrior) modelSeconds(n, m, effPO int) float64 {
+// A carries the per-row work (the presort), B the pairwise dominance
+// work that survives the scan's pruning, and POB how much a PO
+// dimension inflates one dominance check — a quarter as much under the
+// "bitset+columnar" kernel, where a t-preference test is one word load.
+// The constants model SFS's scan, the one every plan runs unless a
+// query forces sTSS. They were fitted by hand to one wall-clock run on
+// the paper's default static configuration at n = 20k (2 TO, 2 PO, h=8,
+// d=0.8) on a 1-CPU container and are deliberately rough: the estimate
+// is reported, and decides nothing.
+func estimatedSeconds(n, m, p int, kernel string) float64 {
 	if n <= 0 {
 		return 0
 	}
+	const a, b = 8, 2.5
+	pob := 0.5
+	if kernel == "bitset+columnar" {
+		pob *= 0.25
+	}
 	fn, fm := float64(n), float64(m)
-	return (c.A*fn*math.Log2(fn+2) + c.B*(1+c.POB*float64(effPO))*fn*fm) * 1e-9
+	return (a*fn*math.Log2(fn+2) + b*(1+pob*float64(p))*fn*fm) * 1e-9
 }
 
 // parallelMinRows is the input size below which the partition-and-merge
@@ -361,15 +342,19 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 	// discount PO dominance work when the closure bitsets apply.
 	p.Explain.Kernel = kernelLabel(ds, p.keptPO, q.Hints.NoKernel)
 
-	// Algorithm choice: capability-gated cost minimization, unless
-	// forced. A projection that drops every PO column widens the field
-	// to the TO-only sort-based algorithms.
-	effPO := len(p.keptPO)
-	p.chooseAlgorithm(env.Learned, effPO, hinted)
+	// Algorithm: SFS's scan, unless the query forces one (Validate
+	// resolved the name).
+	p.algo = core.MustLookup("sfs")
+	if hinted != "" {
+		p.algo = core.MustLookup(hinted)
+		p.Explain.Forced = true
+	}
+	p.Explain.Algorithm = p.algo.Name()
+	p.Explain.EstSeconds = estimatedSeconds(p.estRows, p.estSky, len(p.keptPO), p.Explain.Kernel)
 
 	// Rankings that declare their own cost-model term (RankCoster) add
-	// it to the estimate. The term lands after algorithm choice, so it
-	// changes what explain reports, never which plan runs.
+	// it to the estimate, which changes what explain reports, never
+	// which plan runs.
 	if q.TopK > 0 && q.Rank != RankNone {
 		if r, ok := LookupRanker(string(q.Rank)); ok {
 			if rc, ok := r.(RankCoster); ok {
@@ -429,59 +414,6 @@ func kernelLabel(ds *core.Dataset, keptPO []int, noKernel bool) string {
 		}
 	}
 	return "bitset+columnar"
-}
-
-// bitsetPOBScale discounts the cost model's per-PO-dimension dominance
-// inflation when the bitset closure kernel applies: a t-preference test
-// collapses from an interval probe to a single word test. Chosen in
-// PR 8 from one kernel-vs-scalar run of BNL and MergeSurvivors at n=50k
-// on the same configuration (the kernel path took 0.36–0.69 of the
-// scalar path's time on a 1-CPU container); a rough prior like the rest.
-const bitsetPOBScale = 0.25
-
-// scaledPrior adapts an algorithm's static cost model to the selected
-// dominance kernel.
-func (p *Plan) scaledPrior(prior costPrior) costPrior {
-	if p.Explain.Kernel == "bitset+columnar" {
-		prior.POB *= bitsetPOBScale
-	}
-	return prior
-}
-
-// chooseAlgorithm fills p.algo, p.predBase and the explain candidate
-// table.
-func (p *Plan) chooseAlgorithm(learned *Learned, effPO int, hinted string) {
-	if hinted != "" {
-		a := core.MustLookup(hinted) // Validate resolved the name
-		p.algo = a
-		prior := p.scaledPrior(costPriors[a.Name()])
-		p.prior = prior
-		p.predBase = prior.modelSeconds(p.estRows, p.estSky, effPO)
-		p.Explain.Algorithm = a.Name()
-		p.Explain.Forced = true
-		p.Explain.EstSeconds = p.predBase * learned.CostMultiplier(a.Name())
-		return
-	}
-	var best core.Algorithm
-	var bestPrior costPrior
-	var bestEst, bestBase float64
-	for _, a := range core.Algorithms() {
-		if effPO > 0 && !a.Capabilities().POCapable {
-			continue
-		}
-		prior := p.scaledPrior(costPriors[a.Name()])
-		base := prior.modelSeconds(p.estRows, p.estSky, effPO)
-		est := base * learned.CostMultiplier(a.Name())
-		p.Explain.Candidates = append(p.Explain.Candidates, Candidate{Name: a.Name(), EstSeconds: est})
-		if best == nil || est < bestEst {
-			best, bestEst, bestBase, bestPrior = a, est, base, prior
-		}
-	}
-	p.algo = best
-	p.prior = bestPrior
-	p.predBase = bestBase
-	p.Explain.Algorithm = best.Name()
-	p.Explain.EstSeconds = bestEst
 }
 
 // resolveSubspace expands a nil subspace to the identity dimension

@@ -63,9 +63,9 @@ type ScoreContext struct {
 	// StoreIndex persists a cold-built index on the snapshot's cache;
 	// nil when the shape is not index-eligible.
 	StoreIndex func(*core.ScoreIndex)
-	// Algo is the plan's cost-chosen skyline algorithm; rankers that
-	// peel residual skylines (layer depth) reuse it rather than
-	// re-deriving a choice. Nil falls back to the paper's default.
+	// Algo is the plan's skyline algorithm; rankers that peel residual
+	// skylines (layer depth) reuse it rather than re-deriving a choice.
+	// Nil falls back to the paper's default.
 	Algo core.Algorithm
 }
 

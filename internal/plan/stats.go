@@ -242,9 +242,9 @@ func (e *ewma) observe(x float64) {
 const FullVariant = "full"
 
 // Learned is the feedback half of the statistics: per-variant skyline
-// fractions and per-algorithm cost-model corrections observed from past
-// runs. One Learned is shared across a table's snapshots (it describes
-// the table, not one version) and is safe for concurrent use.
+// fractions observed from past runs. One Learned is shared across a
+// table's snapshots (it describes the table, not one version) and is
+// safe for concurrent use.
 //
 // Skyline fractions are kept per *variant* — one EWMA per kept-
 // dimension set (FullVariant for full-dimensional queries) — because a
@@ -254,12 +254,11 @@ const FullVariant = "full"
 type Learned struct {
 	mu      sync.Mutex
 	skyFrac map[string]*ewma // variant key -> skyline-fraction EWMA
-	algo    map[string]*ewma
 }
 
 // NewLearned returns an empty feedback store.
 func NewLearned() *Learned {
-	return &Learned{skyFrac: make(map[string]*ewma), algo: make(map[string]*ewma)}
+	return &Learned{skyFrac: make(map[string]*ewma)}
 }
 
 // ObserveSkyline records a completed skyline computation of the given
@@ -293,44 +292,6 @@ func (l *Learned) SkylineFrac(variant string) (frac float64, ok bool) {
 	return 0, false
 }
 
-// ObserveCost records a run of algo whose static model predicted
-// `predicted` seconds and which actually took `actual`, updating the
-// algorithm's correction multiplier.
-func (l *Learned) ObserveCost(algo string, predicted, actual float64) {
-	if l == nil || predicted <= 0 || actual < 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.algo[algo]
-	if e == nil {
-		e = &ewma{}
-		l.algo[algo] = e
-	}
-	e.observe(actual / predicted)
-}
-
-// CostMultiplier returns the observed/predicted correction for algo
-// (1 before any observation).
-func (l *Learned) CostMultiplier(algo string) float64 {
-	if l == nil {
-		return 1
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e := l.algo[algo]; e != nil && e.n > 0 {
-		return e.v
-	}
-	return 1
-}
-
-// AlgoCost is one persisted cost-correction entry.
-type AlgoCost struct {
-	Name string  `json:"name"`
-	Mult float64 `json:"mult"`
-	N    int64   `json:"n"`
-}
-
 // VariantFrac is one per-variant skyline-fraction entry of the portable
 // form.
 type VariantFrac struct {
@@ -344,13 +305,11 @@ type VariantFrac struct {
 // FullVariant EWMA — the storage snapshot format persists only that one
 // (the format predates per-variant fractions; other variants are
 // relearned after recovery) — while Variants lists every variant,
-// sorted by key, for JSON consumers. Algos are sorted by name so the
-// binary encoding is canonical.
+// sorted by key, for JSON consumers.
 type LearnedState struct {
 	SkyFrac  float64       `json:"skyFrac"`
 	SkyFracN int64         `json:"skyFracN"`
 	Variants []VariantFrac `json:"variants,omitempty"`
-	Algos    []AlgoCost    `json:"algos,omitempty"`
 }
 
 // Export snapshots the feedback store.
@@ -370,12 +329,6 @@ func (l *Learned) Export() LearnedState {
 		}
 	}
 	sort.Slice(st.Variants, func(i, j int) bool { return st.Variants[i].Key < st.Variants[j].Key })
-	for name, e := range l.algo {
-		if e.n > 0 {
-			st.Algos = append(st.Algos, AlgoCost{Name: name, Mult: e.v, N: e.n})
-		}
-	}
-	sort.Slice(st.Algos, func(i, j int) bool { return st.Algos[i].Name < st.Algos[j].Name })
 	return st
 }
 
@@ -387,9 +340,6 @@ func ImportLearned(st LearnedState) *Learned {
 	}
 	for _, v := range st.Variants {
 		l.skyFrac[v.Key] = &ewma{v: v.Frac, n: v.N}
-	}
-	for _, a := range st.Algos {
-		l.algo[a.Name] = &ewma{v: a.Mult, n: a.N}
 	}
 	return l
 }

@@ -120,7 +120,8 @@ func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit fu
 // dataset of a plan on ds, handing emit (nil for none) each accepted
 // row. When eff is the table's own dataset (no projection, no push-down
 // filter) the scan walks env's snapshot-resident order; any other shape
-// sorts its own rows.
+// sorts its own rows, as SFS does (after the elimination filter when eff
+// has no PO column).
 func (p *Plan) scan(ctx context.Context, ds, eff *core.Dataset, env Env, emit func(id int32, key, bound int64) bool) (*core.Result, error) {
 	p.Explain.CursorIndex = "built"
 	var order []int32
@@ -129,8 +130,6 @@ func (p *Plan) scan(ctx context.Context, ds, eff *core.Dataset, env Env, emit fu
 		if order, resident = env.Order(); resident {
 			p.Explain.CursorIndex = "resident"
 		}
-	} else {
-		order = core.SFSOrder(eff)
 	}
 	res := core.ScanSorted(eff, order, core.Options{NoKernel: p.Query.Hints.NoKernel, Ctx: ctx}, emit)
 	if err := ctxErr(ctx); err != nil {

@@ -83,30 +83,24 @@ func (e *tableEntry) storeSnapshot(snap *snapshot) (*store.Snapshot, error) {
 
 // learnedRecord renders the planner's feedback store for persistence
 // (nil when nothing has been observed yet — the snapshot then encodes
-// without a stats section).
+// without a stats section). It writes no algorithm cost entries: the
+// planner keeps none.
 func learnedRecord(l *plan.Learned) *store.TableStatsRecord {
 	st := l.Export()
-	if st.SkyFracN == 0 && len(st.Algos) == 0 {
+	if st.SkyFracN == 0 {
 		return nil
 	}
-	rec := &store.TableStatsRecord{SkyFrac: st.SkyFrac, SkyFracN: st.SkyFracN}
-	for _, a := range st.Algos {
-		rec.Algos = append(rec.Algos, store.AlgoCostRecord{Name: a.Name, Mult: a.Mult, N: a.N})
-	}
-	return rec
+	return &store.TableStatsRecord{SkyFrac: st.SkyFrac, SkyFracN: st.SkyFracN}
 }
 
 // importLearned rebuilds the feedback store from a recovered snapshot
-// (nil record → fresh store semantics via a nil return).
+// (nil record → fresh store semantics via a nil return). The algorithm
+// cost entries an older snapshot may carry are ignored.
 func importLearned(rec *store.TableStatsRecord) *plan.Learned {
 	if rec == nil {
 		return nil
 	}
-	st := plan.LearnedState{SkyFrac: rec.SkyFrac, SkyFracN: rec.SkyFracN}
-	for _, a := range rec.Algos {
-		st.Algos = append(st.Algos, plan.AlgoCost{Name: a.Name, Mult: a.Mult, N: a.N})
-	}
-	return plan.ImportLearned(st)
+	return plan.ImportLearned(plan.LearnedState{SkyFrac: rec.SkyFrac, SkyFracN: rec.SkyFracN})
 }
 
 // mutationRecord renders a validated batch request as a WAL record

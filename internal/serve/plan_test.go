@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestPlanQueryEndpoint(t *testing.T) {
 		// price + airline (stops projected away).
 		{"subspace-mixed", QueryRequest{Subspace: []string{"price", "airline"}}, []int{4, 5, 8, 9}},
 		// Forced algorithm still answers exactly.
-		{"forced-bnl", QueryRequest{Algo: "bnl"}, []int{0, 4, 5, 8, 9}},
+		{"forced-stss", QueryRequest{Algo: "stss"}, []int{0, 4, 5, 8, 9}},
 		// Non-anti-monotone lower bound: rows with price ≥ 1400 are
 		// 0,1,4,7; their skyline is 0 (1800,0,a) and 4 (1400,1,a).
 		{"constrained-lower", QueryRequest{Where: []WhereSpec{{Col: "price", Ge: i64(1400)}}}, []int{0, 4}},
@@ -163,7 +164,8 @@ func TestPlanQueryErrors(t *testing.T) {
 		{TopK: 2, Rank: "bogus"},
 		{Rank: "domcount"}, // rank without topK
 		{Algo: "bogus"},
-		{Algo: "less"},                  // TO-only algorithm on a PO table
+		{Algo: "less"},                  // retired algorithm
+		{Algo: "bnl"},                   // a baseline, not served
 		{Subspace: []string{"airline"}}, // no TO column kept
 	}
 	for i, req := range bad {
@@ -290,5 +292,60 @@ func TestLearnedStatsPersistAcrossRestart(t *testing.T) {
 	want, _ := e.current().table.Learned().SkylineFrac(plan.FullVariant)
 	if frac != want {
 		t.Fatalf("recovered skyline fraction %f, want %f", frac, want)
+	}
+}
+
+// TestRecoverIgnoresAlgoCosts: the planner keeps no per-algorithm cost
+// corrections, so a checkpoint writes none — and a snapshot from before
+// that, whose stats section still lists them, recovers with its skyline
+// fraction and serves queries, its algorithm entries ignored.
+func TestRecoverIgnoresAlgoCosts(t *testing.T) {
+	st := store.NewMem()
+	s := NewWithConfig(Config{Store: st})
+	if _, err := s.CreateTable(flightsSpec("flights")); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := s.table("flights")
+	if _, _, err := e.current().table.Query(plan.Query{}); err != nil {
+		t.Fatal(err)
+	}
+	img, err := e.storeSnapshot(e.current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Stats == nil || len(img.Stats.Algos) != 0 {
+		t.Fatalf("checkpoint stats %+v, want a skyline fraction and no algorithm entries", img.Stats)
+	}
+	img.Stats.Algos = []store.AlgoCostRecord{{Name: "bnl", Mult: 2.5, N: 4}, {Name: "less", Mult: 0.5, N: 2}, {Name: "stss", Mult: 3, N: 9}}
+	if err := st.SaveSnapshot("flights", img); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := NewWithConfig(Config{Store: st})
+	if _, err := s2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	e2, ok := s2.table("flights")
+	if !ok {
+		t.Fatal("table not recovered")
+	}
+	if frac, ok := e2.current().table.Learned().SkylineFrac(plan.FullVariant); !ok || frac != img.Stats.SkyFrac {
+		t.Fatalf("recovered skyline fraction %f (ok=%v), want %f", frac, ok, img.Stats.SkyFrac)
+	}
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	var resp QueryResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", QueryRequest{NoCache: true, Explain: true}, &resp); code != http.StatusOK {
+		t.Fatalf("query after recovery: status %d", code)
+	}
+	if got := queryRows(resp); fmt.Sprint(got) != fmt.Sprint([]int{0, 4, 5, 8, 9}) || resp.Algo != "sfs" {
+		t.Fatalf("query after recovery: rows %v by %q, want [0 4 5 8 9] by sfs", got, resp.Algo)
+	}
+	img2, err := e2.storeSnapshot(e2.current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img2.Stats == nil || len(img2.Stats.Algos) != 0 {
+		t.Fatalf("checkpoint after recovery: stats %+v, want no algorithm entries", img2.Stats)
 	}
 }

@@ -169,7 +169,7 @@ func TestSkylineEndpoint(t *testing.T) {
 	want := []int{0, 4, 5, 8, 9}
 	url := ts.URL + "/tables/flights/query"
 
-	for _, algo := range []string{"", "stss", "bnl"} {
+	for _, algo := range []string{"", "stss", "sfs"} {
 		var out QueryResponse
 		if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: algo, NoCache: true}, &out); code != http.StatusOK {
 			t.Fatalf("algo %q: %d", algo, code)
@@ -187,13 +187,16 @@ func TestSkylineEndpoint(t *testing.T) {
 			t.Errorf("algo %q: served without running (cacheHit %v, %d dominance checks)", algo, out.CacheHit, out.Metrics.DomChecks)
 		}
 	}
-	// A forced paper baseline is an unknown algorithm.
-	var baseline errorResponse
-	if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: "sdc+", NoCache: true}, &baseline); code != http.StatusBadRequest {
-		t.Errorf("algo \"sdc+\": %d, want 400", code)
-	}
-	if !strings.Contains(baseline.Error, "unknown algorithm") || !strings.Contains(baseline.Error, "(have: bnl, less, sfs, stss)") {
-		t.Errorf("algo \"sdc+\": error %q, want the unknown-algorithm refusal naming the four serving algorithms", baseline.Error)
+	// A forced baseline — the paper's, BNL, or the retired LESS — is an
+	// unknown algorithm.
+	for _, algo := range []string{"sdc+", "bnl", "less"} {
+		var baseline errorResponse
+		if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: algo, NoCache: true}, &baseline); code != http.StatusBadRequest {
+			t.Errorf("algo %q: %d, want 400", algo, code)
+		}
+		if !strings.Contains(baseline.Error, "unknown algorithm") || !strings.Contains(baseline.Error, "(have: sfs, stss)") {
+			t.Errorf("algo %q: error %q, want the unknown-algorithm refusal naming the two serving algorithms", algo, baseline.Error)
+		}
 	}
 	// Parallel executor route.
 	var par QueryResponse
@@ -212,13 +215,12 @@ func TestSkylineEndpoint(t *testing.T) {
 	if len(lim.Skyline) != 2 || lim.Count != 5 {
 		t.Fatalf("limit: %d rows, count %d", len(lim.Skyline), lim.Count)
 	}
-	// Errors: unknown algorithm, TO-only algorithm on a PO table, bad ints.
+	// Errors: unknown algorithm, bad ints.
 	for name, c := range map[string]struct {
 		query string
 		req   QueryRequest
 	}{
 		"bogus algo": {req: QueryRequest{Algo: "bogus"}},
-		"less on PO": {req: QueryRequest{Algo: "less", NoCache: true}},
 		"bad limit":  {query: "?limit=x"},
 	} {
 		if code := doJSON(t, http.MethodPost, url+c.query, c.req, nil); code != http.StatusBadRequest {

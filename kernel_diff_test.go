@@ -1,6 +1,7 @@
 package tss
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -15,13 +16,30 @@ import (
 // kernel's large-window machinery — multi-block zone maps and, above
 // all, window compaction (which needs ≥ 512 members with half evicted);
 // this test covers exactly that regime. It caught a compaction aliasing
-// bug that silently dropped the oldest window members.
+// bug that silently dropped the oldest window members. The 4-TO legs
+// cover SFS's TO-only paths — the elimination filter before its sort and
+// the kernel's hot list — with the anti-correlated skyline past one
+// 256-member block.
 func TestKernelMatchesScalarLargeN(t *testing.T) {
-	for _, dist := range []data.Distribution{data.Independent, data.AntiCorrelated} {
+	for _, shape := range []struct {
+		to, po int
+		dist   data.Distribution
+		minSky int
+	}{
+		{2, 2, data.Independent, 0},
+		{2, 2, data.AntiCorrelated, 0},
+		{4, 0, data.Correlated, 0},
+		{4, 0, data.Independent, 0},
+		{4, 0, data.AntiCorrelated, 257},
+	} {
 		cfg := exp.StaticDefaults(0.005) // N = 5K
-		cfg.Dist = dist
+		cfg.TO, cfg.PO, cfg.Dist = shape.to, shape.po, shape.dist
+		dist := fmt.Sprintf("%dTO+%dPO/%s", shape.to, shape.po, shape.dist)
 		ds := exp.BuildDataset(cfg)
 		want := sortedCopy(core.BNL(ds, core.Options{NoKernel: true}).SkylineIDs)
+		if len(want) < shape.minSky {
+			t.Fatalf("%s: skyline has %d members, want ≥ %d", dist, len(want), shape.minSky)
+		}
 		for _, v := range []struct {
 			name string
 			opt  core.Options

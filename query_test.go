@@ -275,7 +275,7 @@ func TestExplainCursorRoute(t *testing.T) {
 		}
 	}
 
-	_, ex, err = table.Query(plan.Query{Hints: plan.Hints{Algorithm: "bnl"}})
+	_, ex, err = table.Query(plan.Query{Hints: plan.Hints{Algorithm: "stss"}})
 	if err != nil {
 		t.Fatal(err)
 	}

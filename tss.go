@@ -163,9 +163,9 @@ type Table struct {
 	// invalidated by Add, and absent on every table Clone/Filter/
 	// ApplyBatch derives — rows are renumbered there.
 	order atomic.Pointer[[]int32]
-	// learned is the planner's cost-feedback store, shared by every
-	// table derived through Clone/Filter/ApplyBatch — it describes the
-	// data's behavior, not one row-set version.
+	// learned is the planner's skyline-fraction feedback store, shared
+	// by every table derived through Clone/Filter/ApplyBatch — it
+	// describes the data's behavior, not one row-set version.
 	learned *plan.Learned
 	// queryCache optionally memoises the full skyline for the planner's
 	// cache routing (see SetQueryCache).
@@ -422,7 +422,7 @@ func (t *Table) Row(i int) string {
 func (t *Table) Skyline() []int {
 	res, err := t.SkylineWith("stss")
 	if err != nil {
-		panic(err) // stss is PO-capable; the run cannot fail
+		panic(err) // stss is a serving algorithm; the run cannot fail
 	}
 	return res.Rows
 }
@@ -446,12 +446,10 @@ func (t *Table) EachSkyline(fn func(row int) bool) {
 }
 
 // SkylineWith runs the named algorithm (case-insensitive) and returns
-// the skyline with its run statistics. A serving algorithm — bnl, less,
-// sfs or stss, the ones a plan can pick — runs as a Query with the
-// algorithm forced, a sequential run pinned and cache routing disabled.
-// One of the paper's index-based baselines — bbs+, sdc or sdc+ — runs
-// once over the table's rows. TO-only algorithms return an error when
-// the table has PO columns.
+// the skyline with its run statistics. A serving algorithm — sfs or
+// stss, the ones a plan can run — runs as a Query with the algorithm
+// forced, a sequential run pinned and cache routing disabled. A
+// baseline — bnl, bbs+, sdc or sdc+ — runs once over the table's rows.
 func (t *Table) SkylineWith(algo string) (*SkylineResult, error) {
 	if _, serving := core.Lookup(algo); !serving {
 		for _, a := range core.Baselines() {
@@ -472,11 +470,11 @@ func (t *Table) SkylineWith(algo string) (*SkylineResult, error) {
 
 // Query plans and executes a logical skyline query — full, subspace,
 // constrained, top-k, in any combination (see plan.Query for the exact
-// semantics) — through the cost-based optimizer: per-table statistics
-// and the algorithms' capability metadata pick the algorithm,
-// parallelism, predicate placement and cache routing, and the run's
-// observed cost feeds the statistics for the next query. The returned
-// Explain documents every decision.
+// semantics). Every plan runs SFS's scan unless q forces stss;
+// per-table statistics pick the parallelism, predicate placement and
+// cache routing, and the run's observed skyline fraction feeds the
+// statistics for the next query. The returned Explain documents every
+// decision.
 func (t *Table) Query(q plan.Query) (*SkylineResult, *plan.Explain, error) {
 	return t.QueryContext(context.Background(), q)
 }
@@ -610,9 +608,9 @@ func (t *Table) planEnv() plan.Env {
 	return plan.Env{Stats: t.Stats(), Learned: t.learned, Cache: t.queryCache, Order: t.residentOrder}
 }
 
-// Learned returns the planner's cost-feedback store — shared across
-// every table derived by Clone, Filter or ApplyBatch, and safe for
-// concurrent use. Expose it for persistence (see SetLearned).
+// Learned returns the planner's skyline-fraction feedback store —
+// shared across every table derived by Clone, Filter or ApplyBatch, and
+// safe for concurrent use. Expose it for persistence (see SetLearned).
 func (t *Table) Learned() *plan.Learned { return t.learned }
 
 // SetLearned replaces the feedback store — the recovery hook for

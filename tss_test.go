@@ -256,10 +256,9 @@ func TestPureTOTable(t *testing.T) {
 	}
 }
 
-// TestSkylineWith: every serving algorithm and paper baseline is
-// reachable by name from the public API; PO-capable ones agree on the
-// flights example, the TO-only less surfaces its rejection as an error,
-// and an unknown name errors.
+// TestSkylineWith: every serving algorithm and baseline is reachable
+// by name from the public API and agrees on the flights example; the
+// retired less and an unknown name error.
 func TestSkylineWith(t *testing.T) {
 	table := flightsTable(order1())
 	want := sortedRows(table.Skyline())
@@ -274,7 +273,7 @@ func TestSkylineWith(t *testing.T) {
 		}
 	}
 	if _, err := table.SkylineWith("less"); err == nil {
-		t.Error("less: expected PO rejection")
+		t.Error("less: expected an unknown-algorithm error")
 	}
 	if _, err := table.SkylineWith("nope"); err == nil {
 		t.Error("unknown algorithm must error")
@@ -305,7 +304,7 @@ func TestSkylineParallel(t *testing.T) {
 		t.Error("unknown algorithm must error")
 	}
 	if _, err := parallel("less", 2); err == nil {
-		t.Error("parallel(less) on PO table must error")
+		t.Error("parallel(less) must error: less is no algorithm")
 	}
 }
 
@@ -408,7 +407,7 @@ func TestResidentIndexConcurrentColdStart(t *testing.T) {
 func TestResidentIndexLifetime(t *testing.T) {
 	table := randTableT(rand.New(rand.NewSource(11)), 500, 2, 6).Seal()
 	table.Stats()
-	if _, _, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "bnl"}}); err != nil {
+	if _, _, err := table.Query(plan.Query{Hints: plan.Hints{Algorithm: "stss"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Projected and push-down-filtered streams scan other coordinates
