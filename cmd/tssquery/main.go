@@ -18,9 +18,9 @@
 // -ideal shape it — subspace, constrained, top-k, weight-restricted and
 // dynamic (the query's own preference DAGs, and with -ideal but no -rank
 // ideal the fully dynamic |v−ideal| skyline), in any combination — and
-// the planner runs SFS's scan (unless -method is explicitly set) and
-// picks parallelism and predicate placement from workload statistics;
-// -explain prints the chosen plan as JSON. Without a shaping
+// the planner runs SFS's scan (unless -method is explicitly set), places
+// predicates, and partitions the scan when the rows it gets are many;
+// -explain prints what the plan ran as JSON. Without a shaping
 // flag the run forces -method's algorithm and bypasses the skyline memo.
 //
 //	tssquery -data work/data.csv -dags work/dag_0.txt -where "to_0<=500,po_0 in 1|3" -explain
@@ -93,7 +93,7 @@ func main() {
 		"top-k ranking: "+strings.Join(plan.RankerNames(), ", ")+" (default: first K in emission order)")
 	flag.StringVar(&pf.fweights, "fweights", "",
 		"restricted skyline: comma-separated per-TO-column weight lower bounds (F-dominance; sum over kept columns <= 1)")
-	flag.BoolVar(&pf.explain, "explain", false, "print the optimizer's plan (algorithm, route, estimates) before the results")
+	flag.BoolVar(&pf.explain, "explain", false, "print what the plan ran (algorithm, route, parallelism, observed rows and time) before the results")
 	flag.Parse()
 	methodSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -261,7 +261,7 @@ func runLocal(ds *core.Dataset, req serve.QueryRequest, emit func(plan.StreamRow
 	if err != nil {
 		return nil, nil, err
 	}
-	env := plan.Env{Learned: plan.NewLearned()}
+	var env plan.Env
 	p, err := plan.New(ds, q, env)
 	if err != nil {
 		return nil, nil, err

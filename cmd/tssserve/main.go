@@ -60,7 +60,7 @@
 //	POST   /tables                      create a table
 //	GET    /tables/{name}               table info
 //	DELETE /tables/{name}               drop a table
-//	GET    /tables/{name}/stats         planner statistics + learned state
+//	GET    /tables/{name}/stats         row count + TO min/max
 //	POST   /tables/{name}/rows:batch    batched mutation
 //	POST   /tables/{name}/query         skyline query (orders, ideal, subspace, where, topK, rank, fweights, algo, parallel; ?stream=1, ?limit=)
 //	POST   /tables/{name}/domcount      dominance counts for candidate rows

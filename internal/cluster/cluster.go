@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/plan"
 	"repro/internal/poset"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -499,14 +498,4 @@ func firstError(errs []error) error {
 
 func asShardError(err error, out **shardError) bool {
 	return errors.As(err, out)
-}
-
-// MergedStats folds the per-shard statistics into the coordinator's
-// planning view.
-func MergedStats(stats []serve.TableStatsInfo) *plan.Stats {
-	parts := make([]*plan.Stats, len(stats))
-	for i := range stats {
-		parts[i] = stats[i].Stats
-	}
-	return plan.MergeStats(parts...)
 }

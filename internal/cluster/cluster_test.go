@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -354,5 +356,34 @@ func TestCoordinatorBatchValidation(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range shard: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestCoordinatorStatsEndpoint covers the coordinator's GET
+// /tables/{t}/stats: the shards' row counts summed and TO bounds
+// unioned, one body per shard, and none of the keys the planner's
+// estimates once read, merged or per shard.
+func TestCoordinatorStatsEndpoint(t *testing.T) {
+	rows := fixtureRows(40, 2)
+	tc := newTestCluster(t, 2, fixtureSpec("diff", rows))
+	var raw json.RawMessage
+	getJSON(t, tc.co.URL+"/tables/diff/stats", &raw)
+	for _, key := range []string{`"learned"`, `"corrSign"`, `"distinct"`, `"po"`} {
+		if strings.Contains(string(raw), key) {
+			t.Fatalf("coordinator stats body still carries %s: %s", key, raw)
+		}
+	}
+	var got serve.TableStatsInfo
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := plan.ColStats{Min: rows[0].TO[0], Max: rows[0].TO[0]}
+	for _, r := range rows {
+		want.Min, want.Max = min(want.Min, r.TO[0]), max(want.Max, r.TO[0])
+	}
+	if got.Rows != len(rows) || len(got.PerShard) != 2 || got.Stats == nil ||
+		got.Stats.Rows != len(rows) || got.Stats.TO[0] != want {
+		t.Fatalf("merged stats %+v (rows %d, %d shard bodies), want %d rows and x in %+v",
+			got.Stats, got.Rows, len(got.PerShard), len(rows), want)
 	}
 }

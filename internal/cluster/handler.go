@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/serve"
 )
 
@@ -85,8 +86,8 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 		co.handleStats(w, r, ct)
 	case rest == "rows:batch" && r.Method == http.MethodPost:
 		var req serve.BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxDomCountBody)).Decode(&req); err != nil {
+			writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad batch: %w", err))
 			return
 		}
 		resp, err := co.Batch(ctx, ct, req)
@@ -180,7 +181,7 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
-// handleStats merges the shards' planner statistics and attaches the
+// handleStats merges the shards' statistics and attaches the
 // per-shard bodies.
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, ct *ctable) {
 	stats, err := co.ShardStats(r.Context(), ct)
@@ -194,11 +195,14 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, ct *c
 		Rows     int    `json:"rows"`
 		Stats    any    `json:"stats"`
 		PerShard any    `json:"perShard"`
-	}{Table: ct.name, Stats: MergedStats(stats), PerShard: stats}
-	for _, s := range stats {
+	}{Table: ct.name, PerShard: stats}
+	parts := make([]*plan.Stats, len(stats))
+	for i, s := range stats {
+		parts[i] = s.Stats
 		out.Version += s.Version
 		out.Rows += s.Rows
 	}
+	out.Stats = plan.MergeStats(parts...)
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -447,10 +447,10 @@ func (co *Coordinator) compile(ct *ctable, params url.Values, req serve.QueryReq
 
 // prepare is the half of the compile that needs the shards: per-shard
 // statistics (pruning corners, certification bounds, failover pins) and
-// the one plan over their merge. A stream runs it inside its producer,
-// under heartbeat cover. stream asks for streamed legs; streamed reports
-// whether the pass gets them — only when incremental certification is
-// sound.
+// the one plan the coordinator reports. A stream runs it inside its
+// producer, under heartbeat cover. stream asks for streamed legs;
+// streamed reports whether the pass gets them — only when incremental
+// certification is sound.
 func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (streamed bool, err error) {
 	if g.stats, err = co.ShardStats(ctx, g.ct); err != nil {
 		return false, err
@@ -459,16 +459,16 @@ func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (str
 	// distances to an ideal point.
 	g.prune = len(co.shards) > 1 && g.union == nil && g.ideal == nil
 	streamed = stream && g.incremental
-	if g.explain, err = co.planOnce(g.ct, g.q, g.stats); err != nil {
+	if g.explain, err = co.planOnce(g.ct, g.q); err != nil {
 		return false, err
 	}
 	if g.body.Algo == "" {
-		// Buffered legs pin the coordinator's cost-based choice so shards
-		// skip re-planning. Streamed legs pin SFS instead: the streamed
-		// path optimizes time-to-first-row, and only SFS's progressive
-		// scan emits shard rows, with their keys, before the local run
-		// finishes (a first-K cancellation then stops the shard's scan
-		// mid-flight instead of after a full materialization).
+		// Legs pin the algorithm the coordinator's plan names, which is
+		// SFS's scan unless the query forced one; streamed legs pin SFS
+		// whatever was forced: only SFS's progressive scan emits shard
+		// rows, with their keys, before the local run finishes (a first-K
+		// cancellation then stops the shard's scan mid-flight instead of
+		// after a full materialization).
 		g.body.Algo = g.explain.Algorithm
 		if streamed {
 			g.body.Algo = "sfs"
@@ -529,15 +529,16 @@ func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Ti
 }
 
 // planOnce reuses internal/plan against a schema-shaped dataset (under
-// the request's orders when it brings them) plus the merged shard
-// statistics: the coordinator decides the algorithm (and validates the
-// query) exactly once, instead of N times.
-func (co *Coordinator) planOnce(ct *ctable, q plan.Query, stats []serve.TableStatsInfo) (*plan.Explain, error) {
+// the request's orders when it brings them): the coordinator validates
+// the query exactly once, instead of N times, and reports the plan's
+// route and algorithm. Each shard chooses its own parallelism from the
+// rows it has.
+func (co *Coordinator) planOnce(ct *ctable, q plan.Query) (*plan.Explain, error) {
 	shape := &core.Dataset{Domains: ct.domains}
 	// One zero row gives the dataset its TO dimensionality; it is never
 	// executed — the plan is only consulted for its decisions.
 	shape.Pts = []core.Point{{TO: make([]int32, ct.schema.NumTO()), PO: make([]int32, ct.schema.NumPO())}}
-	p, err := plan.New(shape, q, plan.Env{Stats: MergedStats(stats)})
+	p, err := plan.New(shape, q, plan.Env{})
 	if err != nil {
 		return nil, err
 	}

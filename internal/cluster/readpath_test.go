@@ -269,6 +269,23 @@ func TestCoordinatorDomCountBodyBound(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBatchBodyBound: the coordinator refuses a rows:batch
+// body past serve.MaxDomCountBody with 413, like a single node, before
+// it reaches any shard. The body is JSON whitespace generated as it is
+// sent.
+func TestCoordinatorBatchBodyBound(t *testing.T) {
+	tc := newTestCluster(t, 2, fixtureSpec("diff", fixtureRows(10, 1)))
+	body := io.MultiReader(strings.NewReader(`{"add":[`), io.LimitReader(spaces{}, serve.MaxDomCountBody))
+	resp, err := http.Post(tc.co.URL+"/tables/diff/rows:batch", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch body: status %d, want 413", resp.StatusCode)
+	}
+}
+
 // spaces reads as an endless run of JSON whitespace.
 type spaces struct{}
 

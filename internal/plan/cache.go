@@ -51,8 +51,8 @@ type ordersCache struct {
 	suffix string
 }
 
-func (o ordersCache) GetFull() ([]int32, bool, bool)               { return o.get(FullVariant + o.suffix) }
-func (o ordersCache) PutFull(ids []int32)                          { o.put(FullVariant+o.suffix, ids) }
+func (o ordersCache) GetFull() ([]int32, bool, bool)               { return o.get(fullVariant + o.suffix) }
+func (o ordersCache) PutFull(ids []int32)                          { o.put(fullVariant+o.suffix, ids) }
 func (o ordersCache) GetSubspace(key string) ([]int32, bool, bool) { return o.get(key + o.suffix) }
 func (o ordersCache) PutSubspace(key string, ids []int32)          { o.put(key+o.suffix, ids) }
 
@@ -308,13 +308,15 @@ func (c *MemoCache) Advance(oldDS, newDS *core.Dataset, delta *core.Delta) *Memo
 	return next
 }
 
+// fullVariant is the variant key of full-dimensional queries.
+const fullVariant = "full"
+
 // SubspaceKey canonically names a kept-dimension set — the memo key of
-// subspace entries and the Learned skyline-fraction variant key. The
-// dimension lists must be in Validate's canonical form (ascending,
-// duplicate-free); nil yields FullVariant.
+// subspace entries. The dimension lists must be in Validate's canonical
+// form (ascending, duplicate-free); nil yields fullVariant.
 func SubspaceKey(s *Subspace) string {
 	if s == nil {
-		return FullVariant
+		return fullVariant
 	}
 	var b strings.Builder
 	b.WriteString("to:")

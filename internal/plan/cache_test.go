@@ -41,7 +41,7 @@ func mutateDS(ds *core.Dataset, removes []int, adds []core.Point) (*core.Dataset
 func TestMemoAdvance(t *testing.T) {
 	ds := sampleDS(t, 150)
 	cache := NewMemoCache()
-	env := Env{Cache: cache, Learned: NewLearned()}
+	env := Env{Cache: cache}
 
 	runPlan(t, ds, Query{}, env) // populate full entry
 	sub := &Subspace{TO: []int{0}, PO: []int{0}}
@@ -67,7 +67,7 @@ func TestMemoAdvance(t *testing.T) {
 		t.Fatalf("advanced subspace entry: ok=%v maintained=%v, want hit+maintained", ok, maint)
 	}
 
-	nenv := Env{Cache: next, Learned: NewLearned()}
+	nenv := Env{Cache: next}
 	gotFull, ex := runPlan(t, nds, Query{}, nenv)
 	if !ex.CacheHit || !ex.Maintained {
 		t.Fatalf("post-batch full query: cacheHit=%v maintained=%v", ex.CacheHit, ex.Maintained)
@@ -107,7 +107,7 @@ func TestMemoAdvance(t *testing.T) {
 func TestMemoAdvanceChurnFallback(t *testing.T) {
 	ds := sampleDS(t, 1000)
 	cache := NewMemoCache()
-	env := Env{Cache: cache, Learned: NewLearned()}
+	env := Env{Cache: cache}
 	runPlan(t, ds, Query{}, env)
 
 	removes := make([]int, 0, 200)
@@ -123,7 +123,7 @@ func TestMemoAdvanceChurnFallback(t *testing.T) {
 		t.Fatal("fallback not counted")
 	}
 	// The dropped entry refills cold on the next query.
-	nenv := Env{Cache: next, Learned: NewLearned()}
+	nenv := Env{Cache: next}
 	if _, ex := runPlan(t, nds, Query{}, nenv); ex.CacheHit {
 		t.Fatal("dropped entry still reported a hit")
 	}

@@ -75,23 +75,6 @@ func scanDominators(ctx context.Context, sc *ScoreContext, members []core.Point,
 	return nil
 }
 
-// domScanCostSeconds is the planner's cost term for one scanDominators
-// pass of n rows against m members over dims kept dimensions, shared by
-// the scan-backed rankings (domcount, dp-idp): a·n·dims·⌈m/64⌉ for the
-// per-dimension bitmap ANDs plus b·n per row. Fitted by relative least
-// squares to cold in-process runs at exp.StaticDefaults (2 TO + 2 PO
-// dims), N = 4k/10k/50k (m = 958/1861/3166): domcount 1.5/5.7/53 ms,
-// dp-idp 3.0/16/205 ms, on a 2-vCPU Intel Xeon @ 2.10GHz sandbox,
-// go1.24, one goroutine. The fit reads domcount at 1.1–1.3× and dp-idp
-// at 0.3–0.6× for those runs. dp-idp has since traded its per-member
-// map visitor for an append per dominated row and two counting sorts
-// (histRuns): BenchmarkDomScanDPIDP (N = 10k) went from 20–23 to 10–12 ms
-// on a 2-vCPU Intel Xeon, go1.24. What it still pays beyond domcount
-// grows with the dominating pairs, which this shape does not see.
-func domScanCostSeconds(n, m, dims int) float64 {
-	return 5.2e-9*float64(n)*float64(dims)*float64((m+63)/64) + 1.2e-7*float64(n)
-}
-
 // memberPoints gathers the table rows of the given ids.
 func memberPoints(ds *core.Dataset, ids []int32) []core.Point {
 	pts := make([]core.Point, len(ids))

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -13,10 +14,10 @@ import (
 // context checks in the executor's scan loops.
 const ctxCheckEvery = 4096
 
-// Run executes the plan on ds, records the observed skyline fraction
-// back into env.Learned, and fills the Explain's observed fields. The
-// dataset must use the table layout (ds.Pts[i].ID == i), which Table
-// datasets always do; result IDs are row indexes of that table.
+// Run executes the plan on ds and fills the Explain's observed fields
+// and parallelism. The dataset must use the table layout
+// (ds.Pts[i].ID == i), which Table datasets always do; result IDs are
+// row indexes of that table.
 //
 // Cancellation is cooperative: ctx is checked between pipeline stages,
 // periodically inside the executor's own scan loops, and by the chosen
@@ -60,13 +61,15 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 			return nil, err
 		}
 		observedRows = len(eff.Pts)
+		shards := p.shardCount(observedRows)
+		p.Explain.Parallelism = shards
 		algo := p.algo
 		opt := core.Options{NoKernel: p.Query.Hints.NoKernel, Ctx: ctx}
-		if p.shards > 0 {
+		if shards > 0 {
 			algo = core.Parallel(algo)
-			opt.Parallelism = p.shards
+			opt.Parallelism = shards
 		}
-		if p.shards == 0 && algo.Name() == "sfs" {
+		if shards == 0 && algo.Name() == "sfs" {
 			// Sequential SFS scans the presorted order, which may be
 			// resident on the snapshot.
 			res, err = p.scan(ctx, ds, eff, env, nil)
@@ -75,14 +78,6 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		}
 		if err != nil {
 			return nil, err
-		}
-		// Feedback: skyline fractions are learned per variant
-		// (kept-dimension key), so subspace runs feed their own EWMA
-		// rather than dragging the full-dimensional estimate toward
-		// ~1/n; filtered runs feed nothing — their fraction conflates
-		// selectivity with skyline density.
-		if p.route == RouteDirect {
-			env.Learned.ObserveSkyline(p.baseVariant, len(eff.Pts), len(res.SkylineIDs))
 		}
 		if p.route == RoutePostFilter {
 			if cache != nil {
@@ -111,9 +106,6 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		if p.route == RouteDirect && cache != nil {
 			cache.PutSubspace(p.variant, append([]int32(nil), ids...))
 		}
-		if p.route == RouteDirect && !res.FromCache {
-			env.Learned.ObserveSkyline(p.variant, observedRows, len(ids))
-		}
 		res.SkylineIDs = ids
 	}
 
@@ -130,6 +122,23 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 	p.Explain.ObservedRows = observedRows
 	p.Explain.ObservedSkyline = len(res.SkylineIDs)
 	return res, nil
+}
+
+// parallelMinRows is the input size below which the partition-and-merge
+// executor's fixed overhead outweighs its speedup.
+const parallelMinRows = 20_000
+
+// shardCount is the partition-and-merge shard count for a run over rows
+// input rows (0: sequential): a forced Hints.Parallelism, else one shard
+// per core on a multi-core host once the input reaches parallelMinRows.
+func (p *Plan) shardCount(rows int) int {
+	switch h := p.Query.Hints.Parallelism; {
+	case h != 0:
+		return max(h, 0)
+	case runtime.GOMAXPROCS(0) > 1 && rows >= parallelMinRows:
+		return runtime.GOMAXPROCS(0)
+	}
+	return 0
 }
 
 // trimEmissions keeps only the emission records of rows in a top-k

@@ -111,7 +111,7 @@ func FDomSurvivors(doms []*poset.Domain, vtx [][]float64, pts []core.Point) []in
 	return out
 }
 
-// fweightsKey canonically names a restriction for the memo/EWMA variant
+// fweightsKey canonically names a restriction for the memo variant
 // key: the kept columns' weight bounds, exactly rendered. Appended to
 // the base subspace key with restrictedKeyMark, which MemoCache.Advance
 // uses to recognize (and drop) restricted entries — they are not

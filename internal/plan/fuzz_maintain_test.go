@@ -43,7 +43,7 @@ func FuzzMaintainAgreement(f *testing.F) {
 
 		memo := NewMemoCache()
 		runQ := func(ds *core.Dataset, q Query) []int32 {
-			env := Env{Learned: NewLearned(), Cache: memo}
+			env := Env{Cache: memo}
 			p, err := New(ds, q, env)
 			if err != nil {
 				t.Fatalf("New(%+v): %v", q, err)

@@ -45,17 +45,15 @@ func fuzzOrders(r *fuzzReader, ds *core.Dataset) []*poset.Domain {
 // every query shape through New → Run/RunStream — handed the table's own
 // dataset and Env, as every caller does — against the brute-force oracle
 // under *those* domains (and the ideal-point transform once without
-// Orders, the other request-scoped dominance); the table's entries and
-// its learned full-skyline fraction must be
-// untouched afterwards, the same DAG twice must hit the memo, and after
+// Orders, the other request-scoped dominance); the table's entries must
+// be untouched afterwards, the same DAG twice must hit the memo, and after
 // a mutation it must miss and still answer right. Last, the metamorphic
 // identity: q under the table's own orders, passed as Orders, is q.
 func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 	ctx := context.Background()
 	memo := NewMemoCache()
 	order := core.SFSOrder(ds)
-	learned := NewLearned()
-	tenv := Env{Learned: learned, Cache: memo, Order: func() ([]int32, bool) { return order, true }}
+	tenv := Env{Cache: memo, Order: func() ([]int32, bool) { return order, true }}
 	exec := func(label string, ds *core.Dataset, q Query, tenv Env) ([]int32, *Explain) {
 		t.Helper()
 		p, err := New(ds, q, tenv)
@@ -133,7 +131,6 @@ func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 		exec("warm subspace", ds, Query{Subspace: q.Subspace}, tenv)
 	}
 	fullBefore, _, _ := memo.GetFull()
-	fracBefore, _ := learned.SkylineFrac(FullVariant)
 	idxBefore, _ := memo.GetScoreIndex()
 	var subBefore []int32
 	if q.Subspace != nil {
@@ -179,8 +176,8 @@ func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 		}
 	}
 
-	// The table's own entries are what they were, the learned store saw
-	// nothing, and a query under the table's orders still answers from them.
+	// The table's own entries are what they were, and a query under the
+	// table's orders still answers from them.
 	if full, _, _ := memo.GetFull(); !equal32(full, fullBefore) {
 		t.Fatalf("orders queries rewrote the table's full entry: %v → %v", fullBefore, full)
 	}
@@ -191,12 +188,6 @@ func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 		if sub, _, _ := memo.GetSubspace(SubspaceKey(q.Subspace)); !equal32(sub, subBefore) {
 			t.Fatalf("orders queries rewrote the table's subspace entry: %v → %v", subBefore, sub)
 		}
-	}
-	if frac, _ := learned.SkylineFrac(FullVariant); frac != fracBefore {
-		t.Fatalf("request-scoped queries moved the table's full-skyline fraction: %v → %v", fracBefore, frac)
-	}
-	if st := learned.Export(); len(st.Variants) > 2 { // full, and the warmed subspace
-		t.Fatalf("learned skyline fractions grew a key per DAG: %+v", st.Variants)
 	}
 	if ids, ex := exec("own after orders", ds, Query{}, tenv); !ex.CacheHit {
 		t.Fatal("the table's own full query lost its memo entry")
@@ -218,7 +209,7 @@ func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 	}
 	nds, delta := mutateDS(ds, []int{int(r.byte()) % len(ds.Pts)}, []core.Point{fuzzPoint(r, ds)})
 	norder := core.SFSOrder(nds)
-	nenv := Env{Learned: learned, Cache: memo.Advance(ds, nds, delta), Order: func() ([]int32, bool) { return norder, true }}
+	nenv := Env{Cache: memo.Advance(ds, nds, delta), Order: func() ([]int32, bool) { return norder, true }}
 	var ex *Explain
 	ids, ex = exec("orders after batch", nds, Query{Orders: again}, nenv)
 	if ex.CacheHit {

@@ -127,7 +127,7 @@ func FuzzRankAgreement(f *testing.F) {
 			check(label, ids, err)
 		}
 
-		env := Env{Learned: NewLearned()}
+		env := Env{}
 		run("auto", q, env)
 		{
 			fq := q
@@ -136,7 +136,7 @@ func FuzzRankAgreement(f *testing.F) {
 		}
 		// Memo leg: a real MemoCache so index-eligible dp-idp shapes
 		// exercise cold-build + index-served runs back to back.
-		cenv := Env{Learned: NewLearned(), Cache: NewMemoCache()}
+		cenv := Env{Cache: NewMemoCache()}
 		run("cold memo", q, cenv)
 		run("warm memo", q, cenv)
 
@@ -154,7 +154,7 @@ func FuzzRankAgreement(f *testing.F) {
 // query against the advanced cache still matches the oracle.
 func checkIndexAdvance(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 	memo := NewMemoCache()
-	env := Env{Learned: NewLearned(), Cache: memo}
+	env := Env{Cache: memo}
 	p, err := New(ds, q, env)
 	if err != nil {
 		t.Fatalf("index warm-up: New: %v", err)
@@ -218,7 +218,7 @@ func checkIndexAdvance(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aenv := Env{Learned: NewLearned(), Cache: adv}
+	aenv := Env{Cache: adv}
 	ap, err := New(newDS, q, aenv)
 	if err != nil {
 		t.Fatalf("post-advance: New: %v", err)

@@ -248,7 +248,7 @@ func FuzzPlanAgreement(f *testing.F) {
 			}
 		}
 
-		env := Env{Learned: NewLearned()}
+		env := Env{}
 		run("auto", q, env)
 		{
 			// Kernel ablation: the scalar/interval reference path must
@@ -274,7 +274,7 @@ func FuzzPlanAgreement(f *testing.F) {
 		// Cache routing: warm the full skyline, then re-run the query so
 		// eligible plans route through the cache.
 		if q.Subspace == nil {
-			cenv := Env{Learned: NewLearned(), Cache: &memCache{}}
+			cenv := Env{Cache: &memCache{}}
 			p, err := New(ds, Query{}, cenv)
 			if err != nil {
 				t.Fatalf("cache warm-up: New: %v", err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -202,24 +203,6 @@ func TestRankedTopKExactOrder(t *testing.T) {
 	}
 }
 
-// TestScanRankingsCostTheirScan: a top-k ranked by a dominator scan
-// (domcount, dp-idp) estimates above the skyline it ranks — the scan is
-// most of the run — while the plan underneath stays the unranked one.
-func TestScanRankingsCostTheirScan(t *testing.T) {
-	ds := sampleDS(t, 200)
-	_, full := runPlan(t, ds, Query{}, Env{})
-	for _, rank := range []Rank{RankDomCount, RankDPIDP} {
-		_, ex := runPlan(t, ds, Query{TopK: 5, Rank: rank}, Env{})
-		if ex.EstSeconds <= full.EstSeconds {
-			t.Fatalf("rank %q: estimated %g s, not above the unranked %g s", rank, ex.EstSeconds, full.EstSeconds)
-		}
-		if ex.Algorithm != full.Algorithm || ex.Route != full.Route || ex.Parallelism != full.Parallelism {
-			t.Fatalf("rank %q: plan %s/%s/P=%d, unranked %s/%s/P=%d", rank,
-				ex.Algorithm, ex.Route, ex.Parallelism, full.Algorithm, full.Route, full.Parallelism)
-		}
-	}
-}
-
 // TestUnrankedTopK checks the emission-order contract: K results, all
 // members of the full skyline, served by the cursor route.
 func TestUnrankedTopK(t *testing.T) {
@@ -282,7 +265,7 @@ func TestAntiMonotoneProof(t *testing.T) {
 func TestCacheRouting(t *testing.T) {
 	ds := sampleDS(t, 150)
 	cache := &memCache{}
-	env := Env{Cache: cache, Learned: NewLearned()}
+	env := Env{Cache: cache}
 
 	full, ex := runPlan(t, ds, Query{}, env)
 	if ex.CacheHit {
@@ -435,7 +418,7 @@ func TestValidateRejects(t *testing.T) {
 func TestStatsAnalyzeAndAdvance(t *testing.T) {
 	ds := sampleDS(t, 100)
 	s := Analyze(ds)
-	if s.Rows != 100 || len(s.TO) != 2 || len(s.PO) != 1 {
+	if s.Rows != 100 || len(s.TO) != 2 {
 		t.Fatalf("bad shape: %+v", s)
 	}
 	wantMin, wantMax := int64(math.MaxInt64), int64(math.MinInt64)
@@ -450,9 +433,6 @@ func TestStatsAnalyzeAndAdvance(t *testing.T) {
 	}
 	if s.TO[0].Min != wantMin || s.TO[0].Max != wantMax {
 		t.Fatalf("TO[0] bounds [%d, %d], want [%d, %d]", s.TO[0].Min, s.TO[0].Max, wantMin, wantMax)
-	}
-	if s.PO[0].DomainSize != 4 || s.PO[0].Distinct != 4 {
-		t.Fatalf("PO stats %+v", s.PO[0])
 	}
 
 	// Incremental append widens the max.
@@ -493,69 +473,6 @@ func TestStatsAnalyzeAndAdvance(t *testing.T) {
 	s3 := s2.Advance(next, after, o2n, 0)
 	if s3.TO[0].Max != wantMax {
 		t.Fatalf("advance remove-extreme: max %d, want %d", s3.TO[0].Max, wantMax)
-	}
-}
-
-func TestCorrelationSign(t *testing.T) {
-	corr := &core.Dataset{}
-	anti := &core.Dataset{}
-	for i := 0; i < 500; i++ {
-		corr.Pts = append(corr.Pts, core.Point{ID: int32(i), TO: []int32{int32(i), int32(i + 3)}})
-		anti.Pts = append(anti.Pts, core.Point{ID: int32(i), TO: []int32{int32(i), int32(500 - i)}})
-	}
-	if s := Analyze(corr); s.CorrSign < 0.5 {
-		t.Fatalf("correlated sign %f", s.CorrSign)
-	}
-	if s := Analyze(anti); s.CorrSign > -0.5 {
-		t.Fatalf("anti-correlated sign %f", s.CorrSign)
-	}
-}
-
-func TestLearnedFeedback(t *testing.T) {
-	l := NewLearned()
-	if _, ok := l.SkylineFrac(FullVariant); ok {
-		t.Fatal("cold store reports a skyline fraction")
-	}
-	l.ObserveSkyline(FullVariant, 1000, 100)
-	if f, ok := l.SkylineFrac(FullVariant); !ok || f != 0.1 {
-		t.Fatalf("skyline frac %f ok=%v", f, ok)
-	}
-	l.ObserveSkyline("to:0|po:", 1000, 10)
-	if f, ok := l.SkylineFrac("to:0|po:"); !ok || f != 0.01 {
-		t.Fatalf("subspace variant frac %f ok=%v", f, ok)
-	}
-	if f, _ := l.SkylineFrac(FullVariant); f != 0.1 {
-		t.Fatalf("full variant polluted by subspace observation: %f", f)
-	}
-
-	st := l.Export()
-	l2 := ImportLearned(st)
-	if f, ok := l2.SkylineFrac(FullVariant); !ok || f != 0.1 {
-		t.Fatalf("round-trip frac %f ok=%v", f, ok)
-	}
-	if f, ok := l2.SkylineFrac("to:0|po:"); !ok || f != 0.01 {
-		t.Fatalf("round-trip variant frac %f ok=%v", f, ok)
-	}
-	if len(st.Variants) != 2 {
-		t.Fatalf("exported %d variants, want 2", len(st.Variants))
-	}
-}
-
-// TestPlannerUsesFeedback: after the executor observes runs, the
-// planner's estimated skyline comes from the EWMA.
-func TestPlannerUsesFeedback(t *testing.T) {
-	ds := sampleDS(t, 200)
-	env := Env{Learned: NewLearned(), Stats: Analyze(ds)}
-	_, ex := runPlan(t, ds, Query{}, env)
-	if ex.SkyFracFrom != "correlation-default" {
-		t.Fatalf("cold run frac source %q", ex.SkyFracFrom)
-	}
-	_, ex2 := runPlan(t, ds, Query{}, env)
-	if ex2.SkyFracFrom != "observed" {
-		t.Fatalf("warm run frac source %q", ex2.SkyFracFrom)
-	}
-	if ex2.EstSkyline <= 0 {
-		t.Fatalf("estimated skyline %d", ex2.EstSkyline)
 	}
 }
 
@@ -601,28 +518,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestSelectivityEstimate(t *testing.T) {
-	stats := &Stats{
-		Rows: 100,
-		TO:   []ColStats{{Min: 0, Max: 99}},
-		PO:   []POStats{{Distinct: 4, DomainSize: 4}},
-	}
-	cases := []struct {
-		pred Predicate
-		want float64
-	}{
-		{Predicate{Kind: TORange, Dim: 0, HasHi: true, Hi: 49}, 0.5},
-		{Predicate{Kind: TORange, Dim: 0, HasLo: true, Lo: 90}, 0.1},
-		{Predicate{Kind: POIn, Dim: 0, In: []int32{0}}, 0.25},
-	}
-	for _, tc := range cases {
-		got := selectivity(stats, []Predicate{tc.pred})
-		if math.Abs(got-tc.want) > 0.02 {
-			t.Errorf("selectivity(%+v) = %f, want %f", tc.pred, got, tc.want)
-		}
-	}
-}
-
 func TestNormalizeDims(t *testing.T) {
 	got := NormalizeDims([]int{3, 1, 3, 0, 1})
 	want := []int{0, 1, 3}
@@ -642,7 +537,7 @@ func TestNormalizeDims(t *testing.T) {
 // explain reports the route.
 func TestSubspaceCacheRouting(t *testing.T) {
 	ds := sampleDS(t, 150)
-	env := Env{Cache: NewMemoCache(), Learned: NewLearned()}
+	env := Env{Cache: NewMemoCache()}
 	subA := Query{Subspace: &Subspace{TO: []int{0}, PO: []int{0}}}
 	subB := Query{Subspace: &Subspace{TO: []int{1}}}
 
@@ -684,85 +579,58 @@ func TestSubspaceCacheRouting(t *testing.T) {
 	}
 }
 
-// TestPerVariantSkylineFrac shows the planner follow-up motivating the
-// split: under a mixed workload alternating full-dimensional and
-// subspace queries, per-variant EWMAs converge each variant's skyline-
-// size estimate to its own truth, where the old single global EWMA was
-// dragged to whichever variant ran last.
-func TestPerVariantSkylineFrac(t *testing.T) {
-	ds := sampleDS(t, 400)
-	full := Query{Hints: Hints{NoCache: true}}
-	sub := Query{Subspace: &Subspace{TO: []int{0}}, Hints: Hints{NoCache: true}}
-	fullIDs, err := Naive(ds, full)
-	if err != nil {
-		t.Fatal(err)
+// TestParallelismFromObservedRows: the executor partitions by the rows
+// the algorithm actually gets, not by a guess. The fixture has twice
+// parallelMinRows rows, but TO₀ ≤ 50 keeps only 100 of them: a uniform
+// estimate over TO₀'s [0, 99] range would read 51 % of the table and
+// partition. The push-down run is sequential, the unfiltered run is
+// partitioned, and a forced Hints.Parallelism wins either way.
+func TestParallelismFromObservedRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ds := &core.Dataset{Domains: []*poset.Domain{diamondDomain(t)}}
+	for i := 0; i < 2*parallelMinRows; i++ {
+		to0 := int32(51 + i%49) // 51..99
+		if i < 100 {
+			to0 = int32(i % 50)
+		}
+		ds.Pts = append(ds.Pts, core.Point{ID: int32(i), TO: []int32{to0, int32((i*13 + 3) % 50)}, PO: []int32{int32(i % 4)}})
 	}
-	subIDs, err := Naive(ds, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueFull, trueSub := len(fullIDs), len(subIDs)
-	if trueFull == trueSub {
-		t.Fatalf("degenerate fixture: both variants have %d skyline rows", trueFull)
-	}
-
-	env := Env{Learned: NewLearned()}
-	// Warm up: alternate the two variants so a shared EWMA would end up
-	// tracking a blend of two very different fractions.
-	for i := 0; i < 6; i++ {
-		runPlan(t, ds, full, env)
-		runPlan(t, ds, sub, env)
-	}
-	cases := []struct {
-		name string
-		q    Query
-		want int
+	pushdown := []Predicate{{Kind: TORange, Dim: 0, HasHi: true, Hi: 50}}
+	for _, tc := range []struct {
+		name     string
+		q        Query
+		rows     int
+		parallel int
 	}{
-		{"full", full, trueFull},
-		{"subspace", sub, trueSub},
-	}
-	for _, tc := range cases {
-		p, err := New(ds, tc.q, env)
-		if err != nil {
-			t.Fatal(err)
+		{"push-down", Query{Where: pushdown}, 100, 0},
+		{"unfiltered", Query{}, 2 * parallelMinRows, 2},
+		{"push-down, forced", Query{Where: pushdown, Hints: Hints{Parallelism: 3}}, 100, 3},
+		{"unfiltered, forced sequential", Query{Hints: Hints{Parallelism: -1}}, 2 * parallelMinRows, 0},
+	} {
+		ids, ex := runPlan(t, ds, tc.q, Env{})
+		if ex.ObservedRows != tc.rows || ex.Parallelism != tc.parallel {
+			t.Errorf("%s: %d rows at parallelism %d, want %d at %d", tc.name, ex.ObservedRows, ex.Parallelism, tc.rows, tc.parallel)
 		}
-		if p.Explain.SkyFracFrom != "observed" {
-			t.Fatalf("%s: estimate not from the observed EWMA (%s)", tc.name, p.Explain.SkyFracFrom)
-		}
-		est := p.Explain.EstSkyline
-		relErr := math.Abs(float64(est-tc.want)) / float64(tc.want)
-		if relErr > 0.15 {
-			t.Errorf("%s: estimated %d skyline rows, true %d (rel err %.2f > 0.15)",
-				tc.name, est, tc.want, relErr)
-		}
-		// The estimate a single global EWMA would produce for both
-		// variants — the mean of the two fractions, i.e. the mean of the
-		// two true sizes in rows — must be a strictly worse estimate:
-		// that is the regression the split fixes.
-		blendErr := math.Abs((float64(trueFull)+float64(trueSub))/2 - float64(tc.want))
-		if math.Abs(float64(est-tc.want)) >= blendErr {
-			t.Errorf("%s: per-variant estimate (err %d) no better than a blended global one (err %.0f)",
-				tc.name, est-tc.want, blendErr)
+		seq := tc.q
+		seq.Hints.Parallelism = -1
+		if want, _ := runPlan(t, ds, seq, Env{}); !equal32(sorted32(ids), sorted32(want)) {
+			t.Errorf("%s: skyline differs from the sequential run's", tc.name)
 		}
 	}
 }
 
 // TestMergeStats checks the coordinator-side union of per-shard
-// statistics: summed rows, unioned bounds, row-weighted correlation,
-// and zero-row parts skipped.
+// statistics: summed rows, unioned bounds, and zero-row parts skipped.
 func TestMergeStats(t *testing.T) {
-	a := &Stats{Rows: 100, TO: []ColStats{{Min: 5, Max: 40, Distinct: 30}}, CorrSign: 0.5}
-	b := &Stats{Rows: 300, TO: []ColStats{{Min: 0, Max: 25, Distinct: 20}}, CorrSign: -0.5}
+	a := &Stats{Rows: 100, TO: []ColStats{{Min: 5, Max: 40}}}
+	b := &Stats{Rows: 300, TO: []ColStats{{Min: 0, Max: 25}}}
 	empty := &Stats{TO: []ColStats{}}
 	got := MergeStats(a, empty, nil, b)
 	if got.Rows != 400 {
 		t.Fatalf("rows %d, want 400", got.Rows)
 	}
-	if got.TO[0].Min != 0 || got.TO[0].Max != 40 || got.TO[0].Distinct != 30 {
+	if got.TO[0].Min != 0 || got.TO[0].Max != 40 {
 		t.Fatalf("TO bounds %+v", got.TO[0])
-	}
-	if want := (0.5*100 - 0.5*300) / 400; math.Abs(got.CorrSign-want) > 1e-12 {
-		t.Fatalf("corr %f, want %f", got.CorrSign, want)
 	}
 	if MergeStats(nil, empty) != nil {
 		t.Fatal("merge of empty parts must be nil")

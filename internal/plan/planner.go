@@ -2,8 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -36,11 +34,13 @@ type ScoreIndexCache interface {
 	PutScoreIndex(*core.ScoreIndex)
 }
 
-// Env is the planning context: the table's statistics, the feedback
-// store, an optional full-skyline cache and the table's resident scan
-// order. All fields may be nil — Stats is computed on the fly, feedback
-// is dropped, no cache routing, every SFS scan sorts its own rows.
+// Env is the planning context: an optional full-skyline cache and the
+// table's resident scan order. Either may be nil — no cache routing,
+// every SFS scan sorts its own rows.
 type Env struct {
+	// Stats and Learned are inert: nothing in this package reads them.
+	// They stay declared only for bench/ladder.go:129 and
+	// bench/probe.go:44, which still set them.
 	Stats   *Stats
 	Learned *Learned
 	Cache   Cache
@@ -57,11 +57,9 @@ type Env struct {
 // RankPartials each open with it, so callers pass the table's ds and env.
 // A query under the table's orders keeps both (bar the cache, under
 // Hints.NoCache). One that brings its own dominance — Orders, or the
-// ideal-point transform — keeps the rows and the table's Stats only: no
-// resident scan order or score index (both encode the table's
-// dominance), no feedback store (a request-scoped fraction would fold
-// into the table's EWMAs, or grow one key per distinct DAG), and the
-// cache through ordersView — not at all under the transform, whose
+// ideal-point transform — keeps the rows only: no resident scan order
+// or score index (both encode the table's dominance), and the cache
+// through ordersView — not at all under the transform, whose
 // coordinates no entry describes. q must have passed Validate on ds.
 func (q *Query) scope(ds *core.Dataset, env Env) (*core.Dataset, Env) {
 	if q.Hints.NoCache {
@@ -70,7 +68,7 @@ func (q *Query) scope(ds *core.Dataset, env Env) (*core.Dataset, Env) {
 	if q.Orders == nil && !q.IdealTransform() {
 		return ds, env
 	}
-	scoped := Env{Stats: env.Stats}
+	var scoped Env
 	if q.Orders != nil {
 		ds = &core.Dataset{Domains: q.Orders, Pts: ds.Pts}
 		if !q.IdealTransform() {
@@ -89,22 +87,20 @@ func domainSizes(ds *core.Dataset) []int {
 	return sizes
 }
 
-// Explain is the JSON-ready account of a planning decision, attached to
-// query responses and printed by the CLIs' -explain flags. Observed*
-// fields are filled in by the executor after the run.
+// Explain is the JSON-ready account of what a plan did, attached to
+// query responses and printed by the CLIs' -explain flags. The executor
+// fills in Parallelism and the Observed* fields as it runs.
 type Explain struct {
-	Variant      string  `json:"variant"`
-	Algorithm    string  `json:"algorithm"`
-	Forced       bool    `json:"forced,omitempty"`
-	Parallelism  int     `json:"parallelism,omitempty"`
-	Route        Route   `json:"route"`
-	RouteReason  string  `json:"routeReason,omitempty"`
-	AntiMonotone bool    `json:"antiMonotone,omitempty"`
-	EstRows      int     `json:"estimatedRows"`
-	EstSkyline   int     `json:"estimatedSkyline"`
-	EstSeconds   float64 `json:"estimatedSeconds"`
-	SkyFracFrom  string  `json:"skylineFracSource"`
-	CacheHit     bool    `json:"cacheHit,omitempty"`
+	Variant   string `json:"variant"`
+	Algorithm string `json:"algorithm"`
+	Forced    bool   `json:"forced,omitempty"`
+	// Parallelism is the partition-and-merge shard count the run used
+	// (0: sequential).
+	Parallelism  int    `json:"parallelism,omitempty"`
+	Route        Route  `json:"route"`
+	RouteReason  string `json:"routeReason,omitempty"`
+	AntiMonotone bool   `json:"antiMonotone,omitempty"`
+	CacheHit     bool   `json:"cacheHit,omitempty"`
 	// Maintained reports that the cache entry this plan serves from was
 	// carried across mutations by delta maintenance rather than computed
 	// cold on this row set.
@@ -127,76 +123,40 @@ type Explain struct {
 	CursorIndex string `json:"cursorIndex,omitempty"`
 
 	// ObservedRows counts the rows the executor actually fed an
-	// algorithm (0 on cache hits) — compare with EstRows to judge the
-	// selectivity estimate.
+	// algorithm (0 on cache hits).
 	ObservedSeconds float64 `json:"observedSeconds"`
 	ObservedRows    int     `json:"observedRows"`
 	ObservedSkyline int     `json:"observedSkyline"`
 }
 
 // Plan is a physical execution plan: the logical query plus every
-// decision the optimizer made. Plans are single-use — Run fills the
+// decision the planner made. Plans are single-use — Run fills the
 // Explain's observed fields.
 type Plan struct {
 	Query   Query
 	Explain Explain
 
 	algo      core.Algorithm
-	shards    int // partition-and-merge shard count; 0 = sequential
 	route     Route
 	earlyExit bool    // RouteCursor: stop the progressive scan after TopK
 	cached    []int32 // full or subspace skyline served from Env.Cache, nil on miss
 	keptTO    []int   // resolved subspace (identity when Query.Subspace == nil)
 	keptPO    []int
-	// baseVariant is the kept-dimension key (SubspaceKey) — the memo +
-	// learned-frac key of the *unrestricted* skyline this query shape
-	// derives from; variant appends the weight-constraint suffix for
-	// restricted queries and equals baseVariant otherwise. Unrestricted
-	// feedback and cache writes use baseVariant so a restricted
-	// workload never pollutes the unrestricted EWMAs, while the
-	// restricted result memoises and learns under variant.
+	// baseVariant is the kept-dimension key (SubspaceKey) — the memo
+	// key of the *unrestricted* skyline this query shape derives from;
+	// variant appends the weight-constraint suffix for restricted
+	// queries and equals baseVariant otherwise. Unrestricted cache
+	// writes use baseVariant, while the restricted result memoises
+	// under variant.
 	baseVariant string
 	variant     string
 	fvtx        [][]float64 // restriction vertices (kept order), nil when unrestricted
 	// cachedRestricted marks p.cached as an already-restricted memo
 	// entry — the executor's restriction stage is skipped.
 	cachedRestricted bool
-	estRows          int
-	estSky           int
 
 	cursorRows int // rows the cursor route scanned (observed-rows reporting)
 }
-
-// estimatedSeconds is the static cost model behind Explain.EstSeconds:
-//
-//	seconds ≈ (A·n·log2(n) + B·(1 + POB·p)·n·m) × 1e-9
-//
-// with n input rows, m skyline rows and p partially ordered dimensions.
-// A carries the per-row work (the presort), B the pairwise dominance
-// work that survives the scan's pruning, and POB how much a PO
-// dimension inflates one dominance check — a quarter as much under the
-// "bitset+columnar" kernel, where a t-preference test is one word load.
-// The constants model SFS's scan, the one every plan runs unless a
-// query forces sTSS. They were fitted by hand to one wall-clock run on
-// the paper's default static configuration at n = 20k (2 TO, 2 PO, h=8,
-// d=0.8) on a 1-CPU container and are deliberately rough: the estimate
-// is reported, and decides nothing.
-func estimatedSeconds(n, m, p int, kernel string) float64 {
-	if n <= 0 {
-		return 0
-	}
-	const a, b = 8, 2.5
-	pob := 0.5
-	if kernel == "bitset+columnar" {
-		pob *= 0.25
-	}
-	fn, fm := float64(n), float64(m)
-	return (a*fn*math.Log2(fn+2) + b*(1+pob*float64(p))*fn*fm) * 1e-9
-}
-
-// parallelMinRows is the input size below which the partition-and-merge
-// executor's fixed overhead outweighs its speedup.
-const parallelMinRows = 20_000
 
 // New plans q against a table's rows ds and derived state env (scope
 // decides what a query that brings its own dominance sees of them). The
@@ -207,10 +167,6 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 		return nil, err
 	}
 	ds, env = q.scope(ds, env)
-	stats := env.Stats
-	if stats == nil {
-		stats = Analyze(ds)
-	}
 
 	p := &Plan{Query: q, Explain: Explain{Variant: q.Variant()}}
 	p.keptTO, p.keptPO = resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
@@ -308,21 +264,6 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 		}
 	}
 
-	// Cardinality estimates. The post-filter route runs the algorithm
-	// (when the cache misses) over the whole table.
-	n := stats.Rows
-	sel := selectivity(stats, q.Where)
-	p.estRows = n
-	if p.route == RoutePushdown {
-		p.estRows = int(math.Ceil(sel * float64(n)))
-	}
-	frac, fracSrc := skylineFrac(stats, env.Learned, p.variant, len(p.keptTO)+len(p.keptPO))
-	p.Explain.SkyFracFrom = fracSrc
-	p.estSky = int(math.Ceil(frac * float64(p.estRows)))
-	if p.estSky < 1 && p.estRows > 0 {
-		p.estSky = 1
-	}
-
 	// Unranked top-k never needs the full skyline: the SFS scan over
 	// the presorted order stops after K accepted rows (optimal
 	// progressiveness, paper §IV). Not applicable when the post-filter
@@ -338,8 +279,7 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 		p.cached == nil && q.Hints.Parallelism <= 0 && (hinted == "" || hinted == "sfs")
 
 	// Dominance-kernel selection, reported up front so Explain shows
-	// which elimination path the run will take and so the cost model can
-	// discount PO dominance work when the closure bitsets apply.
+	// which elimination path the run will take.
 	p.Explain.Kernel = kernelLabel(ds, p.keptPO, q.Hints.NoKernel)
 
 	// Algorithm: SFS's scan, unless the query forces one (Validate
@@ -350,40 +290,14 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 		p.Explain.Forced = true
 	}
 	p.Explain.Algorithm = p.algo.Name()
-	p.Explain.EstSeconds = estimatedSeconds(p.estRows, p.estSky, len(p.keptPO), p.Explain.Kernel)
 
-	// Rankings that declare their own cost-model term (RankCoster) add
-	// it to the estimate, which changes what explain reports, never
-	// which plan runs.
-	if q.TopK > 0 && q.Rank != RankNone {
-		if r, ok := LookupRanker(string(q.Rank)); ok {
-			if rc, ok := r.(RankCoster); ok {
-				p.Explain.EstSeconds += rc.RankCostSeconds(p.estRows, p.estSky, len(p.keptTO)+len(p.keptPO), q.TopK)
-			}
-		}
-	}
-
-	// Parallelism: the partition-and-merge executor pays off on large
-	// inputs on multi-core hosts; it is pure overhead for cursor runs
-	// (which stop early) and cache hits.
-	switch {
-	case q.Hints.Parallelism > 0:
-		p.shards = q.Hints.Parallelism
-	case q.Hints.Parallelism < 0:
-		p.shards = 0
-	case p.earlyExit || p.cached != nil:
-		p.shards = 0
-	case runtime.GOMAXPROCS(0) > 1 && p.estRows >= parallelMinRows:
-		p.shards = runtime.GOMAXPROCS(0)
-	}
-
+	// Parallelism is the executor's choice, from the rows it actually
+	// has (see shardCount); only a forced count is known up front.
 	p.Explain.Route = p.route
-	p.Explain.Parallelism = p.shards
+	p.Explain.Parallelism = max(q.Hints.Parallelism, 0)
 	if p.earlyExit {
 		p.explainCursor()
 	}
-	p.Explain.EstRows = p.estRows
-	p.Explain.EstSkyline = p.estSky
 	p.Explain.CacheHit = p.cached != nil
 	return p, nil
 }
@@ -480,86 +394,4 @@ func allAntiMonotone(ds *core.Dataset, q Query) (bool, string) {
 // query cannot use it.
 func antiMonotoneUsable(q Query, antiMono bool) bool {
 	return antiMono && q.Subspace == nil
-}
-
-// selectivity estimates the fraction of rows surviving the predicates,
-// assuming per-column uniformity and independence across predicates.
-func selectivity(stats *Stats, where []Predicate) float64 {
-	sel := 1.0
-	for _, pr := range where {
-		switch pr.Kind {
-		case TORange:
-			if pr.Dim >= len(stats.TO) {
-				continue
-			}
-			c := stats.TO[pr.Dim]
-			span := float64(c.Max-c.Min) + 1
-			if span <= 0 {
-				continue
-			}
-			lo, hi := float64(c.Min), float64(c.Max)
-			if pr.HasLo && float64(pr.Lo) > lo {
-				lo = float64(pr.Lo)
-			}
-			if pr.HasHi && float64(pr.Hi) < hi {
-				hi = float64(pr.Hi)
-			}
-			s := (hi - lo + 1) / span
-			sel *= clamp01(s)
-		case POIn:
-			if pr.Dim >= len(stats.PO) {
-				continue
-			}
-			size := stats.PO[pr.Dim].DomainSize
-			if size > 0 {
-				sel *= clamp01(float64(len(pr.In)) / float64(size))
-			}
-		}
-	}
-	return clamp01(sel)
-}
-
-// skylineFrac estimates |skyline|/n: the variant's observed EWMA when
-// available, otherwise a correlation-sign default scaled by
-// dimensionality. Each variant (kept-dimension set) learns its own
-// fraction — a 2-dim subspace skyline and the full skyline of the same
-// table differ by orders of magnitude, so sharing one EWMA across a
-// mixed workload would misestimate both.
-func skylineFrac(stats *Stats, learned *Learned, variant string, dims int) (float64, string) {
-	if f, ok := learned.SkylineFrac(variant); ok {
-		return clampFrac(f), "observed"
-	}
-	var f float64
-	switch {
-	case stats.CorrSign < -0.15:
-		f = 0.10
-	case stats.CorrSign > 0.15:
-		f = 0.005
-	default:
-		f = 0.02
-	}
-	if dims > 2 {
-		f *= 1 + 0.5*float64(dims-2)
-	}
-	return clampFrac(f), "correlation-default"
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-func clampFrac(f float64) float64 {
-	if f < 1e-4 {
-		return 1e-4
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
 }

@@ -1,8 +1,9 @@
 // Package plan is the skyline query planner and executor: it turns a
 // logical query — full, subspace, constrained, or top-k skyline, in any
-// combination — into a physical plan (algorithm, parallelism, predicate
-// placement, cache routing) chosen by a statistics-driven cost model,
-// runs it, and feeds the observed cost back into the statistics.
+// combination — into a physical plan (predicate placement, cache
+// routing, early exit) and runs it: SFS's scan unless a query forces
+// an algorithm, partitioned across cores when the rows it gets are
+// many. Its explain output reports what ran, never an estimate.
 //
 // Query semantics, in evaluation order:
 //
@@ -161,8 +162,8 @@ type Hints struct {
 	// Algorithm forces the named serving algorithm (core.Algorithms).
 	Algorithm string
 	// Parallelism > 0 forces that many shards behind the partition-and-
-	// merge executor; < 0 forces a sequential run; 0 lets the planner
-	// decide.
+	// merge executor; < 0 forces a sequential run; 0 lets the executor
+	// decide from the rows the algorithm gets.
 	Parallelism int
 	// Route forces RoutePushdown or RoutePostFilter for a constrained
 	// query. Forcing RoutePostFilter without the anti-monotonicity

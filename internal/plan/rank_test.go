@@ -84,7 +84,7 @@ func TestValidateRankAndFWeights(t *testing.T) {
 // warm memo reports the memoised skyline as its source.
 func TestRankedFromTransitions(t *testing.T) {
 	ds := sampleDS(t, 60)
-	env := Env{Learned: NewLearned(), Cache: NewMemoCache()}
+	env := Env{Cache: NewMemoCache()}
 
 	q := Query{TopK: 3, Rank: RankDPIDP}
 	first, ex1 := runPlan(t, ds, q, env)
@@ -113,7 +113,7 @@ func TestRankedFromTransitions(t *testing.T) {
 	}
 
 	// Cold env: no cache at all, scores recomputed from the table.
-	_, ex4 := runPlan(t, ds, Query{TopK: 3, Rank: RankDomCount}, Env{Learned: NewLearned()})
+	_, ex4 := runPlan(t, ds, Query{TopK: 3, Rank: RankDomCount}, Env{})
 	if ex4.RankedFrom != "cold" {
 		t.Fatalf("domcount without cache: RankedFrom = %q, want cold", ex4.RankedFrom)
 	}
@@ -127,7 +127,7 @@ func TestRankedFromTransitions(t *testing.T) {
 func TestRestrictedMemoVariant(t *testing.T) {
 	ds := sampleDS(t, 60)
 	memo := NewMemoCache()
-	env := Env{Learned: NewLearned(), Cache: memo}
+	env := Env{Cache: memo}
 	q := Query{FWeights: []float64{0.5, 0.25}}
 
 	want, err := Naive(ds, q)
@@ -154,7 +154,7 @@ func TestRestrictedMemoVariant(t *testing.T) {
 	// re-run recomputes the restriction from the maintained base.
 	newDS, delta := mutateDS(ds, []int{1, 7, 20}, nil)
 	adv := memo.Advance(ds, newDS, delta)
-	aenv := Env{Learned: NewLearned(), Cache: adv}
+	aenv := Env{Cache: adv}
 	newWant, err := Naive(newDS, q)
 	if err != nil {
 		t.Fatal(err)

@@ -166,11 +166,6 @@ func mergeRuns(ks []int32, counts []int64, a, b KHist) ([]int32, []int64) {
 	return append(ks, b.Ks[y:]...), append(counts, b.Counts[y:]...)
 }
 
-// RankCostSeconds: the same dominator scan domcount runs.
-func (dpidpRanker) RankCostSeconds(n, m, dims, k int) float64 {
-	return domScanCostSeconds(n, m, dims)
-}
-
 // indexScores serves the ranked ids from the maintained index's
 // memoized scores, found by binary search over its ascending members; a
 // single missing member declines the whole lookup.
@@ -413,15 +408,6 @@ func (layerRanker) RankUnion(wc *WireContext, pts []core.Point, k int) ([]float6
 		keep[i] = l >= 1
 	}
 	return scores, keep
-}
-
-// RankCostSeconds: up to k kernel peels over n rows.
-func (layerRanker) RankCostSeconds(n, m, dims, k int) float64 {
-	peels := k
-	if peels > 8 {
-		peels = 8
-	}
-	return 2e-9 * float64(n) * float64(m) * float64(peels)
 }
 
 // layerOrder collects rows of layers 1..bound in (layer, id) order.

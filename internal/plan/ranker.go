@@ -38,8 +38,6 @@ import (
 //   - StreamBounder: a sound lower bound on every later progressive
 //     row's score, enabling ranked streaming with early termination.
 //   - IdealConsumer: the ranker consumes Query.Ideal.
-//   - RankCoster: adds the ranking stage's cost-model term to the
-//     planner's estimate.
 type Ranker interface {
 	Name() string
 	Rank(ctx context.Context, sc *ScoreContext, ids []int32, k int) (ranked []int32, fromIndex bool, err error)
@@ -156,14 +154,6 @@ type StreamBounder interface {
 // rejects an ideal point sent to any other ranking.
 type IdealConsumer interface{ ConsumesIdeal() }
 
-// RankCoster adds the ranking stage's own cost-model term (seconds, for
-// n table rows, m estimated skyline rows, dims kept dimensions and top-k
-// k) to the planner's estimate. Rankings cheap relative to the skyline itself (ideal
-// distance) omit it.
-type RankCoster interface {
-	RankCostSeconds(n, m, dims, k int) float64
-}
-
 // rankers holds the built-in rankings, sorted by name; the Rank
 // constants are their wire names.
 var rankers = [...]Ranker{domcountRanker{}, dpidpRanker{}, idealRanker{}, layerRanker{}}
@@ -279,11 +269,6 @@ func (domcountRanker) CombinePartials(shards []Partials, n int) (Partials, []flo
 		scores[i] = -float64(c)
 	}
 	return Partials{Counts: counts}, scores, nil
-}
-
-// RankCostSeconds: one dominator scan of the table against the skyline.
-func (domcountRanker) RankCostSeconds(n, m, dims, k int) float64 {
-	return domScanCostSeconds(n, m, dims)
 }
 
 // idealRanker is RankIdeal: skyline rows ordered by L1 distance to an

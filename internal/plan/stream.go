@@ -51,10 +51,8 @@ type StreamRow struct {
 //     even when progressiveness is impossible.
 //
 // The scan polls ctx every few thousand rows and before each emission.
-// Like the cursor route in Run, progressive runs feed no learned
-// feedback; a fully exhausted unranked enumeration fills the result
-// cache exactly as the buffered path would, and a canceled run stores
-// nothing.
+// A fully exhausted unranked enumeration fills the result cache exactly
+// as the buffered path would, and a canceled run stores nothing.
 func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit func(StreamRow) error) (*core.Result, error) {
 	start := time.Now()
 	if err := ctxErr(ctx); err != nil {

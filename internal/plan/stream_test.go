@@ -41,8 +41,8 @@ func TestRunStreamAgreesWithRun(t *testing.T) {
 		Query{Where: []Predicate{{Kind: TORange, Dim: 0, HasHi: true, Hi: 25}}, TopK: 3},
 	)
 	for qi, q := range queries {
-		buffered, _ := runPlan(t, ds, q, Env{Learned: NewLearned()})
-		rows, res, _ := streamPlan(t, ds, q, Env{Learned: NewLearned()})
+		buffered, _ := runPlan(t, ds, q, Env{})
+		rows, res, _ := streamPlan(t, ds, q, Env{})
 
 		if len(rows) != len(res.SkylineIDs) {
 			t.Fatalf("query %d: %d emitted rows, result has %d", qi, len(rows), len(res.SkylineIDs))
@@ -103,7 +103,7 @@ func TestRunStreamAgreesWithRun(t *testing.T) {
 // coordinator's streamed certification relies on.
 func TestRunStreamFirstKIsPrefix(t *testing.T) {
 	ds := sampleDS(t, 200)
-	full, _, _ := streamPlan(t, ds, Query{}, Env{Learned: NewLearned()})
+	full, _, _ := streamPlan(t, ds, Query{}, Env{})
 	for i, r := range full {
 		var want int64
 		for _, v := range ds.Pts[r.ID].TO {
@@ -123,7 +123,7 @@ func TestRunStreamFirstKIsPrefix(t *testing.T) {
 		}
 	}
 	for _, k := range []int{1, 2, 5, len(full), len(full) + 10} {
-		rows, _, _ := streamPlan(t, ds, Query{TopK: k}, Env{Learned: NewLearned()})
+		rows, _, _ := streamPlan(t, ds, Query{TopK: k}, Env{})
 		want := k
 		if len(full) < want {
 			want = len(full)
@@ -146,11 +146,11 @@ func TestRunStreamFirstKIsPrefix(t *testing.T) {
 // dominance tests than an unranked full stream.
 func TestRunStreamThresholdTopK(t *testing.T) {
 	ds := sampleDS(t, 400)
-	_, full, _ := streamPlan(t, ds, Query{}, Env{Learned: NewLearned()})
+	_, full, _ := streamPlan(t, ds, Query{}, Env{})
 	for _, k := range []int{1, 3, 10} {
 		q := Query{TopK: k, Rank: RankIdeal}
-		buffered, _ := runPlan(t, ds, q, Env{Learned: NewLearned()})
-		rows, res, ex := streamPlan(t, ds, q, Env{Learned: NewLearned()})
+		buffered, _ := runPlan(t, ds, q, Env{})
+		rows, res, ex := streamPlan(t, ds, q, Env{})
 		if ex.Route != RouteCursor || ex.Algorithm != "sfs" {
 			t.Fatalf("k=%d: streamed explain %s/%s, want cursor/sfs", k, ex.Route, ex.Algorithm)
 		}
@@ -174,7 +174,7 @@ func TestRunStreamCacheFill(t *testing.T) {
 
 	// Full exhaustion fills the cache.
 	cache := &memCache{}
-	env := Env{Learned: NewLearned(), Cache: cache}
+	env := Env{Cache: cache}
 	_, res, _ := streamPlan(t, ds, Query{}, env)
 	got, _, ok := cache.GetFull()
 	if !ok {
@@ -187,7 +187,7 @@ func TestRunStreamCacheFill(t *testing.T) {
 	// Early termination must not: the stored "full skyline" would be a
 	// K-row lie.
 	cache = &memCache{}
-	env = Env{Learned: NewLearned(), Cache: cache}
+	env = Env{Cache: cache}
 	streamPlan(t, ds, Query{TopK: 2}, env)
 	if _, _, ok := cache.GetFull(); ok {
 		t.Fatal("early-terminated stream poisoned the full-skyline cache")
@@ -195,7 +195,7 @@ func TestRunStreamCacheFill(t *testing.T) {
 
 	// An abort (emit error) mid-stream must not either.
 	cache = &memCache{}
-	env = Env{Learned: NewLearned(), Cache: cache}
+	env = Env{Cache: cache}
 	p, err := New(ds, Query{}, env)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestRunStreamCacheFill(t *testing.T) {
 
 	// And a canceled context surfaces as such, also without a fill.
 	cache = &memCache{}
-	env = Env{Learned: NewLearned(), Cache: cache}
+	env = Env{Cache: cache}
 	p, err = New(ds, Query{}, env)
 	if err != nil {
 		t.Fatal(err)

@@ -193,3 +193,20 @@ func TestDomCountBodyBound(t *testing.T) {
 		t.Fatalf("oversized domcount body: status %d, want 413", resp.StatusCode)
 	}
 }
+
+// TestBatchBodyBound: a rows:batch body past MaxDomCountBody is refused
+// with 413 before any row is applied, so no batch is acknowledged whose
+// WAL record a restart or a follower would refuse to replay. The body
+// is generated as it is sent.
+func TestBatchBodyBound(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := io.MultiReader(strings.NewReader(`{"add":[`), io.LimitReader(spaces{}, MaxDomCountBody))
+	resp, err := http.Post(ts.URL+"/tables/flights/rows:batch", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch body: status %d, want 413", resp.StatusCode)
+	}
+}

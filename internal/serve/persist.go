@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/plan"
 	"repro/internal/store"
 )
 
@@ -77,30 +76,7 @@ func (e *tableEntry) storeSnapshot(snap *snapshot) (*store.Snapshot, error) {
 		Schema:        e.storeSchema(),
 		Rows:          cols,
 		CacheCapacity: e.specCacheCap,
-		Stats:         learnedRecord(snap.table.Learned()),
 	}, nil
-}
-
-// learnedRecord renders the planner's feedback store for persistence
-// (nil when nothing has been observed yet — the snapshot then encodes
-// without a stats section). It writes no algorithm cost entries: the
-// planner keeps none.
-func learnedRecord(l *plan.Learned) *store.TableStatsRecord {
-	st := l.Export()
-	if st.SkyFracN == 0 {
-		return nil
-	}
-	return &store.TableStatsRecord{SkyFrac: st.SkyFrac, SkyFracN: st.SkyFracN}
-}
-
-// importLearned rebuilds the feedback store from a recovered snapshot
-// (nil record → fresh store semantics via a nil return). The algorithm
-// cost entries an older snapshot may carry are ignored.
-func importLearned(rec *store.TableStatsRecord) *plan.Learned {
-	if rec == nil {
-		return nil
-	}
-	return plan.ImportLearned(plan.LearnedState{SkyFrac: rec.SkyFrac, SkyFracN: rec.SkyFracN})
 }
 
 // mutationRecord renders a validated batch request as a WAL record

@@ -248,57 +248,11 @@ func TestLookupColPositionalAlias(t *testing.T) {
 	}
 }
 
-// TestLearnedStatsPersistAcrossRestart: planner feedback observed
-// before a checkpoint comes back after recovery — the cost multipliers
-// resume instead of restarting cold.
-func TestLearnedStatsPersistAcrossRestart(t *testing.T) {
-	st := store.NewMem()
-	s := NewWithConfig(Config{Store: st})
-	if _, err := s.CreateTable(flightsSpec("flights")); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := s.table("flights")
-	// Observed feedback lands in the shared Learned store...
-	if _, _, err := e.current().table.Query(plan.Query{}); err != nil {
-		t.Fatal(err)
-	}
-	if frac, ok := e.current().table.Learned().SkylineFrac(plan.FullVariant); !ok || frac <= 0 {
-		t.Fatalf("no skyline fraction observed (ok=%v frac=%f)", ok, frac)
-	}
-	// ...and a checkpoint persists it.
-	img, err := e.storeSnapshot(e.current())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Stats == nil || img.Stats.SkyFracN == 0 {
-		t.Fatalf("checkpoint carries no stats: %+v", img.Stats)
-	}
-	if err := st.SaveSnapshot("flights", img); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := NewWithConfig(Config{Store: st})
-	if _, err := s2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	e2, ok := s2.table("flights")
-	if !ok {
-		t.Fatal("table not recovered")
-	}
-	frac, ok := e2.current().table.Learned().SkylineFrac(plan.FullVariant)
-	if !ok || frac <= 0 {
-		t.Fatalf("recovered table lost its learned stats (ok=%v frac=%f)", ok, frac)
-	}
-	want, _ := e.current().table.Learned().SkylineFrac(plan.FullVariant)
-	if frac != want {
-		t.Fatalf("recovered skyline fraction %f, want %f", frac, want)
-	}
-}
-
-// TestRecoverIgnoresAlgoCosts: the planner keeps no per-algorithm cost
-// corrections, so a checkpoint writes none — and a snapshot from before
-// that, whose stats section still lists them, recovers with its skyline
-// fraction and serves queries, its algorithm entries ignored.
+// TestRecoverIgnoresAlgoCosts: the planner keeps no statistics of its
+// own, so a checkpoint writes no stats section — and a snapshot from
+// before that, whose stats section still carries a skyline fraction and
+// per-algorithm cost entries, recovers and serves queries with all of
+// it ignored, and its next checkpoint drops the section.
 func TestRecoverIgnoresAlgoCosts(t *testing.T) {
 	st := store.NewMem()
 	s := NewWithConfig(Config{Store: st})
@@ -313,12 +267,16 @@ func TestRecoverIgnoresAlgoCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Stats == nil || len(img.Stats.Algos) != 0 {
-		t.Fatalf("checkpoint stats %+v, want a skyline fraction and no algorithm entries", img.Stats)
+	if img.Stats != nil {
+		t.Fatalf("checkpoint stats %+v, want no stats section", img.Stats)
 	}
-	img.Stats.Algos = []store.AlgoCostRecord{{Name: "bnl", Mult: 2.5, N: 4}, {Name: "less", Mult: 0.5, N: 2}, {Name: "stss", Mult: 3, N: 9}}
+	img.Stats = &store.TableStatsRecord{SkyFrac: 0.5, SkyFracN: 7,
+		Algos: []store.AlgoCostRecord{{Name: "bnl", Mult: 2.5, N: 4}, {Name: "less", Mult: 0.5, N: 2}, {Name: "stss", Mult: 3, N: 9}}}
 	if err := st.SaveSnapshot("flights", img); err != nil {
 		t.Fatal(err)
+	}
+	if old, err := st.Load("flights"); err != nil || old.Stats == nil || old.Stats.SkyFracN != 7 || len(old.Stats.Algos) != 3 {
+		t.Fatalf("saved snapshot does not carry the old stats section: %v %+v", err, old)
 	}
 
 	s2 := NewWithConfig(Config{Store: st})
@@ -328,9 +286,6 @@ func TestRecoverIgnoresAlgoCosts(t *testing.T) {
 	e2, ok := s2.table("flights")
 	if !ok {
 		t.Fatal("table not recovered")
-	}
-	if frac, ok := e2.current().table.Learned().SkylineFrac(plan.FullVariant); !ok || frac != img.Stats.SkyFrac {
-		t.Fatalf("recovered skyline fraction %f (ok=%v), want %f", frac, ok, img.Stats.SkyFrac)
 	}
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
@@ -345,7 +300,7 @@ func TestRecoverIgnoresAlgoCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img2.Stats == nil || len(img2.Stats.Algos) != 0 {
-		t.Fatalf("checkpoint after recovery: stats %+v, want no algorithm entries", img2.Stats)
+	if img2.Stats != nil {
+		t.Fatalf("checkpoint after recovery: stats %+v, want no stats section", img2.Stats)
 	}
 }

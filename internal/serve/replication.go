@@ -119,9 +119,6 @@ func (s *Server) ImportSnapshot(name string, snap *store.Snapshot) (TableInfo, e
 	if err != nil {
 		return TableInfo{}, err
 	}
-	if l := importLearned(snap.Stats); l != nil {
-		e.current().table.SetLearned(l)
-	}
 	if s.store != nil {
 		if err := s.store.SaveSnapshot(name, snap); err != nil {
 			return TableInfo{}, fmt.Errorf("%w: persist snapshot: %v", errStorage, err)

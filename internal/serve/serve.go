@@ -130,11 +130,6 @@ func (s *Server) Recover() ([]TableInfo, error) {
 		if err != nil {
 			return infos, fmt.Errorf("recover table %q: %w", name, err)
 		}
-		// Resume the planner's learning where the checkpoint left it —
-		// before the entry is visible to any query.
-		if l := importLearned(snap.Stats); l != nil {
-			e.current().table.SetLearned(l)
-		}
 		s.mu.Lock()
 		s.tables[name] = e
 		s.mu.Unlock()
@@ -398,7 +393,7 @@ func statusFor(err error) int {
 //	DELETE /tables/{name}                     drop a table
 //	POST   /tables/{name}/query               skyline query (QueryRequest; ?stream=1, ?limit=)
 //	POST   /tables/{name}/rows:batch          batched mutation (BatchRequest)
-//	GET    /tables/{name}/stats               planner statistics + learned feedback
+//	GET    /tables/{name}/stats               row count + TO min/max
 //	POST   /tables/{name}/domcount            per-candidate partial rank scores (DomCountRequest)
 //	GET    /tables/{name}/replica/snapshot    replication: columnar snapshot for follower bootstrap
 //	GET    /tables/{name}/replica/log         replication: committed WAL frames (?after=)
@@ -529,9 +524,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // with all its edges is ~100 KB; nothing legitimate comes near 4 MiB.
 const maxQueryBody = 4 << 20
 
-// MaxDomCountBody bounds a /domcount request body on both tiers. Its
-// candidate list is a coordinator's whole merged skyline, ~40 bytes of
-// JSON per row: 64 MiB holds well over a million candidates.
+// MaxDomCountBody bounds /domcount and rows:batch request bodies on
+// both tiers. A /domcount candidate list is a coordinator's whole
+// merged skyline, ~40 bytes of JSON per row: 64 MiB holds well over a
+// million candidates. A batch becomes one WAL record, at most 4× its
+// JSON (a 2-byte `0,` TO value encodes to 8 bytes), so 64 MiB keeps
+// every record under the WAL's 256 MiB record limit, past which replay
+// and followers would refuse a batch already acknowledged.
 const MaxDomCountBody = 64 << 20
 
 // BodyErrorStatus is 413 for a body cut off by http.MaxBytesReader and
@@ -599,9 +598,9 @@ func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// readQuery is a validated read request: the logical query the
-// cost-based optimizer plans (algorithm, placement and cache routing),
-// plus what only the renderer applies.
+// readQuery is a validated read request: the logical query the planner
+// plans (placement and cache routing), plus what only the renderer
+// applies.
 type readQuery struct {
 	plan    plan.Query
 	explain bool
@@ -629,8 +628,8 @@ func (s *Server) execute(ctx context.Context, e *tableEntry, snap *snapshot, rq 
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDomCountBody)).Decode(&req); err != nil {
+		writeError(w, BodyErrorStatus(err), fmt.Errorf("bad batch: %w", err))
 		return
 	}
 	if len(req.RemoveSharded) > 0 {
@@ -654,11 +653,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEnt
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleTableStats answers GET /tables/{name}/stats: the planner's
-// statistics for the serving snapshot plus the learned feedback state.
-// Computing the stats is lazy-cached on the snapshot's table, so
-// polling this endpoint is cheap; the cluster coordinator reads it per
-// query to plan once over merged statistics and to prune shards.
+// handleTableStats answers GET /tables/{name}/stats: the serving
+// snapshot's row count and TO bounds. Computing them is lazy-cached on
+// the snapshot's table, so polling this endpoint is cheap; the cluster
+// coordinator reads it per query to pin versions and prune shards.
 func (s *Server) handleTableStats(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	snap := e.current()
 	writeJSON(w, http.StatusOK, TableStatsInfo{
@@ -666,7 +664,6 @@ func (s *Server) handleTableStats(w http.ResponseWriter, r *http.Request, e *tab
 		Version: snap.version,
 		Rows:    snap.table.Len(),
 		Stats:   snap.table.Stats(),
-		Learned: snap.table.Learned().Export(),
 	})
 }
 

@@ -1,54 +1,41 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
-
-	"repro/internal/plan"
 )
 
-// TestTableStatsEndpoint covers GET /tables/{t}/stats: derivable
-// statistics for the serving snapshot, learned state after feedback,
-// and version tracking across a mutation.
+// TestTableStatsEndpoint covers GET /tables/{t}/stats: row count and
+// TO bounds for the serving snapshot, none of the keys the planner's
+// estimates once read, and version tracking across a mutation.
 func TestTableStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	var info TableStatsInfo
-	if status := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/stats", nil, &info); status != http.StatusOK {
+	var raw json.RawMessage
+	if status := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/stats", nil, &raw); status != http.StatusOK {
 		t.Fatalf("status %d", status)
+	}
+	for _, key := range []string{`"learned"`, `"corrSign"`, `"distinct"`, `"po"`} {
+		if strings.Contains(string(raw), key) {
+			t.Fatalf("stats body still carries %s: %s", key, raw)
+		}
+	}
+	var info TableStatsInfo
+	if err := json.Unmarshal(raw, &info); err != nil {
+		t.Fatal(err)
 	}
 	if info.Table != "flights" || info.Version != 0 || info.Rows != 10 {
 		t.Fatalf("header wrong: %+v", info)
 	}
 	st := info.Stats
-	if st == nil || st.Rows != 10 || len(st.TO) != 2 || len(st.PO) != 1 {
+	if st == nil || st.Rows != 10 || len(st.TO) != 2 {
 		t.Fatalf("stats shape wrong: %+v", st)
 	}
 	// flights prices span 500..2000, stops 0..2.
 	if st.TO[0].Min != 500 || st.TO[0].Max != 2000 || st.TO[1].Min != 0 || st.TO[1].Max != 2 {
 		t.Fatalf("bounds wrong: %+v", st.TO)
-	}
-	if st.PO[0].DomainSize != 4 {
-		t.Fatalf("PO domain size %d, want 4", st.PO[0].DomainSize)
-	}
-	if info.Learned.SkyFracN != 0 {
-		t.Fatalf("fresh table reports learned observations: %+v", info.Learned)
-	}
-
-	// A planned full query feeds the learned state; the endpoint
-	// reflects it, keyed under the full variant.
-	if status := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query",
-		map[string]any{"explain": true}, nil); status != http.StatusOK {
-		t.Fatalf("warm-up query status %d", status)
-	}
-	if status := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/stats", nil, &info); status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	if info.Learned.SkyFracN == 0 || info.Learned.SkyFrac <= 0 {
-		t.Fatalf("learned state not reflected: %+v", info.Learned)
-	}
-	if len(info.Learned.Variants) != 1 || info.Learned.Variants[0].Key != plan.FullVariant {
-		t.Fatalf("variant list wrong: %+v", info.Learned.Variants)
 	}
 
 	// A batch advances the version and the row count.

@@ -3,13 +3,15 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -268,27 +270,40 @@ func antiCorrSpec(name string, n int) TableSpec {
 }
 
 // TestStreamHeartbeat: a producer that stays silent longer than the
-// configured heartbeat interval gets heartbeat frames keeping the
-// connection alive. The dynamic route computes its whole dTSS answer
-// before the first row, so a sub-millisecond interval is guaranteed to
-// fire during the compute on a few-thousand-row table.
+// heartbeat interval gets heartbeat frames keeping the connection
+// alive. The producer here emits nothing until the response has carried
+// a heartbeat (beatWriter closes beat after writing one), so the frame
+// is certain to come, however fast or loaded the host.
 func TestStreamHeartbeat(t *testing.T) {
-	s := NewWithConfig(Config{CacheCapacity: 8, StreamHeartbeat: 200 * time.Microsecond})
-	spec := antiCorrSpec("wide", 4000)
-	spec.Orders = []OrderSpec{{Name: "grade", Values: []string{"g0", "g1"}, Edges: [][2]string{{"g0", "g1"}}}}
-	for i := range spec.Rows {
-		spec.Rows[i].PO = []string{fmt.Sprintf("g%d", i%2)}
-	}
-	if _, err := s.CreateTable(spec); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	w := &beatWriter{ResponseWriter: httptest.NewRecorder(), beat: make(chan struct{})}
+	r := httptest.NewRequest(http.MethodPost, "/tables/t/query?stream=1", nil)
+	const emitted = 5
+	StreamResponse(w, r, time.Millisecond, StreamRecord{Type: "header", Table: "t"},
+		func(ctx context.Context, emit func(StreamRecord) error) (StreamRecord, error) {
+			select {
+			case <-w.beat:
+			case <-time.After(10 * time.Second):
+				return StreamRecord{}, errors.New("no heartbeat frame within 10s of a silent producer")
+			}
+			for i := 0; i < emitted; i++ {
+				if err := emit(StreamRecord{Type: "row", Emission: i}); err != nil {
+					return StreamRecord{}, err
+				}
+			}
+			return StreamRecord{Type: "trailer", Count: emitted}, nil
+		})
 
-	body := map[string]any{
-		"orders": []map[string]any{{"edges": [][2]string{{"g1", "g0"}}}},
+	var recs []StreamRecord
+	dec := json.NewDecoder(w.ResponseWriter.(*httptest.ResponseRecorder).Body)
+	for {
+		var rec StreamRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("decode frame %d: %v", len(recs), err)
+		}
+		recs = append(recs, rec)
 	}
-	recs := streamRecords(t, ts.URL+"/tables/wide/query?stream=1&limit=5", body)
 	beats := 0
 	for _, rec := range recs {
 		if rec.Type == "heartbeat" {
@@ -299,9 +314,24 @@ func TestStreamHeartbeat(t *testing.T) {
 		t.Fatal("no heartbeat frames on a stream slower than the heartbeat interval")
 	}
 	_, rows, _ := splitFrames(t, recs)
-	if len(rows) != 5 {
-		t.Fatalf("limit=5 streamed %d rows", len(rows))
+	if len(rows) != emitted {
+		t.Fatalf("streamed %d rows, the producer emitted %d", len(rows), emitted)
 	}
+}
+
+// beatWriter closes beat once it has written a heartbeat frame.
+type beatWriter struct {
+	http.ResponseWriter
+	once sync.Once
+	beat chan struct{}
+}
+
+func (w *beatWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	if bytes.Contains(p, []byte(`"type":"heartbeat"`)) {
+		w.once.Do(func() { close(w.beat) })
+	}
+	return n, err
 }
 
 // TestStreamClientDisconnectTeardown: a client that walks away

@@ -192,10 +192,10 @@ type WhereSpec struct {
 // QueryRequest is a skyline query (POST /tables/{name}/query); the zero
 // value asks for the table's skyline. Every field composes with every
 // other (see plan.Query for the exact semantics): Subspace, Where,
-// TopK/Rank, FWeights and the hint fields select the variant, and the
-// cost-based planner picks algorithm, parallelism, predicate placement
-// and cache routing (per-response decisions in the `plan` field when
-// Explain is set).
+// TopK/Rank, FWeights and the hint fields select the variant; the
+// planner places predicates and routes through the cache, and the
+// executor partitions large inputs (what ran is in the `plan` field
+// when Explain is set).
 type QueryRequest struct {
 	// Orders makes the query *dynamic*: one preference DAG per PO column
 	// replaces the table's own orders for this request — the same plan
@@ -357,19 +357,19 @@ type ShardIdentity struct {
 	Count int `json:"count"`
 }
 
-// TableStatsInfo is the GET /tables/{t}/stats body: the planner's
-// derivable statistics for the serving snapshot plus the learned
-// feedback state. The cluster coordinator reads it from every shard to
-// plan queries once (merged stats) and to prune shards whose
-// statistics min-corner is dominated. Coordinator responses carry the
-// merged view with the per-shard bodies in PerShard.
+// TableStatsInfo is the GET /tables/{t}/stats body: the serving
+// snapshot's version, row count and TO bounds. The cluster coordinator
+// reads it from every shard before a scatter: the version pins failover
+// reads, and the bounds' min corner prunes the shards a gathered row
+// dominates and bounds what a streaming shard can still send (an empty
+// shard sends nothing). Coordinator responses carry the merged view
+// with the per-shard bodies in PerShard.
 type TableStatsInfo struct {
-	Table    string            `json:"table"`
-	Version  int64             `json:"version"`
-	Rows     int               `json:"rows"`
-	Stats    *plan.Stats       `json:"stats"`
-	Learned  plan.LearnedState `json:"learned"`
-	PerShard []TableStatsInfo  `json:"perShard,omitempty"`
+	Table    string           `json:"table"`
+	Version  int64            `json:"version"`
+	Rows     int              `json:"rows"`
+	Stats    *plan.Stats      `json:"stats"`
+	PerShard []TableStatsInfo `json:"perShard,omitempty"`
 }
 
 // DomCountRequest (POST /tables/{t}/domcount) asks for the number of

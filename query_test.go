@@ -47,7 +47,7 @@ func TestQueryFullMatchesSkyline(t *testing.T) {
 	if !equalInts(sortedInts(res.Rows), sortedInts(table.Skyline())) {
 		t.Fatalf("full query %v != Skyline %v", sortedInts(res.Rows), sortedInts(table.Skyline()))
 	}
-	if ex.Algorithm == "" || ex.EstSeconds < 0 || ex.ObservedSeconds < 0 {
+	if ex.Algorithm == "" || ex.ObservedSeconds < 0 {
 		t.Fatalf("explain not filled: %+v", ex)
 	}
 }
@@ -188,9 +188,6 @@ func TestQueryStatsMaintainedByApplyBatch(t *testing.T) {
 	if got, want := back.Stats().TO[0].Max, s.TO[0].Max; got != want {
 		t.Fatalf("max after boundary removal %d, want %d", got, want)
 	}
-	if table.Learned() != back.Learned() {
-		t.Fatal("learned store not shared across ApplyBatch")
-	}
 }
 
 // TestQueryCacheOnTable: an attached query cache serves the repeat full
@@ -286,13 +283,13 @@ func TestExplainCursorRoute(t *testing.T) {
 
 // TestOrdersQueryIsRequestScoped: table-scoped derived state never
 // answers a request-scoped question. Beside a warm memo (full, subspace
-// and score-index entries), a resident scan order and learned skyline
-// fractions — all describing the table's own orders — a query bringing
-// its own Orders returns the skyline under *those* (dTSS, the paper's
-// independent structure, is the oracle), sorts its own scan order,
-// scores cold, leaves every table entry as it was, learns no per-DAG
-// key, memoises under the DAG's signature for the life of the snapshot,
-// and misses again — with the right answer — after a batch.
+// and score-index entries) and a resident scan order — all describing
+// the table's own orders — a query bringing its own Orders returns the
+// skyline under *those* (dTSS, the paper's independent structure, is
+// the oracle), sorts its own scan order, scores cold, leaves every
+// table entry as it was, memoises under the DAG's signature for the
+// life of the snapshot, and misses again — with the right answer —
+// after a batch.
 func TestOrdersQueryIsRequestScoped(t *testing.T) {
 	ctx := context.Background()
 	drop := func(plan.StreamRow) error { return nil }
@@ -314,7 +311,6 @@ func TestOrdersQueryIsRequestScoped(t *testing.T) {
 	if full0 == nil || sub0 == nil || !ok || table.order.Load() == nil {
 		t.Fatal("table-scoped state not warm")
 	}
-	learned0 := len(table.Learned().Export().Variants)
 
 	// d over b and c, a incomparable: nothing like the table's diamond.
 	inverted := func() *Order { return NewOrder("a", "b", "c", "d").Prefer("d", "b").Prefer("d", "c") }
@@ -374,9 +370,6 @@ func TestOrdersQueryIsRequestScoped(t *testing.T) {
 	sub1, _, _ := memo.GetSubspace(plan.SubspaceKey(sub))
 	if idx1, _ := memo.GetScoreIndex(); idx1 != idx0 || &full1[0] != &full0[0] || &sub1[0] != &sub0[0] {
 		t.Fatal("orders queries touched the table's own memo entries")
-	}
-	if n := len(table.Learned().Export().Variants); n != learned0 {
-		t.Fatalf("learned skyline fractions grew from %d to %d keys", learned0, n)
 	}
 
 	next, _, err := table.ApplyBatch([]int{want[0]}, []TableRow{{TO: []int64{1, 1}, PO: []string{"c"}}})

@@ -152,10 +152,10 @@ type Table struct {
 	orders  []*Order
 	ds      *core.Dataset
 
-	// stats holds the planner's table statistics: maintained
-	// incrementally by ApplyBatch, computed lazily on first Query
+	// stats holds the table's row count and TO bounds: maintained
+	// incrementally by ApplyBatch, computed lazily on first Stats call
 	// otherwise, invalidated by Add. Atomic so lazily computing it may
-	// race concurrent queries on a shared (sealed) table.
+	// race concurrent readers of a shared (sealed) table.
 	stats atomic.Pointer[plan.Stats]
 	// order holds these rows' indexes in SFS's presort order
 	// (core.SFSOrder), held the way stats is: sorted lazily by the first
@@ -163,10 +163,6 @@ type Table struct {
 	// invalidated by Add, and absent on every table Clone/Filter/
 	// ApplyBatch derives — rows are renumbered there.
 	order atomic.Pointer[[]int32]
-	// learned is the planner's skyline-fraction feedback store, shared
-	// by every table derived through Clone/Filter/ApplyBatch — it
-	// describes the data's behavior, not one row-set version.
-	learned *plan.Learned
 	// queryCache optionally memoises the full skyline for the planner's
 	// cache routing (see SetQueryCache).
 	queryCache plan.Cache
@@ -175,7 +171,7 @@ type Table struct {
 // NewTable creates a table with the given TO column names followed by
 // one PO column per Order. Orders are compiled (and frozen) here.
 func NewTable(toNames []string, orders ...*Order) *Table {
-	t := &Table{toNames: toNames, orders: orders, ds: &core.Dataset{}, learned: plan.NewLearned()}
+	t := &Table{toNames: toNames, orders: orders, ds: &core.Dataset{}}
 	for _, o := range orders {
 		dom, err := o.compile()
 		if err != nil {
@@ -267,7 +263,6 @@ func (t *Table) Clone() *Table {
 		toNames: t.toNames,
 		orders:  t.orders,
 		ds:      &core.Dataset{Pts: pts, Domains: t.ds.Domains},
-		learned: t.learned,
 	}
 	nt.stats.Store(t.stats.Load()) // same rows, same statistics
 	return nt
@@ -283,7 +278,6 @@ func (t *Table) Filter(keep func(row int) bool) *Table {
 		toNames: t.toNames,
 		orders:  t.orders,
 		ds:      &core.Dataset{Domains: t.ds.Domains},
-		learned: t.learned,
 	}
 	for i := range t.ds.Pts {
 		if !keep(i) {
@@ -324,7 +318,7 @@ type TableRow struct {
 // BatchDelta records how an ApplyBatch moved rows around: the mapping
 // from old to new row indexes and the count of appended rows. It is
 // the contract between a table mutation and the delta-driven
-// maintenance of the planner statistics, the skyline memo and its
+// maintenance of the table statistics, the skyline memo and its
 // score indexes.
 type BatchDelta struct {
 	// OldLen and NewLen are the row counts before and after the batch.
@@ -357,7 +351,6 @@ func (t *Table) ApplyBatch(removes []int, adds []TableRow) (*Table, *BatchDelta,
 		toNames: t.toNames,
 		orders:  t.orders,
 		ds:      &core.Dataset{Domains: t.ds.Domains},
-		learned: t.learned,
 	}
 	nt.ds.Pts = make([]core.Point, 0, oldLen-countTrue(drop)+len(adds))
 	for i := range t.ds.Pts {
@@ -376,10 +369,10 @@ func (t *Table) ApplyBatch(removes []int, adds []TableRow) (*Table, *BatchDelta,
 		}
 	}
 	delta.NewLen = len(nt.ds.Pts)
-	// Planner statistics ride along incrementally: appended rows widen
-	// the maintained bounds in O(batch); only boundary removals or the
-	// periodic sampled-statistics refresh re-scan (see plan.Stats.Advance).
-	// nt.Add above cleared the fresh table's stats, so store last.
+	// Statistics ride along incrementally: appended rows widen the
+	// maintained bounds in O(batch); only boundary removals re-scan (see
+	// plan.Stats.Advance). nt.Add above cleared the fresh table's stats,
+	// so store last.
 	if old := t.stats.Load(); old != nil {
 		nt.stats.Store(old.Advance(t.ds, nt.ds, delta.OldToNew, delta.Added))
 	}
@@ -575,7 +568,7 @@ func (t *Table) wireCandidates(rows []TableRow) ([]core.Point, error) {
 	return cands, nil
 }
 
-// Stats returns the planner's statistics for the current rows,
+// Stats returns the row count and TO bounds of the current rows,
 // computing them on first use (ApplyBatch maintains them incrementally
 // across batches). The returned value is immutable.
 func (t *Table) Stats() *plan.Stats {
@@ -605,21 +598,7 @@ func (t *Table) residentOrder() (order []int32, resident bool) {
 
 // planEnv is the planning context of a query on this table.
 func (t *Table) planEnv() plan.Env {
-	return plan.Env{Stats: t.Stats(), Learned: t.learned, Cache: t.queryCache, Order: t.residentOrder}
-}
-
-// Learned returns the planner's skyline-fraction feedback store —
-// shared across every table derived by Clone, Filter or ApplyBatch, and
-// safe for concurrent use. Expose it for persistence (see SetLearned).
-func (t *Table) Learned() *plan.Learned { return t.learned }
-
-// SetLearned replaces the feedback store — the recovery hook for
-// serving layers that persist Export()ed planner feedback across
-// restarts. Call before the table is shared across goroutines.
-func (t *Table) SetLearned(l *plan.Learned) {
-	if l != nil {
-		t.learned = l
-	}
+	return plan.Env{Cache: t.queryCache, Order: t.residentOrder}
 }
 
 // SetQueryCache attaches a full-skyline cache for the planner's cache
