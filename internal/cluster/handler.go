@@ -48,7 +48,7 @@ func (co *Coordinator) Handler(fallback http.Handler) http.Handler {
 			rawName, rest, _ := strings.Cut(strings.TrimPrefix(path, "/tables/"), "/")
 			name, err := url.PathUnescape(rawName)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad table name: %w", err))
+				serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad table name: %w", err))
 				return
 			}
 			if ct := co.table(name); ct != nil {
@@ -67,51 +67,51 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 	case rest == "" && r.Method == http.MethodGet:
 		info, err := co.Info(ctx, ct)
 		if err != nil {
-			writeError(w, statusForCluster(err), err)
+			serve.WriteError(w, statusForCluster(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		serve.WriteJSON(w, http.StatusOK, info)
 	case rest == "" && r.Method == http.MethodDelete:
 		ok, err := co.DropTable(ctx, ct.name)
 		if err != nil {
-			writeError(w, statusForCluster(err), err)
+			serve.WriteError(w, statusForCluster(err), err)
 			return
 		}
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no table %q", ct.name))
+			serve.WriteError(w, http.StatusNotFound, fmt.Errorf("no table %q", ct.name))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"dropped": ct.name})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"dropped": ct.name})
 	case rest == "stats" && r.Method == http.MethodGet:
 		co.handleStats(w, r, ct)
 	case rest == "rows:batch" && r.Method == http.MethodPost:
 		var req serve.BatchRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxDomCountBody)).Decode(&req); err != nil {
-			writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad batch: %w", err))
+			serve.WriteError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad batch: %w", err))
 			return
 		}
 		resp, err := co.Batch(ctx, ct, req)
 		if err != nil {
-			writeError(w, statusForCluster(err), err)
+			serve.WriteError(w, statusForCluster(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	case rest == "query" && r.Method == http.MethodPost:
 		co.serveRead(w, r, ct)
 	case rest == "domcount" && r.Method == http.MethodPost:
 		var req serve.DomCountRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxDomCountBody)).Decode(&req); err != nil {
-			writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
+			serve.WriteError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
 			return
 		}
 		resp, err := co.DomCount(ctx, ct, req)
 		if err != nil {
-			writeError(w, statusForCluster(err), err)
+			serve.WriteError(w, statusForCluster(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	default:
-		writeError(w, http.StatusNotFound, fmt.Errorf("no cluster route %s %s", r.Method, r.URL.Path))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("no cluster route %s %s", r.Method, r.URL.Path))
 	}
 }
 
@@ -125,43 +125,45 @@ const maxQueryBody = 4 << 20
 func (co *Coordinator) serveRead(w http.ResponseWriter, r *http.Request, ct *ctable) {
 	var req serve.QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
-		writeError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad query: %w", err))
+		serve.WriteError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad query: %w", err))
 		return
 	}
 	co.queries.Add(1)
 	g, err := co.compile(ct, r.URL.Query(), req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if serve.WantsStream(r) {
 		co.stream(w, r, g)
 		return
 	}
-	resp, err := g.answer(r.Context(), co)
+	rp, err := g.answer(r.Context(), co)
 	if err != nil {
-		writeError(w, statusForCluster(err), err)
+		serve.WriteError(w, statusForCluster(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteQueryResponse(w, rp.head, len(rp.rows), func(b []byte, i int) []byte {
+		return rp.rows[i].appendJSON(b, ct.schema)
+	}, &rp.tail)
 }
 
 func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec serve.TableSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad table spec: %w", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad table spec: %w", err))
 		return
 	}
 	info, err := co.CreateTable(r.Context(), spec)
 	if err != nil {
 		if errors.Is(err, serve.ErrTableExists) {
-			writeError(w, http.StatusConflict, fmt.Errorf("table %q already exists", spec.Name))
+			serve.WriteError(w, http.StatusConflict, fmt.Errorf("table %q already exists", spec.Name))
 			return
 		}
-		writeError(w, statusForCluster(err), err)
+		serve.WriteError(w, statusForCluster(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	serve.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
@@ -173,12 +175,12 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		info, err := co.Info(r.Context(), ct)
 		if err != nil {
-			writeError(w, statusForCluster(err), err)
+			serve.WriteError(w, statusForCluster(err), err)
 			return
 		}
 		infos = append(infos, info)
 	}
-	writeJSON(w, http.StatusOK, infos)
+	serve.WriteJSON(w, http.StatusOK, infos)
 }
 
 // handleStats merges the shards' statistics and attaches the
@@ -186,7 +188,7 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, ct *ctable) {
 	stats, err := co.ShardStats(r.Context(), ct)
 	if err != nil {
-		writeError(w, statusForCluster(err), err)
+		serve.WriteError(w, statusForCluster(err), err)
 		return
 	}
 	out := struct {
@@ -203,7 +205,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, ct *c
 		out.Rows += s.Rows
 	}
 	out.Stats = plan.MergeStats(parts...)
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // ClusterzInfo is the GET /clusterz body.
@@ -284,7 +286,7 @@ func (co *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		info.PlanCache.Add(pc)
 		info.Tables = append(info.Tables, entry)
 	}
-	writeJSON(w, http.StatusOK, info)
+	serve.WriteJSON(w, http.StatusOK, info)
 }
 
 // probeVersions asks every primary (and, when followers are
@@ -352,14 +354,4 @@ func statusForCluster(err error) int {
 		return http.StatusBadGateway
 	}
 	return http.StatusBadRequest
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

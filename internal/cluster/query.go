@@ -18,13 +18,25 @@ import (
 
 // candidate is one shard-local skyline row in the coordinator's merge
 // pass: its wire identity (shard + shard-scoped row index + raw
-// values) and the comparison point dominance is tested on (projected
-// onto kept dimensions; distance-transformed under the ideal-point
-// transform).
+// values), its PO labels as the schema's value ids (every column, for
+// serve.AppendRow) and the comparison point dominance is tested on
+// (projected onto kept dimensions; distance-transformed under the
+// ideal-point transform).
 type candidate struct {
 	shard int
 	row   serve.SkylineRow
+	po    []int32
 	pt    core.Point
+}
+
+// appendJSON appends the candidate as its response row, shard included.
+func (c *candidate) appendJSON(b []byte, sc *serve.Schema) []byte {
+	return serve.AppendRow(b, sc, c.row.Row, c.row.TO, c.po, &c.shard)
+}
+
+// record returns the candidate's stream "row" record.
+func (c *candidate) record(sc *serve.Schema, info serve.FrameInfo) (serve.StreamRecord, error) {
+	return serve.RowRecord(sc, c.row.Row, c.row.TO, c.po, &c.shard, info)
 }
 
 // gather is a compiled scatter/gather pass (single-use): how to query
@@ -74,12 +86,14 @@ type gathered struct {
 	queried  int
 }
 
-// point builds a candidate's comparison point from its wire values.
-func (g *gather) point(row *serve.SkylineRow) (core.Point, error) {
-	pt := core.Point{ID: -1, TO: make([]int32, len(g.keptTO))}
+// point builds a candidate's comparison point from its wire values,
+// resolving every PO label to its value id once: po holds them all, the
+// point the kept ones.
+func (g *gather) point(row *serve.SkylineRow) (pt core.Point, po []int32, err error) {
+	pt = core.Point{ID: -1, TO: make([]int32, len(g.keptTO))}
 	for j, d := range g.keptTO {
 		if d >= len(row.TO) {
-			return core.Point{}, fmt.Errorf("cluster: shard row has %d TO values, need column %d", len(row.TO), d)
+			return core.Point{}, nil, fmt.Errorf("cluster: shard row has %d TO values, need column %d", len(row.TO), d)
 		}
 		v := row.TO[d]
 		if g.ideal != nil {
@@ -90,20 +104,31 @@ func (g *gather) point(row *serve.SkylineRow) (core.Point, error) {
 		}
 		pt.TO[j] = int32(v)
 	}
-	if len(g.keptPO) > 0 {
+	sc := g.ct.schema
+	if sc.NumPO() == 0 {
+		return pt, nil, nil
+	}
+	if len(row.PO) != sc.NumPO() {
+		return core.Point{}, nil, fmt.Errorf("cluster: shard row has %d PO values, table has %d PO columns", len(row.PO), sc.NumPO())
+	}
+	po = make([]int32, len(row.PO))
+	for d, label := range row.PO {
+		id, ok := sc.POValueID(d, label)
+		if !ok {
+			return core.Point{}, nil, fmt.Errorf("cluster: shard row carries unknown value %q for PO column %d", label, d)
+		}
+		po[d] = int32(id)
+	}
+	// Kept dims are ascending and distinct, so keeping them all is the
+	// identity and the point shares po.
+	pt.PO = po
+	if len(g.keptPO) < len(po) {
 		pt.PO = make([]int32, len(g.keptPO))
 		for j, d := range g.keptPO {
-			if d >= len(row.PO) {
-				return core.Point{}, fmt.Errorf("cluster: shard row has %d PO values, need column %d", len(row.PO), d)
-			}
-			id, ok := g.ct.schema.POValueID(d, row.PO[d])
-			if !ok {
-				return core.Point{}, fmt.Errorf("cluster: shard row carries unknown value %q for PO column %d", row.PO[d], d)
-			}
-			pt.PO[j] = int32(id)
+			pt.PO[j] = po[d]
 		}
 	}
-	return pt, nil
+	return pt, po, nil
 }
 
 // universalTops returns the domain values t-preferred to every other
@@ -318,11 +343,11 @@ func pin(stats []serve.TableStatsInfo, i int) int64 {
 func (g *gather) candidates(shard int, resp *serve.QueryResponse) ([]candidate, error) {
 	cands := make([]candidate, len(resp.Skyline))
 	for k := range resp.Skyline {
-		pt, err := g.point(&resp.Skyline[k])
+		pt, po, err := g.point(&resp.Skyline[k])
 		if err != nil {
 			return nil, err
 		}
-		cands[k] = candidate{shard: shard, row: resp.Skyline[k], pt: pt}
+		cands[k] = candidate{shard: shard, row: resp.Skyline[k], po: po, pt: pt}
 	}
 	return cands, nil
 }
@@ -480,8 +505,16 @@ func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (str
 	return streamed, nil
 }
 
+// reply is a merged answer ready for the wire: the response head and
+// tail, and the rows to deliver (already cut to the limit).
+type reply struct {
+	head serve.ResponseHead
+	rows []candidate
+	tail serve.ResponseTail
+}
+
 // answer is the buffered runner: prepare, then gather-and-merge.
-func (g *gather) answer(ctx context.Context, co *Coordinator) (*serve.QueryResponse, error) {
+func (g *gather) answer(ctx context.Context, co *Coordinator) (*reply, error) {
 	start := time.Now()
 	if _, err := g.prepare(ctx, co, false); err != nil {
 		return nil, err
@@ -490,8 +523,8 @@ func (g *gather) answer(ctx context.Context, co *Coordinator) (*serve.QueryRespo
 }
 
 // gatherMerge scatters the buffered legs, merges, applies the request's
-// post-merge steps and renders the response. prepare has run.
-func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Time) (*serve.QueryResponse, error) {
+// post-merge steps and assembles the reply. prepare has run.
+func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Time) (*reply, error) {
 	gr, err := g.run(ctx, co)
 	if err != nil {
 		return nil, err
@@ -519,13 +552,13 @@ func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Ti
 	g.explain.ObservedSeconds = time.Since(start).Seconds()
 	g.explain.ObservedSkyline = len(merged)
 	g.explain.CacheHit = gr.cacheHit
-	resp := co.response(g.ct, gr, merged, g.limit)
-	resp.CacheHit = gr.cacheHit
-	resp.Algo = g.explain.Algorithm
+	rp := co.wireReply(g.ct, gr, merged, g.limit)
+	rp.tail.CacheHit = gr.cacheHit
+	rp.tail.Algo = g.explain.Algorithm
 	if g.wantExplain {
-		resp.Plan = g.explain
+		rp.tail.Plan = g.explain
 	}
-	return resp, nil
+	return rp, nil
 }
 
 // planOnce reuses internal/plan against a schema-shaped dataset (under
@@ -746,9 +779,9 @@ func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCo
 	return &serve.DomCountResponse{Table: ct.name, Version: version, Counts: merged.Counts, Hists: serve.PackHists(merged.Hists)}, nil
 }
 
-// response renders the merged candidates in the single-node wire shape
+// wireReply shapes the merged candidates as the single-node wire answer
 // plus the cluster metadata.
-func (co *Coordinator) response(ct *ctable, gr *gathered, merged []candidate, limit int) *serve.QueryResponse {
+func (co *Coordinator) wireReply(ct *ctable, gr *gathered, merged []candidate, limit int) *reply {
 	var version int64
 	for _, v := range gr.versions {
 		version += v
@@ -757,27 +790,16 @@ func (co *Coordinator) response(ct *ctable, gr *gathered, merged []candidate, li
 	if limit > 0 && limit < len(rows) {
 		rows = rows[:limit]
 	}
-	sky := make([]serve.SkylineRow, len(rows))
-	for i := range rows {
-		shard := rows[i].shard
-		sky[i] = serve.SkylineRow{
-			Row:   rows[i].row.Row,
-			TO:    rows[i].row.TO,
-			PO:    rows[i].row.PO,
-			Shard: &shard,
-		}
-	}
-	return &serve.QueryResponse{
-		Table:   ct.name,
-		Version: version,
-		Rows:    gr.rowsTot,
-		Count:   len(merged),
-		Skyline: sky,
-		Metrics: gr.metrics,
-		Cluster: &serve.ClusterMeta{
-			Shards:   len(co.shards),
-			Versions: gr.versions,
-			Pruned:   gr.pruned,
+	return &reply{
+		head: serve.ResponseHead{Table: ct.name, Version: version, Rows: gr.rowsTot, Count: len(merged)},
+		rows: rows,
+		tail: serve.ResponseTail{
+			Metrics: gr.metrics,
+			Cluster: &serve.ClusterMeta{
+				Shards:   len(co.shards),
+				Versions: gr.versions,
+				Pruned:   gr.pruned,
+			},
 		},
 	}
 }

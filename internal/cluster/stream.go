@@ -75,20 +75,23 @@ func (co *Coordinator) stream(w http.ResponseWriter, r *http.Request, g *gather)
 		if streamed {
 			return g.streamMerge(ctx, co, emit)
 		}
-		resp, err := g.gatherMerge(ctx, co, start)
+		rp, err := g.gatherMerge(ctx, co, start)
 		if err != nil {
 			return serve.StreamRecord{}, err
 		}
-		for i := range resp.Skyline { // already cut to the limit
-			rec := serve.StreamRecord{Type: "row", Row: &resp.Skyline[i], Emission: i, Elapsed: time.Since(start).Seconds()}
+		for i := range rp.rows { // already cut to the limit
+			rec, err := rp.rows[i].record(g.ct.schema, serve.FrameInfo{Emission: i, Elapsed: time.Since(start).Seconds()})
+			if err != nil {
+				return serve.StreamRecord{}, err
+			}
 			if err := emit(rec); err != nil {
 				return serve.StreamRecord{}, err
 			}
 		}
 		return serve.StreamRecord{
-			Type: "trailer", Version: resp.Version, Count: resp.Count,
-			Metrics: &resp.Metrics, CacheHit: resp.CacheHit, Algo: resp.Algo,
-			Plan: resp.Plan, Cluster: resp.Cluster,
+			Type: "trailer", Version: rp.head.Version, Count: rp.head.Count,
+			Metrics: &rp.tail.Metrics, CacheHit: rp.tail.CacheHit, Algo: rp.tail.Algo,
+			Plan: rp.tail.Plan, Cluster: rp.tail.Cluster,
 		}, nil
 	})
 }
@@ -219,10 +222,11 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 		if g.limit > 0 && index >= g.limit {
 			return nil
 		}
-		shard := c.shard
-		row := c.row
-		row.Shard = &shard
-		return emit(serve.StreamRecord{Type: "row", Row: &row, Emission: index, Elapsed: time.Since(start).Seconds()})
+		rec, err := c.record(g.ct.schema, serve.FrameInfo{Emission: index, Elapsed: time.Since(start).Seconds()})
+		if err != nil {
+			return err
+		}
+		return emit(rec)
 	})
 	defer m.win.Close()
 
@@ -261,11 +265,11 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 			shardRows[ev.shard] = ev.rec.Rows
 			continue
 		case "row":
-			var pt core.Point
-			if pt, err = g.point(ev.rec.Row); err != nil {
+			c := candidate{shard: ev.shard, row: *ev.rec.Row}
+			if c.pt, c.po, err = g.point(ev.rec.Row); err != nil {
 				return serve.StreamRecord{}, err
 			}
-			done, err = m.row(candidate{shard: ev.shard, row: *ev.rec.Row, pt: pt}, ev.rec.Key)
+			done, err = m.row(c, ev.rec.Key)
 		case "trailer":
 			trailers++
 			if ev.rec.CacheHit {

@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/poset"
@@ -128,18 +129,31 @@ func oracleRestrict(doms []*poset.Domain, keptTO []int, weights []float64, rows 
 }
 
 // sortByScore orders ids by ascending score (id-ascending on ties) and
-// keeps the first k.
-func sortByScore(ids []int32, scores map[int32]float64, k int) []int32 {
-	out := append([]int32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := scores[out[i]], scores[out[j]]
-		if si != sj {
-			return si < sj
+// keeps the first k; scores[i] is ids[i]'s score.
+func sortByScore(ids []int32, scores []float64, k int) []int32 {
+	if len(ids) == 0 {
+		return nil
+	}
+	type scored struct {
+		score float64
+		id    int32
+	}
+	all := make([]scored, len(ids))
+	for i, id := range ids {
+		all[i] = scored{scores[i], id}
+	}
+	slices.SortFunc(all, func(a, b scored) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case a.score > b.score:
+			return 1
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a.id, b.id)
 	})
-	if k < len(out) {
-		out = out[:k]
+	out := make([]int32, min(k, len(all)))
+	for i := range out {
+		out[i] = all[i].id
 	}
 	return out
 }

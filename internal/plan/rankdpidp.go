@@ -42,9 +42,9 @@ func (dpidpRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 	if err != nil {
 		return nil, false, err
 	}
-	scores := make(map[int32]float64, len(ids))
-	for i, id := range ids {
-		scores[id] = -hists[i].Score()
+	scores := make([]float64, len(ids))
+	for i := range ids {
+		scores[i] = -hists[i].Score()
 	}
 	if sc.StoreIndex != nil {
 		sc.StoreIndex(core.NewScoreIndex(ids, histMaps(hists)))
@@ -84,9 +84,9 @@ func (dpidpRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
 			h[kk]++
 		}
 	}
-	scores := make(map[int32]float64, len(sky))
-	for _, id := range sky {
-		scores[id] = -core.DPIDPScoreFromHist(hists[id])
+	scores := make([]float64, len(sky))
+	for i, id := range sky {
+		scores[i] = -core.DPIDPScoreFromHist(hists[id])
 	}
 	return sortByScore(sky, scores, k)
 }
@@ -166,18 +166,19 @@ func mergeRuns(ks []int32, counts []int64, a, b KHist) ([]int32, []int64) {
 	return append(ks, b.Ks[y:]...), append(counts, b.Counts[y:]...)
 }
 
-// indexScores serves the ranked ids from the maintained index's
-// memoized scores, found by binary search over its ascending members; a
-// single missing member declines the whole lookup.
-func indexScores(ix *core.ScoreIndex, ids []int32) (map[int32]float64, bool) {
+// indexScores serves the ranked ids' (negated) scores, parallel to ids,
+// from the maintained index's memoized scores, found by binary search
+// over its ascending members; a single missing member declines the
+// whole lookup.
+func indexScores(ix *core.ScoreIndex, ids []int32) ([]float64, bool) {
 	members, all := ix.Members(), ix.Scores()
-	scores := make(map[int32]float64, len(ids))
-	for _, id := range ids {
+	scores := make([]float64, len(ids))
+	for x, id := range ids {
 		i, ok := slices.BinarySearch(members, id)
 		if !ok {
 			return nil, false
 		}
-		scores[id] = -all[i]
+		scores[x] = -all[i]
 	}
 	return scores, true
 }

@@ -216,10 +216,10 @@ func (domcountRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k
 	if err != nil {
 		return nil, false, err
 	}
-	scores := make(map[int32]float64, len(ids))
+	scores := make([]float64, len(ids))
 	// Negated so the shared ascending sort ranks higher counts first.
-	for i, id := range ids {
-		scores[id] = -float64(counts[i])
+	for i := range ids {
+		scores[i] = -float64(counts[i])
 	}
 	return sortByScore(ids, scores, k), false, nil
 }
@@ -230,8 +230,8 @@ func (domcountRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 
 	for i := range rows {
 		byID[rows[i].ID] = &rows[i]
 	}
-	counts := make(map[int32]float64, len(sky))
-	for _, id := range sky {
+	counts := make([]float64, len(sky))
+	for x, id := range sky {
 		s := byID[id]
 		var c float64
 		for i := range rows {
@@ -239,7 +239,7 @@ func (domcountRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 
 				c++
 			}
 		}
-		counts[id] = -c // ascending sort ranks bigger counts first
+		counts[x] = -c // ascending sort ranks bigger counts first
 	}
 	return sortByScore(sky, counts, k)
 }
@@ -283,9 +283,9 @@ func (idealRanker) ConsumesIdeal() {}
 
 func (idealRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k int) ([]int32, bool, error) {
 	depths := idealDepths(sc.DS, sc.KeptPO)
-	scores := make(map[int32]float64, len(ids))
-	for _, id := range ids {
-		scores[id] = idealScore(sc.Query, sc.KeptTO, sc.KeptPO, &sc.DS.Pts[id], depths)
+	scores := make([]float64, len(ids))
+	for i, id := range ids {
+		scores[i] = idealScore(sc.Query, sc.KeptTO, sc.KeptPO, &sc.DS.Pts[id], depths)
 	}
 	return sortByScore(ids, scores, k), false, nil
 }
@@ -293,12 +293,12 @@ func (idealRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 func (idealRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
 	q := oc.Query
 	rows := oc.Rows
-	scores := make(map[int32]float64, len(sky))
+	scores := make([]float64, len(sky))
 	byID := make(map[int32]*core.Point, len(rows))
 	for i := range rows {
 		byID[rows[i].ID] = &rows[i]
 	}
-	for _, id := range sky {
+	for x, id := range sky {
 		s := byID[id]
 		var sc float64
 		for j, d := range oc.KeptTO {
@@ -320,7 +320,7 @@ func (idealRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
 				}
 			}
 		}
-		scores[id] = sc
+		scores[x] = sc
 	}
 	return sortByScore(sky, scores, k)
 }

@@ -44,7 +44,12 @@ func skylineOf(t *testing.T, s *Server, table string) []SkylineRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return skylineRows(snap, res.Rows, 0)
+	rows := make([]SkylineRow, len(res.Rows))
+	for i, r := range res.Rows {
+		to, po := snap.table.RowValues(r)
+		rows[i] = SkylineRow{Row: r, TO: to, PO: po}
+	}
+	return rows
 }
 
 // TestDurableRecoverRoundTrip: create, mutate over several batches,

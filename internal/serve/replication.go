@@ -43,12 +43,12 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request, e
 	snap := e.current()
 	img, err := e.storeSnapshot(snap)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	b, err := store.EncodeSnapshot(img)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -62,7 +62,7 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request, e
 // log to ship.
 func (s *Server) handleReplicaLog(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	if s.store == nil {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("replication log needs a durable primary (start it with -data-dir)"))
 		return
 	}
@@ -70,7 +70,7 @@ func (s *Server) handleReplicaLog(w http.ResponseWriter, r *http.Request, e *tab
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad after=%q: %w", v, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad after=%q: %w", v, err))
 			return
 		}
 		after = n
@@ -79,11 +79,11 @@ func (s *Server) handleReplicaLog(w http.ResponseWriter, r *http.Request, e *tab
 	if errors.Is(err, store.ErrCompacted) {
 		// The suffix was absorbed into the snapshot: tell the follower to
 		// re-seed rather than pretending the log starts at V+1.
-		writeError(w, http.StatusGone, err)
+		WriteError(w, http.StatusGone, err)
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("%w: read log: %v", errStorage, err))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("%w: read log: %v", errStorage, err))
 		return
 	}
 	b := store.WALHeader()

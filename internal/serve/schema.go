@@ -19,6 +19,7 @@ type Schema struct {
 	orderSpecs []OrderSpec
 	poIndex    []map[string]int // per order: value label -> id (storage encoding)
 	poSizes    []int            // per order: number of values (plan.Query.Validate's shape)
+	quoted     [][][]byte       // per order: per value id, the label as a JSON string (AppendRow)
 }
 
 // NewSchema validates the column namespace (TO names, order names and
@@ -28,6 +29,7 @@ func NewSchema(toColumns []string, orders []OrderSpec) (*Schema, error) {
 	sc := &Schema{
 		toCols:     append([]string(nil), toColumns...),
 		orderSpecs: append([]OrderSpec(nil), orders...),
+		quoted:     quoteLabels(orders),
 	}
 	for _, spec := range sc.orderSpecs {
 		idx := make(map[string]int, len(spec.Values))

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -412,33 +411,33 @@ func (s *Server) Handler() http.Handler {
 			body["checkpointStuck"] = stuck
 			body["checkpointErrors"] = s.checkpointErrs.Load()
 		}
-		writeJSON(w, http.StatusOK, body)
+		WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		WriteJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /tables", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Tables())
+		WriteJSON(w, http.StatusOK, s.Tables())
 	})
 	mux.HandleFunc("POST /tables", s.handleCreate)
 	mux.HandleFunc("GET /tables/{name}", s.withTable(func(w http.ResponseWriter, r *http.Request, e *tableEntry) {
-		writeJSON(w, http.StatusOK, e.info())
+		WriteJSON(w, http.StatusOK, e.info())
 	}))
 	mux.HandleFunc("DELETE /tables/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.checkWritable(); err != nil {
-			writeError(w, http.StatusForbidden, err)
+			WriteError(w, http.StatusForbidden, err)
 			return
 		}
 		ok, err := s.DropTable(r.PathValue("name"))
 		if err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no table %q", r.PathValue("name")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no table %q", r.PathValue("name")))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"dropped": r.PathValue("name")})
+		WriteJSON(w, http.StatusOK, map[string]string{"dropped": r.PathValue("name")})
 	})
 	mux.HandleFunc("GET /tables/{name}/stats", s.withTable(s.handleTableStats))
 	mux.HandleFunc("POST /tables/{name}/rows:batch", s.withTable(s.handleBatch))
@@ -468,17 +467,17 @@ func (s *Server) withTable(fn func(http.ResponseWriter, *http.Request, *tableEnt
 		name := r.PathValue("name")
 		e, ok := s.table(name)
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no table %q", name))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no table %q", name))
 			return
 		}
 		if v := r.URL.Query().Get("minVersion"); v != "" {
 			minV, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad minVersion=%q: %w", v, err))
+				WriteError(w, http.StatusBadRequest, fmt.Errorf("bad minVersion=%q: %w", v, err))
 				return
 			}
 			if cur := e.current().version; cur < minV {
-				writeError(w, http.StatusPreconditionFailed,
+				WriteError(w, http.StatusPreconditionFailed,
 					fmt.Errorf("table %q at version %d, below pinned minVersion %d", name, cur, minV))
 				return
 			}
@@ -490,34 +489,34 @@ func (s *Server) withTable(fn func(http.ResponseWriter, *http.Request, *tableEnt
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec TableSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad table spec: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad table spec: %w", err))
 		return
 	}
 	// Partitioning is the coordinator's concern; a single node serving
 	// it unpartitioned would silently defeat the request's intent.
 	if spec.Partition != nil {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("partition spec is only valid against a cluster coordinator"))
 		return
 	}
 	if err := s.checkShardIdentity(r); err != nil {
-		writeError(w, http.StatusConflict, err)
+		WriteError(w, http.StatusConflict, err)
 		return
 	}
 	if err := s.checkWritable(); err != nil {
-		writeError(w, http.StatusForbidden, err)
+		WriteError(w, http.StatusForbidden, err)
 		return
 	}
 	info, err := s.CreateTable(spec)
 	if errors.Is(err, ErrTableExists) {
-		writeError(w, http.StatusConflict, fmt.Errorf("table %q already exists", spec.Name))
+		WriteError(w, http.StatusConflict, fmt.Errorf("table %q already exists", spec.Name))
 		return
 	}
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	WriteJSON(w, http.StatusCreated, info)
 }
 
 // maxQueryBody bounds a query request body. A lattice of 500 values
@@ -551,13 +550,13 @@ func BodyErrorStatus(err error) int {
 func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
-		writeError(w, BodyErrorStatus(err), fmt.Errorf("bad query: %w", err))
+		WriteError(w, BodyErrorStatus(err), fmt.Errorf("bad query: %w", err))
 		return
 	}
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit=%q: %w", v, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad limit=%q: %w", v, err))
 			return
 		}
 		if n != 0 {
@@ -568,7 +567,7 @@ func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry
 	// or any stream opens.
 	q, err := e.schema.PlanQuery(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	rq := readQuery{plan: q, explain: req.Explain, limit: req.Limit}
@@ -579,23 +578,22 @@ func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry
 	}
 	res, explain, err := s.execute(r.Context(), e, snap, &rq, nil)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	resp := QueryResponse{
-		Table:    e.name,
-		Version:  snap.version,
-		Rows:     snap.table.Len(),
-		Count:    len(res.Rows),
-		Skyline:  skylineRows(snap, res.Rows, rq.limit),
-		Metrics:  res.Metrics,
-		CacheHit: res.CacheHit,
-		Algo:     explain.Algorithm,
-	}
+	head := ResponseHead{Table: e.name, Version: snap.version, Rows: snap.table.Len(), Count: len(res.Rows)}
+	tail := ResponseTail{Metrics: res.Metrics, CacheHit: res.CacheHit, Algo: explain.Algorithm}
 	if rq.explain {
-		resp.Plan = explain
+		tail.Plan = explain
 	}
-	writeJSON(w, http.StatusOK, resp)
+	rows := res.Rows
+	if rq.limit > 0 && rq.limit < len(rows) {
+		rows = rows[:rq.limit]
+	}
+	WriteQueryResponse(w, head, len(rows), func(b []byte, i int) []byte {
+		to, po := snap.table.RowCodes(rows[i])
+		return AppendRow(b, e.schema, rows[i], to, po, nil)
+	}, &tail)
 }
 
 // readQuery is a validated read request: the logical query the planner
@@ -629,28 +627,28 @@ func (s *Server) execute(ctx context.Context, e *tableEntry, snap *snapshot, rq 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	var req BatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDomCountBody)).Decode(&req); err != nil {
-		writeError(w, BodyErrorStatus(err), fmt.Errorf("bad batch: %w", err))
+		WriteError(w, BodyErrorStatus(err), fmt.Errorf("bad batch: %w", err))
 		return
 	}
 	if len(req.RemoveSharded) > 0 {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("removeSharded is only valid against a cluster coordinator (row indexes here are plain `remove`)"))
 		return
 	}
 	if err := s.checkShardIdentity(r); err != nil {
-		writeError(w, http.StatusConflict, err)
+		WriteError(w, http.StatusConflict, err)
 		return
 	}
 	if err := s.checkWritable(); err != nil {
-		writeError(w, http.StatusForbidden, err)
+		WriteError(w, http.StatusForbidden, err)
 		return
 	}
 	resp, err := s.applyBatch(e, req)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTableStats answers GET /tables/{name}/stats: the serving
@@ -659,7 +657,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEnt
 // coordinator reads it per query to pin versions and prune shards.
 func (s *Server) handleTableStats(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	snap := e.current()
-	writeJSON(w, http.StatusOK, TableStatsInfo{
+	WriteJSON(w, http.StatusOK, TableStatsInfo{
 		Table:   e.name,
 		Version: snap.version,
 		Rows:    snap.table.Len(),
@@ -676,12 +674,12 @@ func (s *Server) handleTableStats(w http.ResponseWriter, r *http.Request, e *tab
 func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	var req DomCountRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDomCountBody)).Decode(&req); err != nil {
-		writeError(w, BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
+		WriteError(w, BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
 		return
 	}
 	q, err := e.schema.PlanQuery(QueryRequest{Orders: req.Orders, Subspace: req.Subspace, Where: req.Where})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	snap := e.current()
@@ -695,10 +693,10 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 	}
 	parts, err := snap.table.RankPartials(r.Context(), q, rank, rows)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DomCountResponse{Table: e.name, Version: snap.version, Counts: parts.Counts, Hists: PackHists(parts.Hists)})
+	WriteJSON(w, http.StatusOK, DomCountResponse{Table: e.name, Version: snap.version, Counts: parts.Counts, Hists: PackHists(parts.Hists)})
 }
 
 func (s *Server) countQuery(e *tableEntry) {
@@ -706,25 +704,22 @@ func (s *Server) countQuery(e *tableEntry) {
 	e.queries.Add(1)
 }
 
-// encBufPool pools the per-response JSON encode buffers: every request
-// (and every streamed record) encodes through one, so the hot path
-// reuses buffer storage instead of allocating a fresh encoder sink per
-// call.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(body); err != nil {
+// WriteJSON writes body as one JSON response with the given status,
+// encoded through a pooled buffer before anything is sent, so a body
+// that fails to encode is a 500 rather than a torn one.
+func WriteJSON(w http.ResponseWriter, status int, body any) {
+	bd := getBody()
+	defer bodyPool.Put(bd)
+	if err := json.NewEncoder(bd).Encode(body); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(bd.b)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+// WriteError writes err as an {"error": …} body with the given status.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorResponse{Error: err.Error()})
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -85,23 +84,40 @@ func (sw *streamWriter) flush() {
 	}
 }
 
-// write encodes one record through the pooled buffer onto the response,
-// without flushing.
+// write frames one record onto the response, without flushing: a row
+// record RowRecord encoded as its bytes, any other record through
+// encoding/json, both in a pooled buffer.
 func (sw *streamWriter) write(rec *StreamRecord) error {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
-	buf.Reset()
+	bd := rec.encoded
+	if bd == nil {
+		var err error
+		if bd, err = encodeRecord(*rec); err != nil {
+			return err
+		}
+	}
+	defer bodyPool.Put(bd)
+	line := bd.b
 	if sw.sse {
-		buf.WriteString("data: ")
+		// Each line (one JSON object and its \n) becomes a data event;
+		// SSE events end with a blank line.
+		bd.b = append(bd.b, "data: "...)
+		bd.b = append(append(bd.b, line...), '\n')
+		line = bd.b[len(line):]
 	}
-	if err := json.NewEncoder(buf).Encode(rec); err != nil {
-		return err
-	}
-	if sw.sse {
-		buf.WriteByte('\n') // Encode wrote one \n; SSE events end with a blank line
-	}
-	_, err := sw.w.Write(buf.Bytes())
+	_, err := sw.w.Write(line)
 	return err
+}
+
+// encodeRecord encodes a record into a pooled buffer. It takes the
+// record by value: only a record encoding/json encodes moves to the
+// heap, never a row record on its way through write.
+func encodeRecord(rec StreamRecord) (*body, error) {
+	bd := getBody()
+	if err := json.NewEncoder(bd).Encode(&rec); err != nil {
+		bodyPool.Put(bd)
+		return nil, err
+	}
+	return bd, nil
 }
 
 // StreamResponse drives a streamed query response: the header record
@@ -197,17 +213,6 @@ func writeWaiting(sw *streamWriter, rows <-chan StreamRecord) error {
 	}
 }
 
-// streamRowRecord renders one emitted row as its stream frame.
-func streamRowRecord(snap *snapshot, row int, index int, elapsed time.Duration) StreamRecord {
-	to, po := snap.table.RowValues(row)
-	return StreamRecord{
-		Type:     "row",
-		Row:      &SkylineRow{Row: row, TO: to, PO: po},
-		Emission: index,
-		Elapsed:  elapsed.Seconds(),
-	}
-}
-
 // streamQuery is postQuery's ?stream=1 delivery: header, one row
 // record per emission the executor hands over (as rows certify, with
 // the row's SFS key, on the progressive routes), and a trailer carrying
@@ -219,8 +224,12 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, e *tableEnt
 			if rq.limit > 0 && row.Index >= rq.limit {
 				return nil
 			}
-			rec := streamRowRecord(snap, int(row.ID), row.Index, row.Elapsed)
-			rec.Key = row.Key
+			to, po := snap.table.RowCodes(int(row.ID))
+			rec, err := RowRecord(e.schema, int(row.ID), to, po, nil,
+				FrameInfo{Emission: row.Index, Elapsed: row.Elapsed.Seconds(), Key: row.Key})
+			if err != nil {
+				return err
+			}
 			return emit(rec)
 		})
 		if err != nil {

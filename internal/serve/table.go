@@ -305,17 +305,3 @@ func (e *tableEntry) countCache(ex *plan.Explain, q *plan.Query) {
 		e.planFullMisses.Add(1)
 	}
 }
-
-// skylineRows renders result row indexes with their values from the
-// snapshot that produced them.
-func skylineRows(s *snapshot, rows []int, limit int) []SkylineRow {
-	if limit > 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	out := make([]SkylineRow, len(rows))
-	for i, r := range rows {
-		to, po := s.table.RowValues(r)
-		out[i] = SkylineRow{Row: r, TO: to, PO: po}
-	}
-	return out
-}

@@ -243,12 +243,24 @@ type SkylineRow struct {
 
 // QueryResponse answers skyline and query requests. Version identifies
 // the snapshot that served the request; every row index refers to it.
+// Servers write it through WriteQueryResponse: the head and the rows by
+// hand, the tail by encoding/json.
 type QueryResponse struct {
-	Table    string             `json:"table"`
-	Version  int64              `json:"version"`
-	Rows     int                `json:"rows"`
-	Count    int                `json:"count"`
-	Skyline  []SkylineRow       `json:"skyline"`
+	ResponseHead
+	Skyline []SkylineRow `json:"skyline"`
+	ResponseTail
+}
+
+// ResponseHead is the part of a QueryResponse ahead of its rows.
+type ResponseHead struct {
+	Table   string `json:"table"`
+	Version int64  `json:"version"`
+	Rows    int    `json:"rows"`
+	Count   int    `json:"count"`
+}
+
+// ResponseTail is the part of a QueryResponse after its rows.
+type ResponseTail struct {
 	Metrics  core.MetricsExport `json:"metrics"`
 	CacheHit bool               `json:"cacheHit,omitempty"`
 	Algo     string             `json:"algo,omitempty"`
@@ -314,6 +326,10 @@ type StreamRecord struct {
 
 	// Error is the mid-stream failure message ("error" records).
 	Error string `json:"error,omitempty"`
+
+	// encoded is a "row" record already written by RowRecord: the
+	// stream writer sends these bytes instead of encoding the fields.
+	encoded *body
 }
 
 // StatsResponse is the /statsz body.

@@ -97,24 +97,24 @@ func (r *Rows) check(s *Schema) error {
 	return nil
 }
 
-// AlgoCostRecord is one persisted query-planner cost correction: the
-// observed/predicted multiplier EWMA for a named algorithm and the
-// number of observations behind it.
+// AlgoCostRecord is one algorithm's entry of an old snapshot's stats
+// section (see TableStatsRecord): the observed/predicted cost multiplier
+// a planner once kept for a named algorithm and the number of
+// observations behind it.
 type AlgoCostRecord struct {
 	Name string
 	Mult float64
 	N    int64
 }
 
-// TableStatsRecord persists the query planner's *learned* statistics —
-// the skyline-fraction EWMA and the per-algorithm cost corrections
-// observed from past runs. The derivable statistics (row counts,
-// min/max, distinct estimates) are recomputed from the rows on load;
-// only the feedback, which cannot be rederived, is stored. The record
-// is advisory: WAL replay does not advance it (mutations carry no
-// observations), it simply resumes learning from the checkpointed
-// state. Algos must be sorted by strictly ascending name — the
-// canonical-encoding requirement.
+// TableStatsRecord is the stats section of a format-2 snapshot: a
+// skyline-fraction EWMA and per-algorithm cost corrections that earlier
+// planners learned from past runs. No build writes it any more — the
+// planner estimates nothing, so it has nothing to learn — and recovery
+// ignores it. It is decoded, and checked, only so that snapshots written
+// with it still load and still re-encode to their own bytes. Algos must
+// be sorted by strictly ascending name — the canonical-encoding
+// requirement.
 type TableStatsRecord struct {
 	SkyFrac  float64
 	SkyFracN int64
@@ -123,8 +123,8 @@ type TableStatsRecord struct {
 
 // check validates a stats record structurally: strictly name-sorted
 // algos (the canonical-encoding requirement), non-negative counts, and
-// finite in-range floats — a hostile snapshot must not be able to
-// plant a NaN skyline fraction in the planner.
+// finite in-range floats — a snapshot that breaks them is corrupt,
+// whether or not anything reads the record.
 func (st *TableStatsRecord) check() error {
 	if st.SkyFracN < 0 {
 		return fmt.Errorf("%w: negative stats observation count", ErrCorrupt)
@@ -154,8 +154,8 @@ type Snapshot struct {
 	// CacheCapacity preserves the table's dynamic-cache sizing across
 	// restarts (0 = server default).
 	CacheCapacity int
-	// Stats carries the query planner's learned feedback, when any (see
-	// TableStatsRecord).
+	// Stats is an old snapshot's stats section, when it has one: no
+	// build writes it and recovery ignores it (see TableStatsRecord).
 	Stats *TableStatsRecord
 	// formatV1 marks a snapshot decoded from the pre-planner format 1
 	// (no stats section). Re-encoding reproduces the original bytes —

@@ -245,6 +245,14 @@ func (t *Table) RowValues(i int) (to []int64, po []string) {
 	return to, po
 }
 
+// RowCodes returns row i's stored values without copying: the TO column
+// values and, per PO column, the value's index in its Order's Values.
+// The slices are the table's own and must not be modified.
+func (t *Table) RowCodes(i int) (to, po []int32) {
+	p := &t.ds.Pts[i]
+	return p.TO, p.PO
+}
+
 // Clone returns a copy-on-write snapshot of the table: the new table
 // shares the compiled (frozen, immutable) orders and the existing rows'
 // storage, but appending to either table never affects the other. This
@@ -661,11 +669,17 @@ func wrapResult(res *core.Result) *SkylineResult {
 		Metrics:  res.Metrics.Export(core.DefaultIOCost),
 		CacheHit: res.FromCache,
 	}
-	for _, id := range res.SkylineIDs {
-		out.Rows = append(out.Rows, int(id))
+	if n := len(res.SkylineIDs); n > 0 {
+		out.Rows = make([]int, n)
+		for i, id := range res.SkylineIDs {
+			out.Rows[i] = int(id)
+		}
 	}
-	for _, e := range res.Metrics.Emissions {
-		out.EmissionSeconds = append(out.EmissionSeconds, e.Time(core.DefaultIOCost).Seconds())
+	if n := len(res.Metrics.Emissions); n > 0 {
+		out.EmissionSeconds = make([]float64, n)
+		for i, e := range res.Metrics.Emissions {
+			out.EmissionSeconds[i] = e.Time(core.DefaultIOCost).Seconds()
+		}
 	}
 	return out
 }
