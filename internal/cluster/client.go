@@ -34,17 +34,26 @@ type shardClient struct {
 	streamHTTP *http.Client
 }
 
-// do issues one JSON round trip and decodes the answer into out.
+// bodyReader reads a shard's answer itself, instead of encoding/json:
+// a query leg's rows are read by hand (serve.RowDecoder).
+type bodyReader func(io.Reader) error
+
+// do issues one JSON round trip and decodes the answer into out: a
+// bodyReader reads it, anything else is encoding/json's.
 func (c *shardClient) do(ctx context.Context, method, path string, body, out any) error {
 	resp, err := c.send(ctx, c.http, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case bodyReader:
+		return out(resp.Body)
+	default:
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // stream opens one streamed leg (a POST to a ?stream=1 path): like do,
@@ -57,13 +66,18 @@ func (c *shardClient) stream(ctx context.Context, path string, body any) (io.Rea
 	return resp.Body, nil
 }
 
-// send issues one request. Every request carries the shard-direct
-// marker and the expected-identity assertion, and rides the caller's
-// context so a coordinator-side timeout cancels the whole scatter. A
-// non-2xx status becomes a shardError (the body closed).
+// send issues one request: a []byte body is sent as it is, any other
+// through json.Marshal. Every request carries the shard-direct marker
+// and the expected-identity assertion, and rides the caller's context
+// so a coordinator-side timeout cancels the whole scatter. A non-2xx
+// status becomes a shardError (the body closed).
 func (c *shardClient) send(ctx context.Context, hc *http.Client, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
-	if body != nil {
+	switch body := body.(type) {
+	case nil:
+	case []byte:
+		rd = bytes.NewReader(body)
+	default:
 		buf, err := json.Marshal(body)
 		if err != nil {
 			return nil, err

@@ -99,12 +99,12 @@ func (co *Coordinator) serveTable(w http.ResponseWriter, r *http.Request, ct *ct
 	case rest == "query" && r.Method == http.MethodPost:
 		co.serveRead(w, r, ct)
 	case rest == "domcount" && r.Method == http.MethodPost:
-		var req serve.DomCountRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxDomCountBody)).Decode(&req); err != nil {
+		req, rows, err := ct.schema.ReadDomCount(http.MaxBytesReader(w, r.Body, serve.MaxDomCountBody))
+		if err != nil {
 			serve.WriteError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
 			return
 		}
-		resp, err := co.DomCount(ctx, ct, req)
+		resp, err := co.DomCount(ctx, ct, req, rows)
 		if err != nil {
 			serve.WriteError(w, statusForCluster(err), err)
 			return
@@ -150,8 +150,8 @@ func (co *Coordinator) serveRead(w http.ResponseWriter, r *http.Request, ct *cta
 
 func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec serve.TableSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad table spec: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxCreateBody)).Decode(&spec); err != nil {
+		serve.WriteError(w, serve.BodyErrorStatus(err), fmt.Errorf("bad table spec: %w", err))
 		return
 	}
 	info, err := co.CreateTable(r.Context(), spec)

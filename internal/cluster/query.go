@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -17,11 +20,11 @@ import (
 )
 
 // candidate is one shard-local skyline row in the coordinator's merge
-// pass: its wire identity (shard + shard-scoped row index + raw
-// values), its PO labels as the schema's value ids (every column, for
-// serve.AppendRow) and the comparison point dominance is tested on
-// (projected onto kept dimensions; distance-transformed under the
-// ideal-point transform).
+// pass: its wire identity (shard + shard-scoped row index + raw TO
+// values; row.PO stays nil), its PO labels as the schema's value ids
+// (every column, for serve.AppendRow) and the comparison point
+// dominance is tested on (projected onto kept dimensions;
+// distance-transformed under the ideal-point transform).
 type candidate struct {
 	shard int
 	row   serve.SkylineRow
@@ -86,16 +89,24 @@ type gathered struct {
 	queried  int
 }
 
-// point builds a candidate's comparison point from its wire values,
-// resolving every PO label to its value id once: po holds them all, the
-// point the kept ones.
-func (g *gather) point(row *serve.SkylineRow) (pt core.Point, po []int32, err error) {
-	pt = core.Point{ID: -1, TO: make([]int32, len(g.keptTO))}
+// candidate turns a decoded shard row into a merge candidate. The
+// point's TO values are carved from *pool; its PO values are the row's
+// when every PO column is kept.
+func (g *gather) candidate(shard int, r *serve.Row, pool *[]int32) (candidate, error) {
+	sc := g.ct.schema
+	if len(r.PO) != sc.NumPO() {
+		return candidate{}, fmt.Errorf("cluster: shard row has %d PO values, table has %d PO columns", len(r.PO), sc.NumPO())
+	}
+	if len(*pool) < len(g.keptTO) {
+		*pool = make([]int32, max(len(g.keptTO), 1024))
+	}
+	pt := core.Point{ID: -1, TO: (*pool)[:len(g.keptTO):len(g.keptTO)], PO: r.PO}
+	*pool = (*pool)[len(g.keptTO):]
 	for j, d := range g.keptTO {
-		if d >= len(row.TO) {
-			return core.Point{}, nil, fmt.Errorf("cluster: shard row has %d TO values, need column %d", len(row.TO), d)
+		if d >= len(r.TO) {
+			return candidate{}, fmt.Errorf("cluster: shard row has %d TO values, need column %d", len(r.TO), d)
 		}
-		v := row.TO[d]
+		v := r.TO[d]
 		if g.ideal != nil {
 			v -= g.ideal[d]
 			if v < 0 {
@@ -104,31 +115,15 @@ func (g *gather) point(row *serve.SkylineRow) (pt core.Point, po []int32, err er
 		}
 		pt.TO[j] = int32(v)
 	}
-	sc := g.ct.schema
-	if sc.NumPO() == 0 {
-		return pt, nil, nil
-	}
-	if len(row.PO) != sc.NumPO() {
-		return core.Point{}, nil, fmt.Errorf("cluster: shard row has %d PO values, table has %d PO columns", len(row.PO), sc.NumPO())
-	}
-	po = make([]int32, len(row.PO))
-	for d, label := range row.PO {
-		id, ok := sc.POValueID(d, label)
-		if !ok {
-			return core.Point{}, nil, fmt.Errorf("cluster: shard row carries unknown value %q for PO column %d", label, d)
-		}
-		po[d] = int32(id)
-	}
 	// Kept dims are ascending and distinct, so keeping them all is the
-	// identity and the point shares po.
-	pt.PO = po
-	if len(g.keptPO) < len(po) {
+	// identity and the point shares the row's ids.
+	if len(g.keptPO) < len(r.PO) {
 		pt.PO = make([]int32, len(g.keptPO))
 		for j, d := range g.keptPO {
-			pt.PO[j] = po[d]
+			pt.PO[j] = r.PO[d]
 		}
 	}
-	return pt, po, nil
+	return candidate{shard: shard, row: serve.SkylineRow{Row: r.Row, TO: r.TO}, po: r.PO, pt: pt}, nil
 }
 
 // universalTops returns the domain values t-preferred to every other
@@ -206,14 +201,19 @@ func (g *gather) dominatesCorner(c *candidate, corner []int64, tops []map[int32]
 func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 	n := len(co.shards)
 	out := &gathered{versions: make([]int64, n)}
-	resps := make([]*serve.QueryResponse, n)
-	prebuilt := make([][]candidate, n) // avoids re-projecting the pruning seed
+	answers := make([]*shardAnswer, n)
 
 	queryShard := func(i int) error {
-		resp := new(serve.QueryResponse)
-		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(g.ct.name, "/query"), pin(g.stats, i), &g.body, resp)
+		var a *shardAnswer
+		read := bodyReader(func(r io.Reader) error {
+			return serve.WithBody(r, func(b []byte) (err error) {
+				a, err = g.decodeAnswer(i, b)
+				return err
+			})
+		})
+		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(g.ct.name, "/query"), pin(g.stats, i), &g.body, read)
 		if err == nil {
-			resps[i] = resp
+			answers[i] = a
 		}
 		return err
 	}
@@ -254,11 +254,7 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 		if err := queryShard(order[0].i); err != nil {
 			return nil, err
 		}
-		seed, err := g.candidates(order[0].i, resps[order[0].i])
-		if err != nil {
-			return nil, err
-		}
-		prebuilt[order[0].i] = seed
+		seed := answers[order[0].i].cands
 		tops := make([]map[int32]bool, len(g.keptPO))
 		for j := range g.keptPO {
 			tops[j] = universalTops(g.doms[j])
@@ -297,25 +293,18 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 	var all []candidate
 	hits, responded := 0, 0
 	for i := 0; i < n; i++ {
-		resp := resps[i]
-		if resp == nil {
+		a := answers[i]
+		if a == nil {
 			continue
 		}
 		responded++
-		out.versions[i] = resp.Version
-		out.rowsTot += resp.Rows
-		if resp.CacheHit {
+		out.versions[i] = a.head.Version
+		out.rowsTot += a.head.Rows
+		if a.tail.CacheHit {
 			hits++
 		}
-		addMetrics(&out.metrics, &resp.Metrics)
-		cands := prebuilt[i]
-		if cands == nil {
-			var err error
-			if cands, err = g.candidates(i, resp); err != nil {
-				return nil, err
-			}
-		}
-		all = append(all, cands...)
+		addMetrics(&out.metrics, &a.tail.Metrics)
+		all = append(all, a.cands...)
 	}
 	out.queried = responded
 	out.cacheHit = responded > 0 && hits == responded
@@ -339,17 +328,29 @@ func pin(stats []serve.TableStatsInfo, i int) int64 {
 	return 0
 }
 
-// candidates converts one shard response into merge candidates.
-func (g *gather) candidates(shard int, resp *serve.QueryResponse) ([]candidate, error) {
-	cands := make([]candidate, len(resp.Skyline))
-	for k := range resp.Skyline {
-		pt, po, err := g.point(&resp.Skyline[k])
-		if err != nil {
-			return nil, err
-		}
-		cands[k] = candidate{shard: shard, row: resp.Skyline[k], po: po, pt: pt}
+// shardAnswer is one shard's buffered answer: its head and tail, and its
+// rows as merge candidates.
+type shardAnswer struct {
+	head  serve.ResponseHead
+	tail  serve.ResponseTail
+	cands []candidate
+}
+
+// decodeAnswer reads one shard's buffered answer, its rows straight
+// into merge candidates.
+func (g *gather) decodeAnswer(shard int, b []byte) (*shardAnswer, error) {
+	a := new(shardAnswer)
+	var pool []int32
+	var err error
+	a.head, a.tail, err = g.ct.schema.NewRowDecoder().Response(b, func(r *serve.Row) error {
+		c, err := g.candidate(shard, r, &pool)
+		a.cands = append(a.cands, c)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %d: %w", shard, err)
 	}
-	return cands, nil
+	return a, nil
 }
 
 // eliminate removes candidates t-dominated by a candidate from another
@@ -612,10 +613,13 @@ func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) 
 		if g.q.Rank != plan.RankDomCount {
 			dreq.Rank = string(g.q.Rank)
 		}
-		for i := range merged {
-			dreq.Rows = append(dreq.Rows, serve.RowSpec{TO: merged[i].row.TO, PO: merged[i].row.PO})
+		body, err := serve.AppendDomCount(nil, g.ct.schema, dreq, len(merged), func(i int) ([]int64, []int32) {
+			return merged[i].row.TO, merged[i].po
+		})
+		if err != nil {
+			return nil, err
 		}
-		parts, _, err := co.scatterPartials(ctx, g.ct, dreq, g.stats)
+		parts, _, err := co.scatterPartials(ctx, g.ct, body, len(merged), g.stats)
 		if err != nil {
 			return nil, err
 		}
@@ -625,7 +629,7 @@ func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) 
 	default:
 		return nil, fmt.Errorf("cluster: rank %q has no distributed evaluation", g.q.Rank)
 	}
-	return sortCandidates(merged, scores, k), nil
+	return sortCandidates(g.ct.schema, merged, scores, k), nil
 }
 
 // wireContext assembles the coordinator-side scoring context.
@@ -633,13 +637,14 @@ func (g *gather) wireContext() *plan.WireContext {
 	return &plan.WireContext{Query: &g.q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms}
 }
 
-// scatterPartials fans a /domcount request out to every shard and
-// returns the per-shard partial scores plus the summed shard versions.
-// stats, when known, pin failover reads to the scatter's versions.
-func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, dreq serve.DomCountRequest, stats []serve.TableStatsInfo) ([]plan.Partials, int64, error) {
+// scatterPartials fans one encoded /domcount request body (n
+// candidates) out to every shard and returns the per-shard partial
+// scores plus the summed shard versions. stats, when known, pin
+// failover reads to the scatter's versions.
+func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, body []byte, n int, stats []serve.TableStatsInfo) ([]plan.Partials, int64, error) {
 	resps := make([]serve.DomCountResponse, len(co.shards))
 	errs := co.scatter(func(i int) error {
-		return co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/domcount"), pin(stats, i), dreq, &resps[i])
+		return co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/domcount"), pin(stats, i), body, &resps[i])
 	})
 	if err := firstError(errs); err != nil {
 		return nil, 0, err
@@ -650,7 +655,7 @@ func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, dreq ser
 		version += r.Version
 		parts[i] = plan.Partials{Counts: r.Counts}
 		if r.Hists != nil {
-			hists, err := serve.UnpackHists(r.Hists, len(dreq.Rows))
+			hists, err := serve.UnpackHists(r.Hists, n)
 			if err != nil {
 				return nil, 0, fmt.Errorf("cluster: shard %d: %w", i, err)
 			}
@@ -679,7 +684,7 @@ func rankUnion(g *gather, merged []candidate) []candidate {
 			keptScores = append(keptScores, scores[i])
 		}
 	}
-	return sortCandidates(kept, keptScores, len(kept))
+	return sortCandidates(g.ct.schema, kept, keptScores, len(kept))
 }
 
 // restrictCandidates applies the F-dominance weight constraint to the
@@ -700,7 +705,7 @@ func restrictCandidates(g *gather, merged []candidate) []candidate {
 
 // sortCandidates orders candidates by (score ascending, row values,
 // shard, row index) and keeps the first k.
-func sortCandidates(merged []candidate, scores []float64, k int) []candidate {
+func sortCandidates(sc *serve.Schema, merged []candidate, scores []float64, k int) []candidate {
 	idx := make([]int, len(merged))
 	for i := range idx {
 		idx[i] = i
@@ -710,7 +715,7 @@ func sortCandidates(merged []candidate, scores []float64, k int) []candidate {
 		if scores[ia] != scores[ib] {
 			return scores[ia] < scores[ib]
 		}
-		if c := compareRows(&merged[ia].row, &merged[ib].row); c != 0 {
+		if c := compareRows(sc, &merged[ia], &merged[ib]); c != 0 {
 			return c < 0
 		}
 		if merged[ia].shard != merged[ib].shard {
@@ -728,28 +733,17 @@ func sortCandidates(merged []candidate, scores []float64, k int) []candidate {
 	return out
 }
 
-// compareRows orders rows by their values, lexicographically.
-func compareRows(a, b *serve.SkylineRow) int {
-	for d := range a.TO {
-		if d >= len(b.TO) {
-			return 1
-		}
-		if a.TO[d] != b.TO[d] {
-			if a.TO[d] < b.TO[d] {
-				return -1
-			}
-			return 1
-		}
+// compareRows orders candidates by their row values,
+// lexicographically: TO values, then PO labels.
+func compareRows(sc *serve.Schema, a, b *candidate) int {
+	if c := slices.Compare(a.row.TO, b.row.TO); c != 0 {
+		return c
 	}
-	for d := range a.PO {
-		if d >= len(b.PO) {
-			return 1
-		}
-		if a.PO[d] != b.PO[d] {
-			if a.PO[d] < b.PO[d] {
-				return -1
-			}
-			return 1
+	for d := range a.po { // every candidate carries one id per PO column
+		la, _ := sc.POValueLabel(d, int(a.po[d]))
+		lb, _ := sc.POValueLabel(d, int(b.po[d]))
+		if c := strings.Compare(la, lb); c != 0 {
+			return c
 		}
 	}
 	return 0
@@ -758,7 +752,7 @@ func compareRows(a, b *serve.SkylineRow) int {
 // DomCount answers POST /tables/{t}/domcount at the coordinator: every
 // shard's partial scores for the candidates, folded by the ranking's
 // own combiner into what one node holding all the rows would answer.
-func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCountRequest) (*serve.DomCountResponse, error) {
+func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCountRequest, rows []serve.Row) (*serve.DomCountResponse, error) {
 	name := req.Rank
 	if name == "" {
 		name = string(plan.RankDomCount)
@@ -768,11 +762,17 @@ func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCo
 	if !ok {
 		return nil, fmt.Errorf("cluster: rank %q has no per-shard partial scores", name)
 	}
-	parts, version, err := co.scatterPartials(ctx, ct, req, nil)
+	body, err := serve.AppendDomCount(nil, ct.schema, req, len(rows), func(i int) ([]int64, []int32) {
+		return rows[i].TO, rows[i].PO
+	})
 	if err != nil {
 		return nil, err
 	}
-	merged, _, err := ps.CombinePartials(parts, len(req.Rows))
+	parts, version, err := co.scatterPartials(ctx, ct, body, len(rows), nil)
+	if err != nil {
+		return nil, err
+	}
+	merged, _, err := ps.CombinePartials(parts, len(rows))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s", err)
 	}

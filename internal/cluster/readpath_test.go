@@ -269,6 +269,23 @@ func TestCoordinatorDomCountBodyBound(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCreateBodyBound: the coordinator refuses a
+// table-create body past serve.MaxCreateBody with 413, like a single
+// node, before it reaches any shard. The body is JSON whitespace
+// generated as it is sent.
+func TestCoordinatorCreateBodyBound(t *testing.T) {
+	tc := newTestCluster(t, 2, fixtureSpec("diff", fixtureRows(10, 1)))
+	body := io.MultiReader(strings.NewReader(`{"name":"huge","toColumns":["x"],"rows":[`), io.LimitReader(spaces{}, serve.MaxCreateBody))
+	resp, err := http.Post(tc.co.URL+"/tables", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create body: status %d, want 413", resp.StatusCode)
+	}
+}
+
 // TestCoordinatorBatchBodyBound: the coordinator refuses a rows:batch
 // body past serve.MaxDomCountBody with 413, like a single node, before
 // it reaches any shard. The body is JSON whitespace generated as it is

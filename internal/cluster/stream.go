@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -121,16 +122,21 @@ func (b *shardBound) threatens(pt *core.Point) bool {
 	return true
 }
 
-// legEvent is one decoded frame (or failure) of one shard leg.
+// legEvent is one decoded frame (or failure) of one shard leg: a row
+// as its merge candidate and SFS key, or any other record.
 type legEvent struct {
 	shard int
+	row   bool
+	c     candidate // row
+	key   *int64    // row; nil on replayed legs
 	rec   serve.StreamRecord
-	err   error // terminal leg failure; rec is invalid
+	err   error // terminal leg failure; the rest is invalid
 }
 
-// leg opens one shard stream and forwards its frames as events. A
-// decode error before the trailer (a torn mid-query stream) surfaces as
-// a leg failure, never as silent truncation.
+// leg opens one shard stream and forwards its frames as events: row
+// records read by hand into merge candidates, every other record by
+// encoding/json. A decode error before the trailer (a torn mid-query
+// stream) surfaces as a leg failure, never as silent truncation.
 func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events chan<- legEvent) {
 	path := co.shards[shard].tablePath(g.ct.name, "/query?stream=1")
 	body, err := co.openShardStream(ctx, shard, path, pin(g.stats, shard), &g.body)
@@ -139,11 +145,35 @@ func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events cha
 		return
 	}
 	defer body.Close()
-	dec := json.NewDecoder(body)
+	torn := func(err error) {
+		events <- legEvent{shard: shard, err: fmt.Errorf("shard %d: stream ended before trailer: %w", shard, err)}
+	}
+	br := bufio.NewReaderSize(body, 64<<10)
+	dec := g.ct.schema.NewRowDecoder()
+	var long []byte
+	var pool []int32
 	for {
+		line, err := readLine(br, &long)
+		if err != nil {
+			torn(err)
+			return
+		}
+		r, key, isRow, err := dec.Frame(line)
+		if isRow {
+			var c candidate
+			if err == nil {
+				c, err = g.candidate(shard, &r, &pool)
+			}
+			if err != nil {
+				torn(err)
+				return
+			}
+			events <- legEvent{shard: shard, row: true, c: c, key: key}
+			continue
+		}
 		var rec serve.StreamRecord
-		if err := dec.Decode(&rec); err != nil {
-			events <- legEvent{shard: shard, err: fmt.Errorf("shard %d: stream ended before trailer: %w", shard, err)}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			torn(err)
 			return
 		}
 		switch rec.Type {
@@ -153,11 +183,8 @@ func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events cha
 			events <- legEvent{shard: shard, err: fmt.Errorf("shard %d: %s", shard, rec.Error)}
 			return
 		case "row":
-			if rec.Row == nil {
-				events <- legEvent{shard: shard, err: fmt.Errorf("shard %d: row record without a row", shard)}
-				return
-			}
-			events <- legEvent{shard: shard, rec: rec}
+			events <- legEvent{shard: shard, err: fmt.Errorf("shard %d: a row record not in RowRecord's form", shard)}
+			return
 		case "trailer":
 			events <- legEvent{shard: shard, rec: rec}
 			return
@@ -165,6 +192,21 @@ func (g *gather) leg(ctx context.Context, co *Coordinator, shard int, events cha
 			events <- legEvent{shard: shard, rec: rec}
 		}
 	}
+}
+
+// readLine returns br's next line, its newline included; a line longer
+// than br's buffer is gathered in *long.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	*long = append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = br.ReadSlice('\n')
+		*long = append(*long, line...)
+	}
+	return *long, err
 }
 
 // streamMerge is the incremental scatter/merge: the stream producer
@@ -259,18 +301,14 @@ func (g *gather) streamMerge(ctx context.Context, co *Coordinator, emit func(ser
 		}
 		var done bool
 		var err error
-		switch ev.rec.Type {
-		case "header":
+		switch {
+		case ev.row:
+			done, err = m.row(ev.c, ev.key)
+		case ev.rec.Type == "header":
 			versions[ev.shard] = ev.rec.Version
 			shardRows[ev.shard] = ev.rec.Rows
 			continue
-		case "row":
-			c := candidate{shard: ev.shard, row: *ev.rec.Row}
-			if c.pt, c.po, err = g.point(ev.rec.Row); err != nil {
-				return serve.StreamRecord{}, err
-			}
-			done, err = m.row(c, ev.rec.Key)
-		case "trailer":
+		case ev.rec.Type == "trailer":
 			trailers++
 			if ev.rec.CacheHit {
 				cacheHits++

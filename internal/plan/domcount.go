@@ -88,7 +88,7 @@ func memberPoints(ds *core.Dataset, ids []int32) []core.Point {
 // candidates of a distributed scoring request against ds's shape and
 // resolves the kept dimensions the candidates are scored on.
 func candidateContext(ds *core.Dataset, q *Query, cands []core.Point) (*ScoreContext, error) {
-	if err := q.Validate(ds.NumTO(), ds.NumPO(), domainSizes(ds)); err != nil {
+	if err := q.validateOn(ds); err != nil {
 		return nil, err
 	}
 	for i := range cands {

@@ -16,7 +16,7 @@ import (
 // (FuzzPlanAgreement, exp.FigurePlan's verification pass). The dataset
 // must use the table layout (ds.Pts[i].ID == i).
 func Naive(ds *core.Dataset, q Query) ([]int32, error) {
-	if err := q.Validate(ds.NumTO(), ds.NumPO(), domainSizes(ds)); err != nil {
+	if err := q.validateOn(ds); err != nil {
 		return nil, err
 	}
 	if q.Orders != nil {

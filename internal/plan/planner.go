@@ -78,13 +78,18 @@ func (q *Query) scope(ds *core.Dataset, env Env) (*core.Dataset, Env) {
 	return ds, scoped
 }
 
-// domainSizes lists ds's per-PO-column value counts, Validate's shape.
-func domainSizes(ds *core.Dataset) []int {
-	sizes := make([]int, len(ds.Domains))
-	for d, dom := range ds.Domains {
-		sizes[d] = dom.Size()
+// validateOn validates q against ds's shape. Only orders and
+// predicates are checked against the per-PO-column value counts, so a
+// query with neither (a memo hit, most often) does not build them.
+func (q *Query) validateOn(ds *core.Dataset) error {
+	var sizes []int
+	if q.Orders != nil || len(q.Where) > 0 {
+		sizes = make([]int, len(ds.Domains))
+		for d, dom := range ds.Domains {
+			sizes[d] = dom.Size()
+		}
 	}
-	return sizes
+	return q.Validate(ds.NumTO(), ds.NumPO(), sizes)
 }
 
 // Explain is the JSON-ready account of what a plan did, attached to
@@ -163,7 +168,7 @@ type Plan struct {
 // plan is ready to Run with the same ds and env; its Explain describes
 // every decision (before observation fields).
 func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
-	if err := q.Validate(ds.NumTO(), ds.NumPO(), domainSizes(ds)); err != nil {
+	if err := q.validateOn(ds); err != nil {
 		return nil, err
 	}
 	ds, env = q.scope(ds, env)
@@ -331,20 +336,35 @@ func kernelLabel(ds *core.Dataset, keptPO []int, noKernel bool) string {
 }
 
 // resolveSubspace expands a nil subspace to the identity dimension
-// lists.
+// lists. Those share one read-only array up to its length (every
+// resolved list is only read), so a full-dimensional query allocates
+// none.
 func resolveSubspace(s *Subspace, nTO, nPO int) (to, po []int) {
 	if s == nil {
-		to = make([]int, nTO)
-		for i := range to {
-			to[i] = i
-		}
-		po = make([]int, nPO)
-		for i := range po {
-			po[i] = i
-		}
-		return to, po
+		return identityDims(nTO), identityDims(nPO)
 	}
 	return append([]int(nil), s.TO...), append([]int(nil), s.PO...)
+}
+
+// identity is [0, 64), shared by every identityDims(n) with n ≤ 64.
+var identity = func() []int {
+	dims := make([]int, 64)
+	for i := range dims {
+		dims[i] = i
+	}
+	return dims
+}()
+
+// identityDims returns [0, n), capacity n.
+func identityDims(n int) []int {
+	if n <= len(identity) {
+		return identity[:n:n]
+	}
+	dims := make([]int, n)
+	for i := range dims {
+		dims[i] = i
+	}
+	return dims
 }
 
 // allAntiMonotone proves (or refutes) that every predicate is closed

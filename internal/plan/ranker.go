@@ -190,7 +190,7 @@ func quotedRankerNames() string {
 // ranking — the serving layer's /domcount handler dispatches here —
 // counting dominance under q.Orders when set.
 func RankPartials(ctx context.Context, ds *core.Dataset, q Query, rank string, cands []core.Point) (Partials, error) {
-	if err := q.Validate(ds.NumTO(), ds.NumPO(), domainSizes(ds)); err != nil {
+	if err := q.validateOn(ds); err != nil {
 		return Partials{}, err
 	}
 	ds, _ = q.scope(ds, Env{})

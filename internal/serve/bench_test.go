@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -84,4 +85,48 @@ func BenchmarkStreamSend(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+}
+
+// legBody is a buffered query answer of n rows the way a shard writes
+// one for a coordinator's leg: the paper's default shape, two TO
+// columns and two PO columns of 64 numeric labels each.
+func legBody(b *testing.B, n int) (*Schema, []byte) {
+	var orders []OrderSpec
+	for d := range 2 {
+		spec := OrderSpec{Name: fmt.Sprintf("po_%d", d)}
+		for v := range 64 {
+			spec.Values = append(spec.Values, fmt.Sprint(v))
+		}
+		orders = append(orders, spec)
+	}
+	sc, err := NewSchema([]string{"to_0", "to_1"}, orders)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	head := ResponseHead{Table: "bench", Version: 7, Rows: 4000, Count: n}
+	WriteQueryResponse(rec, head, n, func(buf []byte, r int) []byte {
+		to := []int32{int32(r * 977 % 100000), int32(100000 - r*977%100000)}
+		return AppendRow(buf, sc, r*4, to, []int32{int32(r % 64), int32(r * 7 % 64)}, nil)
+	}, &ResponseTail{Algo: "sfs", CacheHit: true})
+	return sc, rec.Body.Bytes()
+}
+
+// BenchmarkDecodeLeg measures the coordinator's read of one buffered
+// shard leg: a 1 011-row answer read by RowDecoder.Response, every row
+// resolved to TO values and PO value ids. ns/row is the time per row.
+func BenchmarkDecodeLeg(b *testing.B) {
+	const n = 1011
+	sc, body := legBody(b, n)
+	dec := sc.NewRowDecoder()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows := 0
+		if _, _, err := dec.Response(body, func(*Row) error { rows++; return nil }); err != nil || rows != n {
+			b.Fatalf("%d rows, %v", rows, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }

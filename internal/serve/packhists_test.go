@@ -210,3 +210,22 @@ func TestBatchBodyBound(t *testing.T) {
 		t.Fatalf("oversized batch body: status %d, want 413", resp.StatusCode)
 	}
 }
+
+// TestCreateBodyBound: a table-create body past MaxCreateBody is
+// refused with 413 and creates nothing. The body is generated as it is
+// sent.
+func TestCreateBodyBound(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := io.MultiReader(strings.NewReader(`{"name":"huge","toColumns":["x"],"rows":[`), io.LimitReader(spaces{}, MaxCreateBody))
+	resp, err := http.Post(ts.URL+"/tables", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create body: status %d, want 413", resp.StatusCode)
+	}
+	if status := doJSON(t, http.MethodGet, ts.URL+"/tables/huge", nil, nil); status != http.StatusNotFound {
+		t.Fatalf("table after a refused create: status %d, want 404", status)
+	}
+}

@@ -39,7 +39,18 @@ func quoteLabels(orders []OrderSpec) [][][]byte {
 func AppendRow[T int32 | int64](b []byte, sc *Schema, row int, to []T, po []int32, shard *int) []byte {
 	b = append(b, `{"row":`...)
 	b = strconv.AppendInt(b, int64(row), 10)
-	b = append(b, `,"to":`...)
+	b = appendValues(append(b, ','), sc, to, po)
+	if shard != nil {
+		b = append(b, `,"shard":`...)
+		b = strconv.AppendInt(b, int64(*shard), 10)
+	}
+	return append(b, '}')
+}
+
+// appendValues appends a row's "to" member and, unless po is empty, its
+// "po" member.
+func appendValues[T int32 | int64](b []byte, sc *Schema, to []T, po []int32) []byte {
+	b = append(b, `"to":`...)
 	if to == nil {
 		b = append(b, "null"...)
 	} else {
@@ -62,11 +73,32 @@ func AppendRow[T int32 | int64](b []byte, sc *Schema, row int, to []T, po []int3
 		}
 		b = append(b, ']')
 	}
-	if shard != nil {
-		b = append(b, `,"shard":`...)
-		b = strconv.AppendInt(b, int64(*shard), 10)
+	return b
+}
+
+// AppendDomCount appends the JSON json.Marshal writes for req with its
+// Rows replaced by n RowSpecs, row i's TO values and PO value ids given
+// by row(i): the rows by hand, the other members by encoding/json. No
+// rows is "rows":null, as for a nil Rows.
+func AppendDomCount(b []byte, sc *Schema, req DomCountRequest, n int, row func(i int) (to []int64, po []int32)) ([]byte, error) {
+	req.Rows = nil
+	rest, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
 	}
-	return append(b, '}')
+	if n == 0 {
+		return append(b, rest...), nil
+	}
+	b = append(b, `{"rows":[`...)
+	for i := range n {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		to, po := row(i)
+		b = append(appendValues(append(b, '{'), sc, to, po), '}')
+	}
+	// rest opens with the nil Rows; the members after it follow ours.
+	return append(append(b, ']'), rest[len(`{"rows":null`):]...), nil
 }
 
 // FrameInfo is what a "row" record carries besides its row: the

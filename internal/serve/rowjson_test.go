@@ -82,7 +82,8 @@ var raceEnabled bool
 
 // TestWarmReadAllocsFlat: a warm buffered full read — a memo hit —
 // makes as many allocations for a 700-row skyline as for a 100-row one:
-// nothing on the read path allocates per row.
+// nothing on the read path allocates per row; and no more than a fixed
+// ceiling.
 func TestWarmReadAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race, sync.Pool drops some of what it is given, so pooled buffers regrow")
@@ -125,5 +126,12 @@ func TestWarmReadAllocsFlat(t *testing.T) {
 	}
 	if allocs[100] != allocs[700] {
 		t.Fatalf("warm full read: %v allocations at 100 rows, %v at 700", allocs[100], allocs[700])
+	}
+	// A memo hit plans nothing it does not use: no domain sizes, no
+	// identity dimension lists, no order closure (37 allocations before
+	// they left the path, 33 after).
+	const ceiling = 33
+	if allocs[100] > ceiling {
+		t.Fatalf("warm full read: %v allocations, ceiling %d", allocs[100], ceiling)
 	}
 }

@@ -77,12 +77,6 @@ func (sc *Schema) POColName(d int) string {
 	return fmt.Sprintf("po%d", d)
 }
 
-// POValueID resolves a PO value label to its id in column d.
-func (sc *Schema) POValueID(d int, label string) (int, bool) {
-	id, ok := sc.poIndex[d][label]
-	return id, ok
-}
-
 // POValueLabel renders a PO value id of column d back to its label.
 func (sc *Schema) POValueLabel(d, id int) (string, bool) {
 	if id < 0 || id >= len(sc.orderSpecs[d].Values) {

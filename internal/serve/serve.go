@@ -488,8 +488,8 @@ func (s *Server) withTable(fn func(http.ResponseWriter, *http.Request, *tableEnt
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec TableSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad table spec: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxCreateBody)).Decode(&spec); err != nil {
+		WriteError(w, BodyErrorStatus(err), fmt.Errorf("bad table spec: %w", err))
 		return
 	}
 	// Partitioning is the coordinator's concern; a single node serving
@@ -531,6 +531,12 @@ const maxQueryBody = 4 << 20
 // every record under the WAL's 256 MiB record limit, past which replay
 // and followers would refuse a batch already acknowledged.
 const MaxDomCountBody = 64 << 20
+
+// MaxCreateBody bounds a table-create (POST /tables) body on both
+// tiers. The paper's default table — N = 10⁶ rows of 2 TO and 2 PO
+// columns — is a 36.7 MB create body (36.75 bytes per row), so 64 MiB
+// admits that shape up to ≈1.8·10⁶ rows.
+const MaxCreateBody = 64 << 20
 
 // BodyErrorStatus is 413 for a body cut off by http.MaxBytesReader and
 // 400 for any other decode error.
@@ -672,8 +678,8 @@ func (s *Server) handleTableStats(w http.ResponseWriter, r *http.Request, e *tab
 // histograms for "dpidp". This is the shard-side half of distributed
 // ranked top-k.
 func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *tableEntry) {
-	var req DomCountRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDomCountBody)).Decode(&req); err != nil {
+	req, rows, err := e.schema.ReadDomCount(http.MaxBytesReader(w, r.Body, MaxDomCountBody))
+	if err != nil {
 		WriteError(w, BodyErrorStatus(err), fmt.Errorf("bad domcount request: %w", err))
 		return
 	}
@@ -683,15 +689,13 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 		return
 	}
 	snap := e.current()
-	rows := make([]tss.TableRow, len(req.Rows))
-	for i, rw := range req.Rows {
-		rows[i] = tss.TableRow{TO: rw.TO, PO: rw.PO}
-	}
 	rank := req.Rank
 	if rank == "" {
 		rank = string(plan.RankDomCount)
 	}
-	parts, err := snap.table.RankPartials(r.Context(), q, rank, rows)
+	parts, err := snap.table.RankPartials(r.Context(), q, rank, len(rows), func(i int) ([]int64, []int32) {
+		return rows[i].TO, rows[i].PO
+	})
 	if err != nil {
 		WriteError(w, statusFor(err), err)
 		return

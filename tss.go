@@ -166,12 +166,22 @@ type Table struct {
 	// queryCache optionally memoises the full skyline for the planner's
 	// cache routing (see SetQueryCache).
 	queryCache plan.Cache
+	// resident is residentOrder as a func value, bound once by newTable
+	// so that planning a query does not allocate it.
+	resident func() (order []int32, resident bool)
+}
+
+// newTable is every table's constructor.
+func newTable(toNames []string, orders []*Order, ds *core.Dataset) *Table {
+	t := &Table{toNames: toNames, orders: orders, ds: ds}
+	t.resident = t.residentOrder
+	return t
 }
 
 // NewTable creates a table with the given TO column names followed by
 // one PO column per Order. Orders are compiled (and frozen) here.
 func NewTable(toNames []string, orders ...*Order) *Table {
-	t := &Table{toNames: toNames, orders: orders, ds: &core.Dataset{}}
+	t := newTable(toNames, orders, &core.Dataset{})
 	for _, o := range orders {
 		dom, err := o.compile()
 		if err != nil {
@@ -267,11 +277,7 @@ func (t *Table) RowCodes(i int) (to, po []int32) {
 func (t *Table) Clone() *Table {
 	pts := make([]core.Point, len(t.ds.Pts))
 	copy(pts, t.ds.Pts)
-	nt := &Table{
-		toNames: t.toNames,
-		orders:  t.orders,
-		ds:      &core.Dataset{Pts: pts, Domains: t.ds.Domains},
-	}
+	nt := newTable(t.toNames, t.orders, &core.Dataset{Pts: pts, Domains: t.ds.Domains})
 	nt.stats.Store(t.stats.Load()) // same rows, same statistics
 	return nt
 }
@@ -282,11 +288,7 @@ func (t *Table) Clone() *Table {
 // orders and the surviving rows' value storage — and, with them, any
 // seal state (see Clone).
 func (t *Table) Filter(keep func(row int) bool) *Table {
-	nt := &Table{
-		toNames: t.toNames,
-		orders:  t.orders,
-		ds:      &core.Dataset{Domains: t.ds.Domains},
-	}
+	nt := newTable(t.toNames, t.orders, &core.Dataset{Domains: t.ds.Domains})
 	for i := range t.ds.Pts {
 		if !keep(i) {
 			continue
@@ -355,11 +357,7 @@ func (t *Table) ApplyBatch(removes []int, adds []TableRow) (*Table, *BatchDelta,
 		drop[r] = true
 	}
 	delta := &BatchDelta{OldLen: oldLen, OldToNew: make([]int32, oldLen), Added: len(adds)}
-	nt := &Table{
-		toNames: t.toNames,
-		orders:  t.orders,
-		ds:      &core.Dataset{Domains: t.ds.Domains},
-	}
+	nt := newTable(t.toNames, t.orders, &core.Dataset{Domains: t.ds.Domains})
 	nt.ds.Pts = make([]core.Point, 0, oldLen-countTrue(drop)+len(adds))
 	for i := range t.ds.Pts {
 		if drop[i] {
@@ -527,13 +525,15 @@ func (t *Table) QueryStream(ctx context.Context, q plan.Query, emit func(plan.St
 // filtered by q.Where, on q.Subspace's kept dimensions: dominance counts
 // for "domcount", dominator-count histograms for "dpidp" (rankings that
 // define per-shard partials answer here; see plan.PartialScorer).
-// Candidates are value-addressed TableRows rather than row indexes: this
-// is the shard-side scoring half of distributed ranked top-k, where the
+// Candidates are value-addressed rather than row indexes: row(i), for
+// i in [0, n), is candidate i's TO values and, per PO column, its
+// value's index in the column's Order (RowCodes' form). This is the
+// shard-side scoring half of distributed ranked top-k, where the
 // coordinator's merged skyline rows carry no usable ids for any one
 // shard. Dominance is counted under q.Orders when set; q's
 // TopK/Rank/Ideal/FWeights fields are ignored.
-func (t *Table) RankPartials(ctx context.Context, q plan.Query, rank string, rows []TableRow) (plan.Partials, error) {
-	cands, err := t.wireCandidates(rows)
+func (t *Table) RankPartials(ctx context.Context, q plan.Query, rank string, n int, row func(i int) (to []int64, po []int32)) (plan.Partials, error) {
+	cands, err := t.wireCandidates(n, row)
 	if err != nil {
 		return plan.Partials{}, err
 	}
@@ -543,32 +543,32 @@ func (t *Table) RankPartials(ctx context.Context, q plan.Query, rank string, row
 
 // wireCandidates converts value-addressed rows into storage-encoded
 // points (ID -1: the candidates are not rows of this table).
-func (t *Table) wireCandidates(rows []TableRow) ([]core.Point, error) {
-	cands := make([]core.Point, len(rows))
-	for i, r := range rows {
-		if len(r.TO) != len(t.toNames) {
+func (t *Table) wireCandidates(n int, row func(i int) (to []int64, po []int32)) ([]core.Point, error) {
+	cands := make([]core.Point, n)
+	for i := range cands {
+		to, po := row(i)
+		if len(to) != len(t.toNames) {
 			return nil, fmt.Errorf("tss: candidate %d has %d TO values, table has %d columns",
-				i, len(r.TO), len(t.toNames))
+				i, len(to), len(t.toNames))
 		}
-		if len(r.PO) != len(t.orders) {
+		if len(po) != len(t.orders) {
 			return nil, fmt.Errorf("tss: candidate %d has %d PO values, table has %d columns",
-				i, len(r.PO), len(t.orders))
+				i, len(po), len(t.orders))
 		}
-		p := core.Point{ID: -1, TO: make([]int32, len(r.TO))}
-		for d, v := range r.TO {
+		p := core.Point{ID: -1, TO: make([]int32, len(to))}
+		for d, v := range to {
 			if v < 0 || v > 1<<30 {
 				return nil, fmt.Errorf("tss: candidate %d TO value %d out of supported range [0, 2^30]", i, v)
 			}
 			p.TO[d] = int32(v)
 		}
-		if len(r.PO) > 0 {
-			p.PO = make([]int32, len(r.PO))
-			for d, label := range r.PO {
-				vi, ok := t.orders[d].index[label]
-				if !ok {
-					return nil, fmt.Errorf("tss: candidate %d: unknown value %q for PO column %d", i, label, d)
+		if len(po) > 0 {
+			p.PO = make([]int32, len(po))
+			for d, v := range po {
+				if v < 0 || int(v) >= len(t.orders[d].labels) {
+					return nil, fmt.Errorf("tss: candidate %d: value %d out of range for PO column %d", i, v, d)
 				}
-				p.PO[d] = int32(vi)
+				p.PO[d] = v
 			}
 		}
 		cands[i] = p
@@ -606,7 +606,7 @@ func (t *Table) residentOrder() (order []int32, resident bool) {
 
 // planEnv is the planning context of a query on this table.
 func (t *Table) planEnv() plan.Env {
-	return plan.Env{Cache: t.queryCache, Order: t.residentOrder}
+	return plan.Env{Cache: t.queryCache, Order: t.resident}
 }
 
 // SetQueryCache attaches a full-skyline cache for the planner's cache
