@@ -704,30 +704,23 @@ func restrictCandidates(g *gather, merged []candidate) []candidate {
 }
 
 // sortCandidates orders candidates by (score ascending, row values,
-// shard, row index) and keeps the first k.
+// shard, row index) and keeps the first k, selecting them rather than
+// sorting every candidate.
 func sortCandidates(sc *serve.Schema, merged []candidate, scores []float64, k int) []candidate {
-	idx := make([]int, len(merged))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if scores[ia] != scores[ib] {
-			return scores[ia] < scores[ib]
+	best := plan.SelectK(len(merged), k, func(a, b int) bool {
+		if scores[a] != scores[b] {
+			return scores[a] < scores[b]
 		}
-		if c := compareRows(sc, &merged[ia], &merged[ib]); c != 0 {
+		if c := compareRows(sc, &merged[a], &merged[b]); c != 0 {
 			return c < 0
 		}
-		if merged[ia].shard != merged[ib].shard {
-			return merged[ia].shard < merged[ib].shard
+		if merged[a].shard != merged[b].shard {
+			return merged[a].shard < merged[b].shard
 		}
-		return merged[ia].row.Row < merged[ib].row.Row
+		return merged[a].row.Row < merged[b].row.Row
 	})
-	if k < len(idx) {
-		idx = idx[:k]
-	}
-	out := make([]candidate, len(idx))
-	for i, j := range idx {
+	out := make([]candidate, len(best))
+	for i, j := range best {
 		out[i] = merged[j]
 	}
 	return out

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -18,13 +20,18 @@ import (
 // cold-computed and cluster-combined scores are comparable with ==.
 //
 // A published index is immutable and shared by concurrent readers; its
-// scores are materialized once, on the first read.
+// scores, its rank order and its membership bitset are materialized
+// once, on the first read.
 type ScoreIndex struct {
 	members []int32           // skyline member ids, ascending
 	hists   []map[int32]int64 // parallel to members; k -> count, counts > 0
 
 	scoresOnce sync.Once
 	scores     []float64 // parallel to members; set by Scores
+
+	rankOnce sync.Once
+	ranked   []int32  // members in rank order; set by rank
+	bits     []uint64 // membership bitset over row ids; set by rank
 }
 
 // NewScoreIndex builds an index from per-member k-histograms: hists is
@@ -95,6 +102,55 @@ func (ix *ScoreIndex) Scores() []float64 {
 		ix.scores = scores
 	})
 	return ix.scores
+}
+
+// Ranked returns the indexed member ids in rank order: descending
+// dp-idp score, ascending id among equal scores — the order a ranked
+// top-k over exactly these members answers with, so its best k are the
+// first k. Materialized on the first call and shared after that; do not
+// mutate.
+func (ix *ScoreIndex) Ranked() []int32 {
+	ix.rankOnce.Do(ix.rank)
+	return ix.ranked
+}
+
+// Holds reports whether every id in ids is an indexed member, in
+// O(len(ids)) and without allocating.
+func (ix *ScoreIndex) Holds(ids []int32) bool {
+	ix.rankOnce.Do(ix.rank)
+	for _, id := range ids {
+		if w := int(id >> 6); id < 0 || w >= len(ix.bits) || ix.bits[w]&(1<<(id&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rank materializes Ranked's order and Holds' bitset.
+func (ix *ScoreIndex) rank() {
+	scores := ix.Scores()
+	slots := make([]int32, len(ix.members))
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	// Slots ascend with member ids, so comparing slots breaks ties by id.
+	slices.SortFunc(slots, func(a, b int32) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for i, s := range slots {
+		slots[i] = ix.members[s]
+	}
+	var bits []uint64
+	if n := len(ix.members); n > 0 {
+		bits = make([]uint64, ix.members[n-1]>>6+1)
+	}
+	for _, m := range ix.members {
+		bits[m>>6] |= 1 << (m & 63)
+	}
+	ix.ranked, ix.bits = slots, bits
 }
 
 // DPIDPScoreFromHist materializes a k-histogram into the dp-idp score

@@ -19,6 +19,11 @@ const ctxCheckEvery = 4096
 // (ds.Pts[i].ID == i), which Table datasets always do; result IDs are
 // row indexes of that table.
 //
+// A result may share memory with the immutable state of env.Cache: a
+// cache-routed result's ids are the memo entry itself, and a ranked
+// top-k served from the score index is a prefix of its rank order. No
+// caller may write into SkylineIDs.
+//
 // Cancellation is cooperative: ctx is checked between pipeline stages,
 // periodically inside the executor's own scan loops, and by the chosen
 // algorithm every few thousand rows of its scan (core.Options.Ctx).
@@ -46,7 +51,7 @@ func (p *Plan) run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		if p.route == RoutePostFilter {
 			ids = p.filterIDs(ds, ids)
 		}
-		res = &core.Result{SkylineIDs: append([]int32(nil), ids...), FromCache: true}
+		res = &core.Result{SkylineIDs: ids, FromCache: true}
 	case p.earlyExit:
 		// Unranked top-k: the progressive scan's first K accepted rows,
 		// delivered to nobody.

@@ -1,9 +1,7 @@
 package plan
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/poset"
@@ -124,36 +122,6 @@ func oracleRestrict(doms []*poset.Domain, keptTO []int, weights []float64, rows 
 		if surv[id] {
 			out = append(out, id)
 		}
-	}
-	return out
-}
-
-// sortByScore orders ids by ascending score (id-ascending on ties) and
-// keeps the first k; scores[i] is ids[i]'s score.
-func sortByScore(ids []int32, scores []float64, k int) []int32 {
-	if len(ids) == 0 {
-		return nil
-	}
-	type scored struct {
-		score float64
-		id    int32
-	}
-	all := make([]scored, len(ids))
-	for i, id := range ids {
-		all[i] = scored{scores[i], id}
-	}
-	slices.SortFunc(all, func(a, b scored) int {
-		switch {
-		case a.score < b.score:
-			return -1
-		case a.score > b.score:
-			return 1
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	out := make([]int32, min(k, len(all)))
-	for i := range out {
-		out[i] = all[i].id
 	}
 	return out
 }

@@ -30,14 +30,12 @@ type dpidpRanker struct{}
 func (dpidpRanker) Name() string { return string(RankDPIDP) }
 
 func (dpidpRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k int) ([]int32, bool, error) {
-	if sc.Index != nil {
-		if scores, ok := indexScores(sc.Index, ids); ok {
-			return sortByScore(ids, scores, k), true, nil
-		}
-		// A member miss means the index describes a different skyline
-		// than the one being ranked — fall through to the cold scan
-		// rather than serve wrong scores.
+	if sc.Index != nil && sc.Index.Holds(ids) {
+		return indexRank(sc.Index, ids, k), true, nil
 	}
+	// A member miss means the index describes a different skyline than
+	// the one being ranked — fall through to the cold scan rather than
+	// serve wrong scores.
 	hists, err := dpidpHists(ctx, sc, memberPoints(sc.DS, ids))
 	if err != nil {
 		return nil, false, err
@@ -166,21 +164,36 @@ func mergeRuns(ks []int32, counts []int64, a, b KHist) ([]int32, []int64) {
 	return append(ks, b.Ks[y:]...), append(counts, b.Counts[y:]...)
 }
 
-// indexScores serves the ranked ids' (negated) scores, parallel to ids,
-// from the maintained index's memoized scores, found by binary search
-// over its ascending members; a single missing member declines the
-// whole lookup.
-func indexScores(ix *core.ScoreIndex, ids []int32) ([]float64, bool) {
-	members, all := ix.Members(), ix.Scores()
-	scores := make([]float64, len(ids))
-	for x, id := range ids {
-		i, ok := slices.BinarySearch(members, id)
-		if !ok {
-			return nil, false
-		}
-		scores[x] = -all[i]
+// indexRank serves the best k of ids, every one an index member, from
+// the index's rank order — sortByScore's order over the members'
+// negated scores. When ids are all of the members (a skyline has no
+// duplicate ids, so equal counts mean equal sets) the answer is the
+// order's first k, shared with the index; a proper subset keeps the
+// order's members that are in ids.
+func indexRank(ix *core.ScoreIndex, ids []int32, k int) []int32 {
+	order := ix.Ranked()
+	if len(ids) == len(order) {
+		n := min(k, len(order))
+		return order[:n:n]
 	}
-	return scores, true
+	var top int32
+	for _, id := range ids {
+		top = max(top, id)
+	}
+	want := make([]uint64, top>>6+1) // ids, as a bitset over row ids
+	for _, id := range ids {
+		want[id>>6] |= 1 << (id & 63)
+	}
+	out := make([]int32, 0, min(k, len(ids)))
+	for _, id := range order {
+		if len(out) == cap(out) {
+			break
+		}
+		if id <= top && want[id>>6]&(1<<(id&63)) != 0 {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // dpidpHists computes each member's k-histogram against R (the

@@ -202,15 +202,12 @@ func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit
 // of the skyline.
 func (p *Plan) streamThresholdTopK(ctx context.Context, ds *core.Dataset, env Env, emit func(StreamRow) error, start time.Time, score func(pt *core.Point) float64, slack int64) (*core.Result, error) {
 	k := p.Query.TopK
-	type scored struct {
-		id    int32
-		score float64
-	}
-	var cands []scored
+	var ids []int32
+	var scores []float64
 	best := make([]float64, 0, k) // k smallest scores so far, ascending
 	scanned, err := p.scanStream(ctx, ds, env, func(id int32, _, bound int64) (bool, error) {
 		s := score(&ds.Pts[id])
-		cands = append(cands, scored{id: id, score: s})
+		ids, scores = append(ids, id), append(scores, s)
 		if i := sort.SearchFloat64s(best, s); i < k {
 			if len(best) < k {
 				best = append(best, 0)
@@ -223,19 +220,9 @@ func (p *Plan) streamThresholdTopK(ctx context.Context, ds *core.Dataset, env En
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score < cands[j].score
-		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	res := &core.Result{Metrics: scanned.Metrics}
-	for i, c := range cands {
-		res.SkylineIDs = append(res.SkylineIDs, c.id)
-		if err := emit(StreamRow{ID: c.id, Index: i, Elapsed: time.Since(start)}); err != nil {
+	res := &core.Result{SkylineIDs: sortByScore(ids, scores, k), Metrics: scanned.Metrics}
+	for i, id := range res.SkylineIDs {
+		if err := emit(StreamRow{ID: id, Index: i, Elapsed: time.Since(start)}); err != nil {
 			return nil, err
 		}
 	}

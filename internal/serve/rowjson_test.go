@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -133,5 +134,80 @@ func TestWarmReadAllocsFlat(t *testing.T) {
 	const ceiling = 33
 	if allocs[100] > ceiling {
 		t.Fatalf("warm full read: %v allocations, ceiling %d", allocs[100], ceiling)
+	}
+}
+
+// TestWarmTopKFlat: a warm dp-idp top-10 read that the score index
+// answers makes as many allocations, and within a small fixed slack as
+// many bytes, for a 700-member skyline as for a 100-member one — the
+// index hit is a prefix of its rank order, so nothing on the read path
+// is sized by the skyline — and no more than a fixed ceiling.
+func TestWarmTopKFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops some of what it is given, so pooled buffers regrow")
+	}
+	s := New(8)
+	allocs, allocBytes := make(map[int]float64), make(map[int]float64)
+	for _, n := range []int{100, 700} {
+		// n anti-correlated members, each dominating the row just
+		// behind it: every member scores, and most scores tie.
+		spec := TableSpec{
+			Name:      "topk",
+			TOColumns: []string{"x", "y"},
+			Orders:    []OrderSpec{{Name: "c", Values: []string{"a", "b"}}},
+		}
+		for i := range n {
+			po := []string{spec.Orders[0].Values[i%2]}
+			spec.Rows = append(spec.Rows,
+				RowSpec{TO: []int64{int64(2 * i), int64(2 * (n - i))}, PO: po},
+				RowSpec{TO: []int64{int64(2*i + 1), int64(2*(n-i) + 1)}, PO: po})
+		}
+		if _, err := s.DropTable("topk"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CreateTable(spec); err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		const body = `{"topK": 10, "rank": "dpidp"}`
+		read := func() {
+			w := &discardResponseWriter{}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/tables/topk/query", strings.NewReader(body)))
+		}
+		read() // cold: builds the score index
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tables/topk/query", strings.NewReader(`{"topK": 10, "rank": "dpidp", "explain": true}`)))
+		var resp QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Skyline) != 10 || resp.Plan == nil || resp.Plan.RankedFrom != "index" {
+			t.Fatalf("n=%d: warm top-k delivered %d rows, plan %+v", n, len(resp.Skyline), resp.Plan)
+		}
+		read()
+		allocs[n] = testing.AllocsPerRun(50, read)
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		allocBytes[n] = float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	t.Logf("allocations %v, bytes %v by skyline size", allocs, allocBytes)
+	if allocs[100] != allocs[700] {
+		t.Fatalf("warm top-k read: %v allocations at 100 members, %v at 700", allocs[100], allocs[700])
+	}
+	// The slack covers what differs with the table but not with the
+	// skyline's size: wider numbers in the rows and the head.
+	const slack = 64
+	if d := allocBytes[700] - allocBytes[100]; d > slack {
+		t.Fatalf("warm top-k read: %.0f bytes at 100 members, %.0f at 700 (slack %d)", allocBytes[100], allocBytes[700], slack)
+	}
+	// 38 when this test was written, the count the prefix read makes.
+	const ceiling = 38
+	if allocs[100] > ceiling {
+		t.Fatalf("warm top-k read: %v allocations, ceiling %d", allocs[100], ceiling)
 	}
 }
