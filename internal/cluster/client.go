@@ -38,14 +38,26 @@ type shardClient struct {
 // a query leg's rows are read by hand (serve.RowDecoder).
 type bodyReader func(io.Reader) error
 
+// tagged is an out that keeps the answer's ETag beside it: the
+// validator of the shard snapshot that answered ("" when none was sent).
+type tagged struct {
+	out  any
+	etag string
+}
+
 // do issues one JSON round trip and decodes the answer into out: a
-// bodyReader reads it, anything else is encoding/json's.
+// bodyReader reads it, a *tagged keeps the ETag and decodes into its
+// own out, anything else is encoding/json's.
 func (c *shardClient) do(ctx context.Context, method, path string, body, out any) error {
 	resp, err := c.send(ctx, c.http, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	if t, ok := out.(*tagged); ok {
+		t.etag = resp.Header.Get("Etag")
+		out = t.out
+	}
 	switch out := out.(type) {
 	case nil:
 		return nil

@@ -79,20 +79,24 @@ type Coordinator struct {
 	catalog store.Store                    // nil = in-memory catalog only
 	saved   map[string]serve.PartitionSpec // persisted specs, loaded at New for Adopt
 
-	queries   atomic.Int64
-	pruned    atomic.Int64 // shards skipped by statistics-driven pruning
-	failovers atomic.Int64 // read legs answered by a follower
+	queries    atomic.Int64
+	pruned     atomic.Int64 // shards skipped by statistics-driven pruning
+	failovers  atomic.Int64 // read legs answered by a follower
+	memoHits   atomic.Int64 // buffered reads served by a revalidated merged answer
+	memoMisses atomic.Int64 // memoisable buffered reads that scattered
 
 	streamHeartbeat time.Duration
 }
 
 // ctable is one cluster table: its schema, compiled base preference
-// domains (the merge pass's t-dominance oracle) and row router.
+// domains (the merge pass's t-dominance oracle), row router and memo of
+// merged answers.
 type ctable struct {
 	name    string
 	schema  *serve.Schema
 	domains []*poset.Domain
 	part    *partitioner
+	memo    memo
 }
 
 // New builds a coordinator over the given shard URLs.
@@ -440,16 +444,21 @@ func (co *Coordinator) Batch(ctx context.Context, ct *ctable, req serve.BatchReq
 	return out, nil
 }
 
-// ShardStats fetches every shard's /stats body for the table.
-func (co *Coordinator) ShardStats(ctx context.Context, ct *ctable) ([]serve.TableStatsInfo, error) {
+// shardStats fetches every shard's /stats body for the table and the
+// ETag each came with.
+func (co *Coordinator) shardStats(ctx context.Context, ct *ctable) ([]serve.TableStatsInfo, []string, error) {
 	stats := make([]serve.TableStatsInfo, len(co.shards))
+	tags := make([]string, len(co.shards))
 	errs := co.scatter(func(i int) error {
-		return co.readShard(ctx, i, http.MethodGet, co.shards[i].tablePath(ct.name, "/stats"), 0, nil, &stats[i])
+		t := tagged{out: &stats[i]}
+		err := co.readShard(ctx, i, http.MethodGet, co.shards[i].tablePath(ct.name, "/stats"), 0, nil, &t)
+		tags[i] = t.etag
+		return err
 	})
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return stats, nil
+	return stats, tags, nil
 }
 
 // scatter runs fn(i) for every shard concurrently and returns the

@@ -79,13 +79,20 @@ type testCluster struct {
 // single-node reference server holding the identical union of rows.
 func newTestCluster(t *testing.T, n int, spec serve.TableSpec) *testCluster {
 	t.Helper()
+	return newWrappedCluster(t, n, spec, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedCluster is newTestCluster with wrap in front of every
+// shard's handler, in shard order.
+func newWrappedCluster(t *testing.T, n int, spec serve.TableSpec, wrap func(http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		shard := serve.NewWithConfig(serve.Config{
 			CacheCapacity: 8,
 			Shard:         &serve.ShardIdentity{Index: i, Count: n},
 		})
-		ts := httptest.NewServer(shard.Handler())
+		ts := httptest.NewServer(wrap(shard.Handler()))
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}

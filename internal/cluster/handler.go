@@ -186,7 +186,7 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 // handleStats merges the shards' statistics and attaches the
 // per-shard bodies.
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, ct *ctable) {
-	stats, err := co.ShardStats(r.Context(), ct)
+	stats, _, err := co.shardStats(r.Context(), ct)
 	if err != nil {
 		serve.WriteError(w, statusForCluster(err), err)
 		return
@@ -221,6 +221,12 @@ type ClusterzInfo struct {
 	// Failovers counts read legs a follower answered because the shard
 	// primary was unreachable, since startup.
 	Failovers int64 `json:"failovers"`
+	// MemoHits counts buffered reads answered from a merged answer
+	// revalidated against every shard's ETag, with no leg sent;
+	// MemoMisses the reads that could have been and scattered instead
+	// (noCache reads and streams are neither), since startup.
+	MemoHits   int64 `json:"memoHits"`
+	MemoMisses int64 `json:"memoMisses"`
 	// KernelDomTests / KernelBlockSkips are this process's cumulative
 	// dominance-kernel counters (coordinator merge passes included);
 	// shard-local work shows up in each shard's own /statsz.
@@ -255,6 +261,8 @@ func (co *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		Queries:          co.queries.Load(),
 		PrunedShards:     co.pruned.Load(),
 		Failovers:        co.failovers.Load(),
+		MemoHits:         co.memoHits.Load(),
+		MemoMisses:       co.memoMisses.Load(),
 		Tables:           []ClusterTable{},
 		KernelDomTests:   domTests,
 		KernelBlockSkips: blockSkips,

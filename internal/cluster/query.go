@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -74,8 +75,12 @@ type gather struct {
 	incremental bool
 
 	stats   []serve.TableStatsInfo // per-shard statistics
+	tags    []string               // per-shard ETags of those statistics
 	prune   bool                   // statistics-driven shard pruning applies
 	explain *plan.Explain          // the coordinator's one plan
+	// stale: a leg answered from another snapshot than its shard's
+	// statistics named, so the merged answer is not memoised.
+	stale atomic.Bool
 }
 
 // result of the gather: merged candidates plus scatter metadata.
@@ -86,7 +91,6 @@ type gathered struct {
 	pruned   []int
 	metrics  core.MetricsExport
 	cacheHit bool
-	queried  int
 }
 
 // candidate turns a decoded shard row into a merge candidate. The
@@ -211,9 +215,11 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 				return err
 			})
 		})
-		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(g.ct.name, "/query"), pin(g.stats, i), &g.body, read)
+		t := tagged{out: read}
+		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(g.ct.name, "/query"), pin(g.stats, i), &g.body, &t)
 		if err == nil {
 			answers[i] = a
+			g.noteLeg(i, t.etag)
 		}
 		return err
 	}
@@ -306,7 +312,6 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 		addMetrics(&out.metrics, &a.tail.Metrics)
 		all = append(all, a.cands...)
 	}
-	out.queried = responded
 	out.cacheHit = responded > 0 && hits == responded
 	out.metrics.Shards = responded
 	if g.union != nil {
@@ -478,7 +483,7 @@ func (co *Coordinator) compile(ct *ctable, params url.Values, req serve.QueryReq
 // streamed reports whether the pass gets them — only when incremental
 // certification is sound.
 func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (streamed bool, err error) {
-	if g.stats, err = co.ShardStats(ctx, g.ct); err != nil {
+	if g.stats, g.tags, err = co.shardStats(ctx, g.ct); err != nil {
 		return false, err
 	}
 	// Statistics corners bound raw coordinates; they say nothing about
@@ -514,24 +519,43 @@ type reply struct {
 	tail serve.ResponseTail
 }
 
-// answer is the buffered runner: prepare, then gather-and-merge.
+// answer is the buffered runner: prepare, then the merged answer the
+// memo holds under the shards' current ETags, else gather-and-merge.
 func (g *gather) answer(ctx context.Context, co *Coordinator) (*reply, error) {
 	start := time.Now()
 	if _, err := g.prepare(ctx, co, false); err != nil {
 		return nil, err
 	}
-	return g.gatherMerge(ctx, co, start)
+	key, memoable := g.memoKey()
+	if memoable {
+		if gr := g.ct.memo.get(g.tags, key); gr != nil {
+			co.memoHits.Add(1)
+			g.explain.RouteReason = "merged answer revalidated against every shard's ETag"
+			return g.finish(co, gr, start), nil
+		}
+		co.memoMisses.Add(1)
+	}
+	gr, err := g.merge(ctx, co)
+	if err != nil {
+		return nil, err
+	}
+	// Pruned shards are covered by their statistics' ETags; a leg that
+	// read another snapshot (a write or a failover between the two) is not.
+	if memoable && !g.stale.Load() {
+		g.ct.memo.put(g.tags, key, gr.asHit())
+	}
+	return g.finish(co, gr, start), nil
 }
 
-// gatherMerge scatters the buffered legs, merges, applies the request's
-// post-merge steps and assembles the reply. prepare has run.
-func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Time) (*reply, error) {
+// merge scatters the buffered legs, merges and applies the request's
+// post-merge steps: the returned merged candidates are the answer, not
+// yet cut to the limit. prepare has run.
+func (g *gather) merge(ctx context.Context, co *Coordinator) (*gathered, error) {
 	gr, err := g.run(ctx, co)
 	if err != nil {
 		return nil, err
 	}
 	co.pruned.Add(int64(len(gr.pruned)))
-	merged := gr.merged
 	if len(g.q.FWeights) > 0 {
 		// Weight-restricted skylines (never ranked — Validate refuses the
 		// combination): each shard already restricted its local result
@@ -539,27 +563,32 @@ func (g *gather) gatherMerge(ctx context.Context, co *Coordinator, start time.Ti
 		// one member-only elimination pass over the merged union is exact.
 		// Sound under pruning too: a pruned shard's rows are t-dominated —
 		// hence F-dominated — by a gathered candidate.
-		merged = restrictCandidates(g, merged)
+		gr.merged = restrictCandidates(g, gr.merged)
 	}
 	switch {
 	case g.q.TopK == 0:
 	case g.union != nil:
-		merged = rankUnion(g, merged)
+		gr.merged = rankUnion(g, gr.merged)
 	default:
-		if merged, err = co.rank(ctx, g, merged); err != nil {
+		if gr.merged, err = co.rank(ctx, g, gr.merged); err != nil {
 			return nil, err
 		}
 	}
+	return gr, nil
+}
+
+// finish fills the plan's observed fields and assembles the reply.
+func (g *gather) finish(co *Coordinator, gr *gathered, start time.Time) *reply {
 	g.explain.ObservedSeconds = time.Since(start).Seconds()
-	g.explain.ObservedSkyline = len(merged)
+	g.explain.ObservedSkyline = len(gr.merged)
 	g.explain.CacheHit = gr.cacheHit
-	rp := co.wireReply(g.ct, gr, merged, g.limit)
+	rp := co.wireReply(g.ct, gr, g.limit)
 	rp.tail.CacheHit = gr.cacheHit
 	rp.tail.Algo = g.explain.Algorithm
 	if g.wantExplain {
 		rp.tail.Plan = g.explain
 	}
-	return rp, nil
+	return rp
 }
 
 // planOnce reuses internal/plan against a schema-shaped dataset (under
@@ -619,9 +648,12 @@ func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) 
 		if err != nil {
 			return nil, err
 		}
-		parts, _, err := co.scatterPartials(ctx, g.ct, body, len(merged), g.stats)
+		parts, _, tags, err := co.scatterPartials(ctx, g.ct, body, len(merged), g.stats)
 		if err != nil {
 			return nil, err
+		}
+		for i, tag := range tags {
+			g.noteLeg(i, tag)
 		}
 		if _, scores, err = s.CombinePartials(parts, len(merged)); err != nil {
 			return nil, fmt.Errorf("cluster: %s", err)
@@ -639,15 +671,19 @@ func (g *gather) wireContext() *plan.WireContext {
 
 // scatterPartials fans one encoded /domcount request body (n
 // candidates) out to every shard and returns the per-shard partial
-// scores plus the summed shard versions. stats, when known, pin
-// failover reads to the scatter's versions.
-func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, body []byte, n int, stats []serve.TableStatsInfo) ([]plan.Partials, int64, error) {
+// scores, the summed shard versions and each answer's ETag. stats, when
+// known, pin failover reads to the scatter's versions.
+func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, body []byte, n int, stats []serve.TableStatsInfo) ([]plan.Partials, int64, []string, error) {
 	resps := make([]serve.DomCountResponse, len(co.shards))
+	tags := make([]string, len(co.shards))
 	errs := co.scatter(func(i int) error {
-		return co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/domcount"), pin(stats, i), body, &resps[i])
+		t := tagged{out: &resps[i]}
+		err := co.readShard(ctx, i, http.MethodPost, co.shards[i].tablePath(ct.name, "/domcount"), pin(stats, i), body, &t)
+		tags[i] = t.etag
+		return err
 	})
 	if err := firstError(errs); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	var version int64
 	parts := make([]plan.Partials, len(resps))
@@ -657,12 +693,12 @@ func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, body []b
 		if r.Hists != nil {
 			hists, err := serve.UnpackHists(r.Hists, n)
 			if err != nil {
-				return nil, 0, fmt.Errorf("cluster: shard %d: %w", i, err)
+				return nil, 0, nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 			}
 			parts[i].Hists = hists
 		}
 	}
-	return parts, version, nil
+	return parts, version, tags, nil
 }
 
 // rankUnion evaluates the union ranking over the un-eliminated gathered
@@ -761,7 +797,7 @@ func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCo
 	if err != nil {
 		return nil, err
 	}
-	parts, version, err := co.scatterPartials(ctx, ct, body, len(rows), nil)
+	parts, version, _, err := co.scatterPartials(ctx, ct, body, len(rows), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -774,17 +810,17 @@ func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCo
 
 // wireReply shapes the merged candidates as the single-node wire answer
 // plus the cluster metadata.
-func (co *Coordinator) wireReply(ct *ctable, gr *gathered, merged []candidate, limit int) *reply {
+func (co *Coordinator) wireReply(ct *ctable, gr *gathered, limit int) *reply {
 	var version int64
 	for _, v := range gr.versions {
 		version += v
 	}
-	rows := merged
+	rows := gr.merged
 	if limit > 0 && limit < len(rows) {
 		rows = rows[:limit]
 	}
 	return &reply{
-		head: serve.ResponseHead{Table: ct.name, Version: version, Rows: gr.rowsTot, Count: len(merged)},
+		head: serve.ResponseHead{Table: ct.name, Version: version, Rows: gr.rowsTot, Count: len(gr.merged)},
 		rows: rows,
 		tail: serve.ResponseTail{
 			Metrics: gr.metrics,

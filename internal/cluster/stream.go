@@ -76,10 +76,11 @@ func (co *Coordinator) stream(w http.ResponseWriter, r *http.Request, g *gather)
 		if streamed {
 			return g.streamMerge(ctx, co, emit)
 		}
-		rp, err := g.gatherMerge(ctx, co, start)
+		gr, err := g.merge(ctx, co)
 		if err != nil {
 			return serve.StreamRecord{}, err
 		}
+		rp := g.finish(co, gr, start)
 		for i := range rp.rows { // already cut to the limit
 			rec, err := rp.rows[i].record(g.ct.schema, serve.FrameInfo{Emission: i, Elapsed: time.Since(start).Seconds()})
 			if err != nil {

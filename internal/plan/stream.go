@@ -202,25 +202,35 @@ func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit
 // of the skyline.
 func (p *Plan) streamThresholdTopK(ctx context.Context, ds *core.Dataset, env Env, emit func(StreamRow) error, start time.Time, score func(pt *core.Point) float64, slack int64) (*core.Result, error) {
 	k := p.Query.TopK
-	var ids []int32
-	var scores []float64
-	best := make([]float64, 0, k) // k smallest scores so far, ascending
+	type scored struct {
+		id int32
+		s  float64
+	}
+	// The k least (score, id) pairs so far, in sortByScore's order: rows
+	// arrive in scan order, not id order, so ties compare ids.
+	best := make([]scored, 0, k)
 	scanned, err := p.scanStream(ctx, ds, env, func(id int32, _, bound int64) (bool, error) {
 		s := score(&ds.Pts[id])
-		ids, scores = append(ids, id), append(scores, s)
-		if i := sort.SearchFloat64s(best, s); i < k {
+		i := sort.Search(len(best), func(j int) bool {
+			return s < best[j].s || s == best[j].s && id < best[j].id
+		})
+		if i < k {
 			if len(best) < k {
-				best = append(best, 0)
+				best = append(best, scored{})
 			}
 			copy(best[i+1:], best[i:])
-			best[i] = s
+			best[i] = scored{id, s}
 		}
-		return len(best) < k || best[k-1] >= float64(bound-slack), nil
+		return len(best) < k || best[k-1].s >= float64(bound-slack), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{SkylineIDs: sortByScore(ids, scores, k), Metrics: scanned.Metrics}
+	var ids []int32
+	for _, b := range best {
+		ids = append(ids, b.id)
+	}
+	res := &core.Result{SkylineIDs: ids, Metrics: scanned.Metrics}
 	for i, id := range res.SkylineIDs {
 		if err := emit(StreamRow{ID: id, Index: i, Elapsed: time.Since(start)}); err != nil {
 			return nil, err

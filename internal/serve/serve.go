@@ -390,15 +390,17 @@ func statusFor(err error) int {
 //	POST   /tables                            create a table (TableSpec)
 //	GET    /tables/{name}                     table info
 //	DELETE /tables/{name}                     drop a table
-//	POST   /tables/{name}/query               skyline query (QueryRequest; ?stream=1, ?limit=)
+//	POST   /tables/{name}/query               skyline query (QueryRequest; ?stream=1, ?limit=); ETag when buffered
 //	POST   /tables/{name}/rows:batch          batched mutation (BatchRequest)
-//	GET    /tables/{name}/stats               row count + TO min/max
-//	POST   /tables/{name}/domcount            per-candidate partial rank scores (DomCountRequest)
+//	GET    /tables/{name}/stats               row count + TO min/max; ETag
+//	POST   /tables/{name}/domcount            per-candidate partial rank scores (DomCountRequest); ETag
 //	GET    /tables/{name}/replica/snapshot    replication: columnar snapshot for follower bootstrap
 //	GET    /tables/{name}/replica/log         replication: committed WAL frames (?after=)
 //
 // Every /tables/{name}/... route honours ?minVersion=N (412 when the
-// serving snapshot is older).
+// serving snapshot is older). An ETag names the snapshot that answered,
+// "<epoch hex>.<version>" with a random epoch per table entry: two
+// answers with one tag came from one snapshot.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -596,6 +598,7 @@ func (s *Server) postQuery(w http.ResponseWriter, r *http.Request, e *tableEntry
 	if rq.limit > 0 && rq.limit < len(rows) {
 		rows = rows[:rq.limit]
 	}
+	snap.tag(w)
 	WriteQueryResponse(w, head, len(rows), func(b []byte, i int) []byte {
 		to, po := snap.table.RowCodes(rows[i])
 		return AppendRow(b, e.schema, rows[i], to, po, nil)
@@ -660,9 +663,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *tableEnt
 // handleTableStats answers GET /tables/{name}/stats: the serving
 // snapshot's row count and TO bounds. Computing them is lazy-cached on
 // the snapshot's table, so polling this endpoint is cheap; the cluster
-// coordinator reads it per query to pin versions and prune shards.
+// coordinator reads it per query to pin versions, prune shards and
+// revalidate its memoised answers against the ETag.
 func (s *Server) handleTableStats(w http.ResponseWriter, r *http.Request, e *tableEntry) {
 	snap := e.current()
+	snap.tag(w)
 	WriteJSON(w, http.StatusOK, TableStatsInfo{
 		Table:   e.name,
 		Version: snap.version,
@@ -700,6 +705,7 @@ func (s *Server) handleDomCount(w http.ResponseWriter, r *http.Request, e *table
 		WriteError(w, statusFor(err), err)
 		return
 	}
+	snap.tag(w)
 	WriteJSON(w, http.StatusOK, DomCountResponse{Table: e.name, Version: snap.version, Counts: parts.Counts, Hists: PackHists(parts.Hists)})
 }
 

@@ -105,3 +105,60 @@ func TestSingleNodeRejectsClusterFields(t *testing.T) {
 		t.Fatalf("removeSharded status %d, want 400", status)
 	}
 }
+
+// TestSnapshotETag: /stats, /domcount and every buffered /query answer
+// name their snapshot in one ETag, a batch moves it by one version, a
+// dropped and recreated table at the same version gets another, and a
+// stream carries none.
+func TestSnapshotETag(t *testing.T) {
+	s, ts := newTestServer(t)
+	etag := func(method, path, body string) string {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d", method, path, resp.StatusCode)
+		}
+		return resp.Header.Get("ETag")
+	}
+	stats := func() string { return etag(http.MethodGet, "/tables/flights/stats", "") }
+	first := stats()
+	epoch, version, ok := strings.Cut(strings.Trim(first, `"`), ".")
+	if !ok || version != "0" || epoch == "" || !strings.HasPrefix(first, `"`) || !strings.HasSuffix(first, `"`) {
+		t.Fatalf("ETag %q, want \"<epoch>.0\"", first)
+	}
+	for _, body := range []string{`{}`, `{"topK": 2, "rank": "dpidp"}`, `{"noCache": true, "limit": 1}`} {
+		if got := etag(http.MethodPost, "/tables/flights/query", body); got != first {
+			t.Errorf("query %s: ETag %q, /stats says %q", body, got, first)
+		}
+	}
+	if got := etag(http.MethodPost, "/tables/flights/domcount", `{"rows": [{"to": [500, 2], "po": ["d"]}]}`); got != first {
+		t.Errorf("domcount: ETag %q, /stats says %q", got, first)
+	}
+	if got := etag(http.MethodPost, "/tables/flights/query?stream=1", `{}`); got != "" {
+		t.Errorf("a stream carries ETag %q", got)
+	}
+	if status := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/rows:batch",
+		BatchRequest{Add: []RowSpec{{TO: []int64{100, 0}, PO: []string{"d"}}}}, nil); status != http.StatusOK {
+		t.Fatalf("batch status %d", status)
+	}
+	if got, want := stats(), `"`+epoch+`.1"`; got != want {
+		t.Errorf("after a batch: ETag %q, want %q", got, want)
+	}
+	if _, err := s.DropTable("flights"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTable(flightsSpec("flights")); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats(); got == first || !strings.HasSuffix(got, `.0"`) {
+		t.Errorf("recreated table: ETag %q, want version 0 under a new epoch (was %q)", got, first)
+	}
+}

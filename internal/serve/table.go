@@ -17,6 +17,9 @@ package serve
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -31,12 +34,23 @@ import (
 type snapshot struct {
 	version int64
 	table   *tss.Table
+	// etag is the snapshot's validator as an ETag header value,
+	// "<entry epoch hex>.<version>": one entry's versions increase by
+	// one per publish and a fresh entry draws a fresh epoch, so a tag
+	// names exactly one snapshot across drops, restarts and follower
+	// re-seeds. Every answer shares the slice; nothing writes to it.
+	etag []string
 }
+
+// tag names the snapshot an answer came from in its ETag header,
+// without allocating.
+func (snap *snapshot) tag(w http.ResponseWriter) { w.Header()["Etag"] = snap.etag }
 
 // tableEntry is a catalog slot: the current snapshot behind an atomic
 // pointer (readers), a mutation lock (writers), and traffic counters.
 type tableEntry struct {
 	name   string
+	epoch  uint64       // random, drawn once per entry: its snapshots' validator prefix
 	schema *Schema      // column names, label indexes, query translation
 	orders []*tss.Order // compiled base orders, shared by all snapshots
 
@@ -128,6 +142,7 @@ func newTableEntry(spec TableSpec, cacheCap int, version int64) (*tableEntry, er
 	}
 	e := &tableEntry{
 		name:         spec.Name,
+		epoch:        rand.Uint64(),
 		schema:       schema,
 		orders:       orders,
 		specCacheCap: spec.CacheCapacity,
@@ -144,8 +159,15 @@ func newTableEntry(spec TableSpec, cacheCap int, version int64) (*tableEntry, er
 	}
 	table.Seal()
 	table.SetQueryCache(e.freshMemo())
-	e.snap.Store(&snapshot{version: version, table: table})
+	e.publish(version, table)
 	return e, nil
+}
+
+// publish makes table the entry's current snapshot at version, its
+// validator precomputed once.
+func (e *tableEntry) publish(version int64, table *tss.Table) {
+	tag := `"` + strconv.FormatUint(e.epoch, 16) + "." + strconv.FormatInt(version, 10) + `"`
+	e.snap.Store(&snapshot{version: version, table: table, etag: []string{tag}})
 }
 
 // freshTable builds an empty table over the entry's schema, converting
@@ -213,7 +235,7 @@ func (e *tableEntry) applyBatch(req BatchRequest, persist func(version int64) er
 			return BatchResponse{}, err
 		}
 	}
-	e.snap.Store(&snapshot{version: version, table: next})
+	e.publish(version, next)
 	e.mutations.Add(1)
 	return BatchResponse{
 		Table:   e.name,
