@@ -3,10 +3,12 @@ package tss
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/poset"
 )
@@ -104,7 +106,7 @@ func TestApplyDeltaMatchesReprepare(t *testing.T) {
 		for i, id := range want {
 			ids[i] = int(id)
 		}
-		return fmt.Sprint(sortedInts(rows)) == fmt.Sprint(sortedInts(ids))
+		return slices.Equal(slices.Sorted(slices.Values(rows)), slices.Sorted(slices.Values(ids)))
 	}
 	ideal := []int64{3, 3}
 	for seed := int64(0); seed < 8; seed++ {
@@ -157,7 +159,7 @@ func TestApplyDeltaMatchesReprepare(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := core.FullyDynamicNaive(c.tab.ds, []int32{3, 3}, domains); !sameRows(res.Rows, want) {
+					if want := core.NaiveSkylineUnder(domains, oracle.IdealPoints(c.tab.ds.Pts, ideal)); !sameRows(res.Rows, want) {
 						t.Fatalf("seed %d batch %d: QueryAt = %v, naive %v", seed, batch, res.Rows, want)
 					}
 				}
@@ -178,16 +180,6 @@ func TestApplyDeltaMatchesReprepare(t *testing.T) {
 			tab, dyn = next, nd
 		}
 	}
-}
-
-func sortedInts(xs []int) []int {
-	out := append([]int(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // TestCloneSealRaceRegression is the regression test for seal-state
@@ -238,7 +230,7 @@ func TestResidentIndexNotInherited(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	parent := randTableT(rng, 300, 2, 6).Seal()
 	parentRows, _ := freshSequence(parent)
-	if rows, _, _ := streamRows(t, parent, plan.Query{}); !equalRows(rows, parentRows) {
+	if rows, _, _ := streamRows(t, parent, plan.Query{}); !slices.Equal(rows, parentRows) {
 		t.Fatalf("parent stream %v, want %v", rows, parentRows)
 	}
 	ix := parent.order.Load()
@@ -261,7 +253,7 @@ func TestResidentIndexNotInherited(t *testing.T) {
 		}
 		want, _ := freshSequence(derived)
 		rows, ex, _ := streamRows(t, derived, plan.Query{})
-		if ex.CursorIndex != "built" || !equalRows(rows, want) {
+		if ex.CursorIndex != "built" || !slices.Equal(rows, want) {
 			t.Fatalf("%s: cursorIndex %q, rows %v, want built %v", name, ex.CursorIndex, rows, want)
 		}
 		if derived.order.Load() == ix {
@@ -271,7 +263,7 @@ func TestResidentIndexNotInherited(t *testing.T) {
 	if parent.order.Load() != ix {
 		t.Fatal("deriving tables disturbed the parent's order")
 	}
-	if rows, ex, _ := streamRows(t, parent, plan.Query{}); ex.CursorIndex != "resident" || !equalRows(rows, parentRows) {
+	if rows, ex, _ := streamRows(t, parent, plan.Query{}); ex.CursorIndex != "resident" || !slices.Equal(rows, parentRows) {
 		t.Fatalf("parent after deriving: cursorIndex %q, rows %v, want resident %v", ex.CursorIndex, rows, parentRows)
 	}
 }

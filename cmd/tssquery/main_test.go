@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -246,13 +246,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(sortIDs(resC.SkylineIDs)) != fmt.Sprint(sortIDs(resA.SkylineIDs)) {
+	if !slices.Equal(slices.Sorted(slices.Values(resC.SkylineIDs)), slices.Sorted(slices.Values(resA.SkylineIDs))) {
 		t.Fatalf("-querydags after round trip %v, want %v", resC.SkylineIDs, resA.SkylineIDs)
 	}
-}
-
-func sortIDs(ids []int32) []int32 {
-	out := append([]int32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

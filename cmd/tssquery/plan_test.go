@@ -3,13 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/poset"
 	"repro/internal/serve"
@@ -220,7 +221,7 @@ func TestRunPlannedLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Naive(ds, plan.Query{TopK: 2, Rank: plan.RankDomCount})
+	want, err := oracle.Rank(string(plan.RankDomCount), ds.Domains, ds.Pts, core.NaiveSkylineUnder(ds.Domains, ds.Pts), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,8 @@ func TestRunPlannedLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = plan.Naive(ds, plan.Query{Ideal: []int64{1200, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameIDs(res.SkylineIDs, want) || !contains(res.SkylineIDs, 3) {
+	want = core.NaiveSkylineUnder(ds.Domains, oracle.IdealPoints(ds.Pts, []int64{1200, 1}))
+	if !slices.Equal(slices.Sorted(slices.Values(res.SkylineIDs)), slices.Sorted(slices.Values(want))) || !contains(res.SkylineIDs, 3) {
 		t.Fatalf("ideal transform: got %v want %v", res.SkylineIDs, want)
 	}
 }
@@ -259,10 +257,6 @@ func runPlanned(ds *core.Dataset, pf planFlags, ideal string) (*core.Result, err
 		printExplain(ex)
 	}
 	return res, err
-}
-
-func sameIDs(a, b []int32) bool {
-	return fmt.Sprint(sortIDs(a)) == fmt.Sprint(sortIDs(b))
 }
 
 func contains(ids []int32, id int32) bool {

@@ -10,39 +10,13 @@ import (
 	"repro/internal/poset"
 )
 
-// This file implements the §V-B extensions of dTSS:
-//
-//   - the ground-truth oracle of fully dynamic skyline queries, which
-//     besides the per-query partial orders also specify the *ideal
-//     values* of the TO attributes: all TO dominance is redefined on
-//     distances |t − q| to a query point q (a planned query with
-//     plan.Query.Ideal set runs that transform);
-//   - caching of past query results keyed by a canonical signature of
-//     the query's partial orders (cf. Sacharidis et al., SSDBM 2008).
-
-// absDiff returns |t − q| per dimension — the coordinates of a point in
-// the dynamic space centred at q.
-func absDiff(t, q []int32) []int32 {
-	out := make([]int32, len(t))
-	for d, v := range t {
-		if v >= q[d] {
-			out[d] = v - q[d]
-		} else {
-			out[d] = q[d] - v
-		}
-	}
-	return out
-}
-
-// FullyDynamicNaive is the ground-truth oracle for fully dynamic
-// queries: brute force over the points transformed around q.
-func FullyDynamicNaive(ds *Dataset, q []int32, domains []*poset.Domain) []int32 {
-	pts := make([]Point, len(ds.Pts))
-	for i, p := range ds.Pts {
-		pts[i] = Point{ID: p.ID, TO: absDiff(p.TO, q), PO: p.PO}
-	}
-	return NaiveSkylineUnder(domains, pts)
-}
+// This file implements the §V-B extensions of dTSS: cross-group
+// precedence under the query's partial orders, and caching of past
+// query results keyed by a canonical signature of those orders (cf.
+// Sacharidis et al., SSDBM 2008). Fully dynamic queries, which also
+// give ideal values for the TO attributes, redefine TO dominance on
+// distances |t − q| to the query point q; a planned query with
+// plan.Query.Ideal set runs that transform.
 
 // groupOrder returns group indexes sorted by ascending sum of
 // topological ordinals under the query domains (dTSS's cross-group

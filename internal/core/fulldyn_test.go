@@ -8,6 +8,20 @@ import (
 	"repro/internal/poset"
 )
 
+// absDiff returns |t − q| per dimension — the coordinates of a point in
+// the dynamic space centred at q.
+func absDiff(t, q []int32) []int32 {
+	out := make([]int32, len(t))
+	for d, v := range t {
+		if v >= q[d] {
+			out[d] = v - q[d]
+		} else {
+			out[d] = q[d] - v
+		}
+	}
+	return out
+}
+
 // transformedDataset re-centres ds on the query point q under the
 // query's domains: the rows a planned ideal-point query hands to its
 // algorithm.
@@ -39,8 +53,8 @@ func TestFullyDynamicMatchesNaive(t *testing.T) {
 				domains[d] = poset.MustDomain(randomPODomainDAG(
 					rng, ds.Domains[d].Size(), rng.Float64()*0.6))
 			}
-			want := FullyDynamicNaive(ds, q, domains)
 			tds := transformedDataset(ds, q, domains)
+			want := NaiveSkylineUnder(domains, tds.Pts)
 			for _, algo := range append(Algorithms(), Baselines()...) {
 				for _, opt := range []Options{{}, {NoKernel: true}} {
 					res, err := algo.Run(tds, opt)
@@ -73,8 +87,9 @@ func TestFullyDynamicCentredOnPoint(t *testing.T) {
 	dag.MustEdge(0, 1) // a preferred to b
 	dag.MustEdge(0, 2) // a preferred to c
 	dom := poset.MustDomain(dag)
-	res := SFS(transformedDataset(ds, q, []*poset.Domain{dom}), Options{})
-	want := FullyDynamicNaive(ds, q, []*poset.Domain{dom})
+	tds := transformedDataset(ds, q, []*poset.Domain{dom})
+	res := SFS(tds, Options{})
+	want := NaiveSkylineUnder(tds.Domains, tds.Pts)
 	if !sameIDSet(res.SkylineIDs, want) {
 		t.Fatalf("got %v, want %v", res.SkylineIDs, want)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,7 +83,7 @@ func TestColSetCompactInterleaved(t *testing.T) {
 				}
 				k.evictDominatedBy(pr)
 				fresh.evictDominatedBy(fpr)
-				if a, b := k.aliveIDs(nil), fresh.aliveIDs(nil); !equalIDs(a, b) {
+				if a, b := k.aliveIDs(nil), fresh.aliveIDs(nil); !slices.Equal(a, b) {
 					t.Fatalf("probe %d evicts down to %d members in the compacted set, %d in the fresh set", p.ID, len(a), len(b))
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/poset"
@@ -71,18 +72,6 @@ func applyDelta(ds *Dataset, removes []int, adds []Point) (*Dataset, *Delta) {
 	return nds, delta
 }
 
-func equalIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestMaintainSkyline drives randomized add / remove / mixed batches —
 // removals biased toward skyline members to force promotion recomputes
 // — and asserts the maintained skyline equals the cold recompute after
@@ -138,7 +127,7 @@ func TestMaintainSkyline(t *testing.T) {
 					seed, step, len(removes)+len(adds), len(ds.Pts))
 			}
 			want := sortedIDs(NaiveSkylineUnder(nds.Domains, nds.Pts))
-			if !equalIDs(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: maintained %v\nwant %v", seed, step, got, want)
 			}
 			if stats.Promotions < 0 || stats.Probes < len(adds) {
@@ -150,7 +139,7 @@ func TestMaintainSkyline(t *testing.T) {
 				t.Fatalf("seed %d step %d: subspace maintenance refused", seed, step)
 			}
 			wantSub := sortedIDs(NaiveSkylineUnder(subDoms, project(nds.Pts)))
-			if !equalIDs(gotSub, wantSub) {
+			if !slices.Equal(gotSub, wantSub) {
 				t.Fatalf("seed %d step %d: subspace maintained %v\nwant %v", seed, step, gotSub, wantSub)
 			}
 
@@ -215,7 +204,7 @@ func TestMaintainSkyline(t *testing.T) {
 		if !ok {
 			t.Fatalf("N=2000 %s: maintenance refused", c.name)
 		}
-		if want := sortedIDs(NaiveSkylineUnder(nds.Domains, nds.Pts)); !equalIDs(got, want) {
+		if want := sortedIDs(NaiveSkylineUnder(nds.Domains, nds.Pts)); !slices.Equal(got, want) {
 			t.Fatalf("N=2000 %s: maintained skyline differs from the cold one", c.name)
 		}
 		if stats.Probes > c.maxProbes || c.exact && (stats.Probes != c.maxProbes || stats.Promotions != 0) {
@@ -264,7 +253,7 @@ func TestMaintainPromotionCounts(t *testing.T) {
 		},
 	}
 	sky := sortedIDs(NaiveSkylineUnder(ds.Domains, ds.Pts))
-	if !equalIDs(sky, []int32{0, 2}) {
+	if !slices.Equal(sky, []int32{0, 2}) {
 		t.Fatalf("fixture skyline %v", sky)
 	}
 	nds, delta := applyDelta(ds, []int{0}, nil)
@@ -272,7 +261,7 @@ func TestMaintainPromotionCounts(t *testing.T) {
 	if !ok {
 		t.Fatal("maintenance refused")
 	}
-	if !equalIDs(got, []int32{0, 1}) { // renumbered: old 1→0, old 2→1
+	if !slices.Equal(got, []int32{0, 1}) { // renumbered: old 1→0, old 2→1
 		t.Fatalf("maintained %v, want [0 1]", got)
 	}
 	if stats.Promotions != 1 {

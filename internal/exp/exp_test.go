@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -153,6 +154,45 @@ func TestHeadlineShapes(t *testing.T) {
 	if err := HeadlineShapes(0.02, 1.5); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// HeadlineShapes checks the paper's two headline claims at a given
+// scale: (1) static — TSS strictly beats SDC+ in total time at the
+// default configuration; (2) dynamic — TSS beats the rebuilding SDC+
+// and the gap at this N is at least `minDynamicGap`. Used by tests as a
+// regression guard on the reproduction itself.
+func HeadlineShapes(scale, minDynamicGap float64) error {
+	cfg := StaticDefaults(scale)
+	cfg.Dist = data.AntiCorrelated
+	rows := runStaticPair("headline-static", "default", cfg)
+	var sdc, tss float64
+	for _, r := range rows {
+		if r.Series == "SDC+" {
+			sdc = r.TotalSec
+		} else {
+			tss = r.TotalSec
+		}
+	}
+	if tss >= sdc {
+		return fmt.Errorf("exp: static headline violated: TSS %.3fs vs SDC+ %.3fs", tss, sdc)
+	}
+	dcfg := DynamicDefaults(scale)
+	dcfg.Dist = data.AntiCorrelated
+	dcfg.Queries = 2
+	drows := runDynamicPair("headline-dynamic", "default", dcfg)
+	sdc, tss = 0, 0
+	for _, r := range drows {
+		if r.Series == "SDC+" {
+			sdc = r.TotalSec
+		} else {
+			tss = r.TotalSec
+		}
+	}
+	if tss <= 0 || sdc/tss < minDynamicGap {
+		return fmt.Errorf("exp: dynamic headline violated: gap %.2fx < %.2fx (TSS %.3fs, SDC+ %.3fs)",
+			sdc/tss, minDynamicGap, tss, sdc)
+	}
+	return nil
 }
 
 func TestAblationsRun(t *testing.T) {

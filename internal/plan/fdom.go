@@ -54,12 +54,11 @@ func FVertices(weights []float64, keptTO []int) [][]float64 {
 	return vtx
 }
 
-// FDominates reports whether a F-dominates b under the weight vectors
+// fDominates reports whether a F-dominates b under the weight vectors
 // vtx (each in kept order, matching the projected points) and the kept
-// PO domains. Exported for the coordinator's restricted merge and the
-// oracle's sampled-vector check — every tier eliminates with this one
-// predicate.
-func FDominates(doms []*poset.Domain, vtx [][]float64, a, b *core.Point) bool {
+// PO domains. Every tier eliminates with this one predicate, through
+// FDomSurvivors.
+func fDominates(doms []*poset.Domain, vtx [][]float64, a, b *core.Point) bool {
 	strict := false
 	for _, v := range vtx {
 		var sa, sb float64
@@ -99,7 +98,7 @@ func FDomSurvivors(doms []*poset.Domain, vtx [][]float64, pts []core.Point) []in
 			if i == j {
 				continue
 			}
-			if FDominates(doms, vtx, &pts[j], &pts[i]) {
+			if fDominates(doms, vtx, &pts[j], &pts[i]) {
 				dominated = true
 				break
 			}

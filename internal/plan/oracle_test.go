@@ -4,15 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/poset"
 )
 
 // Naive answers the query by brute force — filter, project (under the
 // query's own orders and ideal point, when it brings them), O(n²)
 // skyline, O(n·m) rank — with no planner, no index and no cache. It is
-// the ground truth every physical plan is differential-tested against
-// (FuzzPlanAgreement, exp.FigurePlan's verification pass). The dataset
-// must use the table layout (ds.Pts[i].ID == i).
+// the ground truth every physical plan is differential-tested against:
+// this file resolves the query's shape, and internal/oracle holds the
+// rankings and the ideal-point transform. The dataset must use the
+// table layout (ds.Pts[i].ID == i).
 func Naive(ds *core.Dataset, q Query) ([]int32, error) {
 	if err := q.validateOn(ds); err != nil {
 		return nil, err
@@ -22,37 +24,22 @@ func Naive(ds *core.Dataset, q Query) ([]int32, error) {
 	}
 	keptTO, keptPO := resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
 	doms := keptPODomains(ds, keptPO)
+	var ideal []int64 // the ideal point over the kept TO columns
+	if q.Ideal != nil {
+		for _, d := range keptTO {
+			ideal = append(ideal, q.Ideal[d])
+		}
+	}
 
 	// R: the filtered rows, projected onto the kept dimensions.
 	var rows []core.Point
 	for i := range ds.Pts {
-		pt := &ds.Pts[i]
-		ok := true
-		for j := range q.Where {
-			if !q.Where[j].matches(pt) {
-				ok = false
-				break
-			}
+		if matchesAllPreds(q.Where, &ds.Pts[i]) {
+			rows = append(rows, projectInto(&ds.Pts[i], keptTO, keptPO))
 		}
-		if !ok {
-			continue
-		}
-		np := core.Point{ID: pt.ID, TO: make([]int32, len(keptTO))}
-		for j, d := range keptTO {
-			np.TO[j] = pt.TO[d]
-			if q.IdealTransform() {
-				if np.TO[j] -= int32(q.Ideal[d]); np.TO[j] < 0 {
-					np.TO[j] = -np.TO[j]
-				}
-			}
-		}
-		if len(keptPO) > 0 {
-			np.PO = make([]int32, len(keptPO))
-			for j, d := range keptPO {
-				np.PO[j] = pt.PO[d]
-			}
-		}
-		rows = append(rows, np)
+	}
+	if q.IdealTransform() {
+		rows = oracle.IdealPoints(rows, ideal)
 	}
 
 	sky := core.NaiveSkylineUnder(doms, rows)
@@ -78,8 +65,7 @@ func Naive(ds *core.Dataset, q Query) ([]int32, error) {
 	if !ok {
 		return nil, fmt.Errorf("plan: unknown rank %q (have: %s)", q.Rank, quotedRankerNames())
 	}
-	oc := &OracleContext{Query: &q, KeptTO: keptTO, KeptPO: keptPO, Doms: doms, Rows: rows}
-	return r.OracleRank(oc, sky, q.TopK), nil
+	return oracle.Rank(r.Name(), doms, rows, sky, q.TopK, ideal)
 }
 
 // oracleRestrict is the brute-force restricted skyline: every row of R
@@ -108,7 +94,7 @@ func oracleRestrict(doms []*poset.Domain, keptTO []int, weights []float64, rows 
 			if i == j {
 				continue
 			}
-			if FDominates(doms, samples, &rows[j], &rows[i]) {
+			if fDominates(doms, samples, &rows[j], &rows[i]) {
 				dominated = true
 				break
 			}

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/oracle"
 	"repro/internal/poset"
 )
 
@@ -61,23 +63,9 @@ func sampleDS(t testing.TB, n int) *core.Dataset {
 	return ds
 }
 
-func sorted32(ids []int32) []int32 {
-	out := append([]int32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func sorted32(ids []int32) []int32 { return slices.Sorted(slices.Values(ids)) }
 
-func equal32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func equal32(a, b []int32) bool { return slices.Equal(a, b) }
 
 // memCache is a test Cache.
 type memCache struct {
@@ -803,31 +791,17 @@ func oracleHists(ds *core.Dataset, q Query, cands []core.Point) []map[int32]int6
 		ds = &core.Dataset{Domains: q.Orders, Pts: ds.Pts}
 	}
 	keptTO, keptPO := resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
-	doms := keptPODomains(ds, keptPO)
 	cps := make([]core.Point, len(cands))
 	for i := range cands {
 		cps[i] = projectInto(&cands[i], keptTO, keptPO)
 	}
-	hists := make([]map[int32]int64, len(cands))
+	var rows []core.Point
 	for r := range ds.Pts {
-		if !matchesAllPreds(q.Where, &ds.Pts[r]) {
-			continue
-		}
-		rp := projectInto(&ds.Pts[r], keptTO, keptPO)
-		var by []int
-		for i := range cps {
-			if core.DominatesUnder(doms, &cps[i], &rp) {
-				by = append(by, i)
-			}
-		}
-		for _, i := range by {
-			if hists[i] == nil {
-				hists[i] = map[int32]int64{}
-			}
-			hists[i][int32(len(by))]++
+		if matchesAllPreds(q.Where, &ds.Pts[r]) {
+			rows = append(rows, projectInto(&ds.Pts[r], keptTO, keptPO))
 		}
 	}
-	return hists
+	return oracle.DPIDPHists(keptPODomains(ds, keptPO), cps, rows)
 }
 
 // histToWire flattens a k-histogram into ascending-k parallel arrays.

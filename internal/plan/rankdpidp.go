@@ -50,45 +50,6 @@ func (dpidpRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 	return sortByScore(ids, scores, k), false, nil
 }
 
-func (dpidpRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
-	rows := oc.Rows
-	byID := make(map[int32]*core.Point, len(rows))
-	for i := range rows {
-		byID[rows[i].ID] = &rows[i]
-	}
-	// Per row of R: how many skyline members dominate it, and which.
-	hists := make(map[int32]map[int32]int64, len(sky))
-	var dom []int32
-	for i := range rows {
-		dom = dom[:0]
-		for _, id := range sky {
-			if id == rows[i].ID {
-				continue
-			}
-			if core.DominatesUnder(oc.Doms, byID[id], &rows[i]) {
-				dom = append(dom, id)
-			}
-		}
-		if len(dom) == 0 {
-			continue
-		}
-		kk := int32(len(dom))
-		for _, id := range dom {
-			h := hists[id]
-			if h == nil {
-				h = map[int32]int64{}
-				hists[id] = h
-			}
-			h[kk]++
-		}
-	}
-	scores := make([]float64, len(sky))
-	for i, id := range sky {
-		scores[i] = -core.DPIDPScoreFromHist(hists[id])
-	}
-	return sortByScore(sky, scores, k)
-}
-
 // Partials scores the gathered candidates against this shard's local
 // rows: per candidate, the k-histogram of local rows it dominates,
 // where k counts dominators among all candidates (the global skyline) —
@@ -332,9 +293,10 @@ func (layerRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 
 // peelFrom assigns layers 1..k over rows. Layer 1 is the skyline the
 // executor already computed (memo-served when the table is warm);
-// deeper layers peel the residual with the plan's cost-chosen
-// algorithm — the same elimination a cold query would run, minus the
-// re-plan and table rebuild a client peeling by hand pays per layer.
+// deeper layers peel the residual with the plan's algorithm (SFS unless
+// the query's hints force another) — the same elimination a cold query
+// would run, minus the re-plan and table rebuild a client peeling by
+// hand pays per layer.
 // The scalar reference path (NoKernel) stays on core.LayersUnder for
 // the differential harnesses.
 func peelFrom(ctx context.Context, doms []*poset.Domain, rows []core.Point, sky []int32, k int, sc *ScoreContext) ([]int32, error) {
@@ -385,30 +347,6 @@ func peelFrom(ctx context.Context, doms []*poset.Domain, rows []core.Point, sky 
 		alive = next
 	}
 	return layers, nil
-}
-
-func (layerRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
-	// Iterated naive skyline — independent of the kernel peeling.
-	alive := append([]core.Point(nil), oc.Rows...)
-	var out []int32
-	for layer := 1; layer <= k && len(alive) > 0; layer++ {
-		ids := core.NaiveSkylineUnder(oc.Doms, alive)
-		sorted := append([]int32(nil), ids...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		out = append(out, sorted...)
-		inLayer := make(map[int32]bool, len(ids))
-		for _, id := range ids {
-			inLayer[id] = true
-		}
-		next := alive[:0]
-		for i := range alive {
-			if !inLayer[alive[i].ID] {
-				next = append(next, alive[i])
-			}
-		}
-		alive = next
-	}
-	return out
 }
 
 // RankUnion re-layers the un-eliminated union of shard-local layer

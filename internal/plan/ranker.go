@@ -9,9 +9,9 @@ import (
 	"repro/internal/poset"
 )
 
-// Ranker is one top-k ranking method. The executor, the brute-force
-// oracle, the streaming path and the cluster coordinator all dispatch
-// through LookupRanker, so no tier has a per-ranking switch arm.
+// Ranker is one top-k ranking method. The executor, the streaming path
+// and the cluster coordinator all dispatch through LookupRanker, so no
+// tier has a per-ranking switch arm.
 //
 // Rank orders the skyline ids of the running query and returns the
 // best k. A ranker may return rows beyond the input ids when its
@@ -19,10 +19,6 @@ import (
 // row of skyline layers 1..k, of which the input skyline is layer 1).
 // fromIndex reports that the scores were served from a maintained score
 // index rather than computed against the table.
-//
-// OracleRank is the ranker's brute-force reference semantics, used by
-// Naive and the differential/fuzz harnesses; it must be independent of
-// Rank's implementation strategy.
 //
 // Optional capabilities, discovered by interface assertion:
 //
@@ -41,7 +37,6 @@ import (
 type Ranker interface {
 	Name() string
 	Rank(ctx context.Context, sc *ScoreContext, ids []int32, k int) (ranked []int32, fromIndex bool, err error)
-	OracleRank(oc *OracleContext, sky []int32, k int) []int32
 }
 
 // ScoreContext is what a Ranker's executor-side Rank sees: the table
@@ -65,17 +60,6 @@ type ScoreContext struct {
 	// skylines (layer depth) reuse it rather than re-deriving a choice.
 	// Nil falls back to the paper's default.
 	Algo core.Algorithm
-}
-
-// OracleContext is what OracleRank sees: the query, kept dimensions,
-// the kept PO domains, and R — the predicate-filtered rows projected
-// onto the kept dimensions, with original table ids.
-type OracleContext struct {
-	Query  *Query
-	KeptTO []int
-	KeptPO []int
-	Doms   []*poset.Domain
-	Rows   []core.Point
 }
 
 // WireRow is one gathered cluster candidate as a WireScorer sees it:
@@ -224,26 +208,6 @@ func (domcountRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k
 	return sortByScore(ids, scores, k), false, nil
 }
 
-func (domcountRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
-	rows := oc.Rows
-	byID := make(map[int32]*core.Point, len(rows))
-	for i := range rows {
-		byID[rows[i].ID] = &rows[i]
-	}
-	counts := make([]float64, len(sky))
-	for x, id := range sky {
-		s := byID[id]
-		var c float64
-		for i := range rows {
-			if rows[i].ID != id && core.DominatesUnder(oc.Doms, s, &rows[i]) {
-				c++
-			}
-		}
-		counts[x] = -c // ascending sort ranks bigger counts first
-	}
-	return sortByScore(sky, counts, k)
-}
-
 // Partials delegates to the exact per-shard dominance-count scan the
 // coordinator has always scattered; CombinePartials sums and negates.
 func (domcountRanker) Partials(ctx context.Context, ds *core.Dataset, q Query, cands []core.Point) (Partials, error) {
@@ -288,41 +252,6 @@ func (idealRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 		scores[i] = idealScore(sc.Query, sc.KeptTO, sc.KeptPO, &sc.DS.Pts[id], depths)
 	}
 	return sortByScore(ids, scores, k), false, nil
-}
-
-func (idealRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
-	q := oc.Query
-	rows := oc.Rows
-	scores := make([]float64, len(sky))
-	byID := make(map[int32]*core.Point, len(rows))
-	for i := range rows {
-		byID[rows[i].ID] = &rows[i]
-	}
-	for x, id := range sky {
-		s := byID[id]
-		var sc float64
-		for j, d := range oc.KeptTO {
-			var ideal int64
-			if q.Ideal != nil {
-				ideal = q.Ideal[d]
-			}
-			diff := int64(s.TO[j]) - ideal
-			if diff < 0 {
-				diff = -diff
-			}
-			sc += float64(diff)
-		}
-		for j := range oc.KeptPO {
-			dom := oc.Doms[j]
-			for w := int32(0); int(w) < dom.Size(); w++ {
-				if dom.TPrefers(w, s.PO[j]) {
-					sc++
-				}
-			}
-		}
-		scores[x] = sc
-	}
-	return sortByScore(sky, scores, k)
 }
 
 // WireScores ranks gathered cluster candidates coordinator-locally:

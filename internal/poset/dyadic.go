@@ -84,28 +84,3 @@ func (dy *dyadicIndex) rangeIntervals(lo, hi int32) IntervalSet {
 	}
 	return MergeIntervals(scratch)
 }
-
-// DecomposeOrdRange returns the covering dyadic pieces' interval sets
-// without the final merge; exposed for tests and instrumentation.
-func (dm *Domain) decomposeOrdRange(lo, hi int32) []IntervalSet {
-	dy := dm.dy.Load()
-	if dy == nil {
-		return nil
-	}
-	l := int(lo) + dy.size
-	r := int(hi) + dy.size + 1
-	var out []IntervalSet
-	for l < r {
-		if l&1 == 1 {
-			out = append(out, dy.sets[l])
-			l++
-		}
-		if r&1 == 1 {
-			r--
-			out = append(out, dy.sets[r])
-		}
-		l >>= 1
-		r >>= 1
-	}
-	return out
-}

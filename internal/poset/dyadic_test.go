@@ -72,6 +72,32 @@ func TestOrdRangeClamping(t *testing.T) {
 	}
 }
 
+// decomposeOrdRange returns the interval sets of the dyadic pieces
+// covering the ordinal range [lo, hi], without OrdRangeIntervals' final
+// merge.
+func (dm *Domain) decomposeOrdRange(lo, hi int32) []IntervalSet {
+	dy := dm.dy.Load()
+	if dy == nil {
+		return nil
+	}
+	l := int(lo) + dy.size
+	r := int(hi) + dy.size + 1
+	var out []IntervalSet
+	for l < r {
+		if l&1 == 1 {
+			out = append(out, dy.sets[l])
+			l++
+		}
+		if r&1 == 1 {
+			r--
+			out = append(out, dy.sets[r])
+		}
+		l >>= 1
+		r >>= 1
+	}
+	return out
+}
+
 // TestDyadicDecomposition: decomposed pieces jointly cover exactly the
 // requested range's merged set.
 func TestDyadicDecomposition(t *testing.T) {

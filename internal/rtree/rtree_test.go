@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -47,18 +48,6 @@ func scanIDs(pts []Point, lo, hi []int32) []int32 {
 	return ids
 }
 
-func equalIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestBulkLoadQueryMatchesScan: range queries over a bulk-loaded tree
 // return exactly the linear-scan answer.
 func TestBulkLoadQueryMatchesScan(t *testing.T) {
@@ -81,7 +70,7 @@ func TestBulkLoadQueryMatchesScan(t *testing.T) {
 				}
 				lo[d], hi[d] = a, b
 			}
-			if !equalIDs(collectIDs(tr, lo, hi), scanIDs(pts, lo, hi)) {
+			if !slices.Equal(collectIDs(tr, lo, hi), scanIDs(pts, lo, hi)) {
 				return false
 			}
 		}
@@ -123,7 +112,7 @@ func TestInsertQueryMatchesScan(t *testing.T) {
 				}
 				lo[d], hi[d] = a, b
 			}
-			if !equalIDs(collectIDs(tr, lo, hi), scanIDs(pts, lo, hi)) {
+			if !slices.Equal(collectIDs(tr, lo, hi), scanIDs(pts, lo, hi)) {
 				return false
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"testing"
 
@@ -180,7 +181,7 @@ func TestPlanQueryErrors(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, url, QueryRequest{}, &zero); code != http.StatusOK {
 		t.Fatalf("bare query: status %d", code)
 	}
-	if !equalInts(rowSet(zero.Skyline), []int{0, 4, 5, 8, 9}) {
+	if !slices.Equal(rowSet(zero.Skyline), []int{0, 4, 5, 8, 9}) {
 		t.Fatalf("bare query: %v, want the table's skyline", rowSet(zero.Skyline))
 	}
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -92,18 +93,6 @@ func rowSet(rows []SkylineRow) []int {
 	return out
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
 	var out map[string]string
@@ -174,7 +163,7 @@ func TestSkylineEndpoint(t *testing.T) {
 		if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: algo, NoCache: true}, &out); code != http.StatusOK {
 			t.Fatalf("algo %q: %d", algo, code)
 		}
-		if !equalInts(rowSet(out.Skyline), want) {
+		if !slices.Equal(rowSet(out.Skyline), want) {
 			t.Fatalf("algo %q skyline: %v, want %v", algo, rowSet(out.Skyline), want)
 		}
 		if out.Version != 0 || out.Rows != 10 || out.Count != 5 {
@@ -203,7 +192,7 @@ func TestSkylineEndpoint(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, url, QueryRequest{Algo: "stss", Parallel: 2, NoCache: true}, &par); code != http.StatusOK {
 		t.Fatalf("parallel: %d", code)
 	}
-	if !equalInts(rowSet(par.Skyline), want) {
+	if !slices.Equal(rowSet(par.Skyline), want) {
 		t.Fatalf("parallel skyline: %v", rowSet(par.Skyline))
 	}
 	if par.Metrics.DomChecks == 0 {
@@ -244,7 +233,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", bOverA, &out); code != http.StatusOK {
 		t.Fatalf("query: %d", code)
 	}
-	if !equalInts(rowSet(out.Skyline), want) {
+	if !slices.Equal(rowSet(out.Skyline), want) {
 		t.Fatalf("dynamic skyline: %v, want %v", rowSet(out.Skyline), want)
 	}
 	if out.CacheHit {
@@ -256,7 +245,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if !hit.CacheHit {
 		t.Fatal("second identical query must hit the cache")
 	}
-	if !equalInts(rowSet(hit.Skyline), want) {
+	if !slices.Equal(rowSet(hit.Skyline), want) {
 		t.Fatalf("cached skyline: %v", rowSet(hit.Skyline))
 	}
 	if hit.Metrics.ReadIOs != 0 {
@@ -279,7 +268,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", raw, &bl); code != http.StatusOK {
 		t.Fatalf("retired baseline field: %d", code)
 	}
-	if !equalInts(rowSet(bl.Skyline), want) || !bl.CacheHit {
+	if !slices.Equal(rowSet(bl.Skyline), want) || !bl.CacheHit {
 		t.Fatalf("retired baseline field: skyline %v, cacheHit %v", rowSet(bl.Skyline), bl.CacheHit)
 	}
 
@@ -304,7 +293,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", QueryRequest{}, &zero); code != http.StatusOK {
 		t.Fatalf("bare {}: %d, want 200", code)
 	}
-	if !equalInts(rowSet(zero.Skyline), []int{0, 4, 5, 8, 9}) {
+	if !slices.Equal(rowSet(zero.Skyline), []int{0, 4, 5, 8, 9}) {
 		t.Fatalf("bare {}: %v, want the table's skyline", rowSet(zero.Skyline))
 	}
 
@@ -359,7 +348,7 @@ func TestBatchAndStatsz(t *testing.T) {
 		t.Fatalf("remove response: %+v", br2)
 	}
 	doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", QueryRequest{}, &out)
-	if !equalInts(rowSet(out.Skyline), []int{0, 4, 5, 8, 9}) {
+	if !slices.Equal(rowSet(out.Skyline), []int{0, 4, 5, 8, 9}) {
 		t.Fatalf("after remove: %v", rowSet(out.Skyline))
 	}
 	// An empty batch is a no-op: no version bump, no cache discard.
@@ -433,7 +422,7 @@ func TestLoadCSVDir(t *testing.T) {
 		t.Fatalf("skyline: %d", code)
 	}
 	// (10,"0") dominates (20,"1"); (5,"2") survives on price.
-	if !equalInts(rowSet(out.Skyline), []int{0, 2}) {
+	if !slices.Equal(rowSet(out.Skyline), []int{0, 2}) {
 		t.Fatalf("skyline: %v", rowSet(out.Skyline))
 	}
 

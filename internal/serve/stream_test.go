@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,7 +142,7 @@ func TestStreamSkylineNDJSON(t *testing.T) {
 		}
 		got = append(got, *rec.Row)
 	}
-	if !equalInts(rowSet(got), rowSet(buffered.Skyline)) {
+	if !slices.Equal(rowSet(got), rowSet(buffered.Skyline)) {
 		t.Fatalf("streamed rows %v, buffered %v", rowSet(got), rowSet(buffered.Skyline))
 	}
 }

@@ -2,7 +2,7 @@ package tss
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -36,7 +36,7 @@ func TestKernelMatchesScalarLargeN(t *testing.T) {
 		cfg.TO, cfg.PO, cfg.Dist = shape.to, shape.po, shape.dist
 		dist := fmt.Sprintf("%dTO+%dPO/%s", shape.to, shape.po, shape.dist)
 		ds := exp.BuildDataset(cfg)
-		want := sortedCopy(core.BNL(ds, core.Options{NoKernel: true}).SkylineIDs)
+		want := slices.Sorted(slices.Values(core.BNL(ds, core.Options{NoKernel: true}).SkylineIDs))
 		if len(want) < shape.minSky {
 			t.Fatalf("%s: skyline has %d members, want ≥ %d", dist, len(want), shape.minSky)
 		}
@@ -48,19 +48,19 @@ func TestKernelMatchesScalarLargeN(t *testing.T) {
 			{"kernel-noclosure", core.Options{ClosureBudget: -1}},
 			{"kernel-rows-budget", core.Options{ClosureBudget: 16 << 10}},
 		} {
-			got := sortedCopy(core.BNL(ds, v.opt).SkylineIDs)
-			if !equalIDs(got, want) {
+			got := slices.Sorted(slices.Values(core.BNL(ds, v.opt).SkylineIDs))
+			if !slices.Equal(got, want) {
 				t.Errorf("%s/%s: BNL kernel %d ids, scalar reference %d ids",
 					dist, v.name, len(got), len(want))
 			}
-			if sfs := sortedCopy(core.SFS(ds, v.opt).SkylineIDs); !equalIDs(sfs, want) {
+			if sfs := slices.Sorted(slices.Values(core.SFS(ds, v.opt).SkylineIDs)); !slices.Equal(sfs, want) {
 				t.Errorf("%s/%s: SFS kernel %d ids, scalar reference %d ids",
 					dist, v.name, len(sfs), len(want))
 			}
 		}
-		sfsK := sortedCopy(core.SFS(ds, core.Options{}).SkylineIDs)
-		sfsS := sortedCopy(core.SFS(ds, core.Options{NoKernel: true}).SkylineIDs)
-		if !equalIDs(sfsK, want) || !equalIDs(sfsS, want) {
+		sfsK := slices.Sorted(slices.Values(core.SFS(ds, core.Options{}).SkylineIDs))
+		sfsS := slices.Sorted(slices.Values(core.SFS(ds, core.Options{NoKernel: true}).SkylineIDs))
+		if !slices.Equal(sfsK, want) || !slices.Equal(sfsS, want) {
 			t.Errorf("%s: SFS kernel %d / scalar %d ids, want %d",
 				dist, len(sfsK), len(sfsS), len(want))
 		}
@@ -81,7 +81,7 @@ func TestDomScanMatchesScalarLargeN(t *testing.T) {
 		cfg := exp.StaticDefaults(0.005) // N = 5K
 		cfg.Dist = dist
 		ds := exp.BuildDataset(cfg)
-		sky := sortedCopy(core.BNL(ds, core.Options{NoKernel: true}).SkylineIDs)
+		sky := slices.Sorted(slices.Values(core.BNL(ds, core.Options{NoKernel: true}).SkylineIDs))
 		if len(sky) < 512 {
 			t.Fatalf("%s: skyline has %d members, want ≥ 512 for a multi-word scan", dist, len(sky))
 		}
@@ -101,7 +101,7 @@ func TestDomScanMatchesScalarLargeN(t *testing.T) {
 					want = append(want, int32(j))
 				}
 			}
-			if got := scan.Dominators(row.TO, row.PO); !equalIDs(got, want) {
+			if got := scan.Dominators(row.TO, row.PO); !slices.Equal(got, want) {
 				t.Fatalf("%s: row %d has %d scan dominators, %d scalar", dist, i, len(got), len(want))
 			}
 			pairs += len(want)
@@ -122,24 +122,6 @@ func TestDomScanMatchesScalarLargeN(t *testing.T) {
 		scan.Close()
 		t.Logf("%s: %d members, %d pairs, %d verifications", dist, len(members), pairs, after-before)
 	}
-}
-
-func sortedCopy(ids []int32) []int32 {
-	out := append([]int32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BenchmarkSFSPaperShape is one cold SFS run on the dominance kernel
@@ -186,7 +168,7 @@ func BenchmarkMaintainBatch(b *testing.B) {
 		p.ID = int32(len(next.Pts))
 		next.Pts = append(next.Pts, p)
 	}
-	want := sortedCopy(core.SFS(next, core.Options{}).SkylineIDs)
+	want := slices.Sorted(slices.Values(core.SFS(next, core.Options{}).SkylineIDs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,8 +2,11 @@ package tss
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/poset"
 )
@@ -22,18 +25,6 @@ func queryTestTable(t *testing.T) *Table {
 	return table
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestQueryFullMatchesSkyline: the zero query is the full skyline.
 func TestQueryFullMatchesSkyline(t *testing.T) {
 	table := queryTestTable(t)
@@ -44,8 +35,8 @@ func TestQueryFullMatchesSkyline(t *testing.T) {
 	if ex.Variant != "full" {
 		t.Fatalf("variant %q", ex.Variant)
 	}
-	if !equalInts(sortedInts(res.Rows), sortedInts(table.Skyline())) {
-		t.Fatalf("full query %v != Skyline %v", sortedInts(res.Rows), sortedInts(table.Skyline()))
+	if !slices.Equal(slices.Sorted(slices.Values(res.Rows)), slices.Sorted(slices.Values(table.Skyline()))) {
+		t.Fatalf("full query %v != Skyline %v", slices.Sorted(slices.Values(res.Rows)), slices.Sorted(slices.Values(table.Skyline())))
 	}
 	if ex.Algorithm == "" || ex.ObservedSeconds < 0 {
 		t.Fatalf("explain not filled: %+v", ex)
@@ -98,8 +89,8 @@ func TestQueryConstrainedMatchesFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalInts(sortedInts(res.Rows), sortedInts(want)) {
-			t.Fatalf("pred %+v: got %v want %v", pred, sortedInts(res.Rows), sortedInts(want))
+		if !slices.Equal(slices.Sorted(slices.Values(res.Rows)), slices.Sorted(slices.Values(want))) {
+			t.Fatalf("pred %+v: got %v want %v", pred, slices.Sorted(slices.Values(res.Rows)), slices.Sorted(slices.Values(want)))
 		}
 	}
 }
@@ -121,8 +112,8 @@ func TestQuerySubspaceMatchesRebuiltTable(t *testing.T) {
 	if ex.Variant != "subspace" {
 		t.Fatalf("variant %q", ex.Variant)
 	}
-	if !equalInts(sortedInts(res.Rows), sortedInts(want)) {
-		t.Fatalf("subspace: got %v want %v", sortedInts(res.Rows), sortedInts(want))
+	if !slices.Equal(slices.Sorted(slices.Values(res.Rows)), slices.Sorted(slices.Values(want))) {
+		t.Fatalf("subspace: got %v want %v", slices.Sorted(slices.Values(res.Rows)), slices.Sorted(slices.Values(want)))
 	}
 }
 
@@ -209,7 +200,7 @@ func TestQueryCacheOnTable(t *testing.T) {
 	if !ex2.CacheHit || !second.CacheHit {
 		t.Fatalf("repeat full query missed the cache: %+v", ex2)
 	}
-	if !equalInts(sortedInts(first.Rows), sortedInts(second.Rows)) {
+	if !slices.Equal(slices.Sorted(slices.Values(first.Rows)), slices.Sorted(slices.Values(second.Rows))) {
 		t.Fatal("cached answer differs")
 	}
 }
@@ -319,15 +310,15 @@ func TestOrdersQueryIsRequestScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 	orders := []*poset.Domain{dom}
-	oracle := func(tb *Table) []int {
+	dtss := func(tb *Table) []int {
 		res, err := tb.PrepareDynamic().Query(inverted())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sortedInts(res.Rows)
+		return slices.Sorted(slices.Values(res.Rows))
 	}
-	want := oracle(table)
-	if equalInts(want, sortedInts(table.Skyline())) {
+	want := dtss(table)
+	if slices.Equal(want, slices.Sorted(slices.Values(table.Skyline()))) {
 		t.Fatal("fixture: the query orders do not change the skyline")
 	}
 	member := make(map[int]bool)
@@ -348,7 +339,7 @@ func TestOrdersQueryIsRequestScoped(t *testing.T) {
 	if err != nil || ex.RankedFrom != "cold" || ex.CursorIndex == "resident" {
 		t.Fatalf("ranked under orders: %v explain %+v", err, ex)
 	}
-	naive, err := plan.Naive(table.ds, plan.Query{Orders: orders, TopK: 3, Rank: plan.RankDPIDP})
+	naive, err := oracle.Rank(string(plan.RankDPIDP), orders, table.ds.Pts, core.NaiveSkylineUnder(orders, table.ds.Pts), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +353,8 @@ func TestOrdersQueryIsRequestScoped(t *testing.T) {
 	// past results.
 	dom2, _ := inverted().compile()
 	res, ex, err := table.Query(plan.Query{Orders: []*poset.Domain{dom2}})
-	if err != nil || !ex.CacheHit || !res.CacheHit || ex.Maintained || !equalInts(sortedInts(res.Rows), want) {
-		t.Fatalf("full under the same DAG: %v rows %v want %v explain %+v", err, sortedInts(res.Rows), want, ex)
+	if err != nil || !ex.CacheHit || !res.CacheHit || ex.Maintained || !slices.Equal(slices.Sorted(slices.Values(res.Rows)), want) {
+		t.Fatalf("full under the same DAG: %v rows %v want %v explain %+v", err, slices.Sorted(slices.Values(res.Rows)), want, ex)
 	}
 
 	full1, _, _ := memo.GetFull()
@@ -377,8 +368,8 @@ func TestOrdersQueryIsRequestScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, ex, err = next.Query(plan.Query{Orders: orders})
-	if err != nil || ex.CacheHit || !equalInts(sortedInts(res.Rows), oracle(next)) {
-		t.Fatalf("after a batch: %v rows %v want %v explain %+v", err, sortedInts(res.Rows), oracle(next), ex)
+	if err != nil || ex.CacheHit || !slices.Equal(slices.Sorted(slices.Values(res.Rows)), dtss(next)) {
+		t.Fatalf("after a batch: %v rows %v want %v explain %+v", err, slices.Sorted(slices.Values(res.Rows)), dtss(next), ex)
 	}
 
 	// Malformed orders are refused before anything runs.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -35,30 +36,12 @@ func order1() *Order {
 		Prefer("a", "b").Prefer("a", "c").Prefer("b", "d").Prefer("c", "d")
 }
 
-func sortedRows(rows []int) []int {
-	out := append([]int(nil), rows...)
-	sort.Ints(out)
-	return out
-}
-
-func equalRows(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestQuickstartFlights(t *testing.T) {
 	table := flightsTable(order1())
 	// Paper rows p1..p10 are our rows 0..9; Table I first order gives
 	// {p1, p5, p6, p9, p10} = rows {0, 4, 5, 8, 9}.
 	want := []int{0, 4, 5, 8, 9}
-	if got := sortedRows(table.Skyline()); !equalRows(got, want) {
+	if got := slices.Sorted(slices.Values(table.Skyline())); !slices.Equal(got, want) {
 		t.Fatalf("Skyline() = %v, want %v", got, want)
 	}
 	// Every method agrees.
@@ -67,7 +50,7 @@ func TestQuickstartFlights(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		if got := sortedRows(res.Rows); !equalRows(got, want) {
+		if got := slices.Sorted(slices.Values(res.Rows)); !slices.Equal(got, want) {
 			t.Errorf("%s = %v, want %v", algo, got, want)
 		}
 	}
@@ -181,7 +164,7 @@ func TestDynamicQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{2, 5, 6, 7, 8, 9} // p3, p6, p7, p8, p9, p10
-	if got := sortedRows(res.Rows); !equalRows(got, want) {
+	if got := slices.Sorted(slices.Values(res.Rows)); !slices.Equal(got, want) {
 		t.Fatalf("dynamic skyline = %v, want %v", got, want)
 	}
 
@@ -190,7 +173,7 @@ func TestDynamicQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedRows(base.Rows); !equalRows(got, want) {
+	if got := slices.Sorted(slices.Values(base.Rows)); !slices.Equal(got, want) {
 		t.Fatalf("baseline skyline = %v, want %v", got, want)
 	}
 	if base.Stats.PageWrites == 0 {
@@ -203,7 +186,7 @@ func TestDynamicQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	want2 := []int{0, 4, 5, 8, 9}
-	if got := sortedRows(res2.Rows); !equalRows(got, want2) {
+	if got := slices.Sorted(slices.Values(res2.Rows)); !slices.Equal(got, want2) {
 		t.Fatalf("second dynamic skyline = %v, want %v", got, want2)
 	}
 }
@@ -230,7 +213,7 @@ func TestEachSkylineStreams(t *testing.T) {
 		streamed = append(streamed, row)
 		return true
 	})
-	if !equalRows(streamed, full) {
+	if !slices.Equal(streamed, full) {
 		t.Fatalf("streamed %v, batch %v", streamed, full)
 	}
 	// Early stop after two rows.
@@ -251,7 +234,7 @@ func TestPureTOTable(t *testing.T) {
 	table.MustAdd([]int64{4, 1})
 	table.MustAdd([]int64{3, 3}) // dominated by (2,2)
 	want := []int{0, 1, 2}
-	if got := sortedRows(table.Skyline()); !equalRows(got, want) {
+	if got := slices.Sorted(slices.Values(table.Skyline())); !slices.Equal(got, want) {
 		t.Fatalf("pure-TO skyline = %v, want %v", got, want)
 	}
 }
@@ -261,14 +244,14 @@ func TestPureTOTable(t *testing.T) {
 // retired less and an unknown name error.
 func TestSkylineWith(t *testing.T) {
 	table := flightsTable(order1())
-	want := sortedRows(table.Skyline())
+	want := slices.Sorted(slices.Values(table.Skyline()))
 	for _, name := range []string{"bbs+", "bnl", "sdc", "sdc+", "sfs", "stss"} {
 		res, err := table.SkylineWith(name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if got := sortedRows(res.Rows); !equalRows(got, want) {
+		if got := slices.Sorted(slices.Values(res.Rows)); !slices.Equal(got, want) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
@@ -284,7 +267,7 @@ func TestSkylineWith(t *testing.T) {
 // executor (Hints.Parallelism) matches the sequential result.
 func TestSkylineParallel(t *testing.T) {
 	table := flightsTable(order1())
-	want := sortedRows(table.Skyline())
+	want := slices.Sorted(slices.Values(table.Skyline()))
 	parallel := func(algo string, p int) (*SkylineResult, error) {
 		res, _, err := table.Query(plan.Query{Hints: plan.Hints{
 			Algorithm: algo, Parallelism: p, NoCache: true,
@@ -296,7 +279,7 @@ func TestSkylineParallel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
-		if got := sortedRows(res.Rows); !equalRows(got, want) {
+		if got := slices.Sorted(slices.Values(res.Rows)); !slices.Equal(got, want) {
 			t.Errorf("parallelism %d: %v, want %v", p, got, want)
 		}
 	}
@@ -313,13 +296,13 @@ func TestSkylineParallel(t *testing.T) {
 // like the canonical lowercase ones and return the same skyline.
 func TestMethodsViaRegistry(t *testing.T) {
 	table := flightsTable(order1())
-	want := sortedRows(table.Skyline())
+	want := slices.Sorted(slices.Values(table.Skyline()))
 	for _, name := range []string{"sTSS", "BBS+", "SDC", "SDC+", "BNL", "SFS"} {
 		res, err := table.SkylineWith(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := sortedRows(res.Rows); !equalRows(got, want) {
+		if got := slices.Sorted(slices.Values(res.Rows)); !slices.Equal(got, want) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
@@ -384,7 +367,7 @@ func TestResidentIndexConcurrentColdStart(t *testing.T) {
 			})
 			if err != nil {
 				t.Error(err)
-			} else if !equalRows(rows, exp) {
+			} else if !slices.Equal(rows, exp) {
 				t.Errorf("stream %d emitted %v, fresh SFS %v", g, rows, exp)
 			}
 		}(g)
@@ -426,7 +409,7 @@ func TestResidentIndexLifetime(t *testing.T) {
 
 	want, fresh := freshSequence(table)
 	first, ex, _ := streamRows(t, table, plan.Query{})
-	if ex.CursorIndex != "built" || !equalRows(first, want) {
+	if ex.CursorIndex != "built" || !slices.Equal(first, want) {
 		t.Fatalf("first stream: cursorIndex %q, rows %v, want built %v", ex.CursorIndex, first, want)
 	}
 	ix := table.order.Load()
@@ -434,7 +417,7 @@ func TestResidentIndexLifetime(t *testing.T) {
 		t.Fatal("first stream left no order behind")
 	}
 	second, ex, m := streamRows(t, table, plan.Query{Hints: plan.Hints{NoCache: true}})
-	if ex.CursorIndex != "resident" || !equalRows(second, want) || table.order.Load() != ix {
+	if ex.CursorIndex != "resident" || !slices.Equal(second, want) || table.order.Load() != ix {
 		t.Fatalf("second stream: cursorIndex %q, resorted %v, rows %v, want %v",
 			ex.CursorIndex, table.order.Load() != ix, second, want)
 	}
@@ -447,19 +430,19 @@ func TestResidentIndexLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.CursorIndex != "resident" || !equalRows(res.Rows, want) {
+	if ex.CursorIndex != "resident" || !slices.Equal(res.Rows, want) {
 		t.Fatalf("buffered sfs: cursorIndex %q, rows %v, want %v", ex.CursorIndex, res.Rows, want)
 	}
 	res, ex, err = table.Query(plan.Query{Hints: plan.Hints{Algorithm: "stss", Parallelism: -1, NoCache: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.CursorIndex != "" || !equalRows(sortedRows(res.Rows), sortedRows(want)) {
+	if ex.CursorIndex != "" || !slices.Equal(slices.Sorted(slices.Values(res.Rows)), slices.Sorted(slices.Values(want))) {
 		t.Fatalf("buffered stss: cursorIndex %q, rows %v, want the set %v", ex.CursorIndex, res.Rows, want)
 	}
 	var each []int
 	table.EachSkyline(func(row int) bool { each = append(each, row); return true })
-	if !equalRows(sortedRows(each), sortedRows(want)) || table.order.Load() != ix {
+	if !slices.Equal(slices.Sorted(slices.Values(each)), slices.Sorted(slices.Values(want))) || table.order.Load() != ix {
 		t.Fatalf("EachSkyline: rows %v, want the set %v (resorted %v)", each, want, table.order.Load() != ix)
 	}
 
@@ -477,10 +460,10 @@ func TestResidentIndexLifetime(t *testing.T) {
 	}
 	want, _ = freshSequence(table)
 	after, ex, _ := streamRows(t, table, plan.Query{})
-	if ex.CursorIndex != "built" || !equalRows(after, want) {
+	if ex.CursorIndex != "built" || !slices.Equal(after, want) {
 		t.Fatalf("stream after Add: cursorIndex %q, rows %v, want built %v", ex.CursorIndex, after, want)
 	}
-	if i := sort.SearchInts(sortedRows(after), table.Len()-1); i == len(after) {
+	if i := sort.SearchInts(slices.Sorted(slices.Values(after)), table.Len()-1); i == len(after) {
 		t.Fatalf("stream after Add %v misses the new row %d", after, table.Len()-1)
 	}
 }
