@@ -300,6 +300,30 @@ func TestCoordinatorMemoSoundness(t *testing.T) {
 	})
 }
 
+// TestCoordinatorMemoRankSpelling: a ranking's name matches in any
+// case, and every spelling names one memo entry — a top-k sent as
+// "DPIDP" and then as "dpidp" (likewise "LAYER", whose legs carry the
+// rank) is one miss and one hit that sends no leg.
+func TestCoordinatorMemoRankSpelling(t *testing.T) {
+	tc, legs, _ := newCountedCluster(t, 2, fixtureSpec("diff", fixtureRows(260, 44)))
+	for i, spell := range [][2]string{{"DPIDP", "dpidp"}, {"LAYER", "layer"}} {
+		miss, n := askCounted(tc, legs, "/tables/diff/query", serve.QueryRequest{TopK: 3, Rank: spell[0]})
+		if n == 0 {
+			t.Fatalf("%s: a cold read sent no leg", spell[0])
+		}
+		hit, n := askCounted(tc, legs, "/tables/diff/query", serve.QueryRequest{TopK: 3, Rank: spell[1]})
+		if n != 0 {
+			t.Errorf("%s after %s: sent %d legs, want 0", spell[1], spell[0], n)
+		}
+		sameAnswer(t, spell[1], hit, miss)
+		var cz ClusterzInfo
+		getJSON(t, tc.co.URL+"/clusterz", &cz)
+		if want := int64(i + 1); cz.MemoHits != want || cz.MemoMisses != want {
+			t.Errorf("%s after %s: clusterz memoHits=%d memoMisses=%d, want %d each", spell[1], spell[0], cz.MemoHits, cz.MemoMisses, want)
+		}
+	}
+}
+
 // TestCoordinatorMemoBounds: the memo holds one ETag vector's entries,
 // at most memoCap of them.
 func TestCoordinatorMemoBounds(t *testing.T) {

@@ -59,13 +59,12 @@ type gather struct {
 	body serve.QueryRequest
 
 	// q is the logical query: the input of planOnce and of the post-merge
-	// steps. union is set when its ranking is evaluated over the
-	// *un-eliminated* union of shard-local ranked results (skyline
-	// layers): cross-shard elimination would discard the deeper layers,
-	// and min-corner pruning is unsound — a dominated shard's rows are past
-	// layer 1, not past layer K.
+	// steps, its rank canonical (PlanQuery validated it). Skyline layers
+	// (plan.RankLayer) rank the *un-eliminated* union of shard-local
+	// ranked results: cross-shard elimination would discard the deeper
+	// layers, and min-corner pruning is unsound — a dominated shard's rows
+	// are past layer 1, not past layer K.
 	q           plan.Query
-	union       plan.UnionRanker
 	wantExplain bool
 	limit       int // delivered-row truncation; count still reports every row
 	// incremental: certifying rows before every shard has answered is
@@ -314,7 +313,7 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 	}
 	out.cacheHit = responded > 0 && hits == responded
 	out.metrics.Shards = responded
-	if g.union != nil {
+	if g.q.Rank == plan.RankLayer {
 		out.merged = all
 	} else {
 		out.merged = eliminate(all, g.doms)
@@ -453,15 +452,12 @@ func (co *Coordinator) compile(ct *ctable, params url.Values, req serve.QueryReq
 			g.doms[j] = full[d]
 		}
 	}
-	if q.Rank != plan.RankNone {
-		r, _ := plan.LookupRanker(string(q.Rank)) // PlanQuery validated the name
-		g.union, _ = r.(plan.UnionRanker)
-	}
 	// Legs ship the unranked variant: rank scores are global (a
 	// shard-local rank could evict globally surviving rows), so each
 	// shard over-fetches its full local variant skyline and the
-	// coordinator re-ranks the merge. Union rankings keep top-k and rank:
-	// the shard-local ranked result is exactly what the union consumes.
+	// coordinator re-ranks the merge. Skyline layers keep top-k and the
+	// canonical rank: the shard-local layers are exactly what the union
+	// consumes.
 	// An ideal point rides along only as the transform every shard must
 	// apply; as a ranking's reference point it stays here.
 	if q.IdealTransform() {
@@ -469,7 +465,9 @@ func (co *Coordinator) compile(ct *ctable, params url.Values, req serve.QueryReq
 	} else {
 		g.body.Ideal = nil
 	}
-	if g.union == nil {
+	if q.Rank == plan.RankLayer {
+		g.body.Rank = string(q.Rank)
+	} else {
 		g.body.TopK, g.body.Rank = 0, ""
 	}
 	g.incremental = q.Rank == plan.RankNone && len(q.FWeights) == 0 && g.ideal == nil
@@ -488,7 +486,7 @@ func (g *gather) prepare(ctx context.Context, co *Coordinator, stream bool) (str
 	}
 	// Statistics corners bound raw coordinates; they say nothing about
 	// distances to an ideal point.
-	g.prune = len(co.shards) > 1 && g.union == nil && g.ideal == nil
+	g.prune = len(co.shards) > 1 && g.q.Rank != plan.RankLayer && g.ideal == nil
 	streamed = stream && g.incremental
 	if g.explain, err = co.planOnce(g.ct, g.q); err != nil {
 		return false, err
@@ -567,8 +565,8 @@ func (g *gather) merge(ctx context.Context, co *Coordinator) (*gathered, error) 
 	}
 	switch {
 	case g.q.TopK == 0:
-	case g.union != nil:
-		gr.merged = rankUnion(g, gr.merged)
+	case g.q.Rank == plan.RankLayer:
+		gr.merged = rankLayers(g, gr.merged)
 	default:
 		if gr.merged, err = co.rank(ctx, g, gr.merged); err != nil {
 			return nil, err
@@ -610,32 +608,27 @@ func (co *Coordinator) planOnce(ct *ctable, q plan.Query) (*plan.Explain, error)
 }
 
 // rank orders the merged skyline globally and keeps the best K — the
-// re-rank half of distributed top-k, dispatched through
-// plan.LookupRanker by capability. WireScorer rankings (ideal) are
-// row-intrinsic and score at the coordinator; PartialScorer rankings
-// (domcount, dpidp) scatter the candidates to every shard — including
-// pruned ones: their rows are still part of R — and combine the partial
-// scores. Ties break on row values (then shard, row), which is
-// deterministic across any placement.
+// re-rank half of distributed top-k. The ideal ranking is row-intrinsic
+// and scores at the coordinator; domcount and dpidp scatter the
+// candidates to every shard — including pruned ones: their rows are
+// still part of R — and combine the partial scores. Ties break on row
+// values (then shard, row), which is deterministic across any
+// placement.
 func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) ([]candidate, error) {
 	k := g.q.TopK
-	if g.q.Rank == plan.RankNone {
+	var scores []float64
+	switch g.q.Rank {
+	case plan.RankNone:
 		// Unranked: keep a merge-order prefix.
 		if k < len(merged) {
 			merged = merged[:k]
 		}
 		return merged, nil
-	}
-	r, _ := plan.LookupRanker(string(g.q.Rank))
-	var scores []float64
-	switch s := r.(type) {
-	case plan.WireScorer:
-		rows := make([]plan.WireRow, len(merged))
-		for i := range merged {
-			rows[i] = plan.WireRow{TO: merged[i].row.TO, PO: merged[i].pt.PO}
-		}
-		scores = s.WireScores(g.wireContext(), rows)
-	case plan.PartialScorer:
+	case plan.RankIdeal:
+		scores = plan.IdealScores(g.q.Ideal, g.keptTO, g.keptPO, g.doms, len(merged), func(i int) ([]int64, []int32) {
+			return merged[i].row.TO, merged[i].po
+		})
+	case plan.RankDomCount, plan.RankDPIDP:
 		// The rank field is left empty for domcount, preserving the
 		// endpoint's original request shape.
 		dreq := serve.DomCountRequest{Orders: g.body.Orders, Subspace: g.body.Subspace, Where: g.body.Where}
@@ -655,18 +648,13 @@ func (co *Coordinator) rank(ctx context.Context, g *gather, merged []candidate) 
 		for i, tag := range tags {
 			g.noteLeg(i, tag)
 		}
-		if _, scores, err = s.CombinePartials(parts, len(merged)); err != nil {
+		if _, scores, err = plan.CombinePartials(g.q.Rank, parts, len(merged)); err != nil {
 			return nil, fmt.Errorf("cluster: %s", err)
 		}
 	default:
 		return nil, fmt.Errorf("cluster: rank %q has no distributed evaluation", g.q.Rank)
 	}
 	return sortCandidates(g.ct.schema, merged, scores, k), nil
-}
-
-// wireContext assembles the coordinator-side scoring context.
-func (g *gather) wireContext() *plan.WireContext {
-	return &plan.WireContext{Query: &g.q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms}
 }
 
 // scatterPartials fans one encoded /domcount request body (n
@@ -701,26 +689,25 @@ func (co *Coordinator) scatterPartials(ctx context.Context, ct *ctable, body []b
 	return parts, version, tags, nil
 }
 
-// rankUnion evaluates the union ranking over the un-eliminated gathered
-// union: the ranker scores (and possibly excludes) every row, and the
-// survivors order by (score, row values, shard, row) with no count
-// truncation — a union ranking's k is a depth bound the shards already
-// applied, not a row budget.
-func rankUnion(g *gather, merged []candidate) []candidate {
+// rankLayers re-layers the un-eliminated gathered union: rows deeper
+// than the depth bound k are dropped, and the rest order by (layer, row
+// values, shard, row) with no count truncation — k is a depth bound the
+// shards already applied, not a row budget.
+func rankLayers(g *gather, merged []candidate) []candidate {
 	pts := make([]core.Point, len(merged))
 	for i := range merged {
 		pts[i] = merged[i].pt
 	}
-	scores, keep := g.union.RankUnion(g.wireContext(), pts, g.q.TopK)
+	layers := core.LayersUnder(g.doms, pts, g.q.TopK, g.q.Hints.NoKernel)
 	kept := make([]candidate, 0, len(merged))
-	keptScores := make([]float64, 0, len(merged))
-	for i := range merged {
-		if keep[i] {
+	scores := make([]float64, 0, len(merged))
+	for i, l := range layers {
+		if l >= 1 {
 			kept = append(kept, merged[i])
-			keptScores = append(keptScores, scores[i])
+			scores = append(scores, float64(l))
 		}
 	}
-	return sortCandidates(g.ct.schema, kept, keptScores, len(kept))
+	return sortCandidates(g.ct.schema, kept, scores, len(kept))
 }
 
 // restrictCandidates applies the F-dominance weight constraint to the
@@ -779,17 +766,13 @@ func compareRows(sc *serve.Schema, a, b *candidate) int {
 }
 
 // DomCount answers POST /tables/{t}/domcount at the coordinator: every
-// shard's partial scores for the candidates, folded by the ranking's
-// own combiner into what one node holding all the rows would answer.
+// shard's partial scores for the candidates, folded by
+// plan.CombinePartials into what one node holding all the rows would
+// answer. The shards check the request, the ranking's name included.
 func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCountRequest, rows []serve.Row) (*serve.DomCountResponse, error) {
-	name := req.Rank
-	if name == "" {
-		name = string(plan.RankDomCount)
-	}
-	r, _ := plan.LookupRanker(name)
-	ps, ok := r.(plan.PartialScorer)
-	if !ok {
-		return nil, fmt.Errorf("cluster: rank %q has no per-shard partial scores", name)
+	rank := plan.RankDomCount
+	if req.Rank != "" {
+		rank = plan.Rank(req.Rank)
 	}
 	body, err := serve.AppendDomCount(nil, ct.schema, req, len(rows), func(i int) ([]int64, []int32) {
 		return rows[i].TO, rows[i].PO
@@ -801,7 +784,7 @@ func (co *Coordinator) DomCount(ctx context.Context, ct *ctable, req serve.DomCo
 	if err != nil {
 		return nil, err
 	}
-	merged, _, err := ps.CombinePartials(parts, len(rows))
+	merged, _, err := plan.CombinePartials(rank, parts, len(rows))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s", err)
 	}

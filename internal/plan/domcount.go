@@ -25,7 +25,7 @@ func DomCounts(ctx context.Context, ds *core.Dataset, q Query, cands []core.Poin
 }
 
 // domCounts counts, per member, the rows of R it dominates.
-func domCounts(ctx context.Context, sc *ScoreContext, members []core.Point) ([]int64, error) {
+func domCounts(ctx context.Context, sc *scoreContext, members []core.Point) ([]int64, error) {
 	counts := make([]int64, len(members))
 	err := scanDominators(ctx, sc, members, func(doms []int32) {
 		for _, j := range doms {
@@ -38,18 +38,18 @@ func domCounts(ctx context.Context, sc *ScoreContext, members []core.Point) ([]i
 // scanDominators is the one row walker behind every scan-backed
 // ranking. It loads members (full-dimensional points) into a bitmap
 // dominator scan (core.DomScan) over sc's kept dimensions, then walks
-// R — sc.DS filtered by the query's predicates and projected onto the
+// R — sc.ds filtered by the query's predicates and projected onto the
 // kept dimensions — and hands visit, for each row some member strictly
 // dominates, the indexes of all members that do (reused between calls).
-func scanDominators(ctx context.Context, sc *ScoreContext, members []core.Point, visit func(doms []int32)) error {
-	scan := core.NewDomScan(keptPODomains(sc.DS, sc.KeptPO), len(sc.KeptTO), len(members))
+func scanDominators(ctx context.Context, sc *scoreContext, members []core.Point, visit func(doms []int32)) error {
+	scan := core.NewDomScan(keptPODomains(sc.ds, sc.keptPO), len(sc.keptTO), len(members))
 	defer scan.Close()
-	to, po := make([]int32, len(sc.KeptTO)), make([]int32, len(sc.KeptPO))
+	to, po := make([]int32, len(sc.keptTO)), make([]int32, len(sc.keptPO))
 	project := func(pt *core.Point) {
-		for j, d := range sc.KeptTO {
+		for j, d := range sc.keptTO {
 			to[j] = pt.TO[d]
 		}
-		for j, d := range sc.KeptPO {
+		for j, d := range sc.keptPO {
 			po[j] = pt.PO[d]
 		}
 	}
@@ -57,14 +57,14 @@ func scanDominators(ctx context.Context, sc *ScoreContext, members []core.Point,
 		project(&members[i])
 		scan.Add(to, po)
 	}
-	for i := range sc.DS.Pts {
+	for i := range sc.ds.Pts {
 		if i%ctxCheckEvery == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return err
 			}
 		}
-		row := &sc.DS.Pts[i]
-		if !matchesAllPreds(sc.Query.Where, row) {
+		row := &sc.ds.Pts[i]
+		if !matchesAllPreds(sc.query.Where, row) {
 			continue
 		}
 		project(row)
@@ -87,7 +87,7 @@ func memberPoints(ds *core.Dataset, ids []int32) []core.Point {
 // candidateContext validates q and the full-dimensional, value-addressed
 // candidates of a distributed scoring request against ds's shape and
 // resolves the kept dimensions the candidates are scored on.
-func candidateContext(ds *core.Dataset, q *Query, cands []core.Point) (*ScoreContext, error) {
+func candidateContext(ds *core.Dataset, q *Query, cands []core.Point) (*scoreContext, error) {
 	if err := q.validateOn(ds); err != nil {
 		return nil, err
 	}
@@ -98,8 +98,8 @@ func candidateContext(ds *core.Dataset, q *Query, cands []core.Point) (*ScoreCon
 				i, len(c.TO), len(c.PO), ds.NumTO(), ds.NumPO())
 		}
 	}
-	sc := &ScoreContext{DS: ds, Query: q}
-	sc.KeptTO, sc.KeptPO = resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
+	sc := &scoreContext{ds: ds, query: q}
+	sc.keptTO, sc.keptPO = resolveSubspace(q.Subspace, ds.NumTO(), ds.NumPO())
 	return sc, nil
 }
 

@@ -233,9 +233,9 @@ func (p *Plan) filterIDs(ds *core.Dataset, ids []int32) []int32 {
 }
 
 // rankAndTruncate orders the skyline by the query's rank and keeps the
-// best K. RankNone keeps the first K in emission order; everything else
-// dispatches through LookupRanker and records where the scores came
-// from (index / memo / cold) in the explain output.
+// best K. RankNone keeps the first K in emission order; every ranking
+// records where its scores came from (index / memo / cold) in the
+// explain output.
 func (p *Plan) rankAndTruncate(ctx context.Context, ds *core.Dataset, env Env, ids []int32) ([]int32, error) {
 	k := p.Query.TopK
 	if p.Query.Rank == RankNone {
@@ -244,12 +244,22 @@ func (p *Plan) rankAndTruncate(ctx context.Context, ds *core.Dataset, env Env, i
 		}
 		return ids, nil
 	}
-	r, ok := LookupRanker(string(p.Query.Rank))
-	if !ok {
-		return nil, fmt.Errorf("plan: unknown rank %q (have: %s)", p.Query.Rank, quotedRankerNames())
-	}
 	sc := p.scoreContext(ds, env)
-	ranked, fromIndex, err := r.Rank(ctx, sc, ids, k)
+	var ranked []int32
+	var fromIndex bool
+	var err error
+	switch p.Query.Rank {
+	case RankDomCount:
+		ranked, err = rankDomCount(ctx, sc, ids, k)
+	case RankDPIDP:
+		ranked, fromIndex, err = rankDPIDP(ctx, sc, ids, k)
+	case RankIdeal:
+		ranked = rankIdeal(sc, ids, k)
+	case RankLayer:
+		ranked, err = rankLayer(ctx, sc, ids, k, p.algo)
+	default:
+		return nil, unknownRank(string(p.Query.Rank))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -266,18 +276,18 @@ func (p *Plan) rankAndTruncate(ctx context.Context, ds *core.Dataset, env Env, i
 	return ranked, nil
 }
 
-// scoreContext assembles what the ranker sees. The score index applies
+// scoreContext assembles what the rankings see. The score index applies
 // only to the full-table shape — no projection, no filter, no
 // restriction — because the index is built over full-dimension
 // dominance on all rows; any other shape scores cold.
-func (p *Plan) scoreContext(ds *core.Dataset, env Env) *ScoreContext {
-	sc := &ScoreContext{DS: ds, Query: &p.Query, KeptTO: p.keptTO, KeptPO: p.keptPO, Algo: p.algo}
+func (p *Plan) scoreContext(ds *core.Dataset, env Env) *scoreContext {
+	sc := &scoreContext{ds: ds, query: &p.Query, keptTO: p.keptTO, keptPO: p.keptPO}
 	if p.Query.Subspace == nil && len(p.Query.Where) == 0 && len(p.Query.FWeights) == 0 {
 		if sic, ok := env.Cache.(ScoreIndexCache); ok {
 			if ix, ok := sic.GetScoreIndex(); ok {
-				sc.Index = ix
+				sc.index = ix
 			}
-			sc.StoreIndex = sic.PutScoreIndex
+			sc.storeIndex = sic.PutScoreIndex
 		}
 	}
 	return sc

@@ -156,12 +156,11 @@ func fuzzOrdersLeg(t *testing.T, r *fuzzReader, ds *core.Dataset, q Query) {
 		"ideal-topk":      {Ideal: ideal, TopK: k},
 	}
 	for _, name := range RankerNames() {
-		rk, _ := LookupRanker(name)
-		sq := Query{TopK: k, Rank: Rank(rk.Name()), Subspace: q.Subspace}
-		if _, ok := rk.(IdealConsumer); ok && r.byte()%2 == 0 {
+		sq := Query{TopK: k, Rank: Rank(name), Subspace: q.Subspace}
+		if sq.Rank == RankIdeal && r.byte()%2 == 0 {
 			sq.Ideal = ideal
 		}
-		shapes["rank-"+rk.Name()] = sq
+		shapes["rank-"+name] = sq
 	}
 	ids, _ := exec("ideal-transform alone", ds, shapes["ideal-transform"], tenv)
 	against("ideal-transform alone", ds, shapes["ideal-transform"], ids)

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/poset"
@@ -61,11 +59,7 @@ func Naive(ds *core.Dataset, q Query) ([]int32, error) {
 		}
 		return sky, nil
 	}
-	r, ok := LookupRanker(string(q.Rank))
-	if !ok {
-		return nil, fmt.Errorf("plan: unknown rank %q (have: %s)", q.Rank, quotedRankerNames())
-	}
-	return oracle.Rank(r.Name(), doms, rows, sky, q.TopK, ideal)
+	return oracle.Rank(string(q.Rank), doms, rows, sky, q.TopK, ideal)
 }
 
 // oracleRestrict is the brute-force restricted skyline: every row of R

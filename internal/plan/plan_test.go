@@ -767,7 +767,7 @@ func TestPartialsSplitAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			merged, scores, err := dpidpRanker{}.CombinePartials(partials, len(cands))
+			merged, scores, err := CombinePartials(RankDPIDP, partials, len(cands))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -134,9 +134,9 @@ const (
 	RankLayer Rank = "layer"
 )
 
-// The rankings are listed in ranker.go's rankers; the constants above
-// are their wire names. Every tier — executor, oracle, stream, serving
-// layer, cluster coordinator — dispatches through LookupRanker.
+// The constants above are the rankings' canonical wire names (rank.go's
+// rankNames). Names match case-insensitively; Validate and RankPartials
+// canonicalise them, and every later step switches on the constant.
 
 // Route is a physical predicate/cache placement, as reported (and
 // optionally forced through Hints) by the planner.
@@ -235,7 +235,8 @@ func (q *Query) Variant() string {
 }
 
 // Validate checks the query against a table shape: nTO/nPO column
-// counts and per-PO-column domain sizes.
+// counts and per-PO-column domain sizes. It rewrites a ranking's name
+// to its canonical spelling.
 func (q *Query) Validate(nTO, nPO int, domainSizes []int) error {
 	if q.TopK < 0 {
 		return fmt.Errorf("plan: negative TopK %d", q.TopK)
@@ -246,13 +247,14 @@ func (q *Query) Validate(nTO, nPO int, domainSizes []int) error {
 				q.Hints.Algorithm, strings.Join(core.AlgorithmNames(), ", "))
 		}
 	}
-	var ranker Ranker
 	if q.Rank != RankNone {
-		r, ok := LookupRanker(string(q.Rank))
+		r, ok := lookupRank(string(q.Rank))
 		if !ok {
-			return fmt.Errorf("plan: unknown rank %q (have: %s)", q.Rank, quotedRankerNames())
+			return unknownRank(string(q.Rank))
 		}
-		ranker = r
+		if r != q.Rank {
+			q.Rank = r
+		}
 		if q.TopK == 0 {
 			return fmt.Errorf("plan: rank %q without TopK", q.Rank)
 		}
@@ -268,7 +270,7 @@ func (q *Query) Validate(nTO, nPO int, domainSizes []int) error {
 		}
 	}
 	if q.Ideal != nil {
-		if _, uses := ranker.(IdealConsumer); !uses && ranker != nil {
+		if q.Rank != RankNone && q.Rank != RankIdeal {
 			return fmt.Errorf("plan: ideal point without rank %q (unranked, it is the |v-ideal| transform)", RankIdeal)
 		}
 		if len(q.Ideal) != nTO {

@@ -22,8 +22,8 @@ func BenchmarkDomScanDPIDP(b *testing.B) {
 	cfg.N = 10_000
 	ds := exp.BuildDataset(cfg)
 	sky := slices.Sorted(slices.Values(core.SFS(ds, core.Options{}).SkylineIDs))
-	sc := &ScoreContext{DS: ds, Query: &Query{}}
-	sc.KeptTO, sc.KeptPO = resolveSubspace(nil, ds.NumTO(), ds.NumPO())
+	sc := &scoreContext{ds: ds, query: &Query{}}
+	sc.keptTO, sc.keptPO = resolveSubspace(nil, ds.NumTO(), ds.NumPO())
 	members := memberPoints(ds, sky)
 	var hists []KHist
 	before, _ := core.KernelCounters()
@@ -75,7 +75,7 @@ func BenchmarkCombinePartials(b *testing.B) {
 	}
 	b.ResetTimer()
 	for range b.N {
-		if _, _, err := (dpidpRanker{}).CombinePartials(shards, len(cands)); err != nil {
+		if _, _, err := CombinePartials(RankDPIDP, shards, len(cands)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // TestRankerRegistry pins the ranking list's contract: the four
-// built-in rankings are present, names resolve case-insensitively, and
-// an unknown name misses rather than panicking.
+// built-in rankings are present, Validate accepts a name in any case
+// and rewrites it to the canonical one, and an unknown name is
+// rejected rather than panicking.
 func TestRankerRegistry(t *testing.T) {
 	names := RankerNames()
 	if !sort.StringsAreSorted(names) {
@@ -21,16 +22,17 @@ func TestRankerRegistry(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"dpidp", "DPIDP", "DpIdp"} {
-		r, ok := LookupRanker(name)
-		if !ok {
-			t.Fatalf("LookupRanker(%q) missed", name)
+		q := Query{TopK: 1, Rank: Rank(name)}
+		if err := q.Validate(1, 0, nil); err != nil {
+			t.Fatalf("Validate(rank %q): %v", name, err)
 		}
-		if r.Name() != "dpidp" {
-			t.Fatalf("LookupRanker(%q).Name() = %q", name, r.Name())
+		if q.Rank != RankDPIDP {
+			t.Fatalf("Validate(rank %q) left rank %q", name, q.Rank)
 		}
 	}
-	if _, ok := LookupRanker("pagerank"); ok {
-		t.Fatal("LookupRanker resolved an unregistered name")
+	q := Query{TopK: 1, Rank: "pagerank"}
+	if err := q.Validate(1, 0, nil); err == nil || !strings.Contains(err.Error(), `unknown rank "pagerank"`) {
+		t.Fatalf("Validate accepted an unknown rank (err %v)", err)
 	}
 }
 

@@ -10,12 +10,14 @@ import (
 	"repro/internal/poset"
 )
 
-// dpidpRanker is RankDPIDP — the dominance-potential / inverse-
+// rankDPIDP is RankDPIDP — the dominance-potential / inverse-
 // dominance-partition score: each row t of R dominated by exactly k
 // skyline members contributes 1/k to each of those k members, so a
 // member scores high by "explaining" rows few other members cover.
 // Members order descending by score (ascending after negation, matching
-// the shared rank sort).
+// the shared rank sort). fromIndex reports that the scores were served
+// from the maintained score index rather than computed against the
+// table.
 //
 // Scores are carried as integer k-histograms everywhere and
 // materialized by one shared ascending-k summation
@@ -25,18 +27,14 @@ import (
 // ascending (k, count) runs (KHist), built and merged without maps; the
 // maintained core.ScoreIndex keeps per-member maps, filled from the
 // cold scan's runs.
-type dpidpRanker struct{}
-
-func (dpidpRanker) Name() string { return string(RankDPIDP) }
-
-func (dpidpRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k int) ([]int32, bool, error) {
-	if sc.Index != nil && sc.Index.Holds(ids) {
-		return indexRank(sc.Index, ids, k), true, nil
+func rankDPIDP(ctx context.Context, sc *scoreContext, ids []int32, k int) (ranked []int32, fromIndex bool, err error) {
+	if sc.index != nil && sc.index.Holds(ids) {
+		return indexRank(sc.index, ids, k), true, nil
 	}
 	// A member miss means the index describes a different skyline than
 	// the one being ranked — fall through to the cold scan rather than
 	// serve wrong scores.
-	hists, err := dpidpHists(ctx, sc, memberPoints(sc.DS, ids))
+	hists, err := dpidpHists(ctx, sc, memberPoints(sc.ds, ids))
 	if err != nil {
 		return nil, false, err
 	}
@@ -44,34 +42,30 @@ func (dpidpRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 	for i := range ids {
 		scores[i] = -hists[i].Score()
 	}
-	if sc.StoreIndex != nil {
-		sc.StoreIndex(core.NewScoreIndex(ids, histMaps(hists)))
+	if sc.storeIndex != nil {
+		sc.storeIndex(core.NewScoreIndex(ids, histMaps(hists)))
 	}
 	return sortByScore(ids, scores, k), false, nil
 }
 
-// Partials scores the gathered candidates against this shard's local
-// rows: per candidate, the k-histogram of local rows it dominates,
-// where k counts dominators among all candidates (the global skyline) —
-// additive across shards because each local row contributes to exactly
-// one shard's histograms with the same global k.
-func (dpidpRanker) Partials(ctx context.Context, ds *core.Dataset, q Query, cands []core.Point) (Partials, error) {
+// dpidpPartials scores the gathered candidates against this shard's
+// local rows: per candidate, the k-histogram of local rows it
+// dominates, where k counts dominators among all candidates (the
+// global skyline) — additive across shards because each local row
+// contributes to exactly one shard's histograms with the same global k.
+func dpidpPartials(ctx context.Context, ds *core.Dataset, q Query, cands []core.Point) ([]KHist, error) {
 	sc, err := candidateContext(ds, &q, cands)
 	if err != nil {
-		return Partials{}, err
+		return nil, err
 	}
-	hists, err := dpidpHists(ctx, sc, cands)
-	if err != nil {
-		return Partials{}, err
-	}
-	return Partials{Hists: hists}, nil
+	return dpidpHists(ctx, sc, cands)
 }
 
-// CombinePartials merges each candidate's ascending runs across shards,
+// combineHists merges each candidate's ascending runs across shards,
 // summing the counts of equal k, and scores the merged runs. Every
-// shard's runs must be ascending, as Partials and serve.UnpackHists
-// return them.
-func (dpidpRanker) CombinePartials(shards []Partials, n int) (Partials, []float64, error) {
+// shard's runs must be ascending, as dpidpPartials and
+// serve.UnpackHists return them.
+func combineHists(shards []Partials, n int) (Partials, []float64, error) {
 	total := 0
 	for _, p := range shards {
 		if len(p.Hists) != n {
@@ -163,7 +157,7 @@ func indexRank(ix *core.ScoreIndex, ids []int32, k int) []int32 {
 // full-table shape it holds exactly what core.BuildScoreIndex would —
 // same integers, same member set — so the result doubles as a freshly
 // built index.
-func dpidpHists(ctx context.Context, sc *ScoreContext, members []core.Point) ([]KHist, error) {
+func dpidpHists(ctx context.Context, sc *scoreContext, members []core.Point) ([]KHist, error) {
 	// The dominator lists of the dominated rows, end to end: row r's
 	// list ends at ends[r], and its length is the row's k.
 	var doms, ends []int32
@@ -267,40 +261,38 @@ func histMaps(hists []KHist) []map[int32]int64 {
 	return maps
 }
 
-// layerRanker is RankLayer: iterated-skyline depth. TopK is a depth
+// rankLayer is RankLayer: iterated-skyline depth. TopK is a depth
 // bound, not a row count — the result is every row of R in skyline
 // layers 1..K (layer 1 = the skyline, layer i = the skyline of what
-// remains), ordered by (layer, id). Depth-bound semantics make the
-// distributed merge exact: a row's global layer never exceeds K unless
-// its local layer already does, so the union of shard-local layer-≤K
-// results contains every chain needed to re-derive global layers.
-type layerRanker struct{}
-
-func (layerRanker) Name() string { return string(RankLayer) }
-
-func (layerRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k int) ([]int32, bool, error) {
-	rows, err := filteredProjectedRows(ctx, sc.DS, sc.Query, sc.KeptTO, sc.KeptPO)
+// remains), ordered by (layer, id), so it holds rows beyond ids by
+// design. Depth-bound semantics make the distributed merge exact: a
+// row's global layer never exceeds K unless its local layer already
+// does, so the union of shard-local layer-≤K results contains every
+// chain needed to re-derive global layers (core.LayersUnder at the
+// coordinator).
+func rankLayer(ctx context.Context, sc *scoreContext, ids []int32, k int, algo core.Algorithm) ([]int32, error) {
+	rows, err := filteredProjectedRows(ctx, sc.ds, sc.query, sc.keptTO, sc.keptPO)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	doms := keptPODomains(sc.DS, sc.KeptPO)
-	layers, err := peelFrom(ctx, doms, rows, ids, k, sc)
+	doms := keptPODomains(sc.ds, sc.keptPO)
+	layers, err := peelFrom(ctx, doms, rows, ids, k, algo, sc.query.Hints.NoKernel)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return layerOrder(rows, layers), false, nil
+	return layerOrder(rows, layers), nil
 }
 
 // peelFrom assigns layers 1..k over rows. Layer 1 is the skyline the
 // executor already computed (memo-served when the table is warm);
-// deeper layers peel the residual with the plan's algorithm (SFS unless
-// the query's hints force another) — the same elimination a cold query
-// would run, minus the re-plan and table rebuild a client peeling by
-// hand pays per layer.
-// The scalar reference path (NoKernel) stays on core.LayersUnder for
+// deeper layers peel the residual with algo, the plan's algorithm (SFS
+// unless the query's hints force another) — the same elimination a
+// cold query would run, minus the re-plan and table rebuild a client
+// peeling by hand pays per layer.
+// The scalar reference path (noKernel) stays on core.LayersUnder for
 // the differential harnesses.
-func peelFrom(ctx context.Context, doms []*poset.Domain, rows []core.Point, sky []int32, k int, sc *ScoreContext) ([]int32, error) {
-	if sc.Query.Hints.NoKernel {
+func peelFrom(ctx context.Context, doms []*poset.Domain, rows []core.Point, sky []int32, k int, algo core.Algorithm, noKernel bool) ([]int32, error) {
+	if noKernel {
 		return core.LayersUnder(doms, rows, k, true), nil
 	}
 	layers := make([]int32, len(rows))
@@ -315,10 +307,6 @@ func peelFrom(ctx context.Context, doms []*poset.Domain, rows []core.Point, sky 
 		} else {
 			alive = append(alive, i)
 		}
-	}
-	algo := sc.Algo
-	if algo == nil {
-		algo, _ = core.Lookup("stss")
 	}
 	for layer := int32(2); int(layer) <= k && len(alive) > 0; layer++ {
 		if err := ctxErr(ctx); err != nil {
@@ -347,19 +335,6 @@ func peelFrom(ctx context.Context, doms []*poset.Domain, rows []core.Point, sky 
 		alive = next
 	}
 	return layers, nil
-}
-
-// RankUnion re-layers the un-eliminated union of shard-local layer
-// results on the coordinator; rows deeper than k are dropped.
-func (layerRanker) RankUnion(wc *WireContext, pts []core.Point, k int) ([]float64, []bool) {
-	layers := core.LayersUnder(wc.Doms, pts, k, wc.Query.Hints.NoKernel)
-	scores := make([]float64, len(pts))
-	keep := make([]bool, len(pts))
-	for i, l := range layers {
-		scores[i] = float64(l)
-		keep[i] = l >= 1
-	}
-	return scores, keep
 }
 
 // layerOrder collects rows of layers 1..bound in (layer, id) order.

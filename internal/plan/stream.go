@@ -39,11 +39,11 @@ type StreamRow struct {
 //     that survives the scan is final. An unranked top-k stops the scan
 //     after K emissions, so a first-K stream is a prefix of the full
 //     stream.
-//   - Score-threshold top-k: a ranking with the StreamBounder
-//     capability (origin-ideal today) collects the scan's rows only
-//     until the K-th best score provably beats every later row (the
-//     next row's key minus the ranker's slack), then emits the top K in
-//     rank order — early termination without scanning the full skyline.
+//   - Score-threshold top-k: the origin-ideal ranking, the one with a
+//     sound streaming bound, collects the scan's rows only until the
+//     K-th best score provably beats every later row (the next row's
+//     key minus the bound's slack), then emits the top K in rank order
+//     — early termination without scanning the full skyline.
 //   - Buffered fallback: everything else (cache hits, forced algorithms
 //     other than sfs, forced parallelism, restricted skylines, and
 //     rankings without a sound streaming bound) runs Run and replays
@@ -63,20 +63,12 @@ func (p *Plan) RunStream(ctx context.Context, ds *core.Dataset, env Env, emit fu
 	cursorOK := p.cached == nil && p.Query.Hints.Parallelism <= 0 &&
 		len(p.Query.FWeights) == 0 && (hinted == "" || hinted == "sfs")
 
-	// A ranked stream is progressive only when the ranking provides a
-	// sound bound on future emissions (StreamBounder) and accepts this
-	// query's shape.
+	// A ranked stream is progressive only with a sound bound on future
+	// emissions: the origin-ideal ranking's (originIdealBound).
 	var boundScore func(pt *core.Point) float64
 	var boundSlack int64
-	if cursorOK && p.Query.TopK > 0 && p.Query.Rank != RankNone {
-		if r, ok := LookupRanker(string(p.Query.Rank)); ok {
-			if sb, ok := r.(StreamBounder); ok {
-				boundScore, boundSlack, ok = sb.StreamScorer(p.scoreContext(ds, env))
-				if !ok {
-					boundScore = nil
-				}
-			}
-		}
+	if cursorOK && p.Query.TopK > 0 && p.Query.Rank == RankIdeal && p.Query.Ideal == nil {
+		boundScore, boundSlack = originIdealBound(ds, p.keptTO, p.keptPO)
 	}
 
 	var res *core.Result
@@ -192,11 +184,10 @@ func (p *Plan) streamCursor(ctx context.Context, ds *core.Dataset, env Env, emit
 }
 
 // streamThresholdTopK answers a ranked top-k through the scan with a
-// sound early stop supplied by the ranking's StreamBounder capability:
-// every later row's score is bounded below by the next row's key
-// (Σ kept TO + Σ topological ordinal) minus the ranker's slack — for
+// sound early stop: every later row's score is bounded below by the
+// next row's key (Σ kept TO + Σ topological ordinal) minus slack — for
 // the origin-ideal ranking, an ordinal never undershoots its value's
-// depth, so key − Σ(|domain|−1) ≤ score. Once K collected scores beat
+// depth, so key − Σ(|domain|−1) ≤ score (originIdealBound). Once K collected scores beat
 // that bound strictly, no later row can displace them (nor tie into a
 // different id order), and the scan stops without enumerating the rest
 // of the skyline.

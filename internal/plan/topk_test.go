@@ -128,9 +128,9 @@ func TestIndexRankSubset(t *testing.T) {
 			scores = append(scores, -ix.Scores()[i])
 		}
 	}
-	sc := &ScoreContext{DS: ds, Query: &Query{}, Index: ix}
+	sc := &scoreContext{ds: ds, query: &Query{}, index: ix}
 	for _, k := range []int{1, 10, len(sub), len(sub) + 5} {
-		got, fromIndex, err := dpidpRanker{}.Rank(context.Background(), sc, sub, k)
+		got, fromIndex, err := rankDPIDP(context.Background(), sc, sub, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestIndexRankSubset(t *testing.T) {
 	for slices.Contains(sky, outside) {
 		outside++
 	}
-	if _, fromIndex, err := (dpidpRanker{}).Rank(context.Background(), sc, append(sub, outside), 3); err != nil || fromIndex {
+	if _, fromIndex, err := rankDPIDP(context.Background(), sc, append(sub, outside), 3); err != nil || fromIndex {
 		t.Fatalf("row %d, not a member, was ranked from the index (err %v)", outside, err)
 	}
 }

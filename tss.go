@@ -523,8 +523,8 @@ func (t *Table) QueryStream(ctx context.Context, q plan.Query, emit func(plan.St
 // RankPartials computes, per candidate row, this table's partial
 // contribution to the named ranking's global score over R — the table
 // filtered by q.Where, on q.Subspace's kept dimensions: dominance counts
-// for "domcount", dominator-count histograms for "dpidp" (rankings that
-// define per-shard partials answer here; see plan.PartialScorer).
+// for "domcount", dominator-count histograms for "dpidp" (the two
+// rankings with per-shard partials; see plan.RankPartials).
 // Candidates are value-addressed rather than row indexes: row(i), for
 // i in [0, n), is candidate i's TO values and, per PO column, its
 // value's index in the column's Order (RowCodes' form). This is the
