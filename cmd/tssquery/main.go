@@ -9,7 +9,7 @@
 // The -method flag accepts a serving algorithm, sfs or stss (the
 // BNL, BBS+, SDC and SDC+ baselines run only in tssbench);
 // -parallel N runs it behind the partition-and-merge executor with N
-// shards (-1 = one per CPU, 0 = the planner decides).
+// shards, at most one per CPU (-1 = one per CPU, 0 = the planner decides).
 //
 // Every run is one planned query: the flags build one serve.QueryRequest,
 // which -serve POSTs to /tables/{t}/query and a local run translates
@@ -75,7 +75,7 @@ func main() {
 	method := flag.String("method", "stss",
 		"skyline algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
 	parallel := flag.Int("parallel", 0,
-		"run the partition-and-merge executor with N shards (0 = planner decides, -1 = one per CPU)")
+		"run the partition-and-merge executor with N shards, at most one per CPU (0 = planner decides, -1 = one per CPU)")
 	queryDAGs := flag.String("querydags", "", "dynamic query: comma-separated DAG files replacing the data's partial orders for this query")
 	ideal := flag.String("ideal", "", "comma-separated ideal TO values: the reference point of -rank ideal, else the fully dynamic |v-ideal| skyline")
 	limit := flag.Int("limit", 10, "skyline rows to print (0 = all)")

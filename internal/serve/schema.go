@@ -115,15 +115,15 @@ func (sc *Schema) LookupCol(name string) (dim int, isTO bool, err error) {
 // query is a client error before any work starts or any stream opens,
 // with the same text on a node and on a coordinator. The wire
 // parallelism contract matches the CLI flag: > 0 forces that many
-// shards, < 0 forces one shard per *executing host* CPU, 0 lets the
-// planner decide — so `tssquery -parallel -1` means the same thing
-// locally and against a server.
+// shards, at most one per *executing host* CPU, < 0 forces one per CPU,
+// 0 lets the planner decide — so `tssquery -parallel -1` means the same
+// thing locally and against a server.
 func (sc *Schema) PlanQuery(req QueryRequest) (plan.Query, error) {
 	if req.Limit < 0 {
 		return plan.Query{}, fmt.Errorf("limit %d: must not be negative", req.Limit)
 	}
 	par := req.Parallel
-	if par < 0 {
+	if par != 0 && (par < 0 || par > runtime.GOMAXPROCS(0)) {
 		par = runtime.GOMAXPROCS(0)
 	}
 	q := plan.Query{

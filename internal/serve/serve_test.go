@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -221,6 +222,23 @@ func TestSkylineEndpoint(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodGet, ts.URL+"/tables/flights/skyline", nil, nil); code != http.StatusNotFound {
 		t.Errorf("GET /skyline: %d, want 404", code)
+	}
+}
+
+// TestParallelCappedAtCPUs posts a hostile shard count: the node runs
+// at most one shard per CPU and answers the sequential skyline.
+func TestParallelCappedAtCPUs(t *testing.T) {
+	_, ts := newTestServer(t)
+	var out QueryResponse
+	body := json.RawMessage(`{"parallel": 1048576, "noCache": true, "explain": true}`)
+	if code := doJSON(t, http.MethodPost, ts.URL+"/tables/flights/query", body, &out); code != http.StatusOK {
+		t.Fatalf("parallel 1048576: %d", code)
+	}
+	if want := []int{0, 4, 5, 8, 9}; !slices.Equal(rowSet(out.Skyline), want) {
+		t.Errorf("parallel 1048576 skyline: %v, want %v", rowSet(out.Skyline), want)
+	}
+	if out.Plan == nil || out.Plan.Parallelism < 1 || out.Plan.Parallelism > runtime.GOMAXPROCS(0) {
+		t.Errorf("parallel 1048576 ran %+v, want 1..%d shards", out.Plan, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -220,9 +220,9 @@ type QueryRequest struct {
 	// with Subspace/Where and unranked TopK, not with Rank.
 	FWeights []float64 `json:"fweights,omitempty"`
 	Algo     string    `json:"algo,omitempty"` // force an algorithm
-	// Parallel > 0 forces that many shards, < 0 forces one shard per
-	// server CPU, 0 lets the planner decide — the same contract as the
-	// tssquery -parallel flag.
+	// Parallel > 0 forces that many shards, at most one per server CPU,
+	// < 0 forces one shard per server CPU, 0 lets the planner decide —
+	// the same contract as the tssquery -parallel flag.
 	Parallel int  `json:"parallel,omitempty"`
 	Explain  bool `json:"explain,omitempty"`
 	// NoCache bypasses the snapshot's skyline memo (cold recompute) —
